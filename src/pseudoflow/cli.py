@@ -9,10 +9,6 @@ file and renamed into place, so a failed run leaves no partial output.
 
 Exit codes: 0 success, 1 usage error (message on stderr), 2 numerical
 non-convergence (ConvergenceError/TruncationError; message on stderr).
-
-The environment variable PSEUDOFLOW_THREADS (positive integer) caps the
-worker pool used by the pointwise series paths; output assembly is
-order-fixed either way.
 """
 from __future__ import annotations
 
@@ -21,7 +17,6 @@ import os
 import re
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,13 +56,10 @@ class RunSpec:
     tau: float | None
     params: dict = field(default_factory=dict)
     out_path: str = ""
-    format: str = "csv"
 
     def __post_init__(self):
         if self.subcommand not in SUBCOMMANDS:
             raise ValueError(f"unknown subcommand {self.subcommand!r}")
-        if self.format != "csv":
-            raise ValueError("only csv output is supported")
 
 
 class _UsageError(Exception):
@@ -207,26 +199,6 @@ def _write_csv(path: str, header: list, columns: list) -> int:
     return len(rows)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("PSEUDOFLOW_THREADS")
-    if raw is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _UsageError(
-            f"PSEUDOFLOW_THREADS must be a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise _UsageError("PSEUDOFLOW_THREADS must be a positive integer")
-    return value
-
-
-def _thread_map(fn, items):
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        return list(pool.map(fn, items))
-
-
 def _field_err(f: Field) -> float | None:
     err = f.meta.get("quadrature_error", f.meta.get("tail_estimate"))
     return None if err is None else float(err)
@@ -238,7 +210,7 @@ def _field_err(f: Field) -> float | None:
 
 def _series_field(grid: tuple, tau: float) -> Field:
     x = np.linspace(grid[0], grid[1], grid[2])
-    values = np.array(_thread_map(lambda eta: series_solution(float(eta), tau), x))
+    values = np.array([series_solution(float(eta), tau) for eta in x])
     return Field(grid[0], grid[1], grid[2], values)
 
 
@@ -584,7 +556,6 @@ def _to_runspec(ns: argparse.Namespace) -> RunSpec:
 def run(args) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     try:
-        _worker_count()  # reject a malformed PSEUDOFLOW_THREADS on any path
         ns = _build_parser().parse_args(list(args))
         spec = _to_runspec(ns)
         header, cols, err, extra = _HANDLERS[spec.subcommand](spec)

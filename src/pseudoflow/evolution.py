@@ -33,12 +33,7 @@ from scipy.special import j0 as _j0
 from scipy.special import jn_zeros as _jn_zeros
 
 from .errors import ConvergenceError
-from .special import (
-    QuadratureConfig,
-    _integrate_halfline_vec,
-    _legendre_nodes,
-    integrate_halfline,
-)
+from .special import QuadratureConfig, _gl_panels, _shift_panels, integrate_halfline
 from .transforms import BOUNDARY_LEAK_THRESHOLD, Field, _gw_apply
 
 __all__ = [
@@ -170,6 +165,11 @@ def _leak_warning(f: Field, side: str, op: str) -> list:
 # subordination solvers
 
 
+def _check_tau(tau: float) -> None:
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError("tau must be finite and nonnegative")
+
+
 def solve_half_derivative(f: Field, tau: float, cfg: QuadratureConfig | None = None) -> Field:
     """Solve d/dtau F = -d^{1/2}F/dx^{1/2}, F(x,0) = f(x).
 
@@ -184,8 +184,7 @@ def solve_half_derivative(f: Field, tau: float, cfg: QuadratureConfig | None = N
     uniform in tau. The kernel looks leftward, so data should either decay
     toward x_min or the grid should extend far enough left.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    _check_tau(tau)
     if tau == 0.0:
         return f.with_values(f.values)
     cfg = cfg or _DOETSCH_CFG
@@ -194,37 +193,19 @@ def solve_half_derivative(f: Field, tau: float, cfg: QuadratureConfig | None = N
     n = f.n
     h = f.dx
     t2 = tau * tau
+    pref = tau / (2.0 * math.sqrt(math.pi))
 
-    def head(order: int) -> np.ndarray:
-        # s in (0, h]: the data factor is a single cubic on [x - h, x], so
-        # only the kernel sets the resolution. Geometric panels (ratio <= 2)
-        # down to where e^{-tau^2/(4s)} has died track both the s^{-3/2}
-        # singularity and the essential flank on the log scale.
-        u_hi = max(8.5, tau / (2.0 * math.sqrt(h)) + 1.0)
-        s_lo = min(t2 / (4.0 * u_hi * u_hi), 0.5 * h)
-        panels = max(1, int(math.ceil(math.log2(h / s_lo))))
-        edges = s_lo * (h / s_lo) ** (np.arange(panels + 1) / panels)
-        edges[-1] = h
-        x01, w01 = _legendre_nodes(order)
-        widths = np.diff(edges)
-        ss = (edges[:-1, None] + widths[:, None] * x01[None, :]).ravel()
-        ws = (widths[:, None] * w01[None, :]).ravel()
-        pref = tau / (2.0 * math.sqrt(math.pi))
+    def head(ss: np.ndarray, ws: np.ndarray) -> np.ndarray:
+        # s in (0, h]: the data factor is a single cubic on [x - h, x].
         amp = pref * ws * ss**-1.5 * np.exp(-t2 / (4.0 * ss))
         vals = ext(x[None, :] - ss[:, None])
         return (amp[:, None] * vals).sum(axis=0)
 
-    def tail(order: int, split: int = 1) -> np.ndarray:
-        # s in [h, span]: composite Gauss-Legendre with `split` panels per
-        # grid cell. Nodes at s = (j + off)*h share the fractional offset
-        # across cells, so each offset costs one interpolant sweep and one
-        # discrete convolution with the kernel weights.
-        x01, w01 = _legendre_nodes(order)
-        offs = np.concatenate([(r + x01) / split for r in range(split)])
-        wq = np.tile(w01 / split, split)
+    def tail(offs: np.ndarray, wq: np.ndarray) -> np.ndarray:
+        # s in [h, span]: each fractional offset costs one interpolant sweep
+        # and one discrete convolution with the kernel weights.
         samples = ext(x[None, :] - (offs * h)[:, None])
         j = np.arange(1, n - 1, dtype=float)
-        pref = tau / (2.0 * math.sqrt(math.pi))
         out = np.zeros(n, dtype=samples.dtype)
         kernel = np.zeros(n - 1)
         for q in range(offs.size):
@@ -233,19 +214,7 @@ def solve_half_derivative(f: Field, tau: float, cfg: QuadratureConfig | None = N
             out = out + np.convolve(kernel, samples[q])[:n]
         return out
 
-    coarse = head(16) + tail(8)
-    values = head(24) + tail(12)
-    err = float(np.max(np.abs(values - coarse)))
-    tol = max(cfg.abs_tol, cfg.rel_tol * float(np.max(np.abs(values))))
-    if err > tol:
-        refined = head(32) + tail(12, split=2)
-        err = float(np.max(np.abs(refined - values)))
-        values = refined
-        if err > tol:
-            raise ConvergenceError(
-                "half-derivative panel quadrature did not converge on the grid",
-                error_bound=err,
-            )
+    values, err = _shift_panels(h, tau, t2, head, tail, cfg, "half-derivative")
     out_warn = _leak_warning(f, "left", "solve_half_derivative")
     if not np.iscomplexobj(f.values):
         values = values.real
@@ -259,8 +228,7 @@ def solve_pseudoheat(f: Field, tau: float, cfg: QuadratureConfig | None = None) 
     GW(f, t tau^2) dt, where GW is the Gauss-Weierstrass smoothing of the
     initial data. tau = 0 returns the input unchanged.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    _check_tau(tau)
     if tau == 0.0:
         return f.with_values(f.values)
     cfg = cfg or _DOETSCH_CFG
@@ -275,7 +243,8 @@ def solve_pseudoheat(f: Field, tau: float, cfg: QuadratureConfig | None = None) 
             return np.zeros_like(vals)
         return weight * _gw_apply(x, vals, t * t2)
 
-    values, err = _integrate_halfline_vec(integrand, cfg)
+    res = integrate_halfline(integrand, cfg)
+    values, err = res.value, res.error
     warn = []
     if f.boundary_leaks():
         warn.append("solve_pseudoheat: input is not negligible at the grid boundary")
@@ -291,8 +260,7 @@ def pseudoheat_gaussian(tau: float, x: float, cfg: QuadratureConfig | None = Non
     (1/(2 sqrt(pi))) int t^{-3/2} (1+4 t tau^2)^{-1/2}
     exp{-(1/(4t) + t tau^2 + x^2/(1+4 t tau^2))} dt.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    _check_tau(tau)
     if tau == 0.0:
         return math.exp(-x * x)
     cfg = cfg or _DOETSCH_CFG
@@ -322,7 +290,8 @@ def _affine_panels(f: Field, tau: float, c: float, cfg: QuadratureConfig):
     n = f.n
     h = f.dx
     gamma = c * tau * tau
-    pref = math.sqrt(gamma) / (2.0 * math.sqrt(math.pi))
+    root = math.sqrt(gamma)
+    pref = root / (2.0 * math.sqrt(math.pi))
     # worst-case amplification of e^{-s x / c} over the grid, for truncation
     xneg = max(0.0, -float(x[0]))
     cplx = np.iscomplexobj(f.values)
@@ -330,24 +299,12 @@ def _affine_panels(f: Field, tau: float, c: float, cfg: QuadratureConfig):
     def kernel(s: np.ndarray) -> np.ndarray:
         return pref * s**-1.5 * np.exp(-gamma / (4.0 * s) - s * s / (2.0 * c))
 
-    def head(order: int) -> np.ndarray:
-        u_hi = max(8.5, math.sqrt(gamma) / (2.0 * math.sqrt(h)) + 1.0)
-        s_lo = min(gamma / (4.0 * u_hi * u_hi), 0.5 * h)
-        panels = max(1, int(math.ceil(math.log2(h / s_lo))))
-        edges = s_lo * (h / s_lo) ** (np.arange(panels + 1) / panels)
-        edges[-1] = h
-        x01, w01 = _legendre_nodes(order)
-        widths = np.diff(edges)
-        ss = (edges[:-1, None] + widths[:, None] * x01[None, :]).ravel()
-        ws = (widths[:, None] * w01[None, :]).ravel()
+    def head(ss: np.ndarray, ws: np.ndarray) -> np.ndarray:
         amp = ws * kernel(ss)
         vals = ext(x[None, :] + ss[:, None]) * np.exp(np.outer(-ss / c, x))
         return (amp[:, None] * vals).sum(axis=0)
 
-    def tail(order: int, split: int = 1) -> np.ndarray:
-        x01, w01 = _legendre_nodes(order)
-        offs = np.concatenate([(r + x01) / split for r in range(split)])
-        wq = np.tile(w01 / split, split)
+    def tail(offs: np.ndarray, wq: np.ndarray) -> np.ndarray:
         j = np.arange(1, n - 1, dtype=float)
         out = np.zeros(n, dtype=complex if cplx else float)
         for q in range(offs.size):
@@ -365,19 +322,7 @@ def _affine_panels(f: Field, tau: float, c: float, cfg: QuadratureConfig):
                 out[: n - jj] += (w[idx] * np.exp((-s / c) * x[: n - jj])) * samples[jj:]
         return out
 
-    coarse = head(16) + tail(8)
-    values = head(24) + tail(12)
-    err = float(np.max(np.abs(values - coarse)))
-    tol = max(cfg.abs_tol, cfg.rel_tol * float(np.max(np.abs(values))))
-    if err > tol:
-        refined = head(32) + tail(12, split=2)
-        err = float(np.max(np.abs(refined - values)))
-        values = refined
-        if err > tol:
-            raise ConvergenceError(
-                "affine-sqrt panel quadrature did not converge on the grid",
-                error_bound=err,
-            )
+    values, err = _shift_panels(h, root, gamma, head, tail, cfg, "affine-sqrt")
     if not np.all(np.isfinite(values.real)) or (cplx and not np.all(np.isfinite(values.imag))):
         raise ConvergenceError(
             "affine-sqrt quadrature overflowed: e^{-t tau^2 x} amplifies "
@@ -404,8 +349,9 @@ def solve_affine_sqrt(
     data vanishes, and the quadrature fails its convergence test with a
     ConvergenceError (the admissible domain is not characterized here).
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    _check_tau(tau)
+    if not math.isfinite(c):
+        raise ValueError("c must be finite")
     if tau == 0.0:
         return f.with_values(f.values)
     cfg = cfg or _DOETSCH_CFG
@@ -426,7 +372,8 @@ def solve_affine_sqrt(
                 prod = amp * fvals
             return np.where(fvals == 0.0, 0.0, prod)
 
-        values, err = _integrate_halfline_vec(integrand, cfg)
+        res = integrate_halfline(integrand, cfg)
+        values, err = res.value, res.error
     warn = _leak_warning(f, "right", "solve_affine_sqrt") if c != 0 else []
     if not np.iscomplexobj(f.values):
         values = values.real
@@ -441,18 +388,15 @@ _REQUIRED_CHUNKS = 32       # points with at least this many chunks must converg
 
 
 def _j0_chunks(span: float, order: int):
-    """Gauss-Legendre nodes/weights on consecutive zero-to-zero arcs of J0."""
+    """Gauss-Legendre nodes/weights on consecutive zero-to-zero arcs of J0,
+    one row per arc."""
     m = max(int(span / math.pi) + 2, 4)
     zeros = _jn_zeros(0, m)
     edges = np.concatenate(([0.0], zeros[zeros <= span]))
     if edges.size < 2:
         edges = np.array([0.0, span])
-    x01, w01 = _legendre_nodes(order)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append(a + (b - a) * x01)
-        weights.append((b - a) * w01)
-    return edges, [np.asarray(t) for t in nodes], [np.asarray(w) for w in weights]
+    nodes, weights = _gl_panels(edges, order)
+    return edges, nodes.reshape(-1, order), weights.reshape(-1, order)
 
 
 def _averaged_tail(partials: np.ndarray):

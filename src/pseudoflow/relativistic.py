@@ -33,6 +33,7 @@ from .errors import TruncationError
 from .evolution import SymbolSpec, _extender, _spectral_apply, solve_symbol_spectral
 from .special import (
     QuadratureConfig,
+    _gl_panels,
     _hermite_nodes,
     _legendre_nodes,
     hermite2,
@@ -224,14 +225,9 @@ def _dhat_kernel_k0(f: Field) -> np.ndarray:
     for e in (4.0, 7.0, 11.0, 16.0, 22.0, 29.0, 40.0):
         if e > edges[-1]:
             edges.append(e)
-    x24, w24 = _legendre_nodes(24)
-    far_nodes = []
-    far_w = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        far_nodes.append(a + (b - a) * x24)
-        far_w.append((b - a) * w24)
-    nodes = np.concatenate([diag_nodes] + far_nodes)
-    weights = np.concatenate([diag_w] + far_w)
+    far_nodes, far_w = _gl_panels(edges, 24)
+    nodes = np.concatenate([diag_nodes, far_nodes])
+    weights = np.concatenate([diag_w, far_w])
     kw = weights * _k0(nodes) / math.pi
     left = ext(x[:, None] - nodes[None, :]) @ kw
     right = ext(x[:, None] + nodes[None, :]) @ kw
@@ -251,7 +247,7 @@ def _dhat_s_integral(f: Field, cfg: QuadratureConfig) -> np.ndarray:
     """
     ext = _extender(f)
     x = f.x
-    wn, ww = _hermite_nodes(128)  # inner rule; engine folds e^{+w^2} back in
+    wn, ww = _hermite_nodes(128)  # inner rule; the cached weights fold e^{+w^2} back in
     inner_plain = ww * np.exp(-wn * wn)
     inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
     un, uw = _hermite_nodes(max(cfg.realline_order, 192))

@@ -1,8 +1,10 @@
-"""Special functions and quadrature engines.
+"""Special functions and the quadrature core.
 
-Two-variable Hermite polynomials H_n(x, y), Bessel J0/K0, and the two
-integration engines (half-line and real-line) every solver in this package
-is built on.
+Two-variable Hermite polynomials H_n(x, y), Bessel J0/K0, and the one
+quadrature core every solver in this package is built on: half-line and
+real-line integrals by the rule a :class:`QuadratureConfig` names, the
+composite Gauss-Legendre panel builder, and the coarse/fine/refined driver
+of the grid-aligned shift-type integrals.
 
 Half-line rules
 ---------------
@@ -20,6 +22,19 @@ Half-line rules
     kernels of that shape. It is *not* a good choice for plain e^{-s}
     integrands, whose transformed tail decays only like xi^{-3}.
 
+Real-line rules
+---------------
+``gauss_hermite``
+    Gauss-Hermite with the weight e^{-x^2} folded back in; suited to
+    integrands with a Gaussian envelope.
+``truncated_adaptive``
+    Globally adaptive subdivision (QUADPACK) over the whole real line, for
+    integrands with poles near the real axis or slow decay.
+
+Every rule takes scalar or vector integrands: an integrand that returns an
+array is integrated component by component (QUADPACK) or on shared nodes
+(the Gauss and inverse-square rules), and the error estimate is the worst component's.
+
 All rules use fixed node sets and compensated (Neumaier) accumulation in a
 fixed order, so results are bit-identical across runs and schedulers.
 """
@@ -34,7 +49,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate as _integrate
+from scipy.integrate import quad as _quad
 from scipy import special as _special
 
 from .errors import ConvergenceError
@@ -63,7 +78,7 @@ _HERMITE_N_CAP = 1000
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Rule selection and tolerances for the two integration engines.
+    """Rule selection and tolerances for the half-line and real-line integrals.
 
     Orders are node counts of the *initial* rule; refinement doubles them
     (Gauss rules) or deepens the subdivision (adaptive rules) up to
@@ -95,9 +110,13 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Value of an integral together with the achieved error estimate."""
+    """Value of an integral together with the achieved error estimate.
 
-    value: complex
+    ``value`` is a complex for a scalar integrand and an array of the
+    integrand's shape for an array-valued one.
+    """
+
+    value: complex | np.ndarray
     error: float
 
     def __complex__(self) -> complex:
@@ -216,62 +235,62 @@ def _legendre_nodes(order: int):
     return x01, w01
 
 
-def _eval_nodes(f: Callable, nodes: np.ndarray) -> np.ndarray:
-    vals = [np.asarray(f(float(t))) for t in nodes]
-    return np.stack(vals, axis=0)
+def _gl_panels(edges, order: int):
+    """Composite Gauss-Legendre nodes and weights on the panels
+    [edges[i], edges[i+1]], panel by panel in edge order."""
+    x01, w01 = _legendre_nodes(order)
+    edges = np.asarray(edges, dtype=float)
+    widths = np.diff(edges)
+    nodes = (edges[:-1, None] + widths[:, None] * x01[None, :]).ravel()
+    weights = (widths[:, None] * w01[None, :]).ravel()
+    return nodes, weights
+
+
+# ----------------------------------------------------------------------
+# the quadrature core (scalar integrands go through shape-() arrays)
 
 
 def _tol(cfg: QuadratureConfig, scale: float) -> float:
     return max(cfg.abs_tol, cfg.rel_tol * scale)
 
 
-# ----------------------------------------------------------------------
-# engine cores (vector-valued integrands; scalars go through shape-() arrays)
+def _rule_sum(f: Callable, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Compensated sum of weights * f(node), one integrand call per node."""
+    vals = np.stack([np.asarray(f(float(t))) for t in nodes], axis=0)
+    return _csum(weights.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals)
 
 
-def _gauss_refine(f: Callable, cfg: QuadratureConfig, nodes_of, order0: int, cap: int):
-    """Shared doubling-refinement loop for the Gauss rules."""
-    # Keep room for at least one doubling so an error estimate always exists.
-    order = min(order0, cap // 2)
-    x, w = nodes_of(order)
-    vals = _eval_nodes(f, x)
-    est = _csum(w.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals)
+def _refine(total_at: Callable, levels: list, cfg: QuadratureConfig, failure: str):
+    """Step through ``levels`` until two successive estimates agree.
+
+    The estimate is accepted once it is finite and the change from the
+    previous level is within max(abs_tol, rel_tol * |estimate|).
+    ``failure`` is formatted with the last level for the ConvergenceError.
+    """
+    est = total_at(levels[0])
     err = math.inf
-    for _ in range(cfg.max_refinements):
-        if order >= cap:
-            break
-        order = min(2 * order, cap)
-        x, w = nodes_of(order)
-        vals = _eval_nodes(f, x)
-        new = _csum(w.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals)
+    for level in levels[1:]:
+        new = total_at(level)
         err = float(np.max(np.abs(new - est)))
         est = new
-        if np.all(np.isfinite(np.atleast_1d(est))) and err <= _tol(cfg, float(np.max(np.abs(est)))):
+        if np.all(np.isfinite(est)) and err <= _tol(cfg, float(np.max(np.abs(est)))):
             return est, err
-    if err <= _tol(cfg, float(np.max(np.abs(np.atleast_1d(est))))) and np.all(
-        np.isfinite(np.atleast_1d(est))
-    ):
-        return est, err
     raise ConvergenceError(
-        f"Gauss rule did not converge by order {order}",
+        failure.format(levels[-1]),
         estimate=est if np.ndim(est) == 0 else None,
         error_bound=err,
     )
 
 
-def _panel_sum(g: Callable, edges: np.ndarray, order: int) -> np.ndarray:
-    """Composite Gauss-Legendre over consecutive [edges[i], edges[i+1]] panels."""
-    x01, w01 = _legendre_nodes(order)
-    pieces = []
-    weights = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        span = b - a
-        pieces.append(a + span * x01)
-        weights.append(span * w01)
-    ts = np.concatenate(pieces)
-    ws = np.concatenate(weights)
-    vals = _eval_nodes(g, ts)
-    return _csum(ws.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals)
+def _gauss_refine(f: Callable, cfg: QuadratureConfig, nodes_of, order0: int, cap: int):
+    """Gauss rule whose order doubles up to ``cap``."""
+    # Keep room for at least one doubling so an error estimate always exists.
+    order = min(order0, cap // 2)
+    levels = sorted({min(order << k, cap) for k in range(cfg.max_refinements + 1)})
+    return _refine(
+        lambda m: _rule_sum(f, *nodes_of(m)), levels, cfg,
+        "Gauss rule did not converge by order {}",
+    )
 
 
 def _inverse_square_core(f: Callable, cfg: QuadratureConfig):
@@ -290,7 +309,7 @@ def _inverse_square_core(f: Callable, cfg: QuadratureConfig):
     order = 16
     upper = 16.0
     # Extend the truncation point while the tail still matters.
-    probe = _panel_sum(g, np.array([upper, 1.5 * upper]), order)
+    probe = _rule_sum(g, *_gl_panels([upper, 1.5 * upper], order))
     budget = cfg.abs_tol if cfg.abs_tol > 0 else 1e-15
     while float(np.max(np.abs(probe))) > budget / 16.0:
         upper *= 1.5
@@ -300,79 +319,116 @@ def _inverse_square_core(f: Callable, cfg: QuadratureConfig):
                 "tail (integrand lacks t->0 decay); use another rule",
                 error_bound=float(np.max(np.abs(probe))),
             )
-        probe = _panel_sum(g, np.array([upper, 1.5 * upper]), order)
+        probe = _rule_sum(g, *_gl_panels([upper, 1.5 * upper], order))
 
-    n_panels = 8
-    edges = np.linspace(0.0, upper, n_panels + 1)
-    est = _panel_sum(g, edges, order)
-    err = math.inf
-    for _ in range(cfg.max_refinements):
-        n_panels *= 2
-        edges = np.linspace(0.0, upper, n_panels + 1)
-        new = _panel_sum(g, edges, order)
-        err = float(np.max(np.abs(new - est)))
-        est = new
-        if np.all(np.isfinite(np.atleast_1d(est))) and err <= _tol(cfg, float(np.max(np.abs(est)))):
-            return est, err
-    raise ConvergenceError(
-        f"inverse-square rule did not converge with {n_panels} panels",
-        estimate=est if np.ndim(est) == 0 else None,
-        error_bound=err,
+    return _refine(
+        lambda panels: _rule_sum(g, *_gl_panels(np.linspace(0.0, upper, panels + 1), order)),
+        [8 << k for k in range(cfg.max_refinements + 1)],
+        cfg,
+        "inverse-square rule did not converge with {} panels",
     )
 
 
-def _quadpack_scalar(f: Callable, a, b, cfg: QuadratureConfig):
-    """scipy.integrate.quad on the real and imaginary parts separately."""
+def _quadpack(f: Callable, a: float, b: float, probe_at: float, cfg: QuadratureConfig):
+    """scipy.integrate.quad on each component, real and imaginary parts apart."""
+    shape = np.shape(f(probe_at))
     limit = 50 * cfg.max_refinements
     epsabs = max(cfg.abs_tol, 1e-14)
     epsrel = max(cfg.rel_tol, 1e-12)
-    out = []
-    for part in (np.real, np.imag):
-        val, err, info, *rest = _integrate.quad(
-            lambda t: float(part(f(t))), a, b, limit=limit, epsabs=epsabs, epsrel=epsrel,
-            full_output=True,
-        )
-        # A QUADPACK warning (e.g. roundoff detected) is only fatal when the
-        # achieved error bound also misses the configured tolerance.
-        if rest and err > _tol(cfg, abs(val)):
-            raise ConvergenceError(
-                f"adaptive quadrature failed: {rest[0]}", estimate=val, error_bound=err
+    vals = np.empty(shape, dtype=complex)
+    errs = np.empty(shape)
+    for idx in np.ndindex(shape):
+        parts = []
+        for part in (np.real, np.imag):
+            val, err, _info, *rest = _quad(
+                lambda t: float(part(np.asarray(f(t))[idx])), a, b, limit=limit,
+                epsabs=epsabs, epsrel=epsrel, full_output=True,
             )
-        out.append((val, err))
-    (vr, er), (vi, ei) = out
-    return complex(vr, vi), er + ei
+            # A QUADPACK warning (e.g. roundoff detected) is only fatal when the
+            # achieved error bound also misses the configured tolerance.
+            if rest and err > _tol(cfg, abs(val)):
+                raise ConvergenceError(
+                    f"adaptive quadrature failed: {rest[0]}", estimate=val, error_bound=err
+                )
+            parts.append((val, err))
+        (vr, er), (vi, ei) = parts
+        vals[idx] = complex(vr, vi)
+        errs[idx] = er + ei
+    return vals, float(np.max(errs, initial=0.0))
 
 
-def _halfline_engine(f: Callable, cfg: QuadratureConfig):
-    if cfg.halfline_rule == "gauss_laguerre":
+def _integrate(f: Callable, rule: str, cfg: QuadratureConfig):
+    """Integrate ``f`` with the named rule; returns (value, error)."""
+    if rule == "gauss_laguerre":
         return _gauss_refine(f, cfg, _laguerre_nodes, cfg.halfline_order, _LAGUERRE_CAP)
-    if cfg.halfline_rule == "inverse_square_substitution":
-        return _inverse_square_core(f, cfg)
-    # adaptive_subdivision
-    probe = np.asarray(f(1.0))
-    if probe.ndim == 0:
-        return _quadpack_scalar(f, 0.0, np.inf, cfg)
-    # vector integrand: integrate each component independently
-    vals = np.empty(probe.shape, dtype=complex)
-    worst = 0.0
-    for idx in np.ndindex(probe.shape):
-        vals[idx], err = _quadpack_scalar(lambda t: np.asarray(f(t))[idx], 0.0, np.inf, cfg)
-        worst = max(worst, err)
-    return vals, worst
-
-
-def _realline_engine(f: Callable, cfg: QuadratureConfig):
-    if cfg.realline_rule == "gauss_hermite":
+    if rule == "gauss_hermite":
         return _gauss_refine(f, cfg, _hermite_nodes, cfg.realline_order, _HERMITE_CAP)
-    probe = np.asarray(f(0.5))
-    if probe.ndim == 0:
-        return _quadpack_scalar(f, -np.inf, np.inf, cfg)
-    vals = np.empty(probe.shape, dtype=complex)
-    worst = 0.0
-    for idx in np.ndindex(probe.shape):
-        vals[idx], err = _quadpack_scalar(lambda t: np.asarray(f(t))[idx], -np.inf, np.inf, cfg)
-        worst = max(worst, err)
-    return vals, worst
+    if rule == "inverse_square_substitution":
+        return _inverse_square_core(f, cfg)
+    if rule == "adaptive_subdivision":
+        return _quadpack(f, 0.0, np.inf, 1.0, cfg)
+    return _quadpack(f, -np.inf, np.inf, 0.5, cfg)  # truncated_adaptive
+
+
+def _result(value, error) -> IntegralResult:
+    return IntegralResult(complex(value) if np.ndim(value) == 0 else value, float(error))
+
+
+# ----------------------------------------------------------------------
+# grid-aligned shift panels
+
+
+def _shift_panels(
+    h: float, root: float, square: float, head: Callable, tail: Callable,
+    cfg: QuadratureConfig, what: str,
+):
+    """Coarse/fine/refined driver of the grid-aligned shift-type integrals.
+
+    The shift variable s runs over grid cells of width ``h``. ``head(s, w)``
+    sums Gauss-Legendre nodes and weights of geometric panels on the leading
+    cell s in (0, h], whose kernel carries the essential factor
+    e^{-square/(4s)}; ``root`` and ``square`` are that scale and its square,
+    each as the caller computes it. ``tail(offsets, weights)`` sums the
+    cells s >= h, one Gauss-Legendre panel set per cell given as fractional
+    offsets within a cell and their weights. Returns (values, error).
+    """
+
+    def leading_cell(order: int):
+        # s in (0, h]: the data factor is a single cubic on one grid cell,
+        # so only the kernel sets the resolution. Geometric panels (ratio
+        # <= 2) down to where e^{-square/(4s)} has died track both the
+        # s^{-3/2} singularity and the essential flank on the log scale.
+        u_hi = max(8.5, root / (2.0 * math.sqrt(h)) + 1.0)
+        s_lo = min(square / (4.0 * u_hi * u_hi), 0.5 * h)
+        panels = max(1, int(math.ceil(math.log2(h / s_lo))))
+        edges = s_lo * (h / s_lo) ** (np.arange(panels + 1) / panels)
+        edges[-1] = h
+        return _gl_panels(edges, order)
+
+    def cell_offsets(order: int, split: int):
+        # `split` panels per grid cell. Nodes at s = (j + off)*h share the
+        # fractional offset across cells.
+        x01, w01 = _legendre_nodes(order)
+        offs = np.concatenate([(r + x01) / split for r in range(split)])
+        return offs, np.tile(w01 / split, split)
+
+    def total(head_order: int, tail_order: int, split: int = 1) -> np.ndarray:
+        return head(*leading_cell(head_order)) + tail(*cell_offsets(tail_order, split))
+
+    coarse = total(16, 8)
+    values = total(24, 12)
+    err = float(np.max(np.abs(values - coarse)))
+    tol = _tol(cfg, float(np.max(np.abs(values))))
+    if err > tol:
+        refined = total(32, 12, split=2)
+        err = float(np.max(np.abs(refined - values)))
+        values = refined
+        if err > tol:
+            raise ConvergenceError(
+                f"{what} panel quadrature did not converge on the grid",
+                error_bound=err,
+            )
+    return values, err
 
 
 # ----------------------------------------------------------------------
@@ -383,28 +439,17 @@ def integrate_halfline(f: Callable[[float], complex], cfg: QuadratureConfig | No
     """Integrate ``f`` over (0, inf) with the configured half-line rule.
 
     Gauss-Laguerre weights are evaluated with the e^{-x} factor folded back
-    in, so ``f`` is the plain integrand. Raises
+    in, so ``f`` is the plain integrand. ``f`` may return a scalar (the
+    value is then a complex) or an array (the value is an array of that
+    shape, and the error the worst component's). Raises
     :class:`~pseudoflow.errors.ConvergenceError` if the refinement loop runs
     out before the tolerance max(abs_tol, rel_tol * |I|) is met.
     """
     cfg = cfg or DEFAULT_CONFIG
-    value, error = _halfline_engine(lambda t: np.asarray(f(t)), cfg)
-    return IntegralResult(complex(value), float(error))
+    return _result(*_integrate(f, cfg.halfline_rule, cfg))
 
 
 def integrate_realline(f: Callable[[float], complex], cfg: QuadratureConfig | None = None) -> IntegralResult:
     """Integrate ``f`` over (-inf, inf); see :func:`integrate_halfline`."""
     cfg = cfg or DEFAULT_CONFIG
-    value, error = _realline_engine(lambda t: np.asarray(f(t)), cfg)
-    return IntegralResult(complex(value), float(error))
-
-
-def _integrate_halfline_vec(f: Callable[[float], np.ndarray], cfg: QuadratureConfig | None = None):
-    """Vector-valued half-line integral (internal; used by the solvers)."""
-    cfg = cfg or DEFAULT_CONFIG
-    return _halfline_engine(f, cfg)
-
-
-def _integrate_realline_vec(f: Callable[[float], np.ndarray], cfg: QuadratureConfig | None = None):
-    cfg = cfg or DEFAULT_CONFIG
-    return _realline_engine(f, cfg)
+    return _result(*_integrate(f, cfg.realline_rule, cfg))

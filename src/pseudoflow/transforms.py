@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import QuadratureConfig, _quadpack_scalar, integrate_halfline
+from .special import QuadratureConfig, integrate_halfline
 
 __all__ = [
     "Field",
@@ -98,16 +98,15 @@ class Field:
         return edge > BOUNDARY_LEAK_THRESHOLD * peak
 
 
-def doetsch_weight(t, tau: float = 0.0):
+def doetsch_weight(t):
     """Subordination density w(t) = t^{-3/2} e^{-1/(4t)} / (2 sqrt(pi)).
 
     This is the tau-independent part of the subordination integrand; the
-    caller multiplies by its own e^{-t tau^2 (...)} factor. ``tau`` is
-    accepted for call-site symmetry but does not enter the density. ``t``
-    may be a scalar or an array; all entries must be positive.
+    caller multiplies by its own e^{-t tau^2 (...)} factor. ``t`` may be a
+    scalar or an array; all entries must be positive.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0.0) or not np.all(np.isfinite(t_arr)):
+    if not (np.isfinite(t_arr) & (t_arr > 0.0)).all():
         raise ValueError("t must be positive and finite")
     w = t_arr**-1.5 * np.exp(-0.25 / t_arr) / (2.0 * math.sqrt(math.pi))
     return float(w) if np.ndim(t) == 0 else w
@@ -137,18 +136,15 @@ def exp_sqrt_via_doetsch(
         def ig(t: float) -> float:
             return doetsch_weight(t) * math.exp(-t * c)
 
-        return float(integrate_halfline(ig, cfg).value.real)
-    if form == "xi_form":
+    elif form == "xi_form":
         cfg = cfg or QuadratureConfig(halfline_rule="adaptive_subdivision")
 
-        def ig_xi(xi: float) -> float:
+        def ig(xi: float) -> float:
             return math.exp(-0.25 * xi * xi - c / (xi * xi)) / math.sqrt(math.pi)
 
-        if cfg.halfline_rule == "adaptive_subdivision":
-            value, _ = _quadpack_scalar(ig_xi, 0.0, np.inf, cfg)
-            return float(value.real)
-        return float(integrate_halfline(ig_xi, cfg).value.real)
-    raise ValueError(f"unknown form {form!r}; expected 't_form' or 'xi_form'")
+    else:
+        raise ValueError(f"unknown form {form!r}; expected 't_form' or 'xi_form'")
+    return float(integrate_halfline(ig, cfg).value.real)
 
 
 def _gw_apply(x: np.ndarray, values: np.ndarray, alpha: float) -> np.ndarray:
@@ -169,14 +165,13 @@ def _gw_apply(x: np.ndarray, values: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
-def gauss_weierstrass(f: Field, alpha: float, cfg: QuadratureConfig | None = None) -> Field:
+def gauss_weierstrass(f: Field, alpha: float) -> Field:
     """Heat-kernel smoothing e^{alpha d^2/dx^2} f by direct grid quadrature.
 
     Returns the convolution (1/(2 sqrt(pi alpha))) int e^{-(x-xi)^2/(4 alpha)}
     f(xi) dxi sampled on f's grid. The kernel mass beyond the grid is
     dropped, which is exact for decaying data; a boundary-leakage warning is
-    attached otherwise. ``cfg`` is accepted for interface symmetry; the
-    trapezoid rule on the field's own grid needs no configuration.
+    attached otherwise.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")

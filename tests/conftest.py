@@ -14,11 +14,9 @@ def child_env():
     The subprocesses run with ``cwd=tmp_path``, where a relative
     ``PYTHONPATH`` such as ``src`` no longer finds the package, and an
     installed copy elsewhere could be picked up instead. So the absolute
-    ``PACKAGE_ROOT`` goes first on ``PYTHONPATH``. ``PSEUDOFLOW_THREADS`` is
-    dropped so each test sets the thread count it means to test.
+    ``PACKAGE_ROOT`` goes first on ``PYTHONPATH``.
     """
     env = os.environ.copy()
-    env.pop("PSEUDOFLOW_THREADS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")])
     )

@@ -15,15 +15,12 @@ from conftest import child_env
 CMD = [sys.executable, "-m", "pseudoflow"]
 
 
-def run_cli(tmp_path, *args, env_extra=None):
-    env = child_env()
-    if env_extra:
-        env.update(env_extra)
+def run_cli(tmp_path, *args):
     return subprocess.run(
         [*CMD, *map(str, args)],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         cwd=tmp_path,
     )
 
@@ -106,13 +103,11 @@ def test_fig2_spectral_columns(tmp_path):
     assert peaks[0] > peaks[1] > peaks[2]
 
 
-def test_fig2_series_thread_count_does_not_change_bytes(tmp_path):
-    outs = [tmp_path / "s1.csv", tmp_path / "s3.csv"]
-    for out, workers in zip(outs, ("1", "3")):
+def test_fig2_series_is_deterministic(tmp_path):
+    outs = [tmp_path / "s1.csv", tmp_path / "s2.csv"]
+    for out in outs:
         proc = run_cli(
-            tmp_path,
-            "fig2", "--method", "series", "--grid", "-16:16:32", "--out", out,
-            env_extra={"PSEUDOFLOW_THREADS": workers},
+            tmp_path, "fig2", "--method", "series", "--grid", "-16:16:32", "--out", out
         )
         assert proc.returncode == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
@@ -309,15 +304,3 @@ def test_unwritable_output_path_exits_1(tmp_path):
     proc = run_cli(tmp_path, "fig4", "--steps", "10", "--out", out)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
-
-
-@pytest.mark.parametrize("bad", ["0", "abc", "-2"])
-def test_thread_env_var_is_validated(tmp_path, bad):
-    out = tmp_path / "never.csv"
-    proc = run_cli(
-        tmp_path, "fig4", "--steps", "10", "--out", out,
-        env_extra={"PSEUDOFLOW_THREADS": bad},
-    )
-    assert proc.returncode == 1
-    assert "PSEUDOFLOW_THREADS must be a positive integer" in proc.stderr
-    assert not out.exists()

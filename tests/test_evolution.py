@@ -123,8 +123,10 @@ def test_half_derivative_tau_zero_is_identity():
 
 
 def test_half_derivative_rejects_negative_tau():
-    with pytest.raises(ValueError, match="nonnegative"):
-        solve_half_derivative(gaussian(-12.0, 8.0, 641), -0.1)
+    f = gaussian(-12.0, 8.0, 641)
+    for tau in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve_half_derivative(f, tau)
 
 
 def test_half_derivative_matches_scalar_subordination():
@@ -172,8 +174,10 @@ def test_pseudoheat_tau_zero_is_identity():
 
 
 def test_pseudoheat_rejects_negative_tau():
-    with pytest.raises(ValueError, match="nonnegative"):
-        solve_pseudoheat(gaussian(-16.0, 16.0, 257), -1.0)
+    f = gaussian(-16.0, 16.0, 257)
+    for tau in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve_pseudoheat(f, tau)
 
 
 def test_pseudoheat_matches_closed_form():
@@ -217,8 +221,9 @@ def test_pseudoheat_gaussian_closed_form():
     assert pseudoheat_gaussian(1.0, 0.0) == pytest.approx(PH_PEAK_TAU1, rel=1e-12)
     # relativistic smoothing is slower than ordinary heat at the peak
     assert pseudoheat_gaussian(1.0, 0.0) < HEAT_PEAK_TAU1
-    with pytest.raises(ValueError, match="nonnegative"):
-        pseudoheat_gaussian(-0.5, 0.0)
+    for tau in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="nonnegative"):
+            pseudoheat_gaussian(tau, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -232,20 +237,32 @@ def test_affine_sqrt_tau_zero_is_identity():
 
 
 def test_affine_sqrt_rejects_negative_tau():
-    with pytest.raises(ValueError, match="nonnegative"):
-        solve_affine_sqrt(gaussian(-2.0, 14.0, 161), -0.2, 1.0)
+    f = gaussian(-2.0, 14.0, 161)
+    for tau in (-0.2, math.nan, math.inf):
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve_affine_sqrt(f, tau, 1.0)
+
+
+def test_affine_sqrt_rejects_nonfinite_c():
+    f = gaussian(-2.0, 14.0, 161)
+    for c in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="c must be finite"):
+            solve_affine_sqrt(f, 0.5, c)
 
 
 def test_affine_sqrt_without_drift_is_a_multiplier():
-    # c = 0: F(x, tau) = e^{-tau sqrt(x)} f(x) pointwise
+    # c = 0: F(x, tau) = e^{-tau sqrt(x)} f(x) pointwise. The vector
+    # integrand goes through both the panel rule and QUADPACK, component by
+    # component; Gauss-Laguerre rightly refuses this kernel.
     f = Field.from_function(0.0, 12.0, 97, lambda x: np.exp(-((x - 6.0) ** 2) / 4.0))
-    out = solve_affine_sqrt(f, 0.7, 0.0)
     ref = np.exp(-0.7 * np.sqrt(f.x)) * f.values
-    np.testing.assert_allclose(out.values, ref, rtol=0, atol=1e-10)
-    for xv in (0.0, 2.25, 9.0):
-        j = int(round(xv / f.dx))
-        factor = exp_sqrt_via_doetsch(0.7, xv)
-        assert out.values[j] == pytest.approx(factor * f.values[j], abs=1e-10)
+    for rule in ("inverse_square_substitution", "adaptive_subdivision"):
+        out = solve_affine_sqrt(f, 0.7, 0.0, QuadratureConfig(halfline_rule=rule))
+        np.testing.assert_allclose(out.values, ref, rtol=0, atol=1e-10)
+        for xv in (0.0, 2.25, 9.0):
+            j = int(round(xv / f.dx))
+            factor = exp_sqrt_via_doetsch(0.7, xv)
+            assert out.values[j] == pytest.approx(factor * f.values[j], abs=1e-10)
 
 
 def test_affine_sqrt_matches_matrix_oracle():
