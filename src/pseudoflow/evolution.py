@@ -7,7 +7,9 @@ evolution parameter tau:
 * :func:`solve_half_derivative` -- d/dtau F = -d^{1/2}/dx^{1/2} F via the
   subordination integral over shifted copies of the data.
 * :func:`solve_pseudoheat`     -- d/dtau F = -sqrt(1 - d^2/dx^2) F via an
-  outer subordination integral over Gauss-Weierstrass smoothings.
+  outer subordination integral over Gauss-Weierstrass smoothings; the
+  data are folded into one Toeplitz operator per solve, so each quadrature
+  node costs n kernel values and one matrix-vector product.
 * :func:`pseudoheat_gaussian`  -- single-integral closed form of the above
   for the Gaussian initial condition e^{-x^2}.
 * :func:`solve_symbol_spectral` -- FFT multiplier e^{tau P(ik)} for any
@@ -34,7 +36,7 @@ from scipy.special import jn_zeros as _jn_zeros
 
 from .errors import ConvergenceError
 from .special import QuadratureConfig, _gl_panels, _shift_panels, integrate_halfline
-from .transforms import BOUNDARY_LEAK_THRESHOLD, Field, _gw_apply
+from .transforms import BOUNDARY_LEAK_THRESHOLD, Field, _gw_smoother
 
 __all__ = [
     "SymbolSpec",
@@ -226,14 +228,19 @@ def solve_pseudoheat(f: Field, tau: float, cfg: QuadratureConfig | None = None) 
 
     F = (1/(2 sqrt(pi))) int_0^inf t^{-3/2} e^{-1/(4t) - t tau^2}
     GW(f, t tau^2) dt, where GW is the Gauss-Weierstrass smoothing of the
-    initial data. tau = 0 returns the input unchanged.
+    initial data. The trapezoid-weighted data are folded once into the
+    Toeplitz operator of :func:`~pseudoflow.transforms.gauss_weierstrass`,
+    so each quadrature node evaluates the heat kernel on the n grid lags and
+    applies one matrix-vector product. Refinement and the error estimate
+    act on the output field, node by node. tau = 0 returns the input
+    unchanged.
     """
     _check_tau(tau)
     if tau == 0.0:
         return f.with_values(f.values)
     cfg = cfg or _DOETSCH_CFG
-    x = f.x
     vals = f.values
+    smooth = _gw_smoother(f)
     t2 = tau * tau
     pref = 1.0 / (2.0 * math.sqrt(math.pi))
 
@@ -241,7 +248,7 @@ def solve_pseudoheat(f: Field, tau: float, cfg: QuadratureConfig | None = None) 
         weight = pref * t**-1.5 * math.exp(-0.25 / t - t * t2)
         if weight == 0.0:
             return np.zeros_like(vals)
-        return weight * _gw_apply(x, vals, t * t2)
+        return weight * smooth(t * t2)
 
     res = integrate_halfline(integrand, cfg)
     values, err = res.value, res.error
@@ -261,6 +268,8 @@ def pseudoheat_gaussian(tau: float, x: float, cfg: QuadratureConfig | None = Non
     exp{-(1/(4t) + t tau^2 + x^2/(1+4 t tau^2))} dt.
     """
     _check_tau(tau)
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
     if tau == 0.0:
         return math.exp(-x * x)
     cfg = cfg or _DOETSCH_CFG

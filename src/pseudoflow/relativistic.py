@@ -105,18 +105,18 @@ class ObservableInputs:
     def __post_init__(self):
         if self.units not in ("normalized", "physical"):
             raise ValueError("units must be 'normalized' or 'physical'")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.a <= 0:
-            raise ValueError("a must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError("sigma must be positive and finite")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValueError("a must be positive and finite")
         if not math.isfinite(self.t):
             raise ValueError("t must be finite")
         if self.units == "normalized":
             if self.c != 1.0 or self.lambda_c != 1.0:
                 raise ValueError("normalized units fix c = lambda_c = 1")
         else:
-            if self.c <= 0 or self.lambda_c <= 0:
-                raise ValueError("physical units need positive c and lambda_c")
+            if not all(math.isfinite(v) and v > 0 for v in (self.c, self.lambda_c)):
+                raise ValueError("physical units need positive c and lambda_c, both finite")
             if abs(self.a - self.lambda_c / self.sigma) > 1e-9 * self.a:
                 raise ValueError("inconsistent inputs: a must equal lambda_c / sigma")
 
@@ -350,8 +350,8 @@ def r_function(a: float, cfg: QuadratureConfig | None = None) -> float:
 
     R(0) = 1; decreases monotonically; R(a) ~ 1 - (3/4) a^2 for small a.
     """
-    if a < 0:
-        raise ValueError("a must be nonnegative")
+    if not (math.isfinite(a) and a >= 0):
+        raise ValueError("a must be finite and nonnegative")
     cfg = cfg or _ADAPTIVE_CFG
 
     def ig(s: float) -> float:
@@ -364,8 +364,8 @@ def f_function(a: float, cfg: QuadratureConfig | None = None) -> float:
     """Commutator-correction factor
     F(a) = (2 sqrt(2)/sqrt(pi)) int_0^inf ds sqrt(s) e^{-s} (2+a^2 s)^{-1/2}.
     """
-    if a < 0:
-        raise ValueError("a must be nonnegative")
+    if not (math.isfinite(a) and a >= 0):
+        raise ValueError("a must be finite and nonnegative")
     cfg = cfg or _ADAPTIVE_CFG
 
     def ig(s: float) -> float:

@@ -345,10 +345,13 @@ def _quadpack(f: Callable, a: float, b: float, probe_at: float, cfg: QuadratureC
                 epsabs=epsabs, epsrel=epsrel, full_output=True,
             )
             # A QUADPACK warning (e.g. roundoff detected) is only fatal when the
-            # achieved error bound also misses the configured tolerance.
-            if rest and err > _tol(cfg, abs(val)):
+            # achieved error bound also misses the configured tolerance; a
+            # non-finite value or bound always is (err > tol is False for NaN).
+            finite = math.isfinite(val) and math.isfinite(err)
+            if not finite or (rest and err > _tol(cfg, abs(val))):
+                reason = rest[0] if finite else "non-finite value or error bound"
                 raise ConvergenceError(
-                    f"adaptive quadrature failed: {rest[0]}", estimate=val, error_bound=err
+                    f"adaptive quadrature failed: {reason}", estimate=val, error_bound=err
                 )
             parts.append((val, err))
         (vr, er), (vi, ei) = parts

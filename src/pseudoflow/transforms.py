@@ -5,6 +5,13 @@ Glaisher identity for Gaussians, and the Laplace inverse-power identity.
 Everything here works on plain numbers or on :class:`Field` values sampled
 on a uniform grid; convolutions are computed by direct quadrature against
 the kernel (not FFT), so they stay valid on non-power-of-two grids.
+
+On a uniform grid the trapezoid-rule heat kernel depends only on the lag
+|i - j| h and is even, so the trapezoid-weighted data fold once per field
+into one n x n Toeplitz-plus-Hankel matrix. A Gauss-Weierstrass smoothing
+at any width is then n kernel values on the lags and one matrix-vector
+product; callers that smooth one field at many widths (the pseudoheat
+subordination integral) build the fold once.
 """
 from __future__ import annotations
 
@@ -12,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import hankel, toeplitz
 
 from .special import QuadratureConfig, integrate_halfline
 
@@ -127,8 +135,8 @@ def exp_sqrt_via_doetsch(
     different numerical paths. Both agree with e^{-x sqrt(y)} and with
     each other to better than 1e-10.
     """
-    if x < 0 or y < 0:
-        raise ValueError("x and y must be nonnegative")
+    if not (math.isfinite(x) and math.isfinite(y) and x >= 0 and y >= 0):
+        raise ValueError("x and y must be finite and nonnegative")
     c = x * x * y
     if form == "t_form":
         cfg = cfg or QuadratureConfig(halfline_rule="inverse_square_substitution")
@@ -147,22 +155,28 @@ def exp_sqrt_via_doetsch(
     return float(integrate_halfline(ig, cfg).value.real)
 
 
-def _gw_apply(x: np.ndarray, values: np.ndarray, alpha: float) -> np.ndarray:
-    """Trapezoid-rule Gauss-Weierstrass convolution on a uniform grid."""
-    h = x[1] - x[0]
-    tw = np.full(x.shape, h)
-    tw[0] *= 0.5
-    tw[-1] *= 0.5
-    weighted = tw * values
-    norm = 1.0 / (2.0 * math.sqrt(math.pi * alpha))
-    out = np.empty_like(np.asarray(values, dtype=weighted.dtype))
-    # row blocks keep the n x n kernel matrix from being materialized at once
-    block = 1024
-    for start in range(0, x.size, block):
-        stop = min(start + block, x.size)
-        d2 = (x[start:stop, None] - x[None, :]) ** 2
-        out[start:stop] = (np.exp(-d2 / (4.0 * alpha)) * norm) @ weighted
-    return out
+def _gw_smoother(f: Field):
+    """Trapezoid-rule Gauss-Weierstrass smoothing of ``f`` as a map
+    alpha -> smoothed values on f's grid.
+
+    out[i] = sum_j wf[j] g(|i - j| h) with wf the trapezoid-weighted data and
+    g the heat kernel of width alpha. Grouping the sum by lag k gives
+    out = A @ g(k h) with A[i, k] = wf[i - k] + wf[i + k] (A[i, 0] = wf[i],
+    out-of-range entries zero), built here once per field.
+    """
+    n, h = f.n, f.dx
+    wf = h * f.values
+    wf[0] *= 0.5
+    wf[-1] *= 0.5
+    fold = toeplitz(wf, np.zeros(n)) + hankel(wf)
+    fold[:, 0] = wf
+    lag2 = (h * np.arange(n)) ** 2
+
+    def smooth(alpha: float) -> np.ndarray:
+        norm = 1.0 / (2.0 * math.sqrt(math.pi * alpha))
+        return fold @ (np.exp(-lag2 / (4.0 * alpha)) * norm)
+
+    return smooth
 
 
 def gauss_weierstrass(f: Field, alpha: float) -> Field:
@@ -173,8 +187,8 @@ def gauss_weierstrass(f: Field, alpha: float) -> Field:
     dropped, which is exact for decaying data; a boundary-leakage warning is
     attached otherwise.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError("alpha must be positive and finite")
     warnings = []
     if f.boundary_leaks():
         warnings.append("gauss_weierstrass: input is not negligible at the grid boundary")
@@ -183,8 +197,7 @@ def gauss_weierstrass(f: Field, alpha: float) -> Field:
         warnings.append(
             "gauss_weierstrass: kernel width below the grid spacing; result is under-resolved"
         )
-    out = _gw_apply(f.x, f.values, alpha)
-    return f.with_values(out, tuple(warnings))
+    return f.with_values(_gw_smoother(f)(alpha), tuple(warnings))
 
 
 def glaisher(alpha: float, x) -> float:
@@ -202,10 +215,10 @@ def glaisher(alpha: float, x) -> float:
 
 def laplace_inv_power(nu: float, a: float, cfg: QuadratureConfig | None = None) -> float:
     """a^{-nu} through the Laplace identity (1/Gamma(nu)) int e^{-as} s^{nu-1} ds."""
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not (math.isfinite(nu) and nu > 0):
+        raise ValueError("nu must be positive and finite")
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError("a must be positive and finite")
     cfg = cfg or QuadratureConfig(halfline_rule="adaptive_subdivision")
     gamma = math.gamma(nu)
 

@@ -299,6 +299,16 @@ def test_usage_errors_exit_1(tmp_path, args, fragment):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("a", ["nan", "inf"])
+def test_nonfinite_observable_parameter_exits_1(tmp_path, a):
+    # R(a) and F(a) refuse a non-finite a rather than writing NaN rows
+    out = tmp_path / "never.csv"
+    proc = run_cli(tmp_path, "observables", "--a", a, "--out", out)
+    assert proc.returncode == 1
+    assert "finite" in proc.stderr
+    assert not out.exists()
+
+
 def test_unwritable_output_path_exits_1(tmp_path):
     out = tmp_path / "no_such_dir" / "out.csv"
     proc = run_cli(tmp_path, "fig4", "--steps", "10", "--out", out)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import k1
 
 from pseudoflow import (
     ConvergenceError,
@@ -224,6 +226,84 @@ def test_pseudoheat_gaussian_closed_form():
     for tau in (-0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="nonnegative"):
             pseudoheat_gaussian(tau, 0.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_pseudoheat_gaussian_rejects_nonfinite_x(x):
+    with pytest.raises(ValueError, match="finite"):
+        pseudoheat_gaussian(1.0, x)
+
+
+def _complex_data(x):
+    return np.exp(-(x**2)) * (1.0 + 0.5j * x)
+
+
+def _k1_flow(x, tau):
+    """e^{-tau sqrt(1 - d^2)} of the complex data at x through the closed-form
+    kernel (tau/pi) K1(r)/r, r = sqrt(y^2 + tau^2) (Gradshteyn & Ryzhik
+    3.914), integrated by scipy quad over the data's grid."""
+
+    def kern(xi):
+        r = math.hypot(x - xi, tau)
+        return tau / math.pi * k1(r) / r
+
+    re, im = (
+        quad(lambda xi: kern(xi) * part(_complex_data(xi)), -12.0, 12.0,
+             points=[x], epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+        for part in (np.real, np.imag)
+    )
+    return complex(re, im)
+
+
+@pytest.mark.parametrize("tau", [0.5, 1.0])
+def test_pseudoheat_matches_k1_kernel(tau):
+    # n = 200 is not a power of two, so the spectral oracle cannot see this grid
+    f = Field.from_function(-12.0, 12.0, 200, _complex_data)
+    out = solve_pseudoheat(f, tau)
+    idx = np.nonzero(np.abs(f.x) <= 6.0)[0]
+    ref = np.array([_k1_flow(float(f.x[j]), tau) for j in idx])
+    assert np.max(np.abs(out.values[idx] - ref)) <= 1e-10
+
+
+def _dense_gw(x, values, alpha):
+    """The trapezoid Gauss-Weierstrass sum written as a dense n x n matrix."""
+    w = np.full(x.shape, x[1] - x[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    d2 = (x[:, None] - x[None, :]) ** 2
+    return (np.exp(-d2 / (4.0 * alpha)) / (2.0 * math.sqrt(math.pi * alpha))) @ (w * values)
+
+
+GUARD_DATA = {
+    "real": lambda x: np.exp(-(x**2)),
+    "complex": _complex_data,
+}
+
+
+@pytest.mark.parametrize("data", sorted(GUARD_DATA))
+def test_gauss_weierstrass_equals_dense_sum(data):
+    f = Field.from_function(-8.0, 8.0, 64, GUARD_DATA[data])
+    for alpha in (0.25 * f.dx**2, 0.3, 1.0, 5.0):
+        out = gauss_weierstrass(f, alpha).values
+        assert np.max(np.abs(out - _dense_gw(f.x, f.values, alpha))) <= 1e-13
+
+
+@pytest.mark.parametrize("data", sorted(GUARD_DATA))
+def test_pseudoheat_equals_dense_subordination(data):
+    f = Field.from_function(-8.0, 8.0, 64, GUARD_DATA[data])
+    for tau in (0.5, 1.0):
+        t2 = tau * tau
+
+        def integrand(t):
+            weight = t**-1.5 * math.exp(-0.25 / t - t * t2) / (2.0 * math.sqrt(math.pi))
+            if weight == 0.0:
+                return np.zeros_like(f.values)
+            return weight * _dense_gw(f.x, f.values, t * t2)
+
+        ref = integrate_halfline(integrand, INV_SQUARE)
+        out = solve_pseudoheat(f, tau)
+        assert np.max(np.abs(out.values - ref.value)) <= 1e-13
+        assert out.meta["quadrature_error"] == pytest.approx(ref.error, rel=1e-2)
 
 
 # ----------------------------------------------------------------------

@@ -291,6 +291,13 @@ def test_r_and_f_reject_negative(fn):
         fn(-0.5)
 
 
+@pytest.mark.parametrize("a", [math.nan, math.inf])
+@pytest.mark.parametrize("fn", [r_function, f_function])
+def test_r_and_f_reject_nonfinite(fn, a):
+    with pytest.raises(ValueError, match="finite"):
+        fn(a)
+
+
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
 def test_momentum_space_oracles(a):
     r_ref, f_ref = MOMENTUM_RF[a]
@@ -344,6 +351,22 @@ def test_commutator_in_physical_units():
 )
 def test_observable_inputs_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
+        ObservableInputs(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(sigma=math.nan),
+        dict(sigma=math.inf),
+        dict(a=math.nan),
+        dict(a=math.inf),
+        dict(units="physical", c=math.nan, lambda_c=1.0, sigma=1.0, a=1.0),
+        dict(units="physical", c=1.0, lambda_c=math.nan, sigma=1.0, a=1.0),
+    ],
+)
+def test_observable_inputs_reject_nonfinite(kwargs):
+    with pytest.raises(ValueError, match="finite"):
         ObservableInputs(**kwargs)
 
 

@@ -272,6 +272,24 @@ def test_halfline_deterministic(rule):
     assert first.error == second.error
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "integrate, cfg",
+    [
+        (integrate_halfline, QuadratureConfig(halfline_rule="adaptive_subdivision")),
+        (integrate_realline, QuadratureConfig(realline_rule="truncated_adaptive")),
+    ],
+    ids=["adaptive_subdivision", "truncated_adaptive"],
+)
+def test_quadpack_rules_reject_nonfinite_results(integrate, cfg, bad):
+    # QUADPACK hands back a NaN or inf value and error bound here; the
+    # tolerance test alone lets a NaN bound through
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        integrate(lambda s: bad, cfg)
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        integrate(lambda s: np.array([math.exp(-s * s), bad]), cfg)
+
+
 # ----------------------------------------------------------------------
 # real-line integration
 

@@ -148,6 +148,14 @@ def test_exp_sqrt_rejects_bad_arguments():
         exp_sqrt_via_doetsch(1.0, 1.0, form="s_form")
 
 
+@pytest.mark.parametrize(
+    "x, y", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)]
+)
+def test_exp_sqrt_rejects_nonfinite_arguments(x, y):
+    with pytest.raises(ValueError, match="finite"):
+        exp_sqrt_via_doetsch(x, y)
+
+
 # ----------------------------------------------------------------------
 # gauss_weierstrass
 
@@ -189,6 +197,12 @@ def test_gauss_weierstrass_semigroup():
 @pytest.mark.parametrize("alpha", [0.0, -0.4])
 def test_gauss_weierstrass_rejects_nonpositive_alpha(alpha):
     with pytest.raises(ValueError, match="alpha must be positive"):
+        gauss_weierstrass(gaussian_field(n=33), alpha)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_gauss_weierstrass_rejects_nonfinite_alpha(alpha):
+    with pytest.raises(ValueError, match="finite"):
         gauss_weierstrass(gaussian_field(n=33), alpha)
 
 
@@ -263,3 +277,11 @@ def test_laplace_inv_power_validation():
         laplace_inv_power(1.0, 0.0)
     with pytest.raises(ValueError, match="a must be positive"):
         laplace_inv_power(2.0, -3.0)
+
+
+@pytest.mark.parametrize(
+    "nu, a", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]
+)
+def test_laplace_inv_power_rejects_nonfinite_arguments(nu, a):
+    with pytest.raises(ValueError, match="finite"):
+        laplace_inv_power(nu, a)
