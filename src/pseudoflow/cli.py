@@ -17,7 +17,6 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,24 +41,7 @@ from .relativistic import (
 )
 from .transforms import Field, gauss_weierstrass
 
-__all__ = ["RunSpec", "run", "main"]
-
-SUBCOMMANDS = ("fig1", "fig2", "fig3", "fig4", "solve", "matrix", "observables")
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """Normalized description of one CLI run."""
-
-    subcommand: str
-    grid: tuple | None
-    tau: float | None
-    params: dict = field(default_factory=dict)
-    out_path: str = ""
-
-    def __post_init__(self):
-        if self.subcommand not in SUBCOMMANDS:
-            raise ValueError(f"unknown subcommand {self.subcommand!r}")
+__all__ = ["run", "main"]
 
 
 class _UsageError(Exception):
@@ -214,11 +196,20 @@ def _series_field(grid: tuple, tau: float) -> Field:
     return Field(grid[0], grid[1], grid[2], values)
 
 
-def _solve_once(equation: str, method: str, spec: RunSpec) -> Field:
-    grid = spec.grid
-    f0 = Field(grid[0], grid[1], grid[2], _make_ic(spec.params["ic"], grid))
-    tau = spec.tau
-    key = (equation, method)
+_DEFAULT_METHODS = {
+    "heat": "spectral",
+    "pseudoheat": "integral",
+    "schrodinger": "spectral",
+    "half_derivative": "integral",
+    "affine_sqrt": "integral",
+    "optics": "spectral",
+}
+
+
+def _solve_once(ns: argparse.Namespace, grid: tuple, method: str) -> Field:
+    f0 = Field(grid[0], grid[1], grid[2], _make_ic(ns.ic, grid))
+    tau = ns.tau
+    key = (ns.equation, method)
     if key == ("heat", "spectral"):
         return solve_symbol_spectral(f0, tau, SymbolSpec.heat())
     if key == ("heat", "integral"):
@@ -238,20 +229,19 @@ def _solve_once(equation: str, method: str, spec: RunSpec) -> Field:
     if key == ("half_derivative", "spectral"):
         return solve_symbol_spectral(f0, tau, SymbolSpec.half_derivative())
     if key == ("affine_sqrt", "integral"):
-        return solve_affine_sqrt(f0, tau, spec.params["c"])
+        return solve_affine_sqrt(f0, tau, ns.c)
     if key == ("optics", "spectral"):
-        return solve_symbol_spectral(
-            f0, tau, SymbolSpec.optics(spec.params["refractive_index"])
-        )
-    raise _UsageError(f"method {method!r} is not available for equation {equation!r}")
+        return solve_symbol_spectral(f0, tau, SymbolSpec.optics(ns.refractive_index))
+    raise _UsageError(f"method {method!r} is not available for equation {ns.equation!r}")
 
 
 # ----------------------------------------------------------------------
-# subcommand handlers: each returns (header, columns, err, extra_summary)
+# subcommand handlers: each takes the parsed namespace and returns
+# (header, columns, err, extra_summary)
 
 
-def _run_fig1(spec: RunSpec):
-    grid, tau = spec.grid, spec.tau
+def _run_fig1(ns: argparse.Namespace):
+    grid, tau = _parse_grid(ns.grid), ns.tau
     f0 = Field.from_function(grid[0], grid[1], grid[2], lambda x: np.exp(-(x**2)))
     heat = gauss_weierstrass(f0, tau)
     pseudo = solve_pseudoheat(f0, tau)
@@ -265,10 +255,10 @@ def _run_fig1(spec: RunSpec):
     return header, cols, _field_err(pseudo), ""
 
 
-def _run_fig2(spec: RunSpec):
-    grid = spec.grid
+def _run_fig2(ns: argparse.Namespace):
+    grid = _parse_grid(ns.grid)
     taus = (0.0, 0.5, 1.0)
-    if spec.params["method"] == "series":
+    if ns.method == "series":
         fields = [_series_field(grid, t) for t in taus]
     else:
         f0 = Field.from_function(grid[0], grid[1], grid[2], lambda x: np.exp(-(x**2)))
@@ -281,8 +271,8 @@ def _run_fig2(spec: RunSpec):
     return header, cols, None, ""
 
 
-def _run_fig3(spec: RunSpec):
-    grid = spec.grid
+def _run_fig3(ns: argparse.Namespace):
+    grid = _parse_grid(ns.grid)
     psi = Field.from_function(
         grid[0], grid[1], grid[2], lambda x: x**2 * np.exp(-(x**2))
     )
@@ -296,14 +286,12 @@ def _run_fig3(spec: RunSpec):
     return header, cols, _field_err(phi), ""
 
 
-def _run_fig4(spec: RunSpec):
-    a_max = spec.params["a_max"]
-    steps = spec.params["steps"]
-    if a_max <= 0:
+def _run_fig4(ns: argparse.Namespace):
+    if ns.a_max <= 0:
         raise _UsageError("--a-max must be positive")
-    if steps < 2:
+    if ns.steps < 2:
         raise _UsageError("--steps must be at least 2")
-    a_values = np.linspace(0.0, a_max, steps)
+    a_values = np.linspace(0.0, ns.a_max, ns.steps)
     r_vals = [r_function(float(a)) for a in a_values]
     f_vals = [f_function(float(a)) for a in a_values]
     header = ["a", "R", "F"]
@@ -315,21 +303,22 @@ def _run_fig4(spec: RunSpec):
     return header, cols, None, ""
 
 
-def _run_solve(spec: RunSpec):
-    equation = spec.params["equation"]
-    method = spec.params["method"]
-    primary = _solve_once(equation, method, spec)
+def _run_solve(ns: argparse.Namespace):
+    grid = _parse_grid(ns.grid)
+    if ns.tau < 0:
+        raise _UsageError("--tau must be nonnegative")
+    primary = _solve_once(ns, grid, ns.method or _DEFAULT_METHODS[ns.equation])
     header = ["x"]
-    x = np.linspace(spec.grid[0], spec.grid[1], spec.grid[2])
+    x = np.linspace(grid[0], grid[1], grid[2])
     cols = [[_fmt(v) for v in x]]
     names, data = _columns_for(primary.values, "value")
     header += names
     cols += data
     extra = ""
     err = _field_err(primary)
-    other = spec.params.get("compare")
+    other = ns.compare
     if other:
-        secondary = _solve_once(equation, other, spec)
+        secondary = _solve_once(ns, grid, other)
         names2, data2 = _columns_for(secondary.values, f"{other}_value")
         header += names2
         cols += data2
@@ -358,9 +347,18 @@ _MATRIX_BUILDERS = {
 }
 
 
-def _run_matrix(spec: RunSpec):
-    what = spec.params["what"]
-    mat = _MATRIX_BUILDERS[what](spec.params)
+def _run_matrix(ns: argparse.Namespace):
+    # Every vector and complex flag is parsed, whichever matrix is built, so
+    # a malformed value is an error even where the chosen builder ignores it.
+    params = dict(
+        vars(ns),
+        v=_parse_vec(ns.v, complex),
+        y=complex(ns.y),
+        pi1=float(ns.pi.split(",")[0]),
+        pi3=_parse_vec(ns.pi, float) if "," in ns.pi else (float(ns.pi), 0.0, 0.0),
+        w=_parse_vec(ns.w, float),
+    )
+    mat = _MATRIX_BUILDERS[ns.what](params)
     header = ["row", "col", "value_re", "value_im"]
     rows, cols_, re_, im_ = [], [], [], []
     for i in range(mat.shape[0]):
@@ -372,19 +370,15 @@ def _run_matrix(spec: RunSpec):
     return header, [rows, cols_, re_, im_], None, ""
 
 
-def _run_observables(spec: RunSpec):
-    sigma = spec.params["sigma"]
-    a = spec.params["a"]
-    t_max = spec.params["t_max"]
-    steps = spec.params["steps"]
-    if steps < 2:
+def _run_observables(ns: argparse.Namespace):
+    if ns.steps < 2:
         raise _UsageError("--steps must be at least 2")
-    if t_max <= 0:
+    if ns.t_max <= 0:
         raise _UsageError("--t-max must be positive")
-    ts = np.linspace(0.0, t_max, steps)
+    ts = np.linspace(0.0, ns.t_max, ns.steps)
     widths, comm_im = [], []
     for t in ts:
-        inp = ObservableInputs(sigma=sigma, a=a, t=float(t))
+        inp = ObservableInputs(sigma=ns.sigma, a=ns.a, t=float(t))
         widths.append(packet_width(inp))
         comm_im.append(commutator_xt_x0(inp).imag)
     header = ["t", "width_sq", "commutator_re", "commutator_im"]
@@ -394,7 +388,7 @@ def _run_observables(spec: RunSpec):
         [_fmt(0.0) for _ in ts],
         [_fmt(v) for v in comm_im],
     ]
-    extra = f"; R(a) = {_fmt(r_function(a))}, F(a) = {_fmt(f_function(a))}"
+    extra = f"; R(a) = {_fmt(r_function(ns.a))}, F(a) = {_fmt(f_function(ns.a))}"
     return header, cols, None, extra
 
 
@@ -491,75 +485,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_DEFAULT_METHODS = {
-    "heat": "spectral",
-    "pseudoheat": "integral",
-    "schrodinger": "spectral",
-    "half_derivative": "integral",
-    "affine_sqrt": "integral",
-    "optics": "spectral",
-}
-
-
-def _to_runspec(ns: argparse.Namespace) -> RunSpec:
-    sc = ns.subcommand
-    grid = _parse_grid(ns.grid) if hasattr(ns, "grid") else None
-    tau = getattr(ns, "tau", None)
-    params: dict = {}
-    if sc == "fig2":
-        params["method"] = ns.method
-    elif sc == "fig4":
-        params["a_max"] = ns.a_max
-        params["steps"] = ns.steps
-    elif sc == "solve":
-        params["equation"] = ns.equation
-        params["ic"] = ns.ic
-        params["method"] = ns.method or _DEFAULT_METHODS[ns.equation]
-        params["compare"] = ns.compare
-        params["c"] = ns.c
-        params["refractive_index"] = ns.refractive_index
-        if ns.tau < 0:
-            raise _UsageError("--tau must be nonnegative")
-    elif sc == "matrix":
-        try:
-            params = {
-                "what": ns.what,
-                "kind": ns.kind,
-                "v": _parse_vec(ns.v, complex),
-                "y": complex(ns.y),
-                "pi1": float(ns.pi.split(",")[0]),
-                "pi3": _parse_vec(ns.pi, float) if "," in ns.pi else (float(ns.pi), 0.0, 0.0),
-                "tau": ns.tau,
-                "parametrization": ns.parametrization,
-                "k": ns.k,
-                "w": _parse_vec(ns.w, float),
-                "r": ns.r,
-                "variant": ns.variant,
-                "a": ns.a,
-                "b": ns.b,
-                "p": ns.p,
-            }
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-    elif sc == "observables":
-        params = {
-            "sigma": ns.sigma,
-            "a": ns.a,
-            "t_max": ns.t_max,
-            "steps": ns.steps,
-        }
-    return RunSpec(
-        subcommand=sc, grid=grid, tau=tau, params=params, out_path=ns.out
-    )
-
-
 def run(args) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     try:
         ns = _build_parser().parse_args(list(args))
-        spec = _to_runspec(ns)
-        header, cols, err, extra = _HANDLERS[spec.subcommand](spec)
-        n_rows = _write_csv(spec.out_path, header, cols)
+        header, cols, err, extra = _HANDLERS[ns.subcommand](ns)
+        n_rows = _write_csv(ns.out, header, cols)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -575,7 +506,7 @@ def run(args) -> int:
         return 1
     err_text = "n/a" if err is None else _fmt(err)
     print(
-        f"wrote {n_rows} rows to {spec.out_path}; max quadrature error {err_text}{extra}"
+        f"wrote {n_rows} rows to {ns.out}; max quadrature error {err_text}{extra}"
     )
     return 0
 

@@ -129,6 +129,12 @@ def generators(kind: str) -> np.ndarray:
         ) from None
 
 
+def _check_finite(**params) -> None:
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
+
+
 def _vec3(v: Sequence[complex]) -> np.ndarray:
     arr = np.asarray(v, dtype=complex)
     if arr.shape != (3,):
@@ -161,6 +167,7 @@ def exp_pauli(y: complex, v: Sequence[complex]) -> Mat2:
     preset ``exp_pauli(-tau, (1j * k, 0, 1))``: the Fourier-symbol
     exponential e^{-tau (sigma3 + i k sigma1)}.
     """
+    _check_finite(y=y)
     mat = pauli_sqrt_identity(v)
     n2 = complex(np.asarray(v, dtype=complex) @ np.asarray(v, dtype=complex))
     n = np.sqrt(n2)
@@ -176,6 +183,7 @@ def dirac2_evolution(pi: float, tau: float) -> Mat2:
     Closed form cos(E tau) 1 - i sin(E tau)/E (sigma1 pi + sigma3) with
     E = sqrt(1 + pi^2); unitary for real arguments.
     """
+    _check_finite(pi=pi, tau=tau)
     e = math.sqrt(1.0 + pi * pi)
     h = pi * _SIGMA[0] + _SIGMA[2]
     return math.cos(e * tau) * _ID2 - 1j * (math.sin(e * tau) / e) * h
@@ -193,6 +201,7 @@ def bloch_evolve(
     s = np.asarray(sigma0, dtype=float)
     if s.shape != (3,):
         raise ValueError("sigma0 must be a 3-sequence")
+    _check_finite(sigma0=s, pi=pi, tau=tau, dt=dt)
     if float(np.linalg.norm(s)) == 0.0:
         raise ValueError("sigma0 must be nonzero")
     if dt <= 0:
@@ -224,6 +233,7 @@ def dirac4_evolution(pi: Sequence[float], tau: float) -> Mat4:
     p = np.asarray(pi, dtype=float)
     if p.shape != (3,):
         raise ValueError("pi must be a 3-sequence")
+    _check_finite(pi=p, tau=tau)
     h = p[0] * _ALPHA[0] + p[1] * _ALPHA[1] + p[2] * _ALPHA[2] + _BETA
     e = math.sqrt(1.0 + float(p @ p))
     return math.cos(e * tau) * _ID4 - 1j * (math.sin(e * tau) / e) * h
@@ -252,6 +262,7 @@ def position_evolution(pi: float, tau: float, parametrization: str = "dirac") ->
             f"unknown parametrization {parametrization!r}; "
             f"expected one of {POSITION_PARAMETRIZATIONS}"
         )
+    _check_finite(pi=pi, tau=tau)
     e2 = 1.0 + pi * pi
     e = math.sqrt(e2)
     if parametrization == "beta_diagonal":
@@ -269,6 +280,7 @@ def sqrt_symbol_check(k: float) -> Mat4:
     Squares to (1 + k^2) 1 because (alpha1+alpha2+alpha3)^2 = 3 and the
     cross terms with beta cancel.
     """
+    _check_finite(k=k)
     return (-k / math.sqrt(3.0)) * (_ALPHA[0] + _ALPHA[1] + _ALPHA[2]) + _BETA
 
 
@@ -292,6 +304,7 @@ def kappa_parametrization(
     arr = np.asarray(w, dtype=float)
     if arr.shape != (3,):
         raise ValueError("w must be a 3-sequence")
+    _check_finite(w=arr, r=r)
     n = arr[0] * _KAPPA[0] + arr[1] * _KAPPA[1] + arr[2] * _KAPPA[2]
     if variant == "i_delta":
         return n + 1j * r * _DELTA
@@ -306,6 +319,7 @@ def pauli_line_power(a: float, b: float, p: float) -> Mat2:
     Requires a > |b| so both eigenvalues a -+ b are positive and every real
     power is unambiguous.
     """
+    _check_finite(a=a, b=b, p=p)
     if not a > abs(b):
         raise ValueError("pauli_line_power requires a > |b| (positive definite)")
     lo = (a - b) ** p

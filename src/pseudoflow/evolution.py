@@ -35,8 +35,8 @@ from scipy.special import j0 as _j0
 from scipy.special import jn_zeros as _jn_zeros
 
 from .errors import ConvergenceError
-from .special import QuadratureConfig, _gl_panels, _shift_panels, integrate_halfline
-from .transforms import BOUNDARY_LEAK_THRESHOLD, Field, _gw_smoother
+from .special import _ABS_TOL, _REL_TOL, _gl_panels, _shift_panels, integrate_halfline
+from .transforms import BOUNDARY_LEAK_THRESHOLD, _INVERSE_SQUARE_CFG, Field, _gw_smoother
 
 __all__ = [
     "SymbolSpec",
@@ -47,8 +47,6 @@ __all__ = [
     "solve_affine_sqrt",
     "apply_inv_sqrt_shift",
 ]
-
-_DOETSCH_CFG = QuadratureConfig(halfline_rule="inverse_square_substitution")
 
 
 @dataclass(frozen=True)
@@ -172,7 +170,7 @@ def _check_tau(tau: float) -> None:
         raise ValueError("tau must be finite and nonnegative")
 
 
-def solve_half_derivative(f: Field, tau: float, cfg: QuadratureConfig | None = None) -> Field:
+def solve_half_derivative(f: Field, tau: float) -> Field:
     """Solve d/dtau F = -d^{1/2}F/dx^{1/2}, F(x,0) = f(x).
 
     F(x, tau) = (1/(2 sqrt(pi))) int_0^inf t^{-3/2} e^{-1/(4t)}
@@ -189,7 +187,6 @@ def solve_half_derivative(f: Field, tau: float, cfg: QuadratureConfig | None = N
     _check_tau(tau)
     if tau == 0.0:
         return f.with_values(f.values)
-    cfg = cfg or _DOETSCH_CFG
     ext = _extender(f)
     x = f.x
     n = f.n
@@ -216,14 +213,14 @@ def solve_half_derivative(f: Field, tau: float, cfg: QuadratureConfig | None = N
             out = out + np.convolve(kernel, samples[q])[:n]
         return out
 
-    values, err = _shift_panels(h, tau, t2, head, tail, cfg, "half-derivative")
+    values, err = _shift_panels(h, tau, t2, head, tail, "half-derivative")
     out_warn = _leak_warning(f, "left", "solve_half_derivative")
     if not np.iscomplexobj(f.values):
         values = values.real
     return f.with_values(values, tuple(out_warn), meta={"quadrature_error": float(err)})
 
 
-def solve_pseudoheat(f: Field, tau: float, cfg: QuadratureConfig | None = None) -> Field:
+def solve_pseudoheat(f: Field, tau: float) -> Field:
     """Solve d/dtau F = -sqrt(1 - d^2/dx^2) F by subordination.
 
     F = (1/(2 sqrt(pi))) int_0^inf t^{-3/2} e^{-1/(4t) - t tau^2}
@@ -238,7 +235,6 @@ def solve_pseudoheat(f: Field, tau: float, cfg: QuadratureConfig | None = None) 
     _check_tau(tau)
     if tau == 0.0:
         return f.with_values(f.values)
-    cfg = cfg or _DOETSCH_CFG
     vals = f.values
     smooth = _gw_smoother(f)
     t2 = tau * tau
@@ -250,7 +246,7 @@ def solve_pseudoheat(f: Field, tau: float, cfg: QuadratureConfig | None = None) 
             return np.zeros_like(vals)
         return weight * smooth(t * t2)
 
-    res = integrate_halfline(integrand, cfg)
+    res = integrate_halfline(integrand, _INVERSE_SQUARE_CFG)
     values, err = res.value, res.error
     warn = []
     if f.boundary_leaks():
@@ -260,7 +256,7 @@ def solve_pseudoheat(f: Field, tau: float, cfg: QuadratureConfig | None = None) 
     return f.with_values(values, tuple(warn), meta={"quadrature_error": float(err)})
 
 
-def pseudoheat_gaussian(tau: float, x: float, cfg: QuadratureConfig | None = None) -> float:
+def pseudoheat_gaussian(tau: float, x: float) -> float:
     """Closed-form pseudoheat evolution of the Gaussian e^{-x^2}.
 
     Single subordination integral of the Glaisher-smoothed Gaussian:
@@ -272,7 +268,6 @@ def pseudoheat_gaussian(tau: float, x: float, cfg: QuadratureConfig | None = Non
         raise ValueError("x must be finite")
     if tau == 0.0:
         return math.exp(-x * x)
-    cfg = cfg or _DOETSCH_CFG
     t2 = tau * tau
     pref = 1.0 / (2.0 * math.sqrt(math.pi))
 
@@ -280,10 +275,10 @@ def pseudoheat_gaussian(tau: float, x: float, cfg: QuadratureConfig | None = Non
         s = 1.0 + 4.0 * t * t2
         return pref * t**-1.5 / math.sqrt(s) * math.exp(-0.25 / t - t * t2 - x * x / s)
 
-    return float(integrate_halfline(integrand, cfg).value.real)
+    return float(integrate_halfline(integrand, _INVERSE_SQUARE_CFG).value.real)
 
 
-def _affine_panels(f: Field, tau: float, c: float, cfg: QuadratureConfig):
+def _affine_panels(f: Field, tau: float, c: float):
     """Grid-aligned quadrature of the disentangled integral for c > 0.
 
     In the shift variable s = c tau^2 t the integral reads
@@ -331,7 +326,7 @@ def _affine_panels(f: Field, tau: float, c: float, cfg: QuadratureConfig):
                 out[: n - jj] += (w[idx] * np.exp((-s / c) * x[: n - jj])) * samples[jj:]
         return out
 
-    values, err = _shift_panels(h, root, gamma, head, tail, cfg, "affine-sqrt")
+    values, err = _shift_panels(h, root, gamma, head, tail, "affine-sqrt")
     if not np.all(np.isfinite(values.real)) or (cplx and not np.all(np.isfinite(values.imag))):
         raise ConvergenceError(
             "affine-sqrt quadrature overflowed: e^{-t tau^2 x} amplifies "
@@ -341,9 +336,7 @@ def _affine_panels(f: Field, tau: float, c: float, cfg: QuadratureConfig):
     return values, err
 
 
-def solve_affine_sqrt(
-    f: Field, tau: float, c: float, cfg: QuadratureConfig | None = None
-) -> Field:
+def solve_affine_sqrt(f: Field, tau: float, c: float) -> Field:
     """Solve d/dtau F = -sqrt(x - c d/dx) F via Weyl disentanglement.
 
     F(x, tau) = (1/(2 sqrt(pi))) int_0^inf t^{-3/2}
@@ -363,9 +356,8 @@ def solve_affine_sqrt(
         raise ValueError("c must be finite")
     if tau == 0.0:
         return f.with_values(f.values)
-    cfg = cfg or _DOETSCH_CFG
     if c > 0:
-        values, err = _affine_panels(f, tau, c, cfg)
+        values, err = _affine_panels(f, tau, c)
     else:
         ext = _extender(f)
         x = f.x
@@ -381,7 +373,7 @@ def solve_affine_sqrt(
                 prod = amp * fvals
             return np.where(fvals == 0.0, 0.0, prod)
 
-        res = integrate_halfline(integrand, cfg)
+        res = integrate_halfline(integrand, _INVERSE_SQUARE_CFG)
         values, err = res.value, res.error
     warn = _leak_warning(f, "right", "solve_affine_sqrt") if c != 0 else []
     if not np.iscomplexobj(f.values):
@@ -426,7 +418,7 @@ def _averaged_tail(partials: np.ndarray):
     return best, est
 
 
-def apply_inv_sqrt_shift(g: Field, cfg: QuadratureConfig | None = None) -> Field:
+def apply_inv_sqrt_shift(g: Field) -> Field:
     """Apply (1 - d^2/dx^2)^{-1/2} through f(x) = int_0^inf J0(t) g(x-t) dt.
 
     The integral is taken arc by arc between consecutive zeros of J0 (as far
@@ -435,7 +427,6 @@ def apply_inv_sqrt_shift(g: Field, cfg: QuadratureConfig | None = None) -> Field
     its own; non-decaying data (e.g. a plain cosine) converges at the
     averaging rate, so points far from the left edge are the accurate ones.
     """
-    cfg = cfg or QuadratureConfig()
     x = g.x
     span = g.x_max - g.x_min
     ext = _extender(g)
@@ -467,7 +458,7 @@ def apply_inv_sqrt_shift(g: Field, cfg: QuadratureConfig | None = None) -> Field
     # Per-point tolerance: comparing against the global output scale would
     # let uniformly diverging data "settle" (everything is garbage of the
     # same magnitude), so each point is judged against its own value.
-    tol = np.maximum(1e-9, np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(out)))
+    tol = np.maximum(1e-9, np.maximum(_ABS_TOL, _REL_TOL * np.abs(out)))
     # The averaging gains a fixed factor per extra arc, so the reachable
     # estimate is set by each point's arc count, not by refinement: points
     # with few arcs are structurally less converged. Fail only when not even

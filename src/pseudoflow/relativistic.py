@@ -40,7 +40,7 @@ from .special import (
     integrate_halfline,
     integrate_realline,
 )
-from .transforms import Field
+from .transforms import _ADAPTIVE_CFG, Field
 
 __all__ = [
     "ObservableInputs",
@@ -58,7 +58,6 @@ __all__ = [
     "linear_potential_trajectory",
 ]
 
-_ADAPTIVE_CFG = QuadratureConfig(halfline_rule="adaptive_subdivision")
 # The f_{2k} integrand has poles at u = +-i/2, close enough to the real axis
 # that Gauss-Hermite stalls near 1e-8; the adaptive rule is exact to rounding.
 _F2K_CFG = QuadratureConfig(realline_rule="truncated_adaptive")
@@ -126,7 +125,7 @@ class ObservableInputs:
 
 
 @lru_cache(maxsize=1 << 16)
-def _f2k_cached(eta: float, k: int, cfg: QuadratureConfig) -> float:
+def _f2k_cached(eta: float, k: int) -> float:
     inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
 
     def ig(u: float) -> float:
@@ -139,10 +138,10 @@ def _f2k_cached(eta: float, k: int, cfg: QuadratureConfig) -> float:
             * math.exp(-eta * eta / arg)
         )
 
-    return float(integrate_realline(ig, cfg).value.real)
+    return float(integrate_realline(ig, _F2K_CFG).value.real)
 
 
-def f2k(eta: float, k: int, cfg: QuadratureConfig | None = None) -> float:
+def f2k(eta: float, k: int) -> float:
     """Smoothed-Hermite integral f_{2k}(eta).
 
     f_{2k}(eta) = (1/sqrt(pi)) int_0^inf ds e^{-s} [s(1+4s)]^{-1/2}
@@ -155,14 +154,13 @@ def f2k(eta: float, k: int, cfg: QuadratureConfig | None = None) -> float:
         raise ValueError("k must be nonnegative")
     if not math.isfinite(eta):
         raise ValueError("eta must be finite")
-    return _f2k_cached(float(eta), int(k), cfg or _F2K_CFG)
+    return _f2k_cached(float(eta), int(k))
 
 
 def series_solution(
     eta: float,
     tau: float,
     cfg: SeriesConfig | None = None,
-    qcfg: QuadratureConfig | None = None,
     return_diagnostics: bool = False,
 ):
     """Hermite-series value Psi(eta, tau) = A e^{-eta^2} + i B.
@@ -171,6 +169,8 @@ def series_solution(
     ``cfg.tail_tol`` in magnitude; returns the complex value, or
     ``(value, tail_estimate, n_used)`` with ``return_diagnostics``.
     """
+    if not (math.isfinite(eta) and math.isfinite(tau)):
+        raise ValueError("eta and tau must be finite")
     cfg = cfg or SeriesConfig()
     gauss = math.exp(-eta * eta)
     total = 0.0 + 0.0j
@@ -182,7 +182,7 @@ def series_solution(
         a_n = (-1) ** n * tau ** (2 * n) / math.factorial(2 * n) * inner_a
         inner_b = 0.0
         for k in range(n + 2):
-            inner_b += (-1) ** k * math.comb(n + 1, k) * f2k(eta, k, qcfg)
+            inner_b += (-1) ** k * math.comb(n + 1, k) * f2k(eta, k)
         b_n = (-1) ** (n + 1) * tau ** (2 * n + 1) / math.factorial(2 * n + 1) * inner_b
         total += a_n * gauss + 1j * b_n
         tail = abs(a_n) * gauss + abs(b_n)
@@ -234,23 +234,23 @@ def _dhat_kernel_k0(f: Field) -> np.ndarray:
     return left + right
 
 
-def _dhat_s_integral(f: Field, cfg: QuadratureConfig) -> np.ndarray:
+def _dhat_s_integral(f: Field) -> np.ndarray:
     """Literal double integral: (1/sqrt(pi)) int ds e^{-s} s^{-1/2} e^{s d^2} f.
 
     s = u^2 turns the outer integral into an even real-line one and the
     inner heat smoothing is done on the interpolated samples, which stays
-    accurate for arbitrarily small smoothing widths. Orders are fixed
-    (outer from ``cfg.realline_order``, at least 192; inner 128): the outer
-    integrand inherits poles a distance 1/2 off the real axis, so pushing
-    Gauss-Hermite further buys nothing once the interpolation error of the
-    sampled data (~ h^4) dominates. Expect a few 1e-7 on moderate grids.
+    accurate for arbitrarily small smoothing widths. The Gauss-Hermite
+    orders are fixed (outer 192, inner 128): the outer integrand inherits
+    poles a distance 1/2 off the real axis, so pushing Gauss-Hermite
+    further buys nothing once the interpolation error of the sampled data
+    (~ h^4) dominates. Expect a few 1e-7 on moderate grids.
     """
     ext = _extender(f)
     x = f.x
     wn, ww = _hermite_nodes(128)  # inner rule; the cached weights fold e^{+w^2} back in
     inner_plain = ww * np.exp(-wn * wn)
     inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
-    un, uw = _hermite_nodes(max(cfg.realline_order, 192))
+    un, uw = _hermite_nodes(192)
     out = np.zeros(f.n, dtype=f.values.dtype)
     for u, w in zip(un, uw):
         shifts = x[None, :] - 2.0 * abs(u) * wn[:, None]
@@ -259,7 +259,7 @@ def _dhat_s_integral(f: Field, cfg: QuadratureConfig) -> np.ndarray:
     return out
 
 
-def dhat_apply(f: Field, method: str = "kernel_k0", cfg: QuadratureConfig | None = None) -> Field:
+def dhat_apply(f: Field, method: str = "kernel_k0") -> Field:
     """Apply D = (1 - d^2/dx^2)^{-1/2} to a field.
 
     ``kernel_k0`` (default) integrates against the closed-form kernel
@@ -269,7 +269,6 @@ def dhat_apply(f: Field, method: str = "kernel_k0", cfg: QuadratureConfig | None
     """
     if method not in DHAT_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {DHAT_METHODS}")
-    cfg = cfg or QuadratureConfig()
     warn = []
     if f.boundary_leaks():
         warn.append("dhat_apply: input is not negligible at the grid boundary")
@@ -278,23 +277,18 @@ def dhat_apply(f: Field, method: str = "kernel_k0", cfg: QuadratureConfig | None
     if method == "kernel_k0":
         out = _dhat_kernel_k0(f)
     else:
-        out = _dhat_s_integral(f, cfg)
+        out = _dhat_s_integral(f)
     if not np.iscomplexobj(f.values):
         out = out.real
     return f.with_values(out, tuple(warn))
 
 
-def phi_transform(psi_bar: Field, cfg: QuadratureConfig | None = None) -> Field:
+def phi_transform(psi_bar: Field) -> Field:
     """Phi = D psi-bar (the delocalized companion field)."""
-    return dhat_apply(psi_bar, "kernel_k0", cfg)
+    return dhat_apply(psi_bar, "kernel_k0")
 
 
-def iterated_series(
-    psi0: Field,
-    tau: float,
-    cfg: SeriesConfig | None = None,
-    qcfg: QuadratureConfig | None = None,
-) -> Field:
+def iterated_series(psi0: Field, tau: float, cfg: SeriesConfig | None = None) -> Field:
     """Sum the iterated solution Psi-bar = sum (i tau)^n / n! * Psi_n with
     Psi_n = d^2/dx^2 (D Psi_{n-1}).
 
@@ -304,6 +298,8 @@ def iterated_series(
     cannot be met within ``n_max`` (which is capped at 20 here: each
     iteration multiplies rounding noise by the dealiased |k|^2).
     """
+    if not math.isfinite(tau):
+        raise ValueError("tau must be finite")
     cfg = cfg or SeriesConfig(n_max=20, tail_tol=1e-8)
     if cfg.n_max > 20:
         raise ValueError("iterated_series requires n_max <= 20")
@@ -323,7 +319,7 @@ def iterated_series(
     current = psi0
     tail = math.inf
     for m in range(1, cfg.n_max + 1):
-        smoothed = dhat_apply(current, "kernel_k0", qcfg)
+        smoothed = dhat_apply(current, "kernel_k0")
         deriv = np.fft.ifft(d2_mult * np.fft.fft(smoothed.values))
         current = psi0.with_values(deriv)
         term = (1j * tau) ** m / math.factorial(m) * deriv
@@ -345,28 +341,26 @@ def iterated_series(
 # Heisenberg-picture observables
 
 
-def r_function(a: float, cfg: QuadratureConfig | None = None) -> float:
+def r_function(a: float) -> float:
     """Width-correction factor R(a) = 2 sqrt(2) int_0^inf e^{-s} (2+a^2 s)^{-3/2} ds.
 
     R(0) = 1; decreases monotonically; R(a) ~ 1 - (3/4) a^2 for small a.
     """
     if not (math.isfinite(a) and a >= 0):
         raise ValueError("a must be finite and nonnegative")
-    cfg = cfg or _ADAPTIVE_CFG
 
     def ig(s: float) -> float:
         return math.exp(-s) * (2.0 + a * a * s) ** -1.5
 
-    return 2.0 * math.sqrt(2.0) * float(integrate_halfline(ig, cfg).value.real)
+    return 2.0 * math.sqrt(2.0) * float(integrate_halfline(ig, _ADAPTIVE_CFG).value.real)
 
 
-def f_function(a: float, cfg: QuadratureConfig | None = None) -> float:
+def f_function(a: float) -> float:
     """Commutator-correction factor
     F(a) = (2 sqrt(2)/sqrt(pi)) int_0^inf ds sqrt(s) e^{-s} (2+a^2 s)^{-1/2}.
     """
     if not (math.isfinite(a) and a >= 0):
         raise ValueError("a must be finite and nonnegative")
-    cfg = cfg or _ADAPTIVE_CFG
 
     def ig(s: float) -> float:
         return math.sqrt(s) * math.exp(-s) * (2.0 + a * a * s) ** -0.5
@@ -375,20 +369,20 @@ def f_function(a: float, cfg: QuadratureConfig | None = None) -> float:
         2.0
         * math.sqrt(2.0)
         / math.sqrt(math.pi)
-        * float(integrate_halfline(ig, cfg).value.real)
+        * float(integrate_halfline(ig, _ADAPTIVE_CFG).value.real)
     )
 
 
-def packet_width(inputs: ObservableInputs, cfg: QuadratureConfig | None = None) -> float:
+def packet_width(inputs: ObservableInputs) -> float:
     """Squared packet width sigma^2(t) = sigma^2 [1 + (a/sigma)^2 R(a) c^2 t^2 / 4]."""
-    r = r_function(inputs.a, cfg)
+    r = r_function(inputs.a)
     s2 = inputs.sigma**2
     return s2 * (1.0 + 0.25 * (inputs.a / inputs.sigma) ** 2 * r * (inputs.c * inputs.t) ** 2)
 
 
-def commutator_xt_x0(inputs: ObservableInputs, cfg: QuadratureConfig | None = None) -> complex:
+def commutator_xt_x0(inputs: ObservableInputs) -> complex:
     """Equal-packet commutator <[x(t), x(0)]> = -i lambda_c F(a) c t."""
-    fa = f_function(inputs.a, cfg)
+    fa = f_function(inputs.a)
     return -1j * inputs.lambda_c * fa * inputs.c * inputs.t
 
 

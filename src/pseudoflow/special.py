@@ -6,30 +6,36 @@ real-line integrals by the rule a :class:`QuadratureConfig` names, the
 composite Gauss-Legendre panel builder, and the coarse/fine/refined driver
 of the grid-aligned shift-type integrals.
 
+Every rule works to the same fixed tolerance: an estimate is accepted once
+its error is within max(1e-12, 1e-10 * |estimate|).
+
 Half-line rules
 ---------------
-``gauss_laguerre``
+``gauss_laguerre`` (default)
     Gauss-Laguerre with the weight folded back in; suited to integrands with
-    an e^{-cs} envelope.
+    an e^{-cs} envelope. The order starts at 64 and doubles up to 160.
 ``adaptive_subdivision``
-    Globally adaptive subdivision (QUADPACK), for integrands with endpoint
-    singularities or awkward scales.
+    Globally adaptive subdivision (QUADPACK, at most 300 subintervals), for
+    integrands with endpoint singularities or awkward scales.
 ``inverse_square_substitution``
     Substitutes t = 1/xi^2 and integrates the transformed integrand with
-    composite Gauss-Legendre panels. This removes the t -> 0 essential
-    singularity of subordination kernels t^{-3/2} e^{-1/(4t) - ct} (which
-    become smooth Gaussian-decaying functions of xi) and is the default for
-    kernels of that shape. It is *not* a good choice for plain e^{-s}
-    integrands, whose transformed tail decays only like xi^{-3}.
+    composite Gauss-Legendre panels, 8 to 512 of them. This removes the
+    t -> 0 essential singularity of subordination kernels
+    t^{-3/2} e^{-1/(4t) - ct} (which become smooth Gaussian-decaying
+    functions of xi) and is the rule the solvers use for kernels of that
+    shape. It is *not* a good choice for plain e^{-s} integrands, whose
+    transformed tail decays only like xi^{-3}.
 
 Real-line rules
 ---------------
-``gauss_hermite``
+``gauss_hermite`` (default)
     Gauss-Hermite with the weight e^{-x^2} folded back in; suited to
-    integrands with a Gaussian envelope.
+    integrands with a Gaussian envelope. The order starts at 64 and doubles
+    up to 256.
 ``truncated_adaptive``
-    Globally adaptive subdivision (QUADPACK) over the whole real line, for
-    integrands with poles near the real axis or slow decay.
+    Globally adaptive subdivision (QUADPACK, at most 300 subintervals) over
+    the whole real line, for integrands with poles near the real axis or
+    slow decay.
 
 Every rule takes scalar or vector integrands: an integrand that returns an
 array is integrated component by component (QUADPACK) or on shared nodes
@@ -70,6 +76,16 @@ REALLINE_RULES = ("gauss_hermite", "truncated_adaptive")
 # double range (largest node ~ 4n + 2 must remain well below 709).
 _LAGUERRE_CAP = 160
 _HERMITE_CAP = 256
+# Initial order of both Gauss rules.
+_GAUSS_ORDER = 64
+# Order doublings of the Gauss rules and panel doublings of the
+# inverse-square rule.
+_REFINEMENTS = 6
+# Every rule accepts an estimate whose error is within
+# max(_ABS_TOL, _REL_TOL * |estimate|).
+_ABS_TOL = 1e-12
+_REL_TOL = 1e-10
+_QUADPACK_LIMIT = 300
 # hermite2: switch from the defining factorial sum to the recurrence here.
 _HERMITE_SUM_MAX = 20
 # hermite2: hard cap; far above this the values themselves overflow doubles.
@@ -78,34 +94,17 @@ _HERMITE_N_CAP = 1000
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Rule selection and tolerances for the half-line and real-line integrals.
-
-    Orders are node counts of the *initial* rule; refinement doubles them
-    (Gauss rules) or deepens the subdivision (adaptive rules) up to
-    ``max_refinements`` times.
-    """
+    """The half-line and the real-line rule, by name (see the module
+    docstring for the rules and their fixed tolerance)."""
 
     halfline_rule: str = "gauss_laguerre"
-    halfline_order: int = 64
     realline_rule: str = "gauss_hermite"
-    realline_order: int = 64
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_refinements: int = 6
 
     def __post_init__(self):
         if self.halfline_rule not in HALFLINE_RULES:
             raise ValueError(f"unknown halfline_rule {self.halfline_rule!r}")
         if self.realline_rule not in REALLINE_RULES:
             raise ValueError(f"unknown realline_rule {self.realline_rule!r}")
-        if self.halfline_order < 2 or self.realline_order < 2:
-            raise ValueError("quadrature orders must be >= 2")
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
-        if self.abs_tol == 0 and self.rel_tol == 0:
-            raise ValueError("abs_tol and rel_tol must not both be zero")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be positive")
 
 
 @dataclass(frozen=True)
@@ -250,8 +249,8 @@ def _gl_panels(edges, order: int):
 # the quadrature core (scalar integrands go through shape-() arrays)
 
 
-def _tol(cfg: QuadratureConfig, scale: float) -> float:
-    return max(cfg.abs_tol, cfg.rel_tol * scale)
+def _tol(scale: float) -> float:
+    return max(_ABS_TOL, _REL_TOL * scale)
 
 
 def _rule_sum(f: Callable, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -260,11 +259,11 @@ def _rule_sum(f: Callable, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray
     return _csum(weights.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals)
 
 
-def _refine(total_at: Callable, levels: list, cfg: QuadratureConfig, failure: str):
+def _refine(total_at: Callable, levels: list, failure: str):
     """Step through ``levels`` until two successive estimates agree.
 
     The estimate is accepted once it is finite and the change from the
-    previous level is within max(abs_tol, rel_tol * |estimate|).
+    previous level is within the tolerance.
     ``failure`` is formatted with the last level for the ConvergenceError.
     """
     est = total_at(levels[0])
@@ -273,7 +272,7 @@ def _refine(total_at: Callable, levels: list, cfg: QuadratureConfig, failure: st
         new = total_at(level)
         err = float(np.max(np.abs(new - est)))
         est = new
-        if np.all(np.isfinite(est)) and err <= _tol(cfg, float(np.max(np.abs(est)))):
+        if np.all(np.isfinite(est)) and err <= _tol(float(np.max(np.abs(est)))):
             return est, err
     raise ConvergenceError(
         failure.format(levels[-1]),
@@ -282,18 +281,16 @@ def _refine(total_at: Callable, levels: list, cfg: QuadratureConfig, failure: st
     )
 
 
-def _gauss_refine(f: Callable, cfg: QuadratureConfig, nodes_of, order0: int, cap: int):
-    """Gauss rule whose order doubles up to ``cap``."""
-    # Keep room for at least one doubling so an error estimate always exists.
-    order = min(order0, cap // 2)
-    levels = sorted({min(order << k, cap) for k in range(cfg.max_refinements + 1)})
+def _gauss_refine(f: Callable, nodes_of, cap: int):
+    """Gauss rule whose order doubles from 64 up to ``cap``."""
+    levels = sorted({min(_GAUSS_ORDER << k, cap) for k in range(_REFINEMENTS + 1)})
     return _refine(
-        lambda m: _rule_sum(f, *nodes_of(m)), levels, cfg,
+        lambda m: _rule_sum(f, *nodes_of(m)), levels,
         "Gauss rule did not converge by order {}",
     )
 
 
-def _inverse_square_core(f: Callable, cfg: QuadratureConfig):
+def _inverse_square_core(f: Callable):
     """Integrate f over (0, inf) after the substitution t = 1/xi^2.
 
     The transformed integrand g(xi) = 2 f(1/xi^2) / xi^3 is integrated with
@@ -310,8 +307,7 @@ def _inverse_square_core(f: Callable, cfg: QuadratureConfig):
     upper = 16.0
     # Extend the truncation point while the tail still matters.
     probe = _rule_sum(g, *_gl_panels([upper, 1.5 * upper], order))
-    budget = cfg.abs_tol if cfg.abs_tol > 0 else 1e-15
-    while float(np.max(np.abs(probe))) > budget / 16.0:
+    while float(np.max(np.abs(probe))) > _ABS_TOL / 16.0:
         upper *= 1.5
         if upper > 65536.0:
             raise ConvergenceError(
@@ -323,32 +319,28 @@ def _inverse_square_core(f: Callable, cfg: QuadratureConfig):
 
     return _refine(
         lambda panels: _rule_sum(g, *_gl_panels(np.linspace(0.0, upper, panels + 1), order)),
-        [8 << k for k in range(cfg.max_refinements + 1)],
-        cfg,
+        [8 << k for k in range(_REFINEMENTS + 1)],
         "inverse-square rule did not converge with {} panels",
     )
 
 
-def _quadpack(f: Callable, a: float, b: float, probe_at: float, cfg: QuadratureConfig):
+def _quadpack(f: Callable, a: float, b: float, probe_at: float):
     """scipy.integrate.quad on each component, real and imaginary parts apart."""
     shape = np.shape(f(probe_at))
-    limit = 50 * cfg.max_refinements
-    epsabs = max(cfg.abs_tol, 1e-14)
-    epsrel = max(cfg.rel_tol, 1e-12)
     vals = np.empty(shape, dtype=complex)
     errs = np.empty(shape)
     for idx in np.ndindex(shape):
         parts = []
         for part in (np.real, np.imag):
             val, err, _info, *rest = _quad(
-                lambda t: float(part(np.asarray(f(t))[idx])), a, b, limit=limit,
-                epsabs=epsabs, epsrel=epsrel, full_output=True,
+                lambda t: float(part(np.asarray(f(t))[idx])), a, b,
+                limit=_QUADPACK_LIMIT, epsabs=_ABS_TOL, epsrel=_REL_TOL, full_output=True,
             )
             # A QUADPACK warning (e.g. roundoff detected) is only fatal when the
-            # achieved error bound also misses the configured tolerance; a
+            # achieved error bound also misses the tolerance; a
             # non-finite value or bound always is (err > tol is False for NaN).
             finite = math.isfinite(val) and math.isfinite(err)
-            if not finite or (rest and err > _tol(cfg, abs(val))):
+            if not finite or (rest and err > _tol(abs(val))):
                 reason = rest[0] if finite else "non-finite value or error bound"
                 raise ConvergenceError(
                     f"adaptive quadrature failed: {reason}", estimate=val, error_bound=err
@@ -360,17 +352,17 @@ def _quadpack(f: Callable, a: float, b: float, probe_at: float, cfg: QuadratureC
     return vals, float(np.max(errs, initial=0.0))
 
 
-def _integrate(f: Callable, rule: str, cfg: QuadratureConfig):
+def _integrate(f: Callable, rule: str):
     """Integrate ``f`` with the named rule; returns (value, error)."""
     if rule == "gauss_laguerre":
-        return _gauss_refine(f, cfg, _laguerre_nodes, cfg.halfline_order, _LAGUERRE_CAP)
+        return _gauss_refine(f, _laguerre_nodes, _LAGUERRE_CAP)
     if rule == "gauss_hermite":
-        return _gauss_refine(f, cfg, _hermite_nodes, cfg.realline_order, _HERMITE_CAP)
+        return _gauss_refine(f, _hermite_nodes, _HERMITE_CAP)
     if rule == "inverse_square_substitution":
-        return _inverse_square_core(f, cfg)
+        return _inverse_square_core(f)
     if rule == "adaptive_subdivision":
-        return _quadpack(f, 0.0, np.inf, 1.0, cfg)
-    return _quadpack(f, -np.inf, np.inf, 0.5, cfg)  # truncated_adaptive
+        return _quadpack(f, 0.0, np.inf, 1.0)
+    return _quadpack(f, -np.inf, np.inf, 0.5)  # truncated_adaptive
 
 
 def _result(value, error) -> IntegralResult:
@@ -382,8 +374,7 @@ def _result(value, error) -> IntegralResult:
 
 
 def _shift_panels(
-    h: float, root: float, square: float, head: Callable, tail: Callable,
-    cfg: QuadratureConfig, what: str,
+    h: float, root: float, square: float, head: Callable, tail: Callable, what: str
 ):
     """Coarse/fine/refined driver of the grid-aligned shift-type integrals.
 
@@ -421,7 +412,7 @@ def _shift_panels(
     coarse = total(16, 8)
     values = total(24, 12)
     err = float(np.max(np.abs(values - coarse)))
-    tol = _tol(cfg, float(np.max(np.abs(values))))
+    tol = _tol(float(np.max(np.abs(values))))
     if err > tol:
         refined = total(32, 12, split=2)
         err = float(np.max(np.abs(refined - values)))
@@ -446,13 +437,11 @@ def integrate_halfline(f: Callable[[float], complex], cfg: QuadratureConfig | No
     value is then a complex) or an array (the value is an array of that
     shape, and the error the worst component's). Raises
     :class:`~pseudoflow.errors.ConvergenceError` if the refinement loop runs
-    out before the tolerance max(abs_tol, rel_tol * |I|) is met.
+    out before the tolerance max(1e-12, 1e-10 * |I|) is met.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    return _result(*_integrate(f, cfg.halfline_rule, cfg))
+    return _result(*_integrate(f, (cfg or DEFAULT_CONFIG).halfline_rule))
 
 
 def integrate_realline(f: Callable[[float], complex], cfg: QuadratureConfig | None = None) -> IntegralResult:
     """Integrate ``f`` over (-inf, inf); see :func:`integrate_halfline`."""
-    cfg = cfg or DEFAULT_CONFIG
-    return _result(*_integrate(f, cfg.realline_rule, cfg))
+    return _result(*_integrate(f, (cfg or DEFAULT_CONFIG).realline_rule))

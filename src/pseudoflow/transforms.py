@@ -35,6 +35,9 @@ __all__ = [
 # Boundary samples above this fraction of the peak trigger a leakage warning.
 BOUNDARY_LEAK_THRESHOLD = 1e-8
 
+_INVERSE_SQUARE_CFG = QuadratureConfig(halfline_rule="inverse_square_substitution")
+_ADAPTIVE_CFG = QuadratureConfig(halfline_rule="adaptive_subdivision")
+
 
 @dataclass(frozen=True, eq=False)
 class Field:
@@ -58,6 +61,8 @@ class Field:
             raise ValueError("grid bounds must be finite")
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be < x_max")
+        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
+            raise ValueError("n must be an integer")
         if self.n < 8:
             raise ValueError("need at least 8 samples")
         vals = np.asarray(self.values)
@@ -120,16 +125,11 @@ def doetsch_weight(t):
     return float(w) if np.ndim(t) == 0 else w
 
 
-def exp_sqrt_via_doetsch(
-    x: float,
-    y: float,
-    form: str = "t_form",
-    cfg: QuadratureConfig | None = None,
-) -> float:
+def exp_sqrt_via_doetsch(x: float, y: float, form: str = "t_form") -> float:
     """Evaluate e^{-x sqrt(y)} through its subordination integral.
 
-    ``t_form`` integrates w(t) e^{-t x^2 y} dt over (0, inf) with the
-    inverse-square rule (default); ``xi_form`` integrates the substituted
+    ``t_form`` (default) integrates w(t) e^{-t x^2 y} dt over (0, inf) with
+    the inverse-square rule; ``xi_form`` integrates the substituted
     representation (1/sqrt(pi)) exp(-xi^2/4 - x^2 y / xi^2) dxi directly
     with adaptive subdivision, so the two forms exercise genuinely
     different numerical paths. Both agree with e^{-x sqrt(y)} and with
@@ -139,13 +139,13 @@ def exp_sqrt_via_doetsch(
         raise ValueError("x and y must be finite and nonnegative")
     c = x * x * y
     if form == "t_form":
-        cfg = cfg or QuadratureConfig(halfline_rule="inverse_square_substitution")
+        cfg = _INVERSE_SQUARE_CFG
 
         def ig(t: float) -> float:
             return doetsch_weight(t) * math.exp(-t * c)
 
     elif form == "xi_form":
-        cfg = cfg or QuadratureConfig(halfline_rule="adaptive_subdivision")
+        cfg = _ADAPTIVE_CFG
 
         def ig(xi: float) -> float:
             return math.exp(-0.25 * xi * xi - c / (xi * xi)) / math.sqrt(math.pi)
@@ -213,16 +213,15 @@ def glaisher(alpha: float, x) -> float:
     return float(out) if np.ndim(x) == 0 else out
 
 
-def laplace_inv_power(nu: float, a: float, cfg: QuadratureConfig | None = None) -> float:
+def laplace_inv_power(nu: float, a: float) -> float:
     """a^{-nu} through the Laplace identity (1/Gamma(nu)) int e^{-as} s^{nu-1} ds."""
     if not (math.isfinite(nu) and nu > 0):
         raise ValueError("nu must be positive and finite")
     if not (math.isfinite(a) and a > 0):
         raise ValueError("a must be positive and finite")
-    cfg = cfg or QuadratureConfig(halfline_rule="adaptive_subdivision")
     gamma = math.gamma(nu)
 
     def ig(s: float) -> float:
         return math.exp(-a * s) * s ** (nu - 1.0) / gamma
 
-    return float(integrate_halfline(ig, cfg).value.real)
+    return float(integrate_halfline(ig, _ADAPTIVE_CFG).value.real)

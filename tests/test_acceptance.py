@@ -148,7 +148,7 @@ def test_05_series_solution_vs_spectral():
         spec_half = spectral_schrodinger(f, 0.5)
         idx = np.nonzero(np.abs(f.x) <= 4.0)[0]
         vals = np.array([series_solution(float(f.x[j]), 0.5) for j in idx])
-        assert maxabs(vals - spec_half.values[idx]) <= 1e-4
+        assert maxabs(vals - spec_half.values[idx]) <= 1e-8
         spec_one = spectral_schrodinger(f, 1.0)
         assert np.abs(spec_half.values).max() > np.abs(spec_one.values).max()
 

@@ -309,6 +309,24 @@ def test_nonfinite_observable_parameter_exits_1(tmp_path, a):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--what", "dirac2", "--pi", "nan"),
+        ("--what", "line_power", "--a", "inf"),
+        ("--what", "dirac4", "--pi", "0.1,nan,0"),
+    ],
+)
+def test_nonfinite_matrix_parameter_exits_1(tmp_path, args):
+    # the builders refuse a non-finite parameter rather than writing NaN rows
+    out = tmp_path / "never.csv"
+    proc = run_cli(tmp_path, "matrix", *args, "--out", out)
+    assert proc.returncode == 1
+    assert "must be finite" in proc.stderr
+    assert not out.exists()
+    assert no_partials(tmp_path)
+
+
 def test_unwritable_output_path_exits_1(tmp_path):
     out = tmp_path / "no_such_dir" / "out.csv"
     proc = run_cli(tmp_path, "fig4", "--steps", "10", "--out", out)

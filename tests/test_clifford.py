@@ -232,6 +232,35 @@ def test_dirac4_validation():
         dirac4_evolution((1.0,), 0.5)
 
 
+@pytest.mark.parametrize(
+    "build, args, name",
+    [
+        (dirac2_evolution, (math.nan, 1.0), "pi"),
+        (dirac2_evolution, (0.9, math.inf), "tau"),
+        (dirac4_evolution, ((0.1, math.nan, 0.0), 1.0), "pi"),
+        (dirac4_evolution, ((0.1, 0.2, 0.3), math.nan), "tau"),
+        (position_evolution, (math.inf, 1.0), "pi"),
+        (position_evolution, (0.9, math.nan, "beta_diagonal"), "tau"),
+        (sqrt_symbol_check, (math.nan,), "k"),
+        (kappa_parametrization, ((1.0, math.inf, 0.0), 1.0), "w"),
+        (kappa_parametrization, ((1.0, 0.0, 0.0), math.nan), "r"),
+        (exp_pauli, (complex(0.3, math.nan), (0, 0, 1)), "y"),
+        (pauli_line_power, (math.inf, 0.5, 0.5), "a"),
+        (pauli_line_power, (1.25, 0.75, math.nan), "p"),
+        (pauli_line_power, (1.25, 0.75, math.inf), "p"),
+        (bloch_evolve, ((1.0, math.nan, 0.0), 0.5, 1.0, 0.1), "sigma0"),
+        (bloch_evolve, ((1.0, 0.0, 0.0), math.nan, 1.0, 0.1), "pi"),
+        (bloch_evolve, ((1.0, 0.0, 0.0), 0.5, math.nan, 0.1), "tau"),
+        (bloch_evolve, ((1.0, 0.0, 0.0), 0.5, math.inf, 0.1), "tau"),
+        (bloch_evolve, ((1.0, 0.0, 0.0), 0.5, 1.0, math.nan), "dt"),
+    ],
+)
+def test_builders_reject_nonfinite_input(build, args, name):
+    # a NaN or inf parameter is refused, never turned into a NaN matrix
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        build(*args)
+
+
 # ----------------------------------------------------------------------
 # Heisenberg position
 

@@ -120,6 +120,13 @@ def test_series_truncation_failure():
     assert exc.value.last_term > 0
 
 
+@pytest.mark.parametrize("eta, tau", [(0.5, math.nan), (0.5, math.inf), (math.nan, 0.5)])
+def test_series_rejects_nonfinite_input(eta, tau):
+    # bad input, not a series that failed to converge
+    with pytest.raises(ValueError, match="must be finite"):
+        series_solution(eta, tau)
+
+
 def test_series_config_validation():
     cfg = SeriesConfig()
     assert cfg.n_max == 60 and cfg.tail_tol == 1e-9
@@ -246,6 +253,9 @@ def test_iterated_series_matches_closed_symbol():
 
 def test_iterated_series_validation():
     f = gaussian(n=256)
+    for tau in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            iterated_series(f, tau)
     with pytest.raises(ValueError, match="n_max <= 20"):
         iterated_series(f, 0.3, SeriesConfig(n_max=25))
     with pytest.raises(ValueError, match="power-of-two"):

@@ -55,6 +55,8 @@ def test_field_values_are_read_only():
             dict(x_min=0.0, x_max=1.0, n=8, values=np.full(8, 1 + 1j * np.nan)),
             "finite",
         ),
+        (dict(x_min=0.0, x_max=1.0, n=8.0, values=np.zeros(8)), "integer"),
+        (dict(x_min=0.0, x_max=1.0, n=True, values=np.zeros(1)), "integer"),
     ],
 )
 def test_field_validation(kwargs, match):
