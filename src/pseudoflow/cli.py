@@ -13,6 +13,7 @@ non-convergence (ConvergenceError/TruncationError; message on stderr).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -205,34 +206,32 @@ _DEFAULT_METHODS = {
     "optics": "spectral",
 }
 
+# (equation, method) -> solver of (namespace, grid, initial field)
+_SOLVERS = {
+    ("heat", "spectral"): lambda ns, grid, f0: solve_symbol_spectral(f0, ns.tau, SymbolSpec.heat()),
+    ("heat", "integral"): lambda ns, grid, f0: f0 if ns.tau == 0 else gauss_weierstrass(f0, ns.tau),
+    ("pseudoheat", "integral"): lambda ns, grid, f0: solve_pseudoheat(f0, ns.tau),
+    ("pseudoheat", "spectral"): lambda ns, grid, f0: solve_symbol_spectral(
+        f0, ns.tau, SymbolSpec.pseudoheat()
+    ),
+    ("schrodinger", "spectral"): lambda ns, grid, f0: spectral_schrodinger(f0, ns.tau),
+    ("schrodinger", "series"): lambda ns, grid, f0: _series_field(grid, ns.tau),
+    ("half_derivative", "integral"): lambda ns, grid, f0: solve_half_derivative(f0, ns.tau),
+    ("half_derivative", "spectral"): lambda ns, grid, f0: solve_symbol_spectral(
+        f0, ns.tau, SymbolSpec.half_derivative()
+    ),
+    ("affine_sqrt", "integral"): lambda ns, grid, f0: solve_affine_sqrt(f0, ns.tau, ns.c),
+    ("optics", "spectral"): lambda ns, grid, f0: solve_symbol_spectral(
+        f0, ns.tau, SymbolSpec.optics(ns.refractive_index)
+    ),
+}
 
-def _solve_once(ns: argparse.Namespace, grid: tuple, method: str) -> Field:
-    f0 = Field(grid[0], grid[1], grid[2], _make_ic(ns.ic, grid))
-    tau = ns.tau
-    key = (ns.equation, method)
-    if key == ("heat", "spectral"):
-        return solve_symbol_spectral(f0, tau, SymbolSpec.heat())
-    if key == ("heat", "integral"):
-        if tau == 0:
-            return f0
-        return gauss_weierstrass(f0, tau)
-    if key == ("pseudoheat", "integral"):
-        return solve_pseudoheat(f0, tau)
-    if key == ("pseudoheat", "spectral"):
-        return solve_symbol_spectral(f0, tau, SymbolSpec.pseudoheat())
-    if key == ("schrodinger", "spectral"):
-        return spectral_schrodinger(f0, tau)
-    if key == ("schrodinger", "series"):
-        return _series_field(grid, tau)
-    if key == ("half_derivative", "integral"):
-        return solve_half_derivative(f0, tau)
-    if key == ("half_derivative", "spectral"):
-        return solve_symbol_spectral(f0, tau, SymbolSpec.half_derivative())
-    if key == ("affine_sqrt", "integral"):
-        return solve_affine_sqrt(f0, tau, ns.c)
-    if key == ("optics", "spectral"):
-        return solve_symbol_spectral(f0, tau, SymbolSpec.optics(ns.refractive_index))
-    raise _UsageError(f"method {method!r} is not available for equation {ns.equation!r}")
+
+def _solver(equation: str, method: str):
+    try:
+        return _SOLVERS[(equation, method)]
+    except KeyError:
+        raise _UsageError(f"method {method!r} is not available for equation {equation!r}") from None
 
 
 # ----------------------------------------------------------------------
@@ -242,6 +241,8 @@ def _solve_once(ns: argparse.Namespace, grid: tuple, method: str) -> Field:
 
 def _run_fig1(ns: argparse.Namespace):
     grid, tau = _parse_grid(ns.grid), ns.tau
+    if not (math.isfinite(tau) and tau > 0):
+        raise _UsageError("--tau must be positive and finite")
     f0 = Field.from_function(grid[0], grid[1], grid[2], lambda x: np.exp(-(x**2)))
     heat = gauss_weierstrass(f0, tau)
     pseudo = solve_pseudoheat(f0, tau)
@@ -307,7 +308,12 @@ def _run_solve(ns: argparse.Namespace):
     grid = _parse_grid(ns.grid)
     if ns.tau < 0:
         raise _UsageError("--tau must be nonnegative")
-    primary = _solve_once(ns, grid, ns.method or _DEFAULT_METHODS[ns.equation])
+    f0 = Field(grid[0], grid[1], grid[2], _make_ic(ns.ic, grid))
+    # both methods are checked before either solve runs
+    solve = _solver(ns.equation, ns.method or _DEFAULT_METHODS[ns.equation])
+    other = ns.compare
+    solve_other = _solver(ns.equation, other) if other else None
+    primary = solve(ns, grid, f0)
     header = ["x"]
     x = np.linspace(grid[0], grid[1], grid[2])
     cols = [[_fmt(v) for v in x]]
@@ -316,9 +322,8 @@ def _run_solve(ns: argparse.Namespace):
     cols += data
     extra = ""
     err = _field_err(primary)
-    other = ns.compare
     if other:
-        secondary = _solve_once(ns, grid, other)
+        secondary = solve_other(ns, grid, f0)
         names2, data2 = _columns_for(secondary.values, f"{other}_value")
         header += names2
         cols += data2

@@ -150,6 +150,46 @@ def _extender(f: Field) -> Callable[[np.ndarray], np.ndarray]:
     return ext
 
 
+def _shift_sum(f: Field) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Map (shifts s_q, real weights w_q) to sum_q w_q S(x_i + s_q) on the
+    grid, where S is the interpolant of :func:`_extender`.
+
+    A shift s = L h + d with L = floor(s / h) puts x_i + s at offset d in
+    [0, h) on cell i + L, where S is sum_r c[r, i + L] d^{3-r} in the
+    spline's own coefficients. Binning w d^{3-r} by L turns the whole sum
+    into four correlations of short lag kernels with the coefficient rows,
+    so no node evaluates the spline; cells off the grid contribute zero.
+    """
+    n, h = f.n, f.dx
+    coef = CubicSpline(f.x, f.values).c  # (4, n - 1)
+    last = f.values[-1]
+
+    def apply(shifts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        lag = np.floor(shifts / h)
+        d = shifts - lag * h
+        out = np.zeros(n, dtype=coef.dtype)
+        # S(x_{n-1}) is the one value no cell reaches with d < h
+        at_last = (d == 0.0) & (lag >= 0) & (lag < n)
+        np.add.at(out, n - 1 - lag[at_last].astype(np.intp), weights[at_last] * last)
+        keep = (lag > -n) & (lag < n - 1)  # lags that reach some cell 0 .. n-2
+        if not np.any(keep):
+            return out
+        lag, d, w = lag[keep].astype(np.intp), d[keep], weights[keep]
+        lo = int(lag.min())
+        size = int(lag.max()) - lo + 1
+        full = sum(
+            np.convolve(coef[r], np.bincount(lag - lo, w * d ** (3 - r), size)[::-1])
+            for r in range(4)
+        )
+        # full[p] = sum_j kernel[j] coef[p - size + 1 + j], so x_i reads p = i + lo + size - 1
+        p = np.arange(n) + (lo + size - 1)
+        inside = (p >= 0) & (p < full.size)
+        out[inside] += full[p[inside]]
+        return out
+
+    return apply
+
+
 def _leak_warning(f: Field, side: str, op: str) -> list:
     peak = float(np.max(np.abs(f.values)))
     if peak == 0.0:
@@ -366,11 +406,11 @@ def solve_affine_sqrt(f: Field, tau: float, c: float) -> Field:
 
         def integrand(t: float) -> np.ndarray:
             exponent = -0.25 / t - 0.5 * c * t * t * t2 * t2 - t * t2 * x
-            amp = pref * t**-1.5 * np.exp(exponent)
             fvals = ext(x + c * t2 * t)
-            # exact zero extension beats inf * 0 -> nan when the amplitude blows up
+            # The amplitude overflows on divergent data, which the refinement
+            # loop reports; exact zero extension beats inf * 0 -> nan.
             with np.errstate(invalid="ignore", over="ignore"):
-                prod = amp * fvals
+                prod = pref * t**-1.5 * np.exp(exponent) * fvals
             return np.where(fvals == 0.0, 0.0, prod)
 
         res = integrate_halfline(integrand, _INVERSE_SQUARE_CFG)
@@ -400,60 +440,55 @@ def _j0_chunks(span: float, order: int):
     return edges, nodes.reshape(-1, order), weights.reshape(-1, order)
 
 
-def _averaged_tail(partials: np.ndarray):
-    """Iterated pairwise averaging of partial sums along the last axis.
-
-    Returns the accelerated value (the last entry of the final averaging
-    pass) and the magnitude of the last pass-to-pass change, which serves
-    as the error estimate.
-    """
-    a = partials
-    best = a[..., -1]
-    est = np.abs(best)
-    while a.shape[-1] > 1:
-        a = 0.5 * (a[..., 1:] + a[..., :-1])
-        new_best = a[..., -1]
-        est = np.abs(new_best - best)
-        best = new_best
-    return best, est
+def _averaging_weights(size: int) -> np.ndarray:
+    """Row k holds 2^{-k} C(k, j) for j < size: k rounds of pairwise
+    averaging turn partial sums P_0 .. P_k into sum_j 2^{-k} C(k, j) P_j."""
+    rows = np.zeros((size, size))
+    rows[0, 0] = 1.0
+    for k in range(1, size):
+        rows[k, 0] = 0.5 * rows[k - 1, 0]
+        rows[k, 1:] = 0.5 * (rows[k - 1, 1:] + rows[k - 1, :-1])
+    return rows
 
 
 def apply_inv_sqrt_shift(g: Field) -> Field:
     """Apply (1 - d^2/dx^2)^{-1/2} through f(x) = int_0^inf J0(t) g(x-t) dt.
 
     The integral is taken arc by arc between consecutive zeros of J0 (as far
-    left as the grid allows for each x), and the oscillatory tail is summed
-    by iterated averaging of the partial sums. Decaying data terminates on
+    left as the grid allows for each x); each arc's Gauss-Legendre sum over
+    the cubic interpolant is one lag correlation with the spline
+    coefficients (see _shift_sum). The oscillatory tail is summed by
+    iterated pairwise averaging of the partial sums, in its closed form:
+    m partials average to sum_j 2^{1-m} C(m-1, j) P_j, and the change from
+    the round before is the error estimate. Decaying data terminates on
     its own; non-decaying data (e.g. a plain cosine) converges at the
     averaging rate, so points far from the left edge are the accurate ones.
     """
-    x = g.x
     span = g.x_max - g.x_min
-    ext = _extender(g)
+    shift_sum = _shift_sum(g)
     edges, nodes, weights = _j0_chunks(span, 16)
     n_chunks = len(nodes)
     # chunk integrals C[m](x) = int_{arc m} J0(t) g(x - t) dt, vectorized over x
     chunk_vals = np.empty((g.n, n_chunks), dtype=complex)
     for m in range(n_chunks):
-        jw = _j0(nodes[m]) * weights[m]
-        chunk_vals[:, m] = ext(x[:, None] - nodes[m][None, :]) @ jw
+        chunk_vals[:, m] = shift_sum(-nodes[m], _j0(nodes[m]) * weights[m])
     partials = np.cumsum(chunk_vals, axis=1)
 
     # Each point x may only use arcs that lie inside [0, x - x_min].
-    limits = x - g.x_min
-    count = np.searchsorted(edges[1:], limits, side="right")  # complete arcs per point
-    out = np.empty(g.n, dtype=complex)
-    est = np.zeros(g.n)
-    for m in np.unique(count):
-        sel = count == m
-        if m <= _ACCEL_MIN_CHUNKS:
-            # direct sum including the final partial arc (zero extension
-            # truncates it exactly at the point's own support limit)
-            upto = min(m, n_chunks - 1)
-            out[sel] = partials[sel, upto]
-            est[sel] = np.abs(chunk_vals[sel, upto])
-        else:
-            out[sel], est[sel] = _averaged_tail(partials[sel, :m])
+    count = np.searchsorted(edges[1:], g.x - g.x_min, side="right")  # complete arcs per point
+    # Few arcs: direct sum including the final partial arc (zero extension
+    # truncates it exactly at the point's own support limit).
+    points = np.arange(g.n)
+    upto = np.minimum(count, n_chunks - 1)
+    out = partials[points, upto]
+    est = np.abs(chunk_vals[points, upto])
+    acc = count > _ACCEL_MIN_CHUNKS
+    m = count[acc]
+    binom = _averaging_weights(n_chunks)
+    last = np.einsum("ij,ij->i", binom[m - 1], partials[acc])
+    previous = np.einsum("ij,ij->i", binom[m - 2, :-1], partials[acc, 1:])
+    out[acc] = last
+    est[acc] = np.abs(last - previous)
 
     # Per-point tolerance: comparing against the global output scale would
     # let uniformly diverging data "settle" (everything is garbage of the

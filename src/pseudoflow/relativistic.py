@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import k0 as _k0
 
 from .errors import TruncationError
-from .evolution import SymbolSpec, _extender, _spectral_apply, solve_symbol_spectral
+from .evolution import SymbolSpec, _shift_sum, _spectral_apply, solve_symbol_spectral
 from .special import (
     QuadratureConfig,
     _gl_panels,
@@ -211,11 +211,11 @@ def _dhat_kernel_k0(f: Field) -> np.ndarray:
 
     The logarithmic on-diagonal singularity is absorbed by the
     Delta = h u^4 node mapping on [0, h]; beyond that the kernel is smooth
-    and panels grow geometrically until K0 underflows (~ Delta = 40).
+    and panels grow geometrically until K0 underflows (~ Delta = 40). Both
+    sides, offsets -Delta and +Delta, go through one lag correlation with
+    the spline coefficients (see evolution._shift_sum).
     """
     h = f.dx
-    x = f.x
-    ext = _extender(f)
     u, wu = _legendre_nodes(48)
     diag_nodes = h * u**4
     diag_w = 4.0 * h * u**3 * wu
@@ -229,9 +229,7 @@ def _dhat_kernel_k0(f: Field) -> np.ndarray:
     nodes = np.concatenate([diag_nodes, far_nodes])
     weights = np.concatenate([diag_w, far_w])
     kw = weights * _k0(nodes) / math.pi
-    left = ext(x[:, None] - nodes[None, :]) @ kw
-    right = ext(x[:, None] + nodes[None, :]) @ kw
-    return left + right
+    return _shift_sum(f)(np.concatenate([-nodes, nodes]), np.concatenate([kw, kw]))
 
 
 def _dhat_s_integral(f: Field) -> np.ndarray:
@@ -243,20 +241,18 @@ def _dhat_s_integral(f: Field) -> np.ndarray:
     orders are fixed (outer 192, inner 128): the outer integrand inherits
     poles a distance 1/2 off the real axis, so pushing Gauss-Hermite
     further buys nothing once the interpolation error of the sampled data
-    (~ h^4) dominates. Expect a few 1e-7 on moderate grids.
+    (~ h^4) dominates. Expect a few 1e-7 on moderate grids. All 192 x 128
+    node pairs are one set of shifts -2|u| w with product weights, applied
+    by one lag correlation with the spline coefficients (see
+    evolution._shift_sum).
     """
-    ext = _extender(f)
-    x = f.x
     wn, ww = _hermite_nodes(128)  # inner rule; the cached weights fold e^{+w^2} back in
-    inner_plain = ww * np.exp(-wn * wn)
-    inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
     un, uw = _hermite_nodes(192)
-    out = np.zeros(f.n, dtype=f.values.dtype)
-    for u, w in zip(un, uw):
-        shifts = x[None, :] - 2.0 * abs(u) * wn[:, None]
-        gw = inv_sqrt_pi * (inner_plain @ ext(shifts))
-        out = out + w * inv_sqrt_pi * math.exp(-u * u) * gw
-    return out
+    inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
+    outer = uw * inv_sqrt_pi * np.exp(-un * un)
+    inner = inv_sqrt_pi * (ww * np.exp(-wn * wn))
+    shifts = -2.0 * np.outer(np.abs(un), wn)
+    return _shift_sum(f)(shifts.ravel(), np.outer(outer, inner).ravel())
 
 
 def dhat_apply(f: Field, method: str = "kernel_k0") -> Field:

@@ -181,15 +181,20 @@ def bessel(kind: str, x: float) -> float:
 
 
 def _neumaier_axis0(terms: np.ndarray) -> np.ndarray:
-    """Neumaier-compensated sum along axis 0, fixed iteration order."""
+    """Neumaier-compensated sum along axis 0, fixed iteration order.
+
+    Non-finite terms give a non-finite sum, which the refinement loop
+    rejects, so numpy's overflow and inf - inf warnings are silenced.
+    """
     s = np.zeros(terms.shape[1:], dtype=terms.dtype)
     c = np.zeros_like(s)
-    for t in terms:
-        tmp = s + t
-        big = np.abs(s) >= np.abs(t)
-        c = c + np.where(big, (s - tmp) + t, (t - tmp) + s)
-        s = tmp
-    return s + c
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in terms:
+            tmp = s + t
+            big = np.abs(s) >= np.abs(t)
+            c = c + np.where(big, (s - tmp) + t, (t - tmp) + s)
+            s = tmp
+        return s + c
 
 
 def _csum(terms: np.ndarray) -> np.ndarray:

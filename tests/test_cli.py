@@ -11,6 +11,7 @@ import pytest
 
 import pseudoflow
 from conftest import child_env
+from pseudoflow import cli
 
 CMD = [sys.executable, "-m", "pseudoflow"]
 
@@ -208,9 +209,25 @@ def test_solve_divergent_case_exits_2_without_partial_output(tmp_path):
         "--grid", "-8:8:64", "--out", out,
     )
     assert proc.returncode == 2
-    assert "numerical failure:" in proc.stderr
+    # one message, and no numpy floating-point warnings before it
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("numerical failure:")
     assert not out.exists()
     assert no_partials(tmp_path)
+
+
+def test_solve_compare_checks_both_methods_before_solving(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "solve_affine_sqrt", lambda f, tau, c: calls.append(tau) or f)
+    out = tmp_path / "never.csv"
+    code = cli.run(
+        ["solve", "--equation", "affine_sqrt", "--tau", "0.6", "--compare", "spectral",
+         "--out", str(out)]
+    )
+    assert code == 1
+    assert calls == []
+    assert "method 'spectral' is not available for equation 'affine_sqrt'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------------
@@ -288,6 +305,10 @@ def test_observables_output(tmp_path):
         (("observables", "--steps", "1"), "--steps must be at least 2"),
         (("fig4", "--a-max", "-1"), "--a-max must be positive"),
         (("fig3",), "--out"),
+        (("fig1", "--tau", "inf"), "--tau must be positive and finite"),
+        (("fig1", "--tau", "nan"), "--tau must be positive and finite"),
+        (("fig1", "--tau", "-1"), "--tau must be positive and finite"),
+        (("fig1", "--tau", "0"), "--tau must be positive and finite"),
     ],
 )
 def test_usage_errors_exit_1(tmp_path, args, fragment):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 from scipy.special import k1
 
 from pseudoflow import (
@@ -12,15 +13,18 @@ from pseudoflow import (
     QuadratureConfig,
     SymbolSpec,
     apply_inv_sqrt_shift,
+    dhat_apply,
     exp_sqrt_via_doetsch,
     gauss_weierstrass,
     integrate_halfline,
+    phi_transform,
     pseudoheat_gaussian,
     solve_affine_sqrt,
     solve_half_derivative,
     solve_pseudoheat,
     solve_symbol_spectral,
 )
+from pseudoflow.evolution import _averaging_weights, _shift_sum
 
 INV_SQUARE = QuadratureConfig(halfline_rule="inverse_square_substitution")
 
@@ -409,3 +413,58 @@ def test_inv_sqrt_shift_divergent_data_raises():
     g = Field.from_function(-120.0, 10.0, 1024, lambda x: np.exp(-x / 2.0))
     with pytest.raises(ConvergenceError, match="tail"):
         apply_inv_sqrt_shift(g)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_shift_sum_equals_direct_spline_sum(cplx):
+    # reference: the cubic spline evaluated at x + s for every shift,
+    # zero outside the grid; data that do not vanish at either edge
+    rng = np.random.default_rng(7)
+    f = Field.from_function(
+        -3.0, 5.0, 97, lambda x: np.cos(0.7 * x) + 0.3 * x + (0.5j * np.sin(x) if cplx else 0.0)
+    )
+    h = f.dx
+    lags = np.array([-96, -40, -1, 0, 1, 3, 40, 95, 96])
+    shifts = np.concatenate([
+        rng.uniform(-12.0, 12.0, 60),       # both signs, past both edges
+        lags * h + 1e-12,                   # within 1e-12 of a grid node
+        lags * h - 1e-12,
+        [0.0],
+    ])
+    weights = rng.standard_normal(shifts.size)
+    spline = CubicSpline(f.x, f.values, extrapolate=False)
+    vals = spline(f.x[:, None] + shifts[None, :])
+    ref = np.where(np.isnan(vals.real), 0.0, vals) @ weights
+    got = _shift_sum(f)(shifts, weights)
+    assert np.iscomplexobj(got) == cplx
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_averaging_weights_match_iterated_averaging():
+    # m partials averaged pairwise until one value is left; the estimate is
+    # the change made by the last round
+    rng = np.random.default_rng(3)
+    rows = _averaging_weights(200)
+    for m in range(5, 201):
+        partials = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+        a = partials
+        best = a[:, -1]
+        while a.shape[1] > 1:
+            a = 0.5 * (a[:, 1:] + a[:, :-1])
+            best, est = a[:, -1], np.abs(a[:, -1] - best)
+        last = partials @ rows[m - 1, :m]
+        previous = partials[:, 1:] @ rows[m - 2, : m - 1]
+        np.testing.assert_allclose(last, best, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(np.abs(last - previous), est, rtol=0, atol=1e-13)
+
+
+def test_kernel_sums_do_not_evaluate_the_spline(monkeypatch):
+    # the J0 and K0 kernels read the spline's coefficients on grid lags
+    def refuse(*args, **kwargs):
+        raise AssertionError("spline evaluated node by node")
+
+    monkeypatch.setattr(CubicSpline, "__call__", refuse)
+    g = Field.from_function(-40.0, 10.0, 300, lambda x: np.exp(-(x**2)))
+    assert np.all(np.isfinite(apply_inv_sqrt_shift(g).values))
+    assert np.all(np.isfinite(phi_transform(g).values))
+    assert np.all(np.isfinite(dhat_apply(g, "s_integral").values))
