@@ -8,8 +8,8 @@ evolution parameter tau:
   subordination integral over shifted copies of the data.
 * :func:`solve_pseudoheat`     -- d/dtau F = -sqrt(1 - d^2/dx^2) F via an
   outer subordination integral over Gauss-Weierstrass smoothings; the
-  data are folded into one Toeplitz operator per solve, so each quadrature
-  node costs n kernel values and one matrix-vector product.
+  data are folded into one Toeplitz operator per solve, so each refinement
+  level of the outer rule costs one matrix-matrix product.
 * :func:`pseudoheat_gaussian`  -- single-integral closed form of the above
   for the Gaussian initial condition e^{-x^2}.
 * :func:`solve_symbol_spectral` -- FFT multiplier e^{tau P(ik)} for any
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -35,8 +36,8 @@ from scipy.special import j0 as _j0
 from scipy.special import jn_zeros as _jn_zeros
 
 from .errors import ConvergenceError
-from .special import _ABS_TOL, _REL_TOL, _gl_panels, _shift_panels, integrate_halfline
-from .transforms import BOUNDARY_LEAK_THRESHOLD, _INVERSE_SQUARE_CFG, Field, _gw_smoother
+from .special import _ABS_TOL, _REL_TOL, _gl_panels, _log_trapezoid, _shift_panels
+from .transforms import BOUNDARY_LEAK_THRESHOLD, Field, _gw_smoother
 
 __all__ = [
     "SymbolSpec",
@@ -267,31 +268,36 @@ def solve_pseudoheat(f: Field, tau: float) -> Field:
     GW(f, t tau^2) dt, where GW is the Gauss-Weierstrass smoothing of the
     initial data. The trapezoid-weighted data are folded once into the
     Toeplitz operator of :func:`~pseudoflow.transforms.gauss_weierstrass`,
-    so each quadrature node evaluates the heat kernel on the n grid lags and
-    applies one matrix-vector product. Refinement and the error estimate
-    act on the output field, node by node. tau = 0 returns the input
-    unchanged.
+    and the outer integral is the log-trapezoid rule, so each refinement
+    level evaluates the heat kernel on the n grid lags at all its new nodes
+    and applies one matrix-matrix product. Refinement and the error
+    estimate act on the output field. tau = 0 returns the input unchanged.
+
+    The trapezoid smoothing aliases at widths t tau^2 below h^2, which carry
+    the share erfc(tau / (2h)) of the weight; above 5% the result carries
+    an under-resolution warning.
     """
     _check_tau(tau)
     if tau == 0.0:
         return f.with_values(f.values)
-    vals = f.values
     smooth = _gw_smoother(f)
     t2 = tau * tau
     pref = 1.0 / (2.0 * math.sqrt(math.pi))
 
-    def integrand(t: float) -> np.ndarray:
-        weight = pref * t**-1.5 * math.exp(-0.25 / t - t * t2)
-        if weight == 0.0:
-            return np.zeros_like(vals)
-        return weight * smooth(t * t2)
+    def integrand(t: np.ndarray) -> np.ndarray:
+        weight = pref * t**-1.5 * np.exp(-0.25 / t - t * t2)
+        return weight[:, None] * smooth(t * t2).T
 
-    res = integrate_halfline(integrand, _INVERSE_SQUARE_CFG)
-    values, err = res.value, res.error
+    values, err = _log_trapezoid(integrand)
     warn = []
     if f.boundary_leaks():
         warn.append("solve_pseudoheat: input is not negligible at the grid boundary")
-    if not np.iscomplexobj(vals):
+    if math.erfc(tau / (2.0 * f.dx)) > 0.05:
+        warn.append(
+            "solve_pseudoheat: kernel widths below the grid spacing carry a visible "
+            "share of the weight; result is under-resolved"
+        )
+    if not np.iscomplexobj(f.values):
         values = values.real
     return f.with_values(values, tuple(warn), meta={"quadrature_error": float(err)})
 
@@ -311,11 +317,11 @@ def pseudoheat_gaussian(tau: float, x: float) -> float:
     t2 = tau * tau
     pref = 1.0 / (2.0 * math.sqrt(math.pi))
 
-    def integrand(t: float) -> float:
+    def integrand(t: np.ndarray) -> np.ndarray:
         s = 1.0 + 4.0 * t * t2
-        return pref * t**-1.5 / math.sqrt(s) * math.exp(-0.25 / t - t * t2 - x * x / s)
+        return pref * t**-1.5 / np.sqrt(s) * np.exp(-0.25 / t - t * t2 - x * x / s)
 
-    return float(integrate_halfline(integrand, _INVERSE_SQUARE_CFG).value.real)
+    return float(_log_trapezoid(integrand)[0])
 
 
 def _affine_panels(f: Field, tau: float, c: float):
@@ -385,10 +391,10 @@ def solve_affine_sqrt(f: Field, tau: float, c: float) -> Field:
     For c > 0 the integration runs in the shift variable s = c tau^2 t with
     grid-aligned panels (see _affine_panels); the integral converges for
     every x, though e^{-t tau^2 x} can overflow for strongly negative x,
-    which surfaces as a ConvergenceError. For c = 0 the data factor does
-    not move and the plain half-line rule applies; there the growth of
+    which surfaces as a ConvergenceError. For c <= 0 the log-trapezoid
+    rule integrates all grid points at once; for c = 0 the growth of
     e^{-t tau^2 x} for x < 0 makes the integral itself divergent unless the
-    data vanishes, and the quadrature fails its convergence test with a
+    data vanishes, and the rule finds no decaying tail and raises a
     ConvergenceError (the admissible domain is not characterized here).
     """
     _check_tau(tau)
@@ -404,17 +410,17 @@ def solve_affine_sqrt(f: Field, tau: float, c: float) -> Field:
         t2 = tau * tau
         pref = 1.0 / (2.0 * math.sqrt(math.pi))
 
-        def integrand(t: float) -> np.ndarray:
-            exponent = -0.25 / t - 0.5 * c * t * t * t2 * t2 - t * t2 * x
-            fvals = ext(x + c * t2 * t)
-            # The amplitude overflows on divergent data, which the refinement
-            # loop reports; exact zero extension beats inf * 0 -> nan.
+        def integrand(t: np.ndarray) -> np.ndarray:
+            tc = t[:, None]
+            exponent = -0.25 / tc - 0.5 * c * tc * tc * t2 * t2 - tc * t2 * x
+            fvals = ext(x + c * t2 * tc)
+            # The amplitude overflows on divergent data, which the window
+            # search reports; exact zero extension beats inf * 0 -> nan.
             with np.errstate(invalid="ignore", over="ignore"):
-                prod = pref * t**-1.5 * np.exp(exponent) * fvals
+                prod = pref * tc**-1.5 * np.exp(exponent) * fvals
             return np.where(fvals == 0.0, 0.0, prod)
 
-        res = integrate_halfline(integrand, _INVERSE_SQUARE_CFG)
-        values, err = res.value, res.error
+        values, err = _log_trapezoid(integrand)
     warn = _leak_warning(f, "right", "solve_affine_sqrt") if c != 0 else []
     if not np.iscomplexobj(f.values):
         values = values.real
@@ -428,11 +434,18 @@ _ACCEL_MIN_CHUNKS = 4       # below this, no tail acceleration: direct sum
 _REQUIRED_CHUNKS = 32       # points with at least this many chunks must converge
 
 
+@lru_cache(maxsize=16)
+def _j0_zeros(count: int) -> np.ndarray:
+    """The first ``count`` positive zeros of J0, read-only."""
+    zeros = _jn_zeros(0, count)
+    zeros.setflags(write=False)
+    return zeros
+
+
 def _j0_chunks(span: float, order: int):
     """Gauss-Legendre nodes/weights on consecutive zero-to-zero arcs of J0,
     one row per arc."""
-    m = max(int(span / math.pi) + 2, 4)
-    zeros = _jn_zeros(0, m)
+    zeros = _j0_zeros(max(int(span / math.pi) + 2, 4))
     edges = np.concatenate(([0.0], zeros[zeros <= span]))
     if edges.size < 2:
         edges = np.array([0.0, span])

@@ -4,7 +4,8 @@ Two-variable Hermite polynomials H_n(x, y), Bessel J0/K0, and the one
 quadrature core every solver in this package is built on: half-line and
 real-line integrals by the rule a :class:`QuadratureConfig` names, the
 composite Gauss-Legendre panel builder, and the coarse/fine/refined driver
-of the grid-aligned shift-type integrals.
+of the grid-aligned shift-type integrals. The solvers' subordination
+integrals use the log-trapezoid rule described last.
 
 Every rule works to the same fixed tolerance: an estimate is accepted once
 its error is within max(1e-12, 1e-10 * |estimate|).
@@ -19,12 +20,13 @@ Half-line rules
     integrands with endpoint singularities or awkward scales.
 ``inverse_square_substitution``
     Substitutes t = 1/xi^2 and integrates the transformed integrand with
-    composite Gauss-Legendre panels, 8 to 512 of them. This removes the
-    t -> 0 essential singularity of subordination kernels
-    t^{-3/2} e^{-1/(4t) - ct} (which become smooth Gaussian-decaying
-    functions of xi) and is the rule the solvers use for kernels of that
-    shape. It is *not* a good choice for plain e^{-s} integrands, whose
-    transformed tail decays only like xi^{-3}.
+    composite Gauss-Legendre panels, 8 to 512 of them, one integrand call
+    per node. This removes the t -> 0 essential singularity of
+    subordination kernels t^{-3/2} e^{-1/(4t) - ct} (which become smooth
+    Gaussian-decaying functions of xi). No solver uses it any more; it
+    stays as an independent reference for such kernels. It is *not* a good
+    choice for plain e^{-s} integrands, whose transformed tail decays only
+    like xi^{-3}.
 
 Real-line rules
 ---------------
@@ -43,6 +45,20 @@ array is integrated component by component (QUADPACK) or on shared nodes
 
 All rules use fixed node sets and compensated (Neumaier) accumulation in a
 fixed order, so results are bit-identical across runs and schedulers.
+
+The subordination integrals of the solvers
+------------------------------------------
+``_log_trapezoid`` (private, no configuration) integrates over (0, inf) in
+v = log t with the trapezoid rule on nested node sets: a window that
+starts at |v| <= 8 and grows while its ends still contribute, and a step
+that halves from 0.4 while the whole output still changes by more than the
+tolerance. Its integrand takes the array of a level's new nodes and returns
+one row per node, so a solver evaluates a whole level in a few array
+operations. The subordination weight t^{-3/2} e^{-1/(4t)} decays
+double-exponentially as v -> -inf and is analytic in |Im v| < pi/2, so
+the rule converges like e^{-pi^2/h}; a data factor that is only piecewise
+smooth (a cubic spline sampled along t) converges algebraically and takes
+the deeper levels. Sums run in a fixed order, so results are deterministic too.
 """
 from __future__ import annotations
 
@@ -78,14 +94,21 @@ _LAGUERRE_CAP = 160
 _HERMITE_CAP = 256
 # Initial order of both Gauss rules.
 _GAUSS_ORDER = 64
-# Order doublings of the Gauss rules and panel doublings of the
-# inverse-square rule.
+# Order doublings of the Gauss rules, panel doublings of the inverse-square
+# rule and step halvings of the log-trapezoid rule.
 _REFINEMENTS = 6
 # Every rule accepts an estimate whose error is within
 # max(_ABS_TOL, _REL_TOL * |estimate|).
 _ABS_TOL = 1e-12
 _REL_TOL = 1e-10
 _QUADPACK_LIMIT = 300
+# The log-trapezoid rule: initial window |v| <= 8 in v = log t, grown by 4 at
+# a time up to |v| <= 128 (t stays far inside double range there), and an
+# initial step of 0.4.
+_LOG_START = 8.0
+_LOG_GROW = 4.0
+_LOG_CAP = 128.0
+_LOG_STEP = 0.4
 # hermite2: switch from the defining factorial sum to the recurrence here.
 _HERMITE_SUM_MAX = 20
 # hermite2: hard cap; far above this the values themselves overflow doubles.
@@ -326,6 +349,58 @@ def _inverse_square_core(f: Callable):
         lambda panels: _rule_sum(g, *_gl_panels(np.linspace(0.0, upper, panels + 1), order)),
         [8 << k for k in range(_REFINEMENTS + 1)],
         "inverse-square rule did not converge with {} panels",
+    )
+
+
+def _log_trapezoid(f: Callable):
+    """Integrate f over (0, inf) as int f(e^v) e^v dv by the nested
+    trapezoid rule of the module docstring; returns (value, error).
+
+    ``f`` maps an array of t of shape (m,) to shape (m,) or (m, n). Each
+    end of the window moves out by _LOG_GROW while its outermost node
+    contributes more than _ABS_TOL / 16. The step halves from _LOG_STEP,
+    each level evaluating only the new midpoints, until the whole output
+    changes by at most the tolerance.
+    """
+
+    def g(v: np.ndarray) -> np.ndarray:
+        t = np.exp(v)
+        vals = np.asarray(f(t))
+        return t.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals
+
+    def outer_end(v: float, grow: float) -> float:
+        while True:
+            edge = _LOG_STEP * float(np.max(np.abs(g(np.array([v])))))
+            if edge <= _ABS_TOL / 16.0:  # False for NaN, which also grows
+                return v
+            v += grow
+            if abs(v) > _LOG_CAP:
+                raise ConvergenceError(
+                    "log-trapezoid rule: integrand does not decay within "
+                    f"|log t| <= {_LOG_CAP:g}",
+                    error_bound=edge,
+                )
+
+    # Overflow gives a non-finite estimate, which is never accepted, so
+    # numpy's overflow and inf - inf warnings are silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = outer_end(-_LOG_START, -_LOG_GROW)
+        hi = outer_end(_LOG_START, _LOG_GROW)
+        h = _LOG_STEP
+        est = h * g(lo + h * np.arange(round((hi - lo) / h) + 1)).sum(axis=0)
+        err = math.inf
+        # est / 2 + midpoints stays non-finite, so a non-finite level ends it
+        while h > _LOG_STEP / 2**_REFINEMENTS and np.all(np.isfinite(est)):
+            h *= 0.5
+            new = 0.5 * est + h * g(lo + h * np.arange(1, round((hi - lo) / h), 2)).sum(axis=0)
+            err = float(np.max(np.abs(new - est)))
+            est = new
+            if np.all(np.isfinite(est)) and err <= _tol(float(np.max(np.abs(est)))):
+                return est, err
+    raise ConvergenceError(
+        f"log-trapezoid rule did not converge at step {h:g}",
+        estimate=est if np.ndim(est) == 0 else None,
+        error_bound=err,
     )
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import hankel, toeplitz
 
-from .special import QuadratureConfig, integrate_halfline
+from .special import QuadratureConfig, _log_trapezoid, integrate_halfline
 
 __all__ = [
     "Field",
@@ -35,7 +35,6 @@ __all__ = [
 # Boundary samples above this fraction of the peak trigger a leakage warning.
 BOUNDARY_LEAK_THRESHOLD = 1e-8
 
-_INVERSE_SQUARE_CFG = QuadratureConfig(halfline_rule="inverse_square_substitution")
 _ADAPTIVE_CFG = QuadratureConfig(halfline_rule="adaptive_subdivision")
 
 
@@ -129,40 +128,36 @@ def exp_sqrt_via_doetsch(x: float, y: float, form: str = "t_form") -> float:
     """Evaluate e^{-x sqrt(y)} through its subordination integral.
 
     ``t_form`` (default) integrates w(t) e^{-t x^2 y} dt over (0, inf) with
-    the inverse-square rule; ``xi_form`` integrates the substituted
-    representation (1/sqrt(pi)) exp(-xi^2/4 - x^2 y / xi^2) dxi directly
-    with adaptive subdivision, so the two forms exercise genuinely
-    different numerical paths. Both agree with e^{-x sqrt(y)} and with
-    each other to better than 1e-10.
+    the log-trapezoid rule, all nodes of a level in one array; ``xi_form``
+    integrates the substituted representation
+    (1/sqrt(pi)) exp(-xi^2/4 - x^2 y / xi^2) dxi directly with adaptive
+    subdivision (QUADPACK), so the two forms exercise genuinely different
+    numerical paths. Both agree with e^{-x sqrt(y)} and with each other to
+    better than 1e-10.
     """
     if not (math.isfinite(x) and math.isfinite(y) and x >= 0 and y >= 0):
         raise ValueError("x and y must be finite and nonnegative")
     c = x * x * y
     if form == "t_form":
-        cfg = _INVERSE_SQUARE_CFG
-
-        def ig(t: float) -> float:
-            return doetsch_weight(t) * math.exp(-t * c)
-
-    elif form == "xi_form":
-        cfg = _ADAPTIVE_CFG
+        return float(_log_trapezoid(lambda t: doetsch_weight(t) * np.exp(-t * c))[0])
+    if form == "xi_form":
 
         def ig(xi: float) -> float:
             return math.exp(-0.25 * xi * xi - c / (xi * xi)) / math.sqrt(math.pi)
 
-    else:
-        raise ValueError(f"unknown form {form!r}; expected 't_form' or 'xi_form'")
-    return float(integrate_halfline(ig, cfg).value.real)
+        return float(integrate_halfline(ig, _ADAPTIVE_CFG).value.real)
+    raise ValueError(f"unknown form {form!r}; expected 't_form' or 'xi_form'")
 
 
 def _gw_smoother(f: Field):
-    """Trapezoid-rule Gauss-Weierstrass smoothing of ``f`` as a map
-    alpha -> smoothed values on f's grid.
+    """Trapezoid-rule Gauss-Weierstrass smoothing of ``f`` as a map from
+    m widths alpha to the (n, m) smoothed columns on f's grid.
 
     out[i] = sum_j wf[j] g(|i - j| h) with wf the trapezoid-weighted data and
     g the heat kernel of width alpha. Grouping the sum by lag k gives
     out = A @ g(k h) with A[i, k] = wf[i - k] + wf[i + k] (A[i, 0] = wf[i],
-    out-of-range entries zero), built here once per field.
+    out-of-range entries zero), built here once per field; all widths are
+    then one product of A with the (n, m) kernel matrix.
     """
     n, h = f.n, f.dx
     wf = h * f.values
@@ -172,9 +167,9 @@ def _gw_smoother(f: Field):
     fold[:, 0] = wf
     lag2 = (h * np.arange(n)) ** 2
 
-    def smooth(alpha: float) -> np.ndarray:
-        norm = 1.0 / (2.0 * math.sqrt(math.pi * alpha))
-        return fold @ (np.exp(-lag2 / (4.0 * alpha)) * norm)
+    def smooth(alpha: np.ndarray) -> np.ndarray:
+        norm = 1.0 / (2.0 * np.sqrt(math.pi * alpha))
+        return fold @ (np.exp(-lag2[:, None] / (4.0 * alpha)) * norm)
 
     return smooth
 
@@ -197,7 +192,7 @@ def gauss_weierstrass(f: Field, alpha: float) -> Field:
         warnings.append(
             "gauss_weierstrass: kernel width below the grid spacing; result is under-resolved"
         )
-    return f.with_values(_gw_smoother(f)(alpha), tuple(warnings))
+    return f.with_values(_gw_smoother(f)(np.array([alpha]))[:, 0], tuple(warnings))
 
 
 def glaisher(alpha: float, x) -> float:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pseudoflow
+from pseudoflow import special
 from pseudoflow import (
     ConvergenceError,
     QuadratureConfig,
@@ -298,6 +299,113 @@ def test_quadpack_rules_reject_nonfinite_results(integrate, cfg, bad):
         integrate(lambda s: bad, cfg)
     with pytest.raises(ConvergenceError, match="non-finite"):
         integrate(lambda s: np.array([math.exp(-s * s), bad]), cfg)
+
+
+# ----------------------------------------------------------------------
+# the log-trapezoid rule of the subordination integrals
+
+
+def _doetsch(t):
+    return t**-1.5 * np.exp(-0.25 / t) / (2.0 * SQRT_PI)
+
+
+def _counted(f, calls):
+    def g(t):
+        calls.append(np.array(t))
+        return f(t)
+
+    return g
+
+
+@pytest.mark.parametrize("c", [0.0, 1e-3, 0.125, 1.0, 16.0, 100.0])
+def test_log_trapezoid_exp_sqrt_closed_form(c):
+    # int_0^inf w(t) e^{-ct} dt = e^{-sqrt(c)}
+    value, err = special._log_trapezoid(lambda t: _doetsch(t) * np.exp(-c * t))
+    want = math.exp(-math.sqrt(c))
+    assert np.ndim(value) == 0
+    assert abs(value - want) <= 1e-13 * want
+    assert 0.0 <= err <= 1e-10 * want + 1e-12
+
+
+def test_log_trapezoid_complex_field_integrand():
+    # (m, n) output: column j is w(t) e^{-c_j t} (1 + i j), value e^{-sqrt(c_j)} (1 + i j)
+    cs = np.array([0.125, 1.0, 4.0, 16.0])
+    phase = 1.0 + 1j * np.arange(cs.size)
+    value, err = special._log_trapezoid(
+        lambda t: (_doetsch(t)[:, None] * np.exp(-np.outer(t, cs))) * phase
+    )
+    assert value.shape == cs.shape
+    np.testing.assert_allclose(value, np.exp(-np.sqrt(cs)) * phase, rtol=1e-13, atol=0)
+    assert err <= 1e-12
+
+
+def test_log_trapezoid_reuses_every_node():
+    # Only the window probes are single nodes; the level calls together are
+    # one uniform grid in log t, each node evaluated once.
+    calls = []
+    special._log_trapezoid(_counted(lambda t: _doetsch(t) * np.exp(-t), calls))
+    probes = [t for t in calls if t.size == 1]
+    levels = [t for t in calls if t.size > 1]
+    assert len(probes) == 2 and len(levels) >= 2
+    v = np.sort(np.log(np.concatenate(levels)))
+    step = special._LOG_STEP / 2 ** (len(levels) - 1)
+    np.testing.assert_allclose(np.diff(v), step, rtol=1e-9)
+    assert v[0] == pytest.approx(-special._LOG_START) and v[-1] == pytest.approx(special._LOG_START)
+    assert sum(t.size for t in calls) == v.size + len(probes)
+
+
+def test_log_trapezoid_grows_the_window_for_slow_tails():
+    # w(t) alone decays only like e^{-v/2} in v = log t: the right end
+    # moves out, the left one stays
+    calls = []
+    value, _ = special._log_trapezoid(_counted(_doetsch, calls))
+    assert value == pytest.approx(1.0, rel=1e-13)
+    ends = np.log(np.concatenate([t for t in calls if t.size == 1]))
+    assert ends.min() == pytest.approx(-special._LOG_START)
+    assert special._LOG_START + special._LOG_GROW <= ends.max() <= special._LOG_CAP
+
+
+@pytest.mark.parametrize(
+    "f",
+    [lambda t: 1.0 / (1.0 + t), lambda t: np.exp(t), lambda t: np.full(t.shape, math.nan)],
+    ids=["algebraic", "growing", "nan"],
+)
+def test_log_trapezoid_rejects_nondecaying_integrands(f):
+    with np.errstate(over="ignore"), pytest.raises(ConvergenceError, match="does not decay"):
+        special._log_trapezoid(f)
+
+
+def test_log_trapezoid_reports_nonconvergence():
+    # a kink at t = 1 has no strip of analyticity: the step halves out
+    with pytest.raises(ConvergenceError, match="did not converge at step") as exc_info:
+        special._log_trapezoid(lambda t: _doetsch(t) * np.abs(np.log(t)) ** 0.5)
+    assert exc_info.value.error_bound > 0
+
+
+def test_log_trapezoid_deterministic():
+    def f(t):
+        return _doetsch(t)[:, None] * np.exp(-np.outer(t, [0.5, 2.0 + 1.0j]))
+
+    first = special._log_trapezoid(f)
+    second = special._log_trapezoid(f)
+    assert np.array_equal(first[0], second[0])
+    assert first[1] == second[1]
+
+
+def test_solvers_do_not_use_the_inverse_square_rule(monkeypatch):
+    # The inverse-square rule stays only as a public rule of
+    # integrate_halfline and as the tests' independent reference.
+    def refuse(f):
+        raise AssertionError("inverse-square rule called")
+
+    monkeypatch.setattr(special, "_inverse_square_core", refuse)
+    f = pseudoflow.Field.from_function(-2.0, 14.0, 64, lambda x: np.exp(-((x - 3.0) ** 2)))
+    assert np.all(np.isfinite(pseudoflow.solve_pseudoheat(f, 1.0).values))
+    for c in (0.0, -0.5):
+        g = f.with_values(np.where(f.x >= 0.0, f.values, 0.0))
+        assert np.all(np.isfinite(pseudoflow.solve_affine_sqrt(g, 0.5, c).values))
+    assert math.isfinite(pseudoflow.pseudoheat_gaussian(0.5, 1.0))
+    assert math.isfinite(pseudoflow.exp_sqrt_via_doetsch(1.0, 2.0, form="t_form"))
 
 
 # ----------------------------------------------------------------------
