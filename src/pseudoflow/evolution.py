@@ -288,7 +288,8 @@ def solve_pseudoheat(f: Field, tau: float) -> Field:
         weight = pref * t**-1.5 * np.exp(-0.25 / t - t * t2)
         return weight[:, None] * smooth(t * t2).T
 
-    values, err = _log_trapezoid(integrand)
+    # Every term of the smoothing sum falls in t beyond |lag| / (2 tau^2).
+    values, err = _log_trapezoid(integrand, (f.x[-1] - f.x[0]) / (2.0 * t2))
     warn = []
     if f.boundary_leaks():
         warn.append("solve_pseudoheat: input is not negligible at the grid boundary")
@@ -321,7 +322,9 @@ def pseudoheat_gaussian(tau: float, x: float) -> float:
         s = 1.0 + 4.0 * t * t2
         return pref * t**-1.5 / np.sqrt(s) * np.exp(-0.25 / t - t * t2 - x * x / s)
 
-    return float(_log_trapezoid(integrand)[0])
+    # e^{-x^2/s}, s = 1 + 4 t tau^2, rises until s = 2|x| - 1; past
+    # s = 2|x| + 1 the whole integrand falls.
+    return float(_log_trapezoid(integrand, (2.0 * abs(x) + 1.0) / (4.0 * t2))[0])
 
 
 def _affine_panels(f: Field, tau: float, c: float):
@@ -420,7 +423,9 @@ def solve_affine_sqrt(f: Field, tau: float, c: float) -> Field:
                 prod = pref * tc**-1.5 * np.exp(exponent) * fvals
             return np.where(fvals == 0.0, 0.0, prod)
 
-        values, err = _log_trapezoid(integrand)
+        # For c < 0 the data factor is zero once the shift passes the grid.
+        reach = (x[-1] - x[0]) / (-c * t2) if c < 0 else 0.0
+        values, err = _log_trapezoid(integrand, reach)
     warn = _leak_warning(f, "right", "solve_affine_sqrt") if c != 0 else []
     if not np.iscomplexobj(f.values):
         values = values.real

@@ -52,7 +52,10 @@ The subordination integrals of the solvers
 v = log t with the trapezoid rule on nested node sets: a window that
 starts at |v| <= 8 and grows while its ends still contribute, and a step
 that halves from 0.4 while the whole output still changes by more than the
-tolerance. Its integrand takes the array of a level's new nodes and returns
+tolerance. The end test sees one node, so the caller names a t past which
+its integrand only falls (its data factor may still rise beyond v = 8,
+as the pseudoheat Gaussian does at small tau and large |x|), and the right
+end starts there. Its integrand takes the array of a level's new nodes and returns
 one row per node, so a solver evaluates a whole level in a few array
 operations. The subordination weight t^{-3/2} e^{-1/(4t)} decays
 double-exponentially as v -> -inf and is analytic in |Im v| < pi/2, so
@@ -352,15 +355,18 @@ def _inverse_square_core(f: Callable):
     )
 
 
-def _log_trapezoid(f: Callable):
+def _log_trapezoid(f: Callable, t_tail: float = 0.0):
     """Integrate f over (0, inf) as int f(e^v) e^v dv by the nested
     trapezoid rule of the module docstring; returns (value, error).
 
     ``f`` maps an array of t of shape (m,) to shape (m,) or (m, n). Each
     end of the window moves out by _LOG_GROW while its outermost node
-    contributes more than _ABS_TOL / 16. The step halves from _LOG_STEP,
-    each level evaluating only the new midpoints, until the whole output
-    changes by at most the tolerance.
+    contributes more than _ABS_TOL / 16. That test sees only the end node,
+    so the integrand must fall from there on: ``t_tail`` is the caller's
+    bound on where the weight lies, a t beyond which t |f(t)| only falls,
+    and the right end starts at or beyond log(t_tail). The step halves
+    from _LOG_STEP, each level evaluating only the new midpoints, until the
+    whole output changes by at most the tolerance.
     """
 
     def g(v: np.ndarray) -> np.ndarray:
@@ -369,39 +375,41 @@ def _log_trapezoid(f: Callable):
         return t.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals
 
     def outer_end(v: float, grow: float) -> float:
-        while True:
+        edge = math.inf
+        while abs(v) <= _LOG_CAP:
             edge = _LOG_STEP * float(np.max(np.abs(g(np.array([v])))))
             if edge <= _ABS_TOL / 16.0:  # False for NaN, which also grows
                 return v
             v += grow
-            if abs(v) > _LOG_CAP:
-                raise ConvergenceError(
-                    "log-trapezoid rule: integrand does not decay within "
-                    f"|log t| <= {_LOG_CAP:g}",
-                    error_bound=edge,
-                )
+        raise ConvergenceError(
+            f"log-trapezoid rule: integrand does not decay within |log t| <= {_LOG_CAP:g}",
+            error_bound=edge,
+        )
+
+    hi = _LOG_START
+    if t_tail > math.exp(_LOG_START):
+        # past the cap (or t_tail = inf) outer_end raises at once
+        reach = min(math.log(t_tail), 2.0 * _LOG_CAP)
+        hi += _LOG_GROW * math.ceil((reach - _LOG_START) / _LOG_GROW)
+    prev = None
+
+    def total_at(h: float) -> np.ndarray:
+        nonlocal prev
+        if prev is None:  # the first level: every node of the window
+            prev = h * g(lo + h * np.arange(round((hi - lo) / h) + 1)).sum(axis=0)
+        else:  # the previous level plus its midpoints
+            prev = 0.5 * prev + h * g(lo + h * np.arange(1, round((hi - lo) / h), 2)).sum(axis=0)
+        return prev
 
     # Overflow gives a non-finite estimate, which is never accepted, so
     # numpy's overflow and inf - inf warnings are silenced.
     with np.errstate(over="ignore", invalid="ignore"):
         lo = outer_end(-_LOG_START, -_LOG_GROW)
-        hi = outer_end(_LOG_START, _LOG_GROW)
-        h = _LOG_STEP
-        est = h * g(lo + h * np.arange(round((hi - lo) / h) + 1)).sum(axis=0)
-        err = math.inf
-        # est / 2 + midpoints stays non-finite, so a non-finite level ends it
-        while h > _LOG_STEP / 2**_REFINEMENTS and np.all(np.isfinite(est)):
-            h *= 0.5
-            new = 0.5 * est + h * g(lo + h * np.arange(1, round((hi - lo) / h), 2)).sum(axis=0)
-            err = float(np.max(np.abs(new - est)))
-            est = new
-            if np.all(np.isfinite(est)) and err <= _tol(float(np.max(np.abs(est)))):
-                return est, err
-    raise ConvergenceError(
-        f"log-trapezoid rule did not converge at step {h:g}",
-        estimate=est if np.ndim(est) == 0 else None,
-        error_bound=err,
-    )
+        hi = outer_end(hi, _LOG_GROW)
+        return _refine(
+            total_at, [_LOG_STEP / 2**k for k in range(_REFINEMENTS + 1)],
+            "log-trapezoid rule did not converge at step {:g}",
+        )
 
 
 def _quadpack(f: Callable, a: float, b: float, probe_at: float):

@@ -382,6 +382,34 @@ def test_log_trapezoid_reports_nonconvergence():
     assert exc_info.value.error_bound > 0
 
 
+def test_log_trapezoid_estimate_covers_algebraic_error():
+    # e^{-v^2/2} (1 + |v|^3) in v = log t: the jump of the third derivative
+    # at v = 0 leaves an O(h^4) error well above rounding at the accepted
+    # step, and the estimate must not be below it
+    value, err = special._log_trapezoid(
+        lambda t: np.exp(-0.5 * np.log(t) ** 2) * (1.0 + np.abs(np.log(t)) ** 3) / t
+    )
+    miss = abs(value - (math.sqrt(2.0 * math.pi) + 4.0))
+    assert 1e-13 < miss <= err <= 1e-9
+
+
+def test_log_trapezoid_window_reaches_the_tail_point():
+    # a bump at log t = 11 is below 1e-15 at the default right end log t = 8,
+    # which the end-node test alone cannot tell from a decayed integrand
+    def bump(t):
+        return np.exp(-4.0 * (np.log(t) - 11.0) ** 2) / t
+
+    missed, _ = special._log_trapezoid(bump)
+    assert abs(missed) < 1e-12
+    calls = []
+    value, _ = special._log_trapezoid(_counted(bump, calls), t_tail=math.exp(11.0))
+    assert value == pytest.approx(0.5 * SQRT_PI, rel=1e-13)
+    ends = np.log(np.concatenate([t for t in calls if t.size == 1]))
+    assert ends.max() >= special._LOG_START + special._LOG_GROW
+    with pytest.raises(ConvergenceError, match="does not decay"):
+        special._log_trapezoid(bump, t_tail=math.inf)
+
+
 def test_log_trapezoid_deterministic():
     def f(t):
         return _doetsch(t)[:, None] * np.exp(-np.outer(t, [0.5, 2.0 + 1.0j]))
