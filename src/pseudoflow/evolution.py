@@ -19,9 +19,13 @@ evolution parameter tau:
 * :func:`apply_inv_sqrt_shift` -- the Bessel representation of
   (1 - d^2/dx^2)^{-1/2}, f(x) = int_0^inf J0(t) g(x - t) dt.
 
-Off-grid samples in the shift-type integrals come from cubic interpolation
-inside the grid and zero extension outside; discarded boundary mass is
-flagged with a warning, not an error.
+Off-grid samples in the shift-type integrals come from the not-a-knot
+cubic spline inside the grid and zero extension outside; discarded
+boundary mass is flagged with a warning, not an error. Every shift-type
+integral reads the spline through its four coefficient rows: quadrature
+nodes are binned by grid lag and fractional offset, and the sums become
+matrix products with sliding windows of those rows (see _shift_sum and
+_affine_panels), so no node evaluates the spline.
 """
 from __future__ import annotations
 
@@ -31,6 +35,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.interpolate import CubicSpline
 from scipy.special import j0 as _j0
 from scipy.special import jn_zeros as _jn_zeros
@@ -134,59 +139,85 @@ def solve_symbol_spectral(f: Field, tau: float, symbol: SymbolSpec) -> Field:
 
 
 # ----------------------------------------------------------------------
-# interpolation helpers
+# the cubic spline's coefficient rows
 
 
-def _extender(f: Field) -> Callable[[np.ndarray], np.ndarray]:
-    """Cubic interpolant of the field, zero outside the grid."""
-    spline = CubicSpline(f.x, f.values, extrapolate=False)
-    is_complex = np.iscomplexobj(f.values)
+# exponents 3 - r of the offset d for coefficient rows r = 0 .. 3
+_POWERS = np.arange(3, -1, -1)[:, None]
+_POWERS.setflags(write=False)
 
-    def ext(z: np.ndarray) -> np.ndarray:
-        vals = spline(z)
-        return np.nan_to_num(vals, nan=0.0, copy=False) if not is_complex else np.where(
-            np.isnan(vals.real), 0.0, vals
-        )
 
-    return ext
+def _coefficients(f: Field) -> np.ndarray:
+    """The (4, n - 1) coefficient rows c of the field's not-a-knot cubic
+    spline S: at offset d in [0, h) on cell k, S(x_k + d) = sum_r c[r, k]
+    d^{3-r}. Off the grid S is zero."""
+    return CubicSpline(f.x, f.values).c
 
 
 def _shift_sum(f: Field) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Map (shifts s_q, real weights w_q) to sum_q w_q S(x_i + s_q) on the
-    grid, where S is the interpolant of :func:`_extender`.
+    grid, where S is the spline of :func:`_coefficients`.
+
+    ``shifts`` and ``weights`` are (Q,) arrays, which give an (n,) result,
+    or (M, Q) arrays, one sum per row, which give an (n, M) result.
 
     A shift s = L h + d with L = floor(s / h) puts x_i + s at offset d in
-    [0, h) on cell i + L, where S is sum_r c[r, i + L] d^{3-r} in the
-    spline's own coefficients. Binning w d^{3-r} by L turns the whole sum
-    into four correlations of short lag kernels with the coefficient rows,
-    so no node evaluates the spline; cells off the grid contribute zero.
+    [0, h) on cell i + L, where S is sum_r c[r, i + L] d^{3-r}. Binning
+    w d^{3-r} by lag, counted from each row's least lag, gives an (M, 4 S)
+    kernel matrix over S lags. One product of it with the sliding windows
+    of the zero-padded coefficient rows gives an (M, P) array, and row m
+    reads its n values at its own lag offset. No node evaluates the
+    spline; cells off the grid contribute zero. The windows cost 4 S P
+    entries, so rows are meant to be short kernels; a single row is one
+    correlation per coefficient row and builds no window matrix.
     """
     n, h = f.n, f.dx
-    coef = CubicSpline(f.x, f.values).c  # (4, n - 1)
+    coef = _coefficients(f)
     last = f.values[-1]
 
     def apply(shifts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        single = np.ndim(shifts) == 1
+        shifts, weights = np.atleast_2d(shifts, weights)
+        rows = shifts.shape[0]
         lag = np.floor(shifts / h)
         d = shifts - lag * h
-        out = np.zeros(n, dtype=coef.dtype)
+        keep = (lag > -n) & (lag < n - 1)  # lags that reach some cell 0 .. n-2
+        if np.any(keep):
+            least = np.where(keep, lag, np.inf).min(axis=1)
+            base = int(least.min())
+            lo = np.where(np.isinf(least), base, least).astype(np.intp)
+            row, node = np.nonzero(keep)
+            col = lag[row, node].astype(np.intp) - lo[row]
+            size = int(col.max()) + 1
+            # kern[m, r, k] sums w d^{3-r} over row m's nodes at lag lo[m] + k
+            kern = np.bincount(
+                (((row * 4)[None, :] + np.arange(4)[:, None]) * size + col).ravel(),
+                (weights[row, node] * d[row, node] ** _POWERS).ravel(),
+                rows * 4 * size,
+            ).reshape(rows, 4, size)
+            # pad[:, t] holds cell base + t, and window p starts there
+            width = n + int(lo.max()) - base
+            pad = np.zeros((4, width + size - 1), dtype=coef.dtype)
+            first, stop = max(0, base), min(n - 1, base + pad.shape[1])
+            if stop > first:
+                pad[:, first - base : stop - base] = coef[:, first:stop]
+            if rows == 1:
+                prod = sum(np.correlate(pad[r], kern[0, r], "valid") for r in range(4))[None, :]
+            else:
+                windows = sliding_window_view(pad, size, axis=1).transpose(0, 2, 1)
+                prod = kern.reshape(rows, 4 * size) @ windows.reshape(4 * size, width)
+            # row m's n values are one contiguous run from lo[m] - base
+            out = sliding_window_view(prod.ravel(), n)[np.arange(rows) * width + (lo - base)]
+        else:
+            out = np.zeros((rows, n), dtype=coef.dtype)
         # S(x_{n-1}) is the one value no cell reaches with d < h
         at_last = (d == 0.0) & (lag >= 0) & (lag < n)
-        np.add.at(out, n - 1 - lag[at_last].astype(np.intp), weights[at_last] * last)
-        keep = (lag > -n) & (lag < n - 1)  # lags that reach some cell 0 .. n-2
-        if not np.any(keep):
-            return out
-        lag, d, w = lag[keep].astype(np.intp), d[keep], weights[keep]
-        lo = int(lag.min())
-        size = int(lag.max()) - lo + 1
-        full = sum(
-            np.convolve(coef[r], np.bincount(lag - lo, w * d ** (3 - r), size)[::-1])
-            for r in range(4)
+        np.add.at(
+            out,
+            (np.nonzero(at_last)[0], n - 1 - lag[at_last].astype(np.intp)),
+            weights[at_last] * last,
         )
-        # full[p] = sum_j kernel[j] coef[p - size + 1 + j], so x_i reads p = i + lo + size - 1
-        p = np.arange(n) + (lo + size - 1)
-        inside = (p >= 0) & (p < full.size)
-        out[inside] += full[p[inside]]
-        return out
+        return out[0] if single else np.ascontiguousarray(out.T)
 
     return apply
 
@@ -222,37 +253,31 @@ def solve_half_derivative(f: Field, tau: float) -> Field:
     the interpolant is a single cubic: Gauss-Legendre panels of width h on
     s in [h, span], plus geometric panels on the leading cell s in (0, h]
     that track the essential singularity of the kernel. Accuracy is then
-    uniform in tau. The kernel looks leftward, so data should either decay
-    toward x_min or the grid should extend far enough left.
+    uniform in tau. Each panel level is two calls of _shift_sum: the
+    leading cell, whose nodes all read cell i - 1 and so bin into one lag,
+    and every tail cell and offset at once. The kernel looks leftward, so
+    data should either decay toward x_min or the grid should extend far
+    enough left.
     """
     _check_tau(tau)
     if tau == 0.0:
         return f.with_values(f.values)
-    ext = _extender(f)
-    x = f.x
-    n = f.n
-    h = f.dx
+    shift_sum = _shift_sum(f)
+    n, h = f.n, f.dx
     t2 = tau * tau
     pref = tau / (2.0 * math.sqrt(math.pi))
 
+    def kernel(s: np.ndarray) -> np.ndarray:
+        return pref * s**-1.5 * np.exp(-t2 / (4.0 * s))
+
     def head(ss: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        # s in (0, h]: the data factor is a single cubic on [x - h, x].
-        amp = pref * ws * ss**-1.5 * np.exp(-t2 / (4.0 * ss))
-        vals = ext(x[None, :] - ss[:, None])
-        return (amp[:, None] * vals).sum(axis=0)
+        # s in (0, h]: x - s lies on cell i - 1 at offset h - s
+        return shift_sum(-ss, ws * kernel(ss))
 
     def tail(offs: np.ndarray, wq: np.ndarray) -> np.ndarray:
-        # s in [h, span]: each fractional offset costs one interpolant sweep
-        # and one discrete convolution with the kernel weights.
-        samples = ext(x[None, :] - (offs * h)[:, None])
-        j = np.arange(1, n - 1, dtype=float)
-        out = np.zeros(n, dtype=samples.dtype)
-        kernel = np.zeros(n - 1)
-        for q in range(offs.size):
-            s_nodes = (j + offs[q]) * h
-            kernel[1:] = (h * wq[q] * pref) * s_nodes**-1.5 * np.exp(-t2 / (4.0 * s_nodes))
-            out = out + np.convolve(kernel, samples[q])[:n]
-        return out
+        # s = (j + off) h for j = 1 .. n - 2: every cell and offset in one sum
+        s = (np.arange(1, n - 1)[:, None] + offs) * h
+        return shift_sum(-s.ravel(), (h * wq * kernel(s)).ravel())
 
     values, err = _shift_panels(h, tau, t2, head, tail, "half-derivative")
     out_warn = _leak_warning(f, "left", "solve_half_derivative")
@@ -269,13 +294,11 @@ def solve_pseudoheat(f: Field, tau: float) -> Field:
     initial data. The trapezoid-weighted data are folded once into the
     Toeplitz operator of :func:`~pseudoflow.transforms.gauss_weierstrass`,
     and the outer integral is the log-trapezoid rule, so each refinement
-    level evaluates the heat kernel on the n grid lags at all its new nodes
-    and applies one matrix-matrix product. Refinement and the error
+    level evaluates the kernel on the n grid lags at all its new nodes and
+    applies one matrix-matrix product. Widths t tau^2 below 4 h^2 use the
+    band-limited kernel, where the sampled one would alias, so the result
+    meets the spectral solution at every tau. Refinement and the error
     estimate act on the output field. tau = 0 returns the input unchanged.
-
-    The trapezoid smoothing aliases at widths t tau^2 below h^2, which carry
-    the share erfc(tau / (2h)) of the weight; above 5% the result carries
-    an under-resolution warning.
     """
     _check_tau(tau)
     if tau == 0.0:
@@ -293,11 +316,6 @@ def solve_pseudoheat(f: Field, tau: float) -> Field:
     warn = []
     if f.boundary_leaks():
         warn.append("solve_pseudoheat: input is not negligible at the grid boundary")
-    if math.erfc(tau / (2.0 * f.dx)) > 0.05:
-        warn.append(
-            "solve_pseudoheat: kernel widths below the grid spacing carry a visible "
-            "share of the weight; result is under-resolved"
-        )
     if not np.iscomplexobj(f.values):
         values = values.real
     return f.with_values(values, tuple(warn), meta={"quadrature_error": float(err)})
@@ -328,58 +346,95 @@ def pseudoheat_gaussian(tau: float, x: float) -> float:
 
 
 def _affine_panels(f: Field, tau: float, c: float):
-    """Grid-aligned quadrature of the disentangled integral for c > 0.
+    """Grid-aligned quadrature of the disentangled integral for c != 0.
 
-    In the shift variable s = c tau^2 t the integral reads
-    (sqrt(c tau^2)/(2 sqrt(pi))) int s^{-3/2}
-    exp{-c tau^2/(4s) - s^2/(2c) - s x / c} f(x + s) ds. The data factor is
-    a single cubic on each grid cell, so the panel layout of
-    solve_half_derivative applies; the x-dependent amplitude e^{-s x / c}
-    rules out the convolution shortcut and is carried node by node instead.
-    The s^2 damping makes the integral convergent for every x.
+    In the shift variable s = |c| tau^2 t the integral reads
+    (sqrt(|c| tau^2)/(2 sqrt(pi))) int s^{-3/2}
+    exp{-|c| tau^2/(4s) - sgn(c) s^2/(2|c|) - s x/|c|} f(x + sgn(c) s) ds,
+    one formula for both signs. The data factor is a single cubic on each
+    grid cell, so the panel layout of solve_half_derivative applies: for
+    c > 0 the shift runs right to the grid's end, for c < 0 left to x_min.
+
+    The amplitude e^{-s x/|c| - sgn(c) s^2/(2|c|)} depends on x, which rules
+    out the convolution of _shift_sum. With s = j h + delta it factors as
+    E[i, j] e^{-delta x_i/|c|} times a kernel of (j, delta), where
+    E[i, j] = e^{-j h (x_i + sgn(c) j h/2)/|c|} is the amplitude itself at
+    the cell edge, so no factor overflows where the integrand does not.
+    Each panel level multiplies E with each coefficient row, read on the
+    Hankel (c > 0) or Toeplitz (c < 0) window of cells the shifts reach,
+    takes one matrix product with the kernel, and sums over the fractional
+    offsets. E is (n, J), so it is formed per level in blocks of grid
+    points rather than held whole: a 4097-point grid would need 134 MB.
+    The leading cell s in (0, h] is one cubic, read off the same
+    coefficient rows.
     """
-    ext = _extender(f)
-    x = f.x
-    n = f.n
-    h = f.dx
-    gamma = c * tau * tau
+    x, n, h = f.x, f.n, f.dx
+    coef = _coefficients(f)
+    a = abs(c)
+    sign = math.copysign(1.0, c)
+    gamma = a * tau * tau
     root = math.sqrt(gamma)
     pref = root / (2.0 * math.sqrt(math.pi))
-    # worst-case amplification of e^{-s x / c} over the grid, for truncation
-    xneg = max(0.0, -float(x[0]))
-    cplx = np.iscomplexobj(f.values)
 
     def kernel(s: np.ndarray) -> np.ndarray:
-        return pref * s**-1.5 * np.exp(-gamma / (4.0 * s) - s * s / (2.0 * c))
+        return pref * s**-1.5 * np.exp(-gamma / (4.0 * s))
 
-    def head(ss: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        amp = ws * kernel(ss)
-        vals = ext(x[None, :] + ss[:, None]) * np.exp(np.outer(-ss / c, x))
-        return (amp[:, None] * vals).sum(axis=0)
+    # tail cells j = 1 .. J: drop those whose worst-case weight over the
+    # grid, at either end of the cell, is below 1e-22 of the largest
+    edge = h * np.arange(1, n)
+    log_bound = (
+        -1.5 * np.log(edge) - gamma / (4.0 * edge) - edge * (2.0 * x[0] + sign * edge) / (2.0 * a)
+    )
+    log_bound = np.maximum(log_bound[:-1], log_bound[1:])
+    cells = int(np.nonzero(log_bound >= log_bound.max() - 22.0 * math.log(10.0))[0][-1]) + 1
+    jh = h * np.arange(1, cells + 1)
+    if c > 0:  # x_i + j h + delta lies on cell i + j at offset delta
+        pad = np.concatenate([coef, np.zeros((4, cells + 1), dtype=coef.dtype)], axis=1)
+        window = sliding_window_view(pad, cells, axis=1)[:, 1 : n + 1]
+    else:  # x_i - j h - delta lies on cell i - j - 1 at offset h - delta
+        pad = np.concatenate([np.zeros((4, cells + 1), dtype=coef.dtype), coef], axis=1)
+        window = sliding_window_view(pad, cells, axis=1)[:, :n, ::-1]
+
+    # about 2^19 entries of E at a time, on any grid
+    block = max(1, (1 << 19) // cells)
+    decay = -sign * jh * jh / (2.0 * a)
 
     def tail(offs: np.ndarray, wq: np.ndarray) -> np.ndarray:
-        j = np.arange(1, n - 1, dtype=float)
-        out = np.zeros(n, dtype=complex if cplx else float)
-        for q in range(offs.size):
-            s_nodes = (j + offs[q]) * h
-            w = (h * wq[q]) * kernel(s_nodes)
-            bound = w * np.exp(s_nodes * (xneg / c))
-            bmax = float(bound.max()) if bound.size else 0.0
-            if bmax == 0.0:
-                continue
-            keep = np.nonzero(bound > 1e-22 * bmax)[0]
-            samples = ext(x + offs[q] * h)
-            for idx in keep:
-                jj = int(idx) + 1
-                s = s_nodes[idx]
-                out[: n - jj] += (w[idx] * np.exp((-s / c) * x[: n - jj])) * samples[jj:]
+        delta = offs * h
+        # kernel(s) e^{-sgn(c) (s^2 - (j h)^2)/(2|c|)}; E carries the rest
+        w = (h * wq) * kernel(jh[:, None] + delta) * np.exp(
+            -sign * (2.0 * jh[:, None] + delta) * delta / (2.0 * a)
+        )
+        d = (delta if c > 0 else h - delta) ** _POWERS
+        out = np.empty(n, dtype=np.result_type(coef, w))
+        for lo in range(0, n, block):
+            pts = slice(lo, lo + block)
+            amp = np.exp(np.outer(-x[pts] / a, jh) + decay)  # E on these points
+            rows = np.stack([(amp * window[r, pts]) @ w for r in range(4)])  # (4, b, Q)
+            out[pts] = np.einsum("rbq,rq,bq->b", rows, d, np.exp(np.outer(-x[pts] / a, delta)))
         return out
 
-    values, err = _shift_panels(h, root, gamma, head, tail, "affine-sqrt")
-    if not np.all(np.isfinite(values.real)) or (cplx and not np.all(np.isfinite(values.imag))):
+    def head(ss: np.ndarray, ws: np.ndarray) -> np.ndarray:
+        w = ws * kernel(ss) * np.exp(-sign * ss * ss / (2.0 * a))
+        d = ss if c > 0 else h - ss
+        rows = (np.exp(np.outer(-x / a, ss)) * w) @ (d**_POWERS).T  # (n, 4)
+        out = np.zeros(n, dtype=np.result_type(rows, coef))
+        if c > 0:  # cell i, none for the last point
+            out[:-1] = np.einsum("ir,ri->i", rows[:-1], coef)
+        else:  # cell i - 1, none for the first point
+            out[1:] = np.einsum("ir,ri->i", rows[1:], coef)
+        return out
+
+    # An amplitude beyond floating-point range makes the values non-finite,
+    # which the check below reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, err = _shift_panels(h, root, gamma, head, tail, "affine-sqrt")
+    if not np.all(np.isfinite(values.real)) or (
+        np.iscomplexobj(values) and not np.all(np.isfinite(values.imag))
+    ):
         raise ConvergenceError(
-            "affine-sqrt quadrature overflowed: e^{-t tau^2 x} amplifies "
-            "strongly negative x beyond floating-point range",
+            "affine-sqrt quadrature overflowed: the amplitude e^{(x^2 - z^2)/(2c)}, "
+            "z = x + c tau^2 t, at data points z far from x exceeds floating-point range",
             error_bound=math.inf,
         )
     return values, err
@@ -391,42 +446,40 @@ def solve_affine_sqrt(f: Field, tau: float, c: float) -> Field:
     F(x, tau) = (1/(2 sqrt(pi))) int_0^inf t^{-3/2}
     exp{-1/(4t) - c t^2 tau^4 / 2} e^{-t tau^2 x} f(x + c tau^2 t) dt.
 
-    For c > 0 the integration runs in the shift variable s = c tau^2 t with
-    grid-aligned panels (see _affine_panels); the integral converges for
-    every x, though e^{-t tau^2 x} can overflow for strongly negative x,
-    which surfaces as a ConvergenceError. For c <= 0 the log-trapezoid
-    rule integrates all grid points at once; for c = 0 the growth of
-    e^{-t tau^2 x} for x < 0 makes the integral itself divergent unless the
-    data vanishes, and the rule finds no decaying tail and raises a
-    ConvergenceError (the admissible domain is not characterized here).
+    For c != 0 the integration runs in the shift variable s = |c| tau^2 t
+    with grid-aligned panels (see _affine_panels). The integrand's
+    amplitude is e^{(x^2 - z^2)/(2c)} at the data point z = x + c tau^2 t:
+    it can overflow for data far from x (strongly negative x when c > 0,
+    x_min far beyond |x| when c < 0), which surfaces as a ConvergenceError.
+    For c = 0 the data factor is f(x) itself and the log-trapezoid rule
+    integrates all grid points at once; the growth of e^{-t tau^2 x} for
+    x < 0 makes the integral itself divergent unless the data vanishes,
+    and the rule finds no decaying tail and raises a ConvergenceError (the
+    admissible domain is not characterized here).
     """
     _check_tau(tau)
     if not math.isfinite(c):
         raise ValueError("c must be finite")
     if tau == 0.0:
         return f.with_values(f.values)
-    if c > 0:
+    if c != 0:
         values, err = _affine_panels(f, tau, c)
+        warn = _leak_warning(f, "right" if c > 0 else "left", "solve_affine_sqrt")
     else:
-        ext = _extender(f)
-        x = f.x
+        x, data = f.x, f.values
         t2 = tau * tau
         pref = 1.0 / (2.0 * math.sqrt(math.pi))
 
         def integrand(t: np.ndarray) -> np.ndarray:
             tc = t[:, None]
-            exponent = -0.25 / tc - 0.5 * c * tc * tc * t2 * t2 - tc * t2 * x
-            fvals = ext(x + c * t2 * tc)
             # The amplitude overflows on divergent data, which the window
-            # search reports; exact zero extension beats inf * 0 -> nan.
+            # search reports; exact zero data beats inf * 0 -> nan.
             with np.errstate(invalid="ignore", over="ignore"):
-                prod = pref * tc**-1.5 * np.exp(exponent) * fvals
-            return np.where(fvals == 0.0, 0.0, prod)
+                prod = pref * tc**-1.5 * np.exp(-0.25 / tc - tc * t2 * x) * data
+            return np.where(data == 0.0, 0.0, prod)
 
-        # For c < 0 the data factor is zero once the shift passes the grid.
-        reach = (x[-1] - x[0]) / (-c * t2) if c < 0 else 0.0
-        values, err = _log_trapezoid(integrand, reach)
-    warn = _leak_warning(f, "right", "solve_affine_sqrt") if c != 0 else []
+        values, err = _log_trapezoid(integrand)
+        warn = []
     if not np.iscomplexobj(f.values):
         values = values.real
     return f.with_values(values, tuple(warn), meta={"quadrature_error": float(err)})
@@ -473,23 +526,21 @@ def apply_inv_sqrt_shift(g: Field) -> Field:
     """Apply (1 - d^2/dx^2)^{-1/2} through f(x) = int_0^inf J0(t) g(x-t) dt.
 
     The integral is taken arc by arc between consecutive zeros of J0 (as far
-    left as the grid allows for each x); each arc's Gauss-Legendre sum over
-    the cubic interpolant is one lag correlation with the spline
-    coefficients (see _shift_sum). The oscillatory tail is summed by
-    iterated pairwise averaging of the partial sums, in its closed form:
-    m partials average to sum_j 2^{1-m} C(m-1, j) P_j, and the change from
-    the round before is the error estimate. Decaying data terminates on
-    its own; non-decaying data (e.g. a plain cosine) converges at the
-    averaging rate, so points far from the left edge are the accurate ones.
+    left as the grid allows for each x); the arcs' Gauss-Legendre sums over
+    the cubic interpolant are the rows of one _shift_sum call, a single
+    matrix product with the spline's coefficient windows. The oscillatory
+    tail is summed by iterated pairwise averaging of the partial sums, in
+    its closed form: m partials average to sum_j 2^{1-m} C(m-1, j) P_j, and
+    the change from the round before is the error estimate. Decaying data
+    terminates on its own; non-decaying data (e.g. a plain cosine) converges
+    at the averaging rate, so points far from the left edge are the
+    accurate ones.
     """
     span = g.x_max - g.x_min
-    shift_sum = _shift_sum(g)
     edges, nodes, weights = _j0_chunks(span, 16)
     n_chunks = len(nodes)
-    # chunk integrals C[m](x) = int_{arc m} J0(t) g(x - t) dt, vectorized over x
-    chunk_vals = np.empty((g.n, n_chunks), dtype=complex)
-    for m in range(n_chunks):
-        chunk_vals[:, m] = shift_sum(-nodes[m], _j0(nodes[m]) * weights[m])
+    # chunk integrals C[m](x) = int_{arc m} J0(t) g(x - t) dt, one column per arc
+    chunk_vals = _shift_sum(g)(-nodes, _j0(nodes) * weights)
     partials = np.cumsum(chunk_vals, axis=1)
 
     # Each point x may only use arcs that lie inside [0, x - x_min].

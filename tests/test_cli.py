@@ -179,6 +179,21 @@ def test_solve_affine_zero_drift_is_pointwise_multiplier(tmp_path):
     np.testing.assert_allclose(cols["value"], exact, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("tau", ["0.5", "1"])
+def test_solve_affine_negative_drift_converges(tmp_path, tau):
+    # Gaussian data reaching x_min = -6 meet a shift to the left
+    out = tmp_path / "aff.csv"
+    proc = run_cli(
+        tmp_path,
+        "solve", "--equation", "affine_sqrt", "--tau", tau, "--c", "-1",
+        "--grid", "-6:10:161", "--out", out,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    _, cols = read_csv(out)
+    assert np.all(np.isfinite(cols["value"]))
+
+
 def test_solve_file_initial_condition_round_trip(tmp_path):
     xi = np.linspace(-3.0, 3.0, 25)
     yi = np.exp(-(xi**2))

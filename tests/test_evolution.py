@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.special import k1
+from scipy.special import k1, wofz
 
 from pseudoflow import (
     ConvergenceError,
@@ -219,24 +219,32 @@ def test_pseudoheat_positive_and_peak_decreasing():
 @pytest.mark.parametrize(
     "half_width, n, tau, flagged",
     [
-        # the benchmark's grid: the warning sets in at tau of about 0.70
-        # (n = 128) and 0.35 (n = 256), above where the solves miss 1e-6
-        # against spectral (about 0.6 and 0.29)
+        # the benchmark's grid, where the trapezoid smoothing aliased and
+        # the solver used to flag the result as under-resolved; it missed
+        # spectral by 0.78 at tau = 0.05 and by 4.3e-3 at tau = 0.25
         (16.0, 128, 1e-3, True),
+        (16.0, 128, 0.05, True),
+        (16.0, 128, 0.25, True),
         (16.0, 128, 0.65, True),
         (16.0, 128, 0.75, False),
         (16.0, 256, 0.33, True),
         (16.0, 256, 0.37, False),
-        # the fig1 and solve presets' grid stays quiet
+        # the fig1 and solve presets' grid
         (8.0, 128, 0.75, False),
         (8.0, 128, 1.25, False),
     ],
 )
 def test_pseudoheat_flags_under_resolution(half_width, n, tau, flagged):
-    # erfc(tau / 2h) of the subordination weight sits at widths below h^2,
-    # where the trapezoid smoothing aliases
-    out = solve_pseudoheat(gaussian(-half_width, half_width, n), tau)
-    assert any("under-resolved" in w for w in out.warnings) == flagged
+    # `flagged` marks where widths below h^2 carry more than 5% of the
+    # subordination weight, erfc(tau / 2h). The band-limited kernel resolves
+    # them, so no result is under-resolved or flagged.
+    f = gaussian(-half_width, half_width, n)
+    assert (math.erfc(tau / (2.0 * f.dx)) > 0.05) == flagged
+    out = solve_pseudoheat(f, tau)
+    ref = solve_symbol_spectral(f, tau, SymbolSpec.pseudoheat()).values.real
+    sel = np.abs(f.x) <= 6.0
+    assert np.max(np.abs(out.values[sel] - ref[sel])) <= 1e-12
+    assert out.warnings == ()
     assert math.isfinite(out.meta["quadrature_error"])
 
 
@@ -293,13 +301,33 @@ def test_pseudoheat_matches_k1_kernel(tau):
     assert np.max(np.abs(out.values[idx] - ref)) <= 1e-10
 
 
-def _dense_gw(x, values, alpha):
-    """The trapezoid Gauss-Weierstrass sum written as a dense n x n matrix."""
-    w = np.full(x.shape, x[1] - x[0])
+def _band_kernel(alpha, h, lags):
+    """(1/h) int_0^1 e^{-a u^2} cos(b u) du, a = alpha pi^2 / h^2, b = pi k,
+    in closed form through the Faddeeva function w:
+    Re{sqrt(pi)/(2 sqrt(a)) [w(b / 2 sqrt(a)) - e^{-a + ib} w(b / 2 sqrt(a) + i sqrt(a))]}."""
+    a = alpha * (math.pi / h) ** 2
+    b = math.pi * np.asarray(lags, dtype=float)
+    z = b / (2.0 * math.sqrt(a))
+    val = wofz(z) - np.exp(-a + 1j * b) * wofz(z + 1j * math.sqrt(a))
+    return (math.sqrt(math.pi) / (2.0 * math.sqrt(a)) * val).real / h
+
+
+def _dense_gw(x, values, alpha, kernel=None):
+    """The Gauss-Weierstrass sum over trapezoid-weighted data written as a
+    dense n x n matrix: the sampled heat kernel for alpha >= 4 h^2, and
+    below that the band-limited kernel (``kernel`` maps lags to it;
+    default _band_kernel)."""
+    h = x[1] - x[0]
+    w = np.full(x.shape, h)
     w[0] *= 0.5
     w[-1] *= 0.5
-    d2 = (x[:, None] - x[None, :]) ** 2
-    return (np.exp(-d2 / (4.0 * alpha)) / (2.0 * math.sqrt(math.pi * alpha))) @ (w * values)
+    lag = np.abs(np.subtract.outer(np.arange(x.size), np.arange(x.size)))
+    if alpha >= 4.0 * h * h:
+        d2 = (x[:, None] - x[None, :]) ** 2
+        dense = np.exp(-d2 / (4.0 * alpha)) / (2.0 * math.sqrt(math.pi * alpha))
+    else:
+        dense = (kernel or (lambda k: _band_kernel(alpha, h, k)))(np.arange(x.size))[lag]
+    return dense @ (w * values)
 
 
 GUARD_DATA = {
@@ -311,15 +339,27 @@ GUARD_DATA = {
 @pytest.mark.parametrize("data", sorted(GUARD_DATA))
 def test_gauss_weierstrass_equals_dense_sum(data):
     f = Field.from_function(-8.0, 8.0, 64, GUARD_DATA[data])
-    for alpha in (0.25 * f.dx**2, 0.3, 1.0, 5.0):
+    h = f.dx
+    for alpha in (0.25 * h * h, 3.9 * h * h, 0.3, 1.0, 5.0):  # 4 h^2 = 0.258
         out = gauss_weierstrass(f, alpha).values
         assert np.max(np.abs(out - _dense_gw(f.x, f.values, alpha))) <= 1e-13
+        if alpha < 4.0 * h * h:
+            # the u-integral per lag by QUADPACK's cosine rule
+            def by_quad(lags):
+                return np.array([
+                    quad(lambda u: math.exp(-alpha * (math.pi * u / h) ** 2), 0.0, 1.0,
+                         weight="cos", wvar=math.pi * k, epsabs=1e-14, epsrel=1e-13)[0]
+                    for k in lags
+                ]) / h
+
+            ref = _dense_gw(f.x, f.values, alpha, by_quad)
+            assert np.max(np.abs(out - ref)) <= 1e-13
 
 
 @pytest.mark.parametrize("data", sorted(GUARD_DATA))
 def test_pseudoheat_equals_dense_subordination(data):
     f = Field.from_function(-8.0, 8.0, 64, GUARD_DATA[data])
-    for tau in (0.5, 1.0):
+    for tau in (0.3, 0.5, 1.0):  # widths below 4 h^2 carry weight at each
         t2 = tau * tau
 
         def integrand(t):
@@ -333,8 +373,7 @@ def test_pseudoheat_equals_dense_subordination(data):
         diff = np.max(np.abs(out.values - ref.value))
         assert diff <= 1e-13
         # The solver's own estimate is within tolerance. Both rules converge
-        # to rounding here, so whether it covers the true error is checked
-        # where that error is well above rounding (affine c < 0 below).
+        # to rounding here, so this cannot check that it covers the error.
         est = out.meta["quadrature_error"]
         assert math.isfinite(est)
         assert est <= max(1e-12, 1e-10 * np.max(np.abs(out.values)))
@@ -406,35 +445,61 @@ def test_affine_sqrt_matches_matrix_oracle():
     assert out.values[i3] == pytest.approx(AFFINE_MATRIX_F3, rel=2e-4)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+def _affine_spline_oracle(f, tau, c, j):
+    """The disentangled integral at x_j over f's cubic spline, by scipy quad
+    between the knots the shifted argument crosses, up to the grid edge the
+    shift runs toward (left for c < 0, right for c > 0)."""
+    t2 = tau * tau
+    spline = CubicSpline(f.x, f.values, extrapolate=False)
+    xv = float(f.x[j])
+
+    def ig(t):
+        fv = float(spline(xv + c * t2 * t))
+        return t**-1.5 * math.exp(-0.25 / t - 0.5 * c * t * t * t2 * t2 - t * t2 * xv) * fv
+
+    knots = f.x[: j + 1][::-1] if c < 0 else f.x[j:]
+    edges = (knots - xv) / (c * t2)
+    return sum(
+        quad(ig, lo, hi, epsabs=1e-16, epsrel=1e-13, limit=200)[0]
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ) / (2.0 * math.sqrt(math.pi))
+
+
 @pytest.mark.parametrize("c", [-0.5, -2.0])
 def test_affine_sqrt_negative_drift_matches_spline_oracle(c):
-    # The spline data factor makes the log-trapezoid rule converge only
-    # algebraically, so the accepted value is visibly off the exact integral
-    # of the same discretisation (scipy quad between the spline's knots),
-    # and the solver's estimate must cover that distance.
+    # The exact integral of the same discretisation; the panels sit on the
+    # spline's cells, so they meet it to rounding and the solver's estimate
+    # covers the distance.
     f = Field.from_function(-2.0, 14.0, 161, lambda x: np.exp(-((x - 3.0) ** 2)))
-    tau = 0.5
-    t2 = tau * tau
-    out = solve_affine_sqrt(f, tau, c)
-    spline = CubicSpline(f.x, f.values, extrapolate=False)
-    worst = 0.0
-    for j in (40, 60, 80, 100, 120, 160):
-        xv = float(f.x[j])
-
-        def ig(t):
-            fv = float(spline(xv + c * t2 * t))
-            return t**-1.5 * math.exp(-0.25 / t - 0.5 * c * t * t * t2 * t2 - t * t2 * xv) * fv
-
-        # knots the shifted argument crosses, up to the left grid edge
-        edges = (xv - f.x[: j + 1][::-1]) / (-c * t2)
-        ref = sum(
-            quad(ig, lo, hi, epsabs=1e-16, epsrel=1e-13, limit=200)[0]
-            for lo, hi in zip(edges[:-1], edges[1:])
-        ) / (2.0 * math.sqrt(math.pi))
-        worst = max(worst, abs(out.values[j] - ref))
-    assert 1e-13 < worst <= 1e-11
+    out = solve_affine_sqrt(f, 0.5, c)
+    worst = max(
+        abs(out.values[j] - _affine_spline_oracle(f, 0.5, c, j))
+        for j in (40, 60, 80, 100, 120, 160)
+    )
+    assert worst <= 1e-12
     assert out.meta["quadrature_error"] >= worst
+
+
+@pytest.mark.parametrize("c", [-0.5, -2.0])
+@pytest.mark.parametrize("tau", [0.5, 1.0])
+def test_affine_sqrt_negative_drift_reaches_data_left_of_zero(c, tau):
+    # Data at x < 0 meet the amplitude e^{(y^2 - x^2)/(2|c|)} > 1 at y = x - s;
+    # the log-trapezoid rule this replaced did not converge here.
+    f = gaussian(-6.0, 10.0, 161)
+    out = solve_affine_sqrt(f, tau, c)
+    for j in (40, 60, 80, 100, 120, 160):
+        assert abs(out.values[j] - _affine_spline_oracle(f, tau, c, j)) <= 1e-12
+    assert out.warnings == ()
+
+
+@pytest.mark.parametrize("c", [-1.0, 1.0])
+def test_affine_sqrt_on_a_fine_grid_matches_spline_oracle(c):
+    # 1601 points: the tail forms its amplitude in several blocks of points
+    f = gaussian(-6.0, 10.0, 1601)
+    out = solve_affine_sqrt(f, 0.5, c)
+    for j in (500, 600, 1000):
+        ref = _affine_spline_oracle(f, 0.5, c, j)
+        assert abs(out.values[j] - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_affine_sqrt_divergent_data_raises():
@@ -442,6 +507,21 @@ def test_affine_sqrt_divergent_data_raises():
     f = Field.from_function(-8.0, 8.0, 161, lambda x: np.exp(-((x - 3.0) ** 2)))
     with pytest.raises(ConvergenceError):
         solve_affine_sqrt(f, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "x_min, x_max, n, width, c",
+    [
+        (-400.0, 10.0, 411, 1.0, 0.5),  # e^{-t tau^2 x} at x = -400
+        (-100.0, 5.0, 211, 10.0, -0.5),  # data at y = -100 reached from x = 0
+    ],
+)
+def test_affine_sqrt_overflow_raises(x_min, x_max, n, width, c):
+    # the amplitude e^{(x^2 - z^2)/(2c)} at the data point z = x + c tau^2 t
+    # passes floating-point range while the data there do not vanish
+    f = Field.from_function(x_min, x_max, n, lambda x: np.exp(-((x / width) ** 2)))
+    with pytest.raises(ConvergenceError, match="overflowed"):
+        solve_affine_sqrt(f, 0.5, c)
 
 
 def test_affine_sqrt_warns_on_right_leak():
@@ -520,6 +600,29 @@ def test_shift_sum_equals_direct_spline_sum(cplx):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("cplx", [False, True])
+def test_shift_sum_rows_equal_single_row_calls(cplx):
+    # one (M, Q) call against M (Q,) calls: short arcs of J0 nodes at
+    # spread-out lags, a row past the left edge, and a row that lands on
+    # the last grid point
+    f = Field.from_function(
+        -3.0, 5.0, 97, lambda x: np.exp(-(x**2)) + (0.5j * np.sin(x) if cplx else 0.0)
+    )
+    h = f.dx
+    arcs = np.linspace(0.0, 3.0, 10)[None, :] + np.arange(30)[:, None] * 0.27
+    shifts = np.concatenate([-arcs, arcs - 4.0, np.full((1, 10), -20.0),
+                             (96 - np.arange(10))[None, :] * h])
+    weights = np.random.default_rng(5).standard_normal(shifts.shape)
+    shift_sum = _shift_sum(f)
+    rows = shift_sum(shifts, weights)
+    assert rows.shape == (f.n, shifts.shape[0])
+    assert np.iscomplexobj(rows) == cplx
+    for m in range(shifts.shape[0]):
+        one = shift_sum(shifts[m], weights[m])
+        assert np.max(np.abs(rows[:, m] - one)) <= 1e-15 * max(np.max(np.abs(one)), 1.0)
+    assert np.all(rows[:, -2] == 0.0)  # the row past the left edge
+
+
 def test_averaging_weights_match_iterated_averaging():
     # m partials averaged pairwise until one value is left; the estimate is
     # the change made by the last round
@@ -558,3 +661,28 @@ def test_kernel_sums_do_not_evaluate_the_spline(monkeypatch):
     assert np.all(np.isfinite(apply_inv_sqrt_shift(g).values))
     assert np.all(np.isfinite(phi_transform(g).values))
     assert np.all(np.isfinite(dhat_apply(g, "s_integral").values))
+    # and so do the shift-panel solvers
+    f = gaussian(-6.0, 10.0, 161)
+    assert np.all(np.isfinite(solve_half_derivative(f, 0.7).values))
+    for c in (1.0, -1.0):
+        assert np.all(np.isfinite(solve_affine_sqrt(f, 0.5, c).values))
+
+
+SOLVER_CALLS = {
+    "half_derivative": lambda f, g, p: solve_half_derivative(f, 0.7),
+    "affine_positive": lambda f, g, p: solve_affine_sqrt(f, 0.5, 1.0),
+    "affine_negative": lambda f, g, p: solve_affine_sqrt(f, 0.5, -1.0),
+    "pseudoheat": lambda f, g, p: solve_pseudoheat(p, 0.25),
+    "gauss_weierstrass": lambda f, g, p: gauss_weierstrass(p, 0.01),
+    "inv_sqrt_shift": lambda f, g, p: apply_inv_sqrt_shift(g),
+    "phi": lambda f, g, p: phi_transform(g),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_CALLS))
+def test_solvers_repeat_bit_for_bit(name):
+    f = gaussian(-6.0, 10.0, 161)
+    g = Field.from_function(-40.0, 10.0, 300, lambda x: np.exp(-(x**2)))
+    p = gaussian(-16.0, 16.0, 128)
+    call = SOLVER_CALLS[name]
+    assert np.array_equal(call(f, g, p).values, call(f, g, p).values)

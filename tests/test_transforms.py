@@ -209,9 +209,19 @@ def test_gauss_weierstrass_rejects_nonfinite_alpha(alpha):
 
 
 def test_gauss_weierstrass_warns_when_under_resolved():
+    # A kernel width far below h = 0.1 used to alias and carry a warning;
+    # the band-limited kernel resolves it, so there is nothing to warn about.
     f = Field.from_function(-10.0, 10.0, 201, lambda x: np.exp(-(x**2)))
-    out = gauss_weierstrass(f, 1e-3)  # kernel width far below h = 0.1
-    assert any("under-resolved" in w for w in out.warnings)
+    out = gauss_weierstrass(f, 1e-3)
+    assert np.max(np.abs(out.values - glaisher(1e-3, f.x))) <= 1e-13
+    assert out.warnings == ()
+
+
+def test_gauss_weierstrass_meets_glaisher_below_the_grid_spacing():
+    # alpha = 0.01 < h^2 = 0.063: the sampled heat kernel missed by 4.9e-3
+    f = Field.from_function(-16.0, 16.0, 128, lambda x: np.exp(-(x**2)))
+    out = gauss_weierstrass(f, 0.01)
+    assert np.max(np.abs(out.values - glaisher(0.01, f.x))) <= 1e-13
 
 
 def test_gauss_weierstrass_is_linear_over_complex_data():
