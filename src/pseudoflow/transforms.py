@@ -152,13 +152,14 @@ def exp_sqrt_via_doetsch(x: float, y: float, form: str = "t_form") -> float:
     raise ValueError(f"unknown form {form!r}; expected 't_form' or 'xi_form'")
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=4)
 def _band_cosines(n: int):
     """Gauss-Legendre nodes u on [0, 1] and the (n, n + 32) matrix
     cos(pi k u_q) w_q over lags k < n, read-only: the band-limited heat
     kernel on lag k is (1/h) sum_q cos(pi k u_q) w_q e^{-alpha pi^2 u_q^2 / h^2}.
     n nodes alone miss the top lags (by 1e-7 of the peak at n = 64); 32
-    more resolve every lag to rounding."""
+    more resolve every lag to rounding. The matrix costs n^2 cosines, so a
+    few sizes are kept; each is 8 n (n + 32) bytes, 135 MB at n = 4096."""
     u, w = _legendre_nodes(n + 32)
     cosines = np.cos(math.pi * np.outer(np.arange(n), u)) * w
     cosines.setflags(write=False)

@@ -465,11 +465,12 @@ def _affine_spline_oracle(f, tau, c, j):
     ) / (2.0 * math.sqrt(math.pi))
 
 
-@pytest.mark.parametrize("c", [-0.5, -2.0])
+@pytest.mark.parametrize("c", [-0.1, -0.2, -0.5, -2.0])
 def test_affine_sqrt_negative_drift_matches_spline_oracle(c):
     # The exact integral of the same discretisation; the panels sit on the
     # spline's cells, so they meet it to rounding and the solver's estimate
-    # covers the distance.
+    # covers the distance. At small |c| the amplitude past x_min, where the
+    # data are zero-extended, exceeds floating-point range.
     f = Field.from_function(-2.0, 14.0, 161, lambda x: np.exp(-((x - 3.0) ** 2)))
     out = solve_affine_sqrt(f, 0.5, c)
     worst = max(
@@ -490,6 +491,17 @@ def test_affine_sqrt_negative_drift_reaches_data_left_of_zero(c, tau):
     for j in (40, 60, 80, 100, 120, 160):
         assert abs(out.values[j] - _affine_spline_oracle(f, tau, c, j)) <= 1e-12
     assert out.warnings == ()
+
+
+@pytest.mark.parametrize("c", [-0.001, -0.003])
+def test_affine_sqrt_weak_negative_drift_matches_spline_oracle(c):
+    # On x >= 0 the amplitude e^{(y^2 - x^2)/(2|c|)}, y = x - s, is at most 1,
+    # while the coupling e^{j h delta/|c|} of cell j and offset delta alone
+    # passes floating-point range at |c| = 0.001.
+    f = Field.from_function(0.0, 16.0, 161, lambda x: np.exp(-((x - 3.0) ** 2)))
+    out = solve_affine_sqrt(f, 0.5, c)
+    for j in (10, 20, 30, 40, 60, 100):
+        assert abs(out.values[j] - _affine_spline_oracle(f, 0.5, c, j)) <= 1e-12
 
 
 @pytest.mark.parametrize("c", [-1.0, 1.0])
@@ -621,6 +633,21 @@ def test_shift_sum_rows_equal_single_row_calls(cplx):
         one = shift_sum(shifts[m], weights[m])
         assert np.max(np.abs(rows[:, m] - one)) <= 1e-15 * max(np.max(np.abs(one)), 1.0)
     assert np.all(rows[:, -2] == 0.0)  # the row past the left edge
+
+
+@pytest.mark.parametrize("rows", [5, 20])
+def test_shift_sum_rows_on_a_fine_grid_equal_single_row_calls(rows):
+    # 2049 points and arcs of about 385 lags: five rows are correlated one
+    # by one, twenty share one window matrix, which passes 2^19 entries and
+    # is copied in several blocks of output columns
+    f = Field.from_function(-8.0, 8.0, 2049, lambda x: np.exp(-(x**2)))
+    arcs = np.linspace(0.0, 3.0, 12)[None, :] + np.arange(rows)[:, None] * 0.6
+    weights = np.random.default_rng(7).standard_normal(arcs.shape)
+    shift_sum = _shift_sum(f)
+    rows = shift_sum(-arcs, weights)
+    for m in range(arcs.shape[0]):
+        one = shift_sum(-arcs[m], weights[m])
+        assert np.max(np.abs(rows[:, m] - one)) <= 1e-15 * max(np.max(np.abs(one)), 1.0)
 
 
 def test_averaging_weights_match_iterated_averaging():
