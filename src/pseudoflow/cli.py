@@ -32,12 +32,12 @@ from .evolution import (
 )
 from .relativistic import (
     ObservableInputs,
+    _series_sum,
     commutator_xt_x0,
     f_function,
     packet_width,
     phi_transform,
     r_function,
-    series_solution,
     spectral_schrodinger,
 )
 from .transforms import Field, gauss_weierstrass
@@ -192,9 +192,7 @@ def _field_err(f: Field) -> float | None:
 
 
 def _series_field(grid: tuple, tau: float) -> Field:
-    x = np.linspace(grid[0], grid[1], grid[2])
-    values = np.array([series_solution(float(eta), tau) for eta in x])
-    return Field(grid[0], grid[1], grid[2], values)
+    return Field(*grid, _series_sum(np.linspace(*grid), tau)[0])
 
 
 _DEFAULT_METHODS = {
@@ -217,9 +215,6 @@ _SOLVERS = {
     ("schrodinger", "spectral"): lambda ns, grid, f0: spectral_schrodinger(f0, ns.tau),
     ("schrodinger", "series"): lambda ns, grid, f0: _series_field(grid, ns.tau),
     ("half_derivative", "integral"): lambda ns, grid, f0: solve_half_derivative(f0, ns.tau),
-    ("half_derivative", "spectral"): lambda ns, grid, f0: solve_symbol_spectral(
-        f0, ns.tau, SymbolSpec.half_derivative()
-    ),
     ("affine_sqrt", "integral"): lambda ns, grid, f0: solve_affine_sqrt(f0, ns.tau, ns.c),
     ("optics", "spectral"): lambda ns, grid, f0: solve_symbol_spectral(
         f0, ns.tau, SymbolSpec.optics(ns.refractive_index)

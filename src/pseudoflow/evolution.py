@@ -80,14 +80,6 @@ class SymbolSpec:
         return cls(lambda k: -1j * np.sqrt(1.0 + k**2), "schrodinger")
 
     @classmethod
-    def half_derivative(cls) -> "SymbolSpec":
-        # Principal branch of sqrt(ik); Re >= 0 for both signs of k, so the
-        # multiplier decays. Experimental: the correspondence with the
-        # subordination path for two-sided spectra is not established, so
-        # this preset is excluded from cross-method validation.
-        return cls(lambda k: -np.sqrt(1j * k), "half_derivative")
-
-    @classmethod
     def optics(cls, n: float) -> "SymbolSpec":
         # Nonparaxial propagation: -i sqrt(n^2 - k^2) for propagating modes,
         # and the evanescent branch -sqrt(k^2 - n^2) beyond the aperture.

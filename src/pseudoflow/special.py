@@ -1,8 +1,9 @@
 """Special functions and the quadrature core.
 
 Two-variable Hermite polynomials H_n(x, y), Bessel J0/K0, and the one
-quadrature core every solver in this package is built on: half-line and
-real-line integrals by the rule a :class:`QuadratureConfig` names, the
+quadrature core the integral solvers are built on: half-line and
+real-line integrals by the rule a :class:`QuadratureConfig` names (no
+solver calls ``integrate_realline`` any more; its rules stay for callers and probes), the
 composite Gauss-Legendre panel builder, and the coarse/fine/refined driver
 of the grid-aligned shift-type integrals. The solvers' subordination
 integrals use the log-trapezoid rule described last.
@@ -112,8 +113,6 @@ _LOG_START = 8.0
 _LOG_GROW = 4.0
 _LOG_CAP = 128.0
 _LOG_STEP = 0.4
-# hermite2: switch from the defining factorial sum to the recurrence here.
-_HERMITE_SUM_MAX = 20
 # hermite2: hard cap; far above this the values themselves overflow doubles.
 _HERMITE_N_CAP = 1000
 
@@ -159,12 +158,9 @@ def hermite2(n: int, x: float, y: float) -> float:
     """Two-variable Hermite polynomial H_n(x, y).
 
     Defined by H_n(x, y) = n! sum_k x^{n-2k} y^k / ((n-2k)! k!); satisfies
-    the recurrence H_{n+1} = x H_n + 2 y n H_{n-1} and the operational
-    identity d^n/dx^n e^{a x^2} = H_n(2ax, a) e^{a x^2}.
-
-    The defining sum is evaluated directly for n <= 20; larger orders use
-    the recurrence (the factorial coefficients overflow long before the
-    polynomial values do). Orders above 1000 are refused.
+    the recurrence H_{n+1} = x H_n + 2 y n H_{n-1}, by which it is evaluated,
+    and the operational identity d^n/dx^n e^{a x^2} = H_n(2ax, a) e^{a x^2}.
+    Orders above 1000 are refused.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ValueError("n must be a nonnegative integer")
@@ -174,15 +170,8 @@ def hermite2(n: int, x: float, y: float) -> float:
         raise OverflowError(f"hermite2 order {n} exceeds the supported cap {_HERMITE_N_CAP}")
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError("x and y must be finite")
-    if n <= _HERMITE_SUM_MAX:
-        total = 0.0
-        for k in range(n // 2 + 1):
-            coeff = math.factorial(n) // (math.factorial(n - 2 * k) * math.factorial(k))
-            total += coeff * x ** (n - 2 * k) * y**k
-        return float(total)
-    h_prev = 1.0
-    h_cur = x
-    for m in range(1, n):
+    h_prev, h_cur = 0.0, 1.0
+    for m in range(n):
         h_prev, h_cur = h_cur, x * h_cur + 2.0 * y * m * h_prev
     return float(h_cur)
 

@@ -114,6 +114,17 @@ def test_fig2_series_is_deterministic(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+def test_fig2_series_default_grid_matches_spectral(tmp_path):
+    outs = {m: tmp_path / f"{m}.csv" for m in ("series", "spectral")}
+    for method, out in outs.items():
+        proc = run_cli(tmp_path, "fig2", "--method", method, "--out", out)
+        assert proc.returncode == 0, proc.stderr
+    (header, series), (_, spectral) = (read_csv(out) for out in outs.values())
+    assert len(series["x"]) == 512
+    for name in header[1:]:
+        np.testing.assert_allclose(series[name], spectral[name], rtol=0, atol=1e-8)
+
+
 def test_fig3_delocalization(tmp_path):
     out = tmp_path / "fig3.csv"
     proc = run_cli(tmp_path, "fig3", "--grid", "-12:12:256", "--out", out)
@@ -324,6 +335,10 @@ def test_observables_output(tmp_path):
         (("fig1", "--tau", "nan"), "--tau must be positive and finite"),
         (("fig1", "--tau", "-1"), "--tau must be positive and finite"),
         (("fig1", "--tau", "0"), "--tau must be positive and finite"),
+        (
+            ("solve", "--equation", "half_derivative", "--tau", "1", "--method", "spectral"),
+            "not available for equation",
+        ),
     ],
 )
 def test_usage_errors_exit_1(tmp_path, args, fragment):

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from pseudoflow import (
+    ConvergenceError,
     Field,
     ObservableInputs,
     QuadratureConfig,
@@ -24,6 +26,7 @@ from pseudoflow import (
     series_solution,
     spectral_schrodinger,
 )
+from pseudoflow.relativistic import _series_sum
 
 ADAPTIVE = QuadratureConfig(halfline_rule="adaptive_subdivision")
 
@@ -34,6 +37,13 @@ F2K_DECAY = {
     4.0: 8.7410918409007964e-03,
     6.0: 9.4531990078385009e-04,
     8.0: 1.0983725853726614e-04,
+}
+# f_{2k} at points where an adaptive QUADPACK rule stops on its roundoff
+# flag: mpmath quadrature of the s = u^2 integral at 40 digits, frozen at
+# build time.
+F2K_HIGH_ORDER = {
+    (1.1036333333333332, 13): 2.4841309797078478e10,
+    (12.0, 20): 2.4451578469922359e04,
 }
 
 R_AT_01 = 9.9259214530573081e-01
@@ -80,6 +90,20 @@ def test_f2k_matches_glaisher_composed_form(eta):
     assert f2k(eta, 0) == pytest.approx(ref, abs=1e-12)
 
 
+@pytest.mark.parametrize("eta, k", sorted(F2K_HIGH_ORDER))
+def test_f2k_where_quadpack_stopped(eta, k):
+    # an adaptive QUADPACK rule stops on its roundoff flag here
+    val = f2k(eta, k)
+    assert math.isfinite(val)
+    assert val == pytest.approx(F2K_HIGH_ORDER[(eta, k)], rel=1e-10)
+
+
+def test_f2k_overflow_is_a_convergence_error():
+    # H_300(1, -1) is beyond double range; no NaN comes back
+    with pytest.raises(ConvergenceError, match="overflowed"):
+        f2k(0.5, 150)
+
+
 def test_f2k_validation():
     with pytest.raises(ValueError, match="k must be nonnegative"):
         f2k(1.0, -1)
@@ -102,7 +126,41 @@ def test_series_matches_spectral_oracle():
     spec = spectral_schrodinger(f, 0.5)
     idx = np.where(np.abs(f.x) <= 4.0)[0][::16]
     vals = np.array([series_solution(float(f.x[j]), 0.5) for j in idx])
-    np.testing.assert_allclose(vals, spec.values[idx], rtol=0, atol=1e-4)
+    np.testing.assert_allclose(vals, spec.values[idx], rtol=0, atol=1e-9)
+
+
+def _fourier_packet(eta, tau):
+    # Psi = (1/(2 sqrt(pi))) int e^{-k^2/4} e^{i(k eta - tau sqrt(1+k^2))} dk,
+    # the Fourier integral of the evolved Gaussian, by QUADPACK
+    def part(trig):
+        return quad(
+            lambda k: math.exp(-k * k / 4.0) * trig(k * eta - tau * math.sqrt(1.0 + k * k)),
+            -40.0,
+            40.0,
+            limit=200,
+            epsabs=1e-14,
+            epsrel=1e-13,
+        )[0]
+
+    return complex(part(math.cos), part(math.sin)) / (2.0 * math.sqrt(math.pi))
+
+
+@pytest.mark.parametrize("tau", [0.5, 1.0])
+def test_series_where_quadpack_moments_stopped(tau):
+    eta = 1.1036333333333332
+    assert abs(series_solution(eta, tau) - _fourier_packet(eta, tau)) <= 1e-9
+
+
+def test_series_on_an_array_matches_each_point():
+    # points leave the array sum at different orders; each must keep, bit
+    # for bit, what the one-point sum gives
+    eta = np.array([-7.5, -1.1036333333333332, 0.0, 0.3, 2.0, 12.0])
+    for tau in (0.5, 1.0):
+        values, tails, used = _series_sum(eta, tau, SeriesConfig())
+        assert len(set(used)) > 1
+        for j, e in enumerate(eta):
+            val, tail, n = series_solution(float(e), tau, return_diagnostics=True)
+            assert (values[j], tails[j], used[j]) == (val, tail, n)
 
 
 def test_series_diagnostics():
@@ -111,6 +169,8 @@ def test_series_diagnostics():
     assert val == plain
     assert 1 <= n <= 60
     assert 0 <= tail < 1e-9
+    # the sum never stops at its first term, even where that term is tiny
+    assert series_solution(30.0, 0.5, return_diagnostics=True)[2] == 1
 
 
 def test_series_truncation_failure():

@@ -1,7 +1,9 @@
 """Hermite polynomials, Bessel J0/K0, and the integration engines."""
 import dataclasses
+import importlib
 import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -60,7 +62,7 @@ def test_hermite2_matches_defining_sum():
 
 
 def test_hermite2_recurrence_switchover_consistent():
-    """The n > 20 recurrence path must continue the n <= 20 sum path."""
+    """The recurrence matches the defining sum, in exact arithmetic, at n = 25."""
     # exact integer arithmetic for the defining sum at integer arguments
     n, x, y = 25, 3, 2
     exact = sum(
@@ -500,3 +502,20 @@ def test_only_the_integrators_take_a_quadrature_config():
     assert takers == {"integrate_halfline", "integrate_realline"}
     fields = [f.name for f in dataclasses.fields(QuadratureConfig)]
     assert fields == ["halfline_rule", "realline_rule"]
+
+
+def test_every_cache_is_keyed_on_integers():
+    # A cache keyed on floats misses at every new point and keeps each
+    # result alive; the caches hold node tables indexed by an order or size.
+    cached = {}
+    for info in pkgutil.iter_modules(pseudoflow.__path__):
+        if info.name.startswith("_"):
+            continue
+        module = importlib.import_module(f"pseudoflow.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info"):
+                cached[f"{info.name}.{name}"] = obj
+    assert cached
+    for name, fn in cached.items():
+        params = inspect.signature(fn.__wrapped__, eval_str=True).parameters.values()
+        assert params and all(p.annotation is int for p in params), name
