@@ -78,6 +78,8 @@ def _parse_grid(text: str) -> tuple:
         raise _UsageError(f"grid must look like min:max:n, got {text!r}") from None
     if not (x_min < x_max) or n < 8:
         raise _UsageError("grid needs min < max and n >= 8")
+    if not math.isfinite(x_max - x_min):
+        raise _UsageError("grid span max - min must be finite")
     return (x_min, x_max, n)
 
 
@@ -283,8 +285,8 @@ def _run_fig3(ns: argparse.Namespace):
 
 
 def _run_fig4(ns: argparse.Namespace):
-    if ns.a_max <= 0:
-        raise _UsageError("--a-max must be positive")
+    if not (math.isfinite(ns.a_max) and ns.a_max > 0):
+        raise _UsageError("--a-max must be positive and finite")
     if ns.steps < 2:
         raise _UsageError("--steps must be at least 2")
     a_values = np.linspace(0.0, ns.a_max, ns.steps)
@@ -373,8 +375,8 @@ def _run_matrix(ns: argparse.Namespace):
 def _run_observables(ns: argparse.Namespace):
     if ns.steps < 2:
         raise _UsageError("--steps must be at least 2")
-    if ns.t_max <= 0:
-        raise _UsageError("--t-max must be positive")
+    if not (math.isfinite(ns.t_max) and ns.t_max > 0):
+        raise _UsageError("--t-max must be positive and finite")
     ts = np.linspace(0.0, ns.t_max, ns.steps)
     widths, comm_im = [], []
     for t in ts:

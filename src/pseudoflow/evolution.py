@@ -36,9 +36,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.interpolate import CubicSpline
-from scipy.special import j0 as _j0
-from scipy.special import jn_zeros as _jn_zeros
 
 from .errors import ConvergenceError
 from .special import _ABS_TOL, _REL_TOL, _gl_panels, _log_trapezoid, _shift_panels
@@ -143,6 +140,8 @@ def _coefficients(f: Field) -> np.ndarray:
     """The (4, n - 1) coefficient rows c of the field's not-a-knot cubic
     spline S: at offset d in [0, h) on cell k, S(x_k + d) = sum_r c[r, k]
     d^{3-r}. Off the grid S is zero."""
+    from scipy.interpolate import CubicSpline
+
     return CubicSpline(f.x, f.values).c
 
 
@@ -523,7 +522,9 @@ _REQUIRED_CHUNKS = 32       # points with at least this many chunks must converg
 @lru_cache(maxsize=16)
 def _j0_zeros(count: int) -> np.ndarray:
     """The first ``count`` positive zeros of J0, read-only."""
-    zeros = _jn_zeros(0, count)
+    from scipy.special import jn_zeros
+
+    zeros = jn_zeros(0, count)
     zeros.setflags(write=False)
     return zeros
 
@@ -539,14 +540,17 @@ def _j0_chunks(span: float, order: int):
     return edges, nodes.reshape(-1, order), weights.reshape(-1, order)
 
 
+@lru_cache(maxsize=16)
 def _averaging_weights(size: int) -> np.ndarray:
     """Row k holds 2^{-k} C(k, j) for j < size: k rounds of pairwise
-    averaging turn partial sums P_0 .. P_k into sum_j 2^{-k} C(k, j) P_j."""
+    averaging turn partial sums P_0 .. P_k into sum_j 2^{-k} C(k, j) P_j.
+    Read-only."""
     rows = np.zeros((size, size))
     rows[0, 0] = 1.0
     for k in range(1, size):
         rows[k, 0] = 0.5 * rows[k - 1, 0]
         rows[k, 1:] = 0.5 * (rows[k - 1, 1:] + rows[k - 1, :-1])
+    rows.setflags(write=False)
     return rows
 
 
@@ -564,11 +568,13 @@ def apply_inv_sqrt_shift(g: Field) -> Field:
     at the averaging rate, so points far from the left edge are the
     accurate ones.
     """
+    from scipy.special import j0
+
     span = g.x_max - g.x_min
     edges, nodes, weights = _j0_chunks(span, 16)
     n_chunks = len(nodes)
     # chunk integrals C[m](x) = int_{arc m} J0(t) g(x - t) dt, one column per arc
-    chunk_vals = _shift_sum(g)(-nodes, _j0(nodes) * weights)
+    chunk_vals = _shift_sum(g)(-nodes, j0(nodes) * weights)
     partials = np.cumsum(chunk_vals, axis=1)
 
     # Each point x may only use arcs that lie inside [0, x - x_min].

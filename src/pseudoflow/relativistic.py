@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import k0 as _k0
 
 from .errors import ConvergenceError, TruncationError
 from .evolution import SymbolSpec, _shift_sum, _spectral_apply, solve_symbol_spectral
@@ -61,6 +60,8 @@ __all__ = [
 # f_{2k}: the trapezoid step in u = sqrt(s) and the nodes u = 0, h, ..., 9
 _U_STEP = 0.025
 _U_NODES = 361
+# largest series order: (2n + 1)! still converts to float
+_SERIES_N_CAP = 84
 
 DHAT_METHODS = ("kernel_k0", "s_integral", "spectral")
 
@@ -71,7 +72,8 @@ class SeriesConfig:
 
     The series stops at the first term whose magnitude falls below
     ``tail_tol``; if that never happens before ``n_max``, a TruncationError
-    is raised.
+    is raised. ``n_max`` is at most 84: term n divides by (2n + 1)!, and
+    171! is past the largest float.
     """
 
     n_max: int = 60
@@ -80,6 +82,8 @@ class SeriesConfig:
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
+        if self.n_max > _SERIES_N_CAP:
+            raise ValueError(f"n_max must be <= {_SERIES_N_CAP}")
         if self.tail_tol <= 0:
             raise ValueError("tail_tol must be positive")
 
@@ -238,6 +242,8 @@ def _dhat_kernel_k0(f: Field) -> np.ndarray:
     sides, offsets -Delta and +Delta, go through one lag correlation with
     the spline coefficients (see evolution._shift_sum).
     """
+    from scipy.special import k0
+
     h = f.dx
     u, wu = _legendre_nodes(48)
     diag_nodes = h * u**4
@@ -251,7 +257,7 @@ def _dhat_kernel_k0(f: Field) -> np.ndarray:
     far_nodes, far_w = _gl_panels(edges, 24)
     nodes = np.concatenate([diag_nodes, far_nodes])
     weights = np.concatenate([diag_w, far_w])
-    kw = weights * _k0(nodes) / math.pi
+    kw = weights * k0(nodes) / math.pi
     return _shift_sum(f)(np.concatenate([-nodes, nodes]), np.concatenate([kw, kw]))
 
 

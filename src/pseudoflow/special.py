@@ -75,8 +75,6 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad as _quad
-from scipy import special as _special
 
 from .errors import ConvergenceError
 
@@ -178,16 +176,18 @@ def hermite2(n: int, x: float, y: float) -> float:
 
 def bessel(kind: str, x: float) -> float:
     """Bessel function J0(x) (any real x) or K0(x) (x > 0)."""
+    from scipy.special import j0, k0
+
     if kind == "J0":
         if not math.isfinite(x):
             raise ValueError("x must be finite")
-        return float(_special.j0(x))
+        return float(j0(x))
     if kind == "K0":
         if not math.isfinite(x):
             raise ValueError("x must be finite")
         if x <= 0:
             raise ValueError("K0 requires x > 0")
-        return float(_special.k0(x))
+        return float(k0(x))
     raise ValueError(f"unknown Bessel kind {kind!r}; expected 'J0' or 'K0'")
 
 
@@ -403,13 +403,15 @@ def _log_trapezoid(f: Callable, t_tail: float = 0.0):
 
 def _quadpack(f: Callable, a: float, b: float, probe_at: float):
     """scipy.integrate.quad on each component, real and imaginary parts apart."""
+    from scipy.integrate import quad
+
     shape = np.shape(f(probe_at))
     vals = np.empty(shape, dtype=complex)
     errs = np.empty(shape)
     for idx in np.ndindex(shape):
         parts = []
         for part in (np.real, np.imag):
-            val, err, _info, *rest = _quad(
+            val, err, _info, *rest = quad(
                 lambda t: float(part(np.asarray(f(t))[idx])), a, b,
                 limit=_QUADPACK_LIMIT, epsabs=_ABS_TOL, epsrel=_REL_TOL, full_output=True,
             )

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: CSV contract, exit codes, determinism."""
 import csv
+import json
 import math
 import re
 import subprocess
@@ -339,6 +340,14 @@ def test_observables_output(tmp_path):
             ("solve", "--equation", "half_derivative", "--tau", "1", "--method", "spectral"),
             "not available for equation",
         ),
+        # non-finite values are refused before numpy sees them
+        (("fig4", "--a-max", "inf"), "--a-max must be positive and finite"),
+        (("observables", "--t-max", "inf"), "--t-max must be positive and finite"),
+        (("fig1", "--grid", "-1e308:1e308:16"), "grid span max - min must be finite"),
+        (
+            ("solve", "--equation", "heat", "--tau", "0.5", "--grid", "-1e308:1e308:16"),
+            "grid span max - min must be finite",
+        ),
     ],
 )
 def test_usage_errors_exit_1(tmp_path, args, fragment):
@@ -347,6 +356,10 @@ def test_usage_errors_exit_1(tmp_path, args, fragment):
     proc = run_cli(tmp_path, *full)
     assert proc.returncode == 1
     assert fragment in proc.stderr
+    # one error line, and no numpy warning ahead of it
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert "Warning" not in proc.stderr
     assert not out.exists()
 
 
@@ -383,3 +396,57 @@ def test_unwritable_output_path_exits_1(tmp_path):
     proc = run_cli(tmp_path, "fig4", "--steps", "10", "--out", out)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
+
+
+# ----------------------------------------------------------------------
+# import boundary
+
+# Runs in a fresh interpreter: prints the scipy modules loaded after the
+# package import and after each CLI call, one JSON list per line.
+_SCIPY_PROBE = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import pseudoflow
+from pseudoflow import cli
+print(json.dumps(["import pseudoflow", loaded()]))
+for args in json.loads(sys.argv[1]):
+    rc = cli.run(args)
+    print(json.dumps([" ".join(args), rc, loaded()]))
+import scipy.special
+print(json.dumps(["control", loaded()[:1]]))
+"""
+
+_SCIPY_FREE_RUNS = [
+    ["fig1", "--grid", "8:-8:128", "--out", "never.csv"],
+    ["fig1", "--grid", "-8:8:128", "--out", "fig1.csv"],
+    ["fig2", "--out", "fig2.csv"],
+    ["fig2", "--method", "series", "--out", "fig2_series.csv"],
+    [
+        "solve", "--equation", "pseudoheat", "--tau", "0.5", "--compare", "spectral",
+        "--grid", "-8:8:128", "--out", "solve.csv",
+    ],
+    ["matrix", "--what", "dirac2", "--out", "matrix.csv"],
+]
+
+
+def test_numpy_only_commands_never_import_scipy(tmp_path):
+    # fig3, fig4 and observables call K0, the spline or QUADPACK and may load
+    # scipy; the package import and the presets run here must not.
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(_SCIPY_FREE_RUNS)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert rows[0] == ["import pseudoflow", []]
+    calls = rows[1:-1]
+    assert [row[0] for row in calls] == [" ".join(args) for args in _SCIPY_FREE_RUNS]
+    assert [row[1] for row in calls] == [1, 0, 0, 0, 0, 0]
+    for what, _rc, modules in calls:
+        assert modules == [], f"{what} imported {modules}"
+    # the probe itself sees scipy once it is imported
+    assert rows[-1] == ["control", ["scipy"]]

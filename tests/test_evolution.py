@@ -666,6 +666,9 @@ def test_averaging_weights_match_iterated_averaging():
         previous = partials[:, 1:] @ rows[m - 2, : m - 1]
         np.testing.assert_allclose(last, best, rtol=0, atol=1e-13)
         np.testing.assert_allclose(np.abs(last - previous), est, rtol=0, atol=1e-13)
+    # one shared table per size, which no caller may change
+    assert _averaging_weights(200) is rows
+    assert not rows.flags.writeable
 
 
 def test_j0_zeros_are_cached_read_only():

@@ -196,6 +196,15 @@ def test_series_config_validation():
         SeriesConfig(n_max=5, tail_tol=0.0)
 
 
+def test_series_config_caps_n_max_where_factorials_overflow():
+    # at the cap the series still ends in TruncationError, not OverflowError
+    with pytest.raises(TruncationError) as exc:
+        series_solution(0.0, 8.0, SeriesConfig(n_max=84))
+    assert exc.value.n_used == 84
+    with pytest.raises(ValueError, match="n_max must be <= 84"):
+        SeriesConfig(n_max=85)
+
+
 def test_spectral_schrodinger_unitary_and_symmetric():
     f = gaussian()
     assert np.max(np.abs(spectral_schrodinger(f, 0.0).values - f.values)) <= 1e-13
