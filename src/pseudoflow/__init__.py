@@ -35,7 +35,6 @@ from .evolution import (
 from .relativistic import (
     DHAT_METHODS,
     ObservableInputs,
-    SeriesConfig,
     commutator_xt_x0,
     dhat_apply,
     f2k,
@@ -101,7 +100,6 @@ __all__ = [
     "apply_inv_sqrt_shift",
     # relativistic
     "ObservableInputs",
-    "SeriesConfig",
     "DHAT_METHODS",
     "f2k",
     "series_solution",

@@ -80,6 +80,10 @@ def _parse_grid(text: str) -> tuple:
         raise _UsageError("grid needs min < max and n >= 8")
     if not math.isfinite(x_max - x_min):
         raise _UsageError("grid span max - min must be finite")
+    # the solvers square both the points and the lags between them
+    reach = max(abs(x_min), abs(x_max), x_max - x_min)
+    if not math.isfinite(reach * reach):
+        raise _UsageError("grid x^2 and span^2 must be finite")
     return (x_min, x_max, n)
 
 

@@ -17,7 +17,8 @@ evolution parameter tau:
 * :func:`solve_affine_sqrt`    -- d/dtau F = -sqrt(x - c d/dx) F via
   subordination plus Weyl disentanglement.
 * :func:`apply_inv_sqrt_shift` -- the Bessel representation of
-  (1 - d^2/dx^2)^{-1/2}, f(x) = int_0^inf J0(t) g(x - t) dt.
+  (1 + d^2/dx^2)^{-1/2}, f(x) = int_0^inf J0(t) g(x - t) dt: the Fourier
+  multiplier (1 - k^2)^{-1/2} on |k| < 1.
 
 Off-grid samples in the shift-type integrals come from the not-a-knot
 cubic spline inside the grid and zero extension outside; discarded
@@ -555,7 +556,8 @@ def _averaging_weights(size: int) -> np.ndarray:
 
 
 def apply_inv_sqrt_shift(g: Field) -> Field:
-    """Apply (1 - d^2/dx^2)^{-1/2} through f(x) = int_0^inf J0(t) g(x-t) dt.
+    """Apply (1 + d^2/dx^2)^{-1/2} through f(x) = int_0^inf J0(t) g(x-t) dt,
+    which multiplies the Fourier modes |k| < 1 by (1 - k^2)^{-1/2}.
 
     The integral is taken arc by arc between consecutive zeros of J0 (as far
     left as the grid allows for each x); the arcs' Gauss-Legendre sums over
@@ -563,10 +565,11 @@ def apply_inv_sqrt_shift(g: Field) -> Field:
     matrix product with the spline's coefficient windows. The oscillatory
     tail is summed by iterated pairwise averaging of the partial sums, in
     its closed form: m partials average to sum_j 2^{1-m} C(m-1, j) P_j, and
-    the change from the round before is the error estimate. Decaying data
-    terminates on its own; non-decaying data (e.g. a plain cosine) converges
-    at the averaging rate, so points far from the left edge are the
-    accurate ones.
+    the change from the round before is the error estimate. Where a point's
+    last four arcs are smaller than that change, as past decaying data, the
+    direct sum is kept with the largest of them as its estimate;
+    non-decaying data (e.g. a plain cosine) converge at the averaging rate,
+    so points far from the left edge are the accurate ones.
     """
     from scipy.special import j0
 
@@ -590,8 +593,13 @@ def apply_inv_sqrt_shift(g: Field) -> Field:
     binom = _averaging_weights(n_chunks)
     last = np.einsum("ij,ij->i", binom[m - 1], partials[acc])
     previous = np.einsum("ij,ij->i", binom[m - 2, :-1], partials[acc, 1:])
-    out[acc] = last
-    est[acc] = np.abs(last - previous)
+    # Past decaying data the partials are flat, yet the averaging still
+    # weighs those from before the data's arcs: there the direct sum stands.
+    recent = np.abs(chunk_vals[points[acc, None], upto[acc, None] - np.arange(4)]).max(axis=1)
+    change = np.abs(last - previous)
+    averaged = ~(recent < change)
+    out[acc] = np.where(averaged, last, out[acc])
+    est[acc] = np.where(averaged, change, recent)
 
     # Per-point tolerance: comparing against the global output scale would
     # let uniformly diverging data "settle" (everything is garbage of the

@@ -31,19 +31,11 @@ import numpy as np
 
 from .errors import ConvergenceError, TruncationError
 from .evolution import SymbolSpec, _shift_sum, _spectral_apply, solve_symbol_spectral
-from .special import (
-    _ABS_TOL,
-    _REL_TOL,
-    _gl_panels,
-    _hermite_nodes,
-    _legendre_nodes,
-    integrate_halfline,
-)
-from .transforms import _ADAPTIVE_CFG, Field
+from .special import _ABS_TOL, _REL_TOL, _gl_panels, _hermite_nodes, _legendre_nodes, _quadpack
+from .transforms import Field
 
 __all__ = [
     "ObservableInputs",
-    "SeriesConfig",
     "f2k",
     "series_solution",
     "spectral_schrodinger",
@@ -60,32 +52,20 @@ __all__ = [
 # f_{2k}: the trapezoid step in u = sqrt(s) and the nodes u = 0, h, ..., 9
 _U_STEP = 0.025
 _U_NODES = 361
-# largest series order: (2n + 1)! still converts to float
-_SERIES_N_CAP = 84
+# The tau-power series stops at the first term below this: Psi is O(1), and
+# the fig2 grid then meets the spectral multiplier to 1.4e-10.
+_SERIES_TAIL_TOL = 1e-9
+# Largest tau-power order. tau = 3 takes 40 terms; by tau = 4 the
+# alternating terms cancel more digits than the step-2h check allows, so
+# more terms buy nothing (and (2n + 1)! stays far inside float range).
+_SERIES_N_MAX = 60
+# The iterated series stops at the first term below this. Each term
+# multiplies rounding noise by the dealiased |k|^2, so the tail test sits
+# above the tau-power series' and the terms are capped lower.
+_ITERATED_TAIL_TOL = 1e-8
+_ITERATED_N_MAX = 20
 
 DHAT_METHODS = ("kernel_k0", "s_integral", "spectral")
-
-
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Truncation control for the tau-power series.
-
-    The series stops at the first term whose magnitude falls below
-    ``tail_tol``; if that never happens before ``n_max``, a TruncationError
-    is raised. ``n_max`` is at most 84: term n divides by (2n + 1)!, and
-    171! is past the largest float.
-    """
-
-    n_max: int = 60
-    tail_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-        if self.n_max > _SERIES_N_CAP:
-            raise ValueError(f"n_max must be <= {_SERIES_N_CAP}")
-        if self.tail_tol <= 0:
-            raise ValueError("tail_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -169,7 +149,7 @@ def f2k(eta: float, k: int) -> float:
     return value
 
 
-def _series_sum(eta: np.ndarray, tau: float, cfg: SeriesConfig = SeriesConfig()):
+def _series_sum(eta: np.ndarray, tau: float):
     """Psi(eta, tau) on an eta array as (values, last terms, term counts): each
     point stops at its own tail test and must agree with its step-2h sum."""
     if not (np.all(np.isfinite(eta)) and math.isfinite(tau)):
@@ -180,24 +160,32 @@ def _series_sum(eta: np.ndarray, tau: float, cfg: SeriesConfig = SeriesConfig())
     live, keep = np.arange(eta.size), None
     moments = _hermite_moments(eta)
     table = next(moments)[..., None]  # (live point, column of the moments, k)
-    for n in range(cfg.n_max + 1):
+    for n in range(_SERIES_N_MAX + 1):
         table = np.concatenate([table, moments.send(keep)[..., None]], axis=2)
         coef_a = np.array([(-1) ** k * math.comb(n, k) for k in range(n + 1)], dtype=float)
         coef_b = np.array([(-1) ** k * math.comb(n + 1, k) for k in range(n + 2)], dtype=float)
-        scale_a = (-1) ** n * tau ** (2 * n) / math.factorial(2 * n)
-        scale_b = (-1) ** (n + 1) * tau ** (2 * n + 1) / math.factorial(2 * n + 1)
-        a_n = scale_a * (coef_a * table[:, 0, :-1]).sum(axis=1)
-        b_n, b_nested = scale_b * (coef_b * table[:, 1:]).sum(axis=2).T
-        value[live] += a_n * gauss[live] + 1j * b_n
-        nested[live] += a_n * gauss[live] + 1j * b_nested
-        tail[live], used[live] = np.abs(a_n) * gauss[live] + np.abs(b_n), n
-        keep = (n == 0) | ~(tail[live] < cfg.tail_tol)
+        try:
+            scale_a = (-1) ** n * tau ** (2 * n) / math.factorial(2 * n)
+            scale_b = (-1) ** (n + 1) * tau ** (2 * n + 1) / math.factorial(2 * n + 1)
+        except OverflowError:  # a huge tau: its power is past the largest float
+            raise TruncationError(
+                f"tau-power series overflowed at order {n}", last_term=tail[live[0]], n_used=n - 1
+            ) from None
+        # a term that overflows is never below the tail test, and the next
+        # power of tau overflows too
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_n = scale_a * (coef_a * table[:, 0, :-1]).sum(axis=1)
+            b_n, b_nested = scale_b * (coef_b * table[:, 1:]).sum(axis=2).T
+            value[live] += a_n * gauss[live] + 1j * b_n
+            nested[live] += a_n * gauss[live] + 1j * b_nested
+            tail[live], used[live] = np.abs(a_n) * gauss[live] + np.abs(b_n), n
+        keep = (n == 0) | ~(tail[live] < _SERIES_TAIL_TOL)
         live, table = live[keep], table[keep]
         if not live.size:
             break
     else:
         raise TruncationError(
-            "tau-power series did not reach tail_tol", last_term=tail[live[0]], n_used=cfg.n_max
+            "tau-power series did not reach tail_tol", last_term=tail[live[0]], n_used=_SERIES_N_MAX
         )
     err = np.abs(value - nested)
     for j in np.flatnonzero(~(err <= np.maximum(_ABS_TOL, _REL_TOL * np.abs(value))))[:1]:
@@ -206,19 +194,14 @@ def _series_sum(eta: np.ndarray, tau: float, cfg: SeriesConfig = SeriesConfig())
     return value, tail, used
 
 
-def series_solution(
-    eta: float,
-    tau: float,
-    cfg: SeriesConfig | None = None,
-    return_diagnostics: bool = False,
-):
+def series_solution(eta: float, tau: float, return_diagnostics: bool = False):
     """Hermite-series value Psi(eta, tau) = A e^{-eta^2} + i B.
 
-    Terms are added until the latest tau-power term drops below
-    ``cfg.tail_tol`` in magnitude; returns the complex value, or
-    ``(value, tail_estimate, n_used)`` with ``return_diagnostics``.
+    Terms are added until the latest tau-power term drops below 1e-9 in
+    magnitude, else TruncationError after order 60; returns the complex
+    value, or ``(value, tail_estimate, n_used)`` with ``return_diagnostics``.
     """
-    value, tail, used = _series_sum(np.array([float(eta)]), float(tau), cfg or SeriesConfig())
+    value, tail, used = _series_sum(np.array([float(eta)]), float(tau))
     if return_diagnostics:
         return complex(value[0]), float(tail[0]), int(used[0])
     return complex(value[0])
@@ -313,21 +296,17 @@ def phi_transform(psi_bar: Field) -> Field:
     return dhat_apply(psi_bar, "kernel_k0")
 
 
-def iterated_series(psi0: Field, tau: float, cfg: SeriesConfig | None = None) -> Field:
+def iterated_series(psi0: Field, tau: float) -> Field:
     """Sum the iterated solution Psi-bar = sum (i tau)^n / n! * Psi_n with
     Psi_n = d^2/dx^2 (D Psi_{n-1}).
 
     The second derivative is spectral with an adaptive dealiasing cutoff
     (modes with no initial content are dropped rather than amplified);
-    D uses the K0 kernel. Fails with TruncationError when the tail test
-    cannot be met within ``n_max`` (which is capped at 20 here: each
-    iteration multiplies rounding noise by the dealiased |k|^2).
+    D uses the K0 kernel. Terms are added until the latest drops below 1e-8,
+    else TruncationError after 20 terms.
     """
     if not math.isfinite(tau):
         raise ValueError("tau must be finite")
-    cfg = cfg or SeriesConfig(n_max=20, tail_tol=1e-8)
-    if cfg.n_max > 20:
-        raise ValueError("iterated_series requires n_max <= 20")
     n = psi0.n
     if n & (n - 1) != 0:
         raise ValueError("iterated_series requires a power-of-two sample count")
@@ -343,18 +322,18 @@ def iterated_series(psi0: Field, tau: float, cfg: SeriesConfig | None = None) ->
     total = np.asarray(psi0.values, dtype=complex).copy()
     current = psi0
     tail = math.inf
-    for m in range(1, cfg.n_max + 1):
+    for m in range(1, _ITERATED_N_MAX + 1):
         smoothed = dhat_apply(current, "kernel_k0")
         deriv = np.fft.ifft(d2_mult * np.fft.fft(smoothed.values))
         current = psi0.with_values(deriv)
         term = (1j * tau) ** m / math.factorial(m) * deriv
         total += term
         tail = float(np.max(np.abs(term)))
-        if tail < cfg.tail_tol:
+        if tail < _ITERATED_TAIL_TOL:
             break
     else:
         raise TruncationError(
-            "iterated series did not reach tail_tol", last_term=tail, n_used=cfg.n_max
+            "iterated series did not reach tail_tol", last_term=tail, n_used=_ITERATED_N_MAX
         )
     warn = []
     if psi0.boundary_leaks():
@@ -377,7 +356,7 @@ def r_function(a: float) -> float:
     def ig(s: float) -> float:
         return math.exp(-s) * (2.0 + a * a * s) ** -1.5
 
-    return 2.0 * math.sqrt(2.0) * float(integrate_halfline(ig, _ADAPTIVE_CFG).value.real)
+    return 2.0 * math.sqrt(2.0) * float(_quadpack(ig, 0.0, math.inf, 1.0)[0].real)
 
 
 def f_function(a: float) -> float:
@@ -390,12 +369,8 @@ def f_function(a: float) -> float:
     def ig(s: float) -> float:
         return math.sqrt(s) * math.exp(-s) * (2.0 + a * a * s) ** -0.5
 
-    return (
-        2.0
-        * math.sqrt(2.0)
-        / math.sqrt(math.pi)
-        * float(integrate_halfline(ig, _ADAPTIVE_CFG).value.real)
-    )
+    integral = float(_quadpack(ig, 0.0, math.inf, 1.0)[0].real)
+    return 2.0 * math.sqrt(2.0) / math.sqrt(math.pi) * integral
 
 
 def packet_width(inputs: ObservableInputs) -> float:

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .special import QuadratureConfig, _legendre_nodes, _log_trapezoid, integrate_halfline
+from .special import _legendre_nodes, _log_trapezoid, _quadpack
 
 __all__ = [
     "Field",
@@ -37,8 +37,6 @@ __all__ = [
 
 # Boundary samples above this fraction of the peak trigger a leakage warning.
 BOUNDARY_LEAK_THRESHOLD = 1e-8
-
-_ADAPTIVE_CFG = QuadratureConfig(halfline_rule="adaptive_subdivision")
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +146,7 @@ def exp_sqrt_via_doetsch(x: float, y: float, form: str = "t_form") -> float:
         def ig(xi: float) -> float:
             return math.exp(-0.25 * xi * xi - c / (xi * xi)) / math.sqrt(math.pi)
 
-        return float(integrate_halfline(ig, _ADAPTIVE_CFG).value.real)
+        return float(_quadpack(ig, 0.0, math.inf, 1.0)[0].real)
     raise ValueError(f"unknown form {form!r}; expected 't_form' or 'xi_form'")
 
 
@@ -250,4 +248,4 @@ def laplace_inv_power(nu: float, a: float) -> float:
     def ig(s: float) -> float:
         return math.exp(-a * s) * s ** (nu - 1.0) / gamma
 
-    return float(integrate_halfline(ig, _ADAPTIVE_CFG).value.real)
+    return float(_quadpack(ig, 0.0, math.inf, 1.0)[0].real)

@@ -230,17 +230,19 @@ def test_solve_file_initial_condition_round_trip(tmp_path):
 
 def test_solve_divergent_case_exits_2_without_partial_output(tmp_path):
     out = tmp_path / "div.csv"
-    proc = run_cli(
-        tmp_path,
-        "solve", "--equation", "affine_sqrt", "--tau", "1.0", "--c", "0",
-        "--grid", "-8:8:64", "--out", out,
-    )
-    assert proc.returncode == 2
-    # one message, and no numpy floating-point warnings before it
-    assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("numerical failure:")
-    assert not out.exists()
-    assert no_partials(tmp_path)
+    for args in (
+        ("--equation", "affine_sqrt", "--tau", "1.0", "--c", "0", "--grid", "-8:8:64"),
+        # tau^2 overflows: a failed series, not a traceback
+        ("--equation", "schrodinger", "--method", "series", "--tau", "1e200",
+         "--grid", "-2:2:16"),
+    ):
+        proc = run_cli(tmp_path, "solve", *args, "--out", out)
+        assert proc.returncode == 2
+        # one message, and no numpy floating-point warnings before it
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("numerical failure:")
+        assert not out.exists()
+        assert no_partials(tmp_path)
 
 
 def test_solve_compare_checks_both_methods_before_solving(tmp_path, monkeypatch, capsys):
@@ -348,6 +350,8 @@ def test_observables_output(tmp_path):
             ("solve", "--equation", "heat", "--tau", "0.5", "--grid", "-1e308:1e308:16"),
             "grid span max - min must be finite",
         ),
+        # a finite span whose square overflows is refused before numpy warns
+        (("fig1", "--grid", "-1e160:1e160:16"), "grid x^2 and span^2 must be finite"),
     ],
 )
 def test_usage_errors_exit_1(tmp_path, args, fragment):

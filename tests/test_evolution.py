@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.special import k1, wofz
+from scipy.special import j0, k1, wofz
 
 from pseudoflow import (
     ConvergenceError,
@@ -579,6 +579,22 @@ def test_inv_sqrt_shift_round_trip():
     back = apply_inv_sqrt_shift(g.with_values(fwd))
     sel = np.abs(back.x) <= 100.0
     np.testing.assert_allclose(back.values[sel], g.values[sel], rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("width", [1.0, 4.0])
+def test_inv_sqrt_shift_on_a_gaussian_matches_quadpack(width):
+    # Far right of decaying data the partial sums are flat; there the direct
+    # arc sum is the answer, and the binomial averaging alone never settles.
+    def g(x):
+        return np.exp(-((x / width) ** 2))
+
+    apply_inv_sqrt_shift(Field.from_function(-64.0, 64.0, 513, g))
+    out = apply_inv_sqrt_shift(Field.from_function(-64.0, 64.0, 1025, g))
+    for x in (-3.0, 0.0, 2.0, 10.0, 40.0, 60.0):
+        lo = max(0.0, x - 12.0 * width)
+        ref = quad(lambda t: j0(t) * g(x - t), lo, x + 12.0 * width, points=[x], limit=400)[0]
+        j = round((x + 64.0) / out.dx)
+        assert abs(out.values[j] - ref) <= 1e-6, x
 
 
 def test_inv_sqrt_shift_divergent_data_raises():

@@ -10,7 +10,6 @@ from pseudoflow import (
     Field,
     ObservableInputs,
     QuadratureConfig,
-    SeriesConfig,
     TruncationError,
     commutator_xt_x0,
     dhat_apply,
@@ -156,7 +155,7 @@ def test_series_on_an_array_matches_each_point():
     # for bit, what the one-point sum gives
     eta = np.array([-7.5, -1.1036333333333332, 0.0, 0.3, 2.0, 12.0])
     for tau in (0.5, 1.0):
-        values, tails, used = _series_sum(eta, tau, SeriesConfig())
+        values, tails, used = _series_sum(eta, tau)
         assert len(set(used)) > 1
         for j, e in enumerate(eta):
             val, tail, n = series_solution(float(e), tau, return_diagnostics=True)
@@ -174,10 +173,18 @@ def test_series_diagnostics():
 
 
 def test_series_truncation_failure():
+    # at tau = 8 the terms still grow at the last order, 60
     with pytest.raises(TruncationError) as exc:
-        series_solution(0.0, 2.0, SeriesConfig(n_max=2))
-    assert exc.value.n_used == 2
+        series_solution(0.0, 8.0)
+    assert exc.value.n_used == 60
     assert exc.value.last_term > 0
+
+
+@pytest.mark.parametrize("tau", [1e200, -1e200, 1.7e308])
+def test_series_huge_tau_raises_truncation_error(tau):
+    # tau^2 is past the largest float: a failed series, not an OverflowError
+    with pytest.raises(TruncationError, match="overflowed"):
+        series_solution(0.0, tau)
 
 
 @pytest.mark.parametrize("eta, tau", [(0.5, math.nan), (0.5, math.inf), (math.nan, 0.5)])
@@ -185,24 +192,6 @@ def test_series_rejects_nonfinite_input(eta, tau):
     # bad input, not a series that failed to converge
     with pytest.raises(ValueError, match="must be finite"):
         series_solution(eta, tau)
-
-
-def test_series_config_validation():
-    cfg = SeriesConfig()
-    assert cfg.n_max == 60 and cfg.tail_tol == 1e-9
-    with pytest.raises(ValueError, match="n_max"):
-        SeriesConfig(n_max=0)
-    with pytest.raises(ValueError, match="tail_tol"):
-        SeriesConfig(n_max=5, tail_tol=0.0)
-
-
-def test_series_config_caps_n_max_where_factorials_overflow():
-    # at the cap the series still ends in TruncationError, not OverflowError
-    with pytest.raises(TruncationError) as exc:
-        series_solution(0.0, 8.0, SeriesConfig(n_max=84))
-    assert exc.value.n_used == 84
-    with pytest.raises(ValueError, match="n_max must be <= 84"):
-        SeriesConfig(n_max=85)
 
 
 def test_spectral_schrodinger_unitary_and_symmetric():
@@ -299,9 +288,10 @@ def test_iterated_series_tau_zero_unchanged():
 def test_iterated_series_first_order_term():
     f = gaussian(n=1024)
     k = 2.0 * math.pi * np.fft.fftfreq(f.n, d=f.dx)
-    # isolate Psi_1 by running a single term with the tail check disarmed
-    one = iterated_series(f, 0.3, SeriesConfig(n_max=1, tail_tol=1e12))
-    psi1 = (np.asarray(one.values) - f.values) / (1j * 0.3)
+    # isolate Psi_1 by a central difference in tau: the even orders cancel
+    # and the next odd one is O(tau^2)
+    step = 1e-4
+    psi1 = (iterated_series(f, step).values - iterated_series(f, -step).values) / (2j * step)
     oracle = np.fft.ifft(
         (-(k**2) / np.sqrt(1.0 + k**2)) * np.fft.fft(f.values.astype(complex))
     )
@@ -325,13 +315,8 @@ def test_iterated_series_validation():
     for tau in (math.nan, math.inf):
         with pytest.raises(ValueError, match="tau must be finite"):
             iterated_series(f, tau)
-    with pytest.raises(ValueError, match="n_max <= 20"):
-        iterated_series(f, 0.3, SeriesConfig(n_max=25))
     with pytest.raises(ValueError, match="power-of-two"):
         iterated_series(gaussian(n=384), 0.3)
-    # a zero-term budget is rejected by the config itself
-    with pytest.raises(ValueError, match="n_max"):
-        SeriesConfig(n_max=0)
 
 
 def test_iterated_series_truncation_failure():

@@ -1,4 +1,5 @@
 """Hermite polynomials, Bessel J0/K0, and the integration engines."""
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -485,7 +486,7 @@ def test_config_rejects_unknown_rules():
 
 
 def test_only_the_integrators_take_a_quadrature_config():
-    # Each solver fixes the rule its kernel needs; a rule is chosen only
+    # Each solver fixes its own rule and truncation; a rule is chosen only
     # where an integral is taken directly, and nothing else is settable.
     takers = set()
     for name in pseudoflow.__all__:
@@ -495,13 +496,32 @@ def test_only_the_integrators_take_a_quadrature_config():
         except (TypeError, ValueError):
             continue
         if any(
-            "QuadratureConfig" in str(p.annotation) or isinstance(p.default, QuadratureConfig)
+            "Config" in str(p.annotation)
+            or (dataclasses.is_dataclass(p.default) and not isinstance(p.default, type))
             for p in params
         ):
             takers.add(name)
     assert takers == {"integrate_halfline", "integrate_realline"}
     fields = [f.name for f in dataclasses.fields(QuadratureConfig)]
     assert fields == ["halfline_rule", "realline_rule"]
+    assert not any("SeriesConfig" in vars(m) for m in _package_modules())
+    # no module but special builds a config to pass to itself
+    builders = {
+        module.__name__
+        for module in _package_modules()
+        for node in ast.walk(ast.parse(inspect.getsource(module)))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "QuadratureConfig"
+    }
+    assert builders == {"pseudoflow.special"}
+
+
+def _package_modules():
+    # the package and its modules; __main__ would run the CLI
+    return [pseudoflow] + [
+        importlib.import_module(f"pseudoflow.{info.name}")
+        for info in pkgutil.iter_modules(pseudoflow.__path__)
+        if not info.name.startswith("_")
+    ]
 
 
 def test_every_cache_is_keyed_on_integers():
