@@ -84,6 +84,10 @@ def _parse_grid(text: str) -> tuple:
     reach = max(abs(x_min), abs(x_max), x_max - x_min)
     if not math.isfinite(reach * reach):
         raise _UsageError("grid x^2 and span^2 must be finite")
+    # the cubic spline's coefficient rows weigh each offset's cube
+    step = (x_max - x_min) / (n - 1)
+    if not math.isfinite(step * step * step):
+        raise _UsageError("grid step^3 must be finite")
     return (x_min, x_max, n)
 
 

@@ -23,10 +23,12 @@ evolution parameter tau:
 Off-grid samples in the shift-type integrals come from the not-a-knot
 cubic spline inside the grid and zero extension outside; discarded
 boundary mass is flagged with a warning, not an error. Every shift-type
-integral reads the spline through its four coefficient rows: quadrature
-nodes are binned by grid lag and fractional offset, and the sums become
-matrix products with sliding windows of those rows (see _shift_sum and
-_affine_panels), so no node evaluates the spline.
+integral reads the spline through its four coefficient rows, which one
+LAPACK tridiagonal solve gives (_coefficients): quadrature nodes are
+binned by grid lag and fractional offset, and the sums become matrix
+products with sliding windows of those rows (see _shift_plan and
+_affine_panels), so no node evaluates the spline. The binning depends on
+the grid alone, so a plan serves any number of fields on it.
 """
 from __future__ import annotations
 
@@ -137,18 +139,45 @@ _POWERS = np.arange(3, -1, -1)[:, None]
 _POWERS.setflags(write=False)
 
 
-def _coefficients(f: Field) -> np.ndarray:
-    """The (4, n - 1) coefficient rows c of the field's not-a-knot cubic
-    spline S: at offset d in [0, h) on cell k, S(x_k + d) = sum_r c[r, k]
-    d^{3-r}. Off the grid S is zero."""
-    from scipy.interpolate import CubicSpline
+def _coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (4, n - 1) coefficient rows c of the not-a-knot cubic spline S
+    through (x, y): at offset d in [0, x_{k+1} - x_k) on cell k,
+    S(x_k + d) = sum_r c[r, k] d^{3-r}. Off the grid S is zero.
 
-    return CubicSpline(f.x, f.values).c
+    The node slopes solve scipy's CubicSpline tridiagonal system, built with
+    its arithmetic and passed to the LAPACK routine gtsv that its banded
+    solve calls, so the rows equal ``CubicSpline(x, y).c`` bit for bit
+    without the spline object or the ``scipy.interpolate`` import.
+    """
+    from scipy.linalg.lapack import dgtsv, zgtsv
+
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    # row i of 1 .. n-2: dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1}
+    lower = np.concatenate((dx[1:], [x[-1] - x[-3]]))
+    diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+    upper = np.concatenate(([x[2] - x[0]], dx[:-1]))
+    rhs = np.empty(x.size, dtype=y.dtype)
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    # not-a-knot: the third derivative is continuous at x_1 and at x_{n-2}
+    span = x[2] - x[0]
+    rhs[0] = ((dx[0] + 2 * span) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / span
+    span = x[-1] - x[-3]
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * span + dx[-1]) * dx[-2] * slope[-1]) / span
+    gtsv = zgtsv if np.iscomplexobj(rhs) else dgtsv
+    s = gtsv(lower, diag, upper, rhs, True, True, True, True)[3]
+    # the cubic Hermite rows through (y, s) on each cell
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
-def _shift_sum(f: Field) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Map (shifts s_q, real weights w_q) to sum_q w_q S(x_i + s_q) on the
-    grid, where S is the spline of :func:`_coefficients`.
+def _shift_plan(
+    n: int, h: float, shifts: np.ndarray, weights: np.ndarray
+) -> Callable[[np.ndarray, complex], np.ndarray]:
+    """Bin (shifts s_q, real weights w_q) on an n-point grid of step h once;
+    the returned ``apply(coef, last)`` maps the coefficient rows of a spline
+    S (see :func:`_coefficients`) and its last sample to
+    sum_q w_q S(x_i + s_q) on the grid.
 
     ``shifts`` and ``weights`` are (Q,) arrays, which give an (n,) result,
     or (M, Q) arrays, one sum per row, which give an (n, M) result.
@@ -156,52 +185,63 @@ def _shift_sum(f: Field) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     A shift s = L h + d with L = floor(s / h) puts x_i + s at offset d in
     [0, h) on cell i + L, where S is sum_r c[r, i + L] d^{3-r}. Binning
     w d^{3-r} by lag, counted from each row's least lag, gives an (M, 4 S)
-    kernel matrix over S lags. One product of it with the sliding windows
-    of the zero-padded coefficient rows gives an (M, P) array, and row m
-    reads its n values at its own lag offset. No node evaluates the
-    spline; cells off the grid contribute zero. The windows hold 4 S P
-    entries, which grow like span / h^2 on a fine grid, so the product
-    copies them in blocks of output columns. A single row, or a few rows of
-    long kernels, is one correlation per row and coefficient row instead,
-    which builds no window matrix.
+    kernel matrix over S lags, which depends on the grid and the nodes but
+    not on the data. One product of it with the sliding windows of the
+    zero-padded coefficient rows gives an (M, P) array, and row m reads its
+    n values at its own lag offset. No node evaluates the spline; cells off
+    the grid contribute zero. The windows hold 4 S P entries, which grow
+    like span / h^2 on a fine grid, so the product copies them in blocks of
+    output columns. A single row, or a few rows of long kernels, is one
+    correlation per row and coefficient row instead, which builds no window
+    matrix.
     """
-    n, h = f.n, f.dx
-    coef = _coefficients(f)
-    last = f.values[-1]
+    single = np.ndim(shifts) == 1
+    shifts, weights = np.atleast_2d(shifts, weights)
+    rows = shifts.shape[0]
+    lag = np.floor(shifts / h)
+    d = shifts - lag * h
+    # S(x_{n-1}) is the one value no cell reaches with d < h
+    at_last = (d == 0.0) & (lag >= 0) & (lag < n)
+    last_at = (np.nonzero(at_last)[0], n - 1 - lag[at_last].astype(np.intp))
+    last_w = weights[at_last]
+    keep = (lag > -n) & (lag < n - 1)  # lags that reach some cell 0 .. n-2
+    binned = bool(np.any(keep))
+    if binned:
+        least = np.where(keep, lag, np.inf).min(axis=1)
+        base = int(least.min())
+        lo = np.where(np.isinf(least), base, least).astype(np.intp)
+        row, node = np.nonzero(keep)
+        col = lag[row, node].astype(np.intp) - lo[row]
+        size = int(col.max()) + 1
+        # kern[m, r, k] sums w d^{3-r} over row m's nodes at lag lo[m] + k
+        kern = np.bincount(
+            (((row * 4)[None, :] + np.arange(4)[:, None]) * size + col).ravel(),
+            (weights[row, node] * d[row, node] ** _POWERS).ravel(),
+            rows * 4 * size,
+        ).reshape(rows, 4, size)
+        # pad[:, t] holds cell base + t, and window p starts there
+        width = n + int(lo.max()) - base
+        first, stop = max(0, base), min(n - 1, base + width + size - 1)
+        # Row m reads the n windows from lo[m] - base on. Correlating row by
+        # row computes just those, for about 160 + size window reads each;
+        # the matrix product computes all of them but reads each copied
+        # window entry about 12 times faster (timed on a 2-CPU Xeon). Few
+        # rows of long kernels, such as J0 arcs on a fine grid, are
+        # therefore correlated row by row.
+        by_row = rows == 1 or rows * n * (160 + size) < 12 * width * size
+        if not by_row:
+            kern = kern.reshape(rows, 4 * size)
+        # about 2^19 copied window entries at a time, on any grid
+        step = max(1, (1 << 19) // (4 * size))
 
-    def apply(shifts: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        single = np.ndim(shifts) == 1
-        shifts, weights = np.atleast_2d(shifts, weights)
-        rows = shifts.shape[0]
-        lag = np.floor(shifts / h)
-        d = shifts - lag * h
-        keep = (lag > -n) & (lag < n - 1)  # lags that reach some cell 0 .. n-2
-        if np.any(keep):
-            least = np.where(keep, lag, np.inf).min(axis=1)
-            base = int(least.min())
-            lo = np.where(np.isinf(least), base, least).astype(np.intp)
-            row, node = np.nonzero(keep)
-            col = lag[row, node].astype(np.intp) - lo[row]
-            size = int(col.max()) + 1
-            # kern[m, r, k] sums w d^{3-r} over row m's nodes at lag lo[m] + k
-            kern = np.bincount(
-                (((row * 4)[None, :] + np.arange(4)[:, None]) * size + col).ravel(),
-                (weights[row, node] * d[row, node] ** _POWERS).ravel(),
-                rows * 4 * size,
-            ).reshape(rows, 4, size)
-            # pad[:, t] holds cell base + t, and window p starts there
-            width = n + int(lo.max()) - base
+    def apply(coef: np.ndarray, last: complex) -> np.ndarray:
+        if not binned:
+            out = np.zeros((rows, n), dtype=coef.dtype)
+        else:
             pad = np.zeros((4, width + size - 1), dtype=coef.dtype)
-            first, stop = max(0, base), min(n - 1, base + pad.shape[1])
             if stop > first:
                 pad[:, first - base : stop - base] = coef[:, first:stop]
-            # Row m reads the n windows from lo[m] - base on. Correlating row
-            # by row computes just those, for about 160 + size window reads
-            # each; the matrix product computes all of them but reads each
-            # copied window entry about 12 times faster (timed on a 2-CPU
-            # Xeon). Few rows of long kernels, such as J0 arcs on a fine
-            # grid, are therefore correlated row by row.
-            if rows == 1 or rows * n * (160 + size) < 12 * width * size:
+            if by_row:
                 out = np.stack([
                     sum(np.correlate(pad[r, o : o + n + size - 1], kern[m, r], "valid")
                         for r in range(4))
@@ -209,26 +249,23 @@ def _shift_sum(f: Field) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
                 ])
             else:
                 windows = sliding_window_view(pad, size, axis=1).transpose(0, 2, 1)
-                kern = kern.reshape(rows, 4 * size)
                 prod = np.empty((rows, width), dtype=np.result_type(kern, pad))
-                # about 2^19 copied window entries at a time, on any grid
-                step = max(1, (1 << 19) // (4 * size))
                 for p in range(0, width, step):
                     cols = slice(p, p + step)
                     prod[:, cols] = kern @ windows[:, :, cols].reshape(4 * size, -1)
                 out = sliding_window_view(prod.ravel(), n)[np.arange(rows) * width + (lo - base)]
-        else:
-            out = np.zeros((rows, n), dtype=coef.dtype)
-        # S(x_{n-1}) is the one value no cell reaches with d < h
-        at_last = (d == 0.0) & (lag >= 0) & (lag < n)
-        np.add.at(
-            out,
-            (np.nonzero(at_last)[0], n - 1 - lag[at_last].astype(np.intp)),
-            weights[at_last] * last,
-        )
+        np.add.at(out, last_at, last_w * last)
         return out[0] if single else np.ascontiguousarray(out.T)
 
     return apply
+
+
+def _shift_sum(f: Field) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Map (shifts, weights) to sum_q w_q S(x_i + s_q) on f's grid, where S
+    is f's spline: :func:`_shift_plan` applied to f's coefficient rows,
+    which are built once and shared by every call."""
+    coef, last = _coefficients(f.x, f.values), f.values[-1]
+    return lambda shifts, weights: _shift_plan(f.n, f.dx, shifts, weights)(coef, last)
 
 
 def _leak_warning(f: Field, side: str, op: str) -> list:
@@ -283,10 +320,13 @@ def solve_half_derivative(f: Field, tau: float) -> Field:
         # s in (0, h]: x - s lies on cell i - 1 at offset h - s
         return shift_sum(-ss, ws * kernel(ss))
 
-    def tail(offs: np.ndarray, wq: np.ndarray) -> np.ndarray:
+    def tail(sets: list) -> list:
         # s = (j + off) h for j = 1 .. n - 2: every cell and offset in one sum
-        s = (np.arange(1, n - 1)[:, None] + offs) * h
-        return shift_sum(-s.ravel(), (h * wq * kernel(s)).ravel())
+        out = []
+        for offs, wq in sets:
+            s = (np.arange(1, n - 1)[:, None] + offs) * h
+            out.append(shift_sum(-s.ravel(), (h * wq * kernel(s)).ravel()))
+        return out
 
     values, err = _shift_panels(h, tau, t2, head, tail, "half-derivative")
     out_warn = _leak_warning(f, "left", "solve_half_derivative")
@@ -376,16 +416,18 @@ def _affine_panels(f: Field, tau: float, c: float):
     overflows where the integrand does not. E is zero on the cells past the
     grid's end, which x_i + sgn(c) s does not reach: there the window holds
     zero padding, and E, unbounded in j for c < 0, would make it inf * 0.
-    Each panel level multiplies E with each coefficient row, read on the
-    Hankel (c > 0) or Toeplitz (c < 0) window of cells the shifts reach,
-    takes one matrix product with the kernel, and sums over the fractional
-    offsets. E is (n, J), so it is formed per level in blocks of grid
-    points rather than held whole: a 4097-point grid would need 134 MB.
-    The leading cell s in (0, h] is one cubic, read off the same
-    coefficient rows.
+    E and the windows depend on the grid alone, so each ``tail`` call forms
+    them once for all its node sets (the coarse and fine levels share one):
+    E times each coefficient row, read on the Hankel (c > 0) or Toeplitz
+    (c < 0) window of cells the shifts reach, takes one matrix product with
+    each set's kernel, and each set sums over its fractional offsets. E is
+    (n, J), so it is formed in blocks of grid points rather than held
+    whole (a 4097-point grid would need 134 MB), and one block's product
+    with one coefficient row is held at a time. The leading cell
+    s in (0, h] is one cubic, read off the same coefficient rows.
     """
     x, n, h = f.x, f.n, f.dx
-    coef = _coefficients(f)
+    coef = _coefficients(x, f.values)
     a = abs(c)
     sign = math.copysign(1.0, c)
     gamma = a * tau * tau
@@ -421,14 +463,18 @@ def _affine_panels(f: Field, tau: float, c: float):
     reach = n - 2 - np.arange(n) if c > 0 else np.arange(n) - 1
     jcell = np.arange(1, cells + 1)
 
-    def tail(offs: np.ndarray, wq: np.ndarray) -> np.ndarray:
-        delta = offs * h
-        # kernel(s) e^{-sgn(c) (s^2 - (j h)^2)/(2|c|)}; E carries the rest
-        w = (h * wq) * kernel(jh[:, None] + delta) * np.exp(
-            -sign * (2.0 * jh[:, None] + delta) * delta / (2.0 * a) - lift[:, None]
-        )
-        d = (delta if c > 0 else h - delta) ** _POWERS
-        out = np.empty(n, dtype=np.result_type(coef, w))
+    def tail(sets: list) -> list:
+        # per node set (offsets, weights): the weights
+        # kernel(s) e^{-sgn(c) (s^2 - (j h)^2)/(2|c|)} (E carries the rest),
+        # the offset powers and the output
+        levels = []
+        for offs, wq in sets:
+            delta = offs * h
+            w = (h * wq) * kernel(jh[:, None] + delta) * np.exp(
+                -sign * (2.0 * jh[:, None] + delta) * delta / (2.0 * a) - lift[:, None]
+            )
+            d = (delta if c > 0 else h - delta) ** _POWERS
+            levels.append((delta, w, d, np.empty(n, dtype=np.result_type(coef, w))))
         for lo in range(0, n, block):
             pts = slice(lo, lo + block)
             # E on these points, zero past each one's reach, where the window
@@ -438,9 +484,15 @@ def _affine_panels(f: Field, tau: float, c: float):
                     jcell > reach[pts, None], -np.inf, np.outer(-x[pts] / a, jh) + decay
                 )
             )
-            rows = np.stack([(amp * window[r, pts]) @ w for r in range(4)])  # (4, b, Q)
-            out[pts] = np.einsum("rbq,rq,bq->b", rows, d, np.exp(np.outer(-x[pts] / a, delta)))
-        return out
+            prods = [[] for _ in levels]  # per set: (b, Q) for each coefficient row
+            for r in range(4):
+                weighted = amp * window[r, pts]
+                for prod, (_, w, _, _) in zip(prods, levels):
+                    prod.append(weighted @ w)
+            for prod, (delta, _, d, out) in zip(prods, levels):
+                phase = np.exp(np.outer(-x[pts] / a, delta))
+                out[pts] = np.einsum("rbq,rq,bq->b", np.stack(prod), d, phase)
+        return [out for *_, out in levels]
 
     def head(ss: np.ndarray, ws: np.ndarray) -> np.ndarray:
         w = ws * kernel(ss) * np.exp(-sign * ss * ss / (2.0 * a))

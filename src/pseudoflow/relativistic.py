@@ -26,11 +26,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConvergenceError, TruncationError
-from .evolution import SymbolSpec, _shift_sum, _spectral_apply, solve_symbol_spectral
+from .evolution import (
+    SymbolSpec,
+    _coefficients,
+    _shift_plan,
+    _shift_sum,
+    _spectral_apply,
+    solve_symbol_spectral,
+)
 from .special import _ABS_TOL, _REL_TOL, _gl_panels, _hermite_nodes, _legendre_nodes, _quadpack
 from .transforms import Field
 
@@ -161,7 +169,10 @@ def _series_sum(eta: np.ndarray, tau: float):
     moments = _hermite_moments(eta)
     table = next(moments)[..., None]  # (live point, column of the moments, k)
     for n in range(_SERIES_N_MAX + 1):
-        table = np.concatenate([table, moments.send(keep)[..., None]], axis=2)
+        # a huge eta drives the H_n recurrence past float range; the inf or
+        # NaN moments end the series below
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = np.concatenate([table, moments.send(keep)[..., None]], axis=2)
         coef_a = np.array([(-1) ** k * math.comb(n, k) for k in range(n + 1)], dtype=float)
         coef_b = np.array([(-1) ** k * math.comb(n + 1, k) for k in range(n + 2)], dtype=float)
         try:
@@ -171,14 +182,19 @@ def _series_sum(eta: np.ndarray, tau: float):
             raise TruncationError(
                 f"tau-power series overflowed at order {n}", last_term=tail[live[0]], n_used=n - 1
             ) from None
-        # a term that overflows is never below the tail test, and the next
-        # power of tau overflows too
         with np.errstate(over="ignore", invalid="ignore"):
             a_n = scale_a * (coef_a * table[:, 0, :-1]).sum(axis=1)
             b_n, b_nested = scale_b * (coef_b * table[:, 1:]).sum(axis=2).T
             value[live] += a_n * gauss[live] + 1j * b_n
             nested[live] += a_n * gauss[live] + 1j * b_nested
             tail[live], used[live] = np.abs(a_n) * gauss[live] + np.abs(b_n), n
+        # a term past float range (a huge moment or tau) makes the sum inf or
+        # NaN, which no later term can bring back
+        for j in live[~np.isfinite(tail[live])][:1]:
+            raise TruncationError(
+                f"tau-power series overflowed at order {n}, eta = {float(eta[j])!r}",
+                last_term=tail[j], n_used=n,
+            )
         keep = (n == 0) | ~(tail[live] < _SERIES_TAIL_TOL)
         live, table = live[keep], table[keep]
         if not live.size:
@@ -216,14 +232,16 @@ def spectral_schrodinger(f: Field, tau: float) -> Field:
 # the D-hat operator
 
 
-def _dhat_kernel_k0(f: Field) -> np.ndarray:
-    """(1/pi) int K0(|x - xi|) f(xi) dxi by offset quadrature.
+def _k0_plan(f: Field) -> Callable[[np.ndarray], np.ndarray]:
+    """D on f's grid through (1/pi) int K0(|x - xi|) g(xi) dxi, as a map from
+    sample values g to D g by offset quadrature.
 
     The logarithmic on-diagonal singularity is absorbed by the
     Delta = h u^4 node mapping on [0, h]; beyond that the kernel is smooth
     and panels grow geometrically until K0 underflows (~ Delta = 40). Both
-    sides, offsets -Delta and +Delta, go through one lag correlation with
-    the spline coefficients (see evolution._shift_sum).
+    sides, offsets -Delta and +Delta, are binned once into lag kernels (see
+    evolution._shift_plan), so each application costs the spline's
+    coefficient rows and one lag correlation with them.
     """
     from scipy.special import k0
 
@@ -241,7 +259,9 @@ def _dhat_kernel_k0(f: Field) -> np.ndarray:
     nodes = np.concatenate([diag_nodes, far_nodes])
     weights = np.concatenate([diag_w, far_w])
     kw = weights * k0(nodes) / math.pi
-    return _shift_sum(f)(np.concatenate([-nodes, nodes]), np.concatenate([kw, kw]))
+    apply = _shift_plan(f.n, h, np.concatenate([-nodes, nodes]), np.concatenate([kw, kw]))
+    x = f.x
+    return lambda values: apply(_coefficients(x, values), values[-1])
 
 
 def _dhat_s_integral(f: Field) -> np.ndarray:
@@ -283,7 +303,7 @@ def dhat_apply(f: Field, method: str = "kernel_k0") -> Field:
     if method == "spectral":
         return _spectral_apply(f, lambda k: (1.0 + k**2) ** -0.5)
     if method == "kernel_k0":
-        out = _dhat_kernel_k0(f)
+        out = _k0_plan(f)(f.values)
     else:
         out = _dhat_s_integral(f)
     if not np.iscomplexobj(f.values):
@@ -302,8 +322,10 @@ def iterated_series(psi0: Field, tau: float) -> Field:
 
     The second derivative is spectral with an adaptive dealiasing cutoff
     (modes with no initial content are dropped rather than amplified);
-    D uses the K0 kernel. Terms are added until the latest drops below 1e-8,
-    else TruncationError after 20 terms.
+    D uses the K0 kernel, binned into lag kernels once per series, so each
+    term costs the spline's coefficient rows, one lag correlation and two
+    FFTs on plain arrays. Terms are added until the latest drops below
+    1e-8, else TruncationError after 20 terms.
     """
     if not math.isfinite(tau):
         raise ValueError("tau must be finite")
@@ -319,22 +341,28 @@ def iterated_series(psi0: Field, tau: float) -> Field:
         k_cut = (2.0 / 3.0) * float(np.max(np.abs(k)))
     d2_mult = np.where(np.abs(k) <= k_cut, -(k**2), 0.0)
 
+    dhat = _k0_plan(psi0)
     total = np.asarray(psi0.values, dtype=complex).copy()
-    current = psi0
+    current = psi0.values
     tail = math.inf
-    for m in range(1, _ITERATED_N_MAX + 1):
-        smoothed = dhat_apply(current, "kernel_k0")
-        deriv = np.fft.ifft(d2_mult * np.fft.fft(smoothed.values))
-        current = psi0.with_values(deriv)
-        term = (1j * tau) ** m / math.factorial(m) * deriv
-        total += term
-        tail = float(np.max(np.abs(term)))
-        if tail < _ITERATED_TAIL_TOL:
-            break
-    else:
-        raise TruncationError(
-            "iterated series did not reach tail_tol", last_term=tail, n_used=_ITERATED_N_MAX
-        )
+    # data near the largest float overflow in a term, which ends the series
+    # below, so numpy's overflow and inf - inf warnings are silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, _ITERATED_N_MAX + 1):
+            current = np.fft.ifft(d2_mult * np.fft.fft(dhat(current)))
+            term = (1j * tau) ** m / math.factorial(m) * current
+            total += term
+            tail = float(np.max(np.abs(term)))
+            if tail < _ITERATED_TAIL_TOL:
+                break
+            if not math.isfinite(tail):
+                raise TruncationError(
+                    f"iterated series overflowed at term {m}", last_term=tail, n_used=m
+                )
+        else:
+            raise TruncationError(
+                "iterated series did not reach tail_tol", last_term=tail, n_used=_ITERATED_N_MAX
+            )
     warn = []
     if psi0.boundary_leaks():
         warn.append("iterated_series: input is not negligible at the grid boundary")

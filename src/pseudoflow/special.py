@@ -461,9 +461,13 @@ def _shift_panels(
     sums Gauss-Legendre nodes and weights of geometric panels on the leading
     cell s in (0, h], whose kernel carries the essential factor
     e^{-square/(4s)}; ``root`` and ``square`` are that scale and its square,
-    each as the caller computes it. ``tail(offsets, weights)`` sums the
-    cells s >= h, one Gauss-Legendre panel set per cell given as fractional
-    offsets within a cell and their weights. Returns (values, error).
+    each as the caller computes it. ``tail(sets)`` sums the cells s >= h
+    for each node set in the list ``sets`` and returns one sum per set; a
+    set is one Gauss-Legendre panel set per cell, given as fractional
+    offsets within a cell and their weights. The coarse and fine levels
+    come in one ``tail`` call, so a caller forms its grid-level factors once
+    for both; the refined level, which only a miss needs, makes its own.
+    Returns (values, error).
     """
 
     def leading_cell(order: int):
@@ -478,22 +482,20 @@ def _shift_panels(
         edges[-1] = h
         return _gl_panels(edges, order)
 
-    def cell_offsets(order: int, split: int):
+    def cell_offsets(order: int, split: int = 1):
         # `split` panels per grid cell. Nodes at s = (j + off)*h share the
         # fractional offset across cells.
         x01, w01 = _legendre_nodes(order)
         offs = np.concatenate([(r + x01) / split for r in range(split)])
         return offs, np.tile(w01 / split, split)
 
-    def total(head_order: int, tail_order: int, split: int = 1) -> np.ndarray:
-        return head(*leading_cell(head_order)) + tail(*cell_offsets(tail_order, split))
-
-    coarse = total(16, 8)
-    values = total(24, 12)
+    coarse_tail, fine_tail = tail([cell_offsets(8), cell_offsets(12)])
+    coarse = head(*leading_cell(16)) + coarse_tail
+    values = head(*leading_cell(24)) + fine_tail
     err = float(np.max(np.abs(values - coarse)))
     tol = _tol(float(np.max(np.abs(values))))
     if err > tol:
-        refined = total(32, 12, split=2)
+        refined = head(*leading_cell(32)) + tail([cell_offsets(12, split=2)])[0]
         err = float(np.max(np.abs(refined - values)))
         values = refined
         if err > tol:

@@ -352,6 +352,13 @@ def test_observables_output(tmp_path):
         ),
         # a finite span whose square overflows is refused before numpy warns
         (("fig1", "--grid", "-1e160:1e160:16"), "grid x^2 and span^2 must be finite"),
+        # a finite x^2 whose grid step cubed overflows in the spline's rows
+        (("fig3", "--grid", "-1e150:1e150:16"), "grid step^3 must be finite"),
+        (
+            ("solve", "--equation", "half_derivative", "--tau", "0.5", "--grid",
+             "-1e150:1e150:16"),
+            "grid step^3 must be finite",
+        ),
     ],
 )
 def test_usage_errors_exit_1(tmp_path, args, fragment):
@@ -365,6 +372,27 @@ def test_usage_errors_exit_1(tmp_path, args, fragment):
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     assert "Warning" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("fig2", "--method", "series"),
+        ("solve", "--equation", "schrodinger", "--method", "series", "--tau", "0.5"),
+    ],
+)
+def test_huge_grid_series_exits_2_without_warnings(tmp_path, args):
+    # |eta| = 1e100 drives the H_n recurrence past float range: a failed
+    # series, reported once, with no numpy warning ahead of it
+    out = tmp_path / "never.csv"
+    proc = run_cli(tmp_path, *args, "--grid", "-1e100:1e100:16", "--out", out)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:"), proc.stderr
+    assert "overflowed" in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert not out.exists()
+    assert no_partials(tmp_path)
 
 
 @pytest.mark.parametrize("a", ["nan", "inf"])
@@ -454,3 +482,50 @@ def test_numpy_only_commands_never_import_scipy(tmp_path):
         assert modules == [], f"{what} imported {modules}"
     # the probe itself sees scipy once it is imported
     assert rows[-1] == ["control", ["scipy"]]
+
+
+_SPLINE_RUNS = [
+    ["fig3", "--grid", "-12:12:256", "--out", "fig3.csv"],
+    [
+        "solve", "--equation", "half_derivative", "--tau", "0.5", "--grid", "-12:8:161",
+        "--out", "half.csv",
+    ],
+    [
+        "solve", "--equation", "affine_sqrt", "--tau", "0.5", "--c", "1", "--grid", "-2:14:161",
+        "--out", "affine_pos.csv",
+    ],
+    [
+        "solve", "--equation", "affine_sqrt", "--tau", "0.5", "--c", "-1", "--grid", "-6:10:161",
+        "--out", "affine_neg.csv",
+    ],
+]
+
+
+def test_spline_commands_never_import_scipy_interpolate(tmp_path):
+    # the K0 and shift-panel solvers build the spline's coefficient rows by
+    # a bare LAPACK solve; only --ic file= loads scipy.interpolate, and the
+    # probe sees it there
+    xi = np.linspace(-3.0, 3.0, 25)
+    rows = zip(xi.tolist(), np.exp(-(xi**2)).tolist())
+    (tmp_path / "ic.csv").write_text("".join(f"{a!r},{b!r}\n" for a, b in rows))
+    file_run = [
+        "solve", "--equation", "heat", "--tau", "0", "--ic", "file=ic.csv", "--grid", "-3:3:32",
+        "--out", "file.csv",
+    ]
+    runs = _SPLINE_RUNS + [file_run]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+    calls = rows[1:-1]
+    assert [row[0] for row in calls] == [" ".join(args) for args in runs]
+    assert [row[1] for row in calls] == [0] * len(runs)
+    for what, _rc, modules in calls[:-1]:
+        assert "scipy.linalg" in modules, what  # the spline's LAPACK solve ran
+        assert "scipy.interpolate" not in modules, f"{what} imported scipy.interpolate"
+    assert "scipy.interpolate" in calls[-1][2]

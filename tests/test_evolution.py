@@ -24,7 +24,13 @@ from pseudoflow import (
     solve_pseudoheat,
     solve_symbol_spectral,
 )
-from pseudoflow.evolution import _averaging_weights, _j0_zeros, _shift_sum
+from pseudoflow.evolution import (
+    _averaging_weights,
+    _coefficients,
+    _j0_zeros,
+    _shift_plan,
+    _shift_sum,
+)
 
 INV_SQUARE = QuadratureConfig(halfline_rule="inverse_square_substitution")
 
@@ -664,6 +670,42 @@ def test_shift_sum_rows_on_a_fine_grid_equal_single_row_calls(rows):
     for m in range(arcs.shape[0]):
         one = shift_sum(-arcs[m], weights[m])
         assert np.max(np.abs(rows[:, m] - one)) <= 1e-15 * max(np.max(np.abs(one)), 1.0)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("n", [8, 9, 97, 161, 1024, 2049])
+def test_coefficients_equal_scipy_cubic_spline(n, cplx):
+    # the bare tridiagonal solve gives CubicSpline's not-a-knot rows bit for
+    # bit, on linspace grids whose steps differ in their last bits
+    f = Field.from_function(
+        -3.3, 5.1, n,
+        lambda x: np.exp(-(x**2)) * np.cos(3.0 * x) + 0.1 * x + (0.4j * np.sin(2.0 * x) if cplx else 0.0),
+    )
+    assert np.ptp(np.diff(f.x)) > 0.0
+    got = _coefficients(f.x, f.values)
+    ref = CubicSpline(f.x, f.values).c
+    assert got.dtype == ref.dtype
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_one_shift_plan_serves_many_fields(cplx):
+    # the lag kernels are binned once per grid: one plan applied to two
+    # fields equals two _shift_sum calls bit for bit, for a single row
+    # (correlated) and for many rows (one window product)
+    rng = np.random.default_rng(11)
+    f = Field.from_function(
+        -3.0, 5.0, 97, lambda x: np.cos(0.7 * x) + 0.3 * x + (0.5j * np.sin(x) if cplx else 0.0)
+    )
+    g = f.with_values(f.values * np.exp(-0.2 * f.x) + 1.5)
+    single = rng.uniform(-12.0, 12.0, 60), rng.standard_normal(60)
+    arcs = np.linspace(0.0, 3.0, 10)[None, :] + np.arange(30)[:, None] * 0.27
+    rows = -arcs, rng.standard_normal(arcs.shape)
+    for shifts, weights in (single, rows):
+        plan = _shift_plan(f.n, f.dx, shifts, weights)
+        for field in (f, g):
+            got = plan(_coefficients(field.x, field.values), field.values[-1])
+            assert np.array_equal(got, _shift_sum(field)(shifts, weights))
 
 
 def test_averaging_weights_match_iterated_averaging():

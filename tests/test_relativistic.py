@@ -310,6 +310,26 @@ def test_iterated_series_matches_closed_symbol():
     assert out.meta["tail_estimate"] < 1e-8
 
 
+def test_iterated_series_reuses_one_k0_plan_bit_for_bit():
+    # the K0 lag kernels are binned once per series; every term equals a
+    # fresh dhat_apply followed by the same dealiased spectral d^2
+    f, tau = gaussian(n=512), 0.3
+    k = 2.0 * math.pi * np.fft.fftfreq(f.n, d=f.dx)
+    spec0 = np.abs(np.fft.fft(f.values.astype(complex)))
+    k_cut = float(np.max(np.abs(k[spec0 > 1e-13 * float(spec0.max())])))
+    d2_mult = np.where(np.abs(k) <= k_cut, -(k**2), 0.0)
+    total, current = f.values.astype(complex), f
+    for m in range(1, 21):
+        smoothed = dhat_apply(current, "kernel_k0")
+        current = f.with_values(np.fft.ifft(d2_mult * np.fft.fft(smoothed.values)))
+        term = (1j * tau) ** m / math.factorial(m) * current.values
+        total += term
+        if np.max(np.abs(term)) < 1e-8:
+            break
+    assert m > 5
+    assert np.array_equal(iterated_series(f, tau).values, total)
+
+
 def test_iterated_series_validation():
     f = gaussian(n=256)
     for tau in (math.nan, math.inf):
@@ -323,6 +343,15 @@ def test_iterated_series_truncation_failure():
     with pytest.raises(TruncationError) as exc:
         iterated_series(gaussian(n=256), 2.0)
     assert exc.value.n_used == 20
+
+
+def test_iterated_series_overflow_is_a_truncation_error():
+    # data near the largest float overflow in a later term: a failed series
+    # (no RuntimeWarning, which the suite turns into an error), not a term
+    # that blames the input for being non-finite
+    f = Field.from_function(-16.0, 16.0, 512, lambda x: 1e300 * np.exp(-(x**2)))
+    with pytest.raises(TruncationError, match="overflowed"):
+        iterated_series(f, 0.3)
 
 
 # ----------------------------------------------------------------------
