@@ -32,12 +32,11 @@ from .evolution import (
 )
 from .relativistic import (
     ObservableInputs,
+    _commutator,
+    _r_and_f,
     _series_sum,
-    commutator_xt_x0,
-    f_function,
-    packet_width,
+    _width_sq,
     phi_transform,
-    r_function,
     spectral_schrodinger,
 )
 from .transforms import Field, gauss_weierstrass
@@ -298,8 +297,7 @@ def _run_fig4(ns: argparse.Namespace):
     if ns.steps < 2:
         raise _UsageError("--steps must be at least 2")
     a_values = np.linspace(0.0, ns.a_max, ns.steps)
-    r_vals = [r_function(float(a)) for a in a_values]
-    f_vals = [f_function(float(a)) for a in a_values]
+    r_vals, f_vals = _r_and_f(a_values)
     header = ["a", "R", "F"]
     cols = [
         [_fmt(v) for v in a_values],
@@ -386,11 +384,11 @@ def _run_observables(ns: argparse.Namespace):
     if not (math.isfinite(ns.t_max) and ns.t_max > 0):
         raise _UsageError("--t-max must be positive and finite")
     ts = np.linspace(0.0, ns.t_max, ns.steps)
-    widths, comm_im = [], []
-    for t in ts:
-        inp = ObservableInputs(sigma=ns.sigma, a=ns.a, t=float(t))
-        widths.append(packet_width(inp))
-        comm_im.append(commutator_xt_x0(inp).imag)
+    inputs = [ObservableInputs(sigma=ns.sigma, a=ns.a, t=float(t)) for t in ts]
+    # R(a) and F(a) once, for every t and the summary line
+    r, f = (float(col[0]) for col in _r_and_f(np.array([ns.a])))
+    widths = [_width_sq(inp, r) for inp in inputs]
+    comm_im = [_commutator(inp, f).imag for inp in inputs]
     header = ["t", "width_sq", "commutator_re", "commutator_im"]
     cols = [
         [_fmt(v) for v in ts],
@@ -398,7 +396,7 @@ def _run_observables(ns: argparse.Namespace):
         [_fmt(0.0) for _ in ts],
         [_fmt(v) for v in comm_im],
     ]
-    extra = f"; R(a) = {_fmt(r_function(ns.a))}, F(a) = {_fmt(f_function(ns.a))}"
+    extra = f"; R(a) = {_fmt(r)}, F(a) = {_fmt(f)}"
     return header, cols, None, extra
 
 

@@ -63,6 +63,11 @@ double-exponentially as v -> -inf and is analytic in |Im v| < pi/2, so
 the rule converges like e^{-pi^2/h}; a data factor that is only piecewise
 smooth (a cubic spline sampled along t) converges algebraically and takes
 the deeper levels. Sums run in a fixed order, so results are deterministic too.
+The same rule evaluates the Laplace-type integrals over (0, inf): the
+observable factors R(a) and F(a), all a of a grid as columns of one call,
+and a^{-nu} through its Laplace identity. Each scales its columns to
+_LOG_UNIT, since the tolerance is taken on the largest output and the end
+test is absolute.
 """
 from __future__ import annotations
 
@@ -111,6 +116,10 @@ _LOG_START = 8.0
 _LOG_GROW = 4.0
 _LOG_CAP = 128.0
 _LOG_STEP = 0.4
+# Callers that integrate an O(1) quantity scale it to this size first: the
+# end test's absolute cut (_ABS_TOL / 16 per node) then drops a tail below
+# 1e-17 of the result, even for an integrand that falls only like t as t -> 0.
+_LOG_UNIT = 1e4
 # hermite2: hard cap; far above this the values themselves overflow doubles.
 _HERMITE_N_CAP = 1000
 

@@ -155,8 +155,8 @@ def test_05_series_solution_vs_spectral():
 
 def test_06_observable_factors_vs_momentum_oracles():
     with criterion(6, "R/F/width/commutator vs momentum-space quadrature", 10.0):
-        assert abs(r_function(0.0) - 1.0) <= 1e-10
-        assert abs(f_function(0.0) - 1.0) <= 1e-10
+        assert abs(r_function(0.0) - 1.0) <= 1e-15
+        assert abs(f_function(0.0) - 1.0) <= 1e-15
         assert abs(r_function(0.1) - (1.0 - 0.75 * 0.01)) <= 1e-3
         grid = np.arange(0.25, 5.25, 0.25)
         for seq in ([r_function(a) for a in grid], [f_function(a) for a in grid]):
@@ -174,17 +174,19 @@ def test_06_observable_factors_vs_momentum_oracles():
             )
             return val
 
+        # the QUADPACK references are themselves off by up to 6e-15 (R at a = 1)
+        rel = 2e-14
         for a in (0.5, 1.0, 2.0):
             drift = gauss_avg(lambda u: u * u / (1.0 + u * u), a)
             r_ref = 4.0 / (a * a) * drift
             f_ref = gauss_avg(lambda u: (1.0 + u * u) ** -1.5, a)
-            assert abs(r_function(a) - r_ref) <= 1e-8 * r_ref
-            assert abs(f_function(a) - f_ref) <= 1e-8 * f_ref
+            assert abs(r_function(a) - r_ref) <= rel * r_ref
+            assert abs(f_function(a) - f_ref) <= rel * f_ref
             width = packet_width(ObservableInputs(sigma=1.0, a=a, t=2.0))
             width_ref = 1.0 + 4.0 * drift
-            assert abs(width - width_ref) <= 1e-8 * width_ref
+            assert abs(width - width_ref) <= rel * width_ref
             comm = commutator_xt_x0(ObservableInputs(sigma=1.0, a=a, t=2.0))
-            assert abs(comm - (-2.0j * f_ref)) <= 1e-8 * abs(2.0 * f_ref)
+            assert abs(comm - (-2.0j * f_ref)) <= rel * abs(2.0 * f_ref)
 
 
 def test_07_kernel_identity_and_delocalization():

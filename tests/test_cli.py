@@ -423,6 +423,20 @@ def test_nonfinite_matrix_parameter_exits_1(tmp_path, args):
     assert no_partials(tmp_path)
 
 
+def test_fig4_reaches_large_a(tmp_path):
+    # R's weight lies near s ~ 1/a^2, far left of s = 1
+    out = tmp_path / "fig4.csv"
+    proc = run_cli(tmp_path, "fig4", "--a-max", "10000", "--steps", "3", "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    _header, cols = read_csv(out)
+    assert list(cols["a"]) == [0.0, 5000.0, 10000.0]
+    for name in ("R", "F"):
+        assert np.all(cols[name] > 0) and np.all(np.diff(cols[name]) < 0)
+    # R ~ 4/a^2 and F ~ sqrt(8/pi)/a for large a
+    assert cols["R"][2] == pytest.approx(4e-8, rel=1e-3)
+    assert cols["F"][2] == pytest.approx(math.sqrt(8.0 / math.pi) / 1e4, rel=1e-3)
+
+
 def test_unwritable_output_path_exits_1(tmp_path):
     out = tmp_path / "no_such_dir" / "out.csv"
     proc = run_cli(tmp_path, "fig4", "--steps", "10", "--out", out)
@@ -459,12 +473,15 @@ _SCIPY_FREE_RUNS = [
         "--grid", "-8:8:128", "--out", "solve.csv",
     ],
     ["matrix", "--what", "dirac2", "--out", "matrix.csv"],
+    ["fig4", "--out", "fig4.csv"],
+    ["observables", "--out", "observables.csv"],
 ]
 
 
 def test_numpy_only_commands_never_import_scipy(tmp_path):
-    # fig3, fig4 and observables call K0, the spline or QUADPACK and may load
-    # scipy; the package import and the presets run here must not.
+    # fig3 and the half-derivative and affine solves call K0 or the spline's
+    # LAPACK solve and load scipy; the package import and the presets run
+    # here must not.
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, json.dumps(_SCIPY_FREE_RUNS)],
         capture_output=True,
@@ -477,7 +494,7 @@ def test_numpy_only_commands_never_import_scipy(tmp_path):
     assert rows[0] == ["import pseudoflow", []]
     calls = rows[1:-1]
     assert [row[0] for row in calls] == [" ".join(args) for args in _SCIPY_FREE_RUNS]
-    assert [row[1] for row in calls] == [1, 0, 0, 0, 0, 0]
+    assert [row[1] for row in calls] == [1] + [0] * (len(_SCIPY_FREE_RUNS) - 1)
     for what, _rc, modules in calls:
         assert modules == [], f"{what} imported {modules}"
     # the probe itself sees scipy once it is imported

@@ -1,5 +1,6 @@
 """Hermite-series solution, the D operator, and Heisenberg observables."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from pseudoflow import (
     series_solution,
     spectral_schrodinger,
 )
-from pseudoflow.relativistic import _series_sum
+from pseudoflow.relativistic import _r_and_f, _series_sum
 
 ADAPTIVE = QuadratureConfig(halfline_rule="adaptive_subdivision")
 
@@ -354,6 +355,16 @@ def test_iterated_series_overflow_is_a_truncation_error():
         iterated_series(f, 0.3)
 
 
+def test_iterated_series_overflow_in_the_input_spectrum_is_silent():
+    # at 1e307 the dealiasing FFT of the input itself overflows: the series
+    # still ends in TruncationError, with no RuntimeWarning on the way
+    f = Field.from_function(-16.0, 16.0, 512, lambda x: 1e307 * np.exp(-(x**2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TruncationError, match="overflowed"):
+            iterated_series(f, 0.3)
+
+
 # ----------------------------------------------------------------------
 # R, F, and the Heisenberg observables
 
@@ -394,8 +405,65 @@ def test_r_and_f_reject_nonfinite(fn, a):
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
 def test_momentum_space_oracles(a):
     r_ref, f_ref = MOMENTUM_RF[a]
-    assert r_function(a) == pytest.approx(r_ref, rel=1e-8)
-    assert f_function(a) == pytest.approx(f_ref, rel=1e-8)
+    # the frozen QUADPACK values are themselves off by up to 6e-15 (R at a = 1)
+    assert r_function(a) == pytest.approx(r_ref, rel=2e-14)
+    assert f_function(a) == pytest.approx(f_ref, rel=2e-14)
+
+
+# the closed forms lose digits to cancellation in doubles below a = 0.5;
+# there they are evaluated by mpmath
+RF_CLOSED_FORM_A = (0.5, 0.75, 1.0, 2.0, 3.3, 5.0, 10.0, 50.0, 500.0, 1e3, 1e4, 1e6, 1e8)
+RF_MPMATH_A = (1e-4, 0.01, 0.1, 0.25, 0.4)
+
+
+def rf_closed_form(a):
+    """R(a) = (2 sqrt(2)/a^3)(sqrt(2) a - 2 sqrt(pi) erfcx(sqrt(2)/a)) and
+    F(a) = (2 sqrt(2)/sqrt(pi)) (k1e(1/a^2) - k0e(1/a^2)) / a^3, for a >= 0.5."""
+    from scipy.special import erfcx, k0e, k1e
+
+    x, z = math.sqrt(2.0) / a, 1.0 / (a * a)
+    r = 2.0 * math.sqrt(2.0) / a**3 * (math.sqrt(2.0) * a - 2.0 * math.sqrt(math.pi) * erfcx(x))
+    f = 2.0 * math.sqrt(2.0 / math.pi) * (k1e(z) - k0e(z)) / a**3
+    return r, f
+
+
+def rf_mpmath(a):
+    """The same closed forms at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        a = mp.mpf(a)
+        x, z = mp.sqrt(2) / a, 1 / a**2
+        erfcx = mp.exp(x * x) * mp.erfc(x)
+        r = 2 * mp.sqrt(2) / a**3 * (mp.sqrt(2) * a - 2 * mp.sqrt(mp.pi) * erfcx)
+        f = 2 * mp.sqrt(2 / mp.pi) * mp.exp(z) * (mp.besselk(1, z) - mp.besselk(0, z)) / a**3
+        return float(r), float(f)
+
+
+def test_r_and_f_meet_closed_forms_over_the_whole_domain():
+    # scalar calls and one array call; a column scaled only to O(1), not to
+    # _LOG_UNIT, reads 3.8e-13 here
+    avals = (0.0,) + RF_MPMATH_A + RF_CLOSED_FORM_A
+    refs = [(1.0, 1.0)] + [rf_mpmath(a) for a in RF_MPMATH_A]
+    refs += [rf_closed_form(a) for a in RF_CLOSED_FORM_A]
+    r_grid, f_grid = _r_and_f(np.array(avals))
+    for a, (r_ref, f_ref), r_col, f_col in zip(avals, refs, r_grid, f_grid):
+        pairs = ((r_function(a), r_ref), (r_col, r_ref), (f_function(a), f_ref), (f_col, f_ref))
+        for got, ref in pairs:
+            assert abs(got - ref) <= 1e-14 * ref, (a, got, ref)
+
+
+def test_closed_form_oracle_agrees_with_mpmath():
+    for a in (0.5, 2.0, 1e4):
+        np.testing.assert_allclose(rf_closed_form(a), rf_mpmath(a), rtol=2e-15, atol=0)
+
+
+def test_r_and_f_beyond_the_window_raise():
+    # R's weight reaches down to s ~ 1/a^2, past the rule's window beyond
+    # about a = 3e19; a^2 overflows from 1.4e154 on
+    assert r_function(1e19) == pytest.approx(4e-38, rel=1e-14)
+    for a in (1e20, 1e200):
+        with pytest.raises(ConvergenceError):
+            r_function(a)
 
 
 def test_packet_width_basics():

@@ -1,4 +1,5 @@
 """Field container, subordination weight, heat smoothing, Laplace powers."""
+import itertools
 import math
 
 import numpy as np
@@ -274,10 +275,21 @@ def test_glaisher_rejects_collapsed_width(alpha):
 
 @pytest.mark.parametrize(
     "nu, a",
-    [(1.0, 2.0), (0.5, 4.0), (1.75, 3.3), (3.0, 0.7)],
+    [(1.0, 2.0), (0.5, 4.0), (1.75, 3.3), (3.0, 0.7)]
+    # the weight of e^{-as} s^{nu-1} lies near s ~ nu/a, here far to both
+    # sides of s = 1, and its left tail falls like s^nu
+    + list(itertools.product((0.05, 0.1, 0.3, 0.5, 1.0, 2.5, 7.0, 20.0),
+                             (1e-8, 1e-4, 1e-2, 1.0, 1e3, 1e5, 1e8))),
 )
 def test_laplace_inv_power_reproduces_powers(nu, a):
-    assert laplace_inv_power(nu, a) == pytest.approx(a**-nu, rel=1e-9)
+    assert laplace_inv_power(nu, a) == pytest.approx(a**-nu, rel=1e-13)
+
+
+def test_laplace_inv_power_past_float_range_is_a_value_error():
+    # 1e-8 ** -50 = 1e400
+    with pytest.raises(ValueError, match="float range"):
+        laplace_inv_power(50.0, 1e-8)
+    assert laplace_inv_power(100.0, 1e8) == 0.0  # 1e-800 rounds to zero
 
 
 def test_laplace_inv_power_validation():
