@@ -10,10 +10,12 @@ class ConvergenceError(PseudoflowError):
     """An integral (or tail estimate) failed to converge.
 
     Carries the last computed estimate and the achieved error bound so a
-    caller can inspect how far the refinement got.
+    caller can inspect how far the refinement got, and the message without
+    them as ``reason``, so a caller can raise it again in other units.
     """
 
     def __init__(self, message: str, *, estimate=None, error_bound=None):
+        self.reason = message
         self.estimate = estimate
         self.error_bound = error_bound
         if estimate is not None:

@@ -25,10 +25,13 @@ cubic spline inside the grid and zero extension outside; discarded
 boundary mass is flagged with a warning, not an error. Every shift-type
 integral reads the spline through its four coefficient rows, which one
 LAPACK tridiagonal solve gives (_coefficients): quadrature nodes are
-binned by grid lag and fractional offset, and the sums become matrix
-products with sliding windows of those rows (see _shift_plan and
-_affine_panels), so no node evaluates the spline. The binning depends on
-the grid alone, so a plan serves any number of fields on it.
+binned by grid lag and fractional offset, and the sums become
+correlations or matrix products with sliding windows of those rows, so no
+node evaluates the spline. One row of shifts is binned once per grid
+(_shift_plan), so its plan serves any number of fields on it; the J0 arcs
+are summed a block of arcs at a time (_arc_blocks), each block one product
+with the windows that hold data, and the affine flow multiplies the
+windows by its amplitude first (_affine_panels).
 """
 from __future__ import annotations
 
@@ -174,88 +177,52 @@ def _coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _shift_plan(
     n: int, h: float, shifts: np.ndarray, weights: np.ndarray
 ) -> Callable[[np.ndarray, complex], np.ndarray]:
-    """Bin (shifts s_q, real weights w_q) on an n-point grid of step h once;
-    the returned ``apply(coef, last)`` maps the coefficient rows of a spline
-    S (see :func:`_coefficients`) and its last sample to
-    sum_q w_q S(x_i + s_q) on the grid.
-
-    ``shifts`` and ``weights`` are (Q,) arrays, which give an (n,) result,
-    or (M, Q) arrays, one sum per row, which give an (n, M) result.
+    """Bin (Q,) arrays of shifts s_q and real weights w_q on an n-point grid
+    of step h once; the returned ``apply(coef, last)`` maps the coefficient
+    rows of a spline S (see :func:`_coefficients`) and its last sample to
+    the (n,) sum_q w_q S(x_i + s_q) on the grid.
 
     A shift s = L h + d with L = floor(s / h) puts x_i + s at offset d in
     [0, h) on cell i + L, where S is sum_r c[r, i + L] d^{3-r}. Binning
-    w d^{3-r} by lag, counted from each row's least lag, gives an (M, 4 S)
-    kernel matrix over S lags, which depends on the grid and the nodes but
-    not on the data. One product of it with the sliding windows of the
-    zero-padded coefficient rows gives an (M, P) array, and row m reads its
-    n values at its own lag offset. No node evaluates the spline; cells off
-    the grid contribute zero. The windows hold 4 S P entries, which grow
-    like span / h^2 on a fine grid, so the product copies them in blocks of
-    output columns. A single row, or a few rows of long kernels, is one
-    correlation per row and coefficient row instead, which builds no window
-    matrix.
+    w d^{3-r} by lag, counted from the least lag, gives a (4, S) kernel
+    over S lags, which depends on the grid and the nodes but not on the
+    data; the sum is one correlation of each zero-padded coefficient row
+    with its kernel row. No node evaluates the spline; cells off the grid
+    contribute zero. Many rows of leftward shifts, such as the J0 arcs,
+    go through :func:`_arc_blocks` instead.
     """
-    single = np.ndim(shifts) == 1
-    shifts, weights = np.atleast_2d(shifts, weights)
-    rows = shifts.shape[0]
     lag = np.floor(shifts / h)
     d = shifts - lag * h
     # S(x_{n-1}) is the one value no cell reaches with d < h
     at_last = (d == 0.0) & (lag >= 0) & (lag < n)
-    last_at = (np.nonzero(at_last)[0], n - 1 - lag[at_last].astype(np.intp))
+    last_at = n - 1 - lag[at_last].astype(np.intp)
     last_w = weights[at_last]
     keep = (lag > -n) & (lag < n - 1)  # lags that reach some cell 0 .. n-2
     binned = bool(np.any(keep))
     if binned:
-        least = np.where(keep, lag, np.inf).min(axis=1)
-        base = int(least.min())
-        lo = np.where(np.isinf(least), base, least).astype(np.intp)
-        row, node = np.nonzero(keep)
-        col = lag[row, node].astype(np.intp) - lo[row]
+        lag = lag[keep].astype(np.intp)
+        lo = int(lag.min())
+        col = lag - lo
         size = int(col.max()) + 1
-        # kern[m, r, k] sums w d^{3-r} over row m's nodes at lag lo[m] + k
+        # kern[r, k] sums w d^{3-r} over the nodes at lag lo + k
         kern = np.bincount(
-            (((row * 4)[None, :] + np.arange(4)[:, None]) * size + col).ravel(),
-            (weights[row, node] * d[row, node] ** _POWERS).ravel(),
-            rows * 4 * size,
-        ).reshape(rows, 4, size)
-        # pad[:, t] holds cell base + t, and window p starts there
-        width = n + int(lo.max()) - base
-        first, stop = max(0, base), min(n - 1, base + width + size - 1)
-        # Row m reads the n windows from lo[m] - base on. Correlating row by
-        # row computes just those, for about 160 + size window reads each;
-        # the matrix product computes all of them but reads each copied
-        # window entry about 12 times faster (timed on a 2-CPU Xeon). Few
-        # rows of long kernels, such as J0 arcs on a fine grid, are
-        # therefore correlated row by row.
-        by_row = rows == 1 or rows * n * (160 + size) < 12 * width * size
-        if not by_row:
-            kern = kern.reshape(rows, 4 * size)
-        # about 2^19 copied window entries at a time, on any grid
-        step = max(1, (1 << 19) // (4 * size))
+            (np.arange(4)[:, None] * size + col).ravel(),
+            (weights[keep] * d[keep] ** _POWERS).ravel(),
+            4 * size,
+        ).reshape(4, size)
+        # pad[:, t] holds cell lo + t, and point i reads pad[:, i : i + size]
+        first, stop = max(0, lo), min(n - 1, lo + n + size - 1)
 
     def apply(coef: np.ndarray, last: complex) -> np.ndarray:
         if not binned:
-            out = np.zeros((rows, n), dtype=coef.dtype)
+            out = np.zeros(n, dtype=coef.dtype)
         else:
-            pad = np.zeros((4, width + size - 1), dtype=coef.dtype)
+            pad = np.zeros((4, n + size - 1), dtype=coef.dtype)
             if stop > first:
-                pad[:, first - base : stop - base] = coef[:, first:stop]
-            if by_row:
-                out = np.stack([
-                    sum(np.correlate(pad[r, o : o + n + size - 1], kern[m, r], "valid")
-                        for r in range(4))
-                    for m, o in enumerate(lo - base)
-                ])
-            else:
-                windows = sliding_window_view(pad, size, axis=1).transpose(0, 2, 1)
-                prod = np.empty((rows, width), dtype=np.result_type(kern, pad))
-                for p in range(0, width, step):
-                    cols = slice(p, p + step)
-                    prod[:, cols] = kern @ windows[:, :, cols].reshape(4 * size, -1)
-                out = sliding_window_view(prod.ravel(), n)[np.arange(rows) * width + (lo - base)]
+                pad[:, first - lo : stop - lo] = coef[:, first:stop]
+            out = sum(np.correlate(pad[r], kern[r], "valid") for r in range(4))
         np.add.at(out, last_at, last_w * last)
-        return out[0] if single else np.ascontiguousarray(out.T)
+        return out
 
     return apply
 
@@ -570,6 +537,7 @@ def solve_affine_sqrt(f: Field, tau: float, c: float) -> Field:
 
 _ACCEL_MIN_CHUNKS = 4       # below this, no tail acceleration: direct sum
 _REQUIRED_CHUNKS = 32       # points with at least this many chunks must converge
+_ARC_BLOCK = 24             # arcs per window product in _arc_blocks
 
 
 @lru_cache(maxsize=16)
@@ -593,18 +561,140 @@ def _j0_chunks(span: float, order: int):
     return edges, nodes.reshape(-1, order), weights.reshape(-1, order)
 
 
-@lru_cache(maxsize=16)
 def _averaging_weights(size: int) -> np.ndarray:
     """Row k holds 2^{-k} C(k, j) for j < size: k rounds of pairwise
-    averaging turn partial sums P_0 .. P_k into sum_j 2^{-k} C(k, j) P_j.
-    Read-only."""
+    averaging turn partial sums P_0 .. P_k into sum_j 2^{-k} C(k, j) P_j."""
     rows = np.zeros((size, size))
     rows[0, 0] = 1.0
     for k in range(1, size):
         rows[k, 0] = 0.5 * rows[k - 1, 0]
         rows[k, 1:] = 0.5 * (rows[k - 1, 1:] + rows[k - 1, :-1])
-    rows.setflags(write=False)
     return rows
+
+
+@lru_cache(maxsize=16)
+def _arc_weights(size: int) -> np.ndarray:
+    """The averaging on arc integrals C_j = P_j - P_{j-1} instead of partial
+    sums, one (2, size) table per arc j, read-only. k rounds of averaging
+    give sum_j T[j, 0, k] C_j with T[j, 0, k] = sum_{i >= j} 2^{-k} C(k, i),
+    and differ from k - 1 rounds on the partials P_1 .. P_k by
+    -sum_j T[j, 1, k] C_j with T[j, 1, k] = 2^{-k} C(k - 1, j - 1) (zero
+    for j = 0 or k = 0)."""
+    rows = _averaging_weights(size)
+    table = np.zeros((size, 2, size))
+    np.cumsum(rows[:, ::-1], axis=1, out=table[::-1, 0].T)
+    np.multiply(rows[:-1, :-1].T, 0.5, out=table[1:, 1, 1:])
+    table.setflags(write=False)
+    return table
+
+
+def _arc_blocks(coef: np.ndarray, n: int, h: float, shifts: np.ndarray, weights: np.ndarray):
+    """The sums sum_q w_mq S(x_i + s_mq) of M rows of leftward shifts
+    s_mq < 0 with real weights w_mq, (M, Q) arrays, on an n-point grid of
+    step h, a block of rows at a time; S is the spline with coefficient
+    rows ``coef`` (see :func:`_coefficients`). Yields (rows, start, values)
+    for each block that reaches the grid: ``rows`` a slice of m, and
+    values[b, i - start] row rows.start + b's sum at point i >= start. Every
+    row of the block is zero before start.
+
+    Each row is binned as in :func:`_shift_plan`, into a kernel over the
+    lags lo_m .. lo_m + S - 1, S the widest row's lag count; at point i it
+    reads the window of cells i + lo_m .. i + lo_m + S - 1, which holds data
+    from i = -(lo_m + S - 1) on. One product of a block's kernels with the
+    windows that hold data for its nearest row (copied a few columns at a
+    time on a fine grid) gives every row's sums, each at its own window
+    offset, and the rows are realigned on the points from there. A leftward
+    shift reads no cell past the grid's last, nor S(x_{n-1}).
+    """
+    rows = shifts.shape[0]
+    lag = np.floor(shifts / h)
+    d = shifts - lag * h
+    lo = lag.min(axis=1).astype(np.intp)
+    col = lag.astype(np.intp) - lo[:, None]
+    size = int(col.max()) + 1
+    # kern[m, r S + k] sums w d^{3-r} over row m's nodes at lag lo[m] + k
+    kern = np.bincount(
+        (np.arange(4 * rows).reshape(rows, 4, 1) * size + col[:, None, :]).ravel(),
+        (weights[:, None, :] * d[:, None, :] ** _POWERS).ravel(),
+        rows * 4 * size,
+    ).reshape(rows, 4 * size)
+    # pad[:, S - 1 + k] holds cell k, and window j reads cells j - S + 1 .. j
+    pad = np.zeros((4, n + 2 * size - 3), dtype=coef.dtype)
+    pad[:, size - 1 : size + n - 2] = coef
+    windows = sliding_window_view(pad, size, axis=1).transpose(0, 2, 1)
+    offset = lo + size - 1  # row m reads window i + offset[m] at point i
+    # Every block reads the windows from window 0 on, so they are copied
+    # once where they hold at most 2^21 entries; on a finer grid each block
+    # copies about 2^19 entries at a time.
+    width = windows.shape[2]
+    if 4 * size * width <= 1 << 21:
+        step, copied = width, windows.reshape(4 * size, width)
+    else:
+        step, copied = max(1, (1 << 19) // (4 * size)), None
+    for m in range(0, rows, _ARC_BLOCK):
+        block = slice(m, min(m + _ARC_BLOCK, rows))
+        near, far = int(offset[block].max()), int(offset[block].min())
+        start = max(0, -near)
+        if start >= n:
+            continue
+        # prod[:, t] holds window far + start + t; those before window 0 read no data
+        first, stop = far + start, n + near
+        prod = np.zeros((block.stop - m, stop - first), dtype=np.result_type(kern, pad))
+        for j in range(max(first, 0), stop, step):
+            cols = slice(j, min(j + step, stop))
+            part = windows[:, :, cols].reshape(4 * size, -1) if copied is None else copied[:, cols]
+            np.matmul(kern[block], part, out=prod[:, cols.start - first : cols.stop - first])
+        at = np.arange(prod.shape[0]) * prod.shape[1] + offset[block] - far
+        yield block, start, sliding_window_view(prod.ravel(), n - start)[at]
+
+
+def _inv_sqrt_arcs(g: Field):
+    """The values of :func:`apply_inv_sqrt_shift` at g's points, their
+    error estimates and the number of complete J0 arcs each point has."""
+    from scipy.special import j0
+
+    span = g.x_max - g.x_min
+    edges, nodes, weights = _j0_chunks(span, 16)
+    n_chunks = len(nodes)
+    n = g.n
+    # Each point x may only use arcs that lie inside [0, x - x_min].
+    count = np.searchsorted(edges[1:], g.x - g.x_min, side="right")  # complete arcs per point
+    # Few arcs: direct sum including the final partial arc (zero extension
+    # truncates it exactly at the point's own support limit).
+    upto = np.minimum(count, n_chunks - 1)
+    table = _arc_weights(n_chunks)
+    rounds = np.maximum(count - 1, 0)
+    coef = _coefficients(g.x, g.values)
+    out = np.zeros(n, dtype=coef.dtype)
+    tail = np.zeros((2, n), dtype=coef.dtype)  # the last round of averaging and its change
+    recent = np.zeros((n, 4))  # |C| of arcs upto .. upto - 3 at each point
+    back = np.arange(4)
+    # arc integrals C[m](x) = int_{arc m} J0(t) g(x - t) dt, a block of arcs at a time
+    for arcs, start, chunk in _arc_blocks(coef, n, g.dx, -nodes, j0(nodes) * weights):
+        out[start:] += chunk.sum(axis=0)
+        tail[:, start:] += np.einsum(
+            "mki,mi->ki", np.take(table[arcs], rounds[start:], axis=2), chunk
+        )
+        # the points whose last four arcs meet this block
+        pts = np.arange(
+            max(start, np.searchsorted(upto, arcs.start)), np.searchsorted(upto, arcs.stop + 3)
+        )
+        row = upto[pts, None] - back - arcs.start
+        held = (row >= 0) & (row < len(chunk))
+        seen = np.abs(chunk[np.clip(row, 0, len(chunk) - 1), pts[:, None] - start])
+        recent[pts] = np.where(held, seen, recent[pts])
+
+    est = recent[:, 0].copy()
+    acc = count > _ACCEL_MIN_CHUNKS
+    last = tail[0, acc]
+    change = np.abs(tail[1, acc])
+    # Past decaying data the partials are flat, yet the averaging still
+    # weighs those from before the data's arcs: there the direct sum stands.
+    latest = recent[acc].max(axis=1)
+    averaged = ~(latest < change)
+    out[acc] = np.where(averaged, last, out[acc])
+    est[acc] = np.where(averaged, change, latest)
+    return out, est, count
 
 
 def apply_inv_sqrt_shift(g: Field) -> Field:
@@ -612,47 +702,22 @@ def apply_inv_sqrt_shift(g: Field) -> Field:
     which multiplies the Fourier modes |k| < 1 by (1 - k^2)^{-1/2}.
 
     The integral is taken arc by arc between consecutive zeros of J0 (as far
-    left as the grid allows for each x); the arcs' Gauss-Legendre sums over
-    the cubic interpolant are the rows of one _shift_sum call, a single
-    matrix product with the spline's coefficient windows. The oscillatory
-    tail is summed by iterated pairwise averaging of the partial sums, in
-    its closed form: m partials average to sum_j 2^{1-m} C(m-1, j) P_j, and
-    the change from the round before is the error estimate. Where a point's
-    last four arcs are smaller than that change, as past decaying data, the
-    direct sum is kept with the largest of them as its estimate;
+    left as the grid allows for each x), by Gauss-Legendre sums over the
+    cubic interpolant that :func:`_arc_blocks` forms a block of arcs at a
+    time, each block one matrix product with the spline's coefficient
+    windows that hold data. Arcs past a point's left edge are exact zeros,
+    so the direct sum is the plain sum over arcs. The oscillatory tail is
+    summed by iterated pairwise averaging of the partial sums, in its
+    closed form on the arcs (see _arc_weights): m partials average to
+    sum_j 2^{1-m} C(m-1, j) P_j, and the change from the round before is
+    the error estimate. Each block adds its arcs into these three sums for
+    every point, so no (points x arcs) array is formed. Where a point's
+    last four arcs are smaller than that change, as past decaying data,
+    the direct sum is kept with the largest of them as its estimate;
     non-decaying data (e.g. a plain cosine) converge at the averaging rate,
     so points far from the left edge are the accurate ones.
     """
-    from scipy.special import j0
-
-    span = g.x_max - g.x_min
-    edges, nodes, weights = _j0_chunks(span, 16)
-    n_chunks = len(nodes)
-    # chunk integrals C[m](x) = int_{arc m} J0(t) g(x - t) dt, one column per arc
-    chunk_vals = _shift_sum(g)(-nodes, j0(nodes) * weights)
-    partials = np.cumsum(chunk_vals, axis=1)
-
-    # Each point x may only use arcs that lie inside [0, x - x_min].
-    count = np.searchsorted(edges[1:], g.x - g.x_min, side="right")  # complete arcs per point
-    # Few arcs: direct sum including the final partial arc (zero extension
-    # truncates it exactly at the point's own support limit).
-    points = np.arange(g.n)
-    upto = np.minimum(count, n_chunks - 1)
-    out = partials[points, upto]
-    est = np.abs(chunk_vals[points, upto])
-    acc = count > _ACCEL_MIN_CHUNKS
-    m = count[acc]
-    binom = _averaging_weights(n_chunks)
-    last = np.einsum("ij,ij->i", binom[m - 1], partials[acc])
-    previous = np.einsum("ij,ij->i", binom[m - 2, :-1], partials[acc, 1:])
-    # Past decaying data the partials are flat, yet the averaging still
-    # weighs those from before the data's arcs: there the direct sum stands.
-    recent = np.abs(chunk_vals[points[acc, None], upto[acc, None] - np.arange(4)]).max(axis=1)
-    change = np.abs(last - previous)
-    averaged = ~(recent < change)
-    out[acc] = np.where(averaged, last, out[acc])
-    est[acc] = np.where(averaged, change, recent)
-
+    out, est, count = _inv_sqrt_arcs(g)
     # Per-point tolerance: comparing against the global output scale would
     # let uniformly diverging data "settle" (everything is garbage of the
     # same magnitude), so each point is judged against its own value.

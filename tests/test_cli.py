@@ -1,5 +1,7 @@
 """End-to-end CLI runs: CSV contract, exit codes, determinism."""
 import csv
+import hashlib
+import importlib.util
 import json
 import math
 import re
@@ -546,3 +548,32 @@ def test_spline_commands_never_import_scipy_interpolate(tmp_path):
         assert "scipy.linalg" in modules, what  # the spline's LAPACK solve ran
         assert "scipy.interpolate" not in modules, f"{what} imported scipy.interpolate"
     assert "scipy.interpolate" in calls[-1][2]
+
+
+def _csv_digests():
+    path = Path(__file__).resolve().parents[1] / "tools" / "csv_digests.py"
+    spec = importlib.util.spec_from_file_location("csv_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_csv_digests_cover_every_command_and_solver(tmp_path):
+    # tools/csv_digests.py compares two checkouts' CSV bytes; its fixed run
+    # list must reach every subcommand and every (equation, method) solver
+    tool = _csv_digests()
+    parser = cli._build_parser()
+    commands, solvers = set(), set()
+    for args in tool.RUNS:
+        ns = parser.parse_args([*args, "--out", "x.csv"])
+        commands.add(ns.subcommand)
+        if ns.subcommand == "solve":
+            solvers.add((ns.equation, ns.method or cli._DEFAULT_METHODS[ns.equation]))
+    assert commands == set(cli._HANDLERS)
+    assert solvers == set(cli._SOLVERS)
+    # a digest is the SHA-256 of the CSV the run writes
+    args = ["matrix", "--what", "dirac2"]
+    assert cli.run([*args, "--out", str(tmp_path / "ref.csv")]) == 0
+    expected = hashlib.sha256((tmp_path / "ref.csv").read_bytes()).hexdigest()
+    assert tool.digest(cli, args, tmp_path) == expected
+    assert tool.digest(cli, ["fig4", "--steps", "1"], tmp_path) == "exit 1"

@@ -1,5 +1,6 @@
 """Subordination solvers, spectral evolution, and the J0 shift transform."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,12 +26,20 @@ from pseudoflow import (
     solve_symbol_spectral,
 )
 from pseudoflow.evolution import (
+    _ACCEL_MIN_CHUNKS,
+    _REQUIRED_CHUNKS,
+    _arc_blocks,
+    _arc_weights,
     _averaging_weights,
     _coefficients,
+    _inv_sqrt_arcs,
+    _j0_chunks,
     _j0_zeros,
+    _leak_warning,
     _shift_plan,
     _shift_sum,
 )
+from pseudoflow.special import _ABS_TOL, _REL_TOL
 
 INV_SQUARE = QuadratureConfig(halfline_rule="inverse_square_substitution")
 
@@ -609,6 +618,129 @@ def test_inv_sqrt_shift_divergent_data_raises():
         apply_inv_sqrt_shift(g)
 
 
+def _inv_sqrt_by_partial_sums(g):
+    # The (points x arcs) formulation apply_inv_sqrt_shift had before it
+    # summed arcs in blocks: every arc integral at every point, their
+    # cumulative sums, and the closed-form averaging gathered from
+    # _averaging_weights point by point. Returns (values, estimates, the
+    # points that take the averaged value, warnings) or raises its
+    # ConvergenceError.
+    edges, nodes, weights = _j0_chunks(g.x_max - g.x_min, 16)
+    n_chunks = len(nodes)
+    shift_sum = _shift_sum(g)
+    chunk_vals = np.stack([shift_sum(-t, j0(t) * w) for t, w in zip(nodes, weights)], axis=1)
+    partials = np.cumsum(chunk_vals, axis=1)
+    count = np.searchsorted(edges[1:], g.x - g.x_min, side="right")
+    points = np.arange(g.n)
+    upto = np.minimum(count, n_chunks - 1)
+    out = partials[points, upto]
+    est = np.abs(chunk_vals[points, upto])
+    acc = count > _ACCEL_MIN_CHUNKS
+    m = count[acc]
+    binom = _averaging_weights(n_chunks)
+    last = np.einsum("ij,ij->i", binom[m - 1], partials[acc])
+    previous = np.einsum("ij,ij->i", binom[m - 2, :-1], partials[acc, 1:])
+    recent = np.abs(chunk_vals[points[acc, None], upto[acc, None] - np.arange(4)]).max(axis=1)
+    change = np.abs(last - previous)
+    averaged = ~(recent < change)
+    out[acc] = np.where(averaged, last, out[acc])
+    est[acc] = np.where(averaged, change, recent)
+    acc[acc] = averaged
+    tol = np.maximum(1e-9, np.maximum(_ABS_TOL, _REL_TOL * np.abs(out)))
+    mature = count >= _REQUIRED_CHUNKS
+    settled = est <= tol
+    if np.any(mature) and not np.any(mature & settled):
+        raise ConvergenceError(
+            "oscillatory tail averaging did not converge on any point with "
+            "full tail support",
+            error_bound=float(np.min(est[mature])),
+        )
+    warn = []
+    if np.any(~settled):
+        warn.append(
+            "apply_inv_sqrt_shift: points closer to the left grid edge have "
+            "fewer tail arcs available; their values carry the residual "
+            "averaging error (see meta tail_estimate)"
+        )
+    warn.extend(_leak_warning(g, "left", "apply_inv_sqrt_shift"))
+    return out, est, acc, tuple(warn)
+
+
+def _same_convergence_error(call, g):
+    # The partial-sum formulation takes the change of the last averaging
+    # round as the difference of two averaged sums, so its bound carries
+    # their rounding: 3e-10 relative on 32 arcs of a cosine, 2e-9 on a
+    # growing exponential.
+    with pytest.raises(ConvergenceError) as ref:
+        _inv_sqrt_by_partial_sums(g)
+    with pytest.raises(ConvergenceError) as got:
+        call(g)
+    assert str(got.value) == str(ref.value)
+    assert got.value.error_bound == pytest.approx(ref.value.error_bound, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("data", ["packet", "cosine"])
+@pytest.mark.parametrize("arcs, span, n", [
+    (1, 2.0, 21), (4, 13.0, 131), (5, 16.0, 161), (32, 101.0, 405), (165, 520.0, 2081),
+])
+def test_inv_sqrt_shift_equals_the_partial_sum_formulation(arcs, span, n, data, cplx):
+    # the arc blocks change the arithmetic, not the method: the values,
+    # warnings and tail estimate of the (points x arcs) formulation, or its
+    # ConvergenceError (a cosine over 32 arcs does not settle)
+    def values(x):
+        if data == "cosine":
+            v = np.cos(0.5 * x)
+        else:
+            v = np.cos(0.3 * x + 0.4) * np.exp(-(((x - 0.25 * span) / (0.08 * span)) ** 2))
+        return v * (1.0 + 0.5j) + 0.2j * np.sin(0.7 * x) * v if cplx else v
+
+    g = Field.from_function(-0.5 * span, 0.5 * span, n, values)
+    assert len(_j0_chunks(span, 16)[1]) == arcs
+    if arcs == 32 and data == "cosine":
+        _same_convergence_error(apply_inv_sqrt_shift, g)
+        return
+    ref, ref_est, averaged, ref_warn = _inv_sqrt_by_partial_sums(g)
+    out = apply_inv_sqrt_shift(g)
+    assert np.iscomplexobj(out.values) == cplx
+    assert np.max(np.abs(out.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert out.warnings == ref_warn
+    assert out.meta["tail_estimate"] == pytest.approx(np.max(ref_est), rel=1e-12, abs=0.0)
+    # Every point's estimate: the largest of its last four arcs where the
+    # direct sum stands, and where the averaged value stands the change of
+    # the last round, which the partial-sum formulation takes as a
+    # difference of two averaged sums, exact only to their rounding.
+    est = _inv_sqrt_arcs(g)[1]
+    direct = ~averaged
+    assert np.all(np.abs(est - ref_est)[direct] <= 1e-12 * ref_est[direct])
+    assert np.all(np.abs(est - ref_est)[averaged] <= 1e-14 * np.abs(ref[averaged]))
+
+
+def test_inv_sqrt_shift_raises_as_the_partial_sum_formulation_does():
+    g = Field.from_function(-120.0, 10.0, 1024, lambda x: np.exp(-x / 2.0))
+    _same_convergence_error(apply_inv_sqrt_shift, g)
+
+
+def test_inv_sqrt_shift_keeps_no_points_by_arcs_array():
+    # 8192 points on [-1000, 1000] hold 636 arcs: one (points x arcs) float
+    # array is 42 MB. The averaging table for 636 arcs is built inside the
+    # measured call.
+    g = Field.from_function(
+        -1000.0, 1000.0, 8192, lambda x: np.cos(0.3 * x) * np.exp(-((x / 100.0) ** 2))
+    )
+    apply_inv_sqrt_shift(Field.from_function(-10.0, 10.0, 64, np.cos))  # imports
+    _arc_weights.cache_clear()
+    tracemalloc.start()
+    try:
+        out = apply_inv_sqrt_shift(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(_j0_chunks(2000.0, 16)[1]) == 636
+    assert np.all(np.isfinite(out.values))
+    assert peak < 24e6
+
+
 @pytest.mark.parametrize("cplx", [False, True])
 def test_shift_sum_equals_direct_spline_sum(cplx):
     # reference: the cubic spline evaluated at x + s for every shift,
@@ -634,42 +766,55 @@ def test_shift_sum_equals_direct_spline_sum(cplx):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _check_arc_blocks(fields, shifts, weights):
+    # every block's row sums equal single-row _shift_sum calls, and every
+    # row is zero before its block's first point
+    for f in fields:
+        shift_sum = _shift_sum(f)
+        coef = _coefficients(f.x, f.values)
+        seen = set()
+        for rows, start, values in _arc_blocks(coef, f.n, f.dx, shifts, weights):
+            assert values.shape == (rows.stop - rows.start, f.n - start)
+            assert np.iscomplexobj(values) == np.iscomplexobj(f.values)
+            for b, m in enumerate(range(rows.start, rows.stop)):
+                one = shift_sum(shifts[m], weights[m])
+                assert np.all(one[:start] == 0.0)
+                err = np.max(np.abs(values[b] - one[start:]))
+                assert err <= 1e-15 * max(np.max(np.abs(one)), 1.0)
+                seen.add(m)
+        for m in set(range(len(shifts))) - seen:  # blocks that reach no point
+            assert np.all(shift_sum(shifts[m], weights[m]) == 0.0)
+
+
 @pytest.mark.parametrize("cplx", [False, True])
-def test_shift_sum_rows_equal_single_row_calls(cplx):
-    # one (M, Q) call against M (Q,) calls: short arcs of J0 nodes at
-    # spread-out lags, a row past the left edge, and a row that lands on
-    # the last grid point
+def test_arc_blocks_equal_single_row_calls(cplx):
+    # short arcs of J0 nodes at spread-out lags, rows inside the first cell
+    # to the left, and rows past the left edge: a block that mixes those
+    # with the near rows, and a last block of them alone, which reaches no
+    # point; two fields share the shifts
     f = Field.from_function(
         -3.0, 5.0, 97, lambda x: np.exp(-(x**2)) + (0.5j * np.sin(x) if cplx else 0.0)
     )
+    g = f.with_values(f.values * np.exp(-0.2 * f.x) + 1.5)
     h = f.dx
-    arcs = np.linspace(0.0, 3.0, 10)[None, :] + np.arange(30)[:, None] * 0.27
-    shifts = np.concatenate([-arcs, arcs - 4.0, np.full((1, 10), -20.0),
-                             (96 - np.arange(10))[None, :] * h])
+    arcs = np.linspace(0.0, 3.0, 10)[None, :] + np.arange(40)[:, None] * 0.27
+    shifts = np.concatenate([
+        -arcs - 1e-3,
+        -np.linspace(0.01, 0.99, 10)[None, :] * h,
+        np.full((32, 10), -20.0),
+    ])
     weights = np.random.default_rng(5).standard_normal(shifts.shape)
-    shift_sum = _shift_sum(f)
-    rows = shift_sum(shifts, weights)
-    assert rows.shape == (f.n, shifts.shape[0])
-    assert np.iscomplexobj(rows) == cplx
-    for m in range(shifts.shape[0]):
-        one = shift_sum(shifts[m], weights[m])
-        assert np.max(np.abs(rows[:, m] - one)) <= 1e-15 * max(np.max(np.abs(one)), 1.0)
-    assert np.all(rows[:, -2] == 0.0)  # the row past the left edge
+    _check_arc_blocks((f, g), shifts, weights)
 
 
-@pytest.mark.parametrize("rows", [5, 20])
-def test_shift_sum_rows_on_a_fine_grid_equal_single_row_calls(rows):
-    # 2049 points and arcs of about 385 lags: five rows are correlated one
-    # by one, twenty share one window matrix, which passes 2^19 entries and
-    # is copied in several blocks of output columns
+@pytest.mark.parametrize("rows", [5, 30])
+def test_arc_blocks_on_a_fine_grid_equal_single_row_calls(rows):
+    # 2049 points and arcs of about 385 lags: the windows exceed 2^21
+    # entries, so each block copies them in several column steps
     f = Field.from_function(-8.0, 8.0, 2049, lambda x: np.exp(-(x**2)))
-    arcs = np.linspace(0.0, 3.0, 12)[None, :] + np.arange(rows)[:, None] * 0.6
+    arcs = np.linspace(0.0, 3.0, 12)[None, :] + np.arange(rows)[:, None] * 0.6 + 1e-3
     weights = np.random.default_rng(7).standard_normal(arcs.shape)
-    shift_sum = _shift_sum(f)
-    rows = shift_sum(-arcs, weights)
-    for m in range(arcs.shape[0]):
-        one = shift_sum(-arcs[m], weights[m])
-        assert np.max(np.abs(rows[:, m] - one)) <= 1e-15 * max(np.max(np.abs(one)), 1.0)
+    _check_arc_blocks((f,), -arcs, weights)
 
 
 @pytest.mark.parametrize("cplx", [False, True])
@@ -691,21 +836,17 @@ def test_coefficients_equal_scipy_cubic_spline(n, cplx):
 @pytest.mark.parametrize("cplx", [False, True])
 def test_one_shift_plan_serves_many_fields(cplx):
     # the lag kernels are binned once per grid: one plan applied to two
-    # fields equals two _shift_sum calls bit for bit, for a single row
-    # (correlated) and for many rows (one window product)
+    # fields equals two _shift_sum calls bit for bit
     rng = np.random.default_rng(11)
     f = Field.from_function(
         -3.0, 5.0, 97, lambda x: np.cos(0.7 * x) + 0.3 * x + (0.5j * np.sin(x) if cplx else 0.0)
     )
     g = f.with_values(f.values * np.exp(-0.2 * f.x) + 1.5)
-    single = rng.uniform(-12.0, 12.0, 60), rng.standard_normal(60)
-    arcs = np.linspace(0.0, 3.0, 10)[None, :] + np.arange(30)[:, None] * 0.27
-    rows = -arcs, rng.standard_normal(arcs.shape)
-    for shifts, weights in (single, rows):
-        plan = _shift_plan(f.n, f.dx, shifts, weights)
-        for field in (f, g):
-            got = plan(_coefficients(field.x, field.values), field.values[-1])
-            assert np.array_equal(got, _shift_sum(field)(shifts, weights))
+    shifts, weights = rng.uniform(-12.0, 12.0, 60), rng.standard_normal(60)
+    plan = _shift_plan(f.n, f.dx, shifts, weights)
+    for field in (f, g):
+        got = plan(_coefficients(field.x, field.values), field.values[-1])
+        assert np.array_equal(got, _shift_sum(field)(shifts, weights))
 
 
 def test_averaging_weights_match_iterated_averaging():
@@ -713,6 +854,7 @@ def test_averaging_weights_match_iterated_averaging():
     # the change made by the last round
     rng = np.random.default_rng(3)
     rows = _averaging_weights(200)
+    table = _arc_weights(200)
     for m in range(5, 201):
         partials = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
         a = partials
@@ -724,9 +866,13 @@ def test_averaging_weights_match_iterated_averaging():
         previous = partials[:, 1:] @ rows[m - 2, : m - 1]
         np.testing.assert_allclose(last, best, rtol=0, atol=1e-13)
         np.testing.assert_allclose(np.abs(last - previous), est, rtol=0, atol=1e-13)
-    # one shared table per size, which no caller may change
-    assert _averaging_weights(200) is rows
-    assert not rows.flags.writeable
+        # the same on the arc integrals C_j = P_j - P_{j-1}
+        arcs = np.diff(partials, prepend=0.0)
+        np.testing.assert_allclose(arcs @ table[:m, 0, m - 1], best, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(np.abs(arcs @ table[:m, 1, m - 1]), est, rtol=0, atol=1e-13)
+    # one shared arc table per size, which no caller may change
+    assert _arc_weights(200) is table
+    assert not table.flags.writeable
 
 
 def test_j0_zeros_are_cached_read_only():

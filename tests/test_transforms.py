@@ -292,6 +292,19 @@ def test_laplace_inv_power_past_float_range_is_a_value_error():
     assert laplace_inv_power(100.0, 1e8) == 0.0  # 1e-800 rounds to zero
 
 
+@pytest.mark.parametrize("nu, a", [(1e4, 1.0), (1e-3, 1e-3), (1e-3, 7.0)])
+def test_laplace_inv_power_reports_failure_in_its_own_units(nu, a):
+    # peaks too sharp for the finest step: the last estimate and its error
+    # bound are values of a^{-nu}, not of the rule's scaled integral
+    with pytest.raises(ConvergenceError, match="did not converge") as exc:
+        laplace_inv_power(nu, a)
+    power = a**-nu
+    assert abs(exc.value.estimate - power) <= exc.value.error_bound < 1e-2 * power
+    assert f"(last estimate {exc.value.estimate}, error bound" in str(exc.value)
+    if nu == 1e4:
+        assert exc.value.estimate == pytest.approx(1.0, rel=0.0, abs=1e-9)
+
+
 def test_laplace_inv_power_validation():
     with pytest.raises(ValueError, match="nu must be positive"):
         laplace_inv_power(0.0, 1.0)
