@@ -388,10 +388,16 @@ def _affine_panels(f: Field, tau: float, c: float):
     E times each coefficient row, read on the Hankel (c > 0) or Toeplitz
     (c < 0) window of cells the shifts reach, takes one matrix product with
     each set's kernel, and each set sums over its fractional offsets. E is
-    (n, J), so it is formed in blocks of grid points rather than held
-    whole (a 4097-point grid would need 134 MB), and one block's product
-    with one coefficient row is held at a time. The leading cell
-    s in (0, h] is one cubic, read off the same coefficient rows.
+    (n, J), so it is formed in blocks of about 2^19 entries of grid points
+    rather than held whole (a 4097-point grid would need 134 MB). Each
+    ``tail`` call allocates two block-sized buffers and reuses them for
+    every block: E is formed in place in one (its exponent, then exp, then
+    zero on the cells past each point's reach, set only in the run of
+    points that has such cells), and E times each coefficient row's window
+    in the other. The block size stays a function of J alone: a matrix
+    product's rows can round differently with the number of rows, so
+    another partition would move the values. The leading cell s in (0, h]
+    is one cubic, read off the same coefficient rows.
     """
     x, n, h = f.x, f.n, f.dx
     coef = _coefficients(x, f.values)
@@ -420,14 +426,19 @@ def _affine_panels(f: Field, tau: float, c: float):
         pad = np.concatenate([np.zeros((4, cells + 1), dtype=coef.dtype), coef], axis=1)
         window = sliding_window_view(pad, cells, axis=1)[:, :n, ::-1]
 
-    # about 2^19 entries of E at a time, on any grid
+    # about 2^19 entries of E at a time, on any grid; the partition is part
+    # of the result, as a matrix product's rows can round with its row count
     block = max(1, (1 << 19) // cells)
     # for c < 0 the kernel's coupling e^{j h delta/|c|} moves into E at its
     # largest, delta = h, so that no factor grows with j on its own
     lift = jh * h / a if c < 0 else np.zeros(cells)
     decay = -sign * jh * jh / (2.0 * a) + lift
-    # the last cell j each point reaches: i + j <= n - 2, or i - j - 1 >= 0
+    scale = -x / a
+    # the last cell j each point reaches: i + j <= n - 2, or i - j - 1 >= 0;
+    # the points short of the last cell are the last (c > 0) or the first
+    # (c < 0) cells + 1 of the grid, one run in each block
     reach = n - 2 - np.arange(n) if c > 0 else np.arange(n) - 1
+    short = reach < cells
     jcell = np.arange(1, cells + 1)
 
     def tail(sets: list) -> list:
@@ -442,22 +453,28 @@ def _affine_panels(f: Field, tau: float, c: float):
             )
             d = (delta if c > 0 else h - delta) ** _POWERS
             levels.append((delta, w, d, np.empty(n, dtype=np.result_type(coef, w))))
+        rows = min(block, n)
+        amp_buf = np.empty((rows, cells))
+        weighted_buf = np.empty((rows, cells), dtype=coef.dtype)
         for lo in range(0, n, block):
             pts = slice(lo, lo + block)
+            amp = amp_buf[: min(block, n - lo)]
             # E on these points, zero past each one's reach, where the window
             # reads zero padding and E itself may exceed floating-point range
-            amp = np.exp(
-                np.where(
-                    jcell > reach[pts, None], -np.inf, np.outer(-x[pts] / a, jh) + decay
-                )
-            )
+            np.multiply.outer(scale[pts], jh, out=amp)
+            amp += decay
+            np.exp(amp, out=amp)
+            cut = np.flatnonzero(short[pts])
+            if cut.size:
+                run = slice(cut[0], cut[-1] + 1)
+                amp[run][jcell > reach[pts][run, None]] = 0.0
             prods = [[] for _ in levels]  # per set: (b, Q) for each coefficient row
             for r in range(4):
-                weighted = amp * window[r, pts]
+                weighted = np.multiply(amp, window[r, pts], out=weighted_buf[: len(amp)])
                 for prod, (_, w, _, _) in zip(prods, levels):
                     prod.append(weighted @ w)
             for prod, (delta, _, d, out) in zip(prods, levels):
-                phase = np.exp(np.outer(-x[pts] / a, delta))
+                phase = np.exp(np.outer(scale[pts], delta))
                 out[pts] = np.einsum("rbq,rq,bq->b", np.stack(prod), d, phase)
         return [out for *_, out in levels]
 

@@ -330,10 +330,14 @@ def iterated_series(psi0: Field, tau: float) -> Field:
 
     The second derivative is spectral with an adaptive dealiasing cutoff
     (modes with no initial content are dropped rather than amplified);
-    D uses the K0 kernel, binned into lag kernels once per series, so each
-    term costs the spline's coefficient rows, one lag correlation and two
-    FFTs on plain arrays. Terms are added until the latest drops below
-    1e-8, else TruncationError after 20 terms.
+    D uses the K0 kernel, binned into lag kernels once per series. Both
+    map real data to real data (the multiplier -k^2 is real and even), so
+    each Psi_n of real data is carried as a real array, and complex data
+    as its real and imaginary parts, each iterated on its own: a term
+    costs, per part, the spline's coefficient rows, one real lag
+    correlation and a real FFT pair. Only the coefficients (i tau)^n / n!
+    are complex. Terms are added until the latest drops below 1e-8, else
+    TruncationError after 20 terms.
     """
     if not math.isfinite(tau):
         raise ValueError("tau must be finite")
@@ -351,16 +355,21 @@ def iterated_series(psi0: Field, tau: float) -> Field:
     else:
         k_cut = (2.0 / 3.0) * float(np.max(np.abs(k)))
     d2_mult = np.where(np.abs(k) <= k_cut, -(k**2), 0.0)
+    # the rfft frequencies 0 .. n/2; -k^2 is even, so bin n/2 (k = -n/2 in
+    # fftfreq's order) takes the same value
+    d2_half = d2_mult[: n // 2 + 1]
 
     dhat = _k0_plan(psi0)
-    total = np.asarray(psi0.values, dtype=complex).copy()
-    current = psi0.values
+    values = psi0.values
+    total = np.asarray(values, dtype=complex).copy()
+    parts = [values.real, values.imag] if np.iscomplexobj(values) else [values]
     tail = math.inf
     # data near the largest float overflow in a term, which ends the series
     # below, so numpy's overflow and inf - inf warnings are silenced
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, _ITERATED_N_MAX + 1):
-            current = np.fft.ifft(d2_mult * np.fft.fft(dhat(current)))
+            parts = [np.fft.irfft(d2_half * np.fft.rfft(dhat(part)), n) for part in parts]
+            current = parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
             term = (1j * tau) ** m / math.factorial(m) * current
             total += term
             tail = float(np.max(np.abs(term)))
@@ -384,6 +393,16 @@ def iterated_series(psi0: Field, tau: float) -> Field:
 # Heisenberg-picture observables
 
 
+# R(a) and F(a) are these multiples of their integrals
+_RF_PREF = np.array([[2.0 * math.sqrt(2.0)], [2.0 * math.sqrt(2.0 / math.pi)]])
+
+
+def _rf_scale(a: np.ndarray) -> np.ndarray:
+    """The (2, m) scales of the R and F columns of :func:`_r_and_f`."""
+    with np.errstate(over="ignore"):  # a^2 = inf also ends in ConvergenceError
+        return _LOG_UNIT * np.stack([1.0 + 0.25 * (a * a), 1.0 + a])
+
+
 def _r_and_f(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """R(a) and F(a) for every a of an array, from one log-trapezoid call
     with one column per (factor, a).
@@ -392,13 +411,14 @@ def _r_and_f(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     to _LOG_UNIT: R's by 1 + a^2/4 (R ~ 4/a^2 for large a) and F's by 1 + a
     (F ~ sqrt(8/pi)/a). R's weight reaches down to s ~ 1/a^2, which the
     window covers up to a ~ 3e19; beyond that the rule's end test cannot
-    cut R's tail and it raises ConvergenceError.
+    cut R's tail and it raises ConvergenceError, whose error bound is in
+    the units of R and F, the largest over the columns.
     """
     a = np.asarray(a, dtype=float)
-    with np.errstate(over="ignore"):  # a^2 = inf also ends in ConvergenceError
+    with np.errstate(over="ignore"):
         a2 = a * a
-    r_scale = _LOG_UNIT * (1.0 + 0.25 * a2)
-    f_scale = _LOG_UNIT * (1.0 + a)
+    scale = _rf_scale(a)
+    r_scale, f_scale = scale
 
     def integrand(s: np.ndarray) -> np.ndarray:
         s = s[:, None]
@@ -406,9 +426,29 @@ def _r_and_f(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         decay = np.exp(-s) / np.sqrt(q)
         return np.hstack([r_scale * (decay / q), f_scale * (np.sqrt(s) * decay)])
 
-    cols = _log_trapezoid(integrand, 1.0)[0]
+    try:
+        cols = _log_trapezoid(integrand, 1.0)[0]
+    except ConvergenceError as exc:
+        # the rule sums each column in units of its factor's prefactor / scale
+        raise ConvergenceError(
+            exc.reason, error_bound=exc.error_bound * float(np.max(_RF_PREF / scale))
+        ) from None
     r_int, f_int = np.split(cols, 2)
-    return 2.0 * math.sqrt(2.0) * r_int / r_scale, 2.0 * math.sqrt(2.0 / math.pi) * f_int / f_scale
+    return _RF_PREF[0, 0] * r_int / r_scale, _RF_PREF[1, 0] * f_int / f_scale
+
+
+def _factor(a: float, row: int) -> float:
+    """R(a) (row 0) or F(a) (row 1) at one a. A ConvergenceError reports
+    this factor's own error bound, where _r_and_f reports the larger."""
+    _check_a(a)
+    at = np.array([float(a)])
+    try:
+        return float(_r_and_f(at)[row][0])
+    except ConvergenceError as exc:
+        units = (_RF_PREF / _rf_scale(at))[:, 0]
+        raise ConvergenceError(
+            exc.reason, error_bound=exc.error_bound * float(units[row] / units.max())
+        ) from None
 
 
 def _check_a(a: float) -> None:
@@ -421,18 +461,16 @@ def r_function(a: float) -> float:
 
     R(0) = 1; decreases monotonically; R(a) ~ 1 - (3/4) a^2 for small a.
     Within about 1e-15 of the closed form up to a = 3e19 (ConvergenceError
-    beyond; see _r_and_f).
+    beyond, its error bound in units of R; see _r_and_f).
     """
-    _check_a(a)
-    return float(_r_and_f(np.array([float(a)]))[0][0])
+    return _factor(a, 0)
 
 
 def f_function(a: float) -> float:
     """Commutator-correction factor
     F(a) = (2 sqrt(2)/sqrt(pi)) int_0^inf ds sqrt(s) e^{-s} (2+a^2 s)^{-1/2}.
     """
-    _check_a(a)
-    return float(_r_and_f(np.array([float(a)]))[1][0])
+    return _factor(a, 1)
 
 
 def _width_sq(inputs: ObservableInputs, r: float) -> float:

@@ -577,3 +577,20 @@ def test_csv_digests_cover_every_command_and_solver(tmp_path):
     expected = hashlib.sha256((tmp_path / "ref.csv").read_bytes()).hexdigest()
     assert tool.digest(cli, args, tmp_path) == expected
     assert tool.digest(cli, ["fig4", "--steps", "1"], tmp_path) == "exit 1"
+
+
+def test_csv_digests_arrays_cover_the_calls_no_cli_run_writes():
+    # --arrays digests library values that no CSV holds; each line is the
+    # SHA-256 of a call's values, or the type of the error it raised
+    tool = _csv_digests()
+    labels = [label for label, _ in tool.array_calls(pseudoflow)]
+    for name in ("iterated_series", "apply_inv_sqrt_shift", "dhat_apply", "solve_affine_sqrt"):
+        assert any(label.startswith(name) for label in labels)
+    assert any("s_integral" in label for label in labels)
+    assert any(label.startswith("solve_affine_sqrt 4097") for label in labels)
+    assert len(set(labels)) == len(labels)
+    f = pseudoflow.Field.from_function(-16.0, 16.0, 256, lambda x: np.exp(-(x**2)))
+    out = pseudoflow.iterated_series(f, 0.3)
+    expected = hashlib.sha256(out.values.tobytes()).hexdigest()
+    assert tool.array_digest(lambda: pseudoflow.iterated_series(f, 0.3)) == expected
+    assert tool.array_digest(lambda: pseudoflow.iterated_series(f, math.inf)) == "error ValueError"

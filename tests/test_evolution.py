@@ -15,6 +15,7 @@ from pseudoflow import (
     SymbolSpec,
     apply_inv_sqrt_shift,
     dhat_apply,
+    evolution,
     exp_sqrt_via_doetsch,
     gauss_weierstrass,
     integrate_halfline,
@@ -555,6 +556,68 @@ def test_affine_sqrt_warns_on_right_leak():
     f = Field.from_function(-2.0, 14.0, 161, lambda x: np.exp(-((x - 13.0) ** 2)))
     out = solve_affine_sqrt(f, 0.5, 1.0)
     assert any("right grid edge" in w for w in out.warnings)
+
+
+def _affine_tail_fresh_arrays(x, env, sets):
+    # the affine tail as first written: E through np.where(..., -inf, ...)
+    # and fresh arrays for E and every E * window product in each block of
+    # about 2^19 entries; env holds the grid-only quantities of the tail
+    # under test
+    n, h, a, c, coef, window = (env[k] for k in ("n", "h", "a", "c", "coef", "window"))
+    jh, jcell, reach, decay, lift = (env[k] for k in ("jh", "jcell", "reach", "decay", "lift"))
+    sign, kernel = math.copysign(1.0, c), env["kernel"]
+    block = max(1, (1 << 19) // jh.size)
+    powers = np.arange(3, -1, -1)[:, None]
+    levels = []
+    for offs, wq in sets:
+        delta = offs * h
+        w = (h * wq) * kernel(jh[:, None] + delta) * np.exp(
+            -sign * (2.0 * jh[:, None] + delta) * delta / (2.0 * a) - lift[:, None]
+        )
+        d = (delta if c > 0 else h - delta) ** powers
+        levels.append((delta, w, d, np.empty(n, dtype=np.result_type(coef, w))))
+    for lo in range(0, n, block):
+        pts = slice(lo, lo + block)
+        amp = np.exp(
+            np.where(jcell > reach[pts, None], -np.inf, np.outer(-x[pts] / a, jh) + decay)
+        )
+        prods = [[] for _ in levels]
+        for r in range(4):
+            weighted = amp * window[r, pts]
+            for prod, (_, w, _, _) in zip(prods, levels):
+                prod.append(weighted @ w)
+        for prod, (delta, _, d, out) in zip(prods, levels):
+            phase = np.exp(np.outer(-x[pts] / a, delta))
+            out[pts] = np.einsum("rbq,rq,bq->b", np.stack(prod), d, phase)
+    return [out for *_, out in levels]
+
+
+@pytest.mark.parametrize("n", [161, 641, 4097])
+@pytest.mark.parametrize("c", [1.0, -1.0, 0.3, -2.5])
+def test_affine_tail_reuses_its_buffers_bit_for_bit(monkeypatch, n, c):
+    # the tail forms E in place in one buffer and each E * window product in
+    # another; every panel level must equal the fresh-array formulation bit
+    # for bit, on real and complex data (4097 points take several blocks)
+    f = Field.from_function(-6.0, 10.0, n, lambda x: np.exp(-((x - 3.0) ** 2)))
+    calls = []
+    shift_panels = evolution._shift_panels
+
+    def spy(h, root, square, head, tail, what):
+        env = dict(zip(tail.__code__.co_freevars, (v.cell_contents for v in tail.__closure__)))
+
+        def checked(sets):
+            got = tail(sets)
+            want = _affine_tail_fresh_arrays(f.x, env, sets)
+            calls.append(all(np.array_equal(g, w) for g, w in zip(got, want)))
+            return got
+
+        return shift_panels(h, root, square, head, checked, what)
+
+    monkeypatch.setattr(evolution, "_shift_panels", spy)
+    for data in (f, f.with_values(f.values * (1.0 + 0.3j * np.cos(f.x)))):
+        calls.clear()
+        solve_affine_sqrt(data, 0.5, c)
+        assert calls and all(calls)
 
 
 # ----------------------------------------------------------------------

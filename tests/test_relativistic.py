@@ -312,23 +312,76 @@ def test_iterated_series_matches_closed_symbol():
 
 
 def test_iterated_series_reuses_one_k0_plan_bit_for_bit():
-    # the K0 lag kernels are binned once per series; every term equals a
-    # fresh dhat_apply followed by the same dealiased spectral d^2
+    # the K0 lag kernels are binned once per series; every term of real
+    # data equals a fresh dhat_apply on the real field followed by the same
+    # dealiased d^2 as a real FFT pair
     f, tau = gaussian(n=512), 0.3
     k = 2.0 * math.pi * np.fft.fftfreq(f.n, d=f.dx)
     spec0 = np.abs(np.fft.fft(f.values.astype(complex)))
     k_cut = float(np.max(np.abs(k[spec0 > 1e-13 * float(spec0.max())])))
-    d2_mult = np.where(np.abs(k) <= k_cut, -(k**2), 0.0)
+    d2_half = np.where(np.abs(k) <= k_cut, -(k**2), 0.0)[: f.n // 2 + 1]
     total, current = f.values.astype(complex), f
     for m in range(1, 21):
         smoothed = dhat_apply(current, "kernel_k0")
-        current = f.with_values(np.fft.ifft(d2_mult * np.fft.fft(smoothed.values)))
+        assert not np.iscomplexobj(smoothed.values)
+        current = f.with_values(np.fft.irfft(d2_half * np.fft.rfft(smoothed.values), f.n))
         term = (1j * tau) ** m / math.factorial(m) * current.values
         total += term
         if np.max(np.abs(term)) < 1e-8:
             break
     assert m > 5
     assert np.array_equal(iterated_series(f, tau).values, total)
+
+
+def _iterated_series_complex_loop(f, tau):
+    # the series as first written: every Psi_n a complex array through a
+    # complex FFT pair and the complex spline
+    k = 2.0 * math.pi * np.fft.fftfreq(f.n, d=f.dx)
+    spec0 = np.abs(np.fft.fft(np.asarray(f.values, dtype=complex)))
+    k_cut = float(np.max(np.abs(k[spec0 > 1e-13 * float(spec0.max())])))
+    d2_mult = np.where(np.abs(k) <= k_cut, -(k**2), 0.0)
+    total, current = np.asarray(f.values, dtype=complex).copy(), f
+    for m in range(1, 21):
+        smoothed = dhat_apply(current.with_values(current.values.astype(complex)))
+        current = f.with_values(np.fft.ifft(d2_mult * np.fft.fft(smoothed.values)))
+        term = (1j * tau) ** m / math.factorial(m) * current.values
+        total += term
+        if np.max(np.abs(term)) < 1e-8:
+            return total
+    raise AssertionError("the reference series did not converge")
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024])
+def test_iterated_series_meets_the_complex_loop(n):
+    f = gaussian(n=n)
+    for data in (f, f.with_values(f.values * (1.0 + 0.5j * np.sin(f.x)))):
+        for tau in (0.1, 0.3, -0.4):
+            got = iterated_series(data, tau).values
+            want = _iterated_series_complex_loop(data, tau)
+            assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.3, 0.5])
+def test_iterated_series_of_real_data_is_conjugate_symmetric_in_tau(tau):
+    # Psi_n of real data are real, so tau -> -tau conjugates every term
+    # exactly; a complex pipeline leaves rounding noise in Im Psi_n
+    f = gaussian(n=512)
+    plus, minus = iterated_series(f, tau).values, iterated_series(f, -tau).values
+    assert np.array_equal(minus, np.conj(plus))
+
+
+def test_iterated_series_is_linear_over_real_and_imaginary_parts():
+    # the three series stop at different terms, so they agree to the tail
+    # test rather than to rounding
+    f = gaussian(n=512)
+    bump = 0.2j * np.exp(-((f.x - 1.0) ** 2))
+    data = f.with_values(f.values * (1.0 + 0.5j * np.sin(f.x)) + bump)
+    out = iterated_series(data, 0.3).values
+    parts = (
+        iterated_series(data.with_values(data.values.real), 0.3).values
+        + 1j * iterated_series(data.with_values(data.values.imag), 0.3).values
+    )
+    assert np.max(np.abs(out - parts)) <= 1e-7 * np.max(np.abs(out))
 
 
 def test_iterated_series_validation():
@@ -464,6 +517,24 @@ def test_r_and_f_beyond_the_window_raise():
     for a in (1e20, 1e200):
         with pytest.raises(ConvergenceError):
             r_function(a)
+
+
+@pytest.mark.parametrize("fn, row", [(r_function, 0), (f_function, 1)])
+def test_r_and_f_report_failure_in_their_own_units(fn, row):
+    # the rule sums a column scaled by _LOG_UNIT (1 + a^2/4) or (1 + a); the
+    # bound it reports is in the units of the factor asked for
+    a = 1e21
+    value = rf_closed_form(a)[row]
+    with pytest.raises(ConvergenceError) as exc:
+        fn(a)
+    assert 0.0 < exc.value.error_bound < value
+    assert exc.value.reason.startswith("log-trapezoid rule")
+    assert exc.value.reason in str(exc.value)
+    # _r_and_f reports the larger of the two bounds
+    with pytest.raises(ConvergenceError) as both:
+        _r_and_f(np.array([a]))
+    assert both.value.error_bound >= exc.value.error_bound
+    assert both.value.reason == exc.value.reason
 
 
 def test_packet_width_basics():

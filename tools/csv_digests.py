@@ -2,6 +2,7 @@
 
     python tools/csv_digests.py                   # the package in this checkout
     python tools/csv_digests.py --src OTHER/src   # the package in another one
+    python tools/csv_digests.py --arrays          # library arrays instead
 
 The list holds every preset (fig1-fig4, observables), every matrix, and
 `solve` for every (equation, method) pair of the CLI's solver table. One
@@ -9,6 +10,11 @@ line per run, "<sha256>  <arguments>", or "exit <code>" where the run
 failed. Two checkouts write the same CSV bytes where these lines agree:
 
     diff <(python tools/csv_digests.py --src PARENT/src) <(python tools/csv_digests.py)
+
+With ``--arrays`` the lines are the SHA-256 of the values of library calls
+that no CLI run writes (the iterated series, the J0 operator, the
+s-integral form of D and the affine flow on a 4097-point grid), one line
+per call, "<sha256>  <call>", or "error <type>" where the call raised.
 """
 from __future__ import annotations
 
@@ -19,6 +25,8 @@ import io
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 MATRICES = (
     "generator", "pauli_sqrt", "exp_pauli", "dirac2", "dirac4",
@@ -55,6 +63,42 @@ def digest(cli, args, directory: Path) -> str:
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+def array_calls(pf):
+    """(label, thunk) for each library call that ``--arrays`` digests."""
+    gauss = pf.Field.from_function(-16.0, 16.0, 512, lambda x: np.exp(-(x**2)))
+    wavy = gauss.with_values(gauss.values * (1.0 + 0.5j * np.sin(gauss.x)))
+    packet = pf.Field.from_function(
+        -260.0, 260.0, 2048, lambda x: np.cos(0.3 * x) * np.exp(-((x / 40.0) ** 2))
+    )
+    small = pf.Field.from_function(-16.0, 16.0, 256, lambda x: np.exp(-(x**2)))
+    fine = pf.Field.from_function(-6.0, 10.0, 4097, lambda x: np.exp(-((x - 3.0) ** 2)))
+    fine_c = fine.with_values(fine.values * (1.0 + 0.3j * np.cos(fine.x)))
+    calls = [
+        ("iterated_series 512 real tau 0.3", lambda: pf.iterated_series(gauss, 0.3)),
+        ("iterated_series 512 real tau -0.4", lambda: pf.iterated_series(gauss, -0.4)),
+        ("iterated_series 512 complex tau 0.3", lambda: pf.iterated_series(wavy, 0.3)),
+        ("apply_inv_sqrt_shift 2048 packet", lambda: pf.apply_inv_sqrt_shift(packet)),
+        ("dhat_apply 256 s_integral", lambda: pf.dhat_apply(small, "s_integral")),
+    ]
+    for c in (1.0, -1.0):
+        for name, f in (("real", fine), ("complex", fine_c)):
+            calls.append((
+                f"solve_affine_sqrt 4097 {name} c {c:g} tau 0.5",
+                lambda f=f, c=c: pf.solve_affine_sqrt(f, 0.5, c),
+            ))
+    return calls
+
+
+def array_digest(thunk) -> str:
+    """SHA-256 of the values of the Field that ``thunk`` returns, or
+    "error <type>" where it raises."""
+    try:
+        values = thunk().values
+    except Exception as exc:  # a failure is a result to compare, too
+        return f"error {type(exc).__name__}"
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -62,8 +106,18 @@ def main() -> None:
         default=str(Path(__file__).resolve().parents[1] / "src"),
         help="directory holding the pseudoflow package (default: this checkout's src)",
     )
+    parser.add_argument(
+        "--arrays", action="store_true",
+        help="digest the values of library calls that no CLI run writes",
+    )
     ns = parser.parse_args()
     sys.path.insert(0, str(Path(ns.src).resolve()))
+    if ns.arrays:
+        import pseudoflow
+
+        for label, thunk in array_calls(pseudoflow):
+            print(f"{array_digest(thunk)}  {label}", flush=True)
+        return
     from pseudoflow import cli
 
     with tempfile.TemporaryDirectory() as tmp:
