@@ -162,25 +162,24 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _columns_for(values: np.ndarray, name: str):
-    """One real column or an _re/_im pair, already formatted."""
-    if np.iscomplexobj(values):
-        return (
-            [f"{name}_re", f"{name}_im"],
-            [[_fmt(v) for v in values.real], [_fmt(v) for v in values.imag]],
-        )
-    return ([name], [[_fmt(v) for v in values]])
-
-
-def _write_csv(path: str, header: list, columns: list) -> int:
-    rows = list(zip(*columns))
+def _write_csv(path: str, columns: list) -> int:
+    """Write (name, values) columns as the CSV of the module docstring and
+    return the row count. Complex values take a name_re/name_im pair;
+    floats are written as _fmt writes them, integers as integers."""
+    parts = []
+    for name, values in columns:
+        values = np.asarray(values)
+        if np.iscomplexobj(values):
+            parts += [(f"{name}_re", values.real), (f"{name}_im", values.imag)]
+        else:
+            parts.append((name, values))
+    rows = [",".join(row) + "\n" for row in zip(*(map(repr, v.tolist()) for _, v in parts))]
     out_dir = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".partial")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
+            fh.write(",".join(name for name, _ in parts) + "\n")
+            fh.writelines(rows)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -192,7 +191,7 @@ def _write_csv(path: str, header: list, columns: list) -> int:
 
 
 def _field_err(f: Field) -> float | None:
-    err = f.meta.get("quadrature_error", f.meta.get("tail_estimate"))
+    err = f.meta.get("quadrature_error")
     return None if err is None else float(err)
 
 
@@ -200,8 +199,8 @@ def _field_err(f: Field) -> float | None:
 # solve dispatch
 
 
-def _series_field(grid: tuple, tau: float) -> Field:
-    return Field(*grid, _series_sum(np.linspace(*grid), tau)[0])
+def _series_field(f0: Field, tau: float) -> Field:
+    return f0.with_values(_series_sum(f0.x, tau)[0])
 
 
 _DEFAULT_METHODS = {
@@ -213,19 +212,19 @@ _DEFAULT_METHODS = {
     "optics": "spectral",
 }
 
-# (equation, method) -> solver of (namespace, grid, initial field)
+# (equation, method) -> solver of (namespace, initial field)
 _SOLVERS = {
-    ("heat", "spectral"): lambda ns, grid, f0: solve_symbol_spectral(f0, ns.tau, SymbolSpec.heat()),
-    ("heat", "integral"): lambda ns, grid, f0: f0 if ns.tau == 0 else gauss_weierstrass(f0, ns.tau),
-    ("pseudoheat", "integral"): lambda ns, grid, f0: solve_pseudoheat(f0, ns.tau),
-    ("pseudoheat", "spectral"): lambda ns, grid, f0: solve_symbol_spectral(
+    ("heat", "spectral"): lambda ns, f0: solve_symbol_spectral(f0, ns.tau, SymbolSpec.heat()),
+    ("heat", "integral"): lambda ns, f0: f0 if ns.tau == 0 else gauss_weierstrass(f0, ns.tau),
+    ("pseudoheat", "integral"): lambda ns, f0: solve_pseudoheat(f0, ns.tau),
+    ("pseudoheat", "spectral"): lambda ns, f0: solve_symbol_spectral(
         f0, ns.tau, SymbolSpec.pseudoheat()
     ),
-    ("schrodinger", "spectral"): lambda ns, grid, f0: spectral_schrodinger(f0, ns.tau),
-    ("schrodinger", "series"): lambda ns, grid, f0: _series_field(grid, ns.tau),
-    ("half_derivative", "integral"): lambda ns, grid, f0: solve_half_derivative(f0, ns.tau),
-    ("affine_sqrt", "integral"): lambda ns, grid, f0: solve_affine_sqrt(f0, ns.tau, ns.c),
-    ("optics", "spectral"): lambda ns, grid, f0: solve_symbol_spectral(
+    ("schrodinger", "spectral"): lambda ns, f0: spectral_schrodinger(f0, ns.tau),
+    ("schrodinger", "series"): lambda ns, f0: _series_field(f0, ns.tau),
+    ("half_derivative", "integral"): lambda ns, f0: solve_half_derivative(f0, ns.tau),
+    ("affine_sqrt", "integral"): lambda ns, f0: solve_affine_sqrt(f0, ns.tau, ns.c),
+    ("optics", "spectral"): lambda ns, f0: solve_symbol_spectral(
         f0, ns.tau, SymbolSpec.optics(ns.refractive_index)
     ),
 }
@@ -240,55 +239,40 @@ def _solver(equation: str, method: str):
 
 # ----------------------------------------------------------------------
 # subcommand handlers: each takes the parsed namespace and returns
-# (header, columns, err, extra_summary)
+# ([(column name, values)], err, extra_summary)
 
 
 def _run_fig1(ns: argparse.Namespace):
     grid, tau = _parse_grid(ns.grid), ns.tau
     if not (math.isfinite(tau) and tau > 0):
         raise _UsageError("--tau must be positive and finite")
-    f0 = Field.from_function(grid[0], grid[1], grid[2], lambda x: np.exp(-(x**2)))
+    f0 = Field(*grid, _make_ic("gaussian", grid))
     heat = gauss_weierstrass(f0, tau)
     pseudo = solve_pseudoheat(f0, tau)
-    header = ["x", "initial", "heat", "pseudoheat"]
-    cols = [
-        [_fmt(v) for v in f0.x],
-        [_fmt(v) for v in f0.values],
-        [_fmt(v) for v in heat.values],
-        [_fmt(v) for v in pseudo.values],
+    columns = [
+        ("x", f0.x),
+        ("initial", f0.values),
+        ("heat", heat.values),
+        ("pseudoheat", pseudo.values),
     ]
-    return header, cols, _field_err(pseudo), ""
+    return columns, _field_err(pseudo), ""
 
 
 def _run_fig2(ns: argparse.Namespace):
     grid = _parse_grid(ns.grid)
-    taus = (0.0, 0.5, 1.0)
-    if ns.method == "series":
-        fields = [_series_field(grid, t) for t in taus]
-    else:
-        f0 = Field.from_function(grid[0], grid[1], grid[2], lambda x: np.exp(-(x**2)))
-        fields = [spectral_schrodinger(f0, t) for t in taus]
-    header = ["x"] + [f"abs_psi_tau_{_fmt(t)}" for t in taus]
-    x = np.linspace(grid[0], grid[1], grid[2])
-    cols = [[_fmt(v) for v in x]]
-    for fld in fields:
-        cols.append([_fmt(v) for v in np.abs(fld.values)])
-    return header, cols, None, ""
+    f0 = Field(*grid, _make_ic("gaussian", grid))
+    solve = _series_field if ns.method == "series" else spectral_schrodinger
+    columns = [("x", f0.x)]
+    for t in (0.0, 0.5, 1.0):
+        columns.append((f"abs_psi_tau_{_fmt(t)}", np.abs(solve(f0, t).values)))
+    return columns, None, ""
 
 
 def _run_fig3(ns: argparse.Namespace):
     grid = _parse_grid(ns.grid)
-    psi = Field.from_function(
-        grid[0], grid[1], grid[2], lambda x: x**2 * np.exp(-(x**2))
-    )
+    psi = Field(*grid, _make_ic("fig3", grid))
     phi = phi_transform(psi)
-    header = ["x", "psi", "phi"]
-    cols = [
-        [_fmt(v) for v in psi.x],
-        [_fmt(v) for v in psi.values],
-        [_fmt(v) for v in phi.values.real],
-    ]
-    return header, cols, _field_err(phi), ""
+    return [("x", psi.x), ("psi", psi.values), ("phi", phi.values.real)], _field_err(phi), ""
 
 
 def _run_fig4(ns: argparse.Namespace):
@@ -298,13 +282,7 @@ def _run_fig4(ns: argparse.Namespace):
         raise _UsageError("--steps must be at least 2")
     a_values = np.linspace(0.0, ns.a_max, ns.steps)
     r_vals, f_vals = _r_and_f(a_values)
-    header = ["a", "R", "F"]
-    cols = [
-        [_fmt(v) for v in a_values],
-        [_fmt(v) for v in r_vals],
-        [_fmt(v) for v in f_vals],
-    ]
-    return header, cols, None, ""
+    return [("a", a_values), ("R", r_vals), ("F", f_vals)], None, ""
 
 
 def _run_solve(ns: argparse.Namespace):
@@ -316,20 +294,13 @@ def _run_solve(ns: argparse.Namespace):
     solve = _solver(ns.equation, ns.method or _DEFAULT_METHODS[ns.equation])
     other = ns.compare
     solve_other = _solver(ns.equation, other) if other else None
-    primary = solve(ns, grid, f0)
-    header = ["x"]
-    x = np.linspace(grid[0], grid[1], grid[2])
-    cols = [[_fmt(v) for v in x]]
-    names, data = _columns_for(primary.values, "value")
-    header += names
-    cols += data
+    primary = solve(ns, f0)
+    columns = [("x", f0.x), ("value", primary.values)]
     extra = ""
     err = _field_err(primary)
     if other:
-        secondary = solve_other(ns, grid, f0)
-        names2, data2 = _columns_for(secondary.values, f"{other}_value")
-        header += names2
-        cols += data2
+        secondary = solve_other(ns, f0)
+        columns.append((f"{other}_value", secondary.values))
         delta = float(np.max(np.abs(primary.values - secondary.values)))
         extra = f"; max |delta| vs {other} = {_fmt(delta)}"
         err2 = _field_err(secondary)
@@ -337,7 +308,7 @@ def _run_solve(ns: argparse.Namespace):
             err = err2 if err is None else max(err, err2)
     for w in primary.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    return header, cols, err, extra
+    return columns, err, extra
 
 
 _MATRIX_BUILDERS = {
@@ -366,16 +337,9 @@ def _run_matrix(ns: argparse.Namespace):
         pi3=_parse_vec(ns.pi, float) if "," in ns.pi else (float(ns.pi), 0.0, 0.0),
         w=_parse_vec(ns.w, float),
     )
-    mat = _MATRIX_BUILDERS[ns.what](params)
-    header = ["row", "col", "value_re", "value_im"]
-    rows, cols_, re_, im_ = [], [], [], []
-    for i in range(mat.shape[0]):
-        for j in range(mat.shape[1]):
-            rows.append(repr(i))
-            cols_.append(repr(j))
-            re_.append(_fmt(mat[i, j].real))
-            im_.append(_fmt(mat[i, j].imag))
-    return header, [rows, cols_, re_, im_], None, ""
+    mat = np.asarray(_MATRIX_BUILDERS[ns.what](params), dtype=complex)
+    row, col = np.indices(mat.shape)
+    return [("row", row.ravel()), ("col", col.ravel()), ("value", mat.ravel())], None, ""
 
 
 def _run_observables(ns: argparse.Namespace):
@@ -387,17 +351,13 @@ def _run_observables(ns: argparse.Namespace):
     inputs = [ObservableInputs(sigma=ns.sigma, a=ns.a, t=float(t)) for t in ts]
     # R(a) and F(a) once, for every t and the summary line
     r, f = (float(col[0]) for col in _r_and_f(np.array([ns.a])))
-    widths = [_width_sq(inp, r) for inp in inputs]
-    comm_im = [_commutator(inp, f).imag for inp in inputs]
-    header = ["t", "width_sq", "commutator_re", "commutator_im"]
-    cols = [
-        [_fmt(v) for v in ts],
-        [_fmt(v) for v in widths],
-        [_fmt(0.0) for _ in ts],
-        [_fmt(v) for v in comm_im],
+    columns = [
+        ("t", ts),
+        ("width_sq", [_width_sq(inp, r) for inp in inputs]),
+        ("commutator_re", np.zeros_like(ts)),
+        ("commutator_im", [_commutator(inp, f).imag for inp in inputs]),
     ]
-    extra = f"; R(a) = {_fmt(r)}, F(a) = {_fmt(f)}"
-    return header, cols, None, extra
+    return columns, None, f"; R(a) = {_fmt(r)}, F(a) = {_fmt(f)}"
 
 
 _HANDLERS = {
@@ -443,14 +403,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--equation",
         required=True,
-        choices=(
-            "heat",
-            "pseudoheat",
-            "schrodinger",
-            "half_derivative",
-            "affine_sqrt",
-            "optics",
-        ),
+        choices=tuple(_DEFAULT_METHODS),
     )
     p.add_argument("--ic", default="gaussian", help="gaussian | gaussian(sigma) | fig3 | file=<path>")
     p.add_argument("--tau", type=float, required=True)
@@ -497,19 +450,13 @@ def run(args) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     try:
         ns = _build_parser().parse_args(list(args))
-        header, cols, err, extra = _HANDLERS[ns.subcommand](ns)
-        n_rows = _write_csv(ns.out, header, cols)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        # library-level precondition violations are user-input problems
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        columns, err, extra = _HANDLERS[ns.subcommand](ns)
+        n_rows = _write_csv(ns.out, columns)
     except (ConvergenceError, TruncationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (_UsageError, ValueError, OSError) as exc:
+        # library-level precondition violations are user-input problems
         print(f"error: {exc}", file=sys.stderr)
         return 1
     err_text = "n/a" if err is None else _fmt(err)

@@ -44,7 +44,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConvergenceError
-from .special import _ABS_TOL, _REL_TOL, _gl_panels, _log_trapezoid, _shift_panels
+from .special import _REL_TOL, _gl_panels, _log_trapezoid, _shift_panels
 from .transforms import BOUNDARY_LEAK_THRESHOLD, Field, _gw_smoother
 
 __all__ = [
@@ -297,8 +297,6 @@ def solve_half_derivative(f: Field, tau: float) -> Field:
 
     values, err = _shift_panels(h, tau, t2, head, tail, "half-derivative")
     out_warn = _leak_warning(f, "left", "solve_half_derivative")
-    if not np.iscomplexobj(f.values):
-        values = values.real
     return f.with_values(values, tuple(out_warn), meta={"quadrature_error": float(err)})
 
 
@@ -332,8 +330,6 @@ def solve_pseudoheat(f: Field, tau: float) -> Field:
     warn = []
     if f.boundary_leaks():
         warn.append("solve_pseudoheat: input is not negligible at the grid boundary")
-    if not np.iscomplexobj(f.values):
-        values = values.real
     return f.with_values(values, tuple(warn), meta={"quadrature_error": float(err)})
 
 
@@ -544,8 +540,6 @@ def solve_affine_sqrt(f: Field, tau: float, c: float) -> Field:
 
         values, err = _log_trapezoid(integrand)
         warn = []
-    if not np.iscomplexobj(f.values):
-        values = values.real
     return f.with_values(values, tuple(warn), meta={"quadrature_error": float(err)})
 
 
@@ -738,7 +732,7 @@ def apply_inv_sqrt_shift(g: Field) -> Field:
     # Per-point tolerance: comparing against the global output scale would
     # let uniformly diverging data "settle" (everything is garbage of the
     # same magnitude), so each point is judged against its own value.
-    tol = np.maximum(1e-9, np.maximum(_ABS_TOL, _REL_TOL * np.abs(out)))
+    tol = np.maximum(1e-9, _REL_TOL * np.abs(out))
     # The averaging gains a fixed factor per extra arc, so the reachable
     # estimate is set by each point's arc count, not by refinement: points
     # with few arcs are structurally less converged. Fail only when not even
@@ -760,6 +754,4 @@ def apply_inv_sqrt_shift(g: Field) -> Field:
             "averaging error (see meta tail_estimate)"
         )
     warn.extend(_leak_warning(g, "left", "apply_inv_sqrt_shift"))
-    if not np.iscomplexobj(g.values):
-        out = out.real
     return g.with_values(out, tuple(warn), meta={"tail_estimate": float(np.max(est))})

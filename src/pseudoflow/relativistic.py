@@ -314,8 +314,6 @@ def dhat_apply(f: Field, method: str = "kernel_k0") -> Field:
         out = _k0_plan(f)(f.values)
     else:
         out = _dhat_s_integral(f)
-    if not np.iscomplexobj(f.values):
-        out = out.real
     return f.with_values(out, tuple(warn))
 
 
@@ -409,16 +407,19 @@ def _r_and_f(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The rule's tolerance is taken on the largest column, so each is scaled
     to _LOG_UNIT: R's by 1 + a^2/4 (R ~ 4/a^2 for large a) and F's by 1 + a
-    (F ~ sqrt(8/pi)/a). R's weight reaches down to s ~ 1/a^2, which the
-    window covers up to a ~ 3e19; beyond that the rule's end test cannot
-    cut R's tail and it raises ConvergenceError, whose error bound is in
-    the units of R and F, the largest over the columns.
+    (F ~ sqrt(8/pi)/a). R's integrand in log s rises up to its peak at
+    s = 4/a^2, so the window's left end starts at or below that s for the
+    largest a. The window reaches that far up to a ~ 3e19; beyond that the
+    rule's end test cannot cut R's tail and it raises ConvergenceError,
+    whose error bound is in the units of R and F, the largest over the
+    columns (inf where a scale overflows and the rule cannot start).
     """
     a = np.asarray(a, dtype=float)
     with np.errstate(over="ignore"):
         a2 = a * a
     scale = _rf_scale(a)
     r_scale, f_scale = scale
+    a2_max = float(np.max(a2, initial=0.0))
 
     def integrand(s: np.ndarray) -> np.ndarray:
         s = s[:, None]
@@ -427,11 +428,11 @@ def _r_and_f(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.hstack([r_scale * (decay / q), f_scale * (np.sqrt(s) * decay)])
 
     try:
-        cols = _log_trapezoid(integrand, 1.0)[0]
+        cols = _log_trapezoid(integrand, 1.0, 4.0 / a2_max if a2_max > 0 else math.inf)[0]
     except ConvergenceError as exc:
         # the rule sums each column in units of its factor's prefactor / scale
         raise ConvergenceError(
-            exc.reason, error_bound=exc.error_bound * float(np.max(_RF_PREF / scale))
+            exc.reason, error_bound=_in_units(exc.error_bound, float(np.max(_RF_PREF / scale)))
         ) from None
     r_int, f_int = np.split(cols, 2)
     return _RF_PREF[0, 0] * r_int / r_scale, _RF_PREF[1, 0] * f_int / f_scale
@@ -446,9 +447,14 @@ def _factor(a: float, row: int) -> float:
         return float(_r_and_f(at)[row][0])
     except ConvergenceError as exc:
         units = (_RF_PREF / _rf_scale(at))[:, 0]
-        raise ConvergenceError(
-            exc.reason, error_bound=exc.error_bound * float(units[row] / units.max())
-        ) from None
+        ratio = float(units[row] / units.max()) if units[row] > 0 else 0.0
+        raise ConvergenceError(exc.reason, error_bound=_in_units(exc.error_bound, ratio)) from None
+
+
+def _in_units(bound: float, unit: float) -> float:
+    """A rule's error bound times a column's unit. A unit of 0 is a scale
+    that overflowed; the rule then raised at once and no bound is known."""
+    return bound * unit if unit > 0 else math.inf
 
 
 def _check_a(a: float) -> None:

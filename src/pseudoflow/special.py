@@ -56,13 +56,14 @@ that halves from 0.4 while the whole output still changes by more than the
 tolerance. The end test sees one node, so the caller names a t past which
 its integrand only falls (its data factor may still rise beyond v = 8,
 as the pseudoheat Gaussian does at small tau and large |x|), and the right
-end starts there. Its integrand takes the array of a level's new nodes and returns
-one row per node, so a solver evaluates a whole level in a few array
-operations. The subordination weight t^{-3/2} e^{-1/(4t)} decays
-double-exponentially as v -> -inf and is analytic in |Im v| < pi/2, so
-the rule converges like e^{-pi^2/h}; a data factor that is only piecewise
-smooth (a cubic spline sampled along t) converges algebraically and takes
-the deeper levels. Sums run in a fixed order, so results are deterministic too.
+end starts there; likewise a t below which it only falls toward t = 0 (R(a)'s
+rises up to its peak at s = 4/a^2), and the left end starts there. Its
+integrand takes the array of a level's new nodes and returns one row per
+node, so a solver evaluates a whole level in a few array operations. The
+subordination weight t^{-3/2} e^{-1/(4t)} decays double-exponentially as
+v -> -inf and is analytic in |Im v| < pi/2, so the rule converges like
+e^{-pi^2/h}; a data factor that is only piecewise smooth (a cubic spline
+sampled along t) converges algebraically and takes the deeper levels. Sums run in a fixed order, so results are deterministic too.
 The same rule evaluates the Laplace-type integrals over (0, inf): the
 observable factors R(a) and F(a), all a of a grid as columns of one call,
 and a^{-nu} through its Laplace identity. Each scales its columns to
@@ -353,16 +354,17 @@ def _inverse_square_core(f: Callable):
     )
 
 
-def _log_trapezoid(f: Callable, t_tail: float = 0.0):
+def _log_trapezoid(f: Callable, t_tail: float = 0.0, t_head: float = math.inf):
     """Integrate f over (0, inf) as int f(e^v) e^v dv by the nested
     trapezoid rule of the module docstring; returns (value, error).
 
     ``f`` maps an array of t of shape (m,) to shape (m,) or (m, n). Each
     end of the window moves out by _LOG_GROW while its outermost node
     contributes more than _ABS_TOL / 16. That test sees only the end node,
-    so the integrand must fall from there on: ``t_tail`` is the caller's
-    bound on where the weight lies, a t beyond which t |f(t)| only falls,
-    and the right end starts at or beyond log(t_tail). The step halves
+    so the integrand must fall from there on. ``t_tail`` and ``t_head`` are
+    the caller's bounds on where the weight lies: t |f(t)| only falls
+    beyond t_tail and below t_head, and the right end starts at or beyond
+    log(t_tail), the left end at or below log(t_head). The step halves
     from _LOG_STEP, each level evaluating only the new midpoints, until the
     whole output changes by at most the tolerance.
     """
@@ -384,11 +386,17 @@ def _log_trapezoid(f: Callable, t_tail: float = 0.0):
             error_bound=edge,
         )
 
-    hi = _LOG_START
+    def lattice_end(reach: float) -> float:
+        # the first end at or beyond |v| = reach; past the cap (reach = inf
+        # for t_tail = inf or t_head = 0) outer_end raises at once
+        reach = min(reach, 2.0 * _LOG_CAP)
+        return _LOG_START + _LOG_GROW * math.ceil((reach - _LOG_START) / _LOG_GROW)
+
+    hi, lo = _LOG_START, -_LOG_START
     if t_tail > math.exp(_LOG_START):
-        # past the cap (or t_tail = inf) outer_end raises at once
-        reach = min(math.log(t_tail), 2.0 * _LOG_CAP)
-        hi += _LOG_GROW * math.ceil((reach - _LOG_START) / _LOG_GROW)
+        hi = lattice_end(math.log(t_tail))
+    if t_head < math.exp(-_LOG_START):
+        lo = -lattice_end(-math.log(t_head) if t_head > 0 else math.inf)
     prev = None
 
     def total_at(h: float) -> np.ndarray:
@@ -402,7 +410,7 @@ def _log_trapezoid(f: Callable, t_tail: float = 0.0):
     # Overflow gives a non-finite estimate, which is never accepted, so
     # numpy's overflow and inf - inf warnings are silenced.
     with np.errstate(over="ignore", invalid="ignore"):
-        lo = outer_end(-_LOG_START, -_LOG_GROW)
+        lo = outer_end(lo, -_LOG_GROW)
         hi = outer_end(hi, _LOG_GROW)
         return _refine(
             total_at, [_LOG_STEP / 2**k for k in range(_REFINEMENTS + 1)],

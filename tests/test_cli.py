@@ -164,6 +164,17 @@ def test_solve_compare_reports_cross_method_delta(tmp_path):
     assert float(np.max(np.abs(cols["value"] - cols["spectral_value_re"]))) <= 1e-6
 
 
+def test_solve_compare_pairs_a_complex_primary_with_a_real_secondary(tmp_path):
+    # spectral heat is complex and the Gauss-Weierstrass integral real; each
+    # column keeps its own form, in the order the methods were named
+    out = tmp_path / "cmp.csv"
+    args = ["solve", "--equation", "heat", "--method", "spectral", "--compare", "integral"]
+    assert cli.run([*args, "--tau", "0.5", "--grid", "-8:8:64", "--out", str(out)]) == 0
+    header, cols = read_csv(out)
+    assert header == ["x", "value_re", "value_im", "integral_value"]
+    np.testing.assert_allclose(cols["value_re"], cols["integral_value"], rtol=0, atol=1e-9)
+
+
 def test_solve_heat_matches_closed_form(tmp_path):
     out = tmp_path / "heat.csv"
     proc = run_cli(
@@ -376,6 +387,18 @@ def test_usage_errors_exit_1(tmp_path, args, fragment):
     assert not out.exists()
 
 
+def test_observables_past_the_reach_of_r_exits_2(tmp_path):
+    # R's weight lies near s = 4/a^2, beyond the rule's window at a = 1e25: a
+    # numerical failure, not a tiny wrong R in every width_sq
+    out = tmp_path / "never.csv"
+    proc = run_cli(tmp_path, "observables", "--a", "1e25", "--steps", "3", "--out", out)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:"), proc.stderr
+    assert not out.exists()
+    assert no_partials(tmp_path)
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -577,6 +600,20 @@ def test_csv_digests_cover_every_command_and_solver(tmp_path):
     expected = hashlib.sha256((tmp_path / "ref.csv").read_bytes()).hexdigest()
     assert tool.digest(cli, args, tmp_path) == expected
     assert tool.digest(cli, ["fig4", "--steps", "1"], tmp_path) == "exit 1"
+
+
+def test_csv_digests_text_hash_masks_the_output_path(tmp_path):
+    # the second hash covers stdout and stderr, which name the output path;
+    # the same run in another directory must hash the same
+    tool = _csv_digests()
+    args = ["matrix", "--what", "dirac2"]
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    assert tool.digests(cli, args, tmp_path / "a") == tool.digests(cli, args, tmp_path / "b")
+    # each usage error fails with exit 1 and its own message
+    runs = [tool.digests(cli, bad, tmp_path) for bad in tool.USAGE_ERRORS]
+    assert [csv_digest for csv_digest, _ in runs] == ["exit 1"] * len(runs)
+    assert len({text for _, text in runs}) == len(runs)
 
 
 def test_csv_digests_arrays_cover_the_calls_no_cli_run_writes():

@@ -512,11 +512,14 @@ def test_closed_form_oracle_agrees_with_mpmath():
 
 def test_r_and_f_beyond_the_window_raise():
     # R's weight reaches down to s ~ 1/a^2, past the rule's window beyond
-    # about a = 3e19; a^2 overflows from 1.4e154 on
+    # about a = 3e19; a^2 overflows from 1.4e154 on. F shares R's window.
+    # Each failure carries a bound, inf where the rule cannot start.
     assert r_function(1e19) == pytest.approx(4e-38, rel=1e-14)
-    for a in (1e20, 1e200):
-        with pytest.raises(ConvergenceError):
-            r_function(a)
+    for a in (1e20, 1e25, 1e30, 1e100, 1e153, 1e200):
+        for fn in (r_function, f_function):
+            with pytest.raises(ConvergenceError) as exc:
+                fn(a)
+            assert not math.isnan(exc.value.error_bound), (fn.__name__, a)
 
 
 @pytest.mark.parametrize("fn, row", [(r_function, 0), (f_function, 1)])

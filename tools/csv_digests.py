@@ -4,10 +4,14 @@
     python tools/csv_digests.py --src OTHER/src   # the package in another one
     python tools/csv_digests.py --arrays          # library arrays instead
 
-The list holds every preset (fig1-fig4, observables), every matrix, and
-`solve` for every (equation, method) pair of the CLI's solver table. One
-line per run, "<sha256>  <arguments>", or "exit <code>" where the run
-failed. Two checkouts write the same CSV bytes where these lines agree:
+The list holds every preset (fig1-fig4, observables), every matrix, `solve`
+for every (equation, method) pair of the CLI's solver table, `solve` with
+`--compare` and with `--ic gaussian(2)`, and a list of usage errors. One
+line per run, "<csv sha256>  <text sha256>  <arguments>", where the first
+hash reads "exit <code>" where the run failed, and the second is the
+SHA-256 of the run's stdout and stderr with the output path masked. Two
+checkouts write the same CSV bytes, summary lines and error text where
+these lines agree:
 
     diff <(python tools/csv_digests.py --src PARENT/src) <(python tools/csv_digests.py)
 
@@ -48,19 +52,45 @@ RUNS = (
     ("observables",),
     *(("matrix", "--what", what) for what in MATRICES),
     *(("solve", "--equation", eq, "--method", method, "--tau", "0.5") for eq, method in SOLVERS),
+    ("solve", "--equation", "pseudoheat", "--tau", "0.5", "--compare", "spectral"),
+    # a complex primary beside a real secondary
+    ("solve", "--equation", "heat", "--method", "spectral", "--tau", "0.5", "--compare", "integral"),
+    ("solve", "--equation", "schrodinger", "--tau", "0.5", "--compare", "series"),
+    ("solve", "--equation", "pseudoheat", "--tau", "0.5", "--ic", "gaussian(2)"),
+    # past the reach of R's window: a numerical failure
+    ("observables", "--a", "1e25", "--steps", "3"),
 )
+# runs the parser or a handler refuses, as the benchmark's cli_cold draws them
+USAGE_ERRORS = (
+    ("fig1", "--tau", "not-a-number"),
+    ("solve", "--equation", "pseudoheat", "--tau", "-1"),
+    ("fig2", "--grid", "1:0:8"),
+    ("matrix", "--what", "no_such_matrix"),
+    ("fig4", "--steps", "1"),
+    ("observables", "--t-max", "0"),
+)
+
+
+def digests(cli, args, directory: Path) -> tuple[str, str]:
+    """(csv, text) for the run of ``cli.run`` on ``args``: the SHA-256 of
+    the CSV it writes, or "exit <code>" where it fails, and the SHA-256 of
+    its stdout and stderr with the output path masked."""
+    out = Path(directory) / "out.csv"
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.run([*args, "--out", str(out)])
+    text = f"{stdout.getvalue()}\0{stderr.getvalue()}".replace(str(out), "OUT")
+    text_digest = hashlib.sha256(text.encode()).hexdigest()
+    if code != 0:
+        return f"exit {code}", text_digest
+    return hashlib.sha256(out.read_bytes()).hexdigest(), text_digest
 
 
 def digest(cli, args, directory: Path) -> str:
     """SHA-256 of the CSV that ``cli.run`` writes for ``args``, or
     "exit <code>" where it fails; the run's own output is discarded."""
-    out = Path(directory) / "out.csv"
-    out.unlink(missing_ok=True)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.run([*args, "--out", str(out)])
-    if code != 0:
-        return f"exit {code}"
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests(cli, args, directory)[0]
 
 
 def array_calls(pf):
@@ -121,8 +151,8 @@ def main() -> None:
     from pseudoflow import cli
 
     with tempfile.TemporaryDirectory() as tmp:
-        for args in RUNS:
-            print(f"{digest(cli, args, Path(tmp))}  {' '.join(args)}", flush=True)
+        for args in (*RUNS, *USAGE_ERRORS):
+            print(f"{'  '.join(digests(cli, args, Path(tmp)))}  {' '.join(args)}", flush=True)
 
 
 if __name__ == "__main__":
