@@ -13,6 +13,7 @@ non-convergence (ConvergenceError/TruncationError; message on stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import re
@@ -33,7 +34,8 @@ from .evolution import (
 from .relativistic import (
     ObservableInputs,
     _commutator,
-    _r_and_f,
+    _f_values,
+    _r_values,
     _series_sum,
     _width_sq,
     phi_transform,
@@ -175,17 +177,19 @@ def _write_csv(path: str, columns: list) -> int:
             parts.append((name, values))
     rows = [",".join(row) + "\n" for row in zip(*(map(repr, v.tolist()) for _, v in parts))]
     out_dir = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".partial")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".partial")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(name for name, _ in parts) + "\n")
             fh.writelines(rows)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):  # name the path given, not the temporary file
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
     return len(rows)
 
@@ -281,8 +285,7 @@ def _run_fig4(ns: argparse.Namespace):
     if ns.steps < 2:
         raise _UsageError("--steps must be at least 2")
     a_values = np.linspace(0.0, ns.a_max, ns.steps)
-    r_vals, f_vals = _r_and_f(a_values)
-    return [("a", a_values), ("R", r_vals), ("F", f_vals)], None, ""
+    return [("a", a_values), ("R", _r_values(a_values)), ("F", _f_values(a_values))], None, ""
 
 
 def _run_solve(ns: argparse.Namespace):
@@ -350,7 +353,7 @@ def _run_observables(ns: argparse.Namespace):
     ts = np.linspace(0.0, ns.t_max, ns.steps)
     inputs = [ObservableInputs(sigma=ns.sigma, a=ns.a, t=float(t)) for t in ts]
     # R(a) and F(a) once, for every t and the summary line
-    r, f = (float(col[0]) for col in _r_and_f(np.array([ns.a])))
+    r, f = (float(factor(np.array([ns.a]))[0]) for factor in (_r_values, _f_values))
     columns = [
         ("t", ts),
         ("width_sq", [_width_sq(inp, r) for inp in inputs]),

@@ -153,6 +153,8 @@ def f2k(eta: float, k: int) -> float:
     After s = u^2 the even integrand is analytic in |Im u| < 1/2: the trapezoid
     rule (h = 0.025 on [0, 9]) converges like e^{-pi/h}, more slowly as k grows.
     """
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
+        raise ValueError("k must be an integer")
     if k < 0:
         raise ValueError("k must be nonnegative")
     if not math.isfinite(eta):
@@ -392,91 +394,77 @@ def iterated_series(psi0: Field, tau: float) -> Field:
 
 
 # R(a) and F(a) are these multiples of their integrals
-_RF_PREF = np.array([[2.0 * math.sqrt(2.0)], [2.0 * math.sqrt(2.0 / math.pi)]])
+_R_PREF = 2.0 * math.sqrt(2.0)
+_F_PREF = 2.0 * math.sqrt(2.0 / math.pi)
 
 
-def _rf_scale(a: np.ndarray) -> np.ndarray:
-    """The (2, m) scales of the R and F columns of :func:`_r_and_f`."""
-    with np.errstate(over="ignore"):  # a^2 = inf also ends in ConvergenceError
-        return _LOG_UNIT * np.stack([1.0 + 0.25 * (a * a), 1.0 + a])
-
-
-def _r_and_f(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """R(a) and F(a) for every a of an array, from one log-trapezoid call
-    with one column per (factor, a).
+def _r_values(a: np.ndarray) -> np.ndarray:
+    """R(a) for every a of an array, from one log-trapezoid call with one
+    column per a.
 
     The rule's tolerance is taken on the largest column, so each is scaled
-    to _LOG_UNIT: R's by 1 + a^2/4 (R ~ 4/a^2 for large a) and F's by 1 + a
-    (F ~ sqrt(8/pi)/a). R's integrand in log s rises up to its peak at
-    s = 4/a^2, so the window's left end starts at or below that s for the
-    largest a. The window reaches that far up to a ~ 3e19; beyond that the
-    rule's end test cannot cut R's tail and it raises ConvergenceError,
-    whose error bound is in the units of R and F, the largest over the
-    columns (inf where a scale overflows and the rule cannot start).
+    to _LOG_UNIT by 1 + a^2/4 (R ~ 4/a^2 for large a). R's integrand in
+    log s rises up to its peak at s = 4/a^2, so the window's left end
+    starts at or below that s for the largest a. The window reaches that
+    far up to a ~ 3e19; beyond that the rule's end test cannot cut R's
+    tail and it raises ConvergenceError, its error bound in units of R
+    (inf where a^2 overflows and the rule cannot start).
     """
-    a = np.asarray(a, dtype=float)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):  # a^2 = inf also ends in ConvergenceError
         a2 = a * a
-    scale = _rf_scale(a)
-    r_scale, f_scale = scale
-    a2_max = float(np.max(a2, initial=0.0))
+        scale = _LOG_UNIT * (1.0 + 0.25 * a2)
+        t_head = 4.0 / np.max(a2)  # inf where every a is 0
 
     def integrand(s: np.ndarray) -> np.ndarray:
         s = s[:, None]
         q = 2.0 + a2 * s
-        decay = np.exp(-s) / np.sqrt(q)
-        return np.hstack([r_scale * (decay / q), f_scale * (np.sqrt(s) * decay)])
+        return scale * (np.exp(-s) / np.sqrt(q) / q)
 
-    try:
-        cols = _log_trapezoid(integrand, 1.0, 4.0 / a2_max if a2_max > 0 else math.inf)[0]
-    except ConvergenceError as exc:
-        # the rule sums each column in units of its factor's prefactor / scale
-        raise ConvergenceError(
-            exc.reason, error_bound=_in_units(exc.error_bound, float(np.max(_RF_PREF / scale)))
-        ) from None
-    r_int, f_int = np.split(cols, 2)
-    return _RF_PREF[0, 0] * r_int / r_scale, _RF_PREF[1, 0] * f_int / f_scale
+    return _R_PREF * _log_trapezoid(integrand, 1.0, t_head, unit=_R_PREF / scale)[0] / scale
 
 
-def _factor(a: float, row: int) -> float:
-    """R(a) (row 0) or F(a) (row 1) at one a. A ConvergenceError reports
-    this factor's own error bound, where _r_and_f reports the larger."""
-    _check_a(a)
-    at = np.array([float(a)])
-    try:
-        return float(_r_and_f(at)[row][0])
-    except ConvergenceError as exc:
-        units = (_RF_PREF / _rf_scale(at))[:, 0]
-        ratio = float(units[row] / units.max()) if units[row] > 0 else 0.0
-        raise ConvergenceError(exc.reason, error_bound=_in_units(exc.error_bound, ratio)) from None
+def _f_values(a: np.ndarray) -> np.ndarray:
+    """F(a) for every a of an array, from one log-trapezoid call with one
+    column per a, each scaled to _LOG_UNIT by 1 + a (F ~ sqrt(8/pi)/a).
+    F's weight in log s peaks at s = 1 to 1.5 for every a, so the window
+    starts at the rule's default ends. sqrt(2 + a^2 s) is a hypot, finite where a^2
+    overflows; past a ~ 1.8e304 the scale overflows and the rule raises
+    ConvergenceError with an infinite bound.
+    """
+    with np.errstate(over="ignore"):
+        scale = _LOG_UNIT * (1.0 + a)
+
+    def integrand(s: np.ndarray) -> np.ndarray:
+        root = np.sqrt(s)[:, None]
+        return scale * (root * (np.exp(-s)[:, None] / np.hypot(math.sqrt(2.0), a * root)))
+
+    return _F_PREF * _log_trapezoid(integrand, 1.0, unit=_F_PREF / scale)[0] / scale
 
 
-def _in_units(bound: float, unit: float) -> float:
-    """A rule's error bound times a column's unit. A unit of 0 is a scale
-    that overflowed; the rule then raised at once and no bound is known."""
-    return bound * unit if unit > 0 else math.inf
-
-
-def _check_a(a: float) -> None:
+def _one_a(a: float) -> np.ndarray:
     if not (math.isfinite(a) and a >= 0):
         raise ValueError("a must be finite and nonnegative")
+    return np.array([float(a)])
 
 
 def r_function(a: float) -> float:
     """Width-correction factor R(a) = 2 sqrt(2) int_0^inf e^{-s} (2+a^2 s)^{-3/2} ds.
 
     R(0) = 1; decreases monotonically; R(a) ~ 1 - (3/4) a^2 for small a.
-    Within about 1e-15 of the closed form up to a = 3e19 (ConvergenceError
-    beyond, its error bound in units of R; see _r_and_f).
+    Within about 1e-15 of the closed form for a in [0, 3e19]; beyond that
+    ConvergenceError, its error bound in units of R (see _r_values).
     """
-    return _factor(a, 0)
+    return float(_r_values(_one_a(a))[0])
 
 
 def f_function(a: float) -> float:
     """Commutator-correction factor
     F(a) = (2 sqrt(2)/sqrt(pi)) int_0^inf ds sqrt(s) e^{-s} (2+a^2 s)^{-1/2}.
+
+    F(0) = 1; F(a) ~ sqrt(8/pi)/a for large a. Within about 1e-15 of the
+    closed form for a in [0, 1e304]; ConvergenceError beyond (see _f_values).
     """
-    return _factor(a, 1)
+    return float(_f_values(_one_a(a))[0])
 
 
 def _width_sq(inputs: ObservableInputs, r: float) -> float:
@@ -503,6 +491,8 @@ def linear_potential_trajectory(x0: float, p0: float, force: float, t: float) ->
     (m = c = 1): x(t) = x0 + [sqrt(1+(t f + p0)^2) - sqrt(1+p0^2)] / f,
     with the free-particle limit used at f = 0.
     """
+    if not all(math.isfinite(v) for v in (x0, p0, force, t)):
+        raise ValueError("x0, p0, force and t must be finite")
     if force == 0.0:
         return x0 + t * p0 / math.sqrt(1.0 + p0 * p0)
     return x0 + (math.sqrt(1.0 + (t * force + p0) ** 2) - math.sqrt(1.0 + p0 * p0)) / force

@@ -65,10 +65,12 @@ v -> -inf and is analytic in |Im v| < pi/2, so the rule converges like
 e^{-pi^2/h}; a data factor that is only piecewise smooth (a cubic spline
 sampled along t) converges algebraically and takes the deeper levels. Sums run in a fixed order, so results are deterministic too.
 The same rule evaluates the Laplace-type integrals over (0, inf): the
-observable factors R(a) and F(a), all a of a grid as columns of one call,
-and a^{-nu} through its Laplace identity. Each scales its columns to
-_LOG_UNIT, since the tolerance is taken on the largest output and the end
-test is absolute.
+observable factors R(a) and F(a), each on a window of its own with all a
+of a grid as the columns of one call, and a^{-nu} through its Laplace
+identity. Each scales its columns to _LOG_UNIT, since the tolerance is
+taken on the largest output and the end test is absolute, and passes the
+rule the ``unit`` that undoes its scale, so that a ConvergenceError
+reports its estimate and error bound in the caller's units.
 """
 from __future__ import annotations
 
@@ -354,7 +356,7 @@ def _inverse_square_core(f: Callable):
     )
 
 
-def _log_trapezoid(f: Callable, t_tail: float = 0.0, t_head: float = math.inf):
+def _log_trapezoid(f: Callable, t_tail: float = 0.0, t_head: float = math.inf, unit=1.0):
     """Integrate f over (0, inf) as int f(e^v) e^v dv by the nested
     trapezoid rule of the module docstring; returns (value, error).
 
@@ -367,6 +369,10 @@ def _log_trapezoid(f: Callable, t_tail: float = 0.0, t_head: float = math.inf):
     log(t_tail), the left end at or below log(t_head). The step halves
     from _LOG_STEP, each level evaluating only the new midpoints, until the
     whole output changes by at most the tolerance.
+
+    ``unit`` (scalar or per column) is what the caller multiplies the
+    rule's value by: a ConvergenceError reports its estimate and bound times
+    the largest unit, and an infinite bound where a unit is 0 or not finite.
     """
 
     def g(v: np.ndarray) -> np.ndarray:
@@ -409,13 +415,20 @@ def _log_trapezoid(f: Callable, t_tail: float = 0.0, t_head: float = math.inf):
 
     # Overflow gives a non-finite estimate, which is never accepted, so
     # numpy's overflow and inf - inf warnings are silenced.
-    with np.errstate(over="ignore", invalid="ignore"):
-        lo = outer_end(lo, -_LOG_GROW)
-        hi = outer_end(hi, _LOG_GROW)
-        return _refine(
-            total_at, [_LOG_STEP / 2**k for k in range(_REFINEMENTS + 1)],
-            "log-trapezoid rule did not converge at step {:g}",
-        )
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo = outer_end(lo, -_LOG_GROW)
+            hi = outer_end(hi, _LOG_GROW)
+            return _refine(
+                total_at, [_LOG_STEP / 2**k for k in range(_REFINEMENTS + 1)],
+                "log-trapezoid rule did not converge at step {:g}",
+            )
+    except ConvergenceError as exc:
+        # in the caller's units; where its scale overflowed no bound is known
+        big = float(np.max(unit)) if np.min(unit) > 0 else math.inf
+        estimate = None if exc.estimate is None or big == math.inf else exc.estimate * big
+        bound = exc.error_bound * big if big < math.inf else big
+        raise ConvergenceError(exc.reason, estimate=estimate, error_bound=bound) from None
 
 
 def _quadpack(f: Callable, a: float, b: float, probe_at: float):

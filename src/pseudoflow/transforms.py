@@ -24,7 +24,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConvergenceError
 from .special import _LOG_UNIT, _legendre_nodes, _log_trapezoid, _quadpack
 
 __all__ = [
@@ -232,6 +231,8 @@ def glaisher(alpha: float, x) -> float:
     e^{alpha d^2} e^{-x^2} = (1+4 alpha)^{-1/2} e^{-x^2/(1+4 alpha)},
     valid for 1 + 4 alpha > 0.
     """
+    if not (math.isfinite(alpha) and np.all(np.isfinite(x))):
+        raise ValueError("alpha and x must be finite")
     s = 1.0 + 4.0 * alpha
     if s <= 0:
         raise ValueError("glaisher requires 1 + 4*alpha > 0")
@@ -265,14 +266,4 @@ def laplace_inv_power(nu: float, a: float) -> float:
     def ig(u: np.ndarray) -> np.ndarray:
         return np.exp((nu / p - 1.0) * np.log(u) - u ** (1.0 / p) + log_norm)
 
-    try:
-        total = float(_log_trapezoid(ig, nu**p)[0])
-    except ConvergenceError as exc:
-        # the rule sums in units of a^{-nu} / _LOG_UNIT
-        unit = power / _LOG_UNIT
-        raise ConvergenceError(
-            exc.reason,
-            estimate=None if exc.estimate is None else float(exc.estimate) * unit,
-            error_bound=None if exc.error_bound is None else exc.error_bound * unit,
-        ) from None
-    return power * total / _LOG_UNIT
+    return power * float(_log_trapezoid(ig, nu**p, unit=power / _LOG_UNIT)[0]) / _LOG_UNIT

@@ -467,6 +467,9 @@ def test_unwritable_output_path_exits_1(tmp_path):
     proc = run_cli(tmp_path, "fig4", "--steps", "10", "--out", out)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
+    # the message names the path given, not the writer's temporary file
+    assert str(out) in proc.stderr
+    assert ".partial" not in proc.stderr
 
 
 # ----------------------------------------------------------------------

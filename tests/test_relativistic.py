@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pseudoflow import (
@@ -26,7 +28,7 @@ from pseudoflow import (
     series_solution,
     spectral_schrodinger,
 )
-from pseudoflow.relativistic import _r_and_f, _series_sum
+from pseudoflow.relativistic import _f_values, _r_values, _series_sum
 
 ADAPTIVE = QuadratureConfig(halfline_rule="adaptive_subdivision")
 
@@ -109,6 +111,10 @@ def test_f2k_validation():
         f2k(1.0, -1)
     with pytest.raises(ValueError, match="finite"):
         f2k(math.inf, 0)
+    # the order is an integer, as hermite2's is: no rounding, no bool
+    for k in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="integer"):
+            f2k(0.3, k)
 
 
 # ----------------------------------------------------------------------
@@ -498,7 +504,7 @@ def test_r_and_f_meet_closed_forms_over_the_whole_domain():
     avals = (0.0,) + RF_MPMATH_A + RF_CLOSED_FORM_A
     refs = [(1.0, 1.0)] + [rf_mpmath(a) for a in RF_MPMATH_A]
     refs += [rf_closed_form(a) for a in RF_CLOSED_FORM_A]
-    r_grid, f_grid = _r_and_f(np.array(avals))
+    r_grid, f_grid = _r_values(np.array(avals)), _f_values(np.array(avals))
     for a, (r_ref, f_ref), r_col, f_col in zip(avals, refs, r_grid, f_grid):
         pairs = ((r_function(a), r_ref), (r_col, r_ref), (f_function(a), f_ref), (f_col, f_ref))
         for got, ref in pairs:
@@ -512,32 +518,72 @@ def test_closed_form_oracle_agrees_with_mpmath():
 
 def test_r_and_f_beyond_the_window_raise():
     # R's weight reaches down to s ~ 1/a^2, past the rule's window beyond
-    # about a = 3e19; a^2 overflows from 1.4e154 on. F shares R's window.
-    # Each failure carries a bound, inf where the rule cannot start.
+    # about a = 3e19; a^2 overflows from 1.4e154 on. Each failure carries a
+    # bound, inf where the rule cannot start. F has a window of its own and
+    # stays right at the same a.
     assert r_function(1e19) == pytest.approx(4e-38, rel=1e-14)
     for a in (1e20, 1e25, 1e30, 1e100, 1e153, 1e200):
-        for fn in (r_function, f_function):
-            with pytest.raises(ConvergenceError) as exc:
-                fn(a)
-            assert not math.isnan(exc.value.error_bound), (fn.__name__, a)
+        with pytest.raises(ConvergenceError) as exc:
+            r_function(a)
+        assert not math.isnan(exc.value.error_bound), a
+        f_ref = rf_mpmath(a)[1]
+        assert abs(f_function(a) - f_ref) <= 2e-15 * f_ref, a
 
 
 @pytest.mark.parametrize("fn, row", [(r_function, 0), (f_function, 1)])
 def test_r_and_f_report_failure_in_their_own_units(fn, row):
-    # the rule sums a column scaled by _LOG_UNIT (1 + a^2/4) or (1 + a); the
-    # bound it reports is in the units of the factor asked for
+    # the rule sums R's column scaled by _LOG_UNIT (1 + a^2/4); the bound it
+    # reports is in units of R. F is right at the same a.
     a = 1e21
+    if fn is f_function:
+        f_ref = rf_mpmath(a)[1]
+        assert abs(fn(a) - f_ref) <= 2e-15 * f_ref
+        return
     value = rf_closed_form(a)[row]
     with pytest.raises(ConvergenceError) as exc:
         fn(a)
     assert 0.0 < exc.value.error_bound < value
     assert exc.value.reason.startswith("log-trapezoid rule")
     assert exc.value.reason in str(exc.value)
-    # _r_and_f reports the larger of the two bounds
+    # the array call on the same a reports the same failure
     with pytest.raises(ConvergenceError) as both:
-        _r_and_f(np.array([a]))
-    assert both.value.error_bound >= exc.value.error_bound
+        _r_values(np.array([a]))
+    assert both.value.error_bound == exc.value.error_bound
     assert both.value.reason == exc.value.reason
+
+
+def _right_or_raises(call, refs) -> bool:
+    """Whether call() returns; what it returns must be within 2e-15 of refs
+    at every entry, and a raise a ConvergenceError whose bound is not NaN."""
+    try:
+        got = np.asarray(call(), dtype=float)
+    except ConvergenceError as exc:
+        assert not math.isnan(exc.error_bound)
+        return False
+    refs = np.asarray(refs)
+    assert np.all(np.abs(got - refs) <= 2e-15 * refs), (got, refs)
+    return True
+
+
+# a log-uniform over [1e-3, 1.7e308], and 0
+_SWEEP_A = st.one_of(st.just(0.0), st.floats(-3.0, math.log10(1.7e308)).map(lambda k: 10.0**k))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(_SWEEP_A, min_size=1, max_size=2))
+@example([1e153])  # F's last decade that must be right
+@example([1.4e154, 3e19])  # a^2 overflows; R's window ends
+@example([1.7e304, 1.8e304])  # F's scale overflows
+@example([1.7e308])
+def test_r_and_f_are_right_or_raise_over_the_whole_domain(avals):
+    # a RuntimeWarning fails the test (pyproject's filterwarnings)
+    refs = np.array([rf_mpmath(a) if a > 0 else (1.0, 1.0) for a in avals])
+    for col, scalar, array in ((0, r_function, _r_values), (1, f_function, _f_values)):
+        calls = [(lambda a=a: scalar(a), ref) for a, ref in zip(avals, refs[:, col])]
+        calls.append((lambda: array(np.array(avals)), refs[:, col]))
+        returned = [_right_or_raises(call, ref) for call, ref in calls]
+        if col == 1 and max(avals) <= 1e153:
+            assert all(returned)  # F is right on all of [0, 1e153]
 
 
 def test_packet_width_basics():
@@ -614,3 +660,12 @@ def test_linear_potential_trajectory():
     # ultrarelativistic: the velocity saturates at c = 1
     x = linear_potential_trajectory(0.5, 100.0, 1.0, 1.0)
     assert abs(x - 0.5 - 1.0) <= 0.01
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", range(4))
+def test_linear_potential_trajectory_rejects_nonfinite_arguments(slot, bad):
+    args = [0.0, 2.0, 0.5, 1.2]
+    args[slot] = bad
+    with pytest.raises(ValueError, match="finite"):
+        linear_potential_trajectory(*args)

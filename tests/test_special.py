@@ -385,6 +385,25 @@ def test_log_trapezoid_reports_nonconvergence():
     assert exc_info.value.error_bound > 0
 
 
+def test_log_trapezoid_reports_failure_in_the_callers_units():
+    # the bound is the rule's times the largest unit, inf where a unit is 0
+    # or not finite (a caller's scale that overflowed)
+    def slow(t):
+        return np.ones((t.size, 2)) / (1.0 + t)
+
+    with pytest.raises(ConvergenceError) as plain:
+        special._log_trapezoid(slow)
+    with pytest.raises(ConvergenceError) as scaled:
+        special._log_trapezoid(slow, unit=np.array([2.0, 3.0]))
+    assert 0.0 < plain.value.error_bound < math.inf
+    assert scaled.value.error_bound == 3.0 * plain.value.error_bound
+    assert scaled.value.reason == plain.value.reason
+    for unit in ([1.0, 0.0], [1.0, math.inf], 0.0):
+        with pytest.raises(ConvergenceError) as exc:
+            special._log_trapezoid(slow, unit=np.array(unit))
+        assert exc.value.error_bound == math.inf
+
+
 def test_log_trapezoid_estimate_covers_algebraic_error():
     # e^{-v^2/2} (1 + |v|^3) in v = log t: the jump of the third derivative
     # at v = 0 leaves an O(h^4) error well above rounding at the accepted

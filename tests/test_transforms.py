@@ -269,6 +269,18 @@ def test_glaisher_rejects_collapsed_width(alpha):
         glaisher(alpha, 0.5)
 
 
+@pytest.mark.parametrize(
+    "alpha, x",
+    [
+        (math.nan, 0.5), (math.inf, 0.5), (0.3, math.nan), (0.3, -math.inf),
+        (0.3, np.array([0.0, math.inf])),
+    ],
+)
+def test_glaisher_rejects_nonfinite_arguments(alpha, x):
+    with pytest.raises(ValueError, match="finite"):
+        glaisher(alpha, x)
+
+
 # ----------------------------------------------------------------------
 # laplace_inv_power
 

@@ -17,8 +17,9 @@ these lines agree:
 
 With ``--arrays`` the lines are the SHA-256 of the values of library calls
 that no CLI run writes (the iterated series, the J0 operator, the
-s-integral form of D and the affine flow on a 4097-point grid), one line
-per call, "<sha256>  <call>", or "error <type>" where the call raised.
+s-integral form of D, the affine flow on a 4097-point grid, and R(a) and
+F(a) on a = 10^k for k = -3, -2.5, ..., 19), one line per call,
+"<sha256>  <call>", or "error <type>" where the call raised.
 """
 from __future__ import annotations
 
@@ -116,16 +117,22 @@ def array_calls(pf):
                 f"solve_affine_sqrt 4097 {name} c {c:g} tau 0.5",
                 lambda f=f, c=c: pf.solve_affine_sqrt(f, 0.5, c),
             ))
+    a_values = 10.0 ** np.arange(-3.0, 19.25, 0.5)
+    calls += [
+        ("_r_values a = 10^-3..10^19", lambda: pf.relativistic._r_values(a_values)),
+        ("_f_values a = 10^-3..10^19", lambda: pf.relativistic._f_values(a_values)),
+    ]
     return calls
 
 
 def array_digest(thunk) -> str:
-    """SHA-256 of the values of the Field that ``thunk`` returns, or
-    "error <type>" where it raises."""
+    """SHA-256 of the values that ``thunk`` returns (an array, or a Field's
+    values), or "error <type>" where it raises."""
     try:
-        values = thunk().values
+        values = thunk()
     except Exception as exc:  # a failure is a result to compare, too
         return f"error {type(exc).__name__}"
+    values = getattr(values, "values", values)
     return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
 
 
