@@ -9,6 +9,11 @@ file and renamed into place, so a failed run leaves no partial output.
 
 Exit codes: 0 success, 1 usage error (message on stderr), 2 numerical
 non-convergence (ConvergenceError/TruncationError; message on stderr).
+
+Flags are checked before numpy loads: this module imports no numpy, and
+each handler reaches the solvers through the package's lazy namespace only
+after its flags have passed, so a refused invocation answers in about the
+start-up time of the interpreter.
 """
 from __future__ import annotations
 
@@ -20,28 +25,10 @@ import re
 import sys
 import tempfile
 
-import numpy as np
+import pseudoflow as pf
 
-from . import clifford
+from ._choices import KAPPA_VARIANTS, POSITION_PARAMETRIZATIONS
 from .errors import ConvergenceError, TruncationError
-from .evolution import (
-    SymbolSpec,
-    solve_affine_sqrt,
-    solve_half_derivative,
-    solve_pseudoheat,
-    solve_symbol_spectral,
-)
-from .relativistic import (
-    ObservableInputs,
-    _commutator,
-    _f_values,
-    _r_values,
-    _series_sum,
-    _width_sq,
-    phi_transform,
-    spectral_schrodinger,
-)
-from .transforms import Field, gauss_weierstrass
 
 __all__ = ["run", "main"]
 
@@ -102,11 +89,11 @@ def _parse_vec(text: str, kind=float, length: int = 3):
     return items
 
 
-def _make_ic(spec: str, grid: tuple):
-    """Turn an --ic flag value into initial samples on the grid."""
-    x = np.linspace(grid[0], grid[1], grid[2])
+def _parse_ic(spec: str) -> tuple:
+    """Check an --ic flag value before numpy loads. Returns ("gaussian",
+    width), ("fig3", None) or ("file", sorted (x, value) rows)."""
     if spec == "gaussian":
-        return np.exp(-(x**2))
+        return ("gaussian", 1.0)  # x / 1.0 is x, bit for bit
     if spec.startswith("gaussian(") and spec.endswith(")"):
         try:
             sigma = float(spec[len("gaussian(") : -1])
@@ -114,22 +101,19 @@ def _make_ic(spec: str, grid: tuple):
             raise _UsageError(f"bad gaussian width in {spec!r}") from None
         if sigma <= 0:
             raise _UsageError("gaussian width must be positive")
-        return np.exp(-((x / sigma) ** 2))
+        return ("gaussian", sigma)
     if spec == "fig3":
-        return x**2 * np.exp(-(x**2))
+        return ("fig3", None)
     if spec.startswith("file="):
-        return _load_ic_file(spec[len("file=") :], x)
+        return ("file", _read_ic_file(spec[len("file=") :]))
     raise _UsageError(
         f"unknown initial condition {spec!r}; expected gaussian, gaussian(sigma), "
         "fig3 or file=<path>"
     )
 
 
-def _load_ic_file(path: str, x: np.ndarray) -> np.ndarray:
-    """Read a two-column CSV (x, value) and spline it onto the grid.
-
-    Points outside the file's range are taken as zero.
-    """
+def _read_ic_file(path: str) -> list:
+    """Read a two-column CSV (x, value) into rows sorted by x."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -149,14 +133,27 @@ def _load_ic_file(path: str, x: np.ndarray) -> np.ndarray:
     if len(rows) < 4:
         raise _UsageError(f"{path}: need at least 4 data rows")
     rows.sort()
-    xi = np.array([r[0] for r in rows])
-    yi = np.array([r[1] for r in rows])
-    if np.any(np.diff(xi) <= 0):
+    # b - a as np.diff took it, so a NaN step (inf - inf) passes on to the spline
+    if any(b[0] - a[0] <= 0 for a, b in zip(rows, rows[1:])):
         raise _UsageError(f"{path}: x column must be strictly increasing")
+    return rows
+
+
+def _make_ic(ic: tuple, grid: tuple):
+    """Initial samples on the grid for a checked --ic value. A file's rows
+    are splined onto the grid, and points outside their range are zero."""
+    import numpy as np
+
+    kind, arg = ic
+    x = np.linspace(grid[0], grid[1], grid[2])
+    if kind == "gaussian":
+        return np.exp(-((x / arg) ** 2))
+    if kind == "fig3":
+        return x**2 * np.exp(-(x**2))
     from scipy.interpolate import CubicSpline
 
-    spl = CubicSpline(xi, yi, extrapolate=False)
-    vals = spl(x)
+    xi, yi = (np.array(column) for column in zip(*arg))
+    vals = CubicSpline(xi, yi, extrapolate=False)(x)
     return np.where(np.isnan(vals), 0.0, vals)
 
 
@@ -168,6 +165,8 @@ def _write_csv(path: str, columns: list) -> int:
     """Write (name, values) columns as the CSV of the module docstring and
     return the row count. Complex values take a name_re/name_im pair;
     floats are written as _fmt writes them, integers as integers."""
+    import numpy as np
+
     parts = []
     for name, values in columns:
         values = np.asarray(values)
@@ -194,7 +193,7 @@ def _write_csv(path: str, columns: list) -> int:
     return len(rows)
 
 
-def _field_err(f: Field) -> float | None:
+def _field_err(f: pf.Field) -> float | None:
     err = f.meta.get("quadrature_error")
     return None if err is None else float(err)
 
@@ -203,7 +202,9 @@ def _field_err(f: Field) -> float | None:
 # solve dispatch
 
 
-def _series_field(f0: Field, tau: float) -> Field:
+def _series_field(f0: pf.Field, tau: float) -> pf.Field:
+    from .relativistic import _series_sum
+
     return f0.with_values(_series_sum(f0.x, tau)[0])
 
 
@@ -218,18 +219,20 @@ _DEFAULT_METHODS = {
 
 # (equation, method) -> solver of (namespace, initial field)
 _SOLVERS = {
-    ("heat", "spectral"): lambda ns, f0: solve_symbol_spectral(f0, ns.tau, SymbolSpec.heat()),
-    ("heat", "integral"): lambda ns, f0: f0 if ns.tau == 0 else gauss_weierstrass(f0, ns.tau),
-    ("pseudoheat", "integral"): lambda ns, f0: solve_pseudoheat(f0, ns.tau),
-    ("pseudoheat", "spectral"): lambda ns, f0: solve_symbol_spectral(
-        f0, ns.tau, SymbolSpec.pseudoheat()
+    ("heat", "spectral"): lambda ns, f0: pf.solve_symbol_spectral(
+        f0, ns.tau, pf.SymbolSpec.heat()
     ),
-    ("schrodinger", "spectral"): lambda ns, f0: spectral_schrodinger(f0, ns.tau),
+    ("heat", "integral"): lambda ns, f0: f0 if ns.tau == 0 else pf.gauss_weierstrass(f0, ns.tau),
+    ("pseudoheat", "integral"): lambda ns, f0: pf.solve_pseudoheat(f0, ns.tau),
+    ("pseudoheat", "spectral"): lambda ns, f0: pf.solve_symbol_spectral(
+        f0, ns.tau, pf.SymbolSpec.pseudoheat()
+    ),
+    ("schrodinger", "spectral"): lambda ns, f0: pf.spectral_schrodinger(f0, ns.tau),
     ("schrodinger", "series"): lambda ns, f0: _series_field(f0, ns.tau),
-    ("half_derivative", "integral"): lambda ns, f0: solve_half_derivative(f0, ns.tau),
-    ("affine_sqrt", "integral"): lambda ns, f0: solve_affine_sqrt(f0, ns.tau, ns.c),
-    ("optics", "spectral"): lambda ns, f0: solve_symbol_spectral(
-        f0, ns.tau, SymbolSpec.optics(ns.refractive_index)
+    ("half_derivative", "integral"): lambda ns, f0: pf.solve_half_derivative(f0, ns.tau),
+    ("affine_sqrt", "integral"): lambda ns, f0: pf.solve_affine_sqrt(f0, ns.tau, ns.c),
+    ("optics", "spectral"): lambda ns, f0: pf.solve_symbol_spectral(
+        f0, ns.tau, pf.SymbolSpec.optics(ns.refractive_index)
     ),
 }
 
@@ -242,7 +245,7 @@ def _solver(equation: str, method: str):
 
 
 # ----------------------------------------------------------------------
-# subcommand handlers: each takes the parsed namespace and returns
+# subcommand handlers: each checks its flags, then computes, and returns
 # ([(column name, values)], err, extra_summary)
 
 
@@ -250,9 +253,9 @@ def _run_fig1(ns: argparse.Namespace):
     grid, tau = _parse_grid(ns.grid), ns.tau
     if not (math.isfinite(tau) and tau > 0):
         raise _UsageError("--tau must be positive and finite")
-    f0 = Field(*grid, _make_ic("gaussian", grid))
-    heat = gauss_weierstrass(f0, tau)
-    pseudo = solve_pseudoheat(f0, tau)
+    f0 = pf.Field(*grid, _make_ic(_parse_ic("gaussian"), grid))
+    heat = pf.gauss_weierstrass(f0, tau)
+    pseudo = pf.solve_pseudoheat(f0, tau)
     columns = [
         ("x", f0.x),
         ("initial", f0.values),
@@ -264,8 +267,10 @@ def _run_fig1(ns: argparse.Namespace):
 
 def _run_fig2(ns: argparse.Namespace):
     grid = _parse_grid(ns.grid)
-    f0 = Field(*grid, _make_ic("gaussian", grid))
-    solve = _series_field if ns.method == "series" else spectral_schrodinger
+    import numpy as np
+
+    f0 = pf.Field(*grid, _make_ic(_parse_ic("gaussian"), grid))
+    solve = _series_field if ns.method == "series" else pf.spectral_schrodinger
     columns = [("x", f0.x)]
     for t in (0.0, 0.5, 1.0):
         columns.append((f"abs_psi_tau_{_fmt(t)}", np.abs(solve(f0, t).values)))
@@ -274,8 +279,8 @@ def _run_fig2(ns: argparse.Namespace):
 
 def _run_fig3(ns: argparse.Namespace):
     grid = _parse_grid(ns.grid)
-    psi = Field(*grid, _make_ic("fig3", grid))
-    phi = phi_transform(psi)
+    psi = pf.Field(*grid, _make_ic(_parse_ic("fig3"), grid))
+    phi = pf.phi_transform(psi)
     return [("x", psi.x), ("psi", psi.values), ("phi", phi.values.real)], _field_err(phi), ""
 
 
@@ -284,6 +289,10 @@ def _run_fig4(ns: argparse.Namespace):
         raise _UsageError("--a-max must be positive and finite")
     if ns.steps < 2:
         raise _UsageError("--steps must be at least 2")
+    import numpy as np
+
+    from .relativistic import _f_values, _r_values
+
     a_values = np.linspace(0.0, ns.a_max, ns.steps)
     return [("a", a_values), ("R", _r_values(a_values)), ("F", _f_values(a_values))], None, ""
 
@@ -292,11 +301,14 @@ def _run_solve(ns: argparse.Namespace):
     grid = _parse_grid(ns.grid)
     if ns.tau < 0:
         raise _UsageError("--tau must be nonnegative")
-    f0 = Field(grid[0], grid[1], grid[2], _make_ic(ns.ic, grid))
+    ic = _parse_ic(ns.ic)
     # both methods are checked before either solve runs
     solve = _solver(ns.equation, ns.method or _DEFAULT_METHODS[ns.equation])
     other = ns.compare
     solve_other = _solver(ns.equation, other) if other else None
+    import numpy as np
+
+    f0 = pf.Field(grid[0], grid[1], grid[2], _make_ic(ic, grid))
     primary = solve(ns, f0)
     columns = [("x", f0.x), ("value", primary.values)]
     extra = ""
@@ -315,17 +327,15 @@ def _run_solve(ns: argparse.Namespace):
 
 
 _MATRIX_BUILDERS = {
-    "generator": lambda p: clifford.generators(p["kind"]),
-    "pauli_sqrt": lambda p: clifford.pauli_sqrt_identity(p["v"]),
-    "exp_pauli": lambda p: clifford.exp_pauli(p["y"], p["v"]),
-    "dirac2": lambda p: clifford.dirac2_evolution(p["pi1"], p["tau"]),
-    "dirac4": lambda p: clifford.dirac4_evolution(p["pi3"], p["tau"]),
-    "position": lambda p: clifford.position_evolution(
-        p["pi1"], p["tau"], p["parametrization"]
-    ),
-    "sqrt_symbol": lambda p: clifford.sqrt_symbol_check(p["k"]),
-    "kappa": lambda p: clifford.kappa_parametrization(p["w"], p["r"], p["variant"]),
-    "line_power": lambda p: clifford.pauli_line_power(p["a"], p["b"], p["p"]),
+    "generator": lambda p: pf.generators(p["kind"]),
+    "pauli_sqrt": lambda p: pf.pauli_sqrt_identity(p["v"]),
+    "exp_pauli": lambda p: pf.exp_pauli(p["y"], p["v"]),
+    "dirac2": lambda p: pf.dirac2_evolution(p["pi1"], p["tau"]),
+    "dirac4": lambda p: pf.dirac4_evolution(p["pi3"], p["tau"]),
+    "position": lambda p: pf.position_evolution(p["pi1"], p["tau"], p["parametrization"]),
+    "sqrt_symbol": lambda p: pf.sqrt_symbol_check(p["k"]),
+    "kappa": lambda p: pf.kappa_parametrization(p["w"], p["r"], p["variant"]),
+    "line_power": lambda p: pf.pauli_line_power(p["a"], p["b"], p["p"]),
 }
 
 
@@ -340,6 +350,8 @@ def _run_matrix(ns: argparse.Namespace):
         pi3=_parse_vec(ns.pi, float) if "," in ns.pi else (float(ns.pi), 0.0, 0.0),
         w=_parse_vec(ns.w, float),
     )
+    import numpy as np
+
     mat = np.asarray(_MATRIX_BUILDERS[ns.what](params), dtype=complex)
     row, col = np.indices(mat.shape)
     return [("row", row.ravel()), ("col", col.ravel()), ("value", mat.ravel())], None, ""
@@ -350,8 +362,12 @@ def _run_observables(ns: argparse.Namespace):
         raise _UsageError("--steps must be at least 2")
     if not (math.isfinite(ns.t_max) and ns.t_max > 0):
         raise _UsageError("--t-max must be positive and finite")
+    import numpy as np
+
+    from .relativistic import _commutator, _f_values, _r_values, _width_sq
+
     ts = np.linspace(0.0, ns.t_max, ns.steps)
-    inputs = [ObservableInputs(sigma=ns.sigma, a=ns.a, t=float(t)) for t in ts]
+    inputs = [pf.ObservableInputs(sigma=ns.sigma, a=ns.a, t=float(t)) for t in ts]
     # R(a) and F(a) once, for every t and the summary line
     r, f = (float(factor(np.array([ns.a]))[0]) for factor in (_r_values, _f_values))
     columns = [
@@ -427,13 +443,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument(
         "--parametrization",
-        choices=clifford.POSITION_PARAMETRIZATIONS,
+        choices=POSITION_PARAMETRIZATIONS,
         default="dirac",
     )
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--w", default="1,0,0", help="3 real components, comma-separated")
     p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--variant", choices=clifford.KAPPA_VARIANTS, default="i_delta")
+    p.add_argument("--variant", choices=KAPPA_VARIANTS, default="i_delta")
     p.add_argument("--a", type=float, default=1.25)
     p.add_argument("--b", type=float, default=0.75)
     p.add_argument("--p", type=float, default=0.5)

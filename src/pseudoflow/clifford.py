@@ -22,6 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ._choices import KAPPA_VARIANTS, POSITION_PARAMETRIZATIONS
+
 __all__ = [
     "Mat2",
     "Mat4",
@@ -239,9 +241,6 @@ def dirac4_evolution(pi: Sequence[float], tau: float) -> Mat4:
     return math.cos(e * tau) * _ID4 - 1j * (math.sin(e * tau) / e) * h
 
 
-POSITION_PARAMETRIZATIONS = ("dirac", "beta_diagonal")
-
-
 def position_evolution(pi: float, tau: float, parametrization: str = "dirac") -> Mat4:
     """Heisenberg position displacement eta(tau) - eta(0) at momentum pi
     (1D motion along x).
@@ -282,9 +281,6 @@ def sqrt_symbol_check(k: float) -> Mat4:
     """
     _check_finite(k=k)
     return (-k / math.sqrt(3.0)) * (_ALPHA[0] + _ALPHA[1] + _ALPHA[2]) + _BETA
-
-
-KAPPA_VARIANTS = ("i_delta", "plain_delta")
 
 
 def kappa_parametrization(

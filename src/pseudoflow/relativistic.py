@@ -488,11 +488,15 @@ def commutator_xt_x0(inputs: ObservableInputs) -> complex:
 
 def linear_potential_trajectory(x0: float, p0: float, force: float, t: float) -> float:
     """Heisenberg trajectory under a linear potential, normalized units
-    (m = c = 1): x(t) = x0 + [sqrt(1+(t f + p0)^2) - sqrt(1+p0^2)] / f,
-    with the free-particle limit used at f = 0.
+    (m = c = 1): x(t) = x0 + [E(p0 + t f) - E(p0)] / f with E(p) = sqrt(1+p^2),
+    taken as x0 + t (2 p0 + t f) / [E(p0 + t f) + E(p0)], which neither
+    cancels nor divides by f and so holds at f = 0 too. Raises ValueError
+    where t f, or that form on its way to x(t), overflows.
     """
     if not all(math.isfinite(v) for v in (x0, p0, force, t)):
         raise ValueError("x0, p0, force and t must be finite")
-    if force == 0.0:
-        return x0 + t * p0 / math.sqrt(1.0 + p0 * p0)
-    return x0 + (math.sqrt(1.0 + (t * force + p0) ** 2) - math.sqrt(1.0 + p0 * p0)) / force
+    tf = t * force
+    x = x0 + t * (2.0 * p0 + tf) / (math.hypot(1.0, p0 + tf) + math.hypot(1.0, p0))
+    if not math.isfinite(x):  # an inf t f ends here as inf or NaN too
+        raise ValueError("t * force or the trajectory overflows float range")
+    return x

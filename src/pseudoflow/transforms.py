@@ -236,7 +236,11 @@ def glaisher(alpha: float, x) -> float:
     s = 1.0 + 4.0 * alpha
     if s <= 0:
         raise ValueError("glaisher requires 1 + 4*alpha > 0")
-    out = np.exp(-np.asarray(x) ** 2 / s) / math.sqrt(s)
+    # x^2 (or x^2 / s) may pass float range, but only where the Gaussian has
+    # long underflowed: exp(-inf) is that 0.0
+    with np.errstate(over="ignore"):
+        exponent = -np.asarray(x) ** 2 / s
+    out = np.exp(exponent) / math.sqrt(s)
     return float(out) if np.ndim(x) == 0 else out
 
 

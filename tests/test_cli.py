@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import pseudoflow
-from conftest import child_env
+from conftest import PACKAGE_ROOT, child_env
 from pseudoflow import cli
 
 CMD = [sys.executable, "-m", "pseudoflow"]
@@ -260,7 +260,9 @@ def test_solve_divergent_case_exits_2_without_partial_output(tmp_path):
 
 def test_solve_compare_checks_both_methods_before_solving(tmp_path, monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(cli, "solve_affine_sqrt", lambda f, tau, c: calls.append(tau) or f)
+    monkeypatch.setattr(
+        pseudoflow, "solve_affine_sqrt", lambda f, tau, c: calls.append(tau) or f
+    )
     out = tmp_path / "never.csv"
     code = cli.run(
         ["solve", "--equation", "affine_sqrt", "--tau", "0.6", "--compare", "spectral",
@@ -329,51 +331,51 @@ def test_observables_output(tmp_path):
 # failure modes
 
 
-@pytest.mark.parametrize(
-    "args, fragment",
-    [
-        (("fig1", "--grid", "8:-8:100"), "grid needs min < max and n >= 8"),
-        (("fig1", "--grid", "a:b:c"), "grid must look like min:max:n"),
-        (("solve", "--equation", "heat", "--tau", "-0.5"), "--tau must be nonnegative"),
-        (
-            ("solve", "--equation", "heat", "--tau", "0.5", "--method", "series"),
-            "not available for equation",
-        ),
-        (
-            ("solve", "--equation", "heat", "--tau", "0.5", "--ic", "quadratic"),
-            "unknown initial condition",
-        ),
-        (("matrix", "--what", "pauli_sqrt", "--v", "1,2"), "expected 3 comma-separated"),
-        (("observables", "--steps", "1"), "--steps must be at least 2"),
-        (("fig4", "--a-max", "-1"), "--a-max must be positive"),
-        (("fig3",), "--out"),
-        (("fig1", "--tau", "inf"), "--tau must be positive and finite"),
-        (("fig1", "--tau", "nan"), "--tau must be positive and finite"),
-        (("fig1", "--tau", "-1"), "--tau must be positive and finite"),
-        (("fig1", "--tau", "0"), "--tau must be positive and finite"),
-        (
-            ("solve", "--equation", "half_derivative", "--tau", "1", "--method", "spectral"),
-            "not available for equation",
-        ),
-        # non-finite values are refused before numpy sees them
-        (("fig4", "--a-max", "inf"), "--a-max must be positive and finite"),
-        (("observables", "--t-max", "inf"), "--t-max must be positive and finite"),
-        (("fig1", "--grid", "-1e308:1e308:16"), "grid span max - min must be finite"),
-        (
-            ("solve", "--equation", "heat", "--tau", "0.5", "--grid", "-1e308:1e308:16"),
-            "grid span max - min must be finite",
-        ),
-        # a finite span whose square overflows is refused before numpy warns
-        (("fig1", "--grid", "-1e160:1e160:16"), "grid x^2 and span^2 must be finite"),
-        # a finite x^2 whose grid step cubed overflows in the spline's rows
-        (("fig3", "--grid", "-1e150:1e150:16"), "grid step^3 must be finite"),
-        (
-            ("solve", "--equation", "half_derivative", "--tau", "0.5", "--grid",
-             "-1e150:1e150:16"),
-            "grid step^3 must be finite",
-        ),
-    ],
-)
+_USAGE_ERRORS = [
+    (("fig1", "--grid", "8:-8:100"), "grid needs min < max and n >= 8"),
+    (("fig1", "--grid", "a:b:c"), "grid must look like min:max:n"),
+    (("solve", "--equation", "heat", "--tau", "-0.5"), "--tau must be nonnegative"),
+    (
+        ("solve", "--equation", "heat", "--tau", "0.5", "--method", "series"),
+        "not available for equation",
+    ),
+    (
+        ("solve", "--equation", "heat", "--tau", "0.5", "--ic", "quadratic"),
+        "unknown initial condition",
+    ),
+    (("matrix", "--what", "pauli_sqrt", "--v", "1,2"), "expected 3 comma-separated"),
+    (("observables", "--steps", "1"), "--steps must be at least 2"),
+    (("fig4", "--a-max", "-1"), "--a-max must be positive"),
+    (("fig3",), "--out"),
+    (("fig1", "--tau", "inf"), "--tau must be positive and finite"),
+    (("fig1", "--tau", "nan"), "--tau must be positive and finite"),
+    (("fig1", "--tau", "-1"), "--tau must be positive and finite"),
+    (("fig1", "--tau", "0"), "--tau must be positive and finite"),
+    (
+        ("solve", "--equation", "half_derivative", "--tau", "1", "--method", "spectral"),
+        "not available for equation",
+    ),
+    # non-finite values are refused before numpy sees them
+    (("fig4", "--a-max", "inf"), "--a-max must be positive and finite"),
+    (("observables", "--t-max", "inf"), "--t-max must be positive and finite"),
+    (("fig1", "--grid", "-1e308:1e308:16"), "grid span max - min must be finite"),
+    (
+        ("solve", "--equation", "heat", "--tau", "0.5", "--grid", "-1e308:1e308:16"),
+        "grid span max - min must be finite",
+    ),
+    # a finite span whose square overflows is refused before numpy warns
+    (("fig1", "--grid", "-1e160:1e160:16"), "grid x^2 and span^2 must be finite"),
+    # a finite x^2 whose grid step cubed overflows in the spline's rows
+    (("fig3", "--grid", "-1e150:1e150:16"), "grid step^3 must be finite"),
+    (
+        ("solve", "--equation", "half_derivative", "--tau", "0.5", "--grid",
+         "-1e150:1e150:16"),
+        "grid step^3 must be finite",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, fragment", _USAGE_ERRORS)
 def test_usage_errors_exit_1(tmp_path, args, fragment):
     out = tmp_path / "never.csv"
     full = args if args == ("fig3",) else (*args, "--out", out)
@@ -475,21 +477,41 @@ def test_unwritable_output_path_exits_1(tmp_path):
 # ----------------------------------------------------------------------
 # import boundary
 
-# Runs in a fresh interpreter: prints the scipy modules loaded after the
-# package import and after each CLI call, one JSON list per line.
-_SCIPY_PROBE = """
-import json, sys
+# Runs in a fresh interpreter: prints the modules of one top-level package
+# (the first argument) loaded after the package import and after each CLI
+# call, one JSON list per line, then imports that package as a control.
+_IMPORT_PROBE = """
+import importlib, json, sys
+root = sys.argv[1]
 def loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return sorted(m for m in sys.modules if m == root or m.startswith(root + "."))
 import pseudoflow
 from pseudoflow import cli
 print(json.dumps(["import pseudoflow", loaded()]))
-for args in json.loads(sys.argv[1]):
+for args in json.loads(sys.argv[2]):
     rc = cli.run(args)
     print(json.dumps([" ".join(args), rc, loaded()]))
-import scipy.special
+importlib.import_module(root)
 print(json.dumps(["control", loaded()[:1]]))
 """
+
+
+def _probe_imports(tmp_path, root, runs):
+    """The rows the import probe prints for ``runs``, watching ``root``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, root, json.dumps(runs)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert [row[0] for row in rows[1:-1]] == [" ".join(args) for args in runs]
+    # the probe itself sees the package once it is imported
+    assert rows[-1] == ["control", [root]]
+    return rows
+
 
 _SCIPY_FREE_RUNS = [
     ["fig1", "--grid", "8:-8:128", "--out", "never.csv"],
@@ -510,23 +532,26 @@ def test_numpy_only_commands_never_import_scipy(tmp_path):
     # fig3 and the half-derivative and affine solves call K0 or the spline's
     # LAPACK solve and load scipy; the package import and the presets run
     # here must not.
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(_SCIPY_FREE_RUNS)],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-        cwd=tmp_path,
-    )
-    assert proc.returncode == 0, proc.stderr
-    rows = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+    rows = _probe_imports(tmp_path, "scipy", _SCIPY_FREE_RUNS)
     assert rows[0] == ["import pseudoflow", []]
     calls = rows[1:-1]
-    assert [row[0] for row in calls] == [" ".join(args) for args in _SCIPY_FREE_RUNS]
     assert [row[1] for row in calls] == [1] + [0] * (len(_SCIPY_FREE_RUNS) - 1)
     for what, _rc, modules in calls:
         assert modules == [], f"{what} imported {modules}"
-    # the probe itself sees scipy once it is imported
-    assert rows[-1] == ["control", ["scipy"]]
+
+
+def test_usage_errors_never_import_numpy(tmp_path):
+    # a refused invocation answers before numpy loads: every flag a handler
+    # checks is checked first
+    runs = [
+        list(args) if args == ("fig3",) else [*args, "--out", "never.csv"]
+        for args, _fragment in _USAGE_ERRORS
+    ]
+    runs += [[*args, "--out", "never.csv"] for args in _tool("csv_digests").USAGE_ERRORS]
+    rows = _probe_imports(tmp_path, "numpy", runs)
+    assert rows[0] == ["import pseudoflow", []]
+    for what, rc, modules in rows[1:-1]:
+        assert (rc, modules) == (1, []), f"{what} exited {rc} with {modules[:3]}"
 
 
 _SPLINE_RUNS = [
@@ -558,17 +583,7 @@ def test_spline_commands_never_import_scipy_interpolate(tmp_path):
         "--out", "file.csv",
     ]
     runs = _SPLINE_RUNS + [file_run]
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs)],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-        cwd=tmp_path,
-    )
-    assert proc.returncode == 0, proc.stderr
-    rows = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
-    calls = rows[1:-1]
-    assert [row[0] for row in calls] == [" ".join(args) for args in runs]
+    calls = _probe_imports(tmp_path, "scipy", runs)[1:-1]
     assert [row[1] for row in calls] == [0] * len(runs)
     for what, _rc, modules in calls[:-1]:
         assert "scipy.linalg" in modules, what  # the spline's LAPACK solve ran
@@ -576,9 +591,9 @@ def test_spline_commands_never_import_scipy_interpolate(tmp_path):
     assert "scipy.interpolate" in calls[-1][2]
 
 
-def _csv_digests():
-    path = Path(__file__).resolve().parents[1] / "tools" / "csv_digests.py"
-    spec = importlib.util.spec_from_file_location("csv_digests", path)
+def _tool(name):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -587,7 +602,7 @@ def _csv_digests():
 def test_csv_digests_cover_every_command_and_solver(tmp_path):
     # tools/csv_digests.py compares two checkouts' CSV bytes; its fixed run
     # list must reach every subcommand and every (equation, method) solver
-    tool = _csv_digests()
+    tool = _tool("csv_digests")
     parser = cli._build_parser()
     commands, solvers = set(), set()
     for args in tool.RUNS:
@@ -608,7 +623,7 @@ def test_csv_digests_cover_every_command_and_solver(tmp_path):
 def test_csv_digests_text_hash_masks_the_output_path(tmp_path):
     # the second hash covers stdout and stderr, which name the output path;
     # the same run in another directory must hash the same
-    tool = _csv_digests()
+    tool = _tool("csv_digests")
     args = ["matrix", "--what", "dirac2"]
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
@@ -622,7 +637,7 @@ def test_csv_digests_text_hash_masks_the_output_path(tmp_path):
 def test_csv_digests_arrays_cover_the_calls_no_cli_run_writes():
     # --arrays digests library values that no CSV holds; each line is the
     # SHA-256 of a call's values, or the type of the error it raised
-    tool = _csv_digests()
+    tool = _tool("csv_digests")
     labels = [label for label, _ in tool.array_calls(pseudoflow)]
     for name in ("iterated_series", "apply_inv_sqrt_shift", "dhat_apply", "solve_affine_sqrt"):
         assert any(label.startswith(name) for label in labels)
@@ -634,3 +649,17 @@ def test_csv_digests_arrays_cover_the_calls_no_cli_run_writes():
     expected = hashlib.sha256(out.values.tobytes()).hexdigest()
     assert tool.array_digest(lambda: pseudoflow.iterated_series(f, 0.3)) == expected
     assert tool.array_digest(lambda: pseudoflow.iterated_series(f, math.inf)) == "error ValueError"
+
+
+def test_cli_times_runs_the_usage_error_row(tmp_path):
+    # tools/cli_times.py times the rows of ROADMAP's end-to-end table: every
+    # preset, four solves and a usage error, each in a fresh interpreter
+    tool = _tool("cli_times")
+    labels = [label for label, _args, _code in tool.ROWS]
+    assert labels[:6] == ["fig1", "fig2", "fig2 --method series", "fig3", "fig4", "observables"]
+    assert len(labels) == 11 and len(set(labels)) == 11
+    label, args, code = tool.ROWS[-1]
+    assert (label, code) == ("a usage error", 1)
+    [elapsed] = tool.cold_times(PACKAGE_ROOT, args, code, 1, tmp_path)
+    assert 0 < elapsed < 60
+    assert not (tmp_path / "out.csv").exists()

@@ -1,0 +1,72 @@
+"""The package namespace: every public name loads on first use."""
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import pseudoflow
+from conftest import child_env
+
+# Runs in a fresh interpreter: after each step on the bare package, whether
+# numpy has loaded, as one JSON object.
+_NAMESPACE_PROBE = """
+import json, sys
+import pseudoflow
+steps = {"import": "numpy" in sys.modules}
+missing = sorted(set(pseudoflow.__all__) - set(dir(pseudoflow)))
+steps["dir"] = ["numpy" in sys.modules, missing]
+try:
+    pseudoflow.no_such_name
+except AttributeError as exc:
+    steps["unknown"] = ["numpy" in sys.modules, str(exc)]
+pseudoflow.Field
+steps["control"] = "numpy" in sys.modules
+print(json.dumps(steps))
+"""
+
+
+@pytest.fixture(scope="module")
+def probe(tmp_path_factory):
+    proc = subprocess.run(
+        [sys.executable, "-c", _NAMESPACE_PROBE],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        cwd=tmp_path_factory.mktemp("namespace"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout)
+    # the probe sees numpy once a public name needs it
+    assert steps["control"] is True
+    return steps
+
+
+def test_import_loads_no_numpy(probe):
+    assert probe["import"] is False
+
+
+def test_dir_covers_all_without_loading(probe):
+    assert probe["dir"] == [False, []]
+
+
+def test_unknown_attribute_raises_attribute_error(probe):
+    assert probe["unknown"] == [False, "module 'pseudoflow' has no attribute 'no_such_name'"]
+    assert not hasattr(pseudoflow, "no_such_name")
+
+
+def test_every_public_name_is_its_home_modules_object():
+    assert pseudoflow.__all__ == ["__version__", *pseudoflow._HOME]
+    assert pseudoflow.__version__ == "0.1.0"
+    for name, module in pseudoflow._HOME.items():
+        home = importlib.import_module(f"pseudoflow.{module}")
+        obj = getattr(pseudoflow, name)
+        assert obj is getattr(home, name), name
+        # a class or function of the package is defined where the table says
+        defined_in = getattr(obj, "__module__", None) or ""
+        if defined_in.startswith("pseudoflow."):
+            assert defined_in == home.__name__, name
+    # the submodules stay reachable as attributes, as after an eager import
+    for module in pseudoflow._EXPORTS:
+        assert getattr(pseudoflow, module) is importlib.import_module(f"pseudoflow.{module}")

@@ -662,6 +662,25 @@ def test_linear_potential_trajectory():
     assert abs(x - 0.5 - 1.0) <= 0.01
 
 
+def test_linear_potential_trajectory_past_the_square_of_p():
+    # (p0 + t f)^2 would overflow; the cancellation-free form does not: each
+    # packet moves at the speed of light, in the direction of its momentum
+    assert linear_potential_trajectory(0.0, 1e200, 1.0, 1.0) == 1.0
+    assert linear_potential_trajectory(0.0, -1e200, 1e-200, 1.0) == -1.0
+    # f = 0 is the free drift t p0 / sqrt(1 + p0^2), bit for bit
+    for x0, p0, t in [(0.3, 2.0, 1.2), (-1.0, 1e-8, 3.0), (0.0, -7.5, 0.4), (2.0, 1e200, 1.0)]:
+        assert linear_potential_trajectory(x0, p0, 0.0, t) == x0 + t * p0 / math.hypot(1.0, p0)
+
+
+@pytest.mark.parametrize(
+    "args", [(0.0, 1.0, 1e300, 1e300), (1e308, 1.0, 1.0, 1e308), (0.0, 1e308, 1.0, 1.0)]
+)
+def test_linear_potential_trajectory_refuses_overflow(args):
+    # t f, x(t) or the form on its way past float range: an error, not inf
+    with pytest.raises(ValueError, match="overflows float range"):
+        linear_potential_trajectory(*args)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("slot", range(4))
 def test_linear_potential_trajectory_rejects_nonfinite_arguments(slot, bad):

@@ -263,6 +263,18 @@ def test_glaisher_keeps_probability_shape():
     assert isinstance(glaisher(0.7, 1.0), float)
 
 
+def test_glaisher_far_tail_is_zero_without_warning():
+    # x^2 passes float range where the Gaussian has long underflowed; the
+    # suite turns a RuntimeWarning into an error
+    assert glaisher(0.3, 1e200) == 0.0
+    out = glaisher(0.3, np.array([0.0, 1e200, -1e160, 2.0]))
+    np.testing.assert_array_equal(out[1:3], [0.0, 0.0])
+    assert out[0] == pytest.approx(1.0 / math.sqrt(2.2), rel=1e-15)
+    assert out[3] == glaisher(0.3, 2.0)
+    # x^2 finite, x^2 / s not: the same zero
+    assert glaisher(-0.25 + 2.0**-54, 1e150) == 0.0
+
+
 @pytest.mark.parametrize("alpha", [-0.25, -1.0])
 def test_glaisher_rejects_collapsed_width(alpha):
     with pytest.raises(ValueError, match="1 \\+ 4\\*alpha"):
