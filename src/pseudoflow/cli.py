@@ -10,14 +10,18 @@ file and renamed into place, so a failed run leaves no partial output.
 Exit codes: 0 success, 1 usage error (message on stderr), 2 numerical
 non-convergence (ConvergenceError/TruncationError; message on stderr).
 
-Flags are checked before numpy loads: this module imports no numpy, and
-each handler reaches the solvers through the package's lazy namespace only
-after its flags have passed, so a refused invocation answers in about the
-start-up time of the interpreter.
+Each flag is read and range-checked once, by the argparse type it is
+declared with: in argv order, then the defaults, whichever subcommand or
+equation uses it, and a refusal names its flag. The only checks left for
+later are of pairs of flags: the equation and its method in ``solve``, and
+a > |b| in ``pauli_line_power``. This module imports no numpy, and
+handlers reach the solvers through the package's lazy namespace, so a
+refused invocation answers in about the start-up time of the interpreter.
 """
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import math
 import os
@@ -27,7 +31,7 @@ import tempfile
 
 import pseudoflow as pf
 
-from ._choices import KAPPA_VARIANTS, POSITION_PARAMETRIZATIONS
+from ._choices import GENERATOR_KINDS, KAPPA_VARIANTS, POSITION_PARAMETRIZATIONS
 from .errors import ConvergenceError, TruncationError
 
 __all__ = ["run", "main"]
@@ -53,7 +57,39 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ----------------------------------------------------------------------
-# small parsing / formatting helpers
+# flag types: argparse reads and range-checks each flag once, before numpy loads
+
+_DOMAINS = {
+    "finite": lambda v: True,
+    "positive and finite": lambda v: v > 0,
+    "nonnegative and finite": lambda v: v >= 0,
+    "at least 2": lambda v: v >= 2,
+}
+
+
+def _number(flag: str, domain: str = "finite", kind=float):
+    """argparse type: the text read by ``kind``, if finite and in ``domain``."""
+    def read(text: str):
+        value = kind(text)
+        if not ((kind is int or cmath.isfinite(value)) and _DOMAINS[domain](value)):
+            raise _UsageError(f"{flag} must be {domain}")
+        return value
+
+    read.__name__ = kind.__name__  # argparse reports "invalid float value: ..."
+    return read
+
+
+def _parse_vec(flag: str, kind=float, scalar: bool = False):
+    """argparse type for three comma-separated values, each read as _number
+    reads it; with ``scalar``, one value v stands for (v, 0, 0)."""
+    def read(text: str) -> tuple:
+        items = tuple(map(_number(flag, kind=kind), text.split(",")))
+        if len(items) != 3 and not (scalar and len(items) == 1):
+            raise _UsageError(f"{flag}: expected 3 comma-separated values, got {text!r}")
+        return (*items, 0.0, 0.0) if len(items) == 1 else items
+
+    read.__name__ = kind.__name__
+    return read
 
 
 def _parse_grid(text: str) -> tuple:
@@ -79,29 +115,17 @@ def _parse_grid(text: str) -> tuple:
     return (x_min, x_max, n)
 
 
-def _parse_vec(text: str, kind=float, length: int = 3):
-    try:
-        items = tuple(kind(p) for p in text.split(","))
-    except ValueError:
-        raise _UsageError(f"could not parse {text!r} as comma-separated values") from None
-    if len(items) != length:
-        raise _UsageError(f"expected {length} comma-separated values, got {text!r}")
-    return items
-
-
 def _parse_ic(spec: str) -> tuple:
-    """Check an --ic flag value before numpy loads. Returns ("gaussian",
-    width), ("fig3", None) or ("file", sorted (x, value) rows)."""
+    """argparse type for --ic. Returns ("gaussian", width), ("fig3", None)
+    or ("file", sorted (x, value) rows)."""
     if spec == "gaussian":
         return ("gaussian", 1.0)  # x / 1.0 is x, bit for bit
     if spec.startswith("gaussian(") and spec.endswith(")"):
+        width = _number("--ic gaussian width", "positive and finite")
         try:
-            sigma = float(spec[len("gaussian(") : -1])
+            return ("gaussian", width(spec[len("gaussian(") : -1]))
         except ValueError:
             raise _UsageError(f"bad gaussian width in {spec!r}") from None
-        if sigma <= 0:
-            raise _UsageError("gaussian width must be positive")
-        return ("gaussian", sigma)
     if spec == "fig3":
         return ("fig3", None)
     if spec.startswith("file="):
@@ -113,7 +137,7 @@ def _parse_ic(spec: str) -> tuple:
 
 
 def _read_ic_file(path: str) -> list:
-    """Read a two-column CSV (x, value) into rows sorted by x."""
+    """Read a two-column CSV of finite (x, value) rows, sorted by x."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -125,16 +149,18 @@ def _read_ic_file(path: str) -> list:
         if len(parts) < 2:
             raise _UsageError(f"{path}:{i + 1}: expected two comma-separated columns")
         try:
-            rows.append((float(parts[0]), float(parts[1])))
+            row = (float(parts[0]), float(parts[1]))
         except ValueError:
             if i == 0:
                 continue  # header row
             raise _UsageError(f"{path}:{i + 1}: non-numeric data") from None
+        if not all(map(math.isfinite, row)):
+            raise _UsageError(f"{path}:{i + 1}: x and value must be finite")
+        rows.append(row)
     if len(rows) < 4:
         raise _UsageError(f"{path}: need at least 4 data rows")
     rows.sort()
-    # b - a as np.diff took it, so a NaN step (inf - inf) passes on to the spline
-    if any(b[0] - a[0] <= 0 for a, b in zip(rows, rows[1:])):
+    if any(b[0] <= a[0] for a, b in zip(rows, rows[1:])):
         raise _UsageError(f"{path}: x column must be strictly increasing")
     return rows
 
@@ -150,11 +176,18 @@ def _make_ic(ic: tuple, grid: tuple):
         return np.exp(-((x / arg) ** 2))
     if kind == "fig3":
         return x**2 * np.exp(-(x**2))
-    from scipy.interpolate import CubicSpline
+    from .evolution import _coefficients
 
     xi, yi = (np.array(column) for column in zip(*arg))
-    vals = CubicSpline(xi, yi, extrapolate=False)(x)
-    return np.where(np.isnan(vals), 0.0, vals)
+    inside = (xi[0] <= x) & (x <= xi[-1])
+    # the cell at or left of each point, the last one closed on the right
+    cell = np.minimum(np.searchsorted(xi, x[inside], side="right") - 1, xi.size - 2)
+    c = _coefficients(xi, yi)[:, cell]
+    s = x[inside] - xi[cell]
+    # summed from 0.0 in CubicSpline's own order, so the values equal its values bit for bit
+    vals = np.zeros_like(x)
+    vals[inside] = 0.0 + c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s)
+    return vals
 
 
 def _fmt(v: float) -> str:
@@ -245,17 +278,14 @@ def _solver(equation: str, method: str):
 
 
 # ----------------------------------------------------------------------
-# subcommand handlers: each checks its flags, then computes, and returns
-# ([(column name, values)], err, extra_summary)
+# subcommand handlers: each computes from flags the parser has checked and
+# returns ([(column name, values)], err, extra_summary)
 
 
 def _run_fig1(ns: argparse.Namespace):
-    grid, tau = _parse_grid(ns.grid), ns.tau
-    if not (math.isfinite(tau) and tau > 0):
-        raise _UsageError("--tau must be positive and finite")
-    f0 = pf.Field(*grid, _make_ic(_parse_ic("gaussian"), grid))
-    heat = pf.gauss_weierstrass(f0, tau)
-    pseudo = pf.solve_pseudoheat(f0, tau)
+    f0 = pf.Field(*ns.grid, _make_ic(_parse_ic("gaussian"), ns.grid))
+    heat = pf.gauss_weierstrass(f0, ns.tau)
+    pseudo = pf.solve_pseudoheat(f0, ns.tau)
     columns = [
         ("x", f0.x),
         ("initial", f0.values),
@@ -266,10 +296,9 @@ def _run_fig1(ns: argparse.Namespace):
 
 
 def _run_fig2(ns: argparse.Namespace):
-    grid = _parse_grid(ns.grid)
     import numpy as np
 
-    f0 = pf.Field(*grid, _make_ic(_parse_ic("gaussian"), grid))
+    f0 = pf.Field(*ns.grid, _make_ic(_parse_ic("gaussian"), ns.grid))
     solve = _series_field if ns.method == "series" else pf.spectral_schrodinger
     columns = [("x", f0.x)]
     for t in (0.0, 0.5, 1.0):
@@ -278,17 +307,12 @@ def _run_fig2(ns: argparse.Namespace):
 
 
 def _run_fig3(ns: argparse.Namespace):
-    grid = _parse_grid(ns.grid)
-    psi = pf.Field(*grid, _make_ic(_parse_ic("fig3"), grid))
+    psi = pf.Field(*ns.grid, _make_ic(_parse_ic("fig3"), ns.grid))
     phi = pf.phi_transform(psi)
     return [("x", psi.x), ("psi", psi.values), ("phi", phi.values.real)], _field_err(phi), ""
 
 
 def _run_fig4(ns: argparse.Namespace):
-    if not (math.isfinite(ns.a_max) and ns.a_max > 0):
-        raise _UsageError("--a-max must be positive and finite")
-    if ns.steps < 2:
-        raise _UsageError("--steps must be at least 2")
     import numpy as np
 
     from .relativistic import _f_values, _r_values
@@ -298,17 +322,13 @@ def _run_fig4(ns: argparse.Namespace):
 
 
 def _run_solve(ns: argparse.Namespace):
-    grid = _parse_grid(ns.grid)
-    if ns.tau < 0:
-        raise _UsageError("--tau must be nonnegative")
-    ic = _parse_ic(ns.ic)
     # both methods are checked before either solve runs
     solve = _solver(ns.equation, ns.method or _DEFAULT_METHODS[ns.equation])
     other = ns.compare
     solve_other = _solver(ns.equation, other) if other else None
     import numpy as np
 
-    f0 = pf.Field(grid[0], grid[1], grid[2], _make_ic(ic, grid))
+    f0 = pf.Field(*ns.grid, _make_ic(ns.ic, ns.grid))
     primary = solve(ns, f0)
     columns = [("x", f0.x), ("value", primary.values)]
     extra = ""
@@ -327,41 +347,27 @@ def _run_solve(ns: argparse.Namespace):
 
 
 _MATRIX_BUILDERS = {
-    "generator": lambda p: pf.generators(p["kind"]),
-    "pauli_sqrt": lambda p: pf.pauli_sqrt_identity(p["v"]),
-    "exp_pauli": lambda p: pf.exp_pauli(p["y"], p["v"]),
-    "dirac2": lambda p: pf.dirac2_evolution(p["pi1"], p["tau"]),
-    "dirac4": lambda p: pf.dirac4_evolution(p["pi3"], p["tau"]),
-    "position": lambda p: pf.position_evolution(p["pi1"], p["tau"], p["parametrization"]),
-    "sqrt_symbol": lambda p: pf.sqrt_symbol_check(p["k"]),
-    "kappa": lambda p: pf.kappa_parametrization(p["w"], p["r"], p["variant"]),
-    "line_power": lambda p: pf.pauli_line_power(p["a"], p["b"], p["p"]),
+    "generator": lambda ns: pf.generators(ns.kind),
+    "pauli_sqrt": lambda ns: pf.pauli_sqrt_identity(ns.v),
+    "exp_pauli": lambda ns: pf.exp_pauli(ns.y, ns.v),
+    "dirac2": lambda ns: pf.dirac2_evolution(ns.pi[0], ns.tau),
+    "dirac4": lambda ns: pf.dirac4_evolution(ns.pi, ns.tau),
+    "position": lambda ns: pf.position_evolution(ns.pi[0], ns.tau, ns.parametrization),
+    "sqrt_symbol": lambda ns: pf.sqrt_symbol_check(ns.k),
+    "kappa": lambda ns: pf.kappa_parametrization(ns.w, ns.r, ns.variant),
+    "line_power": lambda ns: pf.pauli_line_power(ns.a, ns.b, ns.p),
 }
 
 
 def _run_matrix(ns: argparse.Namespace):
-    # Every vector and complex flag is parsed, whichever matrix is built, so
-    # a malformed value is an error even where the chosen builder ignores it.
-    params = dict(
-        vars(ns),
-        v=_parse_vec(ns.v, complex),
-        y=complex(ns.y),
-        pi1=float(ns.pi.split(",")[0]),
-        pi3=_parse_vec(ns.pi, float) if "," in ns.pi else (float(ns.pi), 0.0, 0.0),
-        w=_parse_vec(ns.w, float),
-    )
     import numpy as np
 
-    mat = np.asarray(_MATRIX_BUILDERS[ns.what](params), dtype=complex)
+    mat = np.asarray(_MATRIX_BUILDERS[ns.what](ns), dtype=complex)
     row, col = np.indices(mat.shape)
     return [("row", row.ravel()), ("col", col.ravel()), ("value", mat.ravel())], None, ""
 
 
 def _run_observables(ns: argparse.Namespace):
-    if ns.steps < 2:
-        raise _UsageError("--steps must be at least 2")
-    if not (math.isfinite(ns.t_max) and ns.t_max > 0):
-        raise _UsageError("--t-max must be positive and finite")
     import numpy as np
 
     from .relativistic import _commutator, _f_values, _r_values, _width_sq
@@ -399,11 +405,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p, grid_default):
-        p.add_argument("--grid", default=grid_default, help="grid as min:max:n")
+        p.add_argument("--grid", type=_parse_grid, default=grid_default, help="grid as min:max:n")
         p.add_argument("--out", required=True, help="output CSV path")
 
+    def number(p, flag, default, domain="finite", kind=float, **kwargs):
+        p.add_argument(flag, type=_number(flag, domain, kind), default=default, **kwargs)
+
     p = sub.add_parser("fig1", help="heat vs pseudoheat spreading of a Gaussian")
-    p.add_argument("--tau", type=float, default=1.0)
+    number(p, "--tau", 1.0, "positive and finite")
     add_common(p, "-8:8:1024")
 
     p = sub.add_parser("fig2", help="|psi| of the relativistic packet at tau = 0, 0.5, 1")
@@ -414,8 +423,8 @@ def _build_parser() -> _Parser:
     add_common(p, "-12:12:1024")
 
     p = sub.add_parser("fig4", help="observable correction factors R(a), F(a)")
-    p.add_argument("--a-max", type=float, default=5.0)
-    p.add_argument("--steps", type=int, default=100)
+    number(p, "--a-max", 5.0, "positive and finite")
+    number(p, "--steps", 100, "at least 2", int)
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("solve", help="evolve an initial condition")
@@ -424,42 +433,45 @@ def _build_parser() -> _Parser:
         required=True,
         choices=tuple(_DEFAULT_METHODS),
     )
-    p.add_argument("--ic", default="gaussian", help="gaussian | gaussian(sigma) | fig3 | file=<path>")
-    p.add_argument("--tau", type=float, required=True)
+    ic_help = "gaussian | gaussian(sigma) | fig3 | file=<path>"
+    p.add_argument("--ic", type=_parse_ic, default="gaussian", help=ic_help)
+    number(p, "--tau", None, "nonnegative and finite", required=True)
     p.add_argument("--method", choices=("integral", "spectral", "series"), default=None)
     p.add_argument("--compare", choices=("integral", "spectral", "series"), default=None)
-    p.add_argument("--c", type=float, default=1.0, help="drift coefficient (affine_sqrt)")
-    p.add_argument(
-        "--refractive-index", type=float, default=2.0, help="refractive index (optics)"
-    )
+    number(p, "--c", 1.0, help="drift coefficient (affine_sqrt)")
+    number(p, "--refractive-index", 2.0, help="refractive index (optics)")
     add_common(p, "-8:8:1024")
 
     p = sub.add_parser("matrix", help="emit a generator/evolution matrix as CSV")
     p.add_argument("--what", required=True, choices=tuple(_MATRIX_BUILDERS))
-    p.add_argument("--kind", default="beta", help="generator name (what=generator)")
-    p.add_argument("--v", default="0,0,1", help="3 complex components, comma-separated")
-    p.add_argument("--y", default="1", help="complex scalar, e.g. 0.3-0.7j")
-    p.add_argument("--pi", default="0.9", help="momentum: scalar, or 3 components for dirac4")
-    p.add_argument("--tau", type=float, default=1.0)
+    kind_help = "generator name (what=generator)"
+    p.add_argument("--kind", choices=GENERATOR_KINDS, default="beta", help=kind_help)
+    v_help = "3 complex components, comma-separated"
+    p.add_argument("--v", type=_parse_vec("--v", complex), default="0,0,1", help=v_help)
+    number(p, "--y", "1", kind=complex, help="complex scalar, e.g. 0.3-0.7j")
+    pi_help = "momentum: scalar, or 3 components for dirac4"
+    p.add_argument("--pi", type=_parse_vec("--pi", scalar=True), default="0.9", help=pi_help)
+    number(p, "--tau", 1.0)
     p.add_argument(
         "--parametrization",
         choices=POSITION_PARAMETRIZATIONS,
         default="dirac",
     )
-    p.add_argument("--k", type=float, default=1.0)
-    p.add_argument("--w", default="1,0,0", help="3 real components, comma-separated")
-    p.add_argument("--r", type=float, default=1.0)
+    number(p, "--k", 1.0)
+    w_help = "3 real components, comma-separated"
+    p.add_argument("--w", type=_parse_vec("--w"), default="1,0,0", help=w_help)
+    number(p, "--r", 1.0)
     p.add_argument("--variant", choices=KAPPA_VARIANTS, default="i_delta")
-    p.add_argument("--a", type=float, default=1.25)
-    p.add_argument("--b", type=float, default=0.75)
-    p.add_argument("--p", type=float, default=0.5)
+    number(p, "--a", 1.25)
+    number(p, "--b", 0.75)
+    number(p, "--p", 0.5)
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("observables", help="packet width and commutator vs time")
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--t-max", type=float, default=5.0)
-    p.add_argument("--steps", type=int, default=50)
+    number(p, "--sigma", 1.0, "positive and finite")
+    number(p, "--a", 1.0, "positive and finite")
+    number(p, "--t-max", 5.0, "positive and finite")
+    number(p, "--steps", 50, "at least 2", int)
     p.add_argument("--out", required=True, help="output CSV path")
 
     return parser

@@ -489,14 +489,16 @@ def commutator_xt_x0(inputs: ObservableInputs) -> complex:
 def linear_potential_trajectory(x0: float, p0: float, force: float, t: float) -> float:
     """Heisenberg trajectory under a linear potential, normalized units
     (m = c = 1): x(t) = x0 + [E(p0 + t f) - E(p0)] / f with E(p) = sqrt(1+p^2),
-    taken as x0 + t (2 p0 + t f) / [E(p0 + t f) + E(p0)], which neither
-    cancels nor divides by f and so holds at f = 0 too. Raises ValueError
-    where t f, or that form on its way to x(t), overflows.
+    taken as x0 + t (p0 + t f/2) / [E(p0 + t f)/2 + E(p0)/2], which neither
+    cancels nor divides by f and so holds at f = 0 too; the halves keep both
+    sums in float range for every finite p0. Raises ValueError where t f,
+    E(p0 + t f) or x(t) overflows.
     """
     if not all(math.isfinite(v) for v in (x0, p0, force, t)):
         raise ValueError("x0, p0, force and t must be finite")
     tf = t * force
-    x = x0 + t * (2.0 * p0 + tf) / (math.hypot(1.0, p0 + tf) + math.hypot(1.0, p0))
-    if not math.isfinite(x):  # an inf t f ends here as inf or NaN too
+    energy = math.hypot(1.0, p0 + tf)  # inf where t f or p0 + t f overflows
+    x = x0 + t * (p0 + tf / 2.0) / (energy / 2.0 + math.hypot(1.0, p0) / 2.0)
+    if not (math.isfinite(energy) and math.isfinite(x)):
         raise ValueError("t * force or the trajectory overflows float range")
     return x

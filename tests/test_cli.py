@@ -228,17 +228,50 @@ def test_solve_file_initial_condition_round_trip(tmp_path):
         for a, b in zip(xi, yi):
             fh.write(f"{float(a)!r},{float(b)!r}\n")
     out = tmp_path / "rt.csv"
+    # the heat integral at tau = 0 writes the initial samples as they are
     proc = run_cli(
         tmp_path,
-        "solve", "--equation", "heat", "--tau", "0", "--ic", f"file={ic_path}",
-        "--grid", "-3:3:32", "--out", out,
+        "solve", "--equation", "heat", "--method", "integral", "--tau", "0",
+        "--ic", f"file={ic_path}", "--grid", "-3:3:32", "--out", out,
     )
     assert proc.returncode == 0
     _, cols = read_csv(out)
     from scipy.interpolate import CubicSpline
 
     ref = np.nan_to_num(CubicSpline(xi, yi, extrapolate=False)(cols["x"]))
-    np.testing.assert_allclose(cols["value_re"], ref, rtol=0, atol=1e-12)
+    assert np.array_equal(cols["value"], ref)
+
+
+@pytest.mark.parametrize(
+    "xi, yi",
+    [
+        (np.linspace(-3.0, 3.0, 25), np.exp(-np.linspace(-3.0, 3.0, 25) ** 2)),
+        (np.array([-2.0, -0.5, 0.1, 1.7, 4.0]), np.array([1.0, -3.0, 0.5, 2.0, -1.0])),
+        # -0.0 at a knot with every row negative: CubicSpline sums from +0.0
+        (np.arange(5.0), np.array([-0.0, -3.0, -14.0, -39.0, -84.0])),
+    ],
+)
+def test_file_initial_condition_is_cubic_spline_bit_for_bit(xi, yi):
+    from scipy.interpolate import CubicSpline
+
+    for grid in ((-4.0, 5.0, 64), (float(xi[0]), float(xi[-1]), 9)):
+        got = cli._make_ic(("file", list(zip(xi.tolist(), yi.tolist()))), grid)
+        ref = np.nan_to_num(CubicSpline(xi, yi, extrapolate=False)(np.linspace(*grid)))
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+@pytest.mark.parametrize("row", ["nan,0.5", "0.5,inf"])
+def test_ic_file_refuses_nonfinite_rows_before_numpy_loads(tmp_path, row):
+    # the parser reads the file, so a non-finite x or value is refused by
+    # file and line before the spline or numpy sees it
+    (tmp_path / "ic.csv").write_text(f"x,value\n-1,0\n{row}\n1,0\n2,1\n3,0\n")
+    args = ["solve", "--equation", "heat", "--tau", "0", "--ic", "file=ic.csv", "--out", "x.csv"]
+    [(_what, rc, modules)] = _probe_imports(tmp_path, "numpy", [args])[1:-1]
+    assert (rc, modules) == (1, [])
+    proc = run_cli(tmp_path, *args)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: ic.csv:3: x and value must be finite\n"
 
 
 def test_solve_divergent_case_exits_2_without_partial_output(tmp_path):
@@ -372,6 +405,29 @@ _USAGE_ERRORS = [
          "-1e150:1e150:16"),
         "grid step^3 must be finite",
     ),
+    # each numeric, vector or complex flag is range-checked by its parser
+    # type, so the refusal names the flag even where the code it feeds
+    # would have refused it later, or not at all
+    (("solve", "--equation", "heat", "--tau", "nan"), "--tau must be nonnegative and finite"),
+    (("solve", "--equation", "heat", "--tau", "inf"), "--tau must be nonnegative and finite"),
+    (
+        ("solve", "--equation", "heat", "--tau", "0.5", "--ic", "gaussian(nan)"),
+        "--ic gaussian width must be positive and finite",
+    ),
+    (
+        ("solve", "--equation", "heat", "--tau", "0.5", "--ic", "gaussian(inf)"),
+        "--ic gaussian width must be positive and finite",
+    ),
+    (("solve", "--equation", "affine_sqrt", "--tau", "1", "--c", "nan"), "--c must be finite"),
+    (
+        ("solve", "--equation", "optics", "--tau", "1", "--refractive-index", "nan"),
+        "--refractive-index must be finite",
+    ),
+    (("observables", "--sigma", "nan"), "--sigma must be positive and finite"),
+    (("observables", "--a", "inf"), "--a must be positive and finite"),
+    (("matrix", "--what", "dirac2", "--tau", "inf"), "--tau must be finite"),
+    (("matrix", "--what", "dirac2", "--y", "nan"), "--y must be finite"),
+    (("matrix", "--what", "generator", "--kind", "foo"), "argument --kind: invalid choice: 'foo'"),
 ]
 
 
@@ -572,9 +628,8 @@ _SPLINE_RUNS = [
 
 
 def test_spline_commands_never_import_scipy_interpolate(tmp_path):
-    # the K0 and shift-panel solvers build the spline's coefficient rows by
-    # a bare LAPACK solve; only --ic file= loads scipy.interpolate, and the
-    # probe sees it there
+    # the K0 and shift-panel solvers, and --ic file=, build the spline's
+    # coefficient rows by a bare LAPACK solve
     xi = np.linspace(-3.0, 3.0, 25)
     rows = zip(xi.tolist(), np.exp(-(xi**2)).tolist())
     (tmp_path / "ic.csv").write_text("".join(f"{a!r},{b!r}\n" for a, b in rows))
@@ -585,10 +640,9 @@ def test_spline_commands_never_import_scipy_interpolate(tmp_path):
     runs = _SPLINE_RUNS + [file_run]
     calls = _probe_imports(tmp_path, "scipy", runs)[1:-1]
     assert [row[1] for row in calls] == [0] * len(runs)
-    for what, _rc, modules in calls[:-1]:
+    for what, _rc, modules in calls:
         assert "scipy.linalg" in modules, what  # the spline's LAPACK solve ran
         assert "scipy.interpolate" not in modules, f"{what} imported scipy.interpolate"
-    assert "scipy.interpolate" in calls[-1][2]
 
 
 def _tool(name):
@@ -632,6 +686,7 @@ def test_csv_digests_text_hash_masks_the_output_path(tmp_path):
     runs = [tool.digests(cli, bad, tmp_path) for bad in tool.USAGE_ERRORS]
     assert [csv_digest for csv_digest, _ in runs] == ["exit 1"] * len(runs)
     assert len({text for _, text in runs}) == len(runs)
+    assert {tool.digest(cli, bad, tmp_path) for bad in tool.REFUSALS} == {"exit 1"}
 
 
 def test_csv_digests_arrays_cover_the_calls_no_cli_run_writes():

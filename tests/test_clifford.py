@@ -90,6 +90,13 @@ def test_generators_unknown_kind():
         generators("tau3")
 
 
+def test_cli_offers_every_generator_kind():
+    # the CLI's numpy-free copy of the names, in the same order
+    from pseudoflow import _choices, clifford
+
+    assert _choices.GENERATOR_KINDS == clifford.GENERATOR_KINDS
+
+
 def test_pauli_vector():
     pv = PauliVector(2.0 - 1.0j, (0.0, 0.0, 1.0))
     want = (2.0 - 1.0j) * np.eye(2) + generators("sigma3")

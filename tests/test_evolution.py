@@ -881,17 +881,16 @@ def test_arc_blocks_on_a_fine_grid_equal_single_row_calls(rows):
 
 
 @pytest.mark.parametrize("cplx", [False, True])
-@pytest.mark.parametrize("n", [8, 9, 97, 161, 1024, 2049])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 97, 161, 1024, 2049])
 def test_coefficients_equal_scipy_cubic_spline(n, cplx):
     # the bare tridiagonal solve gives CubicSpline's not-a-knot rows bit for
-    # bit, on linspace grids whose steps differ in their last bits
-    f = Field.from_function(
-        -3.3, 5.1, n,
-        lambda x: np.exp(-(x**2)) * np.cos(3.0 * x) + 0.1 * x + (0.4j * np.sin(2.0 * x) if cplx else 0.0),
-    )
-    assert np.ptp(np.diff(f.x)) > 0.0
-    got = _coefficients(f.x, f.values)
-    ref = CubicSpline(f.x, f.values).c
+    # bit, on linspace grids whose steps differ in their last bits; n = 4..7
+    # are the shortest --ic file= tables, below a Field's 8 points
+    x = np.linspace(-3.3, 5.1, n)
+    y = np.exp(-(x**2)) * np.cos(3.0 * x) + 0.1 * x + (0.4j * np.sin(2.0 * x) if cplx else 0.0)
+    assert np.ptp(np.diff(x)) > 0.0
+    got = _coefficients(x, y)
+    ref = CubicSpline(x, y).c
     assert got.dtype == ref.dtype
     assert np.array_equal(got, ref)
 

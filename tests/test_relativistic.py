@@ -667,16 +667,22 @@ def test_linear_potential_trajectory_past_the_square_of_p():
     # packet moves at the speed of light, in the direction of its momentum
     assert linear_potential_trajectory(0.0, 1e200, 1.0, 1.0) == 1.0
     assert linear_potential_trajectory(0.0, -1e200, 1e-200, 1.0) == -1.0
+    # 2 p0 and E(p0 + t f) + E(p0) would overflow; their halves do not
+    assert linear_potential_trajectory(0.0, 1e308, 1.0, 1.0) == 1.0
+    assert linear_potential_trajectory(0.0, -1e308, 1.0, 1.0) == -1.0
     # f = 0 is the free drift t p0 / sqrt(1 + p0^2), bit for bit
     for x0, p0, t in [(0.3, 2.0, 1.2), (-1.0, 1e-8, 3.0), (0.0, -7.5, 0.4), (2.0, 1e200, 1.0)]:
         assert linear_potential_trajectory(x0, p0, 0.0, t) == x0 + t * p0 / math.hypot(1.0, p0)
 
 
 @pytest.mark.parametrize(
-    "args", [(0.0, 1.0, 1e300, 1e300), (1e308, 1.0, 1.0, 1e308), (0.0, 1e308, 1.0, 1.0)]
+    "args",
+    [(0.0, 1.0, 1e300, 1e300), (1e308, 1.0, 1.0, 1e308), (0.0, 1.7e308, 1e308, 1.0),
+     (0.0, 1e308, 1e308, 1.0)],
 )
 def test_linear_potential_trajectory_refuses_overflow(args):
-    # t f, x(t) or the form on its way past float range: an error, not inf
+    # t f, E(p0 + t f) or x(t) past float range: an error, not inf, and not
+    # the 0 that a finite numerator over an infinite E would read
     with pytest.raises(ValueError, match="overflows float range"):
         linear_potential_trajectory(*args)
 

@@ -6,12 +6,13 @@
 
 The list holds every preset (fig1-fig4, observables), every matrix, `solve`
 for every (equation, method) pair of the CLI's solver table, `solve` with
-`--compare` and with `--ic gaussian(2)`, and a list of usage errors. One
-line per run, "<csv sha256>  <text sha256>  <arguments>", where the first
-hash reads "exit <code>" where the run failed, and the second is the
-SHA-256 of the run's stdout and stderr with the output path masked. Two
-checkouts write the same CSV bytes, summary lines and error text where
-these lines agree:
+`--compare`, with `--ic gaussian(2)` and with `--ic file=` on a fixed table
+that the tool writes, the benchmark's usage errors, and one refusal for each
+range-checked flag. One line per run, "<csv sha256>  <text sha256>
+<arguments>", where the first hash reads "exit <code>" where the run
+failed, and the second is the SHA-256 of the run's stdout and stderr with
+the output path masked. Two checkouts write the same CSV bytes, summary
+lines and error text where these lines agree:
 
     diff <(python tools/csv_digests.py --src PARENT/src) <(python tools/csv_digests.py)
 
@@ -27,6 +28,8 @@ import argparse
 import contextlib
 import hashlib
 import io
+import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -70,6 +73,34 @@ USAGE_ERRORS = (
     ("fig4", "--steps", "1"),
     ("observables", "--t-max", "0"),
 )
+# non-finite or out-of-domain values, one for each flag checked by its type
+REFUSALS = (
+    ("solve", "--equation", "heat", "--tau", "nan"),
+    ("solve", "--equation", "heat", "--tau", "inf"),
+    ("solve", "--equation", "heat", "--tau", "0.5", "--ic", "gaussian(nan)"),
+    ("solve", "--equation", "heat", "--tau", "0.5", "--ic", "gaussian(inf)"),
+    ("solve", "--equation", "affine_sqrt", "--tau", "1", "--c", "nan"),
+    ("solve", "--equation", "optics", "--tau", "1", "--refractive-index", "nan"),
+    ("observables", "--sigma", "nan"),
+    ("observables", "--a", "inf"),
+    ("matrix", "--what", "dirac2", "--tau", "inf"),
+    ("matrix", "--what", "dirac2", "--y", "nan"),
+    ("matrix", "--what", "generator", "--kind", "foo"),
+)
+# runs on the table that write_ic_table puts in the working directory
+IC_TABLE = "ic.csv"
+IC_FILE_RUNS = (
+    ("solve", "--equation", "heat", "--method", "integral", "--tau", "0", "--ic", f"file={IC_TABLE}",
+     "--grid", "-4:4:64"),
+)
+
+
+def write_ic_table(path: Path) -> None:
+    """A fixed (x, value) table: a header row, then 25 unevenly spaced rows
+    of a skewed Gaussian on about [-3, 3]."""
+    xs = [-3.0 + 0.25 * i + 0.04 * (-1) ** i for i in range(25)]
+    rows = "".join(f"{x!r},{math.exp(-x * x) * (1.0 + x / 2.0)!r}\n" for x in xs)
+    Path(path).write_text("x,value\n" + rows)
 
 
 def digests(cli, args, directory: Path) -> tuple[str, str]:
@@ -158,7 +189,9 @@ def main() -> None:
     from pseudoflow import cli
 
     with tempfile.TemporaryDirectory() as tmp:
-        for args in (*RUNS, *USAGE_ERRORS):
+        os.chdir(tmp)  # where IC_FILE_RUNS find their table
+        write_ic_table(Path(tmp) / IC_TABLE)
+        for args in (*RUNS, *IC_FILE_RUNS, *USAGE_ERRORS, *REFUSALS):
             print(f"{'  '.join(digests(cli, args, Path(tmp)))}  {' '.join(args)}", flush=True)
 
 
