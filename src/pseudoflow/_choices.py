@@ -1,9 +1,11 @@
-"""Names of the matrix generators and variants that ``clifford`` accepts.
+"""Names and domains that the command line and the library share.
 
 They live here, free of numpy, so that the command-line parser can offer
-them as choices before any solver module loads; ``clifford`` re-exports
-the variants, and a test holds its own ``GENERATOR_KINDS`` equal to these.
+the matrix generators and variants as choices, and check each flag against
+the library's domain table, before any solver loads; ``clifford``
+re-exports the variants, and a test holds its ``GENERATOR_KINDS`` equal.
 """
+import cmath
 
 GENERATOR_KINDS = (
     "sigma1", "sigma2", "sigma3",
@@ -13,3 +15,32 @@ GENERATOR_KINDS = (
 )
 POSITION_PARAMETRIZATIONS = ("dirac", "beta_diagonal")
 KAPPA_VARIANTS = ("i_delta", "plain_delta")
+
+
+def _finite(value) -> bool:
+    # ints unconverted, sequences and 1-D arrays element by element
+    if isinstance(value, int):
+        return True
+    if isinstance(value, (tuple, list)) or getattr(value, "ndim", 0):
+        return all(map(_finite, value))
+    return cmath.isfinite(value)
+
+
+# every scalar domain of the package: domain -> test of a finite value
+DOMAINS = {
+    "finite": lambda v: True,
+    "positive and finite": lambda v: v > 0,
+    "nonnegative and finite": lambda v: v >= 0,
+    "at least 2": lambda v: v >= 2,
+    "a nonnegative integer": lambda v: type(v) is not bool and hasattr(v, "__index__") and v >= 0,
+    "finite with a finite square": lambda v: _finite(v * v),
+}
+
+
+def require(domain: str, **named) -> None:
+    """Raise ValueError("<names> must be <domain>") unless every named value
+    is finite and in the domain; names join as "x", "x and y", "x, y and z"."""
+    if not all(_finite(v) and DOMAINS[domain](v) for v in named.values()):
+        *rest, last = named
+        names = f"{', '.join(rest)} and {last}" if rest else last
+        raise ValueError(f"{names} must be {domain}")

@@ -11,8 +11,9 @@ Exit codes: 0 success, 1 usage error (message on stderr), 2 numerical
 non-convergence (ConvergenceError/TruncationError; message on stderr).
 
 Each flag is read and range-checked once, by the argparse type it is
-declared with: in argv order, then the defaults, whichever subcommand or
-equation uses it, and a refusal names its flag. The only checks left for
+declared with, against the library's own domain table (``_choices``): in
+argv order, then the defaults, whichever subcommand or equation uses it,
+and a refusal names its flag. The only checks left for
 later are of pairs of flags: the equation and its method in ``solve``, and
 a > |b| in ``pauli_line_power``. This module imports no numpy, and
 handlers reach the solvers through the package's lazy namespace, so a
@@ -21,7 +22,6 @@ refused invocation answers in about the start-up time of the interpreter.
 from __future__ import annotations
 
 import argparse
-import cmath
 import contextlib
 import math
 import os
@@ -31,7 +31,7 @@ import tempfile
 
 import pseudoflow as pf
 
-from ._choices import GENERATOR_KINDS, KAPPA_VARIANTS, POSITION_PARAMETRIZATIONS
+from ._choices import GENERATOR_KINDS, KAPPA_VARIANTS, POSITION_PARAMETRIZATIONS, require
 from .errors import ConvergenceError, TruncationError
 
 __all__ = ["run", "main"]
@@ -59,20 +59,14 @@ class _Parser(argparse.ArgumentParser):
 # ----------------------------------------------------------------------
 # flag types: argparse reads and range-checks each flag once, before numpy loads
 
-_DOMAINS = {
-    "finite": lambda v: True,
-    "positive and finite": lambda v: v > 0,
-    "nonnegative and finite": lambda v: v >= 0,
-    "at least 2": lambda v: v >= 2,
-}
-
-
 def _number(flag: str, domain: str = "finite", kind=float):
-    """argparse type: the text read by ``kind``, if finite and in ``domain``."""
+    """argparse type: the text read by ``kind``, if ``require`` accepts it."""
     def read(text: str):
         value = kind(text)
-        if not ((kind is int or cmath.isfinite(value)) and _DOMAINS[domain](value)):
-            raise _UsageError(f"{flag} must be {domain}")
+        try:
+            require(domain, **{flag: value})
+        except ValueError as exc:  # argparse would report "invalid float value"
+            raise _UsageError(exc) from None
         return value
 
     read.__name__ = kind.__name__  # argparse reports "invalid float value: ..."
@@ -439,7 +433,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--method", choices=("integral", "spectral", "series"), default=None)
     p.add_argument("--compare", choices=("integral", "spectral", "series"), default=None)
     number(p, "--c", 1.0, help="drift coefficient (affine_sqrt)")
-    number(p, "--refractive-index", 2.0, help="refractive index (optics)")
+    n_help = "refractive index (optics)"
+    number(p, "--refractive-index", 2.0, "finite with a finite square", help=n_help)
     add_common(p, "-8:8:1024")
 
     p = sub.add_parser("matrix", help="emit a generator/evolution matrix as CSV")

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._choices import KAPPA_VARIANTS, POSITION_PARAMETRIZATIONS
+from ._choices import KAPPA_VARIANTS, POSITION_PARAMETRIZATIONS, require
 
 __all__ = [
     "Mat2",
@@ -103,11 +103,9 @@ class PauliVector:
         v = tuple(complex(c) for c in self.v)
         if len(v) != 3:
             raise ValueError("v must have exactly three components")
-        if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in v):
-            raise ValueError("v must be finite")
+        require("finite", v=v)
         c0 = complex(self.c0)
-        if not (math.isfinite(c0.real) and math.isfinite(c0.imag)):
-            raise ValueError("c0 must be finite")
+        require("finite", c0=c0)
         object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "v", v)
 
@@ -131,18 +129,11 @@ def generators(kind: str) -> np.ndarray:
         ) from None
 
 
-def _check_finite(**params) -> None:
-    for name, value in params.items():
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} must be finite")
-
-
 def _vec3(v: Sequence[complex]) -> np.ndarray:
     arr = np.asarray(v, dtype=complex)
     if arr.shape != (3,):
         raise ValueError("expected a 3-sequence")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("components must be finite")
+    require("finite", components=arr)
     return arr
 
 
@@ -169,7 +160,7 @@ def exp_pauli(y: complex, v: Sequence[complex]) -> Mat2:
     preset ``exp_pauli(-tau, (1j * k, 0, 1))``: the Fourier-symbol
     exponential e^{-tau (sigma3 + i k sigma1)}.
     """
-    _check_finite(y=y)
+    require("finite", y=y)
     mat = pauli_sqrt_identity(v)
     n2 = complex(np.asarray(v, dtype=complex) @ np.asarray(v, dtype=complex))
     n = np.sqrt(n2)
@@ -185,7 +176,8 @@ def dirac2_evolution(pi: float, tau: float) -> Mat2:
     Closed form cos(E tau) 1 - i sin(E tau)/E (sigma1 pi + sigma3) with
     E = sqrt(1 + pi^2); unitary for real arguments.
     """
-    _check_finite(pi=pi, tau=tau)
+    require("finite", pi=pi)
+    require("finite", tau=tau)
     e = math.sqrt(1.0 + pi * pi)
     h = pi * _SIGMA[0] + _SIGMA[2]
     return math.cos(e * tau) * _ID2 - 1j * (math.sin(e * tau) / e) * h
@@ -203,13 +195,12 @@ def bloch_evolve(
     s = np.asarray(sigma0, dtype=float)
     if s.shape != (3,):
         raise ValueError("sigma0 must be a 3-sequence")
-    _check_finite(sigma0=s, pi=pi, tau=tau, dt=dt)
+    require("finite", sigma0=s)
+    require("finite", pi=pi)
+    require("nonnegative and finite", tau=tau)
+    require("positive and finite", dt=dt)
     if float(np.linalg.norm(s)) == 0.0:
         raise ValueError("sigma0 must be nonzero")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
     if tau == 0:
         return s.copy()
     if dt > tau:
@@ -235,7 +226,8 @@ def dirac4_evolution(pi: Sequence[float], tau: float) -> Mat4:
     p = np.asarray(pi, dtype=float)
     if p.shape != (3,):
         raise ValueError("pi must be a 3-sequence")
-    _check_finite(pi=p, tau=tau)
+    require("finite", pi=p)
+    require("finite", tau=tau)
     h = p[0] * _ALPHA[0] + p[1] * _ALPHA[1] + p[2] * _ALPHA[2] + _BETA
     e = math.sqrt(1.0 + float(p @ p))
     return math.cos(e * tau) * _ID4 - 1j * (math.sin(e * tau) / e) * h
@@ -261,7 +253,8 @@ def position_evolution(pi: float, tau: float, parametrization: str = "dirac") ->
             f"unknown parametrization {parametrization!r}; "
             f"expected one of {POSITION_PARAMETRIZATIONS}"
         )
-    _check_finite(pi=pi, tau=tau)
+    require("finite", pi=pi)
+    require("finite", tau=tau)
     e2 = 1.0 + pi * pi
     e = math.sqrt(e2)
     if parametrization == "beta_diagonal":
@@ -279,7 +272,7 @@ def sqrt_symbol_check(k: float) -> Mat4:
     Squares to (1 + k^2) 1 because (alpha1+alpha2+alpha3)^2 = 3 and the
     cross terms with beta cancel.
     """
-    _check_finite(k=k)
+    require("finite", k=k)
     return (-k / math.sqrt(3.0)) * (_ALPHA[0] + _ALPHA[1] + _ALPHA[2]) + _BETA
 
 
@@ -300,7 +293,8 @@ def kappa_parametrization(
     arr = np.asarray(w, dtype=float)
     if arr.shape != (3,):
         raise ValueError("w must be a 3-sequence")
-    _check_finite(w=arr, r=r)
+    require("finite", w=arr)
+    require("finite", r=r)
     n = arr[0] * _KAPPA[0] + arr[1] * _KAPPA[1] + arr[2] * _KAPPA[2]
     if variant == "i_delta":
         return n + 1j * r * _DELTA
@@ -315,7 +309,9 @@ def pauli_line_power(a: float, b: float, p: float) -> Mat2:
     Requires a > |b| so both eigenvalues a -+ b are positive and every real
     power is unambiguous.
     """
-    _check_finite(a=a, b=b, p=p)
+    require("finite", a=a)
+    require("finite", b=b)
+    require("finite", p=p)
     if not a > abs(b):
         raise ValueError("pauli_line_power requires a > |b| (positive definite)")
     lo = (a - b) ** p

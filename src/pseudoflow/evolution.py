@@ -43,6 +43,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._choices import require
 from .errors import ConvergenceError
 from .special import _REL_TOL, _gl_panels, _log_trapezoid, _shift_panels
 from .transforms import BOUNDARY_LEAK_THRESHOLD, Field, _gw_smoother
@@ -84,6 +85,7 @@ class SymbolSpec:
 
     @classmethod
     def optics(cls, n: float) -> "SymbolSpec":
+        require("finite with a finite square", n=n)
         # Nonparaxial propagation: -i sqrt(n^2 - k^2) for propagating modes,
         # and the evanescent branch -sqrt(k^2 - n^2) beyond the aperture.
         def eval_(k: np.ndarray) -> np.ndarray:
@@ -250,11 +252,6 @@ def _leak_warning(f: Field, side: str, op: str) -> list:
 # subordination solvers
 
 
-def _check_tau(tau: float) -> None:
-    if not (math.isfinite(tau) and tau >= 0):
-        raise ValueError("tau must be finite and nonnegative")
-
-
 def solve_half_derivative(f: Field, tau: float) -> Field:
     """Solve d/dtau F = -d^{1/2}F/dx^{1/2}, F(x,0) = f(x).
 
@@ -272,7 +269,7 @@ def solve_half_derivative(f: Field, tau: float) -> Field:
     data should either decay toward x_min or the grid should extend far
     enough left.
     """
-    _check_tau(tau)
+    require("nonnegative and finite", tau=tau)
     if tau == 0.0:
         return f.with_values(f.values)
     shift_sum = _shift_sum(f)
@@ -314,7 +311,7 @@ def solve_pseudoheat(f: Field, tau: float) -> Field:
     meets the spectral solution at every tau. Refinement and the error
     estimate act on the output field. tau = 0 returns the input unchanged.
     """
-    _check_tau(tau)
+    require("nonnegative and finite", tau=tau)
     if tau == 0.0:
         return f.with_values(f.values)
     smooth = _gw_smoother(f)
@@ -340,9 +337,8 @@ def pseudoheat_gaussian(tau: float, x: float) -> float:
     (1/(2 sqrt(pi))) int t^{-3/2} (1+4 t tau^2)^{-1/2}
     exp{-(1/(4t) + t tau^2 + x^2/(1+4 t tau^2))} dt.
     """
-    _check_tau(tau)
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
+    require("nonnegative and finite", tau=tau)
+    require("finite", x=x)
     if tau == 0.0:
         return math.exp(-x * x)
     t2 = tau * tau
@@ -517,9 +513,8 @@ def solve_affine_sqrt(f: Field, tau: float, c: float) -> Field:
     and the rule finds no decaying tail and raises a ConvergenceError (the
     admissible domain is not characterized here).
     """
-    _check_tau(tau)
-    if not math.isfinite(c):
-        raise ValueError("c must be finite")
+    require("nonnegative and finite", tau=tau)
+    require("finite", c=c)
     if tau == 0.0:
         return f.with_values(f.values)
     if c != 0:

@@ -23,6 +23,7 @@ smoothings, and the Fourier multiplier (1+k^2)^{-1/2}.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._choices import require
 from .errors import ConvergenceError, TruncationError
 from .evolution import (
     SymbolSpec,
@@ -104,18 +106,14 @@ class ObservableInputs:
     def __post_init__(self):
         if self.units not in ("normalized", "physical"):
             raise ValueError("units must be 'normalized' or 'physical'")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError("sigma must be positive and finite")
-        if not (math.isfinite(self.a) and self.a > 0):
-            raise ValueError("a must be positive and finite")
-        if not math.isfinite(self.t):
-            raise ValueError("t must be finite")
+        require("positive and finite", sigma=self.sigma)
+        require("positive and finite", a=self.a)
+        require("finite", t=self.t)
         if self.units == "normalized":
             if self.c != 1.0 or self.lambda_c != 1.0:
                 raise ValueError("normalized units fix c = lambda_c = 1")
         else:
-            if not all(math.isfinite(v) and v > 0 for v in (self.c, self.lambda_c)):
-                raise ValueError("physical units need positive c and lambda_c, both finite")
+            require("positive and finite", c=self.c, lambda_c=self.lambda_c)
             if abs(self.a - self.lambda_c / self.sigma) > 1e-9 * self.a:
                 raise ValueError("inconsistent inputs: a must equal lambda_c / sigma")
 
@@ -153,12 +151,8 @@ def f2k(eta: float, k: int) -> float:
     After s = u^2 the even integrand is analytic in |Im u| < 1/2: the trapezoid
     rule (h = 0.025 on [0, 9]) converges like e^{-pi/h}, more slowly as k grows.
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ValueError("k must be an integer")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if not math.isfinite(eta):
-        raise ValueError("eta must be finite")
+    require("a nonnegative integer", k=k)
+    require("finite", eta=eta)
     rows = itertools.islice(_hermite_moments(np.array([float(eta)])), int(k), None)
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(next(rows)[0, 1])
@@ -339,8 +333,7 @@ def iterated_series(psi0: Field, tau: float) -> Field:
     are complex. Terms are added until the latest drops below 1e-8, else
     TruncationError after 20 terms.
     """
-    if not math.isfinite(tau):
-        raise ValueError("tau must be finite")
+    require("finite", tau=tau)
     n = psi0.n
     if n & (n - 1) != 0:
         raise ValueError("iterated_series requires a power-of-two sample count")
@@ -442,8 +435,7 @@ def _f_values(a: np.ndarray) -> np.ndarray:
 
 
 def _one_a(a: float) -> np.ndarray:
-    if not (math.isfinite(a) and a >= 0):
-        raise ValueError("a must be finite and nonnegative")
+    require("nonnegative and finite", a=a)
     return np.array([float(a)])
 
 
@@ -467,13 +459,29 @@ def f_function(a: float) -> float:
     return float(_f_values(_one_a(a))[0])
 
 
+def _past_float_range(what: str, inputs: ObservableInputs) -> ValueError:
+    return ValueError(
+        f"the {what} is past float range at sigma = {inputs.sigma!r}, a = {inputs.a!r}, "
+        f"c = {inputs.c!r}, t = {inputs.t!r}"
+    )
+
+
 def _width_sq(inputs: ObservableInputs, r: float) -> float:
-    s2 = inputs.sigma**2
-    return s2 * (1.0 + 0.25 * (inputs.a / inputs.sigma) ** 2 * r * (inputs.c * inputs.t) ** 2)
+    try:
+        s2 = inputs.sigma**2
+        w = s2 * (1.0 + 0.25 * (inputs.a / inputs.sigma) ** 2 * r * (inputs.c * inputs.t) ** 2)
+    except OverflowError:  # ** raises where * gives inf
+        w = math.inf
+    if not math.isfinite(w):  # inf, or 0 * inf where sigma^2 underflows
+        raise _past_float_range("packet width", inputs)
+    return w
 
 
 def _commutator(inputs: ObservableInputs, f: float) -> complex:
-    return -1j * inputs.lambda_c * f * inputs.c * inputs.t
+    value = -1j * inputs.lambda_c * f * inputs.c * inputs.t
+    if not cmath.isfinite(value):
+        raise _past_float_range("commutator", inputs)
+    return value
 
 
 def packet_width(inputs: ObservableInputs) -> float:
@@ -494,8 +502,7 @@ def linear_potential_trajectory(x0: float, p0: float, force: float, t: float) ->
     sums in float range for every finite p0. Raises ValueError where t f,
     E(p0 + t f) or x(t) overflows.
     """
-    if not all(math.isfinite(v) for v in (x0, p0, force, t)):
-        raise ValueError("x0, p0, force and t must be finite")
+    require("finite", x0=x0, p0=p0, force=force, t=t)
     tf = t * force
     energy = math.hypot(1.0, p0 + tf)  # inf where t f or p0 + t f overflows
     x = x0 + t * (p0 + tf / 2.0) / (energy / 2.0 + math.hypot(1.0, p0) / 2.0)

@@ -84,6 +84,7 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 
+from ._choices import require
 from .errors import ConvergenceError
 
 __all__ = [
@@ -172,14 +173,10 @@ def hermite2(n: int, x: float, y: float) -> float:
     and the operational identity d^n/dx^n e^{a x^2} = H_n(2ax, a) e^{a x^2}.
     Orders above 1000 are refused.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError("n must be a nonnegative integer")
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    require("a nonnegative integer", n=n)
     if n > _HERMITE_N_CAP:
         raise OverflowError(f"hermite2 order {n} exceeds the supported cap {_HERMITE_N_CAP}")
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError("x and y must be finite")
+    require("finite", x=x, y=y)
     h_prev, h_cur = 0.0, 1.0
     for m in range(n):
         h_prev, h_cur = h_cur, x * h_cur + 2.0 * y * m * h_prev
@@ -190,15 +187,10 @@ def bessel(kind: str, x: float) -> float:
     """Bessel function J0(x) (any real x) or K0(x) (x > 0)."""
     from scipy.special import j0, k0
 
+    require("positive and finite" if kind == "K0" else "finite", x=x)
     if kind == "J0":
-        if not math.isfinite(x):
-            raise ValueError("x must be finite")
         return float(j0(x))
     if kind == "K0":
-        if not math.isfinite(x):
-            raise ValueError("x must be finite")
-        if x <= 0:
-            raise ValueError("K0 requires x > 0")
         return float(k0(x))
     raise ValueError(f"unknown Bessel kind {kind!r}; expected 'J0' or 'K0'")
 

@@ -428,6 +428,12 @@ _USAGE_ERRORS = [
     (("matrix", "--what", "dirac2", "--tau", "inf"), "--tau must be finite"),
     (("matrix", "--what", "dirac2", "--y", "nan"), "--y must be finite"),
     (("matrix", "--what", "generator", "--kind", "foo"), "argument --kind: invalid choice: 'foo'"),
+    # n * n overflows in the optics symbol
+    (
+        ("solve", "--equation", "optics", "--tau", "1", "--refractive-index", "1e200", "--grid",
+         "-8:8:64"),
+        "--refractive-index must be finite with a finite square",
+    ),
 ]
 
 
@@ -453,6 +459,18 @@ def test_observables_past_the_reach_of_r_exits_2(tmp_path):
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numerical failure:"), proc.stderr
+    assert not out.exists()
+    assert no_partials(tmp_path)
+
+
+def test_observables_past_float_range_exits_1(tmp_path):
+    # (a / sigma)^2 overflows: a refusal naming the parameters, not a traceback
+    out = tmp_path / "never.csv"
+    proc = run_cli(tmp_path, "observables", "--sigma", "1e-300", "--steps", "3", "--out", out)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: the packet width is past float range at sigma = 1e-300")
     assert not out.exists()
     assert no_partials(tmp_path)
 

@@ -263,8 +263,10 @@ def test_dirac4_validation():
     ],
 )
 def test_builders_reject_nonfinite_input(build, args, name):
-    # a NaN or inf parameter is refused, never turned into a NaN matrix
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+    # a NaN or inf parameter is refused by name, never turned into a NaN
+    # matrix; bloch_evolve's tau and dt name their sign as well
+    domain = "(nonnegative and |positive and )?finite"
+    with pytest.raises(ValueError, match=f"^{name} must be {domain}$"):
         build(*args)
 
 

@@ -25,6 +25,7 @@ from pseudoflow import (
     solve_half_derivative,
     solve_pseudoheat,
     solve_symbol_spectral,
+    special,
 )
 from pseudoflow.evolution import (
     _ACCEL_MIN_CHUNKS,
@@ -87,6 +88,13 @@ def test_optics_symbol_switches_branches():
     np.testing.assert_allclose(vals[0], -2.0j, atol=1e-15)
     np.testing.assert_allclose(vals[1], -1j * math.sqrt(3.0), atol=1e-15)
     np.testing.assert_allclose(vals[2], -math.sqrt(5.0) + 0j, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1e200, -1.4e154, math.nan, math.inf])
+def test_optics_symbol_refuses_an_index_whose_square_overflows(n):
+    # n * n past float range would make every multiplier non-finite
+    with pytest.raises(ValueError, match="^n must be finite with a finite square$"):
+        SymbolSpec.optics(n)
 
 
 # ----------------------------------------------------------------------
@@ -528,6 +536,43 @@ def test_affine_sqrt_on_a_fine_grid_matches_spline_oracle(c):
     for j in (500, 600, 1000):
         ref = _affine_spline_oracle(f, 0.5, c, j)
         assert abs(out.values[j] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_affine_sqrt_refined_panel_level_meets_spline_oracle(monkeypatch):
+    # tau = 0.3, c = -0.05: the coarse and fine panel levels disagree past the
+    # tolerance, so the refined level (two panels per cell) runs and converges.
+    # The tolerance is set by the field's 6.5e135 peak, so only points within
+    # a few orders of it are held to the oracle.
+    orders = []
+    gl_panels = special._gl_panels
+    monkeypatch.setattr(special, "_gl_panels", lambda e, o: orders.append(o) or gl_panels(e, o))
+    f = gaussian(-6.0, 10.0, 161)
+    out = solve_affine_sqrt(f, 0.3, -0.05)
+    assert orders == [16, 24, 32]
+    for j in (70, 90, 110):
+        ref = _affine_spline_oracle(f, 0.3, -0.05, j)
+        assert abs(out.values[j] - ref) <= 4e-13 * abs(ref)
+    # on 33 points the refined level misses too
+    orders.clear()
+    with pytest.raises(ConvergenceError, match="^affine-sqrt panel quadrature did not converge"):
+        solve_affine_sqrt(gaussian(-6.0, 10.0, 33), 0.3, -0.05)
+    assert orders == [16, 24, 32]
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda f: solve_half_derivative(f, 0.5),
+        lambda f: solve_affine_sqrt(f, 0.5, 1.0),
+        lambda f: solve_affine_sqrt(f, 0.5, -1.0),
+    ],
+    ids=["half_derivative", "affine_c_pos", "affine_c_neg"],
+)
+def test_shift_solvers_on_zero_data_give_zero_without_warnings(solve):
+    # all-zero data have no peak to compare the edge sample with
+    out = solve(Field(-8.0, 8.0, 64, np.zeros(64)))
+    assert not np.any(out.values)
+    assert out.warnings == ()
 
 
 def test_affine_sqrt_divergent_data_raises():

@@ -107,7 +107,7 @@ def test_f2k_overflow_is_a_convergence_error():
 
 
 def test_f2k_validation():
-    with pytest.raises(ValueError, match="k must be nonnegative"):
+    with pytest.raises(ValueError, match="k must be a nonnegative integer"):
         f2k(1.0, -1)
     with pytest.raises(ValueError, match="finite"):
         f2k(math.inf, 0)
@@ -290,6 +290,14 @@ def test_iterated_series_tau_zero_unchanged():
     f = gaussian(n=256)
     out = iterated_series(f, 0.0)
     assert np.array_equal(out.values, f.values.astype(complex))
+
+
+def test_iterated_series_warns_about_data_at_the_boundary():
+    # e^{-16} at x = +-4 is above the leak threshold; on [-16, 16] it is not
+    f = gaussian(-4.0, 4.0, 64)
+    out = iterated_series(f, 0.05)
+    assert out.warnings == ("iterated_series: input is not negligible at the grid boundary",)
+    assert iterated_series(gaussian(n=64), 0.05).warnings == ()
 
 
 def test_iterated_series_first_order_term():
@@ -596,6 +604,29 @@ def test_packet_width_basics():
     assert widths[-1] == pytest.approx(WIDTH_A1_T2, rel=1e-8)
 
 
+@pytest.mark.parametrize(
+    "kwargs, what",
+    [
+        (dict(sigma=1e-300), "packet width"),  # (a / sigma)^2 overflows under **
+        (dict(sigma=1e200, t=1.0), "packet width"),  # so does sigma^2
+        (dict(sigma=1e-200, a=1e-100, t=1e300), "packet width"),  # 0 * inf
+        (dict(units="physical", c=1e200, lambda_c=1.0, sigma=1.0, a=1.0, t=1e200), "commutator"),
+    ],
+)
+def test_observables_past_float_range_are_value_errors(kwargs, what):
+    inputs = ObservableInputs(**kwargs)
+    with pytest.raises(ValueError, match=f"^the {what} is past float range at sigma = "):
+        (commutator_xt_x0 if what == "commutator" else packet_width)(inputs)
+
+
+def test_packet_width_keeps_its_bits_near_float_range():
+    # the ** arithmetic is unchanged wherever the width is a float
+    for sigma, a, t in [(1e-150, 1.0, 0.0), (1e150, 1.0, 3.0), (0.3, 2.0, 1e100)]:
+        r = r_function(a)
+        want = sigma**2 * (1.0 + 0.25 * (a / sigma) ** 2 * r * (1.0 * t) ** 2)
+        assert packet_width(ObservableInputs(sigma=sigma, a=a, t=t)) == want
+
+
 def test_packet_width_small_a_uses_nonrelativistic_spread():
     a = 1e-6
     w = packet_width(ObservableInputs(sigma=1.0, a=a, t=3.0))
@@ -626,7 +657,10 @@ def test_commutator_in_physical_units():
         (dict(a=-1.0), "a must be positive"),
         (dict(t=math.inf), "finite"),
         (dict(c=2.0), "normalized"),
-        (dict(units="physical", c=0.0, lambda_c=1.0, sigma=1.0, a=1.0), "positive c"),
+        (
+            dict(units="physical", c=0.0, lambda_c=1.0, sigma=1.0, a=1.0),
+            "c and lambda_c must be positive",
+        ),
         (dict(units="physical", c=1.0, lambda_c=1.0, sigma=2.0, a=0.3), "inconsistent"),
     ],
 )

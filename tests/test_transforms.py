@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pseudoflow import (
     ConvergenceError,
@@ -346,3 +348,57 @@ def test_laplace_inv_power_validation():
 def test_laplace_inv_power_rejects_nonfinite_arguments(nu, a):
     with pytest.raises(ValueError, match="finite"):
         laplace_inv_power(nu, a)
+
+
+# ----------------------------------------------------------------------
+# the scalar identities over their whole documented domains
+
+
+def _right_or_refused(call, ref, bound) -> None:
+    """call() is within ``bound`` of ref, where it returns; a ValueError only
+    where ref is past float range; a ConvergenceError with a bound."""
+    try:
+        got = call()
+    except ValueError:
+        assert ref > 1.7976931348623157e308, ref
+        return
+    except ConvergenceError as exc:
+        assert not math.isnan(exc.error_bound)
+        return
+    assert abs(got - ref) <= bound, (got, ref)
+
+
+# log-uniform over [1e-300, 1e300], and 0
+_SWEEP_XY = st.one_of(st.just(0.0), st.floats(-300.0, 300.0).map(lambda k: 10.0**k))
+# log-uniform over [0.05, 20]
+_SWEEP_NU = st.floats(math.log10(0.05), math.log10(20.0)).map(lambda k: 10.0**k)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_SWEEP_XY, _SWEEP_XY)
+@example(1.256446064574813e-07, 256.26508586857346)  # QUADPACK missed e^{-c/xi^2}'s dip
+@example(1e200, 1.0)  # x^2 y overflows
+@example(1e155, 0.0)  # x^2 overflows: inf * 0 is nan
+@example(1e-162, 1e300)  # x^2 is subnormal, x sqrt(y) = 1e-12
+@example(0.0, 0.0)
+def test_exp_sqrt_is_right_over_the_whole_domain(x, y):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        ref = float(mp.exp(-mp.mpf(x) * mp.sqrt(mp.mpf(y))))
+    _right_or_refused(lambda: exp_sqrt_via_doetsch(x, y, "t_form"), ref, 3e-13)
+    _right_or_refused(lambda: exp_sqrt_via_doetsch(x, y, "xi_form"), ref, 5e-10)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_SWEEP_NU, st.floats(-300.0, 300.0).map(lambda k: 10.0**k))
+@example(0.2942748760220047, 3.0)  # the band of 1.8e-13
+@example(5.941056653689657, 3.876141122586136e-52)  # a^-nu = 2.7e305: power * scaled overflows
+@example(20.0, 1e-16)  # a^-nu = 1e320, past float range
+@example(0.05, 1e300)  # a^-nu = 1e-15
+def test_laplace_inv_power_is_right_over_the_whole_domain(nu, a):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        ref = mp.mpf(a) ** -mp.mpf(nu)
+    # relative where a^-nu is a float, and a few subnormal units below
+    bound = 1e-12 * float(ref) + 1e-322
+    _right_or_refused(lambda: laplace_inv_power(nu, a), ref, bound)

@@ -7,12 +7,12 @@
 The list holds every preset (fig1-fig4, observables), every matrix, `solve`
 for every (equation, method) pair of the CLI's solver table, `solve` with
 `--compare`, with `--ic gaussian(2)` and with `--ic file=` on a fixed table
-that the tool writes, the benchmark's usage errors, and one refusal for each
-range-checked flag. One line per run, "<csv sha256>  <text sha256>
-<arguments>", where the first hash reads "exit <code>" where the run
-failed, and the second is the SHA-256 of the run's stdout and stderr with
-the output path masked. Two checkouts write the same CSV bytes, summary
-lines and error text where these lines agree:
+that the tool writes, the benchmark's usage errors, one refusal for each
+range-checked flag, and one packet width past float range. One line per
+run, "<csv sha256>  <text sha256>  <arguments>", where the first hash reads
+"exit <code>" where the run failed, and the second is the SHA-256 of the
+run's stdout and stderr with the output path masked. Two checkouts write
+the same CSV bytes, summary lines and error text where these lines agree:
 
     diff <(python tools/csv_digests.py --src PARENT/src) <(python tools/csv_digests.py)
 
@@ -73,7 +73,8 @@ USAGE_ERRORS = (
     ("fig4", "--steps", "1"),
     ("observables", "--t-max", "0"),
 )
-# non-finite or out-of-domain values, one for each flag checked by its type
+# non-finite or out-of-domain values, one for each flag checked by its type,
+# and a width that the observables handler refuses past float range
 REFUSALS = (
     ("solve", "--equation", "heat", "--tau", "nan"),
     ("solve", "--equation", "heat", "--tau", "inf"),
@@ -81,8 +82,10 @@ REFUSALS = (
     ("solve", "--equation", "heat", "--tau", "0.5", "--ic", "gaussian(inf)"),
     ("solve", "--equation", "affine_sqrt", "--tau", "1", "--c", "nan"),
     ("solve", "--equation", "optics", "--tau", "1", "--refractive-index", "nan"),
+    ("solve", "--equation", "optics", "--tau", "1", "--refractive-index", "1e200"),
     ("observables", "--sigma", "nan"),
     ("observables", "--a", "inf"),
+    ("observables", "--sigma", "1e-300", "--steps", "3"),
     ("matrix", "--what", "dirac2", "--tau", "inf"),
     ("matrix", "--what", "dirac2", "--y", "nan"),
     ("matrix", "--what", "generator", "--kind", "foo"),
