@@ -18,12 +18,8 @@ KAPPA_VARIANTS = ("i_delta", "plain_delta")
 
 
 def _finite(value) -> bool:
-    # ints unconverted, sequences and 1-D arrays element by element
-    if isinstance(value, int):
-        return True
-    if isinstance(value, (tuple, list)) or getattr(value, "ndim", 0):
-        return all(map(_finite, value))
-    return cmath.isfinite(value)
+    # ints unconverted: 10**400 is finite but has no float
+    return isinstance(value, int) or cmath.isfinite(value)
 
 
 # every scalar domain of the package: domain -> test of a finite value
@@ -39,8 +35,12 @@ DOMAINS = {
 
 def require(domain: str, **named) -> None:
     """Raise ValueError("<names> must be <domain>") unless every named value
-    is finite and in the domain; names join as "x", "x and y", "x, y and z"."""
-    if not all(_finite(v) and DOMAINS[domain](v) for v in named.values()):
+    is finite and in the domain, a sequence or 1-D array element by element;
+    names join as "x", "x and y", "x, y and z"."""
+    test = DOMAINS[domain]
+    rows = (v if isinstance(v, (tuple, list)) or getattr(v, "ndim", 0) else (v,)
+            for v in named.values())
+    if not all(_finite(v) and test(v) for row in rows for v in row):
         *rest, last = named
         names = f"{', '.join(rest)} and {last}" if rest else last
         raise ValueError(f"{names} must be {domain}")

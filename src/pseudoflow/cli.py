@@ -230,9 +230,7 @@ def _field_err(f: pf.Field) -> float | None:
 
 
 def _series_field(f0: pf.Field, tau: float) -> pf.Field:
-    from .relativistic import _series_sum
-
-    return f0.with_values(_series_sum(f0.x, tau)[0])
+    return f0.with_values(pf.series_solution(f0.x, tau))
 
 
 _DEFAULT_METHODS = {
@@ -309,10 +307,9 @@ def _run_fig3(ns: argparse.Namespace):
 def _run_fig4(ns: argparse.Namespace):
     import numpy as np
 
-    from .relativistic import _f_values, _r_values
-
     a_values = np.linspace(0.0, ns.a_max, ns.steps)
-    return [("a", a_values), ("R", _r_values(a_values)), ("F", _f_values(a_values))], None, ""
+    columns = [("a", a_values), ("R", pf.r_function(a_values)), ("F", pf.f_function(a_values))]
+    return columns, None, ""
 
 
 def _run_solve(ns: argparse.Namespace):
@@ -364,12 +361,12 @@ def _run_matrix(ns: argparse.Namespace):
 def _run_observables(ns: argparse.Namespace):
     import numpy as np
 
-    from .relativistic import _commutator, _f_values, _r_values, _width_sq
+    from .relativistic import _commutator, _width_sq
 
     ts = np.linspace(0.0, ns.t_max, ns.steps)
     inputs = [pf.ObservableInputs(sigma=ns.sigma, a=ns.a, t=float(t)) for t in ts]
     # R(a) and F(a) once, for every t and the summary line
-    r, f = (float(factor(np.array([ns.a]))[0]) for factor in (_r_values, _f_values))
+    r, f = pf.r_function(ns.a), pf.f_function(ns.a)
     columns = [
         ("t", ts),
         ("width_sq", [_width_sq(inp, r) for inp in inputs]),

@@ -46,7 +46,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._choices import require
 from .errors import ConvergenceError
 from .special import _REL_TOL, _gl_panels, _log_trapezoid, _shift_panels
-from .transforms import BOUNDARY_LEAK_THRESHOLD, Field, _gw_smoother
+from .transforms import Field, _gw_smoother
 
 __all__ = [
     "SymbolSpec",
@@ -108,12 +108,8 @@ def _spectral_apply(f: Field, multiplier_of_k: Callable[[np.ndarray], np.ndarray
     n = f.n
     if n & (n - 1) != 0:
         raise ValueError("spectral solver requires a power-of-two sample count")
-    warnings = []
-    if f.boundary_leaks():
-        warnings.append(
-            "spectral: input is not negligible at the grid boundary; periodic "
-            "wrap-around will contaminate the result"
-        )
+    wrap = "; periodic wrap-around will contaminate the result"
+    warnings = tuple(w + wrap for w in f.leak_warnings("spectral"))
     h = f.dx
     padded = np.zeros(2 * n, dtype=complex)
     padded[:n] = f.values
@@ -122,7 +118,7 @@ def _spectral_apply(f: Field, multiplier_of_k: Callable[[np.ndarray], np.ndarray
     if not np.all(np.isfinite(mult)):
         raise ValueError("symbol produced non-finite multipliers on the grid's wavenumbers")
     out = np.fft.ifft(mult * np.fft.fft(padded))[:n]
-    return f.with_values(out, tuple(warnings))
+    return f.with_values(out, warnings)
 
 
 def solve_symbol_spectral(f: Field, tau: float, symbol: SymbolSpec) -> Field:
@@ -237,17 +233,6 @@ def _shift_sum(f: Field) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     return lambda shifts, weights: _shift_plan(f.n, f.dx, shifts, weights)(coef, last)
 
 
-def _leak_warning(f: Field, side: str, op: str) -> list:
-    peak = float(np.max(np.abs(f.values)))
-    if peak == 0.0:
-        return []
-    idx = 0 if side == "left" else -1
-    if abs(complex(f.values[idx])) > BOUNDARY_LEAK_THRESHOLD * peak:
-        return [f"{op}: data shifted past the {side} grid edge is zero-extended "
-                "but the boundary sample is not negligible"]
-    return []
-
-
 # ----------------------------------------------------------------------
 # subordination solvers
 
@@ -293,8 +278,8 @@ def solve_half_derivative(f: Field, tau: float) -> Field:
         return out
 
     values, err = _shift_panels(h, tau, t2, head, tail, "half-derivative")
-    out_warn = _leak_warning(f, "left", "solve_half_derivative")
-    return f.with_values(values, tuple(out_warn), meta={"quadrature_error": float(err)})
+    warn = f.leak_warnings("solve_half_derivative", "left")
+    return f.with_values(values, warn, meta={"quadrature_error": float(err)})
 
 
 def solve_pseudoheat(f: Field, tau: float) -> Field:
@@ -324,10 +309,8 @@ def solve_pseudoheat(f: Field, tau: float) -> Field:
 
     # Every term of the smoothing sum falls in t beyond |lag| / (2 tau^2).
     values, err = _log_trapezoid(integrand, (f.x[-1] - f.x[0]) / (2.0 * t2))
-    warn = []
-    if f.boundary_leaks():
-        warn.append("solve_pseudoheat: input is not negligible at the grid boundary")
-    return f.with_values(values, tuple(warn), meta={"quadrature_error": float(err)})
+    warn = f.leak_warnings("solve_pseudoheat")
+    return f.with_values(values, warn, meta={"quadrature_error": float(err)})
 
 
 def pseudoheat_gaussian(tau: float, x: float) -> float:
@@ -519,7 +502,7 @@ def solve_affine_sqrt(f: Field, tau: float, c: float) -> Field:
         return f.with_values(f.values)
     if c != 0:
         values, err = _affine_panels(f, tau, c)
-        warn = _leak_warning(f, "right" if c > 0 else "left", "solve_affine_sqrt")
+        warn = f.leak_warnings("solve_affine_sqrt", "right" if c > 0 else "left")
     else:
         x, data = f.x, f.values
         t2 = tau * tau
@@ -534,8 +517,8 @@ def solve_affine_sqrt(f: Field, tau: float, c: float) -> Field:
             return np.where(data == 0.0, 0.0, prod)
 
         values, err = _log_trapezoid(integrand)
-        warn = []
-    return f.with_values(values, tuple(warn), meta={"quadrature_error": float(err)})
+        warn = ()
+    return f.with_values(values, warn, meta={"quadrature_error": float(err)})
 
 
 # ----------------------------------------------------------------------
@@ -748,5 +731,5 @@ def apply_inv_sqrt_shift(g: Field) -> Field:
             "fewer tail arcs available; their values carry the residual "
             "averaging error (see meta tail_estimate)"
         )
-    warn.extend(_leak_warning(g, "left", "apply_inv_sqrt_shift"))
+    warn.extend(g.leak_warnings("apply_inv_sqrt_shift", "left"))
     return g.with_values(out, tuple(warn), meta={"tail_estimate": float(np.max(est))})

@@ -12,14 +12,18 @@ Psi = A e^{-eta^2} + i B with
                   C(n+1,k) f_{2k}(eta)
 
 with H the two-variable Hermite polynomials and f_{2k} the smoothed-Hermite
-integrals below, both from one H_n recurrence on (eta x u node) arrays and
-summed over a whole eta array, with the step-2h sum as nested error estimate.
-The multiplier e^{-i tau sqrt(1+k^2)} is the independent cross-check.
+integrals below, both from one H_n recurrence on (eta x u node) arrays.
+series_solution sums them at one eta or over a whole eta array at once,
+with the step-2h sum as nested error estimate. The multiplier
+e^{-i tau sqrt(1+k^2)} is the independent cross-check.
 
 The operator D = (1 - d^2/deta^2)^{-1/2} admits three equivalent
 realizations (exercised against each other in the tests): the closed-form
 kernel (1/pi) K0(|x - xi|), the literal double integral over heat
 smoothings, and the Fourier multiplier (1+k^2)^{-1/2}.
+
+The observables' correction factors R(a) and F(a) are log-trapezoid
+integrals, likewise at one a or over a whole array of a, one column per a.
 """
 from __future__ import annotations
 
@@ -161,11 +165,19 @@ def f2k(eta: float, k: int) -> float:
     return value
 
 
-def _series_sum(eta: np.ndarray, tau: float):
-    """Psi(eta, tau) on an eta array as (values, last terms, term counts): each
-    point stops at its own tail test and must agree with its step-2h sum."""
-    if not (np.all(np.isfinite(eta)) and math.isfinite(tau)):
-        raise ValueError("eta and tau must be finite")
+def series_solution(eta, tau: float, return_diagnostics: bool = False):
+    """Hermite-series value Psi(eta, tau) = A e^{-eta^2} + i B.
+
+    Terms are added until the latest tau-power term drops below 1e-9 in
+    magnitude, else TruncationError after order 60, and the sum must agree
+    with its step-2h sum. A number eta gives the complex value, or
+    ``(value, tail_estimate, n_used)`` with ``return_diagnostics``; a 1-D
+    array of eta gives those as arrays from one sum, in which each point
+    stops at its own tail test and so keeps, bit for bit, its one-point value.
+    """
+    require("finite", eta=eta, tau=tau)
+    scalar = np.ndim(eta) == 0
+    eta, tau = np.atleast_1d(np.asarray(eta, dtype=float)), float(tau)
     gauss = np.exp(-eta * eta)
     value, nested = np.zeros((2, eta.size), dtype=complex)
     tail, used = np.full(eta.size, math.inf), np.zeros(eta.size, dtype=int)
@@ -211,20 +223,9 @@ def _series_sum(eta: np.ndarray, tau: float):
     for j in np.flatnonzero(~(err <= np.maximum(_ABS_TOL, _REL_TOL * np.abs(value))))[:1]:
         msg = f"tau-power series: f_2k step sums disagree at eta = {float(eta[j])!r}"
         raise ConvergenceError(msg, estimate=value[j], error_bound=err[j])
-    return value, tail, used
-
-
-def series_solution(eta: float, tau: float, return_diagnostics: bool = False):
-    """Hermite-series value Psi(eta, tau) = A e^{-eta^2} + i B.
-
-    Terms are added until the latest tau-power term drops below 1e-9 in
-    magnitude, else TruncationError after order 60; returns the complex
-    value, or ``(value, tail_estimate, n_used)`` with ``return_diagnostics``.
-    """
-    value, tail, used = _series_sum(np.array([float(eta)]), float(tau))
-    if return_diagnostics:
-        return complex(value[0]), float(tail[0]), int(used[0])
-    return complex(value[0])
+    if scalar:
+        value, tail, used = complex(value[0]), float(tail[0]), int(used[0])
+    return (value, tail, used) if return_diagnostics else value
 
 
 def spectral_schrodinger(f: Field, tau: float) -> Field:
@@ -301,16 +302,13 @@ def dhat_apply(f: Field, method: str = "kernel_k0") -> Field:
     """
     if method not in DHAT_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {DHAT_METHODS}")
-    warn = []
-    if f.boundary_leaks():
-        warn.append("dhat_apply: input is not negligible at the grid boundary")
     if method == "spectral":
         return _spectral_apply(f, lambda k: (1.0 + k**2) ** -0.5)
     if method == "kernel_k0":
         out = _k0_plan(f)(f.values)
     else:
         out = _dhat_s_integral(f)
-    return f.with_values(out, tuple(warn))
+    return f.with_values(out, f.leak_warnings("dhat_apply"))
 
 
 def phi_transform(psi_bar: Field) -> Field:
@@ -376,10 +374,8 @@ def iterated_series(psi0: Field, tau: float) -> Field:
             raise TruncationError(
                 "iterated series did not reach tail_tol", last_term=tail, n_used=_ITERATED_N_MAX
             )
-    warn = []
-    if psi0.boundary_leaks():
-        warn.append("iterated_series: input is not negligible at the grid boundary")
-    return psi0.with_values(total, tuple(warn), meta={"tail_estimate": tail})
+    warn = psi0.leak_warnings("iterated_series")
+    return psi0.with_values(total, warn, meta={"tail_estimate": tail})
 
 
 # ----------------------------------------------------------------------
@@ -391,20 +387,24 @@ _R_PREF = 2.0 * math.sqrt(2.0)
 _F_PREF = 2.0 * math.sqrt(2.0 / math.pi)
 
 
-def _r_values(a: np.ndarray) -> np.ndarray:
-    """R(a) for every a of an array, from one log-trapezoid call with one
-    column per a.
+def r_function(a):
+    """Width-correction factor R(a) = 2 sqrt(2) int_0^inf e^{-s} (2+a^2 s)^{-3/2} ds.
 
-    The rule's tolerance is taken on the largest column, so each is scaled
-    to _LOG_UNIT by 1 + a^2/4 (R ~ 4/a^2 for large a). R's integrand in
-    log s rises up to its peak at s = 4/a^2, so the window's left end
-    starts at or below that s for the largest a. The window reaches that
-    far up to a ~ 3e19; beyond that the rule's end test cannot cut R's
-    tail and it raises ConvergenceError, its error bound in units of R
-    (inf where a^2 overflows and the rule cannot start).
+    R(0) = 1; decreases monotonically; R(a) ~ 1 - (3/4) a^2 for small a. A
+    number a gives a float, a 1-D array an array, from one log-trapezoid
+    call with one column per a. The rule's tolerance is taken on the
+    largest column, so each is scaled to _LOG_UNIT by 1 + a^2/4
+    (R ~ 4/a^2 for large a). R's integrand in log s rises up to its peak at
+    s = 4/a^2, so the window's left end starts at or below that s for the
+    largest a. Within about 1e-15 of the closed form for a in [0, 3e19];
+    beyond that the rule's end test cannot cut R's tail and it raises
+    ConvergenceError, its error bound in units of R (inf where a^2
+    overflows and the rule cannot start).
     """
+    require("nonnegative and finite", a=a)
+    a_arr = np.atleast_1d(np.asarray(a, dtype=float))
     with np.errstate(over="ignore", divide="ignore"):  # a^2 = inf also ends in ConvergenceError
-        a2 = a * a
+        a2 = a_arr * a_arr
         scale = _LOG_UNIT * (1.0 + 0.25 * a2)
         t_head = 4.0 / np.max(a2)  # inf where every a is 0
 
@@ -413,50 +413,34 @@ def _r_values(a: np.ndarray) -> np.ndarray:
         q = 2.0 + a2 * s
         return scale * (np.exp(-s) / np.sqrt(q) / q)
 
-    return _R_PREF * _log_trapezoid(integrand, 1.0, t_head, unit=_R_PREF / scale)[0] / scale
+    r = _R_PREF * _log_trapezoid(integrand, 1.0, t_head, unit=_R_PREF / scale)[0] / scale
+    return r if np.ndim(a) else float(r[0])
 
 
-def _f_values(a: np.ndarray) -> np.ndarray:
-    """F(a) for every a of an array, from one log-trapezoid call with one
-    column per a, each scaled to _LOG_UNIT by 1 + a (F ~ sqrt(8/pi)/a).
-    F's weight in log s peaks at s = 1 to 1.5 for every a, so the window
-    starts at the rule's default ends. sqrt(2 + a^2 s) is a hypot, finite where a^2
-    overflows; past a ~ 1.8e304 the scale overflows and the rule raises
-    ConvergenceError with an infinite bound.
-    """
-    with np.errstate(over="ignore"):
-        scale = _LOG_UNIT * (1.0 + a)
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        root = np.sqrt(s)[:, None]
-        return scale * (root * (np.exp(-s)[:, None] / np.hypot(math.sqrt(2.0), a * root)))
-
-    return _F_PREF * _log_trapezoid(integrand, 1.0, unit=_F_PREF / scale)[0] / scale
-
-
-def _one_a(a: float) -> np.ndarray:
-    require("nonnegative and finite", a=a)
-    return np.array([float(a)])
-
-
-def r_function(a: float) -> float:
-    """Width-correction factor R(a) = 2 sqrt(2) int_0^inf e^{-s} (2+a^2 s)^{-3/2} ds.
-
-    R(0) = 1; decreases monotonically; R(a) ~ 1 - (3/4) a^2 for small a.
-    Within about 1e-15 of the closed form for a in [0, 3e19]; beyond that
-    ConvergenceError, its error bound in units of R (see _r_values).
-    """
-    return float(_r_values(_one_a(a))[0])
-
-
-def f_function(a: float) -> float:
+def f_function(a):
     """Commutator-correction factor
     F(a) = (2 sqrt(2)/sqrt(pi)) int_0^inf ds sqrt(s) e^{-s} (2+a^2 s)^{-1/2}.
 
-    F(0) = 1; F(a) ~ sqrt(8/pi)/a for large a. Within about 1e-15 of the
-    closed form for a in [0, 1e304]; ConvergenceError beyond (see _f_values).
+    F(0) = 1; F(a) ~ sqrt(8/pi)/a for large a. A number a gives a float, a
+    1-D array an array, from one log-trapezoid call with one column per a,
+    each scaled to _LOG_UNIT by 1 + a. F's weight in log s peaks at s = 1
+    to 1.5 for every a, so the window starts at the rule's default ends.
+    sqrt(2 + a^2 s) is a hypot, finite where a^2 overflows. Within about
+    1e-15 of the closed form for a in [0, 1e304]; past a ~ 1.8e304 the
+    scale overflows and the rule raises ConvergenceError with an infinite
+    bound.
     """
-    return float(_f_values(_one_a(a))[0])
+    require("nonnegative and finite", a=a)
+    a_arr = np.atleast_1d(np.asarray(a, dtype=float))
+    with np.errstate(over="ignore"):
+        scale = _LOG_UNIT * (1.0 + a_arr)
+
+    def integrand(s: np.ndarray) -> np.ndarray:
+        root = np.sqrt(s)[:, None]
+        return scale * (root * (np.exp(-s)[:, None] / np.hypot(math.sqrt(2.0), a_arr * root)))
+
+    f = _F_PREF * _log_trapezoid(integrand, 1.0, unit=_F_PREF / scale)[0] / scale
+    return f if np.ndim(a) else float(f[0])
 
 
 def _past_float_range(what: str, inputs: ObservableInputs) -> ValueError:

@@ -104,13 +104,19 @@ class Field:
             dict(meta or {}),
         )
 
-    def boundary_leaks(self) -> bool:
-        """True when the grid visibly truncates the sampled function."""
+    def leak_warnings(self, op: str, side: str | None = None) -> tuple:
+        """The warning ``op`` attaches where the grid visibly truncates the
+        sampled function: at either edge, or, for a solver that shifts data
+        past one edge and zero-extends them, at the ``side`` it names."""
         peak = float(np.max(np.abs(self.values)))
-        if peak == 0.0:
-            return False
-        edge = max(abs(complex(self.values[0])), abs(complex(self.values[-1])))
-        return edge > BOUNDARY_LEAK_THRESHOLD * peak
+        ends = {"left": (0,), "right": (-1,), None: (0, -1)}[side]
+        edge = max(abs(complex(self.values[j])) for j in ends)
+        if not edge > BOUNDARY_LEAK_THRESHOLD * peak:  # all-zero data: 0 > 0
+            return ()
+        if side is None:
+            return (f"{op}: input is not negligible at the grid boundary",)
+        return (f"{op}: data shifted past the {side} grid edge is zero-extended "
+                "but the boundary sample is not negligible",)
 
 
 def doetsch_weight(t):
@@ -230,10 +236,8 @@ def gauss_weierstrass(f: Field, alpha: float) -> Field:
     otherwise.
     """
     require("positive and finite", alpha=alpha)
-    warnings = []
-    if f.boundary_leaks():
-        warnings.append("gauss_weierstrass: input is not negligible at the grid boundary")
-    return f.with_values(_gw_smoother(f)(np.array([alpha]))[:, 0], tuple(warnings))
+    warnings = f.leak_warnings("gauss_weierstrass")
+    return f.with_values(_gw_smoother(f)(np.array([alpha]))[:, 0], warnings)
 
 
 def glaisher(alpha: float, x) -> float:

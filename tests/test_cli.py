@@ -451,6 +451,42 @@ def test_usage_errors_exit_1(tmp_path, args, fragment):
     assert not out.exists()
 
 
+def test_require_checks_every_value_against_its_domain():
+    # the one check behind every flag type and every scalar library parameter
+    from pseudoflow._choices import require
+
+    def refusal(domain, **named):
+        with pytest.raises(ValueError) as exc:
+            require(domain, **named)
+        return str(exc.value)
+
+    assert refusal("finite", x=math.nan) == "x must be finite"
+    assert refusal("finite", x=1.0, y=math.inf) == "x and y must be finite"
+    three = refusal("positive and finite", x=1.0, y=2.0, z=0.0)
+    assert three == "x, y and z must be positive and finite"
+    # ints are finite without conversion, which 10**400 would not survive
+    require("finite", x=10**400)
+    require("positive and finite", x=10**400)
+    # complex values go through cmath
+    require("finite", z=complex(1e308, -1e308))
+    assert refusal("finite", z=complex(1.0, math.nan)) == "z must be finite"
+    # a bool is not an integer here, nor a float of integral value
+    require("a nonnegative integer", k=3)
+    require("a nonnegative integer", k=np.int64(3))
+    assert refusal("a nonnegative integer", k=True) == "k must be a nonnegative integer"
+    assert refusal("a nonnegative integer", k=3.0) == "k must be a nonnegative integer"
+    # sequences and 1-D arrays element by element, for finiteness and for the domain
+    require("positive and finite", x=(1.0, 2), y=[3.0])
+    require("positive and finite", x=np.array([1.0, 2.0]))
+    require("finite", v=(1j, 2.0, -3))
+    negative = refusal("positive and finite", x=np.array([1.0, -2.0]))
+    assert negative == "x must be positive and finite"
+    assert refusal("positive and finite", x=[1.0, math.nan]) == "x must be positive and finite"
+    assert refusal("finite", x=0.0, v=np.array([1.0, math.inf])) == "x and v must be finite"
+    tiny = refusal("nonnegative and finite", a=(0.0, -1e-300))
+    assert tiny == "a must be nonnegative and finite"
+
+
 def test_observables_past_the_reach_of_r_exits_2(tmp_path):
     # R's weight lies near s = 4/a^2, beyond the rule's window at a = 1e25: a
     # numerical failure, not a tiny wrong R in every width_sq
@@ -705,6 +741,21 @@ def test_csv_digests_text_hash_masks_the_output_path(tmp_path):
     assert [csv_digest for csv_digest, _ in runs] == ["exit 1"] * len(runs)
     assert len({text for _, text in runs}) == len(runs)
     assert {tool.digest(cli, bad, tmp_path) for bad in tool.REFUSALS} == {"exit 1"}
+
+
+def test_csv_digests_report_a_run_that_raises(tmp_path):
+    # a checkout whose cli.run raises is compared past that run: the CSV
+    # column names the exception, and what the run printed is still hashed
+    class RaisingCli:
+        @staticmethod
+        def run(argv):
+            print("partial output")
+            raise OverflowError("int too large to convert to float")
+
+    tool = _tool("csv_digests")
+    csv_digest, text_digest = tool.digests(RaisingCli, ["observables"], tmp_path)
+    assert csv_digest == "error OverflowError"
+    assert text_digest == hashlib.sha256(b"partial output\n\0").hexdigest()
 
 
 def test_csv_digests_arrays_cover_the_calls_no_cli_run_writes():

@@ -19,6 +19,7 @@ from pseudoflow import (
     exp_sqrt_via_doetsch,
     gauss_weierstrass,
     integrate_halfline,
+    iterated_series,
     phi_transform,
     pseudoheat_gaussian,
     solve_affine_sqrt,
@@ -37,7 +38,6 @@ from pseudoflow.evolution import (
     _inv_sqrt_arcs,
     _j0_chunks,
     _j0_zeros,
-    _leak_warning,
     _shift_plan,
     _shift_sum,
 )
@@ -565,11 +565,21 @@ def test_affine_sqrt_refined_panel_level_meets_spline_oracle(monkeypatch):
         lambda f: solve_half_derivative(f, 0.5),
         lambda f: solve_affine_sqrt(f, 0.5, 1.0),
         lambda f: solve_affine_sqrt(f, 0.5, -1.0),
+        lambda f: gauss_weierstrass(f, 0.5),
+        lambda f: solve_symbol_spectral(f, 0.5, SymbolSpec.pseudoheat()),
+        lambda f: solve_pseudoheat(f, 0.5),
+        lambda f: dhat_apply(f),
+        lambda f: iterated_series(f, 0.5),
     ],
-    ids=["half_derivative", "affine_c_pos", "affine_c_neg"],
+    ids=[
+        "half_derivative", "affine_c_pos", "affine_c_neg",
+        "gauss_weierstrass", "spectral", "pseudoheat", "dhat_apply", "iterated_series",
+    ],
 )
 def test_shift_solvers_on_zero_data_give_zero_without_warnings(solve):
-    # all-zero data have no peak to compare the edge sample with
+    # all-zero data have no peak to compare the edge samples with, whether a
+    # solver checks one edge (the shift-type ones) or both; a numpy
+    # RuntimeWarning fails the test (pyproject's filterwarnings)
     out = solve(Field(-8.0, 8.0, 64, np.zeros(64)))
     assert not np.any(out.values)
     assert out.warnings == ()
@@ -770,7 +780,7 @@ def _inv_sqrt_by_partial_sums(g):
             "fewer tail arcs available; their values carry the residual "
             "averaging error (see meta tail_estimate)"
         )
-    warn.extend(_leak_warning(g, "left", "apply_inv_sqrt_shift"))
+    warn.extend(g.leak_warnings("apply_inv_sqrt_shift", "left"))
     return out, est, acc, tuple(warn)
 
 

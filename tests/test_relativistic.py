@@ -28,7 +28,6 @@ from pseudoflow import (
     series_solution,
     spectral_schrodinger,
 )
-from pseudoflow.relativistic import _f_values, _r_values, _series_sum
 
 ADAPTIVE = QuadratureConfig(halfline_rule="adaptive_subdivision")
 
@@ -159,14 +158,18 @@ def test_series_where_quadpack_moments_stopped(tau):
 
 def test_series_on_an_array_matches_each_point():
     # points leave the array sum at different orders; each must keep, bit
-    # for bit, what the one-point sum gives
+    # for bit, what the one-point sum gives, as a float, np.float64 or 0-d eta
     eta = np.array([-7.5, -1.1036333333333332, 0.0, 0.3, 2.0, 12.0])
     for tau in (0.5, 1.0):
-        values, tails, used = _series_sum(eta, tau)
+        values, tails, used = series_solution(eta, tau, return_diagnostics=True)
         assert len(set(used)) > 1
+        assert np.array_equal(series_solution(eta, tau), values)
         for j, e in enumerate(eta):
-            val, tail, n = series_solution(float(e), tau, return_diagnostics=True)
-            assert (values[j], tails[j], used[j]) == (val, tail, n)
+            for point in (float(e), e, np.array(e)):
+                val, tail, n = series_solution(point, tau, return_diagnostics=True)
+                assert (type(val), type(tail), type(n)) == (complex, float, int)
+                assert (values[j], tails[j], used[j]) == (val, tail, n)
+                assert type(series_solution(point, tau)) is complex
 
 
 def test_series_diagnostics():
@@ -460,6 +463,9 @@ def test_r_and_f_bounded_and_decreasing():
 def test_r_and_f_reject_negative(fn):
     with pytest.raises(ValueError, match="nonnegative"):
         fn(-0.5)
+    # an array is checked element by element
+    with pytest.raises(ValueError, match="^a must be nonnegative and finite$"):
+        fn(np.array([1.0, -0.5, 2.0]))
 
 
 @pytest.mark.parametrize("a", [math.nan, math.inf])
@@ -508,13 +514,17 @@ def rf_mpmath(a):
 
 def test_r_and_f_meet_closed_forms_over_the_whole_domain():
     # scalar calls and one array call; a column scaled only to O(1), not to
-    # _LOG_UNIT, reads 3.8e-13 here
+    # _LOG_UNIT, reads 3.8e-13 here. A float, np.float64 or 0-d a gives a float.
     avals = (0.0,) + RF_MPMATH_A + RF_CLOSED_FORM_A
     refs = [(1.0, 1.0)] + [rf_mpmath(a) for a in RF_MPMATH_A]
     refs += [rf_closed_form(a) for a in RF_CLOSED_FORM_A]
-    r_grid, f_grid = _r_values(np.array(avals)), _f_values(np.array(avals))
+    r_grid, f_grid = r_function(np.array(avals)), f_function(np.array(avals))
     for a, (r_ref, f_ref), r_col, f_col in zip(avals, refs, r_grid, f_grid):
-        pairs = ((r_function(a), r_ref), (r_col, r_ref), (f_function(a), f_ref), (f_col, f_ref))
+        r, f = r_function(a), f_function(a)
+        for point in (np.float64(a), np.array(a)):
+            assert (r_function(point), f_function(point)) == (r, f)
+            assert type(r_function(point)) is type(f_function(point)) is float
+        pairs = ((r, r_ref), (r_col, r_ref), (f, f_ref), (f_col, f_ref))
         for got, ref in pairs:
             assert abs(got - ref) <= 1e-14 * ref, (a, got, ref)
 
@@ -555,7 +565,7 @@ def test_r_and_f_report_failure_in_their_own_units(fn, row):
     assert exc.value.reason in str(exc.value)
     # the array call on the same a reports the same failure
     with pytest.raises(ConvergenceError) as both:
-        _r_values(np.array([a]))
+        r_function(np.array([a]))
     assert both.value.error_bound == exc.value.error_bound
     assert both.value.reason == exc.value.reason
 
@@ -586,9 +596,9 @@ _SWEEP_A = st.one_of(st.just(0.0), st.floats(-3.0, math.log10(1.7e308)).map(lamb
 def test_r_and_f_are_right_or_raise_over_the_whole_domain(avals):
     # a RuntimeWarning fails the test (pyproject's filterwarnings)
     refs = np.array([rf_mpmath(a) if a > 0 else (1.0, 1.0) for a in avals])
-    for col, scalar, array in ((0, r_function, _r_values), (1, f_function, _f_values)):
-        calls = [(lambda a=a: scalar(a), ref) for a, ref in zip(avals, refs[:, col])]
-        calls.append((lambda: array(np.array(avals)), refs[:, col]))
+    for col, fn in ((0, r_function), (1, f_function)):
+        calls = [(lambda a=a: fn(a), ref) for a, ref in zip(avals, refs[:, col])]
+        calls.append((lambda: fn(np.array(avals)), refs[:, col]))
         returned = [_right_or_raises(call, ref) for call, ref in calls]
         if col == 1 and max(avals) <= 1e153:
             assert all(returned)  # F is right on all of [0, 1e153]

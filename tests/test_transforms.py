@@ -76,9 +76,22 @@ def test_field_with_values_accumulates_warnings():
 
 
 def test_field_boundary_leak_detection():
-    assert not gaussian_field().boundary_leaks()
-    assert Field.from_function(-2.0, 2.0, 65, lambda x: np.exp(-(x**2))).boundary_leaks()
-    assert not Field(0.0, 1.0, 8, np.zeros(8)).boundary_leaks()
+    both = "op: input is not negligible at the grid boundary"
+    assert gaussian_field().leak_warnings("op") == ()
+    cut_both = Field.from_function(-2.0, 2.0, 65, lambda x: np.exp(-(x**2)))
+    assert cut_both.leak_warnings("op") == (both,)
+    assert Field(0.0, 1.0, 8, np.zeros(8)).leak_warnings("op") == ()
+    # one edge at a time: e^{-x^2} on [0, 8] is cut on the left only, and
+    # on [-8, 0] on the right only
+    one = ("op: data shifted past the {} grid edge is zero-extended but the boundary "
+           "sample is not negligible")
+    cut_left = Field.from_function(0.0, 8.0, 65, lambda x: np.exp(-(x**2)))
+    cut_right = Field.from_function(-8.0, 0.0, 65, lambda x: np.exp(-(x**2)))
+    for f, cut, clear in ((cut_left, "left", "right"), (cut_right, "right", "left")):
+        assert f.leak_warnings("op", cut) == (one.format(cut),)
+        assert f.leak_warnings("op", clear) == ()
+        assert f.leak_warnings("op") == (both,)
+    assert Field(0.0, 1.0, 8, np.zeros(8)).leak_warnings("op", "left") == ()
 
 
 # ----------------------------------------------------------------------

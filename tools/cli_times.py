@@ -43,7 +43,7 @@ ROWS = (
             ("--equation", "half_derivative", "--tau", "0.5"),
         )
     ),
-    # refused by a handler, after parsing: the longest path to exit 1
+    # refused by the --steps flag's argparse type, before numpy loads
     ("a usage error", ("fig4", "--steps", "1"), 1),
 )
 

@@ -10,8 +10,9 @@ for every (equation, method) pair of the CLI's solver table, `solve` with
 that the tool writes, the benchmark's usage errors, one refusal for each
 range-checked flag, and one packet width past float range. One line per
 run, "<csv sha256>  <text sha256>  <arguments>", where the first hash reads
-"exit <code>" where the run failed, and the second is the SHA-256 of the
-run's stdout and stderr with the output path masked. Two checkouts write
+"exit <code>" where the run failed, or "error <type>" where ``cli.run``
+raised, and the second is the SHA-256 of the run's stdout and stderr with
+the output path masked. Two checkouts write
 the same CSV bytes, summary lines and error text where these lines agree:
 
     diff <(python tools/csv_digests.py --src PARENT/src) <(python tools/csv_digests.py)
@@ -64,7 +65,7 @@ RUNS = (
     # past the reach of R's window: a numerical failure
     ("observables", "--a", "1e25", "--steps", "3"),
 )
-# runs the parser or a handler refuses, as the benchmark's cli_cold draws them
+# runs the parser refuses, each by a flag's type or choices, as the benchmark's cli_cold draws them
 USAGE_ERRORS = (
     ("fig1", "--tau", "not-a-number"),
     ("solve", "--equation", "pseudoheat", "--tau", "-1"),
@@ -108,17 +109,22 @@ def write_ic_table(path: Path) -> None:
 
 def digests(cli, args, directory: Path) -> tuple[str, str]:
     """(csv, text) for the run of ``cli.run`` on ``args``: the SHA-256 of
-    the CSV it writes, or "exit <code>" where it fails, and the SHA-256 of
-    its stdout and stderr with the output path masked."""
+    the CSV it writes, or "exit <code>" where it fails, or "error <type>"
+    where ``cli.run`` raises, and the SHA-256 of its stdout and stderr with
+    the output path masked."""
     out = Path(directory) / "out.csv"
     out.unlink(missing_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.run([*args, "--out", str(out)])
+        try:
+            code = cli.run([*args, "--out", str(out)])
+            failure = f"exit {code}" if code != 0 else None
+        except Exception as exc:  # a failure is a result to compare, too
+            failure = f"error {type(exc).__name__}"
     text = f"{stdout.getvalue()}\0{stderr.getvalue()}".replace(str(out), "OUT")
     text_digest = hashlib.sha256(text.encode()).hexdigest()
-    if code != 0:
-        return f"exit {code}", text_digest
+    if failure:
+        return failure, text_digest
     return hashlib.sha256(out.read_bytes()).hexdigest(), text_digest
 
 
@@ -153,8 +159,8 @@ def array_calls(pf):
             ))
     a_values = 10.0 ** np.arange(-3.0, 19.25, 0.5)
     calls += [
-        ("_r_values a = 10^-3..10^19", lambda: pf.relativistic._r_values(a_values)),
-        ("_f_values a = 10^-3..10^19", lambda: pf.relativistic._f_values(a_values)),
+        ("r_function a = 10^-3..10^19", lambda: pf.r_function(a_values)),
+        ("f_function a = 10^-3..10^19", lambda: pf.f_function(a_values)),
     ]
     return calls
 
