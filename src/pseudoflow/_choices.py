@@ -33,13 +33,24 @@ DOMAINS = {
 }
 
 
+def _dims(value) -> int:
+    if isinstance(value, (tuple, list)):
+        return 1 + max(map(_dims, value), default=0)
+    return getattr(value, "ndim", 0)
+
+
 def require(domain: str, **named) -> None:
     """Raise ValueError("<names> must be <domain>") unless every named value
     is finite and in the domain, a sequence or 1-D array element by element;
-    names join as "x", "x and y", "x, y and z"."""
+    names join as "x", "x and y", "x, y and z". A value of more than one
+    dimension raises ValueError("<name> must be a number or 1-D")."""
     test = DOMAINS[domain]
-    rows = (v if isinstance(v, (tuple, list)) or getattr(v, "ndim", 0) else (v,)
-            for v in named.values())
+    rows = []
+    for name, value in named.items():
+        dims = _dims(value)
+        if dims > 1:
+            raise ValueError(f"{name} must be a number or 1-D")
+        rows.append(value if dims else (value,))
     if not all(_finite(v) and test(v) for row in rows for v in row):
         *rest, last = named
         names = f"{', '.join(rest)} and {last}" if rest else last

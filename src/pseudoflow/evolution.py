@@ -104,10 +104,9 @@ class SymbolSpec:
 
 
 def _spectral_apply(f: Field, multiplier_of_k: Callable[[np.ndarray], np.ndarray]) -> Field:
-    """Apply a Fourier multiplier with factor-2 zero padding (fixed contract)."""
+    """Apply a Fourier multiplier with factor-2 zero padding (fixed contract),
+    on any sample count n: pad to 2n, transform, multiply, crop to n."""
     n = f.n
-    if n & (n - 1) != 0:
-        raise ValueError("spectral solver requires a power-of-two sample count")
     wrap = "; periodic wrap-around will contaminate the result"
     warnings = tuple(w + wrap for w in f.leak_warnings("spectral"))
     h = f.dx
@@ -126,7 +125,7 @@ def solve_symbol_spectral(f: Field, tau: float, symbol: SymbolSpec) -> Field:
 
     The grid is zero-padded by a factor of 2 before the transform and
     cropped after; wavenumbers follow the DFT convention k = 2 pi j / (N h)
-    on the padded array. Requires a power-of-two sample count.
+    on the padded array. Any sample count works, not only powers of two.
     """
     return _spectral_apply(f, lambda k: np.exp(tau * np.asarray(symbol.eval(k), dtype=complex)))
 
@@ -237,6 +236,25 @@ def _shift_sum(f: Field) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
 # subordination solvers
 
 
+# A flow whose generator is at most G on the grid changes the data by at
+# most tau G of its size: the identity to rounding for tau G <= 2^-53.
+_ROUNDING = 2.0**-53
+
+
+def _identity_to_rounding(f: Field, tau: float, below: float, flow: Callable[[], Field]) -> Field:
+    """flow(), the solve of f at tau > 0. At or below ``below`` the flow is
+    the identity to rounding; there, where the quadrature's arithmetic
+    leaves float range (for tau far below ``below``), f is returned as at
+    tau = 0, and a quadrature that stays in range keeps its own value."""
+    if not tau <= below:  # a NaN bound proves nothing
+        return flow()
+    try:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return flow()
+    except ConvergenceError:
+        return f.with_values(f.values)
+
+
 def solve_half_derivative(f: Field, tau: float) -> Field:
     """Solve d/dtau F = -d^{1/2}F/dx^{1/2}, F(x,0) = f(x).
 
@@ -253,10 +271,20 @@ def solve_half_derivative(f: Field, tau: float) -> Field:
     and every tail cell and offset at once. The kernel looks leftward, so
     data should either decay toward x_min or the grid should extend far
     enough left.
+
+    tau = 0 returns the input. So does a tau at which the flow is the
+    identity to rounding, tau <= 2^-53 sqrt(h/pi) (|k|^{1/2} <= sqrt(pi/h)
+    on the grid), where the leading cell's s^{-3/2} leaves float range:
+    below tau = 3.0e-102, on any grid.
     """
     require("nonnegative and finite", tau=tau)
     if tau == 0.0:
         return f.with_values(f.values)
+    below = _ROUNDING * math.sqrt(f.dx / math.pi)
+    return _identity_to_rounding(f, tau, below, lambda: _half_derivative(f, tau))
+
+
+def _half_derivative(f: Field, tau: float) -> Field:
     shift_sum = _shift_sum(f)
     n, h = f.n, f.dx
     t2 = tau * tau
@@ -278,6 +306,12 @@ def solve_half_derivative(f: Field, tau: float) -> Field:
         return out
 
     values, err = _shift_panels(h, tau, t2, head, tail, "half-derivative")
+    if not np.all(np.isfinite(values)):
+        raise ConvergenceError(
+            "half-derivative quadrature overflowed: the kernel tau s^{-3/2} at the "
+            "leading cell's nodes s ~ tau^2 exceeds floating-point range",
+            error_bound=math.inf,
+        )
     warn = f.leak_warnings("solve_half_derivative", "left")
     return f.with_values(values, warn, meta={"quadrature_error": float(err)})
 
@@ -294,11 +328,21 @@ def solve_pseudoheat(f: Field, tau: float) -> Field:
     applies one matrix-matrix product. Widths t tau^2 below 4 h^2 use the
     band-limited kernel, where the sampled one would alias, so the result
     meets the spectral solution at every tau. Refinement and the error
-    estimate act on the output field. tau = 0 returns the input unchanged.
+    estimate act on the output field.
+
+    tau = 0 returns the input. So does a tau at which the flow is the
+    identity to rounding, tau <= 2^-53 / sqrt(1 + (pi/h)^2), where the
+    weight's tail starts past the rule's reach, t = e^128: below
+    tau = sqrt((x_max - x_min)/2) e^{-64}, 4.5e-28 on [-8, 8].
     """
     require("nonnegative and finite", tau=tau)
     if tau == 0.0:
         return f.with_values(f.values)
+    below = _ROUNDING / math.hypot(1.0, math.pi / f.dx)
+    return _identity_to_rounding(f, tau, below, lambda: _pseudoheat(f, tau))
+
+
+def _pseudoheat(f: Field, tau: float) -> Field:
     smooth = _gw_smoother(f)
     t2 = tau * tau
     pref = 1.0 / (2.0 * math.sqrt(math.pi))
@@ -336,8 +380,9 @@ def pseudoheat_gaussian(tau: float, x: float) -> float:
     return float(_log_trapezoid(integrand, (2.0 * abs(x) + 1.0) / (4.0 * t2))[0])
 
 
-def _affine_panels(f: Field, tau: float, c: float):
-    """Grid-aligned quadrature of the disentangled integral for c != 0.
+def _affine_panels(f: Field, tau: float, c: float) -> Field:
+    """The affine flow for c != 0, by grid-aligned quadrature of the
+    disentangled integral.
 
     In the shift variable s = |c| tau^2 t the integral reads
     (sqrt(|c| tau^2)/(2 sqrt(pi))) int s^{-3/2}
@@ -476,7 +521,8 @@ def _affine_panels(f: Field, tau: float, c: float):
             "z = x + c tau^2 t, at data points z far from x exceeds floating-point range",
             error_bound=math.inf,
         )
-    return values, err
+    warn = f.leak_warnings("solve_affine_sqrt", "right" if c > 0 else "left")
+    return f.with_values(values, warn, meta={"quadrature_error": float(err)})
 
 
 def solve_affine_sqrt(f: Field, tau: float, c: float) -> Field:
@@ -495,30 +541,40 @@ def solve_affine_sqrt(f: Field, tau: float, c: float) -> Field:
     x < 0 makes the integral itself divergent unless the data vanishes,
     and the rule finds no decaying tail and raises a ConvergenceError (the
     admissible domain is not characterized here).
+
+    tau = 0 returns the input. So does, for c != 0, a tau at which the
+    flow is the identity to rounding,
+    tau <= 2^-53 sqrt(h/(|c| pi)) e^{-(max x^2 - min x^2)/(2|c|)} over the
+    grid, where the leading cell's s^{-3/2} leaves float range: below
+    tau = 3.0e-102 / sqrt(|c|). The flow is the half-derivative flow of
+    -c d/dx conjugated by e^{x^2/(2c)}, whose spread on the grid enters
+    the bound; where that spread is wide, an overflow at tiny tau stays a
+    ConvergenceError.
     """
     require("nonnegative and finite", tau=tau)
     require("finite", c=c)
     if tau == 0.0:
         return f.with_values(f.values)
     if c != 0:
-        values, err = _affine_panels(f, tau, c)
-        warn = f.leak_warnings("solve_affine_sqrt", "right" if c > 0 else "left")
-    else:
-        x, data = f.x, f.values
-        t2 = tau * tau
-        pref = 1.0 / (2.0 * math.sqrt(math.pi))
+        a = abs(c)
+        squares = (f.x_min * f.x_min, f.x_max * f.x_max)
+        spread = max(squares) - (0.0 if f.x_min <= 0.0 <= f.x_max else min(squares))
+        below = _ROUNDING * math.exp(-spread / (2.0 * a)) * math.sqrt(f.dx / math.pi) / math.sqrt(a)
+        return _identity_to_rounding(f, tau, below, lambda: _affine_panels(f, tau, c))
+    x, data = f.x, f.values
+    t2 = tau * tau
+    pref = 1.0 / (2.0 * math.sqrt(math.pi))
 
-        def integrand(t: np.ndarray) -> np.ndarray:
-            tc = t[:, None]
-            # The amplitude overflows on divergent data, which the window
-            # search reports; exact zero data beats inf * 0 -> nan.
-            with np.errstate(invalid="ignore", over="ignore"):
-                prod = pref * tc**-1.5 * np.exp(-0.25 / tc - tc * t2 * x) * data
-            return np.where(data == 0.0, 0.0, prod)
+    def integrand(t: np.ndarray) -> np.ndarray:
+        tc = t[:, None]
+        # The amplitude overflows on divergent data, which the window
+        # search reports; exact zero data beats inf * 0 -> nan.
+        with np.errstate(invalid="ignore", over="ignore"):
+            prod = pref * tc**-1.5 * np.exp(-0.25 / tc - tc * t2 * x) * data
+        return np.where(data == 0.0, 0.0, prod)
 
-        values, err = _log_trapezoid(integrand)
-        warn = ()
-    return f.with_values(values, warn, meta={"quadrature_error": float(err)})
+    values, err = _log_trapezoid(integrand)
+    return f.with_values(values, (), meta={"quadrature_error": float(err)})
 
 
 # ----------------------------------------------------------------------

@@ -297,8 +297,8 @@ def dhat_apply(f: Field, method: str = "kernel_k0") -> Field:
 
     ``kernel_k0`` (default) integrates against the closed-form kernel
     (1/pi) K0(|x - xi|); ``s_integral`` evaluates the literal double
-    integral; ``spectral`` multiplies by (1+k^2)^{-1/2} (power-of-two grids
-    only). All three agree on smooth decaying data.
+    integral; ``spectral`` multiplies by (1+k^2)^{-1/2}, on any grid. All
+    three agree on smooth decaying data.
     """
     if method not in DHAT_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {DHAT_METHODS}")
@@ -328,13 +328,11 @@ def iterated_series(psi0: Field, tau: float) -> Field:
     as its real and imaginary parts, each iterated on its own: a term
     costs, per part, the spline's coefficient rows, one real lag
     correlation and a real FFT pair. Only the coefficients (i tau)^n / n!
-    are complex. Terms are added until the latest drops below 1e-8, else
-    TruncationError after 20 terms.
+    are complex. Any sample count works. Terms are added until the latest
+    drops below 1e-8, else TruncationError after 20 terms.
     """
     require("finite", tau=tau)
     n = psi0.n
-    if n & (n - 1) != 0:
-        raise ValueError("iterated_series requires a power-of-two sample count")
     k = 2.0 * math.pi * np.fft.fftfreq(n, d=psi0.dx)
     # data near the largest float can overflow here already; the series
     # then overflows too and ends below
@@ -346,8 +344,8 @@ def iterated_series(psi0: Field, tau: float) -> Field:
     else:
         k_cut = (2.0 / 3.0) * float(np.max(np.abs(k)))
     d2_mult = np.where(np.abs(k) <= k_cut, -(k**2), 0.0)
-    # the rfft frequencies 0 .. n/2; -k^2 is even, so bin n/2 (k = -n/2 in
-    # fftfreq's order) takes the same value
+    # the rfft frequencies 0 .. n//2; -k^2 is even, so for even n bin n/2
+    # (k = -n/2 in fftfreq's order) takes the same value
     d2_half = d2_mult[: n // 2 + 1]
 
     dhat = _k0_plan(psi0)

@@ -499,6 +499,11 @@ def _shift_panels(
         # s^{-3/2} singularity and the essential flank on the log scale.
         u_hi = max(8.5, root / (2.0 * math.sqrt(h)) + 1.0)
         s_lo = min(square / (4.0 * u_hi * u_hi), 0.5 * h)
+        if s_lo == 0.0 or math.isinf(h / s_lo):  # no panel count spans h / s_lo
+            raise ConvergenceError(
+                f"{what} panels: the kernel's scale underflows against the grid step",
+                error_bound=math.inf,
+            )
         panels = max(1, int(math.ceil(math.log2(h / s_lo))))
         edges = s_lo * (h / s_lo) ** (np.arange(panels + 1) / panels)
         edges[-1] = h

@@ -2,6 +2,7 @@
 import csv
 import hashlib
 import importlib.util
+import itertools
 import json
 import math
 import re
@@ -307,6 +308,51 @@ def test_solve_compare_checks_both_methods_before_solving(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--equation", "half_derivative", "--tau", "1e-300"),
+        ("--equation", "affine_sqrt", "--c", "-1", "--tau", "1e-300"),
+        ("--equation", "pseudoheat", "--tau", "1e-160"),
+    ],
+)
+def test_solve_at_tiny_tau_writes_the_input(tmp_path, capsys, args):
+    # the flow is the identity to rounding where its quadrature leaves float
+    # range: exit 0, no warning, and the initial values written back
+    out = tmp_path / "tiny.csv"
+    assert cli.run(["solve", *args, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    header, cols = read_csv(out)
+    assert header == ["x", "value"]
+    assert np.array_equal(cols["value"], np.exp(-(cols["x"] ** 2)))
+
+
+# the CLI's routes, grouped by equation, as its solver table lists them
+_ROUTES = {eq: [m for e, m in cli._SOLVERS if e == eq] for eq, _ in cli._SOLVERS}
+# the largest gap between two routes of an equation over the grids below,
+# measured 5.6e-16 (heat), 1.24e-13 (pseudoheat) and 1.23e-10 (schrodinger,
+# where the series stops at its 1e-9 tail test)
+_ROUTE_GAPS = {"heat": 1e-15, "pseudoheat": 2e-13, "schrodinger": 2e-10}
+
+
+@pytest.mark.parametrize("equation", [eq for eq, methods in _ROUTES.items() if len(methods) > 1])
+def test_every_pair_of_routes_meets_on_every_grid(equation):
+    # each equation the CLI solves two or more ways is solved each way, from
+    # the default initial condition e^{-x^2} (the series route assumes it),
+    # on power-of-two grids and others; a route listed in the table is
+    # checked here, and an equation that gains a second route needs a bound
+    parser = cli._build_parser()
+    gap = 0.0
+    for grid in ("-8:8:128", "-8:8:161", "-12:12:200", "-16:16:256", "-16:16:997"):
+        argv = ["solve", "--equation", equation, "--tau", "0.5", "--grid", grid, "--out", "x.csv"]
+        ns = parser.parse_args(argv)
+        f0 = pseudoflow.Field(*ns.grid, cli._make_ic(ns.ic, ns.grid))
+        values = [cli._SOLVERS[equation, method](ns, f0).values for method in _ROUTES[equation]]
+        for a, b in itertools.combinations(values, 2):
+            gap = max(gap, float(np.max(np.abs(a - b))))
+    assert gap <= _ROUTE_GAPS[equation]
+
+
 # ----------------------------------------------------------------------
 # matrix / observables
 
@@ -485,6 +531,19 @@ def test_require_checks_every_value_against_its_domain():
     assert refusal("finite", x=0.0, v=np.array([1.0, math.inf])) == "x and v must be finite"
     tiny = refusal("nonnegative and finite", a=(0.0, -1e-300))
     assert tiny == "a must be nonnegative and finite"
+    # past one dimension the value is refused by name, not element by element
+    assert refusal("finite", x=1.0, v=np.ones((2, 2))) == "v must be a number or 1-D"
+    assert refusal("finite", v=[[1.0], [2.0]]) == "v must be a number or 1-D"
+    assert refusal("finite", v=(np.array([1.0]),)) == "v must be a number or 1-D"
+    require("finite", v=np.array(1.0), w=[])
+    # and so are the library's array parameters
+    for call, name in (
+        (lambda: pseudoflow.r_function(np.ones((2, 2))), "a"),
+        (lambda: pseudoflow.f_function(np.ones((2, 2))), "a"),
+        (lambda: pseudoflow.series_solution(np.ones((2, 2)), 0.5), "eta"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be a number or 1-D$"):
+            call()
 
 
 def test_observables_past_the_reach_of_r_exits_2(tmp_path):

@@ -123,10 +123,16 @@ def test_spectral_unitary_symbol_preserves_norm():
     assert norm_out == pytest.approx(norm_in, rel=1e-10)
 
 
-def test_spectral_requires_power_of_two():
-    f = gaussian(-16.0, 16.0, 257)
-    with pytest.raises(ValueError, match="power-of-two"):
-        solve_symbol_spectral(f, 0.5, SymbolSpec.heat())
+def test_spectral_runs_on_any_sample_count():
+    # the multiplier routes once refused every n that is not a power of two;
+    # on such grids they meet the kernel routes: heat to rounding (measured
+    # 5.0e-16), and D to the K0 kernel's spline error, h^4 (8.9e-6 at n = 161)
+    for n in (161, 200, 257, 997, 1000):
+        f = gaussian(-16.0, 16.0, n)
+        spec = solve_symbol_spectral(f, 0.8, SymbolSpec.heat())
+        assert np.max(np.abs(spec.values - gauss_weierstrass(f, 0.8).values)) <= 1e-15
+        dhat = dhat_apply(f, "spectral").values - dhat_apply(f, "kernel_k0").values
+        assert np.max(np.abs(dhat)) <= 0.008 * f.dx**4
 
 
 def test_spectral_rejects_nonfinite_multiplier():
@@ -317,12 +323,17 @@ def _k1_flow(x, tau):
 
 @pytest.mark.parametrize("tau", [0.5, 1.0])
 def test_pseudoheat_matches_k1_kernel(tau):
-    # n = 200 is not a power of two, so the spectral oracle cannot see this grid
+    # three routes on a grid whose n = 200 is not a power of two: the K1
+    # kernel by quad, subordination and the spectral multiplier, which meet
+    # each other to 1.4e-14 (tau = 0.5) and 3.7e-16 (tau = 1)
     f = Field.from_function(-12.0, 12.0, 200, _complex_data)
     out = solve_pseudoheat(f, tau)
+    spec = solve_symbol_spectral(f, tau, SymbolSpec.pseudoheat())
+    assert np.max(np.abs(out.values - spec.values)) <= 2e-14
     idx = np.nonzero(np.abs(f.x) <= 6.0)[0]
     ref = np.array([_k1_flow(float(f.x[j]), tau) for j in idx])
     assert np.max(np.abs(out.values[idx] - ref)) <= 1e-10
+    assert np.max(np.abs(spec.values[idx] - ref)) <= 1e-10
 
 
 def _band_kernel(alpha, h, lags):
@@ -431,6 +442,39 @@ def test_affine_sqrt_tau_zero_is_identity():
     f = gaussian(-2.0, 14.0, 161)
     out = solve_affine_sqrt(f, 0.0, 1.0)
     assert np.array_equal(out.values, f.values)
+
+
+@pytest.mark.parametrize("tau", [1e-30, 1e-103, 1e-160, 1e-300])
+def test_subordination_flows_at_tiny_tau_return_the_input(tau):
+    # each flow is the identity to rounding here; below 3.0e-102 (the shift
+    # panels' s^{-3/2}) and 4.5e-28 (the pseudoheat window on [-8, 8]) the
+    # quadrature leaves float range, and the input comes back as at tau = 0,
+    # with no numpy warning (an error in this suite); above, the quadrature
+    # keeps its own value, within 3e-15 of the input at tau = 1e-30
+    f = gaussian(-8.0, 8.0, 64)
+    flows = {
+        "half_derivative": solve_half_derivative,
+        "pseudoheat": solve_pseudoheat,
+        "affine c = 1": lambda f, tau: solve_affine_sqrt(f, tau, 1.0),
+        "affine c = -1": lambda f, tau: solve_affine_sqrt(f, tau, -1.0),
+    }
+    for name, flow in flows.items():
+        out = flow(f, tau)
+        assert out.warnings == (), name
+        if tau < 3.0e-102:
+            assert np.array_equal(out.values, f.values), name
+        assert np.max(np.abs(out.values - f.values)) <= 1e-14, name
+
+
+def test_affine_sqrt_overflow_at_tiny_tau_is_still_an_error():
+    # for c = 1 on [-100, 100] the conjugation e^{x^2/2c} spans e^{5000}, so
+    # no float tau makes the flow the identity to rounding: the amplitude's
+    # overflow stays a ConvergenceError, and so does a kernel scale that
+    # underflows against the grid step
+    f = gaussian(-100.0, 100.0, 200)
+    for tau, match in ((1.0, "overflowed"), (1e-120, "overflowed"), (1e-300, "underflows")):
+        with pytest.raises(ConvergenceError, match=match):
+            solve_affine_sqrt(f, tau, 1.0)
 
 
 def test_affine_sqrt_rejects_negative_tau():

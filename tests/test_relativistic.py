@@ -317,15 +317,19 @@ def test_iterated_series_first_order_term():
 
 
 def test_iterated_series_matches_closed_symbol():
-    f = gaussian(n=1024)
-    k = 2.0 * math.pi * np.fft.fftfreq(f.n, d=f.dx)
-    out = iterated_series(f, 0.3)
-    closed = np.fft.ifft(
-        np.exp(-1j * 0.3 * k**2 / np.sqrt(1.0 + k**2))
-        * np.fft.fft(f.values.astype(complex))
-    )
-    np.testing.assert_allclose(out.values, closed, rtol=0, atol=1e-5)
-    assert out.meta["tail_estimate"] < 1e-8
+    # any n, not only powers of two (n = 384 was once refused): each meets
+    # the multiplier at the K0 spline's h^4 level (0.013 h^4 measured up to
+    # n = 384) plus what the 1e-8 tail test leaves (3.8e-8 at n = 1024)
+    for n in (161, 200, 256, 384, 997, 1024):
+        f = gaussian(n=n)
+        k = 2.0 * math.pi * np.fft.fftfreq(f.n, d=f.dx)
+        out = iterated_series(f, 0.3)
+        closed = np.fft.ifft(
+            np.exp(-1j * 0.3 * k**2 / np.sqrt(1.0 + k**2))
+            * np.fft.fft(f.values.astype(complex))
+        )
+        assert np.max(np.abs(out.values - closed)) <= 0.015 * f.dx**4 + 5e-8, n
+        assert out.meta["tail_estimate"] < 1e-8
 
 
 def test_iterated_series_reuses_one_k0_plan_bit_for_bit():
@@ -406,8 +410,6 @@ def test_iterated_series_validation():
     for tau in (math.nan, math.inf):
         with pytest.raises(ValueError, match="tau must be finite"):
             iterated_series(f, tau)
-    with pytest.raises(ValueError, match="power-of-two"):
-        iterated_series(gaussian(n=384), 0.3)
 
 
 def test_iterated_series_truncation_failure():

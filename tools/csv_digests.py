@@ -7,8 +7,10 @@
 The list holds every preset (fig1-fig4, observables), every matrix, `solve`
 for every (equation, method) pair of the CLI's solver table, `solve` with
 `--compare`, with `--ic gaussian(2)` and with `--ic file=` on a fixed table
-that the tool writes, the benchmark's usage errors, one refusal for each
-range-checked flag, and one packet width past float range. One line per
+that the tool writes, spectral routes on a grid whose n is not a power of
+two, each subordination flow at a tau where it is the identity to
+rounding, the benchmark's usage errors, one refusal for each range-checked
+flag, and one packet width past float range. One line per
 run, "<csv sha256>  <text sha256>  <arguments>", where the first hash reads
 "exit <code>" where the run failed, or "error <type>" where ``cli.run``
 raised, and the second is the SHA-256 of the run's stdout and stderr with
@@ -18,8 +20,9 @@ the same CSV bytes, summary lines and error text where these lines agree:
     diff <(python tools/csv_digests.py --src PARENT/src) <(python tools/csv_digests.py)
 
 With ``--arrays`` the lines are the SHA-256 of the values of library calls
-that no CLI run writes (the iterated series, the J0 operator, the
-s-integral form of D, the affine flow on a 4097-point grid, and R(a) and
+that no CLI run writes (the iterated series on 512 and 200 points, the J0
+operator, the s-integral form of D, its spectral form on 200 points, the
+affine flow on a 4097-point grid, and R(a) and
 F(a) on a = 10^k for k = -3, -2.5, ..., 19), one line per call,
 "<sha256>  <call>", or "error <type>" where the call raised.
 """
@@ -62,6 +65,15 @@ RUNS = (
     ("solve", "--equation", "heat", "--method", "spectral", "--tau", "0.5", "--compare", "integral"),
     ("solve", "--equation", "schrodinger", "--tau", "0.5", "--compare", "series"),
     ("solve", "--equation", "pseudoheat", "--tau", "0.5", "--ic", "gaussian(2)"),
+    # spectral routes on grids whose n is not a power of two
+    ("solve", "--equation", "pseudoheat", "--method", "spectral", "--tau", "0.5",
+     "--grid", "-12:12:200"),
+    ("solve", "--equation", "schrodinger", "--tau", "0.5", "--compare", "series",
+     "--grid", "-16:16:200"),
+    # a tau at which each subordination flow is the identity to rounding
+    ("solve", "--equation", "half_derivative", "--tau", "1e-300"),
+    ("solve", "--equation", "affine_sqrt", "--c", "-1", "--tau", "1e-300"),
+    ("solve", "--equation", "pseudoheat", "--tau", "1e-160"),
     # past the reach of R's window: a numerical failure
     ("observables", "--a", "1e25", "--steps", "3"),
 )
@@ -142,6 +154,7 @@ def array_calls(pf):
         -260.0, 260.0, 2048, lambda x: np.cos(0.3 * x) * np.exp(-((x / 40.0) ** 2))
     )
     small = pf.Field.from_function(-16.0, 16.0, 256, lambda x: np.exp(-(x**2)))
+    odd = pf.Field.from_function(-16.0, 16.0, 200, lambda x: np.exp(-(x**2)))
     fine = pf.Field.from_function(-6.0, 10.0, 4097, lambda x: np.exp(-((x - 3.0) ** 2)))
     fine_c = fine.with_values(fine.values * (1.0 + 0.3j * np.cos(fine.x)))
     calls = [
@@ -150,6 +163,8 @@ def array_calls(pf):
         ("iterated_series 512 complex tau 0.3", lambda: pf.iterated_series(wavy, 0.3)),
         ("apply_inv_sqrt_shift 2048 packet", lambda: pf.apply_inv_sqrt_shift(packet)),
         ("dhat_apply 256 s_integral", lambda: pf.dhat_apply(small, "s_integral")),
+        ("iterated_series 200 real tau 0.3", lambda: pf.iterated_series(odd, 0.3)),
+        ("dhat_apply 200 spectral", lambda: pf.dhat_apply(odd, "spectral")),
     ]
     for c in (1.0, -1.0):
         for name, f in (("real", fine), ("complex", fine_c)):
