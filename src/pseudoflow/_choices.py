@@ -4,6 +4,8 @@ They live here, free of numpy, so that the command-line parser can offer
 the matrix generators and variants as choices, and check each flag against
 the library's domain table, before any solver loads; ``clifford``
 re-exports the variants, and a test holds its ``GENERATOR_KINDS`` equal.
+``require`` refuses a value outside its domain and ``require_one_of`` a
+name outside its choices, each with one ValueError wording.
 """
 import cmath
 
@@ -39,6 +41,11 @@ def _dims(value) -> int:
     return getattr(value, "ndim", 0)
 
 
+def _join(items, word: str) -> str:
+    *rest, last = items
+    return f"{', '.join(rest)} {word} {last}" if rest else last
+
+
 def require(domain: str, **named) -> None:
     """Raise ValueError("<names> must be <domain>") unless every named value
     is finite and in the domain, a sequence or 1-D array element by element;
@@ -52,6 +59,11 @@ def require(domain: str, **named) -> None:
             raise ValueError(f"{name} must be a number or 1-D")
         rows.append(value if dims else (value,))
     if not all(_finite(v) and test(v) for row in rows for v in row):
-        *rest, last = named
-        names = f"{', '.join(rest)} and {last}" if rest else last
-        raise ValueError(f"{names} must be {domain}")
+        raise ValueError(f"{_join(named, 'and')} must be {domain}")
+
+
+def require_one_of(choices, **named) -> None:
+    """Raise ValueError("<names> must be one of a, b or c") unless every
+    named value is one of the string choices; names join as in ``require``."""
+    if not all(isinstance(v, str) and v in choices for v in named.values()):
+        raise ValueError(f"{_join(named, 'and')} must be one of {_join(choices, 'or')}")

@@ -13,11 +13,12 @@ non-convergence (ConvergenceError/TruncationError; message on stderr).
 Each flag is read and range-checked once, by the argparse type it is
 declared with, against the library's own domain table (``_choices``): in
 argv order, then the defaults, whichever subcommand or equation uses it,
-and a refusal names its flag. The only checks left for
-later are of pairs of flags: the equation and its method in ``solve``, and
-a > |b| in ``pauli_line_power``. This module imports no numpy, and
-handlers reach the solvers through the package's lazy namespace, so a
-refused invocation answers in about the start-up time of the interpreter.
+and a refusal names its flag. The only checks left for later are of pairs
+of flags: the equation and its method in ``solve``, the series method and
+its ``--ic``, and a > |b| in ``pauli_line_power``. This module imports no
+numpy, and handlers reach the solvers through the package's lazy
+namespace, so a refused invocation answers in about the start-up time of
+the interpreter.
 """
 from __future__ import annotations
 
@@ -313,10 +314,12 @@ def _run_fig4(ns: argparse.Namespace):
 
 
 def _run_solve(ns: argparse.Namespace):
-    # both methods are checked before either solve runs
-    solve = _solver(ns.equation, ns.method or _DEFAULT_METHODS[ns.equation])
-    other = ns.compare
+    # both methods, and the initial condition they take, are checked before either solve runs
+    method, other = ns.method or _DEFAULT_METHODS[ns.equation], ns.compare
+    solve = _solver(ns.equation, method)
     solve_other = _solver(ns.equation, other) if other else None
+    if "series" in (method, other) and ns.ic != ("gaussian", 1.0):
+        raise _UsageError("--ic must be gaussian or gaussian(1) for the series method of e^{-x^2}")
     import numpy as np
 
     f0 = pf.Field(*ns.grid, _make_ic(ns.ic, ns.grid))

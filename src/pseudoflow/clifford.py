@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._choices import KAPPA_VARIANTS, POSITION_PARAMETRIZATIONS, require
+from ._choices import KAPPA_VARIANTS, POSITION_PARAMETRIZATIONS, require, require_one_of
 
 __all__ = [
     "Mat2",
@@ -100,10 +100,7 @@ class PauliVector:
     v: tuple
 
     def __post_init__(self):
-        v = tuple(complex(c) for c in self.v)
-        if len(v) != 3:
-            raise ValueError("v must have exactly three components")
-        require("finite", v=v)
+        v = tuple(map(complex, _vec3("v", self.v)))
         c0 = complex(self.c0)
         require("finite", c0=c0)
         object.__setattr__(self, "c0", c0)
@@ -121,19 +118,19 @@ def generators(kind: str) -> np.ndarray:
     kappa1 = -alpha3, kappa2 = alpha1, kappa3 = beta, delta^2 = -1),
     identity2 / identity4.
     """
+    require_one_of(GENERATOR_KINDS, kind=kind)
+    return _GENERATORS[kind].copy()
+
+
+def _vec3(name: str, v: Sequence[complex], dtype=complex) -> np.ndarray:
+    """``v`` as a (3,) array of ``dtype``, or ValueError("<name> must be 3 finite values")."""
     try:
-        return _GENERATORS[kind].copy()
-    except KeyError:
-        raise ValueError(
-            f"unknown generator kind {kind!r}; expected one of {GENERATOR_KINDS}"
-        ) from None
-
-
-def _vec3(v: Sequence[complex]) -> np.ndarray:
-    arr = np.asarray(v, dtype=complex)
-    if arr.shape != (3,):
-        raise ValueError("expected a 3-sequence")
-    require("finite", components=arr)
+        arr = np.asarray(v, dtype=dtype)
+        ok = arr.shape == (3,) and np.isfinite(arr).all()
+    except (TypeError, ValueError):  # text, or complex values for a real vector
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be 3 finite values")
     return arr
 
 
@@ -144,7 +141,7 @@ def pauli_sqrt_identity(v: Sequence[complex]) -> Mat2:
     complex in general; this is what makes N a matrix square root of
     v . v.
     """
-    arr = _vec3(v)
+    arr = _vec3("v", v)
     return arr[0] * _SIGMA[0] + arr[1] * _SIGMA[1] + arr[2] * _SIGMA[2]
 
 
@@ -161,8 +158,9 @@ def exp_pauli(y: complex, v: Sequence[complex]) -> Mat2:
     exponential e^{-tau (sigma3 + i k sigma1)}.
     """
     require("finite", y=y)
-    mat = pauli_sqrt_identity(v)
-    n2 = complex(np.asarray(v, dtype=complex) @ np.asarray(v, dtype=complex))
+    arr = _vec3("v", v)
+    mat = pauli_sqrt_identity(arr)
+    n2 = complex(arr @ arr)
     n = np.sqrt(n2)
     y = complex(y)
     if n == 0:
@@ -192,10 +190,7 @@ def bloch_evolve(
     ceil(tau/dt)); the motion is an exact rotation about Omega, so |sigma|
     is conserved up to the integrator's O(dt^4) error.
     """
-    s = np.asarray(sigma0, dtype=float)
-    if s.shape != (3,):
-        raise ValueError("sigma0 must be a 3-sequence")
-    require("finite", sigma0=s)
+    s = _vec3("sigma0", sigma0, float)
     require("finite", pi=pi)
     require("nonnegative and finite", tau=tau)
     require("positive and finite", dt=dt)
@@ -223,10 +218,7 @@ def dirac4_evolution(pi: Sequence[float], tau: float) -> Mat4:
     Since H = alpha . pi + beta satisfies H^2 = (1 + pi^2) 1, the
     exponential is cos(E tau) 1 - i sin(E tau)/E H with E = sqrt(1 + pi^2).
     """
-    p = np.asarray(pi, dtype=float)
-    if p.shape != (3,):
-        raise ValueError("pi must be a 3-sequence")
-    require("finite", pi=p)
+    p = _vec3("pi", pi, float)
     require("finite", tau=tau)
     h = p[0] * _ALPHA[0] + p[1] * _ALPHA[1] + p[2] * _ALPHA[2] + _BETA
     e = math.sqrt(1.0 + float(p @ p))
@@ -248,11 +240,7 @@ def position_evolution(pi: float, tau: float, parametrization: str = "dirac") ->
     ``beta_diagonal``: the interference-free parametrization, a pure
     two-branch drift tau beta pi / sqrt(1 + pi^2).
     """
-    if parametrization not in POSITION_PARAMETRIZATIONS:
-        raise ValueError(
-            f"unknown parametrization {parametrization!r}; "
-            f"expected one of {POSITION_PARAMETRIZATIONS}"
-        )
+    require_one_of(POSITION_PARAMETRIZATIONS, parametrization=parametrization)
     require("finite", pi=pi)
     require("finite", tau=tau)
     e2 = 1.0 + pi * pi
@@ -286,14 +274,8 @@ def kappa_parametrization(
     which reaches sqrt(-1) (w = 0) and even the nilpotent square root of
     the zero matrix (w^2 = r^2).
     """
-    if variant not in KAPPA_VARIANTS:
-        raise ValueError(
-            f"unknown variant {variant!r}; expected one of {KAPPA_VARIANTS}"
-        )
-    arr = np.asarray(w, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError("w must be a 3-sequence")
-    require("finite", w=arr)
+    require_one_of(KAPPA_VARIANTS, variant=variant)
+    arr = _vec3("w", w, float)
     require("finite", r=r)
     n = arr[0] * _KAPPA[0] + arr[1] * _KAPPA[1] + arr[2] * _KAPPA[2]
     if variant == "i_delta":

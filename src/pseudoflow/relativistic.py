@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._choices import require
+from ._choices import require, require_one_of
 from .errors import ConvergenceError, TruncationError
 from .evolution import (
     SymbolSpec,
@@ -74,6 +74,9 @@ __all__ = [
 # f_{2k}: the trapezoid step in u = sqrt(s) and the nodes u = 0, h, ..., 9
 _U_STEP = 0.025
 _U_NODES = 361
+# Past this |eta|, eta^2 / (1 + 4 u^2) > 746 at every node, so e^{-eta^2} and
+# the f_2k integrand are 0 in floating point: Psi is 0 after its first term.
+_ETA_FLAT = math.sqrt(746.0 * (1.0 + 4.0 * (_U_STEP * (_U_NODES - 1)) ** 2))
 # The tau-power series stops at the first term below this: Psi is O(1), and
 # the fig2 grid then meets the spectral multiplier to 1.4e-10.
 _SERIES_TAIL_TOL = 1e-9
@@ -108,8 +111,7 @@ class ObservableInputs:
     lambda_c: float = 1.0
 
     def __post_init__(self):
-        if self.units not in ("normalized", "physical"):
-            raise ValueError("units must be 'normalized' or 'physical'")
+        require_one_of(("normalized", "physical"), units=self.units)
         require("positive and finite", sigma=self.sigma)
         require("positive and finite", a=self.a)
         require("finite", t=self.t)
@@ -174,15 +176,18 @@ def series_solution(eta, tau: float, return_diagnostics: bool = False):
     ``(value, tail_estimate, n_used)`` with ``return_diagnostics``; a 1-D
     array of eta gives those as arrays from one sum, in which each point
     stops at its own tail test and so keeps, bit for bit, its one-point value.
+    Far enough out that e^{-eta^2} and the f_2k integrand underflow at every
+    node, the value is 0 with tail 0 after one term, with no sum at all.
     """
     require("finite", eta=eta, tau=tau)
     scalar = np.ndim(eta) == 0
     eta, tau = np.atleast_1d(np.asarray(eta, dtype=float)), float(tau)
-    gauss = np.exp(-eta * eta)
+    live, keep = np.flatnonzero(np.abs(eta) <= _ETA_FLAT), None
+    gauss = np.zeros(eta.size)
+    gauss[live] = np.exp(-eta[live] ** 2)
     value, nested = np.zeros((2, eta.size), dtype=complex)
-    tail, used = np.full(eta.size, math.inf), np.zeros(eta.size, dtype=int)
-    live, keep = np.arange(eta.size), None
-    moments = _hermite_moments(eta)
+    tail, used = np.zeros(eta.size), np.ones(eta.size, dtype=int)
+    moments = _hermite_moments(eta[live])
     table = next(moments)[..., None]  # (live point, column of the moments, k)
     for n in range(_SERIES_N_MAX + 1):
         # a huge eta drives the H_n recurrence past float range; the inf or
@@ -300,8 +305,7 @@ def dhat_apply(f: Field, method: str = "kernel_k0") -> Field:
     integral; ``spectral`` multiplies by (1+k^2)^{-1/2}, on any grid. All
     three agree on smooth decaying data.
     """
-    if method not in DHAT_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {DHAT_METHODS}")
+    require_one_of(DHAT_METHODS, method=method)
     if method == "spectral":
         return _spectral_apply(f, lambda k: (1.0 + k**2) ** -0.5)
     if method == "kernel_k0":

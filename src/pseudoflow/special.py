@@ -84,7 +84,7 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 
-from ._choices import require
+from ._choices import require, require_one_of
 from .errors import ConvergenceError
 
 __all__ = [
@@ -137,10 +137,8 @@ class QuadratureConfig:
     realline_rule: str = "gauss_hermite"
 
     def __post_init__(self):
-        if self.halfline_rule not in HALFLINE_RULES:
-            raise ValueError(f"unknown halfline_rule {self.halfline_rule!r}")
-        if self.realline_rule not in REALLINE_RULES:
-            raise ValueError(f"unknown realline_rule {self.realline_rule!r}")
+        require_one_of(HALFLINE_RULES, halfline_rule=self.halfline_rule)
+        require_one_of(REALLINE_RULES, realline_rule=self.realline_rule)
 
 
 @dataclass(frozen=True)
@@ -185,14 +183,11 @@ def hermite2(n: int, x: float, y: float) -> float:
 
 def bessel(kind: str, x: float) -> float:
     """Bessel function J0(x) (any real x) or K0(x) (x > 0)."""
+    require_one_of(("J0", "K0"), kind=kind)
+    require("positive and finite" if kind == "K0" else "finite", x=x)
     from scipy.special import j0, k0
 
-    require("positive and finite" if kind == "K0" else "finite", x=x)
-    if kind == "J0":
-        return float(j0(x))
-    if kind == "K0":
-        return float(k0(x))
-    raise ValueError(f"unknown Bessel kind {kind!r}; expected 'J0' or 'K0'")
+    return float(j0(x) if kind == "J0" else k0(x))
 
 
 # ----------------------------------------------------------------------

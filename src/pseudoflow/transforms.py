@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._choices import require
+from ._choices import require, require_one_of
 from .special import _LOG_UNIT, _legendre_nodes, _log_trapezoid, _quadpack
 
 __all__ = [
@@ -147,26 +147,25 @@ def exp_sqrt_via_doetsch(x: float, y: float, form: str = "t_form") -> float:
     24,000 log-uniform draws: 1.3e-13 and 2.2e-10, both where x sqrt(y) is
     small; QUADPACK's relative tolerance is 1e-10 on each of three pieces).
     """
+    require_one_of(("t_form", "xi_form"), form=form)
     require("nonnegative and finite", x=x, y=y)
     c = x * x * y
     if not sys.float_info.min <= x * x < math.inf:  # inf * 0 is nan; a subnormal loses digits
         c = x * (x * y)
     if form == "t_form":
         return float(_log_trapezoid(lambda t: doetsch_weight(t) * np.exp(-t * c))[0])
-    if form == "xi_form":
 
-        def ig(xi: float) -> float:
-            xi2 = xi * xi
-            if xi2 == 0.0:  # e^{-c/xi^2} -> 0, or 1 where c = 0
-                return float(c == 0.0) / math.sqrt(math.pi)
-            return math.exp(-0.25 * xi2 - c / xi2) / math.sqrt(math.pi)
+    def ig(xi: float) -> float:
+        xi2 = xi * xi
+        if xi2 == 0.0:  # e^{-c/xi^2} -> 0, or 1 where c = 0
+            return float(c == 0.0) / math.sqrt(math.pi)
+        return math.exp(-0.25 * xi2 - c / xi2) / math.sqrt(math.pi)
 
-        # e^{-c/xi^2} dips to zero below xi = sqrt(c) and the integrand peaks
-        # at (4c)^{1/4}: one piece each side of both, so no dip goes unseen
-        cuts = sorted((math.sqrt(c), math.sqrt(2.0 * math.sqrt(c))))
-        ends = zip([0.0, *cuts], [*cuts, math.inf])
-        return sum(float(_quadpack(ig, a, b, 1.0)[0].real) for a, b in ends)
-    raise ValueError(f"unknown form {form!r}; expected 't_form' or 'xi_form'")
+    # e^{-c/xi^2} dips to zero below xi = sqrt(c) and the integrand peaks
+    # at (4c)^{1/4}: one piece each side of both, so no dip goes unseen
+    cuts = sorted((math.sqrt(c), math.sqrt(2.0 * math.sqrt(c))))
+    ends = zip([0.0, *cuts], [*cuts, math.inf])
+    return sum(float(_quadpack(ig, a, b, 1.0)[0].real) for a, b in ends)
 
 
 @lru_cache(maxsize=4)

@@ -118,6 +118,18 @@ def test_fig2_series_is_deterministic(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+def test_series_route_takes_gaussian_of_width_one(tmp_path):
+    # gaussian(1) is the unit Gaussian the series route sums, bit for bit
+    digests = []
+    for ic in ("gaussian", "gaussian(1)", "gaussian(1e0)"):
+        out = tmp_path / "series.csv"
+        args = ("solve", "--equation", "schrodinger", "--method", "series", "--ic", ic)
+        proc = run_cli(tmp_path, *args, "--tau", "0.5", "--grid", "-8:8:32", "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert len(set(digests)) == 1
+
+
 def test_fig2_series_default_grid_matches_spectral(tmp_path):
     outs = {m: tmp_path / f"{m}.csv" for m in ("series", "spectral")}
     for method, out in outs.items():
@@ -480,6 +492,17 @@ _USAGE_ERRORS = [
          "-8:8:64"),
         "--refractive-index must be finite with a finite square",
     ),
+    # the series route sums the series of e^{-x^2}, whatever --ic says
+    (
+        ("solve", "--equation", "schrodinger", "--method", "series", "--ic", "fig3", "--tau",
+         "0.5", "--grid", "-16:16:512"),
+        "--ic must be gaussian or gaussian(1) for the series method",
+    ),
+    (
+        ("solve", "--equation", "schrodinger", "--compare", "series", "--ic", "gaussian(2)",
+         "--tau", "0.5"),
+        "--ic must be gaussian or gaussian(1) for the series method",
+    ),
 ]
 
 
@@ -498,12 +521,13 @@ def test_usage_errors_exit_1(tmp_path, args, fragment):
 
 
 def test_require_checks_every_value_against_its_domain():
-    # the one check behind every flag type and every scalar library parameter
-    from pseudoflow._choices import require
+    # the one check behind every flag type and every scalar library parameter,
+    # and its twin for named choices
+    from pseudoflow._choices import require, require_one_of
 
-    def refusal(domain, **named):
+    def refusal(domain, check=require, **named):
         with pytest.raises(ValueError) as exc:
-            require(domain, **named)
+            check(domain, **named)
         return str(exc.value)
 
     assert refusal("finite", x=math.nan) == "x must be finite"
@@ -544,6 +568,46 @@ def test_require_checks_every_value_against_its_domain():
     ):
         with pytest.raises(ValueError, match=f"^{name} must be a number or 1-D$"):
             call()
+    # a name must be a string among the choices, which join with "or"
+    require_one_of(("t_form", "xi_form"), form="xi_form")
+    require_one_of(("a", "b", "c"), x="a", y="c")
+    one_of = require_one_of
+    assert refusal(("J0", "K0"), one_of, kind="Y0") == "kind must be one of J0 or K0"
+    assert refusal(("a",), one_of, kind="b") == "kind must be one of a"
+    assert refusal(("a", "b", "c"), one_of, x="a", y="d") == "x and y must be one of a, b or c"
+    # an unhashable, a non-string or a case-changed value is refused the same way
+    for value in (["a"], ("a",), None, 1, "A", "a "):
+        assert refusal(("a", "b"), one_of, kind=value) == "kind must be one of a or b"
+
+
+@pytest.mark.parametrize(
+    "module, call, message",
+    [
+        ("relativistic", lambda m: m.dhat_apply(None, "collocation"),
+         "method must be one of kernel_k0, s_integral or spectral"),
+        ("relativistic", lambda m: m.ObservableInputs(units="si"),
+         "units must be one of normalized or physical"),
+        ("relativistic", lambda m: m.ObservableInputs(units=["physical"]),
+         "units must be one of normalized or physical"),
+        ("transforms", lambda m: m.exp_sqrt_via_doetsch(1.0, 1.0, form="s_form"),
+         "form must be one of t_form or xi_form"),
+        # the form is checked ahead of x and y
+        ("transforms", lambda m: m.exp_sqrt_via_doetsch(-1.0, math.nan, form=None),
+         "form must be one of t_form or xi_form"),
+        ("special", lambda m: m.bessel("Y0", 1.0), "kind must be one of J0 or K0"),
+        ("special", lambda m: m.bessel(["J0"], 1.0), "kind must be one of J0 or K0"),
+        ("special", lambda m: m.QuadratureConfig(halfline_rule="simpson"),
+         "halfline_rule must be one of gauss_laguerre, adaptive_subdivision or "
+         "inverse_square_substitution"),
+        ("special", lambda m: m.QuadratureConfig(realline_rule="simpson"),
+         "realline_rule must be one of gauss_hermite or truncated_adaptive"),
+    ],
+)
+def test_library_refuses_unknown_names_in_one_wording(module, call, message):
+    # the library's named choices outside clifford, each refused before any work
+    with pytest.raises(ValueError) as exc:
+        call(importlib.import_module(f"pseudoflow.{module}"))
+    assert str(exc.value) == message
 
 
 def test_observables_past_the_reach_of_r_exits_2(tmp_path):
@@ -577,18 +641,17 @@ def test_observables_past_float_range_exits_1(tmp_path):
         ("solve", "--equation", "schrodinger", "--method", "series", "--tau", "0.5"),
     ],
 )
-def test_huge_grid_series_exits_2_without_warnings(tmp_path, args):
-    # |eta| = 1e100 drives the H_n recurrence past float range: a failed
-    # series, reported once, with no numpy warning ahead of it
-    out = tmp_path / "never.csv"
+def test_huge_grid_series_is_zero_without_warnings(tmp_path, args):
+    # at |eta| >= 6.7e98 e^{-eta^2} and the f_2k integrand underflow at every
+    # node, so Psi is 0 to rounding: written as 0, with no numpy warning,
+    # where the H_n recurrence once ran past float range
+    out = tmp_path / "zero.csv"
     proc = run_cli(tmp_path, *args, "--grid", "-1e100:1e100:16", "--out", out)
-    assert proc.returncode == 2
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("numerical failure:"), proc.stderr
-    assert "overflowed" in proc.stderr
-    assert "Warning" not in proc.stderr
-    assert not out.exists()
-    assert no_partials(tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    header, cols = read_csv(out)
+    assert len(cols["x"]) == 16 and len(header) > 2
+    for name in header[1:]:
+        assert not cols[name].any(), name
 
 
 @pytest.mark.parametrize("a", ["nan", "inf"])

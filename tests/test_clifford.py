@@ -86,7 +86,8 @@ def test_generators_return_fresh_copies():
 
 
 def test_generators_unknown_kind():
-    with pytest.raises(ValueError, match="unknown generator kind"):
+    kinds = "sigma1, sigma2, .*, identity2 or identity4"
+    with pytest.raises(ValueError, match=f"^kind must be one of {kinds}$"):
         generators("tau3")
 
 
@@ -101,7 +102,7 @@ def test_pauli_vector():
     pv = PauliVector(2.0 - 1.0j, (0.0, 0.0, 1.0))
     want = (2.0 - 1.0j) * np.eye(2) + generators("sigma3")
     assert np.array_equal(pv.as_mat2(), want)
-    with pytest.raises(ValueError, match="three components"):
+    with pytest.raises(ValueError, match="^v must be 3 finite values$"):
         PauliVector(0.0, (1.0, 2.0))
     with pytest.raises(ValueError, match="finite"):
         PauliVector(0.0, (1.0, math.nan, 0.0))
@@ -198,7 +199,7 @@ def test_bloch_matches_axis_angle_rotation():
 
 
 def test_bloch_validation():
-    with pytest.raises(ValueError, match="3-sequence"):
+    with pytest.raises(ValueError, match="^sigma0 must be 3 finite values$"):
         bloch_evolve((1.0, 0.0), 0.5, 1.0, 0.1)
     with pytest.raises(ValueError, match="nonzero"):
         bloch_evolve((0.0, 0.0, 0.0), 0.5, 1.0, 0.1)
@@ -235,7 +236,7 @@ def test_dirac4_unitary_taylor_and_commutes_with_h():
 
 
 def test_dirac4_validation():
-    with pytest.raises(ValueError, match="3-sequence"):
+    with pytest.raises(ValueError, match="^pi must be 3 finite values$"):
         dirac4_evolution((1.0,), 0.5)
 
 
@@ -264,10 +265,53 @@ def test_dirac4_validation():
 )
 def test_builders_reject_nonfinite_input(build, args, name):
     # a NaN or inf parameter is refused by name, never turned into a NaN
-    # matrix; bloch_evolve's tau and dt name their sign as well
-    domain = "(nonnegative and |positive and )?finite"
-    with pytest.raises(ValueError, match=f"^{name} must be {domain}$"):
+    # matrix; bloch_evolve's tau and dt name their sign as well, and a
+    # three-vector says it wants three finite values
+    domain = "(nonnegative and |positive and )?finite|3 finite values"
+    with pytest.raises(ValueError, match=f"^{name} must be ({domain})$"):
         build(*args)
+
+
+_KINDS = ", ".join(["sigma1", "sigma2", "sigma3", "alpha1", "alpha2", "alpha3", "beta"]
+                   + ["gamma1", "gamma2", "gamma3", "kappa1", "kappa2", "kappa3", "delta"])
+
+
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (generators, ("tau3",), f"kind must be one of {_KINDS}, identity2 or identity4"),
+        # a list is no name: refused, not looked up as an unhashable key
+        (generators, (["beta"],), f"kind must be one of {_KINDS}, identity2 or identity4"),
+        (
+            position_evolution,
+            (0.9, 0.5, "weyl"),
+            "parametrization must be one of dirac or beta_diagonal",
+        ),
+        (
+            kappa_parametrization,
+            ((1.0, 0.0, 0.0), 1.0, "delta"),
+            "variant must be one of i_delta or plain_delta",
+        ),
+        (kappa_parametrization, ((1.0, 0.0), 1.0), "w must be 3 finite values"),
+        (kappa_parametrization, ((1.0, 0.0, 0.0, 0.0), 1.0), "w must be 3 finite values"),
+        (PauliVector, (0.0, (1.0, 2.0)), "v must be 3 finite values"),
+        (PauliVector, (0.0, (1.0, math.nan, 0.0)), "v must be 3 finite values"),
+        (pauli_sqrt_identity, ((1.0, 2.0),), "v must be 3 finite values"),
+        (pauli_sqrt_identity, ([[1.0, 2.0, 3.0]],), "v must be 3 finite values"),
+        (pauli_sqrt_identity, ((0.0, complex(0.0, math.inf), 1.0),), "v must be 3 finite values"),
+        (exp_pauli, (0.3, (1.0, 0.0)), "v must be 3 finite values"),
+        (exp_pauli, (0.3, ("a", "b", "c")), "v must be 3 finite values"),
+        (bloch_evolve, ((1.0, 0.0), 0.5, 1.0, 0.1), "sigma0 must be 3 finite values"),
+        # complex entries for a real vector are refused, not a TypeError
+        (bloch_evolve, ((1j, 0.0, 0.0), 0.5, 1.0, 0.1), "sigma0 must be 3 finite values"),
+        (dirac4_evolution, ((1.0,), 0.5), "pi must be 3 finite values"),
+        (dirac4_evolution, ((0.1, 0.2, math.inf), 0.5), "pi must be 3 finite values"),
+    ],
+)
+def test_builders_refuse_unknown_names_and_bad_vectors(build, args, message):
+    with pytest.raises(ValueError) as exc:
+        build(*args)
+    assert str(exc.value) == message
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +324,7 @@ def test_position_zero_tau_is_zero():
 
 
 def test_position_unknown_parametrization():
-    with pytest.raises(ValueError, match="unknown parametrization"):
+    with pytest.raises(ValueError, match="^parametrization must be one of dirac or beta_diagonal$"):
         position_evolution(0.9, 0.5, "weyl")
 
 
@@ -349,9 +393,9 @@ def test_kappa_parametrization_squares():
 
 
 def test_kappa_validation():
-    with pytest.raises(ValueError, match="unknown variant"):
+    with pytest.raises(ValueError, match="^variant must be one of i_delta or plain_delta$"):
         kappa_parametrization((1.0, 0.0, 0.0), 1.0, "delta")
-    with pytest.raises(ValueError, match="3-sequence"):
+    with pytest.raises(ValueError, match="^w must be 3 finite values$"):
         kappa_parametrization((1.0, 0.0), 1.0)
 
 

@@ -182,6 +182,27 @@ def test_series_diagnostics():
     assert series_solution(30.0, 0.5, return_diagnostics=True)[2] == 1
 
 
+def test_series_is_zero_where_everything_underflows():
+    # far out, e^{-eta^2} and the f_2k integrand are 0 at every node: Psi is
+    # what eta = 1e50 gives, up to the largest float, where the H_n
+    # recurrence and eta^2 once overflowed (the suite errors on a RuntimeWarning)
+    from pseudoflow.relativistic import _ETA_FLAT
+
+    zero = (0j, 0.0, 1)
+    assert series_solution(1e50, 0.5, return_diagnostics=True) == zero
+    edge = np.nextafter(_ETA_FLAT, 0.0)  # the last eta the sum itself sees
+    for eta in (edge, _ETA_FLAT, 1e100, 1e154, 1.3e154, 1e200, 1.7e308, -1.7e308):
+        for tau in (0.0, 0.5, 1.0):
+            got = series_solution(eta, tau, return_diagnostics=True)
+            assert (got, [type(v) for v in got]) == (zero, [complex, float, int])
+    # beside nearer points, which keep their one-point values bit for bit
+    eta = np.array([-1e300, 0.3, 1e100, 2.0, edge])
+    values, tails, used = series_solution(eta, 1.0, return_diagnostics=True)
+    for j, e in enumerate(eta):
+        assert (values[j], tails[j], used[j]) == series_solution(e, 1.0, return_diagnostics=True)
+    assert (values[[0, 2]] == 0).all() and (used[[0, 2]] == 1).all()
+
+
 def test_series_truncation_failure():
     # at tau = 8 the terms still grow at the last order, 60
     with pytest.raises(TruncationError) as exc:
@@ -252,7 +273,8 @@ def test_dhat_methods_agree_and_contract():
 
 
 def test_dhat_unknown_method():
-    with pytest.raises(ValueError, match="unknown method"):
+    methods = "kernel_k0, s_integral or spectral"
+    with pytest.raises(ValueError, match=f"^method must be one of {methods}$"):
         dhat_apply(gaussian(), "collocation")
 
 

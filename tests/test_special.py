@@ -5,6 +5,8 @@ import importlib
 import inspect
 import math
 import pkgutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pseudoflow
+from conftest import child_env
 from pseudoflow import special
 from pseudoflow import (
     ConvergenceError,
@@ -206,8 +209,26 @@ def test_k0_domain_errors():
 
 
 def test_bessel_unknown_kind():
-    with pytest.raises(ValueError, match="J0"):
+    with pytest.raises(ValueError, match="^kind must be one of J0 or K0$"):
         bessel("Y0", 1.0)
+
+
+def test_bessel_refuses_its_kind_before_scipy_loads(tmp_path):
+    probe = (
+        "import sys\n"
+        "from pseudoflow import bessel\n"
+        "try:\n"
+        "    bessel('Y0', 1.0)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env(),
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["kind must be one of J0 or K0", "[]"]
 
 
 def test_bessel_nonfinite_argument():
@@ -498,9 +519,9 @@ def test_realline_deterministic(rule):
 
 
 def test_config_rejects_unknown_rules():
-    with pytest.raises(ValueError, match="halfline_rule"):
+    with pytest.raises(ValueError, match="^halfline_rule must be one of gauss_laguerre, "):
         QuadratureConfig(halfline_rule="simpson")
-    with pytest.raises(ValueError, match="realline_rule"):
+    with pytest.raises(ValueError, match="^realline_rule must be one of gauss_hermite or "):
         QuadratureConfig(realline_rule="simpson")
 
 

@@ -9,8 +9,10 @@ for every (equation, method) pair of the CLI's solver table, `solve` with
 `--compare`, with `--ic gaussian(2)` and with `--ic file=` on a fixed table
 that the tool writes, spectral routes on a grid whose n is not a power of
 two, each subordination flow at a tau where it is the identity to
-rounding, the benchmark's usage errors, one refusal for each range-checked
-flag, and one packet width past float range. One line per
+rounding, a series run on a grid where Psi is 0 to rounding, the
+benchmark's usage errors, one refusal for each range-checked flag, the
+series route's refusal of an initial condition other than e^{-x^2}, and
+one packet width past float range. One line per
 run, "<csv sha256>  <text sha256>  <arguments>", where the first hash reads
 "exit <code>" where the run failed, or "error <type>" where ``cli.run``
 raised, and the second is the SHA-256 of the run's stdout and stderr with
@@ -18,6 +20,13 @@ the output path masked. Two checkouts write
 the same CSV bytes, summary lines and error text where these lines agree:
 
     diff <(python tools/csv_digests.py --src PARENT/src) <(python tools/csv_digests.py)
+
+Compare two checkouts on one machine under one BLAS thread setting, since
+OpenBLAS may round a matrix product differently with its thread count:
+on a 2-CPU host, ``solve --equation affine_sqrt --c 1 --tau 1`` writes
+other bytes with OPENBLAS_NUM_THREADS=1 than with the default two threads
+(19 of 1024 rows, by at most 2.2e-17 of the peak), and so does this
+tool's affine run, while ``fig1`` does not move.
 
 With ``--arrays`` the lines are the SHA-256 of the values of library calls
 that no CLI run writes (the iterated series on 512 and 200 points, the J0
@@ -76,6 +85,8 @@ RUNS = (
     ("solve", "--equation", "pseudoheat", "--tau", "1e-160"),
     # past the reach of R's window: a numerical failure
     ("observables", "--a", "1e25", "--steps", "3"),
+    # a grid so wide that the series is 0 to rounding at every point
+    ("fig2", "--method", "series", "--grid", "-1e100:1e100:16"),
 )
 # runs the parser refuses, each by a flag's type or choices, as the benchmark's cli_cold draws them
 USAGE_ERRORS = (
@@ -102,6 +113,8 @@ REFUSALS = (
     ("matrix", "--what", "dirac2", "--tau", "inf"),
     ("matrix", "--what", "dirac2", "--y", "nan"),
     ("matrix", "--what", "generator", "--kind", "foo"),
+    # the series route sums the series of e^{-x^2} alone
+    ("solve", "--equation", "schrodinger", "--method", "series", "--ic", "fig3", "--tau", "0.5"),
 )
 # runs on the table that write_ic_table puts in the working directory
 IC_TABLE = "ic.csv"
