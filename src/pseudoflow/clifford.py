@@ -125,8 +125,11 @@ def generators(kind: str) -> np.ndarray:
 def _vec3(name: str, v: Sequence[complex], dtype=complex) -> np.ndarray:
     """``v`` as a (3,) array of ``dtype``, or ValueError("<name> must be 3 finite values")."""
     try:
-        arr = np.asarray(v, dtype=dtype)
-        ok = arr.shape == (3,) and np.isfinite(arr).all()
+        # a complex array would convert to a real one by dropping its imaginary parts
+        ok = np.dtype(dtype).kind == "c" or not np.iscomplexobj(v)
+        if ok:
+            arr = np.asarray(v, dtype=dtype)
+            ok = arr.shape == (3,) and np.isfinite(arr).all()
     except (TypeError, ValueError):  # text, or complex values for a real vector
         ok = False
     if not ok:

@@ -27,25 +27,32 @@ integral reads the spline through its four coefficient rows, which one
 LAPACK tridiagonal solve gives (_coefficients): quadrature nodes are
 binned by grid lag and fractional offset, and the sums become
 correlations or matrix products with sliding windows of those rows, so no
-node evaluates the spline. One row of shifts is binned once per grid
-(_shift_plan), so its plan serves any number of fields on it; the J0 arcs
-are summed a block of arcs at a time (_arc_blocks), each block one product
-with the windows that hold data, and the affine flow multiplies the
-windows by its amplitude first (_affine_panels).
+node evaluates the spline. Each kernel route splits into a plan, which
+depends on the grid alone, and a data step, the coefficient rows followed
+by the correlations or products. A plan for a row of shifts (_shift_plan)
+serves any number of fields on its grid; the J0 arcs are summed a block of
+arcs at a time (_arc_plan), each block one product with the windows that
+hold data, and the affine flow multiplies the windows by its amplitude
+first (_affine_panels). The plans of the translation-invariant kernels are
+built once per grid and kept in bounded caches keyed on the grid's
+(n, x_min, x_max), with read-only arrays: the J0 arcs (_j0_plan), the K0
+lags of D (relativistic._k0_lags) and the half-derivative's tail lattice
+of each node set (_tail_lattice), about 1.0 MB together on the grids of
+the benchmark's grid_subordination workload.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._choices import require
 from .errors import ConvergenceError
-from .special import _REL_TOL, _gl_panels, _log_trapezoid, _shift_panels
+from .special import _REL_TOL, _cell_offsets, _gl_panels, _log_trapezoid, _shift_panels
 from .transforms import Field, _gw_smoother
 
 __all__ = [
@@ -171,13 +178,88 @@ def _coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
-def _shift_plan(
-    n: int, h: float, shifts: np.ndarray, weights: np.ndarray
-) -> Callable[[np.ndarray, complex], np.ndarray]:
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.setflags(write=False)
+
+
+class _ShiftPlan(NamedTuple):
+    """Real weights w_q binned by lag on an n-point grid (see
+    :func:`_shift_plan`): ``plan(coef, last)`` maps the coefficient rows of
+    a spline S (see :func:`_coefficients`) and its last sample to the (n,)
+    sum_q w_q S(x_i + s_q) on the grid. The arrays are read-only."""
+
+    n: int
+    lo: int
+    kern: np.ndarray  # (4, size): kern[r, k] sums w d^{3-r} over lag lo + k
+    last_at: np.ndarray  # the points whose shifts land on x_{n-1} ...
+    last_w: np.ndarray  # ... and those shifts' weights
+
+    def __call__(self, coef: np.ndarray, last: complex) -> np.ndarray:
+        n, lo, size = self.n, self.lo, self.kern.shape[1]
+        if not size:
+            out = np.zeros(n, dtype=coef.dtype)
+        else:
+            # pad[:, t] holds cell lo + t, and point i reads pad[:, i : i + size]
+            first, stop = max(0, lo), min(n - 1, lo + n + size - 1)
+            pad = np.zeros((4, n + size - 1), dtype=coef.dtype)
+            if stop > first:
+                pad[:, first - lo : stop - lo] = coef[:, first:stop]
+            out = sum(np.correlate(pad[r], self.kern[r], "valid") for r in range(4))
+        np.add.at(out, self.last_at, self.last_w * last)
+        return out
+
+
+class _ShiftLattice(NamedTuple):
+    """The data-free part of :func:`_shift_plan` for (Q,) shifts s_q on an
+    n-point grid: which shifts reach a cell, their lags and offset powers.
+    ``bin(weights)`` gives the plan for weights on these shifts. The arrays
+    are read-only."""
+
+    n: int
+    keep: np.ndarray  # the shifts whose lags reach some cell 0 .. n-2
+    col: np.ndarray  # their lags, counted from the least, lo
+    lo: int
+    size: int  # the lag count, 0 where no shift reaches a cell
+    dpow: np.ndarray  # (3, kept): their offsets' powers d^3, d^2 and d
+    at_last: np.ndarray  # the shifts that read S(x_{n-1}) ...
+    last_at: np.ndarray  # ... and the points that read it
+
+    def bin(self, weights: np.ndarray) -> _ShiftPlan:
+        kept = weights[self.keep]
+        # row by row, each bin sums its nodes in node order, as one
+        # bincount over all four rows would; the last row's power d^0 is 1
+        kern = np.empty((4, self.size))
+        for r in range(3):
+            kern[r] = np.bincount(self.col, kept * self.dpow[r], self.size)
+        kern[3] = np.bincount(self.col, kept, self.size)
+        last_w = weights[self.at_last]
+        _read_only(kern, last_w)
+        return _ShiftPlan(self.n, self.lo, kern, self.last_at, last_w)
+
+
+def _shift_lattice(n: int, h: float, shifts: np.ndarray) -> _ShiftLattice:
+    """Bin (Q,) shifts on an n-point grid of step h: see :func:`_shift_plan`."""
+    lag = np.floor(shifts / h)
+    d = shifts - lag * h
+    # S(x_{n-1}) is the one value no cell reaches with d < h
+    at_last = np.flatnonzero((d == 0.0) & (lag >= 0) & (lag < n))
+    last_at = n - 1 - lag[at_last].astype(np.intp)
+    keep = (lag > -n) & (lag < n - 1)  # lags that reach some cell 0 .. n-2
+    lag = lag[keep].astype(np.intp)
+    lo = int(lag.min()) if lag.size else 0
+    col = lag - lo
+    size = int(col.max()) + 1 if lag.size else 0
+    dpow = d[keep] ** _POWERS[:3]
+    _read_only(keep, col, dpow, at_last, last_at)
+    return _ShiftLattice(n, keep, col, lo, size, dpow, at_last, last_at)
+
+
+def _shift_plan(n: int, h: float, shifts: np.ndarray, weights: np.ndarray) -> _ShiftPlan:
     """Bin (Q,) arrays of shifts s_q and real weights w_q on an n-point grid
-    of step h once; the returned ``apply(coef, last)`` maps the coefficient
-    rows of a spline S (see :func:`_coefficients`) and its last sample to
-    the (n,) sum_q w_q S(x_i + s_q) on the grid.
+    of step h once; the returned plan maps the coefficient rows of a spline
+    S (see :func:`_coefficients`) and its last sample to the (n,)
+    sum_q w_q S(x_i + s_q) on the grid.
 
     A shift s = L h + d with L = floor(s / h) puts x_i + s at offset d in
     [0, h) on cell i + L, where S is sum_r c[r, i + L] d^{3-r}. Binning
@@ -185,43 +267,17 @@ def _shift_plan(
     over S lags, which depends on the grid and the nodes but not on the
     data; the sum is one correlation of each zero-padded coefficient row
     with its kernel row. No node evaluates the spline; cells off the grid
-    contribute zero. Many rows of leftward shifts, such as the J0 arcs,
-    go through :func:`_arc_blocks` instead.
+    contribute zero. The lags and offset powers (:func:`_shift_lattice`)
+    do not depend on the weights either, so a caller whose weights change
+    and whose shifts do not keeps the lattice and bins each set of weights
+    on it. Two callers cache per grid, keyed on its (n, x_min, x_max): the
+    K0 kernel of D keeps its plan (relativistic._k0_lags, 65 kB on 1024
+    points), and the half-derivative keeps the lattice of each tail node
+    set (:func:`_tail_lattice`, 33 bytes per node: 0.34 and 0.51 MB for
+    the 8- and 12-node sets on 1281 points). Many rows of leftward shifts,
+    such as the J0 arcs, go through :func:`_arc_plan` instead.
     """
-    lag = np.floor(shifts / h)
-    d = shifts - lag * h
-    # S(x_{n-1}) is the one value no cell reaches with d < h
-    at_last = (d == 0.0) & (lag >= 0) & (lag < n)
-    last_at = n - 1 - lag[at_last].astype(np.intp)
-    last_w = weights[at_last]
-    keep = (lag > -n) & (lag < n - 1)  # lags that reach some cell 0 .. n-2
-    binned = bool(np.any(keep))
-    if binned:
-        lag = lag[keep].astype(np.intp)
-        lo = int(lag.min())
-        col = lag - lo
-        size = int(col.max()) + 1
-        # kern[r, k] sums w d^{3-r} over the nodes at lag lo + k
-        kern = np.bincount(
-            (np.arange(4)[:, None] * size + col).ravel(),
-            (weights[keep] * d[keep] ** _POWERS).ravel(),
-            4 * size,
-        ).reshape(4, size)
-        # pad[:, t] holds cell lo + t, and point i reads pad[:, i : i + size]
-        first, stop = max(0, lo), min(n - 1, lo + n + size - 1)
-
-    def apply(coef: np.ndarray, last: complex) -> np.ndarray:
-        if not binned:
-            out = np.zeros(n, dtype=coef.dtype)
-        else:
-            pad = np.zeros((4, n + size - 1), dtype=coef.dtype)
-            if stop > first:
-                pad[:, first - lo : stop - lo] = coef[:, first:stop]
-            out = sum(np.correlate(pad[r], kern[r], "valid") for r in range(4))
-        np.add.at(out, last_at, last_w * last)
-        return out
-
-    return apply
+    return _shift_lattice(n, h, shifts).bin(weights)
 
 
 def _shift_sum(f: Field) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -284,9 +340,24 @@ def solve_half_derivative(f: Field, tau: float) -> Field:
     return _identity_to_rounding(f, tau, below, lambda: _half_derivative(f, tau))
 
 
+def _tail_cells(n: int, h: float, offs: np.ndarray) -> np.ndarray:
+    """The (n - 2, P) shifts s = (j + off) h of cells j = 1 .. n - 2."""
+    return (np.arange(1, n - 1)[:, None] + offs) * h
+
+
+@lru_cache(maxsize=6)
+def _tail_lattice(n: int, x_min: float, x_max: float, order: int, split: int) -> _ShiftLattice:
+    """The half-derivative's leftward tail shifts -s (see :func:`_tail_cells`)
+    for the node set (order, split) on the grid of n points on
+    [x_min, x_max], binned once per grid and set: on 1281 points the sets
+    (8, 1) and (12, 1) hold 0.84 MB together."""
+    h = (x_max - x_min) / (n - 1)
+    return _shift_lattice(n, h, -_tail_cells(n, h, _cell_offsets(order, split)[0]).ravel())
+
+
 def _half_derivative(f: Field, tau: float) -> Field:
-    shift_sum = _shift_sum(f)
     n, h = f.n, f.dx
+    coef, last = _coefficients(f.x, f.values), f.values[-1]
     t2 = tau * tau
     pref = tau / (2.0 * math.sqrt(math.pi))
 
@@ -295,14 +366,15 @@ def _half_derivative(f: Field, tau: float) -> Field:
 
     def head(ss: np.ndarray, ws: np.ndarray) -> np.ndarray:
         # s in (0, h]: x - s lies on cell i - 1 at offset h - s
-        return shift_sum(-ss, ws * kernel(ss))
+        return _shift_plan(n, h, -ss, ws * kernel(ss))(coef, last)
 
     def tail(sets: list) -> list:
-        # s = (j + off) h for j = 1 .. n - 2: every cell and offset in one sum
+        # every cell and offset in one sum, on the grid's cached lattice
         out = []
-        for offs, wq in sets:
-            s = (np.arange(1, n - 1)[:, None] + offs) * h
-            out.append(shift_sum(-s.ravel(), (h * wq * kernel(s)).ravel()))
+        for order, split in sets:
+            offs, wq = _cell_offsets(order, split)
+            weights = (h * wq * kernel(_tail_cells(n, h, offs))).ravel()
+            out.append(_tail_lattice(n, f.x_min, f.x_max, order, split).bin(weights)(coef, last))
         return out
 
     values, err = _shift_panels(h, tau, t2, head, tail, "half-derivative")
@@ -466,7 +538,8 @@ def _affine_panels(f: Field, tau: float, c: float) -> Field:
         # kernel(s) e^{-sgn(c) (s^2 - (j h)^2)/(2|c|)} (E carries the rest),
         # the offset powers and the output
         levels = []
-        for offs, wq in sets:
+        for order, split in sets:
+            offs, wq = _cell_offsets(order, split)
             delta = offs * h
             w = (h * wq) * kernel(jh[:, None] + delta) * np.exp(
                 -sign * (2.0 * jh[:, None] + delta) * delta / (2.0 * a) - lift[:, None]
@@ -582,7 +655,7 @@ def solve_affine_sqrt(f: Field, tau: float, c: float) -> Field:
 
 _ACCEL_MIN_CHUNKS = 4       # below this, no tail acceleration: direct sum
 _REQUIRED_CHUNKS = 32       # points with at least this many chunks must converge
-_ARC_BLOCK = 24             # arcs per window product in _arc_blocks
+_ARC_BLOCK = 24             # arcs per window product in _arc_plan
 
 
 @lru_cache(maxsize=16)
@@ -633,14 +706,44 @@ def _arc_weights(size: int) -> np.ndarray:
     return table
 
 
-def _arc_blocks(coef: np.ndarray, n: int, h: float, shifts: np.ndarray, weights: np.ndarray):
-    """The sums sum_q w_mq S(x_i + s_mq) of M rows of leftward shifts
-    s_mq < 0 with real weights w_mq, (M, Q) arrays, on an n-point grid of
-    step h, a block of rows at a time; S is the spline with coefficient
-    rows ``coef`` (see :func:`_coefficients`). Yields (rows, start, values)
-    for each block that reaches the grid: ``rows`` a slice of m, and
-    values[b, i - start] row rows.start + b's sum at point i >= start. Every
-    row of the block is zero before start.
+class _ArcPlan(NamedTuple):
+    """M rows of leftward shifts binned on an n-point grid, a block of rows
+    at a time (see :func:`_arc_plan`). ``sums(coef)`` yields
+    (rows, start, values) for each block that reaches the grid: ``rows`` a
+    slice of m, and values[b, i - start] row rows.start + b's sum at point
+    i >= start, for the spline with coefficient rows ``coef``. Every row of
+    the block is zero before start. The arrays are read-only."""
+
+    n: int
+    size: int  # the widest row's lag count
+    kern: np.ndarray  # (M, 4 size): kern[m, r S + k] sums w d^{3-r} at lag lo_m + k
+    whole: bool  # whether the windows are copied once for every block
+    step: int  # else the windows each block copies at a time
+    # per block: rows, start, the windows first .. stop - 1 it reads, and
+    # where each row's sums start in its product
+    blocks: tuple
+
+    def sums(self, coef: np.ndarray):
+        n, size = self.n, self.size
+        # pad[:, S - 1 + k] holds cell k, and window j reads cells j - S + 1 .. j
+        pad = np.zeros((4, n + 2 * size - 3), dtype=coef.dtype)
+        pad[:, size - 1 : size + n - 2] = coef
+        windows = sliding_window_view(pad, size, axis=1).transpose(0, 2, 1)
+        copied = windows.reshape(4 * size, -1) if self.whole else None
+        for rows, start, first, stop, at in self.blocks:
+            # prod[:, t] holds window first + t; those before window 0 read no data
+            prod = np.zeros((len(at), stop - first), dtype=np.result_type(self.kern, pad))
+            for j in range(max(first, 0), stop, self.step):
+                cols = slice(j, min(j + self.step, stop))
+                part = windows[:, :, cols].reshape(4 * size, -1) if copied is None else copied[:, cols]
+                np.matmul(self.kern[rows], part, out=prod[:, cols.start - first : cols.stop - first])
+            yield rows, start, sliding_window_view(prod.ravel(), n - start)[at]
+
+
+def _arc_plan(n: int, h: float, shifts: np.ndarray, weights: np.ndarray) -> _ArcPlan:
+    """Bin M rows of leftward shifts s_mq < 0 with real weights w_mq, (M, Q)
+    arrays, on an n-point grid of step h, for the sums
+    sum_q w_mq S(x_i + s_mq) of a spline S a block of rows at a time.
 
     Each row is binned as in :func:`_shift_plan`, into a kernel over the
     lags lo_m .. lo_m + S - 1, S the widest row's lag count; at point i it
@@ -657,77 +760,103 @@ def _arc_blocks(coef: np.ndarray, n: int, h: float, shifts: np.ndarray, weights:
     lo = lag.min(axis=1).astype(np.intp)
     col = lag.astype(np.intp) - lo[:, None]
     size = int(col.max()) + 1
-    # kern[m, r S + k] sums w d^{3-r} over row m's nodes at lag lo[m] + k
     kern = np.bincount(
         (np.arange(4 * rows).reshape(rows, 4, 1) * size + col[:, None, :]).ravel(),
         (weights[:, None, :] * d[:, None, :] ** _POWERS).ravel(),
         rows * 4 * size,
     ).reshape(rows, 4 * size)
-    # pad[:, S - 1 + k] holds cell k, and window j reads cells j - S + 1 .. j
-    pad = np.zeros((4, n + 2 * size - 3), dtype=coef.dtype)
-    pad[:, size - 1 : size + n - 2] = coef
-    windows = sliding_window_view(pad, size, axis=1).transpose(0, 2, 1)
     offset = lo + size - 1  # row m reads window i + offset[m] at point i
     # Every block reads the windows from window 0 on, so they are copied
     # once where they hold at most 2^21 entries; on a finer grid each block
     # copies about 2^19 entries at a time.
-    width = windows.shape[2]
-    if 4 * size * width <= 1 << 21:
-        step, copied = width, windows.reshape(4 * size, width)
-    else:
-        step, copied = max(1, (1 << 19) // (4 * size)), None
+    width = n + size - 2
+    whole = 4 * size * width <= 1 << 21
+    step = width if whole else max(1, (1 << 19) // (4 * size))
+    blocks = []
     for m in range(0, rows, _ARC_BLOCK):
         block = slice(m, min(m + _ARC_BLOCK, rows))
         near, far = int(offset[block].max()), int(offset[block].min())
         start = max(0, -near)
         if start >= n:
             continue
-        # prod[:, t] holds window far + start + t; those before window 0 read no data
         first, stop = far + start, n + near
-        prod = np.zeros((block.stop - m, stop - first), dtype=np.result_type(kern, pad))
-        for j in range(max(first, 0), stop, step):
-            cols = slice(j, min(j + step, stop))
-            part = windows[:, :, cols].reshape(4 * size, -1) if copied is None else copied[:, cols]
-            np.matmul(kern[block], part, out=prod[:, cols.start - first : cols.stop - first])
-        at = np.arange(prod.shape[0]) * prod.shape[1] + offset[block] - far
-        yield block, start, sliding_window_view(prod.ravel(), n - start)[at]
+        at = np.arange(block.stop - m) * (stop - first) + offset[block] - far
+        _read_only(at)
+        blocks.append((block, start, first, stop, at))
+    _read_only(kern)
+    return _ArcPlan(n, size, kern, whole, step, tuple(blocks))
+
+
+class _J0Plan(NamedTuple):
+    """Everything :func:`apply_inv_sqrt_shift` computes from the grid alone
+    (see :func:`_j0_plan`). The arrays are read-only."""
+
+    arcs: _ArcPlan  # the arc integrals' Gauss-Legendre sums
+    arc_count: np.ndarray  # the complete arcs of each point
+    # per block of arcs, in the order of arcs.blocks: the averaging table's
+    # columns for the block's rounds u0 .. u1 and the run length of each
+    # round over the points, and the points i0 .. i1 whose last four arcs
+    # meet the block, with the block's values each reads and whether the
+    # block holds that arc
+    blocks: tuple
+
+
+@lru_cache(maxsize=4)
+def _j0_plan(n: int, x_min: float, x_max: float) -> _J0Plan:
+    """The J0 arcs of :func:`apply_inv_sqrt_shift` on the grid of n points
+    on [x_min, x_max], binned once per grid: the arc nodes' kernels, each
+    block of arcs' bounds, each point's arc count and rounds of averaging,
+    and the points that record each block's recent arcs; 0.1 MB on 2048
+    points on [-260, 260], where 166 arcs fit. The averaging weights are
+    views of the arc table (:func:`_arc_weights`) with run lengths, not
+    one column per point and arc."""
+    from scipy.special import j0
+
+    h = (x_max - x_min) / (n - 1)
+    edges, nodes, weights = _j0_chunks(x_max - x_min, 16)
+    n_chunks = len(nodes)
+    # Each point x may only use arcs that lie inside [0, x - x_min].
+    count = np.searchsorted(edges[1:], np.linspace(x_min, x_max, n) - x_min, side="right")
+    # Few arcs: direct sum including the final partial arc (zero extension
+    # truncates it exactly at the point's own support limit).
+    upto = np.minimum(count, n_chunks - 1)
+    table = _arc_weights(n_chunks)
+    # rounds of averaging at each point, nondecreasing with the point
+    rounds = np.maximum(count - 1, 0)
+    back = np.arange(4)
+    arcs = _arc_plan(n, h, -nodes, j0(nodes) * weights)
+    blocks = []
+    for rows, start, *_ in arcs.blocks:
+        u0 = rounds[start]
+        runs = np.bincount(rounds[start:] - u0)
+        # the points whose last four arcs meet this block
+        i0 = max(start, np.searchsorted(upto, rows.start))
+        i1 = max(i0, np.searchsorted(upto, rows.stop + 3))
+        pts = np.arange(i0, i1)
+        row = upto[pts, None] - back - rows.start
+        held = (row >= 0) & (row < rows.stop - rows.start)
+        # flat indices into the block's (rows, n - start) values
+        seen = np.clip(row, 0, rows.stop - rows.start - 1) * (n - start) + pts[:, None] - start
+        _read_only(runs, seen, held)
+        blocks.append((table[rows, :, u0 : u0 + len(runs)], runs, slice(i0, i1), seen, held))
+    _read_only(count)
+    return _J0Plan(arcs, count, tuple(blocks))
 
 
 def _inv_sqrt_arcs(g: Field):
     """The values of :func:`apply_inv_sqrt_shift` at g's points, their
     error estimates and the number of complete J0 arcs each point has."""
-    from scipy.special import j0
-
-    span = g.x_max - g.x_min
-    edges, nodes, weights = _j0_chunks(span, 16)
-    n_chunks = len(nodes)
-    n = g.n
-    # Each point x may only use arcs that lie inside [0, x - x_min].
-    count = np.searchsorted(edges[1:], g.x - g.x_min, side="right")  # complete arcs per point
-    # Few arcs: direct sum including the final partial arc (zero extension
-    # truncates it exactly at the point's own support limit).
-    upto = np.minimum(count, n_chunks - 1)
-    table = _arc_weights(n_chunks)
-    rounds = np.maximum(count - 1, 0)
+    plan = _j0_plan(g.n, g.x_min, g.x_max)
     coef = _coefficients(g.x, g.values)
+    n, count = g.n, plan.arc_count
     out = np.zeros(n, dtype=coef.dtype)
     tail = np.zeros((2, n), dtype=coef.dtype)  # the last round of averaging and its change
     recent = np.zeros((n, 4))  # |C| of arcs upto .. upto - 3 at each point
-    back = np.arange(4)
     # arc integrals C[m](x) = int_{arc m} J0(t) g(x - t) dt, a block of arcs at a time
-    for arcs, start, chunk in _arc_blocks(coef, n, g.dx, -nodes, j0(nodes) * weights):
+    for (_, start, chunk), (table, runs, pts, seen, held) in zip(plan.arcs.sums(coef), plan.blocks):
         out[start:] += chunk.sum(axis=0)
-        tail[:, start:] += np.einsum(
-            "mki,mi->ki", np.take(table[arcs], rounds[start:], axis=2), chunk
-        )
-        # the points whose last four arcs meet this block
-        pts = np.arange(
-            max(start, np.searchsorted(upto, arcs.start)), np.searchsorted(upto, arcs.stop + 3)
-        )
-        row = upto[pts, None] - back - arcs.start
-        held = (row >= 0) & (row < len(chunk))
-        seen = np.abs(chunk[np.clip(row, 0, len(chunk) - 1), pts[:, None] - start])
-        recent[pts] = np.where(held, seen, recent[pts])
+        tail[:, start:] += np.einsum("mki,mi->ki", np.repeat(table, runs, axis=2), chunk)
+        recent[pts] = np.where(held, np.abs(np.take(chunk, seen)), recent[pts])
 
     est = recent[:, 0].copy()
     acc = count > _ACCEL_MIN_CHUNKS
@@ -748,14 +877,18 @@ def apply_inv_sqrt_shift(g: Field) -> Field:
 
     The integral is taken arc by arc between consecutive zeros of J0 (as far
     left as the grid allows for each x), by Gauss-Legendre sums over the
-    cubic interpolant that :func:`_arc_blocks` forms a block of arcs at a
+    cubic interpolant that :func:`_arc_plan` forms a block of arcs at a
     time, each block one matrix product with the spline's coefficient
-    windows that hold data. Arcs past a point's left edge are exact zeros,
-    so the direct sum is the plain sum over arcs. The oscillatory tail is
-    summed by iterated pairwise averaging of the partial sums, in its
-    closed form on the arcs (see _arc_weights): m partials average to
-    sum_j 2^{1-m} C(m-1, j) P_j, and the change from the round before is
-    the error estimate. Each block adds its arcs into these three sums for
+    windows that hold data. The arcs' kernels and blocks, each point's arc
+    count and the averaging weights depend on the grid alone: they are
+    built once per grid and cached, keyed on (n, x_min, x_max), 0.1 MB on
+    2048 points (:func:`_j0_plan`), so a call costs the spline's
+    coefficient rows, the products and the sums. Arcs past a
+    point's left edge are exact zeros, so the direct sum is the plain sum
+    over arcs. The oscillatory tail is summed by iterated pairwise
+    averaging of the partial sums, in its closed form on the arcs (see
+    _arc_weights): m partials average to sum_j 2^{1-m} C(m-1, j) P_j, and
+    the change from the round before is the error estimate. Each block adds its arcs into these three sums for
     every point, so no (points x arcs) array is formed. Where a point's
     last four arcs are smaller than that change, as past decaying data,
     the direct sum is kept with the largest of them as its estimate;

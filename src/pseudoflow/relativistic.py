@@ -31,6 +31,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -41,6 +42,7 @@ from .evolution import (
     SymbolSpec,
     _coefficients,
     _shift_plan,
+    _ShiftPlan,
     _shift_sum,
     _spectral_apply,
     solve_symbol_spectral,
@@ -156,9 +158,13 @@ def f2k(eta: float, k: int) -> float:
 
     After s = u^2 the even integrand is analytic in |Im u| < 1/2: the trapezoid
     rule (h = 0.025 on [0, 9]) converges like e^{-pi/h}, more slowly as k grows.
+    Past |eta| = 492 the factor e^{-eta^2/(1+4s)} is 0 in floating point at
+    every node, so f_{2k} is 0 there, as in :func:`series_solution`.
     """
     require("a nonnegative integer", k=k)
     require("finite", eta=eta)
+    if abs(eta) > _ETA_FLAT:
+        return 0.0
     rows = itertools.islice(_hermite_moments(np.array([float(eta)])), int(k), None)
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(next(rows)[0, 1])
@@ -242,20 +248,21 @@ def spectral_schrodinger(f: Field, tau: float) -> Field:
 # the D-hat operator
 
 
-def _k0_plan(f: Field) -> Callable[[np.ndarray], np.ndarray]:
-    """D on f's grid through (1/pi) int K0(|x - xi|) g(xi) dxi, as a map from
-    sample values g to D g by offset quadrature.
+@lru_cache(maxsize=8)
+def _k0_lags(n: int, x_min: float, x_max: float) -> _ShiftPlan:
+    """The K0 kernel of D on the grid of n points on [x_min, x_max], binned
+    into lag kernels (see evolution._shift_plan) once per grid: a (4, S)
+    array over the S lags within Delta = 40 of either side, 65 kB on 1024
+    points on [-20, 20].
 
     The logarithmic on-diagonal singularity is absorbed by the
     Delta = h u^4 node mapping on [0, h]; beyond that the kernel is smooth
     and panels grow geometrically until K0 underflows (~ Delta = 40). Both
-    sides, offsets -Delta and +Delta, are binned once into lag kernels (see
-    evolution._shift_plan), so each application costs the spline's
-    coefficient rows and one lag correlation with them.
+    sides, offsets -Delta and +Delta, are binned.
     """
     from scipy.special import k0
 
-    h = f.dx
+    h = (x_max - x_min) / (n - 1)
     u, wu = _legendre_nodes(48)
     diag_nodes = h * u**4
     diag_w = 4.0 * h * u**3 * wu
@@ -269,9 +276,17 @@ def _k0_plan(f: Field) -> Callable[[np.ndarray], np.ndarray]:
     nodes = np.concatenate([diag_nodes, far_nodes])
     weights = np.concatenate([diag_w, far_w])
     kw = weights * k0(nodes) / math.pi
-    apply = _shift_plan(f.n, h, np.concatenate([-nodes, nodes]), np.concatenate([kw, kw]))
-    x = f.x
-    return lambda values: apply(_coefficients(x, values), values[-1])
+    return _shift_plan(n, h, np.concatenate([-nodes, nodes]), np.concatenate([kw, kw]))
+
+
+def _k0_plan(f: Field) -> Callable[[np.ndarray], np.ndarray]:
+    """D on f's grid through (1/pi) int K0(|x - xi|) g(xi) dxi, as a map from
+    sample values g to D g by offset quadrature: each application costs the
+    spline's coefficient rows and one lag correlation with the grid's lag
+    kernels, which :func:`_k0_lags` caches keyed on (n, x_min, x_max),
+    65 kB on 1024 points."""
+    plan, x = _k0_lags(f.n, f.x_min, f.x_max), f.x
+    return lambda values: plan(_coefficients(x, values), values[-1])
 
 
 def _dhat_s_integral(f: Field) -> np.ndarray:

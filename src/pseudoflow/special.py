@@ -253,6 +253,15 @@ def _legendre_nodes(order: int):
     return x01, w01
 
 
+def _cell_offsets(order: int, split: int):
+    """Fractional offsets in [0, 1) and weights of ``split`` Gauss-Legendre
+    panels of ``order`` nodes per grid cell: the nodes at s = (j + offset) h
+    of every cell j share them."""
+    x01, w01 = _legendre_nodes(order)
+    offs = np.concatenate([(r + x01) / split for r in range(split)])
+    return offs, np.tile(w01 / split, split)
+
+
 def _gl_panels(edges, order: int):
     """Composite Gauss-Legendre nodes and weights on the panels
     [edges[i], edges[i+1]], panel by panel in edge order."""
@@ -480,10 +489,12 @@ def _shift_panels(
     e^{-square/(4s)}; ``root`` and ``square`` are that scale and its square,
     each as the caller computes it. ``tail(sets)`` sums the cells s >= h
     for each node set in the list ``sets`` and returns one sum per set; a
-    set is one Gauss-Legendre panel set per cell, given as fractional
-    offsets within a cell and their weights. The coarse and fine levels
-    come in one ``tail`` call, so a caller forms its grid-level factors once
-    for both; the refined level, which only a miss needs, makes its own.
+    set is one Gauss-Legendre panel set per cell, named by its order and
+    panels per cell, ``(order, split)``, whose fractional offsets within a
+    cell and weights :func:`_cell_offsets` gives, so a caller can key its
+    grid-level plans on the set. The coarse and fine levels come in one
+    ``tail`` call, so a caller forms its grid-level factors once for both;
+    the refined level, which only a miss needs, makes its own.
     Returns (values, error).
     """
 
@@ -504,20 +515,13 @@ def _shift_panels(
         edges[-1] = h
         return _gl_panels(edges, order)
 
-    def cell_offsets(order: int, split: int = 1):
-        # `split` panels per grid cell. Nodes at s = (j + off)*h share the
-        # fractional offset across cells.
-        x01, w01 = _legendre_nodes(order)
-        offs = np.concatenate([(r + x01) / split for r in range(split)])
-        return offs, np.tile(w01 / split, split)
-
-    coarse_tail, fine_tail = tail([cell_offsets(8), cell_offsets(12)])
+    coarse_tail, fine_tail = tail([(8, 1), (12, 1)])
     coarse = head(*leading_cell(16)) + coarse_tail
     values = head(*leading_cell(24)) + fine_tail
     err = float(np.max(np.abs(values - coarse)))
     tol = _tol(float(np.max(np.abs(values))))
     if err > tol:
-        refined = head(*leading_cell(32)) + tail([cell_offsets(12, split=2)])[0]
+        refined = head(*leading_cell(32)) + tail([(12, 2)])[0]
         err = float(np.max(np.abs(refined - values)))
         values = refined
         if err > tol:

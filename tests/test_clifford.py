@@ -1,5 +1,6 @@
 """Generator algebra, closed-form matrix exponentials, and Dirac evolution."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -306,10 +307,15 @@ _KINDS = ", ".join(["sigma1", "sigma2", "sigma3", "alpha1", "alpha2", "alpha3", 
         (bloch_evolve, ((1j, 0.0, 0.0), 0.5, 1.0, 0.1), "sigma0 must be 3 finite values"),
         (dirac4_evolution, ((1.0,), 0.5), "pi must be 3 finite values"),
         (dirac4_evolution, ((0.1, 0.2, math.inf), 0.5), "pi must be 3 finite values"),
+        # a complex array for a real vector is refused, not cast to its real part
+        (dirac4_evolution, (np.array([1 + 1j, 0, 0]), 0.5), "pi must be 3 finite values"),
+        (kappa_parametrization, (np.array([1.0 + 0j, 0, 0]), 1.0), "w must be 3 finite values"),
+        (bloch_evolve, (np.array([1j, 0, 0]), 0.5, 1.0, 0.1), "sigma0 must be 3 finite values"),
     ],
 )
 def test_builders_refuse_unknown_names_and_bad_vectors(build, args, message):
-    with pytest.raises(ValueError) as exc:
+    with warnings.catch_warnings(), pytest.raises(ValueError) as exc:
+        warnings.simplefilter("error")
         build(*args)
     assert str(exc.value) == message
 

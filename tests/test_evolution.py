@@ -22,6 +22,7 @@ from pseudoflow import (
     iterated_series,
     phi_transform,
     pseudoheat_gaussian,
+    relativistic,
     solve_affine_sqrt,
     solve_half_derivative,
     solve_pseudoheat,
@@ -31,7 +32,7 @@ from pseudoflow import (
 from pseudoflow.evolution import (
     _ACCEL_MIN_CHUNKS,
     _REQUIRED_CHUNKS,
-    _arc_blocks,
+    _arc_plan,
     _arc_weights,
     _averaging_weights,
     _coefficients,
@@ -41,7 +42,7 @@ from pseudoflow.evolution import (
     _shift_plan,
     _shift_sum,
 )
-from pseudoflow.special import _ABS_TOL, _REL_TOL
+from pseudoflow.special import _ABS_TOL, _REL_TOL, _cell_offsets
 
 INV_SQUARE = QuadratureConfig(halfline_rule="inverse_square_substitution")
 
@@ -661,14 +662,14 @@ def _affine_tail_fresh_arrays(x, env, sets):
     # the affine tail as first written: E through np.where(..., -inf, ...)
     # and fresh arrays for E and every E * window product in each block of
     # about 2^19 entries; env holds the grid-only quantities of the tail
-    # under test
+    # under test, and each set names its cell offsets by (order, split)
     n, h, a, c, coef, window = (env[k] for k in ("n", "h", "a", "c", "coef", "window"))
     jh, jcell, reach, decay, lift = (env[k] for k in ("jh", "jcell", "reach", "decay", "lift"))
     sign, kernel = math.copysign(1.0, c), env["kernel"]
     block = max(1, (1 << 19) // jh.size)
     powers = np.arange(3, -1, -1)[:, None]
     levels = []
-    for offs, wq in sets:
+    for offs, wq in (_cell_offsets(order, split) for order, split in sets):
         delta = offs * h
         w = (h * wq) * kernel(jh[:, None] + delta) * np.exp(
             -sign * (2.0 * jh[:, None] + delta) * delta / (2.0 * a) - lift[:, None]
@@ -935,7 +936,7 @@ def _check_arc_blocks(fields, shifts, weights):
         shift_sum = _shift_sum(f)
         coef = _coefficients(f.x, f.values)
         seen = set()
-        for rows, start, values in _arc_blocks(coef, f.n, f.dx, shifts, weights):
+        for rows, start, values in _arc_plan(f.n, f.dx, shifts, weights).sums(coef):
             assert values.shape == (rows.stop - rows.start, f.n - start)
             assert np.iscomplexobj(values) == np.iscomplexobj(f.values)
             for b, m in enumerate(range(rows.start, rows.stop)):
@@ -1034,6 +1035,65 @@ def test_averaging_weights_match_iterated_averaging():
     # one shared arc table per size, which no caller may change
     assert _arc_weights(200) is table
     assert not table.flags.writeable
+
+
+def _arrays(obj):
+    # every array a plan holds, through its fields and tuples
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _arrays(item)
+
+
+# each kernel route with a plan per grid: the solve, the cache of its plans
+# and the integer part of a plan's key after the grid's (n, x_min, x_max)
+GRID_PLANS = {
+    "apply_inv_sqrt_shift": (apply_inv_sqrt_shift, evolution._j0_plan, [()]),
+    "phi_transform": (phi_transform, relativistic._k0_lags, [()]),
+    "iterated_series": (lambda f: iterated_series(f, 0.3), relativistic._k0_lags, [()]),
+    "solve_half_derivative": (
+        lambda f: solve_half_derivative(f, 0.7), evolution._tail_lattice, [(8, 1), (12, 1)]
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(GRID_PLANS))
+def test_grid_plans_give_the_bits_of_a_fresh_build(route):
+    # A plan met in the cache gives the values, meta and warnings of a call
+    # that builds it, on two grids with the same n and other bounds, called
+    # in turn; real and complex data on one grid share one plan, and a
+    # plan's arrays are read-only.
+    solve, cache, sets = GRID_PLANS[route]
+    f = Field.from_function(-12.0, 8.0, 401, lambda x: np.exp(-(((x + 2.0) / 1.5) ** 2)))
+    g = Field.from_function(-10.0, 10.0, 401, lambda x: np.cos(x) * np.exp(-((x / 1.2) ** 2)))
+    fc = f.with_values(f.values * (1.0 + 0.3j * np.sin(f.x)))
+
+    def run(field):
+        out = solve(field)
+        return out.values, out.meta, out.warnings
+
+    fresh = {}
+    for field in (f, fc, g):
+        cache.cache_clear()
+        fresh[field] = run(field)
+    cache.cache_clear()
+    run(f)
+    built = cache.cache_info().misses
+    assert built == len(sets)
+    run(fc)
+    assert cache.cache_info().misses == built
+    for field in (g, f, fc, g):
+        values, meta, warnings = run(field)
+        assert values.dtype == fresh[field][0].dtype
+        assert np.array_equal(values, fresh[field][0])
+        assert (meta, warnings) == fresh[field][1:]
+    assert cache.cache_info().misses == 2 * built
+    assert cache.cache_parameters()["maxsize"] is not None
+    for field in (f, g):
+        for key in sets:
+            arrays = list(_arrays(cache(field.n, field.x_min, field.x_max, *key)))
+            assert arrays and not any(a.flags.writeable for a in arrays)
 
 
 def test_j0_zeros_are_cached_read_only():

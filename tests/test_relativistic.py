@@ -1,5 +1,6 @@
 """Hermite-series solution, the D operator, and Heisenberg observables."""
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -103,6 +104,17 @@ def test_f2k_overflow_is_a_convergence_error():
     # H_300(1, -1) is beyond double range; no NaN comes back
     with pytest.raises(ConvergenceError, match="overflowed"):
         f2k(0.5, 150)
+
+
+@pytest.mark.parametrize("eta", [493.0, 600.0, 1e100, 1e200, sys.float_info.max])
+def test_f2k_is_zero_past_the_flat_range(eta):
+    # e^{-eta^2/(1+4s)} is 0 at every node, so f_2k is 0, even where the H_n
+    # recurrence would leave float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (0, 3, 150):
+            assert f2k(eta, k) == 0.0
+            assert f2k(-eta, k) == 0.0
 
 
 def test_f2k_validation():

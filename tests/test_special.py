@@ -564,10 +564,14 @@ def _package_modules():
     ]
 
 
-def test_every_cache_is_keyed_on_integers():
+def test_every_cache_is_bounded_and_keyed_on_integers_or_a_grid():
     # A cache keyed on floats misses at every new point and keeps each
-    # result alive; the caches hold node tables indexed by an order or size.
-    cached = {}
+    # result alive; the caches hold node tables indexed by an order or size,
+    # or the plans of one grid, keyed on its (n, x_min, x_max) before any
+    # integer, which every solve on that grid meets again. Each keeps a
+    # bounded number of entries.
+    grid = [("n", int), ("x_min", float), ("x_max", float)]
+    cached, on_grids = {}, set()
     for info in pkgutil.iter_modules(pseudoflow.__path__):
         if info.name.startswith("_"):
             continue
@@ -578,4 +582,10 @@ def test_every_cache_is_keyed_on_integers():
     assert cached
     for name, fn in cached.items():
         params = inspect.signature(fn.__wrapped__, eval_str=True).parameters.values()
-        assert params and all(p.annotation is int for p in params), name
+        key = [(p.name, p.annotation) for p in params]
+        if key[:3] == grid:
+            on_grids.add(fn.__qualname__)
+            key = key[3:]
+        assert params and all(kind is int for _, kind in key), name
+        assert fn.cache_parameters()["maxsize"] is not None, name
+    assert on_grids == {"_j0_plan", "_k0_lags", "_tail_lattice"}

@@ -31,9 +31,13 @@ tool's affine run, while ``fig1`` does not move.
 With ``--arrays`` the lines are the SHA-256 of the values of library calls
 that no CLI run writes (the iterated series on 512 and 200 points, the J0
 operator, the s-integral form of D, its spectral form on 200 points, the
-affine flow on a 4097-point grid, and R(a) and
-F(a) on a = 10^k for k = -3, -2.5, ..., 19), one line per call,
-"<sha256>  <call>", or "error <type>" where the call raised.
+affine flow on a 4097-point grid, R(a) and F(a) on a = 10^k for
+k = -3, -2.5, ..., 19, and phi_transform and the half-derivative flow on
+the benchmark's grids), one line per call, "<sha256>  <call>", or
+"error <type>" where the call raised. The K0, J0 and half-derivative
+routes keep a plan per grid: each of them runs again on a grid after a
+call on another grid with the same n ("again"), so the lines cover a plan
+built by the call and a plan met in the cache.
 """
 from __future__ import annotations
 
@@ -189,6 +193,33 @@ def array_calls(pf):
     calls += [
         ("r_function a = 10^-3..10^19", lambda: pf.r_function(a_values)),
         ("f_function a = 10^-3..10^19", lambda: pf.f_function(a_values)),
+    ]
+    # the benchmark's grids, then each planned route on a grid with the
+    # same n and other bounds, then again on the first grid
+    phi = pf.Field.from_function(-20.0, 20.0, 1024, lambda x: np.exp(-(x**2)))
+    phi_other = pf.Field.from_function(-16.0, 16.0, 1024, lambda x: np.exp(-(x**2)))
+    half = pf.Field.from_function(-12.0, 8.0, 1281, lambda x: np.exp(-(x**2)))
+    half_other = pf.Field.from_function(-10.0, 10.0, 1281, lambda x: np.exp(-(x**2)))
+    packet_other = pf.Field.from_function(
+        -200.0, 200.0, 2048, lambda x: np.cos(0.3 * x) * np.exp(-((x / 40.0) ** 2))
+    )
+    gauss_other = pf.Field.from_function(-12.0, 12.0, 512, lambda x: np.exp(-(x**2)))
+    calls += [
+        ("phi_transform 1024 on [-20, 20]", lambda: pf.phi_transform(phi)),
+        ("phi_transform 1024 on [-16, 16]", lambda: pf.phi_transform(phi_other)),
+        ("phi_transform 1024 on [-20, 20] again", lambda: pf.phi_transform(phi)),
+        ("solve_half_derivative 1281 on [-12, 8] tau 0.7",
+         lambda: pf.solve_half_derivative(half, 0.7)),
+        ("solve_half_derivative 1281 on [-10, 10] tau 0.7",
+         lambda: pf.solve_half_derivative(half_other, 0.7)),
+        ("solve_half_derivative 1281 on [-12, 8] tau 0.7 again",
+         lambda: pf.solve_half_derivative(half, 0.7)),
+        ("apply_inv_sqrt_shift 2048 packet on [-200, 200]",
+         lambda: pf.apply_inv_sqrt_shift(packet_other)),
+        ("apply_inv_sqrt_shift 2048 packet again", lambda: pf.apply_inv_sqrt_shift(packet)),
+        ("iterated_series 512 on [-12, 12] real tau 0.3",
+         lambda: pf.iterated_series(gauss_other, 0.3)),
+        ("iterated_series 512 real tau 0.3 again", lambda: pf.iterated_series(gauss, 0.3)),
     ]
     return calls
 
