@@ -5,7 +5,9 @@ the matrix generators and variants as choices, and check each flag against
 the library's domain table, before any solver loads; ``clifford``
 re-exports the variants, and a test holds its ``GENERATOR_KINDS`` equal.
 ``require`` refuses a value outside its domain and ``require_one_of`` a
-name outside its choices, each with one ValueError wording.
+name outside its choices, each with one ValueError wording, and
+``past_float_range`` a result that leaves float range at inputs inside
+their domains.
 """
 import cmath
 
@@ -67,3 +69,10 @@ def require_one_of(choices, **named) -> None:
     named value is one of the string choices; names join as in ``require``."""
     if not all(isinstance(v, str) and v in choices for v in named.values()):
         raise ValueError(f"{_join(named, 'and')} must be one of {_join(choices, 'or')}")
+
+
+def past_float_range(what: str, **named) -> ValueError:
+    """ValueError("<what> is past float range at <name> = <value>, ..."),
+    with each named input's repr."""
+    at = ", ".join(f"{name} = {value!r}" for name, value in named.items())
+    return ValueError(f"{what} is past float range at {at}")

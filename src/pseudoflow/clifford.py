@@ -22,7 +22,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ._choices import KAPPA_VARIANTS, POSITION_PARAMETRIZATIONS, require, require_one_of
+from ._choices import (
+    KAPPA_VARIANTS,
+    POSITION_PARAMETRIZATIONS,
+    past_float_range,
+    require,
+    require_one_of,
+)
 
 __all__ = [
     "Mat2",
@@ -107,7 +113,9 @@ class PauliVector:
         object.__setattr__(self, "v", v)
 
     def as_mat2(self) -> Mat2:
-        return self.c0 * _ID2 + pauli_sqrt_identity(self.v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mat = self.c0 * _ID2 + pauli_sqrt_identity(self.v)
+        return _in_float_range(mat, "c0 + sigma . v", c0=self.c0, v=self.v)
 
 
 def generators(kind: str) -> np.ndarray:
@@ -137,6 +145,14 @@ def _vec3(name: str, v: Sequence[complex], dtype=complex) -> np.ndarray:
     return arr
 
 
+def _in_float_range(value, what: str, **named):
+    """value, a number or an array, or past_float_range(what, **named) where
+    it is not finite."""
+    if not np.isfinite(value).all():
+        raise past_float_range(what, **named)
+    return value
+
+
 def pauli_sqrt_identity(v: Sequence[complex]) -> Mat2:
     """N = sigma . v, which squares to (v1^2 + v2^2 + v3^2) * 1.
 
@@ -145,7 +161,9 @@ def pauli_sqrt_identity(v: Sequence[complex]) -> Mat2:
     v . v.
     """
     arr = _vec3("v", v)
-    return arr[0] * _SIGMA[0] + arr[1] * _SIGMA[1] + arr[2] * _SIGMA[2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = arr[0] * _SIGMA[0] + arr[1] * _SIGMA[1] + arr[2] * _SIGMA[2]
+    return _in_float_range(mat, "sigma . v", v=v)
 
 
 def exp_pauli(y: complex, v: Sequence[complex]) -> Mat2:
@@ -162,13 +180,15 @@ def exp_pauli(y: complex, v: Sequence[complex]) -> Mat2:
     """
     require("finite", y=y)
     arr = _vec3("v", v)
-    mat = pauli_sqrt_identity(arr)
-    n2 = complex(arr @ arr)
-    n = np.sqrt(n2)
-    y = complex(y)
-    if n == 0:
-        return _ID2 + y * mat
-    return np.cosh(y * n) * _ID2 + (np.sinh(y * n) / n) * mat
+    mat = pauli_sqrt_identity(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = np.sqrt(complex(arr @ arr))
+        z = complex(y)
+        if n == 0:
+            out = _ID2 + z * mat
+        else:
+            out = np.cosh(z * n) * _ID2 + (np.sinh(z * n) / n) * mat
+    return _in_float_range(out, "e^{y sigma . v}", y=y, v=v)
 
 
 def dirac2_evolution(pi: float, tau: float) -> Mat2:
@@ -177,11 +197,12 @@ def dirac2_evolution(pi: float, tau: float) -> Mat2:
     Closed form cos(E tau) 1 - i sin(E tau)/E (sigma1 pi + sigma3) with
     E = sqrt(1 + pi^2); unitary for real arguments.
     """
-    require("finite", pi=pi)
+    require("finite with a finite square", pi=pi)
     require("finite", tau=tau)
     e = math.sqrt(1.0 + pi * pi)
+    phase = _in_float_range(e * tau, "the phase E tau", pi=pi, tau=tau)
     h = pi * _SIGMA[0] + _SIGMA[2]
-    return math.cos(e * tau) * _ID2 - 1j * (math.sin(e * tau) / e) * h
+    return math.cos(phase) * _ID2 - 1j * (math.sin(phase) / e) * h
 
 
 def bloch_evolve(
@@ -191,10 +212,11 @@ def bloch_evolve(
 
     Fixed-step classical Runge-Kutta from 0 to tau (step count
     ceil(tau/dt)); the motion is an exact rotation about Omega, so |sigma|
-    is conserved up to the integrator's O(dt^4) error.
+    is conserved up to the integrator's O(dt^4) error. Where dt |Omega| is
+    so large that the steps leave float range, ValueError names the inputs.
     """
     s = _vec3("sigma0", sigma0, float)
-    require("finite", pi=pi)
+    require("finite with a finite square", pi=pi)
     require("nonnegative and finite", tau=tau)
     require("positive and finite", dt=dt)
     if float(np.linalg.norm(s)) == 0.0:
@@ -206,13 +228,15 @@ def bloch_evolve(
     omega = np.array([2.0 * pi, 0.0, 2.0])
     steps = math.ceil(tau / dt)
     h = tau / steps
-    for _ in range(steps):
-        k1 = np.cross(omega, s)
-        k2 = np.cross(omega, s + 0.5 * h * k1)
-        k3 = np.cross(omega, s + 0.5 * h * k2)
-        k4 = np.cross(omega, s + h * k3)
-        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return s
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            k1 = np.cross(omega, s)
+            k2 = np.cross(omega, s + 0.5 * h * k1)
+            k3 = np.cross(omega, s + 0.5 * h * k2)
+            k4 = np.cross(omega, s + h * k3)
+            s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    named = {"sigma0": sigma0, "pi": pi, "tau": tau, "dt": dt}
+    return _in_float_range(s, "the Runge-Kutta solution", **named)
 
 
 def dirac4_evolution(pi: Sequence[float], tau: float) -> Mat4:
@@ -223,9 +247,12 @@ def dirac4_evolution(pi: Sequence[float], tau: float) -> Mat4:
     """
     p = _vec3("pi", pi, float)
     require("finite", tau=tau)
+    with np.errstate(over="ignore"):
+        square = _in_float_range(float(p @ p), "pi . pi", pi=pi)
     h = p[0] * _ALPHA[0] + p[1] * _ALPHA[1] + p[2] * _ALPHA[2] + _BETA
-    e = math.sqrt(1.0 + float(p @ p))
-    return math.cos(e * tau) * _ID4 - 1j * (math.sin(e * tau) / e) * h
+    e = math.sqrt(1.0 + square)
+    phase = _in_float_range(e * tau, "the phase E tau", pi=pi, tau=tau)
+    return math.cos(phase) * _ID4 - 1j * (math.sin(phase) / e) * h
 
 
 def position_evolution(pi: float, tau: float, parametrization: str = "dirac") -> Mat4:
@@ -244,15 +271,17 @@ def position_evolution(pi: float, tau: float, parametrization: str = "dirac") ->
     two-branch drift tau beta pi / sqrt(1 + pi^2).
     """
     require_one_of(POSITION_PARAMETRIZATIONS, parametrization=parametrization)
-    require("finite", pi=pi)
+    require("finite with a finite square", pi=pi)
     require("finite", tau=tau)
     e2 = 1.0 + pi * pi
     e = math.sqrt(e2)
     if parametrization == "beta_diagonal":
-        return (tau * pi / e) * _BETA
+        return _in_float_range(tau * pi / e, "the drift tau pi / E", pi=pi, tau=tau) * _BETA
     h = pi * _ALPHA[0] + _BETA
     h_inv = h / e2
-    evol = math.cos(2.0 * tau * e) * _ID4 - 1j * (math.sin(2.0 * tau * e) / e) * h
+    # a finite 2 E tau bounds the drift tau pi H^{-1} too
+    phase = _in_float_range(2.0 * tau * e, "the phase 2 E tau", pi=pi, tau=tau)
+    evol = math.cos(phase) * _ID4 - 1j * (math.sin(phase) / e) * h
     return tau * pi * h_inv + 0.5j * h_inv @ (_ALPHA[0] - pi * h_inv) @ (_ID4 - evol)
 
 
@@ -281,9 +310,9 @@ def kappa_parametrization(
     arr = _vec3("w", w, float)
     require("finite", r=r)
     n = arr[0] * _KAPPA[0] + arr[1] * _KAPPA[1] + arr[2] * _KAPPA[2]
-    if variant == "i_delta":
-        return n + 1j * r * _DELTA
-    return n + r * _DELTA
+    with np.errstate(over="ignore"):
+        mat = n + 1j * r * _DELTA if variant == "i_delta" else n + r * _DELTA
+    return _in_float_range(mat, "kappa . w + delta r", w=w, r=r)
 
 
 def pauli_line_power(a: float, b: float, p: float) -> Mat2:
@@ -299,6 +328,13 @@ def pauli_line_power(a: float, b: float, p: float) -> Mat2:
     require("finite", p=p)
     if not a > abs(b):
         raise ValueError("pauli_line_power requires a > |b| (positive definite)")
-    lo = (a - b) ** p
-    hi = (a + b) ** p
-    return 0.5 * (lo * (_ID2 - _SIGMA[0]) + hi * (_ID2 + _SIGMA[0]))
+    named = {"a": a, "b": b, "p": p}
+    _in_float_range(a + abs(b), "a + |b|", **named)
+    try:
+        lo = (a - b) ** p
+        hi = (a + b) ** p
+    except OverflowError:  # float ** float raises where * gives inf
+        raise past_float_range("R^p", **named) from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = 0.5 * (lo * (_ID2 - _SIGMA[0]) + hi * (_ID2 + _SIGMA[0]))
+    return _in_float_range(mat, "R^p", **named)

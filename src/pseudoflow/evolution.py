@@ -29,16 +29,17 @@ binned by grid lag and fractional offset, and the sums become
 correlations or matrix products with sliding windows of those rows, so no
 node evaluates the spline. Each kernel route splits into a plan, which
 depends on the grid alone, and a data step, the coefficient rows followed
-by the correlations or products. A plan for a row of shifts (_shift_plan)
-serves any number of fields on its grid; the J0 arcs are summed a block of
-arcs at a time (_arc_plan), each block one product with the windows that
-hold data, and the affine flow multiplies the windows by its amplitude
-first (_affine_panels). The plans of the translation-invariant kernels are
-built once per grid and kept in bounded caches keyed on the grid's
-(n, x_min, x_max), with read-only arrays: the J0 arcs (_j0_plan), the K0
-lags of D (relativistic._k0_lags) and the half-derivative's tail lattice
-of each node set (_tail_lattice), about 1.0 MB together on the grids of
-the benchmark's grid_subordination workload.
+by the correlations or products. A row of shifts is binned once
+(_shift_lattice) and its plan serves any number of fields on its grid; the
+J0 arcs are summed a block of arcs at a time (_arc_plan), each block one
+product with the windows that hold data, and the affine flow multiplies
+the windows by its amplitude first (_affine_panels). The plans of the
+translation-invariant kernels are built once per grid and kept in bounded
+caches keyed on the grid's (n, x_min, x_max), with read-only arrays: the
+J0 arcs (_j0_plan), the K0 lags of D (relativistic._k0_lags) and the
+half-derivative's tail lattice of each node set (_tail_lattice), about
+1.0 MB together on the grids of the benchmark's grid_subordination
+workload. Nothing they are built from is cached on its own.
 """
 from __future__ import annotations
 
@@ -185,7 +186,7 @@ def _read_only(*arrays: np.ndarray) -> None:
 
 class _ShiftPlan(NamedTuple):
     """Real weights w_q binned by lag on an n-point grid (see
-    :func:`_shift_plan`): ``plan(coef, last)`` maps the coefficient rows of
+    :func:`_shift_lattice`): ``plan(coef, last)`` maps the coefficient rows of
     a spline S (see :func:`_coefficients`) and its last sample to the (n,)
     sum_q w_q S(x_i + s_q) on the grid. The arrays are read-only."""
 
@@ -211,8 +212,8 @@ class _ShiftPlan(NamedTuple):
 
 
 class _ShiftLattice(NamedTuple):
-    """The data-free part of :func:`_shift_plan` for (Q,) shifts s_q on an
-    n-point grid: which shifts reach a cell, their lags and offset powers.
+    """The data-free part of a :class:`_ShiftPlan` for (Q,) shifts s_q on
+    an n-point grid: which shifts reach a cell, their lags and offset powers.
     ``bin(weights)`` gives the plan for weights on these shifts. The arrays
     are read-only."""
 
@@ -239,7 +240,27 @@ class _ShiftLattice(NamedTuple):
 
 
 def _shift_lattice(n: int, h: float, shifts: np.ndarray) -> _ShiftLattice:
-    """Bin (Q,) shifts on an n-point grid of step h: see :func:`_shift_plan`."""
+    """Bin (Q,) shifts s_q on an n-point grid of step h once; for real
+    weights w_q on them, ``bin(weights)`` gives the plan that maps the
+    coefficient rows of a spline S (see :func:`_coefficients`) and its last
+    sample to the (n,) sum_q w_q S(x_i + s_q) on the grid.
+
+    A shift s = L h + d with L = floor(s / h) puts x_i + s at offset d in
+    [0, h) on cell i + L, where S is sum_r c[r, i + L] d^{3-r}. Binning
+    w d^{3-r} by lag, counted from the least lag, gives a (4, S) kernel
+    over S lags, which depends on the grid and the nodes but not on the
+    data; the sum is one correlation of each zero-padded coefficient row
+    with its kernel row. No node evaluates the spline; cells off the grid
+    contribute zero. The lags and offset powers do not depend on the
+    weights either, so a caller whose weights change and whose shifts do
+    not keeps the lattice and bins each set of weights on it. Two callers
+    cache per grid, keyed on its (n, x_min, x_max): the K0 kernel of D
+    keeps its plan (relativistic._k0_lags, 65 kB on 1024 points), and the
+    half-derivative keeps the lattice of each tail node set
+    (:func:`_tail_lattice`, 33 bytes per node: 0.34 and 0.51 MB for the 8-
+    and 12-node sets on 1281 points). Many rows of leftward shifts, such as
+    the J0 arcs, go through :func:`_arc_plan` instead.
+    """
     lag = np.floor(shifts / h)
     d = shifts - lag * h
     # S(x_{n-1}) is the one value no cell reaches with d < h
@@ -255,39 +276,6 @@ def _shift_lattice(n: int, h: float, shifts: np.ndarray) -> _ShiftLattice:
     return _ShiftLattice(n, keep, col, lo, size, dpow, at_last, last_at)
 
 
-def _shift_plan(n: int, h: float, shifts: np.ndarray, weights: np.ndarray) -> _ShiftPlan:
-    """Bin (Q,) arrays of shifts s_q and real weights w_q on an n-point grid
-    of step h once; the returned plan maps the coefficient rows of a spline
-    S (see :func:`_coefficients`) and its last sample to the (n,)
-    sum_q w_q S(x_i + s_q) on the grid.
-
-    A shift s = L h + d with L = floor(s / h) puts x_i + s at offset d in
-    [0, h) on cell i + L, where S is sum_r c[r, i + L] d^{3-r}. Binning
-    w d^{3-r} by lag, counted from the least lag, gives a (4, S) kernel
-    over S lags, which depends on the grid and the nodes but not on the
-    data; the sum is one correlation of each zero-padded coefficient row
-    with its kernel row. No node evaluates the spline; cells off the grid
-    contribute zero. The lags and offset powers (:func:`_shift_lattice`)
-    do not depend on the weights either, so a caller whose weights change
-    and whose shifts do not keeps the lattice and bins each set of weights
-    on it. Two callers cache per grid, keyed on its (n, x_min, x_max): the
-    K0 kernel of D keeps its plan (relativistic._k0_lags, 65 kB on 1024
-    points), and the half-derivative keeps the lattice of each tail node
-    set (:func:`_tail_lattice`, 33 bytes per node: 0.34 and 0.51 MB for
-    the 8- and 12-node sets on 1281 points). Many rows of leftward shifts,
-    such as the J0 arcs, go through :func:`_arc_plan` instead.
-    """
-    return _shift_lattice(n, h, shifts).bin(weights)
-
-
-def _shift_sum(f: Field) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Map (shifts, weights) to sum_q w_q S(x_i + s_q) on f's grid, where S
-    is f's spline: :func:`_shift_plan` applied to f's coefficient rows,
-    which are built once and shared by every call."""
-    coef, last = _coefficients(f.x, f.values), f.values[-1]
-    return lambda shifts, weights: _shift_plan(f.n, f.dx, shifts, weights)(coef, last)
-
-
 # ----------------------------------------------------------------------
 # subordination solvers
 
@@ -297,18 +285,19 @@ def _shift_sum(f: Field) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
 _ROUNDING = 2.0**-53
 
 
-def _identity_to_rounding(f: Field, tau: float, below: float, flow: Callable[[], Field]) -> Field:
-    """flow(), the solve of f at tau > 0. At or below ``below`` the flow is
-    the identity to rounding; there, where the quadrature's arithmetic
-    leaves float range (for tau far below ``below``), f is returned as at
-    tau = 0, and a quadrature that stays in range keeps its own value."""
+def _identity_to_rounding(identity: Callable, tau: float, below: float, flow: Callable):
+    """flow(), the solve at tau > 0. At or below ``below`` the flow is the
+    identity to rounding; there, where the quadrature's arithmetic leaves
+    float range (for tau far below ``below``), identity(), the value at
+    tau = 0, is returned, and a quadrature that stays in range keeps its
+    own value."""
     if not tau <= below:  # a NaN bound proves nothing
         return flow()
     try:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return flow()
     except ConvergenceError:
-        return f.with_values(f.values)
+        return identity()
 
 
 def solve_half_derivative(f: Field, tau: float) -> Field:
@@ -322,11 +311,11 @@ def solve_half_derivative(f: Field, tau: float) -> Field:
     the interpolant is a single cubic: Gauss-Legendre panels of width h on
     s in [h, span], plus geometric panels on the leading cell s in (0, h]
     that track the essential singularity of the kernel. Accuracy is then
-    uniform in tau. Each panel level is two calls of _shift_sum: the
-    leading cell, whose nodes all read cell i - 1 and so bin into one lag,
-    and every tail cell and offset at once. The kernel looks leftward, so
-    data should either decay toward x_min or the grid should extend far
-    enough left.
+    uniform in tau. Each panel level is two lag correlations with the
+    spline's coefficient rows: the leading cell, whose nodes all read cell
+    i - 1 and so bin into one lag, and every tail cell and offset at once,
+    on the grid's cached lattice. The kernel looks leftward, so data should
+    either decay toward x_min or the grid should extend far enough left.
 
     tau = 0 returns the input. So does a tau at which the flow is the
     identity to rounding, tau <= 2^-53 sqrt(h/pi) (|k|^{1/2} <= sqrt(pi/h)
@@ -337,7 +326,9 @@ def solve_half_derivative(f: Field, tau: float) -> Field:
     if tau == 0.0:
         return f.with_values(f.values)
     below = _ROUNDING * math.sqrt(f.dx / math.pi)
-    return _identity_to_rounding(f, tau, below, lambda: _half_derivative(f, tau))
+    return _identity_to_rounding(
+        lambda: f.with_values(f.values), tau, below, lambda: _half_derivative(f, tau)
+    )
 
 
 def _tail_cells(n: int, h: float, offs: np.ndarray) -> np.ndarray:
@@ -366,7 +357,7 @@ def _half_derivative(f: Field, tau: float) -> Field:
 
     def head(ss: np.ndarray, ws: np.ndarray) -> np.ndarray:
         # s in (0, h]: x - s lies on cell i - 1 at offset h - s
-        return _shift_plan(n, h, -ss, ws * kernel(ss))(coef, last)
+        return _shift_lattice(n, h, -ss).bin(ws * kernel(ss))(coef, last)
 
     def tail(sets: list) -> list:
         # every cell and offset in one sum, on the grid's cached lattice
@@ -411,7 +402,9 @@ def solve_pseudoheat(f: Field, tau: float) -> Field:
     if tau == 0.0:
         return f.with_values(f.values)
     below = _ROUNDING / math.hypot(1.0, math.pi / f.dx)
-    return _identity_to_rounding(f, tau, below, lambda: _pseudoheat(f, tau))
+    return _identity_to_rounding(
+        lambda: f.with_values(f.values), tau, below, lambda: _pseudoheat(f, tau)
+    )
 
 
 def _pseudoheat(f: Field, tau: float) -> Field:
@@ -429,18 +422,51 @@ def _pseudoheat(f: Field, tau: float) -> Field:
     return f.with_values(values, warn, meta={"quadrature_error": float(err)})
 
 
+# The Gaussian's flow moves it by at most this multiple of tau:
+# (1/(2 sqrt(pi))) int sqrt(1 + k^2) e^{-k^2/4} dk = 1.6045...
+_GAUSSIAN_RATE = 1.61
+# Past this |x| the Gaussian's integrand underflows to 0 at every node.
+_GAUSSIAN_FLAT = 746.25
+
+
 def pseudoheat_gaussian(tau: float, x: float) -> float:
     """Closed-form pseudoheat evolution of the Gaussian e^{-x^2}.
 
     Single subordination integral of the Glaisher-smoothed Gaussian:
     (1/(2 sqrt(pi))) int t^{-3/2} (1+4 t tau^2)^{-1/2}
     exp{-(1/(4t) + t tau^2 + x^2/(1+4 t tau^2))} dt.
+
+    Past |x| = 746.25 the value is 0.0: with s = 1 + 4 t tau^2 the exponent
+    is at least (s - 1)/4 + x^2/s >= |x| - 1/4, so the integrand is 0 in
+    floating point at every node. The flow moves the Gaussian by at most
+    1.6045 tau at every x (its symbol e^{-tau sqrt(1 + k^2)} differs from 1
+    by at most tau sqrt(1 + k^2)), so where 1.61 tau <= 2^-53 e^{-x^2} it
+    is the identity to rounding; there, where the rule cannot start (tau
+    below about 1e-30 at x = 1, or tau^2 underflowing to 0), e^{-x^2} is
+    returned. Elsewhere such a tau raises ConvergenceError: the flow's
+    kernel tail is linear in tau, so at x = 10 and tau = 1e-20 the value is
+    1.5e-26, not e^{-100}.
     """
     require("nonnegative and finite", tau=tau)
     require("finite", x=x)
     if tau == 0.0:
         return math.exp(-x * x)
+    if abs(x) > _GAUSSIAN_FLAT:
+        return 0.0
+    below = _ROUNDING * math.exp(-x * x) / _GAUSSIAN_RATE
+    return _identity_to_rounding(
+        lambda: math.exp(-x * x), tau, below, lambda: _pseudoheat_gaussian(tau, x)
+    )
+
+
+def _pseudoheat_gaussian(tau: float, x: float) -> float:
     t2 = tau * tau
+    if t2 == 0.0:
+        raise ConvergenceError(
+            "pseudoheat_gaussian: tau^2 underflows, so the rule's window (2|x| + 1)/(4 tau^2) "
+            "is past float range",
+            error_bound=math.inf,
+        )
     pref = 1.0 / (2.0 * math.sqrt(math.pi))
 
     def integrand(t: np.ndarray) -> np.ndarray:
@@ -464,8 +490,8 @@ def _affine_panels(f: Field, tau: float, c: float) -> Field:
     c > 0 the shift runs right to the grid's end, for c < 0 left to x_min.
 
     The amplitude e^{-s x/|c| - sgn(c) s^2/(2|c|)} depends on x, which rules
-    out the convolution of _shift_sum. With s = j h + delta it factors as
-    E[i, j] e^{-delta x_i/|c|} times a kernel of (j, delta). For c > 0,
+    out a lag correlation (_shift_lattice). With s = j h + delta it factors
+    as E[i, j] e^{-delta x_i/|c|} times a kernel of (j, delta). For c > 0,
     E[i, j] = e^{-j h (x_i + j h/2)/|c|} is the amplitude from x_i to the
     grid point x_{i+j}, and the kernel's coupling e^{-j h delta/|c|} is at
     most 1. For c < 0 that coupling is e^{j h delta/|c|}, so E takes it at
@@ -633,7 +659,9 @@ def solve_affine_sqrt(f: Field, tau: float, c: float) -> Field:
         squares = (f.x_min * f.x_min, f.x_max * f.x_max)
         spread = max(squares) - (0.0 if f.x_min <= 0.0 <= f.x_max else min(squares))
         below = _ROUNDING * math.exp(-spread / (2.0 * a)) * math.sqrt(f.dx / math.pi) / math.sqrt(a)
-        return _identity_to_rounding(f, tau, below, lambda: _affine_panels(f, tau, c))
+        return _identity_to_rounding(
+            lambda: f.with_values(f.values), tau, below, lambda: _affine_panels(f, tau, c)
+        )
     x, data = f.x, f.values
     t2 = tau * tau
     pref = 1.0 / (2.0 * math.sqrt(math.pi))
@@ -658,14 +686,11 @@ _REQUIRED_CHUNKS = 32       # points with at least this many chunks must converg
 _ARC_BLOCK = 24             # arcs per window product in _arc_plan
 
 
-@lru_cache(maxsize=16)
 def _j0_zeros(count: int) -> np.ndarray:
-    """The first ``count`` positive zeros of J0, read-only."""
+    """The first ``count`` positive zeros of J0."""
     from scipy.special import jn_zeros
 
-    zeros = jn_zeros(0, count)
-    zeros.setflags(write=False)
-    return zeros
+    return jn_zeros(0, count)
 
 
 def _j0_chunks(span: float, order: int):
@@ -690,14 +715,13 @@ def _averaging_weights(size: int) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=16)
 def _arc_weights(size: int) -> np.ndarray:
     """The averaging on arc integrals C_j = P_j - P_{j-1} instead of partial
-    sums, one (2, size) table per arc j, read-only. k rounds of averaging
-    give sum_j T[j, 0, k] C_j with T[j, 0, k] = sum_{i >= j} 2^{-k} C(k, i),
-    and differ from k - 1 rounds on the partials P_1 .. P_k by
-    -sum_j T[j, 1, k] C_j with T[j, 1, k] = 2^{-k} C(k - 1, j - 1) (zero
-    for j = 0 or k = 0)."""
+    sums, one (2, size) table per arc j, read-only, since the J0 plans hold
+    views of it. k rounds of averaging give sum_j T[j, 0, k] C_j with
+    T[j, 0, k] = sum_{i >= j} 2^{-k} C(k, i), and differ from k - 1 rounds
+    on the partials P_1 .. P_k by -sum_j T[j, 1, k] C_j with
+    T[j, 1, k] = 2^{-k} C(k - 1, j - 1) (zero for j = 0 or k = 0)."""
     rows = _averaging_weights(size)
     table = np.zeros((size, 2, size))
     np.cumsum(rows[:, ::-1], axis=1, out=table[::-1, 0].T)
@@ -745,7 +769,7 @@ def _arc_plan(n: int, h: float, shifts: np.ndarray, weights: np.ndarray) -> _Arc
     arrays, on an n-point grid of step h, for the sums
     sum_q w_mq S(x_i + s_mq) of a spline S a block of rows at a time.
 
-    Each row is binned as in :func:`_shift_plan`, into a kernel over the
+    Each row is binned as in :func:`_shift_lattice`, into a kernel over the
     lags lo_m .. lo_m + S - 1, S the widest row's lag count; at point i it
     reads the window of cells i + lo_m .. i + lo_m + S - 1, which holds data
     from i = -(lo_m + S - 1) on. One product of a block's kernels with the

@@ -32,18 +32,16 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
-from ._choices import require, require_one_of
+from ._choices import past_float_range, require, require_one_of
 from .errors import ConvergenceError, TruncationError
 from .evolution import (
     SymbolSpec,
     _coefficients,
-    _shift_plan,
+    _shift_lattice,
     _ShiftPlan,
-    _shift_sum,
     _spectral_apply,
     solve_symbol_spectral,
 )
@@ -251,7 +249,7 @@ def spectral_schrodinger(f: Field, tau: float) -> Field:
 @lru_cache(maxsize=8)
 def _k0_lags(n: int, x_min: float, x_max: float) -> _ShiftPlan:
     """The K0 kernel of D on the grid of n points on [x_min, x_max], binned
-    into lag kernels (see evolution._shift_plan) once per grid: a (4, S)
+    into lag kernels (see evolution._shift_lattice) once per grid: a (4, S)
     array over the S lags within Delta = 40 of either side, 65 kB on 1024
     points on [-20, 20].
 
@@ -276,17 +274,8 @@ def _k0_lags(n: int, x_min: float, x_max: float) -> _ShiftPlan:
     nodes = np.concatenate([diag_nodes, far_nodes])
     weights = np.concatenate([diag_w, far_w])
     kw = weights * k0(nodes) / math.pi
-    return _shift_plan(n, h, np.concatenate([-nodes, nodes]), np.concatenate([kw, kw]))
-
-
-def _k0_plan(f: Field) -> Callable[[np.ndarray], np.ndarray]:
-    """D on f's grid through (1/pi) int K0(|x - xi|) g(xi) dxi, as a map from
-    sample values g to D g by offset quadrature: each application costs the
-    spline's coefficient rows and one lag correlation with the grid's lag
-    kernels, which :func:`_k0_lags` caches keyed on (n, x_min, x_max),
-    65 kB on 1024 points."""
-    plan, x = _k0_lags(f.n, f.x_min, f.x_max), f.x
-    return lambda values: plan(_coefficients(x, values), values[-1])
+    lattice = _shift_lattice(n, h, np.concatenate([-nodes, nodes]))
+    return lattice.bin(np.concatenate([kw, kw]))
 
 
 def _dhat_s_integral(f: Field) -> np.ndarray:
@@ -301,7 +290,7 @@ def _dhat_s_integral(f: Field) -> np.ndarray:
     (~ h^4) dominates. Expect a few 1e-7 on moderate grids. All 192 x 128
     node pairs are one set of shifts -2|u| w with product weights, applied
     by one lag correlation with the spline coefficients (see
-    evolution._shift_sum).
+    evolution._shift_lattice).
     """
     wn, ww = _hermite_nodes(128)  # inner rule; the cached weights fold e^{+w^2} back in
     un, uw = _hermite_nodes(192)
@@ -309,7 +298,8 @@ def _dhat_s_integral(f: Field) -> np.ndarray:
     outer = uw * inv_sqrt_pi * np.exp(-un * un)
     inner = inv_sqrt_pi * (ww * np.exp(-wn * wn))
     shifts = -2.0 * np.outer(np.abs(un), wn)
-    return _shift_sum(f)(shifts.ravel(), np.outer(outer, inner).ravel())
+    plan = _shift_lattice(f.n, f.dx, shifts.ravel()).bin(np.outer(outer, inner).ravel())
+    return plan(_coefficients(f.x, f.values), f.values[-1])
 
 
 def dhat_apply(f: Field, method: str = "kernel_k0") -> Field:
@@ -324,7 +314,7 @@ def dhat_apply(f: Field, method: str = "kernel_k0") -> Field:
     if method == "spectral":
         return _spectral_apply(f, lambda k: (1.0 + k**2) ** -0.5)
     if method == "kernel_k0":
-        out = _k0_plan(f)(f.values)
+        out = _k0_lags(f.n, f.x_min, f.x_max)(_coefficients(f.x, f.values), f.values[-1])
     else:
         out = _dhat_s_integral(f)
     return f.with_values(out, f.leak_warnings("dhat_apply"))
@@ -367,7 +357,7 @@ def iterated_series(psi0: Field, tau: float) -> Field:
     # (k = -n/2 in fftfreq's order) takes the same value
     d2_half = d2_mult[: n // 2 + 1]
 
-    dhat = _k0_plan(psi0)
+    dhat, x = _k0_lags(n, psi0.x_min, psi0.x_max), psi0.x
     values = psi0.values
     total = np.asarray(values, dtype=complex).copy()
     parts = [values.real, values.imag] if np.iscomplexobj(values) else [values]
@@ -376,7 +366,8 @@ def iterated_series(psi0: Field, tau: float) -> Field:
     # below, so numpy's overflow and inf - inf warnings are silenced
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, _ITERATED_N_MAX + 1):
-            parts = [np.fft.irfft(d2_half * np.fft.rfft(dhat(part)), n) for part in parts]
+            smoothed = [dhat(_coefficients(x, part), part[-1]) for part in parts]
+            parts = [np.fft.irfft(d2_half * np.fft.rfft(part), n) for part in smoothed]
             current = parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
             term = (1j * tau) ** m / math.factorial(m) * current
             total += term
@@ -461,10 +452,8 @@ def f_function(a):
 
 
 def _past_float_range(what: str, inputs: ObservableInputs) -> ValueError:
-    return ValueError(
-        f"the {what} is past float range at sigma = {inputs.sigma!r}, a = {inputs.a!r}, "
-        f"c = {inputs.c!r}, t = {inputs.t!r}"
-    )
+    named = {"sigma": inputs.sigma, "a": inputs.a, "c": inputs.c, "t": inputs.t}
+    return past_float_range(f"the {what}", **named)
 
 
 def _width_sq(inputs: ObservableInputs, r: float) -> float:

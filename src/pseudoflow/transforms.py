@@ -124,12 +124,16 @@ def doetsch_weight(t):
 
     This is the tau-independent part of the subordination integrand; the
     caller multiplies by its own e^{-t tau^2 (...)} factor. ``t`` may be a
-    scalar or an array; all entries must be positive.
+    scalar or an array; all entries must be positive. Where e^{-1/(4t)}
+    underflows (t below about 3.4e-4) the weight is 0, even where t^{-3/2}
+    overflows.
     """
     t_arr = np.asarray(t, dtype=float)
     if not (np.isfinite(t_arr) & (t_arr > 0.0)).all():
         raise ValueError("t must be positive and finite")
-    w = t_arr**-1.5 * np.exp(-0.25 / t_arr) / (2.0 * math.sqrt(math.pi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = np.exp(-0.25 / t_arr)
+        w = np.where(decay > 0.0, t_arr**-1.5 * decay / (2.0 * math.sqrt(math.pi)), 0.0)
     return float(w) if np.ndim(t) == 0 else w
 
 

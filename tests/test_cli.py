@@ -682,6 +682,35 @@ def test_nonfinite_matrix_parameter_exits_1(tmp_path, args):
     assert no_partials(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (
+            ("--what", "exp_pauli", "--y", "800"),
+            "e^{y sigma . v} is past float range at y = (800+0j), v = (0j, 0j, (1+0j))",
+        ),
+        (
+            ("--what", "line_power", "--a", "1e308", "--b", "0", "--p", "2"),
+            "R^p is past float range at a = 1e+308, b = 0.0, p = 2.0",
+        ),
+        (("--what", "dirac2", "--pi", "1e200"), "pi must be finite with a finite square"),
+        (
+            ("--what", "dirac4", "--pi", "1e200,0,0"),
+            "pi . pi is past float range at pi = (1e+200, 0.0, 0.0)",
+        ),
+        (("--what", "position", "--pi", "1e200"), "pi must be finite with a finite square"),
+    ],
+)
+def test_matrix_past_float_range_exits_1(tmp_path, capsys, args, message):
+    # finite flags whose matrix leaves float range: one line naming the
+    # inputs, where NaN rows, a traceback or "math domain error" came out
+    out = tmp_path / "never.csv"
+    assert cli.run(["matrix", *args, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+    assert no_partials(tmp_path)
+
+
 def test_fig4_reaches_large_a(tmp_path):
     # R's weight lies near s ~ 1/a^2, far left of s = 1
     out = tmp_path / "fig4.csv"

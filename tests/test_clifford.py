@@ -266,9 +266,9 @@ def test_dirac4_validation():
 )
 def test_builders_reject_nonfinite_input(build, args, name):
     # a NaN or inf parameter is refused by name, never turned into a NaN
-    # matrix; bloch_evolve's tau and dt name their sign as well, and a
-    # three-vector says it wants three finite values
-    domain = "(nonnegative and |positive and )?finite|3 finite values"
+    # matrix; bloch_evolve's tau and dt name their sign as well, a momentum
+    # pi its square, and a three-vector says it wants three finite values
+    domain = "(nonnegative and |positive and )?finite|finite with a finite square|3 finite values"
     with pytest.raises(ValueError, match=f"^{name} must be ({domain})$"):
         build(*args)
 
@@ -314,6 +314,76 @@ _KINDS = ", ".join(["sigma1", "sigma2", "sigma3", "alpha1", "alpha2", "alpha3", 
     ],
 )
 def test_builders_refuse_unknown_names_and_bad_vectors(build, args, message):
+    with warnings.catch_warnings(), pytest.raises(ValueError) as exc:
+        warnings.simplefilter("error")
+        build(*args)
+    assert str(exc.value) == message
+
+
+_RANGE = "is past float range at"
+
+
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (exp_pauli, (800.0, (0, 0, 1)), f"e^{{y sigma . v}} {_RANGE} y = 800.0, v = (0, 0, 1)"),
+        (exp_pauli, (1e300, (0, 0, 1)), f"e^{{y sigma . v}} {_RANGE} y = 1e+300, v = (0, 0, 1)"),
+        # v . v overflows
+        (exp_pauli, (1.0, (1e200, 0, 0)), f"e^{{y sigma . v}} {_RANGE} y = 1.0, v = (1e+200, 0, 0)"),
+        (pauli_sqrt_identity, ((1e308, 1e308j, 0),), f"sigma . v {_RANGE} v = (1e+308, 1e+308j, 0)"),
+        (
+            lambda: PauliVector(1e308, (0, 0, 1e308)).as_mat2(),
+            (),
+            f"c0 + sigma . v {_RANGE} c0 = (1e+308+0j), v = (0j, 0j, (1e+308+0j))",
+        ),
+        (pauli_line_power, (1e308, 0.0, 2.0), f"R^p {_RANGE} a = 1e+308, b = 0.0, p = 2.0"),
+        (pauli_line_power, (2.0, 1.0, 1e6), f"R^p {_RANGE} a = 2.0, b = 1.0, p = 1000000.0"),
+        # (a - b)^p and (a + b)^p are finite, their sum on the diagonal is not
+        (pauli_line_power, (1.7e308, 0.0, 1.0), f"R^p {_RANGE} a = 1.7e+308, b = 0.0, p = 1.0"),
+        # a + |b| overflows, where a negative p would bring the power back to 0
+        (
+            pauli_line_power,
+            (1.7e308, 1e308, -0.5),
+            f"a + |b| {_RANGE} a = 1.7e+308, b = 1e+308, p = -0.5",
+        ),
+        (dirac2_evolution, (1e200, 1.0), "pi must be finite with a finite square"),
+        (dirac2_evolution, (10.0, 1e308), f"the phase E tau {_RANGE} pi = 10.0, tau = 1e+308"),
+        (dirac4_evolution, ((1e200, 0.0, 0.0), 1.0), f"pi . pi {_RANGE} pi = (1e+200, 0.0, 0.0)"),
+        (
+            dirac4_evolution,
+            ((1e154, 1e154, 1e154), 1.0),
+            f"pi . pi {_RANGE} pi = (1e+154, 1e+154, 1e+154)",
+        ),
+        (
+            dirac4_evolution,
+            ((10.0, 0.0, 0.0), 1e308),
+            f"the phase E tau {_RANGE} pi = (10.0, 0.0, 0.0), tau = 1e+308",
+        ),
+        (position_evolution, (1e200, 1.0), "pi must be finite with a finite square"),
+        (position_evolution, (1e154, 1e300), f"the phase 2 E tau {_RANGE} pi = 1e+154, tau = 1e+300"),
+        (
+            position_evolution,
+            (1e154, 1e300, "beta_diagonal"),
+            f"the drift tau pi / E {_RANGE} pi = 1e+154, tau = 1e+300",
+        ),
+        (
+            kappa_parametrization,
+            ((-1e308, 0.0, 0.0), 1e308, "plain_delta"),
+            f"kappa . w + delta r {_RANGE} w = (-1e+308, 0.0, 0.0), r = 1e+308",
+        ),
+        (bloch_evolve, ((1, 0, 0), 1e200, 1.0, 0.5), "pi must be finite with a finite square"),
+        # dt |Omega| = 1e100: the Runge-Kutta steps leave float range
+        (
+            bloch_evolve,
+            ((1, 0, 0), 1e100, 1.0, 0.5),
+            f"the Runge-Kutta solution {_RANGE} sigma0 = (1, 0, 0), pi = 1e+100, tau = 1.0, "
+            "dt = 0.5",
+        ),
+    ],
+)
+def test_builders_refuse_results_past_float_range(build, args, message):
+    # finite input whose matrix leaves float range: a refusal that names the
+    # inputs, never a NaN matrix, an OverflowError or a bare "math domain error"
     with warnings.catch_warnings(), pytest.raises(ValueError) as exc:
         warnings.simplefilter("error")
         build(*args)

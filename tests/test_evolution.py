@@ -39,8 +39,7 @@ from pseudoflow.evolution import (
     _inv_sqrt_arcs,
     _j0_chunks,
     _j0_zeros,
-    _shift_plan,
-    _shift_sum,
+    _shift_lattice,
 )
 from pseudoflow.special import _ABS_TOL, _REL_TOL, _cell_offsets
 
@@ -415,6 +414,37 @@ def test_pseudoheat_equals_dense_subordination(data):
         assert est <= max(1e-12, 1e-10 * np.max(np.abs(out.values)))
 
 
+@pytest.mark.parametrize(
+    "tau, x, expected",
+    [
+        # the identity to rounding (1.61 tau <= 2^-53 e^{-x^2}) where the rule
+        # cannot start; tau^2 underflows to 0 below about 1.5e-162
+        (1e-40, 1.0, math.exp(-1.0)),
+        (1e-160, 1.0, math.exp(-1.0)),
+        (1e-200, 1.0, math.exp(-1.0)),
+        (1e-200, -18.0, math.exp(-324.0)),
+        # past |x| = 746.25 the integrand is 0 at every node
+        (1.0, 1e60, 0.0),
+        (1.0, -1e200, 0.0),
+        (1e-40, 1e60, 0.0),
+        (1e-200, 746.3, 0.0),
+    ],
+)
+def test_pseudoheat_gaussian_at_tiny_tau_and_huge_x(tau, x, expected):
+    assert pseudoheat_gaussian(tau, x) == expected
+
+
+@pytest.mark.parametrize("tau, x", [(1e-40, 10.0), (1e-200, 21.0)])
+def test_pseudoheat_gaussian_at_tiny_tau_far_out_raises(tau, x):
+    # The flow's kernel tail is linear in tau: at tau = 1e-20, x = 10 the
+    # rule gives 1.5e-26, not e^{-100} = 3.7e-44. So where the rule cannot
+    # start and e^{-x^2} is not the value to rounding, the failure stays a
+    # ConvergenceError, also where tau^2 underflows.
+    assert pseudoheat_gaussian(1e-20, 10.0) > 1e-27
+    with pytest.raises(ConvergenceError):
+        pseudoheat_gaussian(tau, x)
+
+
 def _fourier_pseudoheat(tau, x):
     """e^{-tau sqrt(1 - d^2)} e^{-x^2} by its Fourier integral (scipy quad)."""
     val = quad(
@@ -781,6 +811,13 @@ def test_inv_sqrt_shift_divergent_data_raises():
         apply_inv_sqrt_shift(g)
 
 
+def _spline_shift_sum(f):
+    # (shifts, weights) -> sum_q w_q S(x_i + s_q) on f's grid, S f's spline,
+    # each call binning its own lattice
+    coef, last = _coefficients(f.x, f.values), f.values[-1]
+    return lambda shifts, weights: _shift_lattice(f.n, f.dx, shifts).bin(weights)(coef, last)
+
+
 def _inv_sqrt_by_partial_sums(g):
     # The (points x arcs) formulation apply_inv_sqrt_shift had before it
     # summed arcs in blocks: every arc integral at every point, their
@@ -790,7 +827,7 @@ def _inv_sqrt_by_partial_sums(g):
     # ConvergenceError.
     edges, nodes, weights = _j0_chunks(g.x_max - g.x_min, 16)
     n_chunks = len(nodes)
-    shift_sum = _shift_sum(g)
+    shift_sum = _spline_shift_sum(g)
     chunk_vals = np.stack([shift_sum(-t, j0(t) * w) for t, w in zip(nodes, weights)], axis=1)
     partials = np.cumsum(chunk_vals, axis=1)
     count = np.searchsorted(edges[1:], g.x - g.x_min, side="right")
@@ -892,7 +929,7 @@ def test_inv_sqrt_shift_keeps_no_points_by_arcs_array():
         -1000.0, 1000.0, 8192, lambda x: np.cos(0.3 * x) * np.exp(-((x / 100.0) ** 2))
     )
     apply_inv_sqrt_shift(Field.from_function(-10.0, 10.0, 64, np.cos))  # imports
-    _arc_weights.cache_clear()
+    evolution._j0_plan.cache_clear()
     tracemalloc.start()
     try:
         out = apply_inv_sqrt_shift(g)
@@ -924,16 +961,16 @@ def test_shift_sum_equals_direct_spline_sum(cplx):
     spline = CubicSpline(f.x, f.values, extrapolate=False)
     vals = spline(f.x[:, None] + shifts[None, :])
     ref = np.where(np.isnan(vals.real), 0.0, vals) @ weights
-    got = _shift_sum(f)(shifts, weights)
+    got = _spline_shift_sum(f)(shifts, weights)
     assert np.iscomplexobj(got) == cplx
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def _check_arc_blocks(fields, shifts, weights):
-    # every block's row sums equal single-row _shift_sum calls, and every
-    # row is zero before its block's first point
+    # every block's row sums equal single-row shift sums, and every row is
+    # zero before its block's first point
     for f in fields:
-        shift_sum = _shift_sum(f)
+        shift_sum = _spline_shift_sum(f)
         coef = _coefficients(f.x, f.values)
         seen = set()
         for rows, start, values in _arc_plan(f.n, f.dx, shifts, weights).sums(coef):
@@ -998,17 +1035,17 @@ def test_coefficients_equal_scipy_cubic_spline(n, cplx):
 @pytest.mark.parametrize("cplx", [False, True])
 def test_one_shift_plan_serves_many_fields(cplx):
     # the lag kernels are binned once per grid: one plan applied to two
-    # fields equals two _shift_sum calls bit for bit
+    # fields equals a plan binned afresh for each, bit for bit
     rng = np.random.default_rng(11)
     f = Field.from_function(
         -3.0, 5.0, 97, lambda x: np.cos(0.7 * x) + 0.3 * x + (0.5j * np.sin(x) if cplx else 0.0)
     )
     g = f.with_values(f.values * np.exp(-0.2 * f.x) + 1.5)
     shifts, weights = rng.uniform(-12.0, 12.0, 60), rng.standard_normal(60)
-    plan = _shift_plan(f.n, f.dx, shifts, weights)
+    plan = _shift_lattice(f.n, f.dx, shifts).bin(weights)
     for field in (f, g):
         got = plan(_coefficients(field.x, field.values), field.values[-1])
-        assert np.array_equal(got, _shift_sum(field)(shifts, weights))
+        assert np.array_equal(got, _spline_shift_sum(field)(shifts, weights))
 
 
 def test_averaging_weights_match_iterated_averaging():
@@ -1032,8 +1069,7 @@ def test_averaging_weights_match_iterated_averaging():
         arcs = np.diff(partials, prepend=0.0)
         np.testing.assert_allclose(arcs @ table[:m, 0, m - 1], best, rtol=0, atol=1e-13)
         np.testing.assert_allclose(np.abs(arcs @ table[:m, 1, m - 1]), est, rtol=0, atol=1e-13)
-    # one shared arc table per size, which no caller may change
-    assert _arc_weights(200) is table
+    # the J0 plans hold views of the arc table, which no caller may change
     assert not table.flags.writeable
 
 
@@ -1096,14 +1132,12 @@ def test_grid_plans_give_the_bits_of_a_fresh_build(route):
             assert arrays and not any(a.flags.writeable for a in arrays)
 
 
-def test_j0_zeros_are_cached_read_only():
-    # every J0 call on a span shares one array of zeros, which no caller may change
+def test_j0_zeros_are_the_zeros_of_j0():
     zeros = _j0_zeros(40)
-    assert _j0_zeros(40) is zeros
-    assert not zeros.flags.writeable
     assert zeros.shape == (40,)
     assert zeros[0] == pytest.approx(2.404825557695773, abs=1e-12)
     assert np.all(np.diff(zeros) > 3.0)
+    assert np.max(np.abs(j0(zeros))) < 1e-15
 
 
 def test_kernel_sums_do_not_evaluate_the_spline(monkeypatch):

@@ -569,7 +569,8 @@ def test_every_cache_is_bounded_and_keyed_on_integers_or_a_grid():
     # result alive; the caches hold node tables indexed by an order or size,
     # or the plans of one grid, keyed on its (n, x_min, x_max) before any
     # integer, which every solve on that grid meets again. Each keeps a
-    # bounded number of entries.
+    # bounded number of entries, and the set of caches is pinned: what a
+    # grid plan is built from is not cached on its own.
     grid = [("n", int), ("x_min", float), ("x_max", float)]
     cached, on_grids = {}, set()
     for info in pkgutil.iter_modules(pseudoflow.__path__):
@@ -589,3 +590,12 @@ def test_every_cache_is_bounded_and_keyed_on_integers_or_a_grid():
         assert params and all(kind is int for _, kind in key), name
         assert fn.cache_parameters()["maxsize"] is not None, name
     assert on_grids == {"_j0_plan", "_k0_lags", "_tail_lattice"}
+    assert {f"{fn.__module__}.{fn.__qualname__}" for fn in cached.values()} == {
+        "pseudoflow.evolution._j0_plan",
+        "pseudoflow.evolution._tail_lattice",
+        "pseudoflow.relativistic._k0_lags",
+        "pseudoflow.special._hermite_nodes",
+        "pseudoflow.special._laguerre_nodes",
+        "pseudoflow.special._legendre_nodes",
+        "pseudoflow.transforms._band_cosines",
+    }

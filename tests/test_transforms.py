@@ -1,6 +1,7 @@
 """Field container, subordination weight, heat smoothing, Laplace powers."""
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,11 +105,19 @@ def test_doetsch_weight_is_normalized():
 
 
 def test_doetsch_weight_vanishes_at_the_origin():
-    # the essential singularity e^{-1/(4t)} beats every power of t
+    # the essential singularity e^{-1/(4t)} beats every power of t, also
+    # where t^{-3/2} overflows (t below about 1e-206): 0, not inf * 0 = NaN,
+    # and no numpy warning
     assert doetsch_weight(1e-4) == 0.0
     assert doetsch_weight(5e-3) < 1e-18
     w = doetsch_weight(np.array([1e-3, 1e-2, 1e-1]))
     assert np.all(np.diff(w) > 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert doetsch_weight(1e-300) == 0.0
+        assert doetsch_weight(5e-324) == 0.0
+        w = doetsch_weight(np.array([1e-300, 1e-200, 1.0]))
+    assert w[0] == w[1] == 0.0 and w[2] == doetsch_weight(1.0)
 
 
 def test_doetsch_weight_scalar_and_array_forms():

@@ -11,8 +11,9 @@ that the tool writes, spectral routes on a grid whose n is not a power of
 two, each subordination flow at a tau where it is the identity to
 rounding, a series run on a grid where Psi is 0 to rounding, the
 benchmark's usage errors, one refusal for each range-checked flag, the
-series route's refusal of an initial condition other than e^{-x^2}, and
-one packet width past float range. One line per
+series route's refusal of an initial condition other than e^{-x^2}, one
+packet width past float range, and five matrices that would leave float
+range. One line per
 run, "<csv sha256>  <text sha256>  <arguments>", where the first hash reads
 "exit <code>" where the run failed, or "error <type>" where ``cli.run``
 raised, and the second is the SHA-256 of the run's stdout and stderr with
@@ -32,8 +33,9 @@ With ``--arrays`` the lines are the SHA-256 of the values of library calls
 that no CLI run writes (the iterated series on 512 and 200 points, the J0
 operator, the s-integral form of D, its spectral form on 200 points, the
 affine flow on a 4097-point grid, R(a) and F(a) on a = 10^k for
-k = -3, -2.5, ..., 19, and phi_transform and the half-derivative flow on
-the benchmark's grids), one line per call, "<sha256>  <call>", or
+k = -3, -2.5, ..., 19, phi_transform and the half-derivative flow on the
+benchmark's grids, the Doetsch weight where its decay underflows, and the
+closed-form pseudoheat Gaussian at tiny tau and huge x), one line per call, "<sha256>  <call>", or
 "error <type>" where the call raised. The K0, J0 and half-derivative
 routes keep a plan per grid: each of them runs again on a grid after a
 call on another grid with the same n ("again"), so the lines cover a plan
@@ -119,6 +121,12 @@ REFUSALS = (
     ("matrix", "--what", "generator", "--kind", "foo"),
     # the series route sums the series of e^{-x^2} alone
     ("solve", "--equation", "schrodinger", "--method", "series", "--ic", "fig3", "--tau", "0.5"),
+    # finite flags whose matrix would leave float range
+    ("matrix", "--what", "exp_pauli", "--y", "800"),
+    ("matrix", "--what", "line_power", "--a", "1e308", "--b", "0", "--p", "2"),
+    ("matrix", "--what", "dirac2", "--pi", "1e200"),
+    ("matrix", "--what", "dirac4", "--pi", "1e200,0,0"),
+    ("matrix", "--what", "position", "--pi", "1e200"),
 )
 # runs on the table that write_ic_table puts in the working directory
 IC_TABLE = "ic.csv"
@@ -220,6 +228,18 @@ def array_calls(pf):
         ("iterated_series 512 on [-12, 12] real tau 0.3",
          lambda: pf.iterated_series(gauss_other, 0.3)),
         ("iterated_series 512 real tau 0.3 again", lambda: pf.iterated_series(gauss, 0.3)),
+    ]
+    # where e^{-1/(4t)} underflows, at tiny tau and past |x| = 746.25
+    tiny_t = np.array([1e-300, 1e-200, 5e-324, 3.3e-4, 1.0])
+    calls += [
+        ("doetsch_weight t = 1e-300, 1e-200, 5e-324, 3.3e-4, 1",
+         lambda: pf.doetsch_weight(tiny_t)),
+        ("pseudoheat_gaussian x = 1 tau = 1e-20, 1e-40, 1e-160, 1e-200",
+         lambda: [pf.pseudoheat_gaussian(tau, 1.0) for tau in (1e-20, 1e-40, 1e-160, 1e-200)]),
+        ("pseudoheat_gaussian tau = 1 x = 700, 1e50, 1e60, 1e200",
+         lambda: [pf.pseudoheat_gaussian(1.0, x) for x in (700.0, 1e50, 1e60, 1e200)]),
+        ("pseudoheat_gaussian tau = 1e-20 x = 10", lambda: pf.pseudoheat_gaussian(1e-20, 10.0)),
+        ("pseudoheat_gaussian tau = 1e-40 x = 10", lambda: pf.pseudoheat_gaussian(1e-40, 10.0)),
     ]
     return calls
 
