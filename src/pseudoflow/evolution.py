@@ -31,15 +31,16 @@ node evaluates the spline. Each kernel route splits into a plan, which
 depends on the grid alone, and a data step, the coefficient rows followed
 by the correlations or products. A row of shifts is binned once
 (_shift_lattice) and its plan serves any number of fields on its grid; the
-J0 arcs are summed a block of arcs at a time (_arc_plan), each block one
-product with the windows that hold data, and the affine flow multiplies
-the windows by its amplitude first (_affine_panels). The plans of the
-translation-invariant kernels are built once per grid and kept in bounded
-caches keyed on the grid's (n, x_min, x_max), with read-only arrays: the
-J0 arcs (_j0_plan), the K0 lags of D (relativistic._k0_lags) and the
-half-derivative's tail lattice of each node set (_tail_lattice), about
-1.0 MB together on the grids of the benchmark's grid_subordination
-workload. Nothing they are built from is cached on its own.
+J0 arcs, each binned so, are summed a block of arcs at a time (_j0_plan),
+each block one product with the windows that hold data, and the affine
+flow multiplies the windows by its amplitude first (_affine_panels). The
+plans of the translation-invariant kernels are built once per grid and
+kept in bounded caches keyed on the grid's (n, x_min, x_max), with
+read-only arrays: the J0 arcs (_j0_plan), the K0 lags of D
+(relativistic._k0_lags) and the half-derivative's tail lattice of each
+node set (_tail_lattice), about 1.5 MB together on the grids of the
+benchmark's grid_subordination workload. Nothing they are built from is
+cached on its own.
 """
 from __future__ import annotations
 
@@ -258,8 +259,8 @@ def _shift_lattice(n: int, h: float, shifts: np.ndarray) -> _ShiftLattice:
     keeps its plan (relativistic._k0_lags, 65 kB on 1024 points), and the
     half-derivative keeps the lattice of each tail node set
     (:func:`_tail_lattice`, 33 bytes per node: 0.34 and 0.51 MB for the 8-
-    and 12-node sets on 1281 points). Many rows of leftward shifts, such as
-    the J0 arcs, go through :func:`_arc_plan` instead.
+    and 12-node sets on 1281 points). The J0 plan (:func:`_j0_plan`) bins
+    each arc so and sums its arcs a block at a time.
     """
     lag = np.floor(shifts / h)
     d = shifts - lag * h
@@ -683,20 +684,16 @@ def solve_affine_sqrt(f: Field, tau: float, c: float) -> Field:
 
 _ACCEL_MIN_CHUNKS = 4       # below this, no tail acceleration: direct sum
 _REQUIRED_CHUNKS = 32       # points with at least this many chunks must converge
-_ARC_BLOCK = 24             # arcs per window product in _arc_plan
-
-
-def _j0_zeros(count: int) -> np.ndarray:
-    """The first ``count`` positive zeros of J0."""
-    from scipy.special import jn_zeros
-
-    return jn_zeros(0, count)
+_ARC_BLOCK = 24             # arcs per window product in a J0 plan
+_MAX_ARCS = 2048            # J0 arcs per grid: a 67 MB averaging table
 
 
 def _j0_chunks(span: float, order: int):
     """Gauss-Legendre nodes/weights on consecutive zero-to-zero arcs of J0,
     one row per arc."""
-    zeros = _j0_zeros(max(int(span / math.pi) + 2, 4))
+    from scipy.special import jn_zeros
+
+    zeros = jn_zeros(0, max(int(span / math.pi) + 2, 4))
     edges = np.concatenate(([0.0], zeros[zeros <= span]))
     if edges.size < 2:
         edges = np.array([0.0, span])
@@ -730,21 +727,27 @@ def _arc_weights(size: int) -> np.ndarray:
     return table
 
 
-class _ArcPlan(NamedTuple):
-    """M rows of leftward shifts binned on an n-point grid, a block of rows
-    at a time (see :func:`_arc_plan`). ``sums(coef)`` yields
-    (rows, start, values) for each block that reaches the grid: ``rows`` a
-    slice of m, and values[b, i - start] row rows.start + b's sum at point
-    i >= start, for the spline with coefficient rows ``coef``. Every row of
-    the block is zero before start. The arrays are read-only."""
+class _J0Plan(NamedTuple):
+    """Everything :func:`apply_inv_sqrt_shift` computes from the grid alone
+    (see :func:`_j0_plan`). ``sums(coef)`` yields, for each block of arcs,
+    (rows, start, values, table, runs, pts, seen, held): ``rows`` a slice
+    of the arcs, values[b, i - start] arc rows.start + b's sum at point
+    i >= start for the spline with coefficient rows ``coef`` (every arc of
+    the block is zero before start), and the block's gathers below. The
+    arrays are read-only."""
 
     n: int
-    size: int  # the widest row's lag count
-    kern: np.ndarray  # (M, 4 size): kern[m, r S + k] sums w d^{3-r} at lag lo_m + k
+    size: int  # the widest arc's lag count S
+    kern: np.ndarray  # (M, 4 S): kern[m, r S + k] sums w d^{3-r} at lag lo_m + k
     whole: bool  # whether the windows are copied once for every block
     step: int  # else the windows each block copies at a time
-    # per block: rows, start, the windows first .. stop - 1 it reads, and
-    # where each row's sums start in its product
+    arc_count: np.ndarray  # the complete arcs of each point
+    # per block of arcs: rows, start, the windows first .. stop - 1 it
+    # reads and where each arc's sums start in its product; the averaging
+    # table's columns for the block's rounds u0 .. u1 and the run length of
+    # each round over the points; the points i0 .. i1 whose last four arcs
+    # meet the block, with the block's values each reads and whether the
+    # block holds that arc
     blocks: tuple
 
     def sums(self, coef: np.ndarray):
@@ -754,91 +757,62 @@ class _ArcPlan(NamedTuple):
         pad[:, size - 1 : size + n - 2] = coef
         windows = sliding_window_view(pad, size, axis=1).transpose(0, 2, 1)
         copied = windows.reshape(4 * size, -1) if self.whole else None
-        for rows, start, first, stop, at in self.blocks:
+        for rows, start, first, stop, at, *gathers in self.blocks:
             # prod[:, t] holds window first + t; those before window 0 read no data
             prod = np.zeros((len(at), stop - first), dtype=np.result_type(self.kern, pad))
             for j in range(max(first, 0), stop, self.step):
                 cols = slice(j, min(j + self.step, stop))
                 part = windows[:, :, cols].reshape(4 * size, -1) if copied is None else copied[:, cols]
                 np.matmul(self.kern[rows], part, out=prod[:, cols.start - first : cols.stop - first])
-            yield rows, start, sliding_window_view(prod.ravel(), n - start)[at]
+            yield rows, start, sliding_window_view(prod.ravel(), n - start)[at], *gathers
 
 
-def _arc_plan(n: int, h: float, shifts: np.ndarray, weights: np.ndarray) -> _ArcPlan:
-    """Bin M rows of leftward shifts s_mq < 0 with real weights w_mq, (M, Q)
-    arrays, on an n-point grid of step h, for the sums
-    sum_q w_mq S(x_i + s_mq) of a spline S a block of rows at a time.
+@lru_cache(maxsize=4)
+def _j0_plan(n: int, x_min: float, x_max: float) -> _J0Plan:
+    """The J0 arcs of :func:`apply_inv_sqrt_shift` on the grid of n points
+    on [x_min, x_max], binned once per grid.
 
-    Each row is binned as in :func:`_shift_lattice`, into a kernel over the
-    lags lo_m .. lo_m + S - 1, S the widest row's lag count; at point i it
-    reads the window of cells i + lo_m .. i + lo_m + S - 1, which holds data
-    from i = -(lo_m + S - 1) on. One product of a block's kernels with the
-    windows that hold data for its nearest row (copied a few columns at a
-    time on a fine grid) gives every row's sums, each at its own window
-    offset, and the rows are realigned on the points from there. A leftward
-    shift reads no cell past the grid's last, nor S(x_{n-1}).
+    Arc m's nodes t_q are leftward shifts -t_q, binned by
+    :func:`_shift_lattice` into a kernel over the lags lo_m .. lo_m + S - 1,
+    padded to S, the widest arc's lag count: at point i it reads the cells
+    i + lo_m .. i + lo_m + S - 1, which hold data from i = -(lo_m + S - 1)
+    on. One product of a block's kernels with the windows that hold data
+    for its nearest arc (copied a few columns at a time on a fine grid)
+    gives every arc's sums, each at its own window offset, and the arcs
+    are realigned on the points from there. Every arc lies inside
+    [0, x_max - x_min], so each block reaches some point.
+
+    The plan also holds each point's arc count and rounds of averaging and
+    the points that record each block's recent arcs. The averaging weights
+    are views of the (M, 2, M) arc table (:func:`_arc_weights`) with run
+    lengths, and keep its 16 M^2 bytes alive: on 2048 points on
+    [-260, 260], 165 arcs, 0.44 MB beside 0.18 MB of the rest. A span
+    x_max - x_min above 2048 pi (about 2048 arcs) raises ValueError.
     """
-    rows = shifts.shape[0]
-    lag = np.floor(shifts / h)
-    d = shifts - lag * h
-    lo = lag.min(axis=1).astype(np.intp)
-    col = lag.astype(np.intp) - lo[:, None]
-    size = int(col.max()) + 1
-    kern = np.bincount(
-        (np.arange(4 * rows).reshape(rows, 4, 1) * size + col[:, None, :]).ravel(),
-        (weights[:, None, :] * d[:, None, :] ** _POWERS).ravel(),
-        rows * 4 * size,
-    ).reshape(rows, 4 * size)
-    offset = lo + size - 1  # row m reads window i + offset[m] at point i
+    from scipy.special import j0
+
+    span = x_max - x_min
+    if not span <= _MAX_ARCS * math.pi:  # the j-th zero of J0 exceeds (j - 1/4) pi
+        raise ValueError(
+            f"apply_inv_sqrt_shift: x_max - x_min = {span!r} is past the cap of "
+            f"{_MAX_ARCS} pi = {_MAX_ARCS * math.pi!r}, about {_MAX_ARCS} J0 arcs"
+        )
+    h = span / (n - 1)
+    edges, nodes, weights = _j0_chunks(span, 16)
+    # a leftward shift reads no cell past the grid's last, nor S(x_{n-1}),
+    # so the arcs' plans hold no last-sample terms
+    arcs = [_shift_lattice(n, h, -t).bin(w) for t, w in zip(nodes, j0(nodes) * weights)]
+    n_chunks, size = len(arcs), max(arc.kern.shape[1] for arc in arcs)
+    kern = np.zeros((n_chunks, 4 * size))
+    for m, arc in enumerate(arcs):
+        kern[m].reshape(4, size)[:, : arc.kern.shape[1]] = arc.kern
+    offset = np.array([arc.lo for arc in arcs]) + size - 1  # arc m reads window i + offset[m]
     # Every block reads the windows from window 0 on, so they are copied
     # once where they hold at most 2^21 entries; on a finer grid each block
     # copies about 2^19 entries at a time.
     width = n + size - 2
     whole = 4 * size * width <= 1 << 21
     step = width if whole else max(1, (1 << 19) // (4 * size))
-    blocks = []
-    for m in range(0, rows, _ARC_BLOCK):
-        block = slice(m, min(m + _ARC_BLOCK, rows))
-        near, far = int(offset[block].max()), int(offset[block].min())
-        start = max(0, -near)
-        if start >= n:
-            continue
-        first, stop = far + start, n + near
-        at = np.arange(block.stop - m) * (stop - first) + offset[block] - far
-        _read_only(at)
-        blocks.append((block, start, first, stop, at))
-    _read_only(kern)
-    return _ArcPlan(n, size, kern, whole, step, tuple(blocks))
-
-
-class _J0Plan(NamedTuple):
-    """Everything :func:`apply_inv_sqrt_shift` computes from the grid alone
-    (see :func:`_j0_plan`). The arrays are read-only."""
-
-    arcs: _ArcPlan  # the arc integrals' Gauss-Legendre sums
-    arc_count: np.ndarray  # the complete arcs of each point
-    # per block of arcs, in the order of arcs.blocks: the averaging table's
-    # columns for the block's rounds u0 .. u1 and the run length of each
-    # round over the points, and the points i0 .. i1 whose last four arcs
-    # meet the block, with the block's values each reads and whether the
-    # block holds that arc
-    blocks: tuple
-
-
-@lru_cache(maxsize=4)
-def _j0_plan(n: int, x_min: float, x_max: float) -> _J0Plan:
-    """The J0 arcs of :func:`apply_inv_sqrt_shift` on the grid of n points
-    on [x_min, x_max], binned once per grid: the arc nodes' kernels, each
-    block of arcs' bounds, each point's arc count and rounds of averaging,
-    and the points that record each block's recent arcs; 0.1 MB on 2048
-    points on [-260, 260], where 166 arcs fit. The averaging weights are
-    views of the arc table (:func:`_arc_weights`) with run lengths, not
-    one column per point and arc."""
-    from scipy.special import j0
-
-    h = (x_max - x_min) / (n - 1)
-    edges, nodes, weights = _j0_chunks(x_max - x_min, 16)
-    n_chunks = len(nodes)
     # Each point x may only use arcs that lie inside [0, x - x_min].
     count = np.searchsorted(edges[1:], np.linspace(x_min, x_max, n) - x_min, side="right")
     # Few arcs: direct sum including the final partial arc (zero extension
@@ -848,9 +822,13 @@ def _j0_plan(n: int, x_min: float, x_max: float) -> _J0Plan:
     # rounds of averaging at each point, nondecreasing with the point
     rounds = np.maximum(count - 1, 0)
     back = np.arange(4)
-    arcs = _arc_plan(n, h, -nodes, j0(nodes) * weights)
     blocks = []
-    for rows, start, *_ in arcs.blocks:
+    for m in range(0, n_chunks, _ARC_BLOCK):
+        rows = slice(m, min(m + _ARC_BLOCK, n_chunks))
+        near, far = int(offset[rows].max()), int(offset[rows].min())
+        start = max(0, -near)
+        first, stop = far + start, n + near
+        at = np.arange(rows.stop - m) * (stop - first) + offset[rows] - far
         u0 = rounds[start]
         runs = np.bincount(rounds[start:] - u0)
         # the points whose last four arcs meet this block
@@ -861,10 +839,11 @@ def _j0_plan(n: int, x_min: float, x_max: float) -> _J0Plan:
         held = (row >= 0) & (row < rows.stop - rows.start)
         # flat indices into the block's (rows, n - start) values
         seen = np.clip(row, 0, rows.stop - rows.start - 1) * (n - start) + pts[:, None] - start
-        _read_only(runs, seen, held)
-        blocks.append((table[rows, :, u0 : u0 + len(runs)], runs, slice(i0, i1), seen, held))
-    _read_only(count)
-    return _J0Plan(arcs, count, tuple(blocks))
+        _read_only(at, runs, seen, held)
+        averaging = table[rows, :, u0 : u0 + len(runs)]
+        blocks.append((rows, start, first, stop, at, averaging, runs, slice(i0, i1), seen, held))
+    _read_only(kern, count)
+    return _J0Plan(n, size, kern, whole, step, count, tuple(blocks))
 
 
 def _inv_sqrt_arcs(g: Field):
@@ -877,7 +856,7 @@ def _inv_sqrt_arcs(g: Field):
     tail = np.zeros((2, n), dtype=coef.dtype)  # the last round of averaging and its change
     recent = np.zeros((n, 4))  # |C| of arcs upto .. upto - 3 at each point
     # arc integrals C[m](x) = int_{arc m} J0(t) g(x - t) dt, a block of arcs at a time
-    for (_, start, chunk), (table, runs, pts, seen, held) in zip(plan.arcs.sums(coef), plan.blocks):
+    for _, start, chunk, table, runs, pts, seen, held in plan.sums(coef):
         out[start:] += chunk.sum(axis=0)
         tail[:, start:] += np.einsum("mki,mi->ki", np.repeat(table, runs, axis=2), chunk)
         recent[pts] = np.where(held, np.abs(np.take(chunk, seen)), recent[pts])
@@ -901,23 +880,26 @@ def apply_inv_sqrt_shift(g: Field) -> Field:
 
     The integral is taken arc by arc between consecutive zeros of J0 (as far
     left as the grid allows for each x), by Gauss-Legendre sums over the
-    cubic interpolant that :func:`_arc_plan` forms a block of arcs at a
-    time, each block one matrix product with the spline's coefficient
-    windows that hold data. The arcs' kernels and blocks, each point's arc
-    count and the averaging weights depend on the grid alone: they are
-    built once per grid and cached, keyed on (n, x_min, x_max), 0.1 MB on
-    2048 points (:func:`_j0_plan`), so a call costs the spline's
-    coefficient rows, the products and the sums. Arcs past a
-    point's left edge are exact zeros, so the direct sum is the plain sum
-    over arcs. The oscillatory tail is summed by iterated pairwise
-    averaging of the partial sums, in its closed form on the arcs (see
-    _arc_weights): m partials average to sum_j 2^{1-m} C(m-1, j) P_j, and
-    the change from the round before is the error estimate. Each block adds its arcs into these three sums for
-    every point, so no (points x arcs) array is formed. Where a point's
-    last four arcs are smaller than that change, as past decaying data,
-    the direct sum is kept with the largest of them as its estimate;
-    non-decaying data (e.g. a plain cosine) converge at the averaging rate,
-    so points far from the left edge are the accurate ones.
+    cubic interpolant formed a block of arcs at a time, each block one
+    matrix product with the spline's coefficient windows that hold data.
+    The arcs' kernels and blocks, each point's arc count and the averaging
+    weights depend on the grid alone: they are built once per grid and
+    cached, keyed on (n, x_min, x_max), 0.6 MB on 2048 points on
+    [-260, 260] (:func:`_j0_plan`), so a call costs the spline's
+    coefficient rows, the products and the sums. A grid holds at most 2048
+    arcs, whose averaging table takes 16 bytes per arc squared (67 MB at
+    the cap): a span x_max - x_min above 2048 pi (6434) raises ValueError.
+    Arcs past a point's left edge are exact zeros, so the direct sum is the
+    plain sum over arcs. The oscillatory tail is summed by iterated
+    pairwise averaging of the partial sums, in its closed form on the arcs
+    (see _arc_weights): m partials average to sum_j 2^{1-m} C(m-1, j) P_j,
+    and the change from the round before is the error estimate. Each block
+    adds its arcs into these three sums for every point, so no
+    (points x arcs) array is formed. Where a point's last four arcs are
+    smaller than that change, as past decaying data, the direct sum is
+    kept with the largest of them as its estimate; non-decaying data (e.g.
+    a plain cosine) converge at the averaging rate, so points far from the
+    left edge are the accurate ones.
     """
     out, est, count = _inv_sqrt_arcs(g)
     # Per-point tolerance: comparing against the global output scale would

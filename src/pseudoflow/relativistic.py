@@ -338,7 +338,8 @@ def iterated_series(psi0: Field, tau: float) -> Field:
     costs, per part, the spline's coefficient rows, one real lag
     correlation and a real FFT pair. Only the coefficients (i tau)^n / n!
     are complex. Any sample count works. Terms are added until the latest
-    drops below 1e-8, else TruncationError after 20 terms.
+    drops below 1e-8, else TruncationError after 20 terms, or at the term
+    that leaves float range (a huge tau, or data near the largest float).
     """
     require("finite", tau=tau)
     n = psi0.n
@@ -369,7 +370,13 @@ def iterated_series(psi0: Field, tau: float) -> Field:
             smoothed = [dhat(_coefficients(x, part), part[-1]) for part in parts]
             parts = [np.fft.irfft(d2_half * np.fft.rfft(part), n) for part in smoothed]
             current = parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
-            term = (1j * tau) ** m / math.factorial(m) * current
+            try:
+                scale = (1j * tau) ** m / math.factorial(m)
+            except OverflowError:  # a huge tau: its power is past the largest float
+                raise TruncationError(
+                    f"iterated series overflowed at term {m}", last_term=tail, n_used=m - 1
+                ) from None
+            term = scale * current
             total += term
             tail = float(np.max(np.abs(term)))
             if tail < _ITERATED_TAIL_TOL:

@@ -214,6 +214,15 @@ def test_bloch_validation():
     assert np.array_equal(out, np.array([1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("tau, dt", [(1e300, 1e-300), (1.0, 1e-6)])
+def test_bloch_refuses_more_steps_than_its_cap(tau, dt):
+    # ceil(tau / dt) past float range raised a bare OverflowError, and 10^6
+    # steps ran for minutes; both are past the cap of 10^5 steps
+    with pytest.raises(ValueError, match="at most 100000 steps") as exc:
+        bloch_evolve((1.0, 0.0, 0.0), 0.5, tau, dt)
+    assert str(exc.value).endswith(f"at tau = {tau!r}, dt = {dt!r}")
+
+
 # ----------------------------------------------------------------------
 # 4x4 evolution
 

@@ -32,13 +32,11 @@ from pseudoflow import (
 from pseudoflow.evolution import (
     _ACCEL_MIN_CHUNKS,
     _REQUIRED_CHUNKS,
-    _arc_plan,
     _arc_weights,
     _averaging_weights,
     _coefficients,
     _inv_sqrt_arcs,
     _j0_chunks,
-    _j0_zeros,
     _shift_lattice,
 )
 from pseudoflow.special import _ABS_TOL, _REL_TOL, _cell_offsets
@@ -966,55 +964,45 @@ def test_shift_sum_equals_direct_spline_sum(cplx):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def _check_arc_blocks(fields, shifts, weights):
-    # every block's row sums equal single-row shift sums, and every row is
-    # zero before its block's first point
+def _check_arc_blocks(fields, whole):
+    # every block's arc sums equal single-arc shift sums, every arc is zero
+    # before its block's first point, and every arc is seen
     for f in fields:
+        plan = evolution._j0_plan(f.n, f.x_min, f.x_max)
+        assert plan.whole == whole
+        _, nodes, weights = _j0_chunks(f.x_max - f.x_min, 16)
         shift_sum = _spline_shift_sum(f)
-        coef = _coefficients(f.x, f.values)
         seen = set()
-        for rows, start, values in _arc_plan(f.n, f.dx, shifts, weights).sums(coef):
+        for rows, start, values, *_ in plan.sums(_coefficients(f.x, f.values)):
             assert values.shape == (rows.stop - rows.start, f.n - start)
             assert np.iscomplexobj(values) == np.iscomplexobj(f.values)
             for b, m in enumerate(range(rows.start, rows.stop)):
-                one = shift_sum(shifts[m], weights[m])
+                one = shift_sum(-nodes[m], j0(nodes[m]) * weights[m])
                 assert np.all(one[:start] == 0.0)
                 err = np.max(np.abs(values[b] - one[start:]))
                 assert err <= 1e-15 * max(np.max(np.abs(one)), 1.0)
                 seen.add(m)
-        for m in set(range(len(shifts))) - seen:  # blocks that reach no point
-            assert np.all(shift_sum(shifts[m], weights[m]) == 0.0)
+        assert seen == set(range(len(nodes)))
 
 
 @pytest.mark.parametrize("cplx", [False, True])
 def test_arc_blocks_equal_single_row_calls(cplx):
-    # short arcs of J0 nodes at spread-out lags, rows inside the first cell
-    # to the left, and rows past the left edge: a block that mixes those
-    # with the near rows, and a last block of them alone, which reaches no
-    # point; two fields share the shifts
+    # 201 points on [-20, 80] hold 32 arcs of at most 8 lags in two blocks,
+    # the second of which starts past the first point; the windows are
+    # copied once, and two fields share the plan
     f = Field.from_function(
-        -3.0, 5.0, 97, lambda x: np.exp(-(x**2)) + (0.5j * np.sin(x) if cplx else 0.0)
+        -20.0, 80.0, 201, lambda x: np.exp(-(x**2)) + (0.5j * np.sin(x) if cplx else 0.0)
     )
     g = f.with_values(f.values * np.exp(-0.2 * f.x) + 1.5)
-    h = f.dx
-    arcs = np.linspace(0.0, 3.0, 10)[None, :] + np.arange(40)[:, None] * 0.27
-    shifts = np.concatenate([
-        -arcs - 1e-3,
-        -np.linspace(0.01, 0.99, 10)[None, :] * h,
-        np.full((32, 10), -20.0),
-    ])
-    weights = np.random.default_rng(5).standard_normal(shifts.shape)
-    _check_arc_blocks((f, g), shifts, weights)
+    _check_arc_blocks((f, g), whole=True)
 
 
-@pytest.mark.parametrize("rows", [5, 30])
-def test_arc_blocks_on_a_fine_grid_equal_single_row_calls(rows):
-    # 2049 points and arcs of about 385 lags: the windows exceed 2^21
+@pytest.mark.parametrize("n, span", [(4097, 80.0), (8193, 200.0)])
+def test_arc_blocks_on_a_fine_grid_equal_single_row_calls(n, span):
+    # 25 and 63 arcs of up to 161 and 129 lags: the windows exceed 2^21
     # entries, so each block copies them in several column steps
-    f = Field.from_function(-8.0, 8.0, 2049, lambda x: np.exp(-(x**2)))
-    arcs = np.linspace(0.0, 3.0, 12)[None, :] + np.arange(rows)[:, None] * 0.6 + 1e-3
-    weights = np.random.default_rng(7).standard_normal(arcs.shape)
-    _check_arc_blocks((f,), -arcs, weights)
+    f = Field.from_function(-0.5 * span, 0.5 * span, n, lambda x: np.exp(-((x / 4.0) ** 2)))
+    _check_arc_blocks((f,), whole=False)
 
 
 @pytest.mark.parametrize("cplx", [False, True])
@@ -1133,11 +1121,26 @@ def test_grid_plans_give_the_bits_of_a_fresh_build(route):
 
 
 def test_j0_zeros_are_the_zeros_of_j0():
-    zeros = _j0_zeros(40)
-    assert zeros.shape == (40,)
+    # the arcs of a span of 125 end at the 40 zeros of J0 up to it
+    edges, nodes, _ = _j0_chunks(125.0, 16)
+    zeros = edges[1:]
+    assert zeros.shape == (40,) and nodes.shape == (40, 16)
+    assert edges[0] == 0.0 and zeros[-1] <= 125.0
     assert zeros[0] == pytest.approx(2.404825557695773, abs=1e-12)
     assert np.all(np.diff(zeros) > 3.0)
     assert np.max(np.abs(j0(zeros))) < 1e-15
+    assert np.all((nodes > edges[:-1, None]) & (nodes < edges[1:, None]))
+
+
+@pytest.mark.parametrize("x_max, n", [(1e150, 16), (1e5, 64), (5000.0, 4096)])
+def test_inv_sqrt_shift_refuses_a_span_past_its_arc_cap(x_max, n):
+    # Past 2048 pi the grid holds over 2048 arcs, and their averaging table
+    # (16 bytes per arc squared) over 67 MB: jn_zeros overflowed on the
+    # first span, the second asked for 30 GiB, and the third left 162 MB
+    # in the plan cache.
+    g = Field.from_function(-x_max, x_max, n, np.cos)
+    with pytest.raises(ValueError, match=r"x_max - x_min = .* is past the cap of 2048 pi"):
+        apply_inv_sqrt_shift(g)
 
 
 def test_kernel_sums_do_not_evaluate_the_spline(monkeypatch):

@@ -471,6 +471,18 @@ def test_iterated_series_overflow_in_the_input_spectrum_is_silent():
             iterated_series(f, 0.3)
 
 
+@pytest.mark.parametrize("tau, term", [(1e16, 20), (1e300, 2)])
+def test_iterated_series_at_huge_tau_is_a_truncation_error(tau, term):
+    # the coefficient (i tau)^m leaves float range at term m: a failed
+    # series after m - 1 terms, not a bare OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TruncationError, match=f"overflowed at term {term} ") as exc:
+            iterated_series(gaussian(), tau)
+    assert exc.value.n_used == term - 1
+    assert math.isfinite(exc.value.last_term)
+
+
 # ----------------------------------------------------------------------
 # R, F, and the Heisenberg observables
 

@@ -34,9 +34,12 @@ that no CLI run writes (the iterated series on 512 and 200 points, the J0
 operator, the s-integral form of D, its spectral form on 200 points, the
 affine flow on a 4097-point grid, R(a) and F(a) on a = 10^k for
 k = -3, -2.5, ..., 19, phi_transform and the half-derivative flow on the
-benchmark's grids, the Doetsch weight where its decay underflows, and the
-closed-form pseudoheat Gaussian at tiny tau and huge x), one line per call, "<sha256>  <call>", or
-"error <type>" where the call raised. The K0, J0 and half-derivative
+benchmark's grids, the Doetsch weight where its decay underflows, the
+closed-form pseudoheat Gaussian at tiny tau and huge x, the J0 operator on
+a 4097-point grid, whose windows are copied a few columns at a time, and
+three refusals: J0 on a span of 2e150, the iterated series at tau = 1e16
+and the Bloch precession at tau = 1e300, dt = 1e-300), one line per call,
+"<sha256>  <call>", or "error <type>" where the call raised. The K0, J0 and half-derivative
 routes keep a plan per grid: each of them runs again on a grid after a
 call on another grid with the same n ("again"), so the lines cover a plan
 built by the call and a plan met in the cache.
@@ -240,6 +243,20 @@ def array_calls(pf):
          lambda: [pf.pseudoheat_gaussian(1.0, x) for x in (700.0, 1e50, 1e60, 1e200)]),
         ("pseudoheat_gaussian tau = 1e-20 x = 10", lambda: pf.pseudoheat_gaussian(1e-20, 10.0)),
         ("pseudoheat_gaussian tau = 1e-40 x = 10", lambda: pf.pseudoheat_gaussian(1e-40, 10.0)),
+    ]
+    # the J0 windows copied a few columns at a time, on a fine grid
+    fine_packet = pf.Field.from_function(
+        -40.0, 40.0, 4097, lambda x: np.cos(0.3 * x) * np.exp(-((x / 6.0) ** 2))
+    )
+    wide = pf.Field.from_function(-1e150, 1e150, 16, np.cos)
+    calls += [
+        ("apply_inv_sqrt_shift 4097 packet on [-40, 40]",
+         lambda: pf.apply_inv_sqrt_shift(fine_packet)),
+        # refusals that fail fast on every checkout
+        ("apply_inv_sqrt_shift 16 on [-1e150, 1e150]", lambda: pf.apply_inv_sqrt_shift(wide)),
+        ("iterated_series 512 real tau 1e16", lambda: pf.iterated_series(gauss, 1e16)),
+        ("bloch_evolve tau 1e300 dt 1e-300",
+         lambda: pf.bloch_evolve((1.0, 0.0, 0.0), 0.5, 1e300, 1e-300)),
     ]
     return calls
 
