@@ -464,7 +464,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("observables", help="packet width and commutator vs time")
     number(p, "--sigma", 1.0, "positive and finite")
-    number(p, "--a", 1.0, "positive and finite")
+    a_help = "Compton wavelength / sigma: 1/sigma for the mass-1 flow's packet"
+    number(p, "--a", 1.0, "positive and finite", help=a_help)
     number(p, "--t-max", 5.0, "positive and finite")
     number(p, "--steps", 50, "at least 2", int)
     p.add_argument("--out", required=True, help="output CSV path")

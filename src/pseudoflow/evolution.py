@@ -54,7 +54,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._choices import require
 from .errors import ConvergenceError
-from .special import _REL_TOL, _cell_offsets, _gl_panels, _log_trapezoid, _shift_panels
+from .special import _REL_TOL, _cell_offsets, _gl_panels, _leading_scale, _log_trapezoid, _shift_panels
 from .transforms import Field, _gw_smoother
 
 __all__ = [
@@ -122,7 +122,8 @@ def _spectral_apply(f: Field, multiplier_of_k: Callable[[np.ndarray], np.ndarray
     padded = np.zeros(2 * n, dtype=complex)
     padded[:n] = f.values
     k = 2.0 * math.pi * np.fft.fftfreq(2 * n, d=h)
-    mult = np.asarray(multiplier_of_k(k), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite multiplier is refused
+        mult = np.asarray(multiplier_of_k(k), dtype=complex)
     if not np.all(np.isfinite(mult)):
         raise ValueError("symbol produced non-finite multipliers on the grid's wavenumbers")
     out = np.fft.ifft(mult * np.fft.fft(padded))[:n]
@@ -136,6 +137,7 @@ def solve_symbol_spectral(f: Field, tau: float, symbol: SymbolSpec) -> Field:
     cropped after; wavenumbers follow the DFT convention k = 2 pi j / (N h)
     on the padded array. Any sample count works, not only powers of two.
     """
+    require("finite", tau=tau)
     return _spectral_apply(f, lambda k: np.exp(tau * np.asarray(symbol.eval(k), dtype=complex)))
 
 
@@ -285,6 +287,9 @@ def _shift_lattice(n: int, h: float, shifts: np.ndarray) -> _ShiftLattice:
 # most tau G of its size: the identity to rounding for tau G <= 2^-53.
 _ROUNDING = 2.0**-53
 
+_AFFINE_OVERFLOW = ("affine-sqrt quadrature overflowed: the amplitude e^{(x^2 - z^2)/(2c)}, "
+                    "z = x + c tau^2 t, at data points z far from x exceeds floating-point range")
+
 
 def _identity_to_rounding(identity: Callable, tau: float, below: float, flow: Callable):
     """flow(), the solve at tau > 0. At or below ``below`` the flow is the
@@ -349,6 +354,9 @@ def _tail_lattice(n: int, x_min: float, x_max: float, order: int, split: int) ->
 
 def _half_derivative(f: Field, tau: float) -> Field:
     n, h = f.n, f.dx
+    warn = f.leak_warnings("solve_half_derivative", "left")
+    if _leading_scale(h, tau) == math.inf:  # the kernel underflows on every cell
+        return f.with_values(np.zeros_like(f.values), warn, meta={"quadrature_error": 0.0})
     coef, last = _coefficients(f.x, f.values), f.values[-1]
     t2 = tau * tau
     pref = tau / (2.0 * math.sqrt(math.pi))
@@ -376,7 +384,6 @@ def _half_derivative(f: Field, tau: float) -> Field:
             "leading cell's nodes s ~ tau^2 exceeds floating-point range",
             error_bound=math.inf,
         )
-    warn = f.leak_warnings("solve_half_derivative", "left")
     return f.with_values(values, warn, meta={"quadrature_error": float(err)})
 
 
@@ -524,6 +531,14 @@ def _affine_panels(f: Field, tau: float, c: float) -> Field:
     sign = math.copysign(1.0, c)
     gamma = a * tau * tau
     root = math.sqrt(gamma)
+    warn = f.leak_warnings("solve_affine_sqrt", "right" if c > 0 else "left")
+    if _leading_scale(h, root) == math.inf:
+        # the kernel underflows on every cell: zero, unless E below, the amplitude
+        # e^{(x_p^2 - x_q^2)/(2|c|)} between grid points p < q <= n - 2, overflows
+        lo, near = abs(f.x_min), float(np.min(np.abs(x[1:-1])))
+        if (lo - near) * (lo + near) > 2.0 * a * np.log(np.finfo(float).max):
+            raise ConvergenceError(_AFFINE_OVERFLOW, error_bound=math.inf)
+        return f.with_values(np.zeros_like(f.values), warn, meta={"quadrature_error": 0.0})
     pref = root / (2.0 * math.sqrt(math.pi))
 
     def kernel(s: np.ndarray) -> np.ndarray:
@@ -613,15 +628,8 @@ def _affine_panels(f: Field, tau: float, c: float) -> Field:
     # which the check below reports.
     with np.errstate(over="ignore", invalid="ignore"):
         values, err = _shift_panels(h, root, gamma, head, tail, "affine-sqrt")
-    if not np.all(np.isfinite(values.real)) or (
-        np.iscomplexobj(values) and not np.all(np.isfinite(values.imag))
-    ):
-        raise ConvergenceError(
-            "affine-sqrt quadrature overflowed: the amplitude e^{(x^2 - z^2)/(2c)}, "
-            "z = x + c tau^2 t, at data points z far from x exceeds floating-point range",
-            error_bound=math.inf,
-        )
-    warn = f.leak_warnings("solve_affine_sqrt", "right" if c > 0 else "left")
+    if not np.all(np.isfinite(values)):
+        raise ConvergenceError(_AFFINE_OVERFLOW, error_bound=math.inf)
     return f.with_values(values, warn, meta={"quadrature_error": float(err)})
 
 

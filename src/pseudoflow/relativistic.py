@@ -100,7 +100,11 @@ class ObservableInputs:
     ``sigma`` is the initial packet width, ``a`` the dimensionless ratio
     (Compton wavelength / sigma), ``t`` the time. In ``normalized`` units
     c = lambda_c = 1 is mandatory; ``physical`` mode takes explicit c and
-    lambda_c and enforces a = lambda_c / sigma.
+    lambda_c and enforces a = lambda_c / sigma. Normalized units take any
+    a, but only a = 1 / sigma is the packet e^{-x^2/(4 sigma^2)} that
+    ``spectral_schrodinger`` (mass 1) evolves; another a is a particle of
+    Compton wavelength a sigma (at sigma = 1, t = 2 the field's <x^2> is
+    1.6290, the width at a = 1, not 2.3773).
     """
 
     sigma: float = 1.0

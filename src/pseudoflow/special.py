@@ -44,8 +44,8 @@ Every rule takes scalar or vector integrands: an integrand that returns an
 array is integrated component by component (QUADPACK) or on shared nodes
 (the Gauss and inverse-square rules), and the error estimate is the worst component's.
 
-All rules use fixed node sets and compensated (Neumaier) accumulation in a
-fixed order, so results are bit-identical across runs and schedulers.
+All rules use fixed node sets and sum them in a fixed order, so results
+are bit-identical from run to run.
 
 The subordination integrals of the solvers
 ------------------------------------------
@@ -84,7 +84,7 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 
-from ._choices import require, require_one_of
+from ._choices import past_float_range, require, require_one_of
 from .errors import ConvergenceError
 
 __all__ = [
@@ -169,7 +169,7 @@ def hermite2(n: int, x: float, y: float) -> float:
     Defined by H_n(x, y) = n! sum_k x^{n-2k} y^k / ((n-2k)! k!); satisfies
     the recurrence H_{n+1} = x H_n + 2 y n H_{n-1}, by which it is evaluated,
     and the operational identity d^n/dx^n e^{a x^2} = H_n(2ax, a) e^{a x^2}.
-    Orders above 1000 are refused.
+    Orders above 1000 are refused, and so is a value past float range.
     """
     require("a nonnegative integer", n=n)
     if n > _HERMITE_N_CAP:
@@ -178,6 +178,8 @@ def hermite2(n: int, x: float, y: float) -> float:
     h_prev, h_cur = 0.0, 1.0
     for m in range(n):
         h_prev, h_cur = h_cur, x * h_cur + 2.0 * y * m * h_prev
+    if not math.isfinite(h_cur):  # once past float range the recurrence stays inf or NaN
+        raise past_float_range("H_n(x, y)", n=n, x=x, y=y)
     return float(h_cur)
 
 
@@ -188,36 +190,6 @@ def bessel(kind: str, x: float) -> float:
     from scipy.special import j0, k0
 
     return float(j0(x) if kind == "J0" else k0(x))
-
-
-# ----------------------------------------------------------------------
-# compensated summation
-
-
-def _neumaier_axis0(terms: np.ndarray) -> np.ndarray:
-    """Neumaier-compensated sum along axis 0, fixed iteration order.
-
-    Non-finite terms give a non-finite sum, which the refinement loop
-    rejects, so numpy's overflow and inf - inf warnings are silenced.
-    """
-    s = np.zeros(terms.shape[1:], dtype=terms.dtype)
-    c = np.zeros_like(s)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in terms:
-            tmp = s + t
-            big = np.abs(s) >= np.abs(t)
-            c = c + np.where(big, (s - tmp) + t, (t - tmp) + s)
-            s = tmp
-        return s + c
-
-
-def _csum(terms: np.ndarray) -> np.ndarray:
-    terms = np.asarray(terms)
-    if np.iscomplexobj(terms):
-        return _neumaier_axis0(terms.real.astype(float)) + 1j * _neumaier_axis0(
-            terms.imag.astype(float)
-        )
-    return _neumaier_axis0(terms.astype(float))
 
 
 # ----------------------------------------------------------------------
@@ -282,9 +254,13 @@ def _tol(scale: float) -> float:
 
 
 def _rule_sum(f: Callable, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Compensated sum of weights * f(node), one integrand call per node."""
-    vals = np.stack([np.asarray(f(float(t))) for t in nodes], axis=0)
-    return _csum(weights.reshape((-1,) + (1,) * (vals.ndim - 1)) * vals)
+    """Sum of weights * f(node), one integrand call per node. The nodes run
+    along the last axis, which numpy sums pairwise (along axis 0 it adds
+    them one by one). A non-finite sum fails the refinement loop, so
+    numpy's overflow and inf - inf warnings are silenced."""
+    vals = np.stack([np.asarray(f(float(t))) for t in nodes], axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (vals * weights).sum(axis=-1)
 
 
 def _refine(total_at: Callable, levels: list, failure: str):
@@ -478,6 +454,15 @@ def _result(value, error) -> IntegralResult:
 # grid-aligned shift panels
 
 
+def _leading_scale(h: float, root: float) -> float:
+    """4 u^2, u = max(8.5, root / (2 sqrt h) + 1): the leading cell starts
+    at s = square / (4 u^2). Where it is inf, e^{-root^2/(4s)} underflows at
+    every s up to 10^300 h, and the shift-type solvers return zero there
+    without calling _shift_panels."""
+    u_hi = max(8.5, root / (2.0 * math.sqrt(h)) + 1.0)
+    return 4.0 * u_hi * u_hi
+
+
 def _shift_panels(
     h: float, root: float, square: float, head: Callable, tail: Callable, what: str
 ):
@@ -495,7 +480,7 @@ def _shift_panels(
     grid-level plans on the set. The coarse and fine levels come in one
     ``tail`` call, so a caller forms its grid-level factors once for both;
     the refined level, which only a miss needs, makes its own.
-    Returns (values, error).
+    Returns (values, error). ``root`` keeps :func:`_leading_scale` finite.
     """
 
     def leading_cell(order: int):
@@ -503,8 +488,7 @@ def _shift_panels(
         # so only the kernel sets the resolution. Geometric panels (ratio
         # <= 2) down to where e^{-square/(4s)} has died track both the
         # s^{-3/2} singularity and the essential flank on the log scale.
-        u_hi = max(8.5, root / (2.0 * math.sqrt(h)) + 1.0)
-        s_lo = min(square / (4.0 * u_hi * u_hi), 0.5 * h)
+        s_lo = min(square / _leading_scale(h, root), 0.5 * h)
         if s_lo == 0.0 or math.isinf(h / s_lo):  # no panel count spans h / s_lo
             raise ConvergenceError(
                 f"{what} panels: the kernel's scale underflows against the grid step",

@@ -217,7 +217,8 @@ def _gw_smoother(f: Field):
 
     def smooth(alpha: np.ndarray) -> np.ndarray:
         norm = 1.0 / (2.0 * np.sqrt(math.pi * alpha))
-        kernel = np.exp(-lag2[:, None] / (4.0 * alpha)) * norm
+        with np.errstate(over="ignore"):  # far below 4 h^2, in columns replaced below
+            kernel = np.exp(-lag2[:, None] / (4.0 * alpha)) * norm
         narrow = alpha < 4.0 * h * h
         if np.any(narrow):
             u, cosines = _band_cosines(n)

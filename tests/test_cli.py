@@ -711,6 +711,29 @@ def test_matrix_past_float_range_exits_1(tmp_path, capsys, args, message):
     assert no_partials(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "args, column",
+    [
+        (("solve", "--equation", "half_derivative", "--tau", "1e200"), "value"),
+        (("fig1", "--tau", "1e-320"), "heat"),
+        (("solve", "--equation", "heat", "--method", "integral", "--tau", "1e-320"), "value"),
+    ],
+)
+def test_tau_at_the_ends_of_float_range_exits_0(tmp_path, capsys, args, column):
+    # the first exited 1 with "cannot convert float NaN to integer", the
+    # others printed numpy's "overflow encountered in divide" (an error in
+    # this suite): the half-derivative writes zeros, the heat kernel at
+    # tau = 1e-320 the input to 1e-13
+    out = tmp_path / "out.csv"
+    assert cli.run([*args, "--grid", "-8:8:64", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _header, cols = read_csv(out)
+    if "half_derivative" in args:
+        assert not np.any(cols[column])
+    else:
+        assert np.max(np.abs(cols[column] - np.exp(-cols["x"] ** 2))) <= 1e-13
+
+
 def test_fig4_reaches_large_a(tmp_path):
     # R's weight lies near s ~ 1/a^2, far left of s = 1
     out = tmp_path / "fig4.csv"
@@ -859,12 +882,12 @@ def _tool(name):
 
 
 def test_csv_digests_cover_every_command_and_solver(tmp_path):
-    # tools/csv_digests.py compares two checkouts' CSV bytes; its fixed run
-    # list must reach every subcommand and every (equation, method) solver
+    # tools/csv_digests.py compares two checkouts' CSV bytes; its run list
+    # must reach every subcommand and every (equation, method) solver
     tool = _tool("csv_digests")
     parser = cli._build_parser()
     commands, solvers = set(), set()
-    for args in tool.RUNS:
+    for args in tool.runs(cli):
         ns = parser.parse_args([*args, "--out", "x.csv"])
         commands.add(ns.subcommand)
         if ns.subcommand == "solve":

@@ -140,6 +140,27 @@ def test_spectral_rejects_nonfinite_multiplier():
         solve_symbol_spectral(f, 0.5, bad)
 
 
+@pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
+def test_spectral_refuses_a_nonfinite_tau(tau):
+    # tau = inf gave zeros after numpy's "invalid value" warning (an error
+    # in this suite), and NaN was blamed on the symbol
+    f = gaussian(-8.0, 8.0, 64)
+    for route in (
+        lambda: solve_symbol_spectral(f, tau, SymbolSpec.pseudoheat()),
+        lambda: relativistic.spectral_schrodinger(f, tau),
+    ):
+        with pytest.raises(ValueError, match="^tau must be finite$"):
+            route()
+
+
+def test_spectral_refuses_an_overflowing_multiplier_without_a_warning():
+    # e^{1000 sqrt(1 + k^2)} leaves float range: the refusal stays, and
+    # numpy's "overflow encountered in exp" no longer comes first
+    f = gaussian(-8.0, 8.0, 64)
+    with pytest.raises(ValueError, match="non-finite multipliers"):
+        solve_symbol_spectral(f, -1e3, SymbolSpec.pseudoheat())
+
+
 def test_spectral_warns_about_wraparound():
     f = Field.from_function(-8.0, 8.0, 128, lambda x: np.full_like(x, 1.0))
     out = solve_symbol_spectral(f, 0.1, SymbolSpec.heat())
@@ -493,6 +514,34 @@ def test_subordination_flows_at_tiny_tau_return_the_input(tau):
         if tau < 3.0e-102:
             assert np.array_equal(out.values, f.values), name
         assert np.max(np.abs(out.values - f.values)) <= 1e-14, name
+
+
+@pytest.mark.parametrize("tau", [1.3e154, 1.4e154, 1e200, 1e300])
+def test_shift_flows_at_huge_tau_are_zero(tau):
+    # the kernel e^{-tau^2/(4s)} underflows on every cell, as it does from
+    # tau = 1e3; past root^2 / h = 1.8e308 the leading cell's scale left
+    # float range, which raised ConvergenceError, a bare ValueError from
+    # math.ceil or numpy's overflow warning (an error in this suite)
+    flows = {
+        "half_derivative": lambda: solve_half_derivative(gaussian(-8.0, 8.0, 64), tau),
+        "affine c = 1": lambda: solve_affine_sqrt(gaussian(-2.0, 14.0, 161), tau, 1.0),
+        "affine c = -1": lambda: solve_affine_sqrt(gaussian(-2.0, 14.0, 161), tau, -1.0),
+    }
+    for name, flow in flows.items():
+        out = flow()
+        assert not np.any(out.values), name
+        assert out.meta["quadrature_error"] == 0.0, name
+
+
+@pytest.mark.parametrize("c", [1.0, -1.0])
+def test_affine_sqrt_amplitude_overflow_is_an_error_at_every_tau(c):
+    # on [-40, 40] the amplitude e^{(x^2 - z^2)/(2c)} between grid points
+    # spans e^{800}: the flow overflows at tau = 1e150 and still does where
+    # its kernel underflows on every cell; on [-37, 37] (e^{684.5}) it is zero
+    for tau in (1e150, 1e200):
+        with pytest.raises(ConvergenceError, match="overflowed"):
+            solve_affine_sqrt(gaussian(-40.0, 40.0, 161), tau, c)
+        assert not np.any(solve_affine_sqrt(gaussian(-37.0, 37.0, 161), tau, c).values)
 
 
 def test_affine_sqrt_overflow_at_tiny_tau_is_still_an_error():

@@ -138,9 +138,26 @@ def test_hermite2_rejects_nonfinite_arguments():
 
 def test_hermite2_accepts_large_orders():
     # the documented range guarantee: orders up to a few hundred evaluate
-    # without tripping the factorial overflow of the defining sum
+    # without tripping the factorial overflow of the defining sum, and the
+    # cap, 1000, wherever the value stays in float range:
+    # H_1000(0, y) = 1000! / 500! y^500
     assert math.isfinite(hermite2(200, 0.1, -0.2))
-    hermite2(1000, 0.1, -0.2)  # accepted even where the value saturates
+    want = math.exp(math.lgamma(1001) - math.lgamma(501) + 500 * math.log(1e-3))
+    assert hermite2(1000, 0.0, 1e-3) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, x, y",
+    [
+        (1000, 1e10, 1.0), (2, 1e200, -1e300), (40, 1e10, -1e10), (200, 1e200, -1e200),
+        (1000, 0.1, -0.2),
+    ],
+)
+def test_hermite2_refuses_values_past_float_range(n, x, y):
+    # these returned inf (the first two) or NaN (inf - inf) from inputs
+    # inside the domain
+    with pytest.raises(ValueError, match=rf"^H_n\(x, y\) is past float range at n = {n}, x = "):
+        hermite2(n, x, y)
 
 
 # ----------------------------------------------------------------------
@@ -503,6 +520,44 @@ def test_realline_translated_gaussian(rule):
     assert res.value.shape == (2,)
     root = math.sqrt(2 * math.pi)
     np.testing.assert_allclose(res.value, [root, 3.0 * root], rtol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "integrate, cfg, f, calls, value",
+    [
+        (
+            integrate_halfline, QuadratureConfig(halfline_rule="gauss_laguerre"),
+            lambda s: math.exp(-2.0 * s) * math.cos(s), 192, 0.4,
+        ),
+        (
+            integrate_halfline, QuadratureConfig(halfline_rule="inverse_square_substitution"),
+            lambda t: _doetsch(t) * math.exp(-t), 1936, math.exp(-1.0),
+        ),
+        (
+            integrate_realline, QuadratureConfig(realline_rule="gauss_hermite"),
+            lambda x: math.exp(-0.5 * (x - 3.0) ** 2), 192, math.sqrt(2.0 * math.pi),
+        ),
+        (
+            integrate_halfline, QuadratureConfig(halfline_rule="inverse_square_substitution"),
+            lambda s: math.exp(-s), 336, None,
+        ),
+    ],
+    ids=["gauss_laguerre", "inverse_square", "gauss_hermite", "inverse_square_refusal"],
+)
+def test_fixed_node_rules_make_a_pinned_number_of_calls(integrate, cfg, f, calls, value):
+    # one integrand call per node: a change in the level where a rule
+    # converges, or in its tail probe, shows as another count (orders 64
+    # and 128 of the Gauss rules; 16 nodes on each of 8 + 16 + 32 + 64
+    # panels and one probe panel; e^{-s} has no t -> 0 decay after the
+    # substitution, so 21 probe panels run out of reach)
+    counted = []
+    if value is None:
+        with pytest.raises(ConvergenceError, match="slowly decaying tail"):
+            integrate(_counted(f, counted), cfg)
+    else:
+        res = integrate(_counted(f, counted), cfg)
+        assert res.value.real == pytest.approx(value, rel=1e-12, abs=1e-12)
+    assert len(counted) == calls
 
 
 @pytest.mark.parametrize("rule", ["gauss_hermite", "truncated_adaptive"])

@@ -242,6 +242,18 @@ def test_gauss_weierstrass_warns_when_under_resolved():
     assert out.warnings == ()
 
 
+@pytest.mark.parametrize("alpha", [3e-307, 1e-320, 5e-324])
+def test_gauss_weierstrass_at_the_tiniest_widths(alpha):
+    # the sampled kernel's exponent lag^2 / (4 alpha) overflows below about
+    # 3.6e-307 on [-8, 8], which leaked numpy's "overflow encountered in
+    # divide" (an error in this suite); the band-limited kernel, which
+    # replaces that column, is e^0 = 1 at every node from alpha = 1e-300 on
+    f = Field.from_function(-8.0, 8.0, 64, lambda x: np.exp(-(x**2)))
+    expected = gauss_weierstrass(f, 1e-300).values
+    assert np.array_equal(gauss_weierstrass(f, alpha).values, expected)
+    assert np.max(np.abs(expected - f.values)) <= 1e-13
+
+
 def test_gauss_weierstrass_meets_glaisher_below_the_grid_spacing():
     # alpha = 0.01 < h^2 = 0.063: the sampled heat kernel missed by 4.9e-3
     f = Field.from_function(-16.0, 16.0, 128, lambda x: np.exp(-(x**2)))

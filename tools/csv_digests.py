@@ -4,16 +4,19 @@
     python tools/csv_digests.py --src OTHER/src   # the package in another one
     python tools/csv_digests.py --arrays          # library arrays instead
 
-The list holds every preset (fig1-fig4, observables), every matrix, `solve`
-for every (equation, method) pair of the CLI's solver table, `solve` with
+The list holds every preset (fig1-fig4, observables), every matrix and
+`solve` for every (equation, method) pair, both read from the CLI's own
+tables (``cli._MATRIX_BUILDERS`` and ``cli._SOLVERS``), `solve` with
 `--compare`, with `--ic gaussian(2)` and with `--ic file=` on a fixed table
 that the tool writes, spectral routes on a grid whose n is not a power of
 two, each subordination flow at a tau where it is the identity to
 rounding, a series run on a grid where Psi is 0 to rounding, the
 benchmark's usage errors, one refusal for each range-checked flag, the
 series route's refusal of an initial condition other than e^{-x^2}, one
-packet width past float range, and five matrices that would leave float
-range. One line per
+packet width past float range, five matrices that would leave float
+range, the half-derivative and affine flows at tau where the kernel
+underflows on every cell (1e200; 1.3e154 and 1e300), and fig1 and the
+heat integral at a width of 1e-320. One line per
 run, "<csv sha256>  <text sha256>  <arguments>", where the first hash reads
 "exit <code>" where the run failed, or "error <type>" where ``cli.run``
 raised, and the second is the SHA-256 of the run's stdout and stderr with
@@ -38,7 +41,9 @@ benchmark's grids, the Doetsch weight where its decay underflows, the
 closed-form pseudoheat Gaussian at tiny tau and huge x, the J0 operator on
 a 4097-point grid, whose windows are copied a few columns at a time, and
 three refusals: J0 on a span of 2e150, the iterated series at tau = 1e16
-and the Bloch precession at tau = 1e300, dt = 1e-300), one line per call,
+and the Bloch precession at tau = 1e300, dt = 1e-300; then H_n(x, y) past
+float range, the spectral pseudoheat flow at tau = inf and the heat
+smoothing at alpha = 1e-320), one line per call,
 "<sha256>  <call>", or "error <type>" where the call raised. The K0, J0 and half-derivative
 routes keep a plan per grid: each of them runs again on a grid after a
 call on another grid with the same n ("again"), so the lines cover a plan
@@ -58,26 +63,16 @@ from pathlib import Path
 
 import numpy as np
 
-MATRICES = (
-    "generator", "pauli_sqrt", "exp_pauli", "dirac2", "dirac4",
-    "position", "sqrt_symbol", "kappa", "line_power",
-)
-SOLVERS = (
-    ("heat", "spectral"), ("heat", "integral"),
-    ("pseudoheat", "integral"), ("pseudoheat", "spectral"),
-    ("schrodinger", "spectral"), ("schrodinger", "series"),
-    ("half_derivative", "integral"), ("affine_sqrt", "integral"),
-    ("optics", "spectral"),
-)
-RUNS = (
+PRESETS = (
     ("fig1",),
     ("fig2",),
     ("fig2", "--method", "series"),
     ("fig3",),
     ("fig4",),
     ("observables",),
-    *(("matrix", "--what", what) for what in MATRICES),
-    *(("solve", "--equation", eq, "--method", method, "--tau", "0.5") for eq, method in SOLVERS),
+)
+# the runs after PRESETS and the CLI's tables (see runs)
+RUNS = (
     ("solve", "--equation", "pseudoheat", "--tau", "0.5", "--compare", "spectral"),
     # a complex primary beside a real secondary
     ("solve", "--equation", "heat", "--method", "spectral", "--tau", "0.5", "--compare", "integral"),
@@ -96,6 +91,13 @@ RUNS = (
     ("observables", "--a", "1e25", "--steps", "3"),
     # a grid so wide that the series is 0 to rounding at every point
     ("fig2", "--method", "series", "--grid", "-1e100:1e100:16"),
+    # shift flows whose kernel underflows on every cell, and heat widths
+    # far below 4 h^2, where the sampled kernel's exponent overflows
+    ("solve", "--equation", "half_derivative", "--tau", "1e200", "--grid", "-8:8:64"),
+    ("solve", "--equation", "affine_sqrt", "--c", "1", "--tau", "1.3e154", "--grid", "-2:14:161"),
+    ("solve", "--equation", "affine_sqrt", "--c", "-1", "--tau", "1e300", "--grid", "-2:14:161"),
+    ("fig1", "--tau", "1e-320", "--grid", "-8:8:64"),
+    ("solve", "--equation", "heat", "--method", "integral", "--tau", "1e-320", "--grid", "-8:8:64"),
 )
 # runs the parser refuses, each by a flag's type or choices, as the benchmark's cli_cold draws them
 USAGE_ERRORS = (
@@ -137,6 +139,18 @@ IC_FILE_RUNS = (
     ("solve", "--equation", "heat", "--method", "integral", "--tau", "0", "--ic", f"file={IC_TABLE}",
      "--grid", "-4:4:64"),
 )
+
+
+def runs(cli) -> tuple:
+    """PRESETS, a run of every matrix and of every (equation, method) pair,
+    in the order of the loaded CLI's own tables, then RUNS."""
+    return (
+        *PRESETS,
+        *(("matrix", "--what", what) for what in cli._MATRIX_BUILDERS),
+        *(("solve", "--equation", eq, "--method", method, "--tau", "0.5")
+          for eq, method in cli._SOLVERS),
+        *RUNS,
+    )
 
 
 def write_ic_table(path: Path) -> None:
@@ -258,6 +272,17 @@ def array_calls(pf):
         ("bloch_evolve tau 1e300 dt 1e-300",
          lambda: pf.bloch_evolve((1.0, 0.0, 0.0), 0.5, 1e300, 1e-300)),
     ]
+    # H_n(x, y) past float range, an infinite tau and a heat width far below 4 h^2
+    narrow = pf.Field.from_function(-8.0, 8.0, 64, lambda x: np.exp(-(x**2)))
+    calls += [
+        (f"hermite2{args}", lambda args=args: pf.hermite2(*args))
+        for args in ((1000, 1e10, 1.0), (2, 1e200, -1e300), (40, 1e10, -1e10), (200, 1e200, -1e200))
+    ]
+    calls += [
+        ("solve_symbol_spectral 64 pseudoheat tau inf",
+         lambda: pf.solve_symbol_spectral(narrow, math.inf, pf.SymbolSpec.pseudoheat())),
+        ("gauss_weierstrass 64 alpha 1e-320", lambda: pf.gauss_weierstrass(narrow, 1e-320)),
+    ]
     return calls
 
 
@@ -296,7 +321,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # where IC_FILE_RUNS find their table
         write_ic_table(Path(tmp) / IC_TABLE)
-        for args in (*RUNS, *IC_FILE_RUNS, *USAGE_ERRORS, *REFUSALS):
+        for args in (*runs(cli), *IC_FILE_RUNS, *USAGE_ERRORS, *REFUSALS):
             print(f"{'  '.join(digests(cli, args, Path(tmp)))}  {' '.join(args)}", flush=True)
 
 
