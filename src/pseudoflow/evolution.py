@@ -46,13 +46,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._choices import require
+from ._choices import past_float_range, require
 from .errors import ConvergenceError
 from .special import _REL_TOL, _cell_offsets, _gl_panels, _leading_scale, _log_trapezoid, _shift_panels
 from .transforms import Field, _gw_smoother
@@ -158,28 +158,36 @@ def _coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     The node slopes solve scipy's CubicSpline tridiagonal system, built with
     its arithmetic and passed to the LAPACK routine gtsv that its banded
     solve calls, so the rows equal ``CubicSpline(x, y).c`` bit for bit
-    without the spline object or the ``scipy.interpolate`` import.
+    without the spline object or the ``scipy.interpolate`` import. Rows
+    past float range raise ValueError.
     """
     from scipy.linalg.lapack import dgtsv, zgtsv
 
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    # row i of 1 .. n-2: dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1}
-    lower = np.concatenate((dx[1:], [x[-1] - x[-3]]))
-    diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
-    upper = np.concatenate(([x[2] - x[0]], dx[:-1]))
-    rhs = np.empty(x.size, dtype=y.dtype)
-    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    # not-a-knot: the third derivative is continuous at x_1 and at x_{n-2}
-    span = x[2] - x[0]
-    rhs[0] = ((dx[0] + 2 * span) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / span
-    span = x[-1] - x[-3]
-    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * span + dx[-1]) * dx[-2] * slope[-1]) / span
-    gtsv = zgtsv if np.iscomplexobj(rhs) else dgtsv
-    s = gtsv(lower, diag, upper, rhs, True, True, True, True)[3]
-    # the cubic Hermite rows through (y, s) on each cell
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+    # a row past float range is refused below, so numpy's warnings are silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        # row i of 1 .. n-2: dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1}
+        lower = np.concatenate((dx[1:], [x[-1] - x[-3]]))
+        diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+        upper = np.concatenate(([x[2] - x[0]], dx[:-1]))
+        rhs = np.empty(x.size, dtype=y.dtype)
+        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        # not-a-knot: the third derivative is continuous at x_1 and at x_{n-2}
+        span = x[2] - x[0]
+        rhs[0] = ((dx[0] + 2 * span) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / span
+        span = x[-1] - x[-3]
+        rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * span + dx[-1]) * dx[-2] * slope[-1]) / span
+        gtsv = zgtsv if np.iscomplexobj(rhs) else dgtsv
+        s = gtsv(lower, diag, upper, rhs, True, True, True, True)[3]
+        # the cubic Hermite rows through (y, s) on each cell
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        coef = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+    if not np.isfinite(coef).all():
+        raise past_float_range(
+            "the cubic spline through the data", step=float(np.min(dx)), peak=float(np.max(np.abs(y)))
+        )
+    return coef
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -291,12 +299,18 @@ _AFFINE_OVERFLOW = ("affine-sqrt quadrature overflowed: the amplitude e^{(x^2 - 
                     "z = x + c tau^2 t, at data points z far from x exceeds floating-point range")
 
 
-def _identity_to_rounding(identity: Callable, tau: float, below: float, flow: Callable):
-    """flow(), the solve at tau > 0. At or below ``below`` the flow is the
-    identity to rounding; there, where the quadrature's arithmetic leaves
-    float range (for tau far below ``below``), identity(), the value at
-    tau = 0, is returned, and a quadrature that stays in range keeps its
-    own value."""
+def _identity_to_rounding(identity: Callable, tau: float, below: float, flow: Callable, **finite):
+    """The entry of every subordination flow. A tau that is not nonnegative
+    and finite is refused, then any of the flow's ``finite`` parameters
+    that is not finite; tau = 0 returns identity(), the input. Else flow(),
+    the solve at tau > 0, is returned. At or below ``below`` the flow is
+    the identity to rounding; there, where the quadrature's arithmetic
+    leaves float range (for tau far below ``below``), identity() is
+    returned, and a quadrature that stays in range keeps its own value."""
+    require("nonnegative and finite", tau=tau)
+    require("finite", **finite)
+    if tau == 0.0:
+        return identity()
     if not tau <= below:  # a NaN bound proves nothing
         return flow()
     try:
@@ -328,9 +342,6 @@ def solve_half_derivative(f: Field, tau: float) -> Field:
     on the grid), where the leading cell's s^{-3/2} leaves float range:
     below tau = 3.0e-102, on any grid.
     """
-    require("nonnegative and finite", tau=tau)
-    if tau == 0.0:
-        return f.with_values(f.values)
     below = _ROUNDING * math.sqrt(f.dx / math.pi)
     return _identity_to_rounding(
         lambda: f.with_values(f.values), tau, below, lambda: _half_derivative(f, tau)
@@ -406,9 +417,6 @@ def solve_pseudoheat(f: Field, tau: float) -> Field:
     weight's tail starts past the rule's reach, t = e^128: below
     tau = sqrt((x_max - x_min)/2) e^{-64}, 4.5e-28 on [-8, 8].
     """
-    require("nonnegative and finite", tau=tau)
-    if tau == 0.0:
-        return f.with_values(f.values)
     below = _ROUNDING / math.hypot(1.0, math.pi / f.dx)
     return _identity_to_rounding(
         lambda: f.with_values(f.values), tau, below, lambda: _pseudoheat(f, tau)
@@ -455,19 +463,15 @@ def pseudoheat_gaussian(tau: float, x: float) -> float:
     kernel tail is linear in tau, so at x = 10 and tau = 1e-20 the value is
     1.5e-26, not e^{-100}.
     """
-    require("nonnegative and finite", tau=tau)
-    require("finite", x=x)
-    if tau == 0.0:
-        return math.exp(-x * x)
-    if abs(x) > _GAUSSIAN_FLAT:
-        return 0.0
     below = _ROUNDING * math.exp(-x * x) / _GAUSSIAN_RATE
     return _identity_to_rounding(
-        lambda: math.exp(-x * x), tau, below, lambda: _pseudoheat_gaussian(tau, x)
+        lambda: math.exp(-x * x), tau, below, lambda: _pseudoheat_gaussian(tau, x), x=x
     )
 
 
 def _pseudoheat_gaussian(tau: float, x: float) -> float:
+    if abs(x) > _GAUSSIAN_FLAT:
+        return 0.0
     t2 = tau * tau
     if t2 == 0.0:
         raise ConvergenceError(
@@ -644,11 +648,11 @@ def solve_affine_sqrt(f: Field, tau: float, c: float) -> Field:
     amplitude is e^{(x^2 - z^2)/(2c)} at the data point z = x + c tau^2 t:
     it can overflow for data far from x (strongly negative x when c > 0,
     x_min far beyond |x| when c < 0), which surfaces as a ConvergenceError.
-    For c = 0 the data factor is f(x) itself and the log-trapezoid rule
-    integrates all grid points at once; the growth of e^{-t tau^2 x} for
-    x < 0 makes the integral itself divergent unless the data vanishes,
-    and the rule finds no decaying tail and raises a ConvergenceError (the
-    admissible domain is not characterized here).
+    For c = 0, sqrt(x - c d/dx) is multiplication by sqrt(x), and F is
+    e^{-tau sqrt(x)} f in closed form, with no quadrature (quadrature_error
+    0.0). Where x < 0 the integral's factor e^{-t tau^2 x} grows without
+    bound, so the flow diverges at every tau > 0 unless the data vanish
+    there: nonzero data at x < 0 raise ConvergenceError.
 
     tau = 0 returns the input. So does, for c != 0, a tau at which the
     flow is the identity to rounding,
@@ -659,32 +663,29 @@ def solve_affine_sqrt(f: Field, tau: float, c: float) -> Field:
     the bound; where that spread is wide, an overflow at tiny tau stays a
     ConvergenceError.
     """
-    require("nonnegative and finite", tau=tau)
-    require("finite", c=c)
-    if tau == 0.0:
-        return f.with_values(f.values)
-    if c != 0:
+    if c == 0:  # the closed form never leaves float range: no tau is gated
+        below, flow = 0.0, partial(_affine_multiplier, f, tau)
+    else:
         a = abs(c)
         squares = (f.x_min * f.x_min, f.x_max * f.x_max)
         spread = max(squares) - (0.0 if f.x_min <= 0.0 <= f.x_max else min(squares))
         below = _ROUNDING * math.exp(-spread / (2.0 * a)) * math.sqrt(f.dx / math.pi) / math.sqrt(a)
-        return _identity_to_rounding(
-            lambda: f.with_values(f.values), tau, below, lambda: _affine_panels(f, tau, c)
-        )
+        flow = partial(_affine_panels, f, tau, c)
+    return _identity_to_rounding(lambda: f.with_values(f.values), tau, below, flow, c=c)
+
+
+def _affine_multiplier(f: Field, tau: float) -> Field:
+    """The affine flow for c = 0: F = e^{-tau sqrt(x)} f, with no quadrature."""
     x, data = f.x, f.values
-    t2 = tau * tau
-    pref = 1.0 / (2.0 * math.sqrt(math.pi))
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        tc = t[:, None]
-        # The amplitude overflows on divergent data, which the window
-        # search reports; exact zero data beats inf * 0 -> nan.
-        with np.errstate(invalid="ignore", over="ignore"):
-            prod = pref * tc**-1.5 * np.exp(-0.25 / tc - tc * t2 * x) * data
-        return np.where(data == 0.0, 0.0, prod)
-
-    values, err = _log_trapezoid(integrand)
-    return f.with_values(values, (), meta={"quadrature_error": float(err)})
+    if np.any(data[x < 0.0]):
+        raise ConvergenceError(
+            "affine-sqrt flow with c = 0 diverges: its integrand's factor e^{-t tau^2 x} "
+            "grows without bound at x < 0, where the data are nonzero",
+            error_bound=math.inf,
+        )
+    with np.errstate(over="ignore"):  # tau sqrt(x) past float range: e^{-inf} = 0
+        values = np.exp(-tau * np.sqrt(np.maximum(x, 0.0))) * data
+    return f.with_values(values, (), meta={"quadrature_error": 0.0})
 
 
 # ----------------------------------------------------------------------

@@ -418,10 +418,13 @@ def r_function(a):
     largest a. Within about 1e-15 of the closed form for a in [0, 3e19];
     beyond that the rule's end test cannot cut R's tail and it raises
     ConvergenceError, its error bound in units of R (inf where a^2
-    overflows and the rule cannot start).
+    overflows and the rule cannot start). An empty array gives an empty
+    array.
     """
     require("nonnegative and finite", a=a)
     a_arr = np.atleast_1d(np.asarray(a, dtype=float))
+    if not a_arr.size:  # no column for the rule to integrate
+        return np.zeros(0)
     with np.errstate(over="ignore", divide="ignore"):  # a^2 = inf also ends in ConvergenceError
         a2 = a_arr * a_arr
         scale = _LOG_UNIT * (1.0 + 0.25 * a2)
@@ -447,10 +450,12 @@ def f_function(a):
     sqrt(2 + a^2 s) is a hypot, finite where a^2 overflows. Within about
     1e-15 of the closed form for a in [0, 1e304]; past a ~ 1.8e304 the
     scale overflows and the rule raises ConvergenceError with an infinite
-    bound.
+    bound. An empty array gives an empty array.
     """
     require("nonnegative and finite", a=a)
     a_arr = np.atleast_1d(np.asarray(a, dtype=float))
+    if not a_arr.size:  # no column for the rule to integrate
+        return np.zeros(0)
     with np.errstate(over="ignore"):
         scale = _LOG_UNIT * (1.0 + a_arr)
 

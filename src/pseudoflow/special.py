@@ -75,6 +75,7 @@ reports its estimate and error bound in the caller's units.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -176,8 +177,12 @@ def hermite2(n: int, x: float, y: float) -> float:
         raise OverflowError(f"hermite2 order {n} exceeds the supported cap {_HERMITE_N_CAP}")
     require("finite", x=x, y=y)
     h_prev, h_cur = 0.0, 1.0
-    for m in range(n):
-        h_prev, h_cur = h_cur, x * h_cur + 2.0 * y * m * h_prev
+    # numpy scalars warn where a term leaves float range, which is refused
+    # below; Python floats do not warn, and skip the context's cost
+    numpy_scalar = isinstance(x, np.generic) or isinstance(y, np.generic)
+    with np.errstate(over="ignore", invalid="ignore") if numpy_scalar else nullcontext():
+        for m in range(n):
+            h_prev, h_cur = h_cur, x * h_cur + 2.0 * y * m * h_prev
     if not math.isfinite(h_cur):  # once past float range the recurrence stays inf or NaN
         raise past_float_range("H_n(x, y)", n=n, x=x, y=y)
     return float(h_cur)
@@ -253,13 +258,17 @@ def _tol(scale: float) -> float:
     return max(_ABS_TOL, _REL_TOL * scale)
 
 
-def _rule_sum(f: Callable, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Sum of weights * f(node), one integrand call per node. The nodes run
+def _rule_sum(f: Callable, nodes: np.ndarray, weights: np.ndarray, scale=None) -> np.ndarray:
+    """Sum of weights * f(node), one integrand call per node, each value
+    times its node's ``scale`` first where one is given. The nodes run
     along the last axis, which numpy sums pairwise (along axis 0 it adds
     them one by one). A non-finite sum fails the refinement loop, so
-    numpy's overflow and inf - inf warnings are silenced."""
+    numpy's overflow and inf - inf warnings are silenced, and so is the
+    inf * 0 of a complex infinity times a real scale."""
     vals = np.stack([np.asarray(f(float(t))) for t in nodes], axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
+        if scale is not None:
+            vals = vals * scale
         return (vals * weights).sum(axis=-1)
 
 
@@ -274,7 +283,8 @@ def _refine(total_at: Callable, levels: list, failure: str):
     err = math.inf
     for level in levels[1:]:
         new = total_at(level)
-        err = float(np.max(np.abs(new - est)))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf: never accepted
+            err = float(np.max(np.abs(new - est)))
         est = new
         if np.all(np.isfinite(est)) and err <= _tol(float(np.max(np.abs(est)))):
             return est, err
@@ -303,14 +313,15 @@ def _inverse_square_core(f: Callable):
     count is doubled until two successive estimates agree.
     """
 
-    def g(xi: float):
-        t = 1.0 / (xi * xi)
-        return np.asarray(f(t)) * (2.0 / xi**3)
+    def panel_sum(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        # f(1/xi^2) times 2 / xi^3, the factor in Python's float arithmetic
+        scale = [2.0 / float(xi) ** 3 for xi in nodes]
+        return _rule_sum(lambda xi: f(1.0 / (xi * xi)), nodes, weights, scale)
 
     order = 16
     upper = 16.0
     # Extend the truncation point while the tail still matters.
-    probe = _rule_sum(g, *_gl_panels([upper, 1.5 * upper], order))
+    probe = panel_sum(*_gl_panels([upper, 1.5 * upper], order))
     while float(np.max(np.abs(probe))) > _ABS_TOL / 16.0:
         upper *= 1.5
         if upper > 65536.0:
@@ -319,10 +330,10 @@ def _inverse_square_core(f: Callable):
                 "tail (integrand lacks t->0 decay); use another rule",
                 error_bound=float(np.max(np.abs(probe))),
             )
-        probe = _rule_sum(g, *_gl_panels([upper, 1.5 * upper], order))
+        probe = panel_sum(*_gl_panels([upper, 1.5 * upper], order))
 
     return _refine(
-        lambda panels: _rule_sum(g, *_gl_panels(np.linspace(0.0, upper, panels + 1), order)),
+        lambda panels: panel_sum(*_gl_panels(np.linspace(0.0, upper, panels + 1), order)),
         [8 << k for k in range(_REFINEMENTS + 1)],
         "inverse-square rule did not converge with {} panels",
     )

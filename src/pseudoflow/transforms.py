@@ -216,8 +216,12 @@ def _gw_smoother(f: Field):
     lag2 = (h * np.arange(n)) ** 2
 
     def smooth(alpha: np.ndarray) -> np.ndarray:
-        norm = 1.0 / (2.0 * np.sqrt(math.pi * alpha))
-        with np.errstate(over="ignore"):  # far below 4 h^2, in columns replaced below
+        # far below 4 h^2 the exponent overflows, in columns replaced below;
+        # past max / pi (5.7e307) so does pi alpha, and norm, 0, is redone
+        with np.errstate(over="ignore"):
+            norm = 1.0 / (2.0 * np.sqrt(math.pi * alpha))
+            if not norm.all():
+                norm = np.where(norm > 0.0, norm, 0.5 / (math.sqrt(math.pi) * np.sqrt(alpha)))
             kernel = np.exp(-lag2[:, None] / (4.0 * alpha)) * norm
         narrow = alpha < 4.0 * h * h
         if np.any(narrow):

@@ -734,6 +734,38 @@ def test_tau_at_the_ends_of_float_range_exits_0(tmp_path, capsys, args, column):
         assert np.max(np.abs(cols[column] - np.exp(-cols["x"] ** 2))) <= 1e-13
 
 
+def test_heat_integral_past_max_over_pi_exits_0(tmp_path, capsys):
+    # pi tau overflowed: numpy's "overflow encountered in multiply", then
+    # zeros for 1/(2 sqrt(tau)) = 5e-155
+    out = tmp_path / "out.csv"
+    args = ["solve", "--equation", "heat", "--method", "integral", "--tau", "1e308"]
+    assert cli.run([*args, "--grid", "-8:8:64", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _header, cols = read_csv(out)
+    np.testing.assert_allclose(cols["value"], 5e-155, rtol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--equation", "half_derivative", "--ic", "gaussian(1e-201)", "--grid", "-1e-200:1e-200:64"),
+        ("--equation", "affine_sqrt", "--c", "1", "--ic", "gaussian(1e-201)",
+         "--grid", "-1e-200:1e-200:64"),
+        ("--equation", "heat", "--ic", "file=huge.csv", "--grid", "-4:4:64"),
+    ],
+)
+def test_spline_past_float_range_exits_1(tmp_path, args):
+    # numpy's overflow warnings came first, then exit 2 for the shift flows
+    # and "error: values must be finite", which names nothing, for the table
+    rows = "".join(f"{10.0 * i!r},{1.7e308 if i % 2 else 1.5e308!r}\n" for i in range(6))
+    (tmp_path / "huge.csv").write_text("x,value\n" + rows)
+    proc = run_cli(tmp_path, "solve", "--tau", "0.5", *args, "--out", tmp_path / "out.csv")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: the cubic spline through the data is past float range at step = ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_fig4_reaches_large_a(tmp_path):
     # R's weight lies near s ~ 1/a^2, far left of s = 1
     out = tmp_path / "fig4.csv"
@@ -930,6 +962,39 @@ def test_csv_digests_report_a_run_that_raises(tmp_path):
     csv_digest, text_digest = tool.digests(RaisingCli, ["observables"], tmp_path)
     assert csv_digest == "error OverflowError"
     assert text_digest == hashlib.sha256(b"partial output\n\0").hexdigest()
+
+
+def test_csv_digests_show_each_run_its_own_warnings(tmp_path, monkeypatch):
+    # Python prints a warning from one line once per process; the tool
+    # shows it again to every run that raises it, so two runs that warn
+    # alike hash alike, and a call's warnings mark its --arrays line
+    import warnings
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        # as Python's own, which pytest's recording replaces: to sys.stderr
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    monkeypatch.setattr(warnings, "showwarning", show)
+
+    class WarningCli:
+        @staticmethod
+        def run(argv):
+            warnings.warn("overflow encountered in multiply", RuntimeWarning)
+            return 1
+
+    tool = _tool("csv_digests")
+    first, second = (tool.digests(WarningCli, ["fig1"], tmp_path) for _ in range(2))
+    assert first == second
+    assert first[1] != hashlib.sha256(b"\0").hexdigest()
+    plain = tool.array_digest(lambda: np.zeros(3))
+    assert plain == hashlib.sha256(np.zeros(3).tobytes()).hexdigest()
+
+    def warns():
+        warnings.warn("invalid value encountered in subtract", RuntimeWarning)
+        return np.zeros(3)
+
+    assert tool.array_digest(warns).startswith(f"{plain} warned ")
+    assert tool.array_digest(warns) == tool.array_digest(warns)
 
 
 def test_csv_digests_arrays_cover_the_calls_no_cli_run_writes():

@@ -570,12 +570,17 @@ def test_affine_sqrt_rejects_nonfinite_c():
 
 
 def test_affine_sqrt_without_drift_is_a_multiplier():
-    # c = 0: F(x, tau) = e^{-tau sqrt(x)} f(x) pointwise, a vector integrand
-    # on the inverse-square rule's shared nodes.
+    # c = 0: F(x, tau) = e^{-tau sqrt(x)} f(x) pointwise, in closed form; a
+    # log-trapezoid rule put it up to 1.4e-13 off, reporting 3.5e-15
     f = Field.from_function(0.0, 12.0, 97, lambda x: np.exp(-((x - 6.0) ** 2) / 4.0))
     ref = np.exp(-0.7 * np.sqrt(f.x)) * f.values
     out = solve_affine_sqrt(f, 0.7, 0.0)
-    np.testing.assert_allclose(out.values, ref, rtol=0, atol=1e-10)
+    assert np.array_equal(out.values, ref)
+    assert out.meta["quadrature_error"] == 0.0
+    assert out.warnings == ()
+    assert np.array_equal(solve_affine_sqrt(f, 0.0, 0.0).values, f.values)
+    # tau sqrt(x) past float range: e^{-inf} = 0 with no numpy warning
+    assert np.array_equal(solve_affine_sqrt(f, 1e308, 0.0).values[1:], np.zeros(96))
     for xv in (0.0, 2.25, 9.0):
         j = int(round(xv / f.dx))
         factor = exp_sqrt_via_doetsch(0.7, xv)
@@ -708,10 +713,55 @@ def test_shift_solvers_on_zero_data_give_zero_without_warnings(solve):
 
 
 def test_affine_sqrt_divergent_data_raises():
-    # c = 0 and data present at x < 0: e^{-t tau^2 x} outruns the weight
+    # c = 0 and data present at x < 0: e^{-t tau^2 x} outruns the weight at
+    # every tau > 0; a rule whose window stopped short of the divergence
+    # returned values near f at tau <= 1e-10
     f = Field.from_function(-8.0, 8.0, 161, lambda x: np.exp(-((x - 3.0) ** 2)))
-    with pytest.raises(ConvergenceError):
-        solve_affine_sqrt(f, 1.0, 0.0)
+    for tau in (1e-300, 1e-10, 1.0):
+        with pytest.raises(ConvergenceError, match=r"c = 0 .* x < 0"):
+            solve_affine_sqrt(f, tau, 0.0)
+    assert np.array_equal(solve_affine_sqrt(f, 0.0, 0.0).values, f.values)
+    # data that vanish at x < 0 are multiplied there by nothing
+    g = f.with_values(np.where(f.x < 0.0, 0.0, f.values))
+    out = solve_affine_sqrt(g, 1.0, 0.0)
+    assert np.array_equal(out.values, np.exp(-np.sqrt(np.maximum(g.x, 0.0))) * g.values)
+
+
+SUBORDINATION_FLOWS = {
+    "half_derivative": lambda tau, f: solve_half_derivative(f, tau),
+    "pseudoheat": lambda tau, f: solve_pseudoheat(f, tau),
+    "pseudoheat_gaussian": lambda tau, f: pseudoheat_gaussian(tau, 0.5),
+    "affine c = 1": lambda tau, f: solve_affine_sqrt(f, tau, 1.0),
+    "affine c = 0": lambda tau, f: solve_affine_sqrt(f, tau, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", SUBORDINATION_FLOWS)
+def test_subordination_flows_share_one_entry(name):
+    # one entry refuses tau with one wording and returns the input at tau = 0
+    flow = SUBORDINATION_FLOWS[name]
+    f = gaussian(0.0, 8.0, 64)
+    for tau in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^tau must be nonnegative and finite$"):
+            flow(tau, f)
+    at_zero = flow(0.0, f)
+    if name == "pseudoheat_gaussian":
+        assert at_zero == math.exp(-0.25)
+    else:
+        assert np.array_equal(at_zero.values, f.values)
+
+
+def test_subordination_flow_parameters_are_checked_after_tau():
+    f = gaussian(0.0, 8.0, 64)
+    for c in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^tau must be nonnegative and finite$"):
+            solve_affine_sqrt(f, math.nan, c)
+        with pytest.raises(ValueError, match="^c must be finite$"):
+            solve_affine_sqrt(f, 0.0, c)
+    with pytest.raises(ValueError, match="^tau must be nonnegative and finite$"):
+        pseudoheat_gaussian(-1.0, math.nan)
+    with pytest.raises(ValueError, match="^x must be finite$"):
+        pseudoheat_gaussian(0.0, math.inf)
 
 
 @pytest.mark.parametrize(
@@ -1067,6 +1117,34 @@ def test_coefficients_equal_scipy_cubic_spline(n, cplx):
     ref = CubicSpline(x, y).c
     assert got.dtype == ref.dtype
     assert np.array_equal(got, ref)
+
+
+_TINY_STEP = np.linspace(-1e-200, 1e-200, 64)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        # a step of 3.2e-202: the leading row's 1 / h^3 leaves float range
+        (_TINY_STEP, np.exp(-((_TINY_STEP / 1e-201) ** 2))),
+        # values near 1.6e308, 10 apart: the not-a-knot end rows leave it
+        (10.0 * np.arange(6.0), np.where(np.arange(6) % 2, 1.7e308, 1.5e308)),
+    ],
+    ids=["step 3.2e-202", "values near 1.6e308"],
+)
+def test_coefficients_past_float_range_are_value_errors(x, y):
+    # numpy's overflow warnings (errors in this suite) came first, then
+    # non-finite rows, which a Field refused as "values must be finite"
+    message = "^the cubic spline through the data is past float range at step = "
+    with pytest.raises(ValueError, match=message):
+        _coefficients(x, y)
+
+
+def test_shift_flows_refuse_a_spline_past_float_range():
+    f = Field.from_function(-1e-200, 1e-200, 64, lambda x: np.exp(-((x / 1e-201) ** 2)))
+    for flow in (solve_half_derivative, lambda f, tau: solve_affine_sqrt(f, tau, 1.0)):
+        with pytest.raises(ValueError, match="past float range"):
+            flow(f, 0.5)
 
 
 @pytest.mark.parametrize("cplx", [False, True])

@@ -494,6 +494,15 @@ def test_r_function_values():
     assert abs(r_function(0.1) - 0.9925) <= 1e-3
 
 
+def test_r_and_f_on_an_empty_array_are_empty():
+    # as series_solution's: numpy's "zero-size array to reduction operation
+    # maximum" was raised instead
+    for fn in (r_function, f_function):
+        for a in (np.array([]), []):
+            out = fn(a)
+            assert isinstance(out, np.ndarray) and out.shape == (0,) and out.dtype == float
+
+
 def test_f_function_at_zero():
     assert f_function(0.0) == pytest.approx(1.0, rel=1e-12)
 

@@ -160,6 +160,19 @@ def test_hermite2_refuses_values_past_float_range(n, x, y):
         hermite2(n, x, y)
 
 
+@pytest.mark.parametrize("scalar", [np.float64, np.float32])
+def test_hermite2_numpy_scalars_reach_the_refusal_without_warnings(scalar):
+    # numpy scalars leaked "overflow encountered in scalar multiply" (an
+    # error in this suite) before the refusal; their values keep their type
+    with pytest.raises(ValueError, match=r"^H_n\(x, y\) is past float range at n = 1000, x = "):
+        hermite2(1000, scalar(1e10), 1.0)
+    x, y = scalar(0.3), scalar(-0.2)
+    h_prev, h_cur = 0.0, 1.0
+    for m in range(40):
+        h_prev, h_cur = h_cur, x * h_cur + 2.0 * y * m * h_prev
+    assert hermite2(40, x, y) == float(h_cur)
+
+
 # ----------------------------------------------------------------------
 # bessel
 
@@ -322,6 +335,27 @@ def test_halfline_deterministic(rule):
     second = integrate_halfline(f, cfg)
     assert first.value == second.value
     assert first.error == second.error
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, complex(math.inf, 0.0)], ids=repr)
+@pytest.mark.parametrize(
+    "integrate, cfg",
+    [
+        *((integrate_halfline, QuadratureConfig(halfline_rule=rule)) for rule in
+          ("gauss_laguerre", "inverse_square_substitution", "adaptive_subdivision")),
+        *((integrate_realline, QuadratureConfig(realline_rule=rule)) for rule in
+          ("gauss_hermite", "truncated_adaptive")),
+    ],
+    ids=["gauss_laguerre", "inverse_square_substitution", "adaptive_subdivision",
+         "gauss_hermite", "truncated_adaptive"],
+)
+def test_every_rule_fails_an_infinite_integrand_without_warnings(integrate, cfg, bad):
+    # as it fails a NaN one: the Gauss rules leaked "invalid value
+    # encountered in scalar subtract" (inf - inf between levels) and the
+    # inverse-square rule "invalid value encountered in multiply" (complex
+    # inf times its real factor), errors in this suite
+    with pytest.raises(ConvergenceError):
+        integrate(lambda s: bad, cfg)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

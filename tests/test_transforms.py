@@ -254,6 +254,20 @@ def test_gauss_weierstrass_at_the_tiniest_widths(alpha):
     assert np.max(np.abs(expected - f.values)) <= 1e-13
 
 
+@pytest.mark.parametrize("alpha", [5.8e307, 1e308, np.finfo(float).max])
+def test_gauss_weierstrass_past_max_over_pi(alpha):
+    # pi alpha overflowed: numpy's "overflow encountered in multiply" (an
+    # error in this suite), then exact zeros for a value of about
+    # 1/(2 sqrt(alpha)) times the data's mass sqrt(pi) / sqrt(pi)
+    f = Field.from_function(-8.0, 8.0, 64, lambda x: np.exp(-(x**2)))
+    out = gauss_weierstrass(f, alpha).values
+    np.testing.assert_allclose(out, 0.5 / math.sqrt(alpha), rtol=1e-13)
+    # widths below max / pi keep the one-step norm
+    below = gauss_weierstrass(f, 5.7e307).values
+    expected = f.values.sum() * f.dx / (2.0 * np.sqrt(math.pi * 5.7e307))
+    np.testing.assert_allclose(below, expected, rtol=1e-13)
+
+
 def test_gauss_weierstrass_meets_glaisher_below_the_grid_spacing():
     # alpha = 0.01 < h^2 = 0.063: the sampled heat kernel missed by 4.9e-3
     f = Field.from_function(-16.0, 16.0, 128, lambda x: np.exp(-(x**2)))

@@ -15,12 +15,18 @@ benchmark's usage errors, one refusal for each range-checked flag, the
 series route's refusal of an initial condition other than e^{-x^2}, one
 packet width past float range, five matrices that would leave float
 range, the half-derivative and affine flows at tau where the kernel
-underflows on every cell (1e200; 1.3e154 and 1e300), and fig1 and the
-heat integral at a width of 1e-320. One line per
+underflows on every cell (1e200; 1.3e154 and 1e300), fig1 and the heat
+integral at a width of 1e-320 and the heat integral at 1e308, the affine
+flow without drift (c = 0) on [0, 12] and on data at x < 0, where it
+diverges, and three splines past float range: the half-derivative and
+affine flows on a grid of step 3e-202, and a second fixed table of values
+near 1.6e308 that the tool writes. One line per
 run, "<csv sha256>  <text sha256>  <arguments>", where the first hash reads
 "exit <code>" where the run failed, or "error <type>" where ``cli.run``
 raised, and the second is the SHA-256 of the run's stdout and stderr with
-the output path masked. Two checkouts write
+the output path masked. Each run shows every warning it raises, however
+often an earlier run raised it, so each text hash holds the run's own
+warnings. Two checkouts write
 the same CSV bytes, summary lines and error text where these lines agree:
 
     diff <(python tools/csv_digests.py --src PARENT/src) <(python tools/csv_digests.py)
@@ -42,9 +48,12 @@ closed-form pseudoheat Gaussian at tiny tau and huge x, the J0 operator on
 a 4097-point grid, whose windows are copied a few columns at a time, and
 three refusals: J0 on a span of 2e150, the iterated series at tau = 1e16
 and the Bloch precession at tau = 1e300, dt = 1e-300; then H_n(x, y) past
-float range, the spectral pseudoheat flow at tau = inf and the heat
-smoothing at alpha = 1e-320), one line per call,
-"<sha256>  <call>", or "error <type>" where the call raised. The K0, J0 and half-derivative
+float range, also at a numpy x, the spectral pseudoheat flow at tau = inf,
+the heat smoothing at alpha = 1e-320, R(a) on no a, and each fixed-node
+and adaptive integration rule on an integrand of inf, -inf and complex
+inf), one line per call, "<sha256>  <call>", or "error <type>" where the
+call raised, followed by " warned <sha256 of its warnings>" where the call
+warned. The K0, J0 and half-derivative
 routes keep a plan per grid: each of them runs again on a grid after a
 call on another grid with the same n ("again"), so the lines cover a plan
 built by the call and a plan met in the cache.
@@ -59,6 +68,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +108,16 @@ RUNS = (
     ("solve", "--equation", "affine_sqrt", "--c", "-1", "--tau", "1e300", "--grid", "-2:14:161"),
     ("fig1", "--tau", "1e-320", "--grid", "-8:8:64"),
     ("solve", "--equation", "heat", "--method", "integral", "--tau", "1e-320", "--grid", "-8:8:64"),
+    # heat widths past max / pi, where pi alpha overflows
+    ("solve", "--equation", "heat", "--method", "integral", "--tau", "1e308", "--grid", "-8:8:64"),
+    # the affine flow without drift: a multiplier, and divergent on data at x < 0
+    ("solve", "--equation", "affine_sqrt", "--c", "0", "--tau", "0.7", "--grid", "0:12:97"),
+    ("solve", "--equation", "affine_sqrt", "--c", "0", "--tau", "1", "--grid", "-8:8:64"),
+    # spline coefficient rows past float range on a grid of step 3e-202
+    ("solve", "--equation", "half_derivative", "--tau", "0.5", "--ic", "gaussian(1e-201)",
+     "--grid", "-1e-200:1e-200:64"),
+    ("solve", "--equation", "affine_sqrt", "--c", "1", "--tau", "0.5", "--ic", "gaussian(1e-201)",
+     "--grid", "-1e-200:1e-200:64"),
 )
 # runs the parser refuses, each by a flag's type or choices, as the benchmark's cli_cold draws them
 USAGE_ERRORS = (
@@ -133,11 +153,15 @@ REFUSALS = (
     ("matrix", "--what", "dirac4", "--pi", "1e200,0,0"),
     ("matrix", "--what", "position", "--pi", "1e200"),
 )
-# runs on the table that write_ic_table puts in the working directory
+# runs on the tables that write_ic_table and write_huge_table put in the
+# working directory
 IC_TABLE = "ic.csv"
+HUGE_TABLE = "huge.csv"
 IC_FILE_RUNS = (
     ("solve", "--equation", "heat", "--method", "integral", "--tau", "0", "--ic", f"file={IC_TABLE}",
      "--grid", "-4:4:64"),
+    # a spline whose coefficient rows leave float range
+    ("solve", "--equation", "heat", "--tau", "0.5", "--ic", f"file={HUGE_TABLE}", "--grid", "-4:4:64"),
 )
 
 
@@ -161,6 +185,13 @@ def write_ic_table(path: Path) -> None:
     Path(path).write_text("x,value\n" + rows)
 
 
+def write_huge_table(path: Path) -> None:
+    """A fixed (x, value) table: a header row, then 6 rows 10 apart whose
+    values alternate between 1.5e308 and 1.7e308."""
+    rows = "".join(f"{10.0 * i!r},{1.7e308 if i % 2 else 1.5e308!r}\n" for i in range(6))
+    Path(path).write_text("x,value\n" + rows)
+
+
 def digests(cli, args, directory: Path) -> tuple[str, str]:
     """(csv, text) for the run of ``cli.run`` on ``args``: the SHA-256 of
     the CSV it writes, or "exit <code>" where it fails, or "error <type>"
@@ -169,7 +200,9 @@ def digests(cli, args, directory: Path) -> tuple[str, str]:
     out = Path(directory) / "out.csv"
     out.unlink(missing_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings():
+        warnings.simplefilter("always")  # a warning an earlier run raised, too
         try:
             code = cli.run([*args, "--out", str(out)])
             failure = f"exit {code}" if code != 0 else None
@@ -283,18 +316,44 @@ def array_calls(pf):
          lambda: pf.solve_symbol_spectral(narrow, math.inf, pf.SymbolSpec.pseudoheat())),
         ("gauss_weierstrass 64 alpha 1e-320", lambda: pf.gauss_weierstrass(narrow, 1e-320)),
     ]
+    # a numpy scalar in H_n's recurrence, R(a) on no a, and each rule on an
+    # infinite integrand
+    calls += [
+        ("hermite2(1000, np.float64(1e10), 1.0)", lambda: pf.hermite2(1000, np.float64(1e10), 1.0)),
+        ("r_function(np.array([]))", lambda: pf.r_function(np.array([]))),
+    ]
+    rules = [(pf.integrate_halfline, {"halfline_rule": rule}) for rule in
+             ("gauss_laguerre", "inverse_square_substitution", "adaptive_subdivision")]
+    rules += [(pf.integrate_realline, {"realline_rule": rule}) for rule in
+              ("gauss_hermite", "truncated_adaptive")]
+    for integrate, rule in rules:
+        for value in (math.inf, -math.inf, complex(math.inf, 0.0)):
+            calls.append((
+                f"{integrate.__name__} {next(iter(rule.values()))} f = {value!r}",
+                lambda integrate=integrate, rule=rule, value=value: integrate(
+                    lambda s: value, pf.QuadratureConfig(**rule)
+                ).value,
+            ))
     return calls
 
 
 def array_digest(thunk) -> str:
     """SHA-256 of the values that ``thunk`` returns (an array, or a Field's
-    values), or "error <type>" where it raises."""
-    try:
-        values = thunk()
-    except Exception as exc:  # a failure is a result to compare, too
-        return f"error {type(exc).__name__}"
-    values = getattr(values, "values", values)
-    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+    values), or "error <type>" where it raises, followed by
+    " warned <sha256>" of the warnings' categories and messages where it
+    warns."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            values = thunk()
+            values = getattr(values, "values", values)
+            result = hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+        except Exception as exc:  # a failure is a result to compare, too
+            result = f"error {type(exc).__name__}"
+    if caught:
+        text = "\n".join(f"{w.category.__name__}: {w.message}" for w in caught)
+        result += f" warned {hashlib.sha256(text.encode()).hexdigest()}"
+    return result
 
 
 def main() -> None:
@@ -321,6 +380,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # where IC_FILE_RUNS find their table
         write_ic_table(Path(tmp) / IC_TABLE)
+        write_huge_table(Path(tmp) / HUGE_TABLE)
         for args in (*runs(cli), *IC_FILE_RUNS, *USAGE_ERRORS, *REFUSALS):
             print(f"{'  '.join(digests(cli, args, Path(tmp)))}  {' '.join(args)}", flush=True)
 
