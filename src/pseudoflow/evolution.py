@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -664,13 +664,13 @@ def solve_affine_sqrt(f: Field, tau: float, c: float) -> Field:
     ConvergenceError.
     """
     if c == 0:  # the closed form never leaves float range: no tau is gated
-        below, flow = 0.0, partial(_affine_multiplier, f, tau)
+        below, flow = 0.0, lambda: _affine_multiplier(f, tau)
     else:
         a = abs(c)
         squares = (f.x_min * f.x_min, f.x_max * f.x_max)
         spread = max(squares) - (0.0 if f.x_min <= 0.0 <= f.x_max else min(squares))
         below = _ROUNDING * math.exp(-spread / (2.0 * a)) * math.sqrt(f.dx / math.pi) / math.sqrt(a)
-        flow = partial(_affine_panels, f, tau, c)
+        flow = lambda: _affine_panels(f, tau, c)
     return _identity_to_rounding(lambda: f.with_values(f.values), tau, below, flow, c=c)
 
 

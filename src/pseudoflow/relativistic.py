@@ -344,6 +344,8 @@ def iterated_series(psi0: Field, tau: float) -> Field:
     are complex. Any sample count works. Terms are added until the latest
     drops below 1e-8, else TruncationError after 20 terms, or at the term
     that leaves float range (a huge tau, or data near the largest float).
+    Data whose own spline rows leave float range are refused with
+    ValueError, as on every kernel route.
     """
     require("finite", tau=tau)
     n = psi0.n
@@ -371,7 +373,15 @@ def iterated_series(psi0: Field, tau: float) -> Field:
     # below, so numpy's overflow and inf - inf warnings are silenced
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, _ITERATED_N_MAX + 1):
-            smoothed = [dhat(_coefficients(x, part), part[-1]) for part in parts]
+            try:
+                coefs = [_coefficients(x, part) for part in parts]
+            except ValueError:  # Psi_{m-1}'s spline rows are past float range
+                if m == 1:  # the input's own: refused as on every kernel route
+                    raise
+                raise TruncationError(
+                    f"iterated series overflowed at term {m}", last_term=tail, n_used=m - 1
+                ) from None
+            smoothed = [dhat(coef, part[-1]) for coef, part in zip(coefs, parts)]
             parts = [np.fft.irfft(d2_half * np.fft.rfft(part), n) for part in smoothed]
             current = parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
             try:

@@ -75,7 +75,6 @@ reports its estimate and error bound in the caller's units.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -177,10 +176,9 @@ def hermite2(n: int, x: float, y: float) -> float:
         raise OverflowError(f"hermite2 order {n} exceeds the supported cap {_HERMITE_N_CAP}")
     require("finite", x=x, y=y)
     h_prev, h_cur = 0.0, 1.0
-    # numpy scalars warn where a term leaves float range, which is refused
-    # below; Python floats do not warn, and skip the context's cost
-    numpy_scalar = isinstance(x, np.generic) or isinstance(y, np.generic)
-    with np.errstate(over="ignore", invalid="ignore") if numpy_scalar else nullcontext():
+    # a term past float range is refused below, so numpy's warnings on
+    # numpy scalars are silenced
+    with np.errstate(over="ignore", invalid="ignore"):
         for m in range(n):
             h_prev, h_cur = h_cur, x * h_cur + 2.0 * y * m * h_prev
     if not math.isfinite(h_cur):  # once past float range the recurrence stays inf or NaN
@@ -258,17 +256,13 @@ def _tol(scale: float) -> float:
     return max(_ABS_TOL, _REL_TOL * scale)
 
 
-def _rule_sum(f: Callable, nodes: np.ndarray, weights: np.ndarray, scale=None) -> np.ndarray:
-    """Sum of weights * f(node), one integrand call per node, each value
-    times its node's ``scale`` first where one is given. The nodes run
+def _rule_sum(f: Callable, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sum of weights * f(node), one integrand call per node. The nodes run
     along the last axis, which numpy sums pairwise (along axis 0 it adds
     them one by one). A non-finite sum fails the refinement loop, so
-    numpy's overflow and inf - inf warnings are silenced, and so is the
-    inf * 0 of a complex infinity times a real scale."""
+    numpy's overflow and inf - inf warnings are silenced."""
     vals = np.stack([np.asarray(f(float(t))) for t in nodes], axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        if scale is not None:
-            vals = vals * scale
         return (vals * weights).sum(axis=-1)
 
 
@@ -313,15 +307,17 @@ def _inverse_square_core(f: Callable):
     count is doubled until two successive estimates agree.
     """
 
-    def panel_sum(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        # f(1/xi^2) times 2 / xi^3, the factor in Python's float arithmetic
-        scale = [2.0 / float(xi) ** 3 for xi in nodes]
-        return _rule_sum(lambda xi: f(1.0 / (xi * xi)), nodes, weights, scale)
+    def g(xi: float):
+        t = 1.0 / (xi * xi)
+        # a complex infinity times the real factor is inf * 0 in its
+        # imaginary part; the non-finite sum fails the refinement loop
+        with np.errstate(invalid="ignore"):
+            return np.asarray(f(t)) * (2.0 / xi**3)
 
     order = 16
     upper = 16.0
     # Extend the truncation point while the tail still matters.
-    probe = panel_sum(*_gl_panels([upper, 1.5 * upper], order))
+    probe = _rule_sum(g, *_gl_panels([upper, 1.5 * upper], order))
     while float(np.max(np.abs(probe))) > _ABS_TOL / 16.0:
         upper *= 1.5
         if upper > 65536.0:
@@ -330,10 +326,10 @@ def _inverse_square_core(f: Callable):
                 "tail (integrand lacks t->0 decay); use another rule",
                 error_bound=float(np.max(np.abs(probe))),
             )
-        probe = panel_sum(*_gl_panels([upper, 1.5 * upper], order))
+        probe = _rule_sum(g, *_gl_panels([upper, 1.5 * upper], order))
 
     return _refine(
-        lambda panels: panel_sum(*_gl_panels(np.linspace(0.0, upper, panels + 1), order)),
+        lambda panels: _rule_sum(g, *_gl_panels(np.linspace(0.0, upper, panels + 1), order)),
         [8 << k for k in range(_REFINEMENTS + 1)],
         "inverse-square rule did not converge with {} panels",
     )

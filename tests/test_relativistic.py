@@ -461,6 +461,27 @@ def test_iterated_series_overflow_is_a_truncation_error():
         iterated_series(f, 0.3)
 
 
+def test_iterated_series_overflow_in_a_later_spline_is_a_truncation_error():
+    # content near Nyquist on a short grid: Psi_1 is finite (1.9e306), but
+    # its spline rows, taken for term 2, leave float range. The series
+    # fails after one term; it does not blame the input's spline
+    f = Field.from_function(-1.0, 1.0, 16, lambda x: 1e305 * np.cos(7 * np.pi * x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TruncationError, match="overflowed at term 2 ") as exc:
+            iterated_series(f, 0.3)
+    assert exc.value.n_used == 1
+    assert math.isfinite(exc.value.last_term)
+
+
+def test_iterated_series_refuses_data_whose_own_spline_is_past_float_range():
+    f = Field.from_function(-1.0, 1.0, 16, lambda x: 1e307 * np.cos(7 * np.pi * x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="past float range"):
+            iterated_series(f, 0.3)
+
+
 def test_iterated_series_overflow_in_the_input_spectrum_is_silent():
     # at 1e307 the dealiasing FFT of the input itself overflows: the series
     # still ends in TruncationError, with no RuntimeWarning on the way
