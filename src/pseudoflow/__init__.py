@@ -11,7 +11,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-# submodule -> the public names it defines, in the order of __all__
+# submodule -> the public names it defines; each submodule's __all__ is its row
 _EXPORTS = {
     "errors": ("PseudoflowError", "ConvergenceError", "TruncationError"),
     "special": (

@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from ._choices import (
     KAPPA_VARIANTS,
     POSITION_PARAMETRIZATIONS,
@@ -30,22 +31,7 @@ from ._choices import (
     require_one_of,
 )
 
-__all__ = [
-    "Mat2",
-    "Mat4",
-    "PauliVector",
-    "GENERATOR_KINDS",
-    "generators",
-    "pauli_sqrt_identity",
-    "exp_pauli",
-    "dirac2_evolution",
-    "bloch_evolve",
-    "dirac4_evolution",
-    "position_evolution",
-    "sqrt_symbol_check",
-    "kappa_parametrization",
-    "pauli_line_power",
-]
+__all__ = list(_EXPORTS["clifford"])
 
 Mat2 = np.ndarray  # 2x2 complex
 Mat4 = np.ndarray  # 4x4 complex

@@ -1,6 +1,10 @@
 """Exception types shared across the package."""
 from __future__ import annotations
 
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["errors"])
+
 
 class PseudoflowError(Exception):
     """Base class for numerical failures raised by this package."""

@@ -52,20 +52,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _EXPORTS
 from ._choices import past_float_range, require
 from .errors import ConvergenceError
 from .special import _REL_TOL, _cell_offsets, _gl_panels, _leading_scale, _log_trapezoid, _shift_panels
 from .transforms import Field, _gw_smoother
 
-__all__ = [
-    "SymbolSpec",
-    "solve_half_derivative",
-    "solve_pseudoheat",
-    "pseudoheat_gaussian",
-    "solve_symbol_spectral",
-    "solve_affine_sqrt",
-    "apply_inv_sqrt_shift",
-]
+__all__ = list(_EXPORTS["evolution"])
 
 
 @dataclass(frozen=True)
@@ -112,9 +105,14 @@ class SymbolSpec:
 # spectral path
 
 
-def _spectral_apply(f: Field, multiplier_of_k: Callable[[np.ndarray], np.ndarray]) -> Field:
+def _spectral_apply(
+    f: Field, multiplier_of_k: Callable[[np.ndarray], np.ndarray], what: str, **named
+) -> Field:
     """Apply a Fourier multiplier with factor-2 zero padding (fixed contract),
-    on any sample count n: pad to 2n, transform, multiply, crop to n."""
+    on any sample count n: pad to 2n, transform, multiply, crop to n.
+
+    A result past float range (finite data near the largest float, whose
+    transform overflows) raises past_float_range(what, **named, peak=...)."""
     n = f.n
     wrap = "; periodic wrap-around will contaminate the result"
     warnings = tuple(w + wrap for w in f.leak_warnings("spectral"))
@@ -122,11 +120,14 @@ def _spectral_apply(f: Field, multiplier_of_k: Callable[[np.ndarray], np.ndarray
     padded = np.zeros(2 * n, dtype=complex)
     padded[:n] = f.values
     k = 2.0 * math.pi * np.fft.fftfreq(2 * n, d=h)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite multiplier is refused
+    # a non-finite multiplier or result is refused, so numpy's warnings are silenced
+    with np.errstate(over="ignore", invalid="ignore"):
         mult = np.asarray(multiplier_of_k(k), dtype=complex)
-    if not np.all(np.isfinite(mult)):
-        raise ValueError("symbol produced non-finite multipliers on the grid's wavenumbers")
-    out = np.fft.ifft(mult * np.fft.fft(padded))[:n]
+        if not np.all(np.isfinite(mult)):
+            raise ValueError("symbol produced non-finite multipliers on the grid's wavenumbers")
+        out = np.fft.ifft(mult * np.fft.fft(padded))[:n]
+    if not np.isfinite(out).all():
+        raise past_float_range(what, **named, peak=float(np.max(np.abs(f.values))))
     return f.with_values(out, warnings)
 
 
@@ -136,9 +137,16 @@ def solve_symbol_spectral(f: Field, tau: float, symbol: SymbolSpec) -> Field:
     The grid is zero-padded by a factor of 2 before the transform and
     cropped after; wavenumbers follow the DFT convention k = 2 pi j / (N h)
     on the padded array. Any sample count works, not only powers of two.
+    Finite data whose transform leaves float range raise ValueError naming
+    the symbol, tau and the data's peak.
     """
     require("finite", tau=tau)
-    return _spectral_apply(f, lambda k: np.exp(tau * np.asarray(symbol.eval(k), dtype=complex)))
+    return _spectral_apply(
+        f,
+        lambda k: np.exp(tau * np.asarray(symbol.eval(k), dtype=complex)),
+        f"the spectral {symbol.name} flow",
+        tau=tau,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -462,6 +470,15 @@ def pseudoheat_gaussian(tau: float, x: float) -> float:
     returned. Elsewhere such a tau raises ConvergenceError: the flow's
     kernel tail is linear in tau, so at x = 10 and tau = 1e-20 the value is
     1.5e-26, not e^{-100}.
+
+    For tau in [1e-4, 300] and |x| <= 16 the value is within 1e-15 absolute
+    of the Fourier integral (1/sqrt(pi)) int_0^inf e^{-k^2/4 - tau sqrt(1+k^2)}
+    cos(kx) dk (a derandomized sweep against mpmath; 3.5e-16 at worst). The
+    rule stops at an absolute floor of 1e-12, so far out the relative error
+    can be large: at tau = 1.727e-4, x = 14.27 the value is 2.00980e-12
+    against 2.01015e-12 (1.7e-4 relative), a reference on which the Fourier
+    integral, e^{-x^2} plus the integral of the (e^{-tau sqrt(1+k^2)} - 1)
+    part, and the K1 kernel in position space agree.
     """
     below = _ROUNDING * math.exp(-x * x) / _GAUSSIAN_RATE
     return _identity_to_rounding(

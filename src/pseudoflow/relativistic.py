@@ -35,6 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _EXPORTS
 from ._choices import past_float_range, require, require_one_of
 from .errors import ConvergenceError, TruncationError
 from .evolution import (
@@ -56,20 +57,7 @@ from .special import (
 )
 from .transforms import Field
 
-__all__ = [
-    "ObservableInputs",
-    "f2k",
-    "series_solution",
-    "spectral_schrodinger",
-    "dhat_apply",
-    "phi_transform",
-    "iterated_series",
-    "r_function",
-    "f_function",
-    "packet_width",
-    "commutator_xt_x0",
-    "linear_potential_trajectory",
-]
+__all__ = list(_EXPORTS["relativistic"])
 
 # f_{2k}: the trapezoid step in u = sqrt(s) and the nodes u = 0, h, ..., 9
 _U_STEP = 0.025
@@ -316,7 +304,7 @@ def dhat_apply(f: Field, method: str = "kernel_k0") -> Field:
     """
     require_one_of(DHAT_METHODS, method=method)
     if method == "spectral":
-        return _spectral_apply(f, lambda k: (1.0 + k**2) ** -0.5)
+        return _spectral_apply(f, lambda k: (1.0 + k**2) ** -0.5, "the spectral route of D")
     if method == "kernel_k0":
         out = _k0_lags(f.n, f.x_min, f.x_max)(_coefficients(f.x, f.values), f.values[-1])
     else:

@@ -84,17 +84,11 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 
+from . import _EXPORTS
 from ._choices import past_float_range, require, require_one_of
 from .errors import ConvergenceError
 
-__all__ = [
-    "QuadratureConfig",
-    "IntegralResult",
-    "hermite2",
-    "bessel",
-    "integrate_halfline",
-    "integrate_realline",
-]
+__all__ = list(_EXPORTS["special"])
 
 HALFLINE_RULES = ("gauss_laguerre", "adaptive_subdivision", "inverse_square_substitution")
 REALLINE_RULES = ("gauss_hermite", "truncated_adaptive")

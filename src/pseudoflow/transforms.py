@@ -25,17 +25,11 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _EXPORTS
 from ._choices import require, require_one_of
 from .special import _LOG_UNIT, _legendre_nodes, _log_trapezoid, _quadpack
 
-__all__ = [
-    "Field",
-    "doetsch_weight",
-    "exp_sqrt_via_doetsch",
-    "gauss_weierstrass",
-    "glaisher",
-    "laplace_inv_power",
-]
+__all__ = list(_EXPORTS["transforms"])
 
 # Boundary samples above this fraction of the peak trigger a leakage warning.
 BOUNDARY_LEAK_THRESHOLD = 1e-8

@@ -766,6 +766,33 @@ def test_spline_past_float_range_exits_1(tmp_path, args):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "equation, name",
+    [
+        (("heat",), "heat"),
+        (("schrodinger",), "schrodinger"),
+        (("optics",), "optics(n=2.0)"),
+        (("pseudoheat", "--method", "spectral"), "pseudoheat"),
+    ],
+    ids=["heat", "schrodinger", "optics", "pseudoheat"],
+)
+def test_spectral_routes_past_float_range_exit_1(tmp_path, capsys, equation, name):
+    # a table near 1.6e308 whose spline stays finite but whose transform
+    # overflows: four numpy warnings came first, then "error: values must be
+    # finite", which named nothing
+    table = tmp_path / "float_edge.csv"
+    _tool("csv_digests").write_float_edge_table(table)
+    out = tmp_path / "never.csv"
+    args = ["solve", "--equation", *equation, "--tau", "0.5", "--ic", f"file={table}"]
+    assert cli.run([*args, "--grid", "-4:4:64", "--out", str(out)]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith(f"error: the spectral {name} flow is past float range at tau = 0.5, peak = ")
+    assert len(stderr.splitlines()) == 1, stderr
+    assert not out.exists()
+    assert no_partials(tmp_path)
+
+
 def test_fig4_reaches_large_a(tmp_path):
     # R's weight lies near s ~ 1/a^2, far left of s = 1
     out = tmp_path / "fig4.csv"

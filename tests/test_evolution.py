@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.special import j0, k1, wofz
@@ -482,6 +484,20 @@ def test_pseudoheat_gaussian_small_tau_far_out(tau, x):
     ref = _fourier_pseudoheat(tau, x)
     assert ref > 1e-9
     assert pseudoheat_gaussian(tau, x) == pytest.approx(ref, rel=1e-8)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.floats(-4.0, math.log10(300.0)).map(lambda k: 10.0**k), st.floats(-16.0, 16.0))
+@example(1.727e-4, 14.27)  # 1.7e-4 relative in the far tail, 3.5e-16 absolute
+def test_pseudoheat_gaussian_is_right_over_the_swept_domain(tau, x):
+    # absolute, not relative: see the docstring of pseudoheat_gaussian
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        ref = mp.quad(
+            lambda k: mp.exp(-k * k / 4 - tau * mp.sqrt(1 + k * k)) * mp.cos(k * x),
+            [0, 2, 5, 10, 20, mp.inf],
+        ) / mp.sqrt(mp.pi)
+    assert abs(pseudoheat_gaussian(tau, x) - float(ref)) <= 1e-15
 
 
 # ----------------------------------------------------------------------
@@ -1145,6 +1161,39 @@ def test_shift_flows_refuse_a_spline_past_float_range():
     for flow in (solve_half_derivative, lambda f, tau: solve_affine_sqrt(f, tau, 1.0)):
         with pytest.raises(ValueError, match="past float range"):
             flow(f, 0.5)
+
+
+_NEAR_MAX = Field.from_function(-8.0, 8.0, 128, lambda x: 1e307 * np.exp(-(x**2)))
+
+
+@pytest.mark.parametrize(
+    "route, what",
+    [
+        (lambda f: solve_symbol_spectral(f, 0.5, SymbolSpec.pseudoheat()),
+         "the spectral pseudoheat flow is past float range at tau = 0.5, "),
+        (lambda f: solve_symbol_spectral(f, 0.5, SymbolSpec.optics(2.0)),
+         "the spectral optics(n=2.0) flow is past float range at tau = 0.5, "),
+        (lambda f: dhat_apply(f, "spectral"), "the spectral route of D is past float range at "),
+    ],
+    ids=["pseudoheat", "optics", "dhat"],
+)
+def test_spectral_routes_past_float_range_are_value_errors(route, what):
+    # the transform of finite data near 1e307 overflows: numpy's FFT warnings
+    # (errors in this suite) came first, then "values must be finite", which
+    # named nothing
+    with pytest.raises(ValueError) as exc:
+        route(_NEAR_MAX)
+    assert str(exc.value) == f"{what}peak = {float(np.max(_NEAR_MAX.values))!r}"
+
+
+@pytest.mark.parametrize("symbol", [SymbolSpec.heat(), SymbolSpec.schrodinger()], ids=["heat", "schrodinger"])
+def test_spectral_flow_near_float_range_keeps_its_bits(symbol):
+    # a power of two scales every step of the transform exactly, so data at
+    # 2^1000 (about 1e301) evolve as the unit data times 2^1000, unrefused
+    f = Field.from_function(-8.0, 8.0, 128, lambda x: np.exp(-(x**2)))
+    big = f.with_values(f.values * 2.0**1000)
+    got = solve_symbol_spectral(big, 0.5, symbol).values
+    assert np.array_equal(got, solve_symbol_spectral(f, 0.5, symbol).values * 2.0**1000)
 
 
 @pytest.mark.parametrize("cplx", [False, True])

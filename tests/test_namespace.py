@@ -70,3 +70,9 @@ def test_every_public_name_is_its_home_modules_object():
     # the submodules stay reachable as attributes, as after an eager import
     for module in pseudoflow._EXPORTS:
         assert getattr(pseudoflow, module) is importlib.import_module(f"pseudoflow.{module}")
+
+
+@pytest.mark.parametrize("module", list(pseudoflow._EXPORTS))
+def test_each_modules_all_is_its_row_of_the_table(module):
+    home = importlib.import_module(f"pseudoflow.{module}")
+    assert home.__all__ == list(pseudoflow._EXPORTS[module])

@@ -1,4 +1,5 @@
 """Hermite-series solution, the D operator, and Heisenberg observables."""
+import cmath
 import math
 import sys
 import warnings
@@ -221,6 +222,21 @@ def test_series_truncation_failure():
         series_solution(0.0, 8.0)
     assert exc.value.n_used == 60
     assert exc.value.last_term > 0
+
+
+def test_series_step_sums_that_disagree_raise_convergence_error():
+    # at tau = 4 the terms pass the tail test, but the sums from the f_2k
+    # moments at steps h and 2h differ at eta = 0 by more than the tolerance
+    with pytest.raises(ConvergenceError) as exc:
+        series_solution(0.0, 4.0)
+    err = exc.value
+    assert err.reason == "tau-power series: f_2k step sums disagree at eta = 0.0"
+    assert str(err) == f"{err.reason} (last estimate {err.estimate}, error bound {err.error_bound})"
+    assert isinstance(err.estimate, complex) and cmath.isfinite(err.estimate)
+    assert math.isfinite(err.error_bound)
+    assert err.error_bound > max(1e-12, 1e-10 * abs(err.estimate))
+    # the same point with the same data sums to a value at tau = 3.5
+    assert cmath.isfinite(series_solution(0.0, 3.5))
 
 
 @pytest.mark.parametrize("tau", [1e200, -1e200, 1.7e308])

@@ -20,7 +20,10 @@ integral at a width of 1e-320 and the heat integral at 1e308, the affine
 flow without drift (c = 0) on [0, 12] and on data at x < 0, where it
 diverges, and three splines past float range: the half-derivative and
 affine flows on a grid of step 3e-202, and a second fixed table of values
-near 1.6e308 that the tool writes. One line per
+near 1.6e308 that the tool writes; then, after all of those, each spectral
+route (heat, schrodinger, optics, pseudoheat) and the pseudoheat flow on a
+third fixed table, of values rising from 1.5e308 to 1.7e308, and the
+series route at tau = 4, where its two trapezoid steps disagree. One line per
 run, "<csv sha256>  <text sha256>  <arguments>", where the first hash reads
 "exit <code>" where the run failed, or "error <type>" where ``cli.run``
 raised, and the second is the SHA-256 of the run's stdout and stderr with
@@ -51,7 +54,9 @@ and the Bloch precession at tau = 1e300, dt = 1e-300; then H_n(x, y) past
 float range, also at a numpy x, the spectral pseudoheat flow at tau = inf,
 the heat smoothing at alpha = 1e-320, R(a) on no a, and each fixed-node
 and adaptive integration rule on an integrand of inf, -inf and complex
-inf), one line per call, "<sha256>  <call>", or "error <type>" where the
+inf; last the spectral pseudoheat flow and the spectral D on data near
+1e307, whose transform leaves float range, and the series at eta = 0,
+tau = 4), one line per call, "<sha256>  <call>", or "error <type>" where the
 call raised, followed by " warned <sha256 of its warnings>" where the call
 warned. The K0, J0 and half-derivative
 routes keep a plan per grid: each of them runs again on a grid after a
@@ -153,15 +158,26 @@ REFUSALS = (
     ("matrix", "--what", "dirac4", "--pi", "1e200,0,0"),
     ("matrix", "--what", "position", "--pi", "1e200"),
 )
-# runs on the tables that write_ic_table and write_huge_table put in the
-# working directory
+# runs on the tables that write_ic_table, write_huge_table and
+# write_float_edge_table put in the working directory
 IC_TABLE = "ic.csv"
 HUGE_TABLE = "huge.csv"
+FLOAT_EDGE_TABLE = "float_edge.csv"
 IC_FILE_RUNS = (
     ("solve", "--equation", "heat", "--method", "integral", "--tau", "0", "--ic", f"file={IC_TABLE}",
      "--grid", "-4:4:64"),
     # a spline whose coefficient rows leave float range
     ("solve", "--equation", "heat", "--tau", "0.5", "--ic", f"file={HUGE_TABLE}", "--grid", "-4:4:64"),
+)
+# runs printed after all others: each spectral route and the pseudoheat
+# flow on data near the largest float whose spline stays finite, and the
+# series where its two trapezoid steps disagree
+EDGE_RUNS = (
+    *(("solve", "--equation", *eq, "--tau", "0.5", "--ic", f"file={FLOAT_EDGE_TABLE}",
+       "--grid", "-4:4:64")
+      for eq in (("heat",), ("schrodinger",), ("optics",), ("pseudoheat", "--method", "spectral"),
+                 ("pseudoheat",))),
+    ("solve", "--equation", "schrodinger", "--method", "series", "--tau", "4"),
 )
 
 
@@ -189,6 +205,13 @@ def write_huge_table(path: Path) -> None:
     """A fixed (x, value) table: a header row, then 6 rows 10 apart whose
     values alternate between 1.5e308 and 1.7e308."""
     rows = "".join(f"{10.0 * i!r},{1.7e308 if i % 2 else 1.5e308!r}\n" for i in range(6))
+    Path(path).write_text("x,value\n" + rows)
+
+
+def write_float_edge_table(path: Path) -> None:
+    """A fixed (x, value) table: a header row, then 25 rows at
+    x = -3 + 0.25 i whose values rise linearly from 1.5e308 to 1.7e308."""
+    rows = "".join(f"{-3.0 + 0.25 * i!r},{1.5e308 + i * (2e307 / 24)!r}\n" for i in range(25))
     Path(path).write_text("x,value\n" + rows)
 
 
@@ -334,6 +357,15 @@ def array_calls(pf):
                     lambda s: value, pf.QuadratureConfig(**rule)
                 ).value,
             ))
+    # the spectral routes on data near 1e307, whose transform leaves float
+    # range, and the series where its two trapezoid steps disagree
+    near_max = pf.Field.from_function(-8.0, 8.0, 128, lambda x: 1e307 * np.exp(-(x**2)))
+    calls += [
+        ("solve_symbol_spectral 128 pseudoheat 1e307 e^{-x^2} tau 0.5",
+         lambda: pf.solve_symbol_spectral(near_max, 0.5, pf.SymbolSpec.pseudoheat())),
+        ("dhat_apply 128 spectral 1e307 e^{-x^2}", lambda: pf.dhat_apply(near_max, "spectral")),
+        ("series_solution(0.0, 4.0)", lambda: pf.series_solution(0.0, 4.0)),
+    ]
     return calls
 
 
@@ -381,7 +413,8 @@ def main() -> None:
         os.chdir(tmp)  # where IC_FILE_RUNS find their table
         write_ic_table(Path(tmp) / IC_TABLE)
         write_huge_table(Path(tmp) / HUGE_TABLE)
-        for args in (*runs(cli), *IC_FILE_RUNS, *USAGE_ERRORS, *REFUSALS):
+        write_float_edge_table(Path(tmp) / FLOAT_EDGE_TABLE)
+        for args in (*runs(cli), *IC_FILE_RUNS, *USAGE_ERRORS, *REFUSALS, *EDGE_RUNS):
             print(f"{'  '.join(digests(cli, args, Path(tmp)))}  {' '.join(args)}", flush=True)
 
 
