@@ -230,37 +230,28 @@ def _field_err(f: pf.Field) -> float | None:
 # solve dispatch
 
 
-def _series_field(f0: pf.Field, tau: float) -> pf.Field:
-    return f0.with_values(pf.series_solution(f0.x, tau))
-
-
-_DEFAULT_METHODS = {
-    "heat": "spectral",
-    "pseudoheat": "integral",
-    "schrodinger": "spectral",
-    "half_derivative": "integral",
-    "affine_sqrt": "integral",
-    "optics": "spectral",
-}
-
-# (equation, method) -> solver of (namespace, initial field)
+# (equation, method) -> solver of (initial field, tau, namespace): the one
+# declaration of the CLI's routes. An equation's first row is its default
+# method; solve's and fig2's choices, and the fig1 and fig2 solves, read it.
 _SOLVERS = {
-    ("heat", "spectral"): lambda ns, f0: pf.solve_symbol_spectral(
-        f0, ns.tau, pf.SymbolSpec.heat()
+    ("heat", "spectral"): lambda f0, tau, ns: pf.solve_symbol_spectral(
+        f0, tau, pf.SymbolSpec.heat()
     ),
-    ("heat", "integral"): lambda ns, f0: f0 if ns.tau == 0 else pf.gauss_weierstrass(f0, ns.tau),
-    ("pseudoheat", "integral"): lambda ns, f0: pf.solve_pseudoheat(f0, ns.tau),
-    ("pseudoheat", "spectral"): lambda ns, f0: pf.solve_symbol_spectral(
-        f0, ns.tau, pf.SymbolSpec.pseudoheat()
+    ("heat", "integral"): lambda f0, tau, ns: f0 if tau == 0 else pf.gauss_weierstrass(f0, tau),
+    ("pseudoheat", "integral"): lambda f0, tau, ns: pf.solve_pseudoheat(f0, tau),
+    ("pseudoheat", "spectral"): lambda f0, tau, ns: pf.solve_symbol_spectral(
+        f0, tau, pf.SymbolSpec.pseudoheat()
     ),
-    ("schrodinger", "spectral"): lambda ns, f0: pf.spectral_schrodinger(f0, ns.tau),
-    ("schrodinger", "series"): lambda ns, f0: _series_field(f0, ns.tau),
-    ("half_derivative", "integral"): lambda ns, f0: pf.solve_half_derivative(f0, ns.tau),
-    ("affine_sqrt", "integral"): lambda ns, f0: pf.solve_affine_sqrt(f0, ns.tau, ns.c),
-    ("optics", "spectral"): lambda ns, f0: pf.solve_symbol_spectral(
-        f0, ns.tau, pf.SymbolSpec.optics(ns.refractive_index)
+    ("schrodinger", "spectral"): lambda f0, tau, ns: pf.spectral_schrodinger(f0, tau),
+    ("schrodinger", "series"): lambda f0, tau, ns: f0.with_values(pf.series_solution(f0.x, tau)),
+    ("half_derivative", "integral"): lambda f0, tau, ns: pf.solve_half_derivative(f0, tau),
+    ("affine_sqrt", "integral"): lambda f0, tau, ns: pf.solve_affine_sqrt(f0, tau, ns.c),
+    ("optics", "spectral"): lambda f0, tau, ns: pf.solve_symbol_spectral(
+        f0, tau, pf.SymbolSpec.optics(ns.refractive_index)
     ),
 }
+# each equation's methods in table order, its default first
+_METHODS = {eq: tuple(m for e, m in _SOLVERS if e == eq) for eq, _ in _SOLVERS}
 
 
 def _solver(equation: str, method: str):
@@ -277,8 +268,8 @@ def _solver(equation: str, method: str):
 
 def _run_fig1(ns: argparse.Namespace):
     f0 = pf.Field(*ns.grid, _make_ic(_parse_ic("gaussian"), ns.grid))
-    heat = pf.gauss_weierstrass(f0, ns.tau)
-    pseudo = pf.solve_pseudoheat(f0, ns.tau)
+    heat = _SOLVERS["heat", "integral"](f0, ns.tau, ns)
+    pseudo = _SOLVERS["pseudoheat", "integral"](f0, ns.tau, ns)
     columns = [
         ("x", f0.x),
         ("initial", f0.values),
@@ -292,10 +283,10 @@ def _run_fig2(ns: argparse.Namespace):
     import numpy as np
 
     f0 = pf.Field(*ns.grid, _make_ic(_parse_ic("gaussian"), ns.grid))
-    solve = _series_field if ns.method == "series" else pf.spectral_schrodinger
+    solve = _SOLVERS["schrodinger", ns.method]
     columns = [("x", f0.x)]
     for t in (0.0, 0.5, 1.0):
-        columns.append((f"abs_psi_tau_{_fmt(t)}", np.abs(solve(f0, t).values)))
+        columns.append((f"abs_psi_tau_{_fmt(t)}", np.abs(solve(f0, t, ns).values)))
     return columns, None, ""
 
 
@@ -315,7 +306,7 @@ def _run_fig4(ns: argparse.Namespace):
 
 def _run_solve(ns: argparse.Namespace):
     # both methods, and the initial condition they take, are checked before either solve runs
-    method, other = ns.method or _DEFAULT_METHODS[ns.equation], ns.compare
+    method, other = ns.method or _METHODS[ns.equation][0], ns.compare
     solve = _solver(ns.equation, method)
     solve_other = _solver(ns.equation, other) if other else None
     if "series" in (method, other) and ns.ic != ("gaussian", 1.0):
@@ -323,12 +314,12 @@ def _run_solve(ns: argparse.Namespace):
     import numpy as np
 
     f0 = pf.Field(*ns.grid, _make_ic(ns.ic, ns.grid))
-    primary = solve(ns, f0)
+    primary = solve(f0, ns.tau, ns)
     columns = [("x", f0.x), ("value", primary.values)]
     extra = ""
     err = _field_err(primary)
     if other:
-        secondary = solve_other(ns, f0)
+        secondary = solve_other(f0, ns.tau, ns)
         columns.append((f"{other}_value", secondary.values))
         delta = float(np.max(np.abs(primary.values - secondary.values)))
         extra = f"; max |delta| vs {other} = {_fmt(delta)}"
@@ -410,7 +401,8 @@ def _build_parser() -> _Parser:
     add_common(p, "-8:8:1024")
 
     p = sub.add_parser("fig2", help="|psi| of the relativistic packet at tau = 0, 0.5, 1")
-    p.add_argument("--method", choices=("spectral", "series"), default="spectral")
+    methods = _METHODS["schrodinger"]
+    p.add_argument("--method", choices=methods, default=methods[0])
     add_common(p, "-16:16:512")
 
     p = sub.add_parser("fig3", help="psi = x^2 e^{-x^2} and its delocalized companion")
@@ -422,16 +414,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("solve", help="evolve an initial condition")
-    p.add_argument(
-        "--equation",
-        required=True,
-        choices=tuple(_DEFAULT_METHODS),
-    )
+    p.add_argument("--equation", required=True, choices=tuple(_METHODS))
     ic_help = "gaussian | gaussian(sigma) | fig3 | file=<path>"
     p.add_argument("--ic", type=_parse_ic, default="gaussian", help=ic_help)
     number(p, "--tau", None, "nonnegative and finite", required=True)
-    p.add_argument("--method", choices=("integral", "spectral", "series"), default=None)
-    p.add_argument("--compare", choices=("integral", "spectral", "series"), default=None)
+    methods = tuple(dict.fromkeys(m for _, m in _SOLVERS))
+    p.add_argument("--method", choices=methods, default=None)
+    p.add_argument("--compare", choices=methods, default=None)
     number(p, "--c", 1.0, help="drift coefficient (affine_sqrt)")
     n_help = "refractive index (optics)"
     number(p, "--refractive-index", 2.0, "finite with a finite square", help=n_help)

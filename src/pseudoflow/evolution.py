@@ -105,6 +105,10 @@ class SymbolSpec:
 # spectral path
 
 
+def _peak(f: Field) -> float:
+    return float(np.max(np.abs(f.values)))
+
+
 def _spectral_apply(
     f: Field, multiplier_of_k: Callable[[np.ndarray], np.ndarray], what: str, **named
 ) -> Field:
@@ -127,7 +131,7 @@ def _spectral_apply(
             raise ValueError("symbol produced non-finite multipliers on the grid's wavenumbers")
         out = np.fft.ifft(mult * np.fft.fft(padded))[:n]
     if not np.isfinite(out).all():
-        raise past_float_range(what, **named, peak=float(np.max(np.abs(f.values))))
+        raise past_float_range(what, **named, peak=_peak(f))
     return f.with_values(out, warnings)
 
 
@@ -304,7 +308,8 @@ def _shift_lattice(n: int, h: float, shifts: np.ndarray) -> _ShiftLattice:
 _ROUNDING = 2.0**-53
 
 _AFFINE_OVERFLOW = ("affine-sqrt quadrature overflowed: the amplitude e^{(x^2 - z^2)/(2c)}, "
-                    "z = x + c tau^2 t, at data points z far from x exceeds floating-point range")
+                    "z = x + c tau^2 t, at data points z far from x, or its product with the "
+                    "data there, exceeds floating-point range")
 
 
 def _identity_to_rounding(identity: Callable, tau: float, below: float, flow: Callable, **finite):
@@ -424,6 +429,10 @@ def solve_pseudoheat(f: Field, tau: float) -> Field:
     identity to rounding, tau <= 2^-53 / sqrt(1 + (pi/h)^2), where the
     weight's tail starts past the rule's reach, t = e^128: below
     tau = sqrt((x_max - x_min)/2) e^{-64}, 4.5e-28 on [-8, 8].
+
+    Data near the largest float solve too: where the rule's sums overflow,
+    it runs again on the data scaled by 2^-8. A result that rounds past
+    float range once scaled back raises ValueError.
     """
     below = _ROUNDING / math.hypot(1.0, math.pi / f.dx)
     return _identity_to_rounding(
@@ -432,6 +441,30 @@ def solve_pseudoheat(f: Field, tau: float) -> Field:
 
 
 def _pseudoheat(f: Field, tau: float) -> Field:
+    try:
+        # an overflow ends in the non-finite bound handled below, so numpy's
+        # warnings are silenced
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, err = _pseudoheat_rule(f, tau)
+    except ConvergenceError as exc:
+        if math.isfinite(exc.error_bound):
+            raise
+        # On data near the largest float the trapezoid-weighted data, the
+        # smoothing, or a level's sum of node values (up to 1/(2h) = 80
+        # times the result) leaves float range. The flow is linear and a
+        # contraction, so the rule runs again on the data scaled by 2^-8,
+        # exactly, and its result is scaled back.
+        values, err = _pseudoheat_rule(f.with_values(f.values * 2.0**-8), tau)
+        with np.errstate(over="ignore"):
+            values, err = values * 2.0**8, err * 2.0**8
+        if not np.isfinite(values).all():
+            raise past_float_range("the pseudoheat flow", tau=tau, peak=_peak(f)) from None
+    warn = f.leak_warnings("solve_pseudoheat")
+    return f.with_values(values, warn, meta={"quadrature_error": float(err)})
+
+
+def _pseudoheat_rule(f: Field, tau: float):
+    """(values, error) of the log-trapezoid rule of :func:`solve_pseudoheat`."""
     smooth = _gw_smoother(f)
     t2 = tau * tau
     pref = 1.0 / (2.0 * math.sqrt(math.pi))
@@ -441,9 +474,7 @@ def _pseudoheat(f: Field, tau: float) -> Field:
         return weight[:, None] * smooth(t * t2).T
 
     # Every term of the smoothing sum falls in t beyond |lag| / (2 tau^2).
-    values, err = _log_trapezoid(integrand, (f.x[-1] - f.x[0]) / (2.0 * t2))
-    warn = f.leak_warnings("solve_pseudoheat")
-    return f.with_values(values, warn, meta={"quadrature_error": float(err)})
+    return _log_trapezoid(integrand, (f.x[-1] - f.x[0]) / (2.0 * t2))
 
 
 # The Gaussian's flow moves it by at most this multiple of tau:
@@ -663,8 +694,9 @@ def solve_affine_sqrt(f: Field, tau: float, c: float) -> Field:
     For c != 0 the integration runs in the shift variable s = |c| tau^2 t
     with grid-aligned panels (see _affine_panels). The integrand's
     amplitude is e^{(x^2 - z^2)/(2c)} at the data point z = x + c tau^2 t:
-    it can overflow for data far from x (strongly negative x when c > 0,
-    x_min far beyond |x| when c < 0), which surfaces as a ConvergenceError.
+    it, or its product with the data, can overflow for data far from x
+    (strongly negative x when c > 0, x_min far beyond |x| when c < 0),
+    which surfaces as a ConvergenceError.
     For c = 0, sqrt(x - c d/dx) is multiplication by sqrt(x), and F is
     e^{-tau sqrt(x)} f in closed form, with no quadrature (quadrature_error
     0.0). Where x < 0 the integral's factor e^{-t tau^2 x} grows without
@@ -925,9 +957,15 @@ def apply_inv_sqrt_shift(g: Field) -> Field:
     smaller than that change, as past decaying data, the direct sum is
     kept with the largest of them as its estimate; non-decaying data (e.g.
     a plain cosine) converge at the averaging rate, so points far from the
-    left edge are the accurate ones.
+    left edge are the accurate ones. Data near the largest float whose arc
+    sums leave float range raise ValueError.
     """
-    out, est, count = _inv_sqrt_arcs(g)
+    # finite data near the largest float can overflow the arc sums: numpy's
+    # warnings are silenced and such a result refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, est, count = _inv_sqrt_arcs(g)
+    if not np.isfinite(out).all():
+        raise past_float_range("the J0 integral of apply_inv_sqrt_shift", peak=_peak(g))
     # Per-point tolerance: comparing against the global output scale would
     # let uniformly diverging data "settle" (everything is garbage of the
     # same magnitude), so each point is judged against its own value.

@@ -331,7 +331,8 @@ def iterated_series(psi0: Field, tau: float) -> Field:
     correlation and a real FFT pair. Only the coefficients (i tau)^n / n!
     are complex. Any sample count works. Terms are added until the latest
     drops below 1e-8, else TruncationError after 20 terms, or at the term
-    that leaves float range (a huge tau, or data near the largest float).
+    that leaves float range (a huge tau, or data near the largest float),
+    with the last finite term and the count before it.
     Data whose own spline rows leave float range are refused with
     ValueError, as on every kernel route.
     """
@@ -356,7 +357,14 @@ def iterated_series(psi0: Field, tau: float) -> Field:
     values = psi0.values
     total = np.asarray(values, dtype=complex).copy()
     parts = [values.real, values.imag] if np.iscomplexobj(values) else [values]
-    tail = math.inf
+    tail = None  # the size of the latest finite term
+
+    def overflowed(m: int) -> TruncationError:
+        # term m left float range: the series ends after the m - 1 before it
+        return TruncationError(
+            f"iterated series overflowed at term {m}", last_term=tail, n_used=m - 1
+        )
+
     # data near the largest float overflow in a term, which ends the series
     # below, so numpy's overflow and inf - inf warnings are silenced
     with np.errstate(over="ignore", invalid="ignore"):
@@ -366,27 +374,22 @@ def iterated_series(psi0: Field, tau: float) -> Field:
             except ValueError:  # Psi_{m-1}'s spline rows are past float range
                 if m == 1:  # the input's own: refused as on every kernel route
                     raise
-                raise TruncationError(
-                    f"iterated series overflowed at term {m}", last_term=tail, n_used=m - 1
-                ) from None
+                raise overflowed(m) from None
             smoothed = [dhat(coef, part[-1]) for coef, part in zip(coefs, parts)]
             parts = [np.fft.irfft(d2_half * np.fft.rfft(part), n) for part in smoothed]
             current = parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
             try:
                 scale = (1j * tau) ** m / math.factorial(m)
             except OverflowError:  # a huge tau: its power is past the largest float
-                raise TruncationError(
-                    f"iterated series overflowed at term {m}", last_term=tail, n_used=m - 1
-                ) from None
+                raise overflowed(m) from None
             term = scale * current
+            size = float(np.max(np.abs(term)))
+            if not math.isfinite(size):
+                raise overflowed(m)
             total += term
-            tail = float(np.max(np.abs(term)))
+            tail = size
             if tail < _ITERATED_TAIL_TOL:
                 break
-            if not math.isfinite(tail):
-                raise TruncationError(
-                    f"iterated series overflowed at term {m}", last_term=tail, n_used=m
-                )
         else:
             raise TruncationError(
                 "iterated series did not reach tail_tol", last_term=tail, n_used=_ITERATED_N_MAX

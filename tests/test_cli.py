@@ -359,10 +359,35 @@ def test_every_pair_of_routes_meets_on_every_grid(equation):
         argv = ["solve", "--equation", equation, "--tau", "0.5", "--grid", grid, "--out", "x.csv"]
         ns = parser.parse_args(argv)
         f0 = pseudoflow.Field(*ns.grid, cli._make_ic(ns.ic, ns.grid))
-        values = [cli._SOLVERS[equation, method](ns, f0).values for method in _ROUTES[equation]]
+        values = [cli._SOLVERS[equation, m](f0, ns.tau, ns).values for m in _ROUTES[equation]]
         for a, b in itertools.combinations(values, 2):
             gap = max(gap, float(np.max(np.abs(a - b))))
     assert gap <= _ROUTE_GAPS[equation]
+
+
+def test_parser_choices_are_the_route_tables_keys():
+    # solve's and fig2's choices and defaults are read from the route table,
+    # so a new row is at once a choice, a route-walk pair and a digest run
+    subparsers = next(a for a in cli._build_parser()._actions if a.dest == "subcommand").choices
+
+    def action(subcommand, dest):
+        return next(a for a in subparsers[subcommand]._actions if a.dest == dest)
+
+    methods = tuple(dict.fromkeys(m for _, m in cli._SOLVERS))
+    assert action("solve", "equation").choices == tuple(_ROUTES)
+    assert action("solve", "method").choices == methods
+    assert action("solve", "compare").choices == methods
+    assert set(methods) == {"spectral", "integral", "series"}
+    assert action("fig2", "method").choices == tuple(_ROUTES["schrodinger"])
+    assert action("fig2", "method").default == _ROUTES["schrodinger"][0] == "spectral"
+    assert {eq: cli._METHODS[eq][0] for eq in _ROUTES} == {
+        "heat": "spectral",
+        "pseudoheat": "integral",
+        "schrodinger": "spectral",
+        "half_derivative": "integral",
+        "affine_sqrt": "integral",
+        "optics": "spectral",
+    }
 
 
 # ----------------------------------------------------------------------
@@ -793,6 +818,19 @@ def test_spectral_routes_past_float_range_exit_1(tmp_path, capsys, equation, nam
     assert no_partials(tmp_path)
 
 
+def test_pseudoheat_integral_solves_the_float_edge_table(tmp_path, capsys):
+    # the flow is a contraction: the integral route solves the table that
+    # the spectral route refuses above (it exited 2 with a NaN bound)
+    table = tmp_path / "float_edge.csv"
+    _tool("csv_digests").write_float_edge_table(table)
+    out = tmp_path / "pseudoheat.csv"
+    args = ["solve", "--equation", "pseudoheat", "--tau", "0.5", "--ic", f"file={table}"]
+    assert cli.run([*args, "--grid", "-4:4:64", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _, cols = read_csv(out)
+    assert 9.7e307 < cols["value"].max() < 9.9e307
+
+
 def test_fig4_reaches_large_a(tmp_path):
     # R's weight lies near s ~ 1/a^2, far left of s = 1
     out = tmp_path / "fig4.csv"
@@ -950,7 +988,7 @@ def test_csv_digests_cover_every_command_and_solver(tmp_path):
         ns = parser.parse_args([*args, "--out", "x.csv"])
         commands.add(ns.subcommand)
         if ns.subcommand == "solve":
-            solvers.add((ns.equation, ns.method or cli._DEFAULT_METHODS[ns.equation]))
+            solvers.add((ns.equation, ns.method or cli._METHODS[ns.equation][0]))
     assert commands == set(cli._HANDLERS)
     assert solvers == set(cli._SOLVERS)
     # a digest is the SHA-256 of the CSV the run writes

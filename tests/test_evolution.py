@@ -1,5 +1,7 @@
 """Subordination solvers, spectral evolution, and the J0 shift transform."""
+import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -305,6 +307,28 @@ def test_pseudoheat_warns_on_boundary_leak():
     assert any("grid boundary" in w for w in out.warnings)
 
 
+def test_pseudoheat_solves_data_near_the_largest_float():
+    # a level's sum of node values passed the largest float before the step
+    # h brought it back, a ConvergenceError with a NaN bound (on a step of
+    # 6.3 the weighted data overflowed first, with a numpy warning); the rule
+    # now runs again on the data scaled by 2^-8 and meets the unit data's flow
+    unit = Field.from_function(-4.0, 4.0, 64, lambda x: np.exp(-((x / 3.0) ** 2)))
+    coarse = Field.from_function(-200.0, 200.0, 64, lambda x: np.exp(-((x / 20.0) ** 2)))
+    for f, scale in itertools.product((unit, coarse), (1.2e308, 1.6e308, 1.79e308)):
+        out = solve_pseudoheat(f.with_values(scale * f.values), 0.5)
+        assert np.max(np.abs(out.values / scale - solve_pseudoheat(f, 0.5).values)) <= 5e-16
+        assert math.isfinite(out.meta["quadrature_error"])
+    # the tiny-tau gate still returns such data as they came
+    huge = unit.with_values(1.6e308 * unit.values)
+    assert np.array_equal(solve_pseudoheat(huge, 1e-103).values, huge.values)
+    # the largest float itself, at a tau where the flow barely moves it,
+    # rounds past float range once scaled back
+    top = Field.from_function(-2.0, 14.0, 161, lambda x: np.full_like(x, np.finfo(float).max))
+    message = "the pseudoheat flow is past float range at tau = 1e-15, peak = 1.797693134862315"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve_pseudoheat(top, 1e-15)
+
+
 def test_pseudoheat_gaussian_closed_form():
     assert pseudoheat_gaussian(0.0, 0.7) == math.exp(-0.49)
     assert pseudoheat_gaussian(1.0, 0.0) == pytest.approx(PH_PEAK_TAU1, rel=1e-12)
@@ -558,6 +582,16 @@ def test_affine_sqrt_amplitude_overflow_is_an_error_at_every_tau(c):
         with pytest.raises(ConvergenceError, match="overflowed"):
             solve_affine_sqrt(gaussian(-40.0, 40.0, 161), tau, c)
         assert not np.any(solve_affine_sqrt(gaussian(-37.0, 37.0, 161), tau, c).values)
+
+
+@pytest.mark.parametrize("c", [1.0, -1.0])
+def test_affine_sqrt_overflow_names_the_amplitude_times_the_data(c):
+    # unit data solve on [-8, 8] (peaks 1.0e12 for c = 1, 1.5e4 for c = -1),
+    # so at 1e307 it is the amplitude times the data that overflows
+    f = Field.from_function(-8.0, 8.0, 64, lambda x: np.exp(-((x / 2.0) ** 2)))
+    assert np.isfinite(solve_affine_sqrt(f, 0.5, c).values).all()
+    with pytest.raises(ConvergenceError, match="or its product with the data there, exceeds"):
+        solve_affine_sqrt(f.with_values(1e307 * f.values), 0.5, c)
 
 
 def test_affine_sqrt_overflow_at_tiny_tau_is_still_an_error():
@@ -922,6 +956,19 @@ def test_inv_sqrt_shift_divergent_data_raises():
     g = Field.from_function(-120.0, 10.0, 1024, lambda x: np.exp(-x / 2.0))
     with pytest.raises(ConvergenceError, match="tail"):
         apply_inv_sqrt_shift(g)
+
+
+def test_inv_sqrt_shift_refuses_a_result_past_float_range():
+    # the arc sums of data near the largest float overflow: numpy warned
+    # "overflow encountered in matmul", then "values must be finite" named
+    # nothing; the same data at 1e307 solve, bit for bit as before
+    f = Field.from_function(-8.0, 8.0, 64, lambda x: 1.6e308 * np.exp(-((x / 2.0) ** 2)))
+    peak = float(np.max(f.values))
+    message = f"the J0 integral of apply_inv_sqrt_shift is past float range at peak = {peak!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        apply_inv_sqrt_shift(f)
+    out = apply_inv_sqrt_shift(f.with_values(f.values / 16.0))
+    assert 1.26e307 < np.max(np.abs(out.values)) < 1.28e307
 
 
 def _spline_shift_sum(f):

@@ -54,9 +54,11 @@ and the Bloch precession at tau = 1e300, dt = 1e-300; then H_n(x, y) past
 float range, also at a numpy x, the spectral pseudoheat flow at tau = inf,
 the heat smoothing at alpha = 1e-320, R(a) on no a, and each fixed-node
 and adaptive integration rule on an integrand of inf, -inf and complex
-inf; last the spectral pseudoheat flow and the spectral D on data near
+inf; then the spectral pseudoheat flow and the spectral D on data near
 1e307, whose transform leaves float range, and the series at eta = 0,
-tau = 4), one line per call, "<sha256>  <call>", or "error <type>" where the
+tau = 4; last the float edges of the J0 operator (1e307 and 1.6e308),
+the pseudoheat flow (1.6e308) and the affine flow (1e307 on two grids)),
+one line per call, "<sha256>  <call>", or "error <type>" where the
 call raised, followed by " warned <sha256 of its warnings>" where the call
 warned. The K0, J0 and half-derivative
 routes keep a plan per grid: each of them runs again on a grid after a
@@ -365,6 +367,27 @@ def array_calls(pf):
          lambda: pf.solve_symbol_spectral(near_max, 0.5, pf.SymbolSpec.pseudoheat())),
         ("dhat_apply 128 spectral 1e307 e^{-x^2}", lambda: pf.dhat_apply(near_max, "spectral")),
         ("series_solution(0.0, 4.0)", lambda: pf.series_solution(0.0, 4.0)),
+    ]
+    # float edges: the J0 operator at 1e307 and past float range at 1.6e308,
+    # the pseudoheat flow near 1.6e308 and the affine flow at 1e307, which
+    # overflows on [-8, 8] and solves on [-2, 14]
+    def edge(scale, x_min, x_max, n, width):
+        data = lambda x: scale * np.exp(-((x / width) ** 2))
+        return pf.Field.from_function(x_min, x_max, n, data)
+
+    calls += [
+        (f"apply_inv_sqrt_shift 64 {s:g} e^{{-(x/2)^2}}",
+         lambda s=s: pf.apply_inv_sqrt_shift(edge(s, -8.0, 8.0, 64, 2.0)))
+        for s in (1e307, 1.6e308)
+    ]
+    calls.append((
+        "solve_pseudoheat 64 on [-4, 4] 1.6e308 e^{-(x/3)^2} tau 0.5",
+        lambda: pf.solve_pseudoheat(edge(1.6e308, -4.0, 4.0, 64, 3.0), 0.5),
+    ))
+    calls += [
+        (f"solve_affine_sqrt {n} on [{lo:g}, {hi:g}] 1e307 e^{{-(x/2)^2}} c {c:g} tau 0.5",
+         lambda c=c, grid=(lo, hi, n): pf.solve_affine_sqrt(edge(1e307, *grid, 2.0), 0.5, c))
+        for lo, hi, n in ((-8.0, 8.0, 64), (-2.0, 14.0, 161)) for c in (1.0, -1.0)
     ]
     return calls
 
