@@ -54,6 +54,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _EXPORTS
 from ._choices import past_float_range, require
+from ._scipy import flapack, specfun, special_ufuncs
 from .errors import ConvergenceError
 from .special import _REL_TOL, _cell_offsets, _gl_panels, _leading_scale, _log_trapezoid, _shift_panels
 from .transforms import Field, _gw_smoother
@@ -169,12 +170,12 @@ def _coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     The node slopes solve scipy's CubicSpline tridiagonal system, built with
     its arithmetic and passed to the LAPACK routine gtsv that its banded
-    solve calls, so the rows equal ``CubicSpline(x, y).c`` bit for bit
-    without the spline object or the ``scipy.interpolate`` import. Rows
-    past float range raise ValueError.
+    solve calls (loaded alone, see :mod:`pseudoflow._scipy`), so the rows
+    equal ``CubicSpline(x, y).c`` bit for bit without the spline object or
+    the ``scipy.interpolate`` and ``scipy.linalg`` imports. Rows past float
+    range raise ValueError.
     """
-    from scipy.linalg.lapack import dgtsv, zgtsv
-
+    lapack = flapack()
     # a row past float range is refused below, so numpy's warnings are silenced
     with np.errstate(over="ignore", invalid="ignore"):
         dx = np.diff(x)
@@ -190,7 +191,7 @@ def _coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         rhs[0] = ((dx[0] + 2 * span) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / span
         span = x[-1] - x[-3]
         rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * span + dx[-1]) * dx[-2] * slope[-1]) / span
-        gtsv = zgtsv if np.iscomplexobj(rhs) else dgtsv
+        gtsv = lapack.zgtsv if np.iscomplexobj(rhs) else lapack.dgtsv
         s = gtsv(lower, diag, upper, rhs, True, True, True, True)[3]
         # the cubic Hermite rows through (y, s) on each cell
         t = (s[:-1] + s[1:] - 2 * slope) / dx
@@ -749,9 +750,7 @@ _MAX_ARCS = 2048            # J0 arcs per grid: a 67 MB averaging table
 def _j0_chunks(span: float, order: int):
     """Gauss-Legendre nodes/weights on consecutive zero-to-zero arcs of J0,
     one row per arc."""
-    from scipy.special import jn_zeros
-
-    zeros = jn_zeros(0, max(int(span / math.pi) + 2, 4))
+    zeros = specfun().jyzo(0, max(int(span / math.pi) + 2, 4))[0]
     edges = np.concatenate(([0.0], zeros[zeros <= span]))
     if edges.size < 2:
         edges = np.array([0.0, span])
@@ -847,8 +846,6 @@ def _j0_plan(n: int, x_min: float, x_max: float) -> _J0Plan:
     [-260, 260], 165 arcs, 0.44 MB beside 0.18 MB of the rest. A span
     x_max - x_min above 2048 pi (about 2048 arcs) raises ValueError.
     """
-    from scipy.special import j0
-
     span = x_max - x_min
     if not span <= _MAX_ARCS * math.pi:  # the j-th zero of J0 exceeds (j - 1/4) pi
         raise ValueError(
@@ -859,7 +856,8 @@ def _j0_plan(n: int, x_min: float, x_max: float) -> _J0Plan:
     edges, nodes, weights = _j0_chunks(span, 16)
     # a leftward shift reads no cell past the grid's last, nor S(x_{n-1}),
     # so the arcs' plans hold no last-sample terms
-    arcs = [_shift_lattice(n, h, -t).bin(w) for t, w in zip(nodes, j0(nodes) * weights)]
+    kernel = special_ufuncs().j0(nodes) * weights
+    arcs = [_shift_lattice(n, h, -t).bin(w) for t, w in zip(nodes, kernel)]
     n_chunks, size = len(arcs), max(arc.kern.shape[1] for arc in arcs)
     kern = np.zeros((n_chunks, 4 * size))
     for m, arc in enumerate(arcs):

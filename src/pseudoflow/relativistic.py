@@ -37,6 +37,7 @@ import numpy as np
 
 from . import _EXPORTS
 from ._choices import past_float_range, require, require_one_of
+from ._scipy import special_ufuncs
 from .errors import ConvergenceError, TruncationError
 from .evolution import (
     SymbolSpec,
@@ -250,8 +251,6 @@ def _k0_lags(n: int, x_min: float, x_max: float) -> _ShiftPlan:
     and panels grow geometrically until K0 underflows (~ Delta = 40). Both
     sides, offsets -Delta and +Delta, are binned.
     """
-    from scipy.special import k0
-
     h = (x_max - x_min) / (n - 1)
     u, wu = _legendre_nodes(48)
     diag_nodes = h * u**4
@@ -265,7 +264,7 @@ def _k0_lags(n: int, x_min: float, x_max: float) -> _ShiftPlan:
     far_nodes, far_w = _gl_panels(edges, 24)
     nodes = np.concatenate([diag_nodes, far_nodes])
     weights = np.concatenate([diag_w, far_w])
-    kw = weights * k0(nodes) / math.pi
+    kw = weights * special_ufuncs().k0(nodes) / math.pi
     lattice = _shift_lattice(n, h, np.concatenate([-nodes, nodes]))
     return lattice.bin(np.concatenate([kw, kw]))
 

@@ -80,12 +80,10 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
-from numpy.polynomial.laguerre import laggauss
-from numpy.polynomial.legendre import leggauss
 
 from . import _EXPORTS
 from ._choices import past_float_range, require, require_one_of
+from ._scipy import special_ufuncs
 from .errors import ConvergenceError
 
 __all__ = list(_EXPORTS["special"])
@@ -184,9 +182,8 @@ def bessel(kind: str, x: float) -> float:
     """Bessel function J0(x) (any real x) or K0(x) (x > 0)."""
     require_one_of(("J0", "K0"), kind=kind)
     require("positive and finite" if kind == "K0" else "finite", x=x)
-    from scipy.special import j0, k0
-
-    return float(j0(x) if kind == "J0" else k0(x))
+    ufuncs = special_ufuncs()
+    return float(ufuncs.j0(x) if kind == "J0" else ufuncs.k0(x))
 
 
 # ----------------------------------------------------------------------
@@ -195,6 +192,8 @@ def bessel(kind: str, x: float) -> float:
 
 @lru_cache(maxsize=64)
 def _laguerre_nodes(order: int):
+    from numpy.polynomial.laguerre import laggauss
+
     x, w = laggauss(order)
     scaled = np.exp(np.log(w) + x)  # w_i e^{x_i} without overflow
     x.setflags(write=False)
@@ -204,6 +203,8 @@ def _laguerre_nodes(order: int):
 
 @lru_cache(maxsize=64)
 def _hermite_nodes(order: int):
+    from numpy.polynomial.hermite import hermgauss
+
     x, w = hermgauss(order)
     scaled = np.exp(np.log(w) + x * x)
     x.setflags(write=False)
@@ -213,6 +214,8 @@ def _hermite_nodes(order: int):
 
 @lru_cache(maxsize=16)
 def _legendre_nodes(order: int):
+    from numpy.polynomial.legendre import leggauss
+
     x, w = leggauss(order)
     # map to [0, 1]
     x01 = 0.5 * (x + 1.0)

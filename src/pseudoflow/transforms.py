@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _EXPORTS
-from ._choices import require, require_one_of
+from ._choices import past_float_range, require, require_one_of
 from .special import _LOG_UNIT, _legendre_nodes, _log_trapezoid, _quadpack
 
 __all__ = list(_EXPORTS["transforms"])
@@ -166,6 +166,10 @@ def exp_sqrt_via_doetsch(x: float, y: float, form: str = "t_form") -> float:
     return sum(float(_quadpack(ig, a, b, 1.0)[0].real) for a, b in ends)
 
 
+# Past this h max|f| the smoothing's fold scales the data (see _gw_smoother).
+_FOLD_PEAK = sys.float_info.max / 4
+
+
 @lru_cache(maxsize=4)
 def _band_cosines(n: int):
     """Gauss-Legendre nodes u on [0, 1] and the (n, n + 32) matrix
@@ -196,9 +200,15 @@ def _gw_smoother(f: Field):
     g(k h) = (1/h) int_0^1 e^{-alpha pi^2 u^2 / h^2} cos(pi k u) du, by
     Gauss-Legendre in u (see _band_cosines). The two kernels differ by the
     band beyond |xi| = pi / h, below 1e-17 of the peak at alpha = 4 h^2.
+
+    Where h max|f| exceeds a quarter of the largest float, the fold's sums
+    wf[i - k] + wf[i + k] may leave float range. The smoothing is linear, so
+    there the data are scaled by 2^-8, exactly, and the columns back by 2^8;
+    the test is O(n), and below it no step changes.
     """
     n, h = f.n, f.dx
-    wf = h * f.values
+    scale = 2.0**8 if h * float(np.max(np.abs(f.values))) > _FOLD_PEAK else 1.0
+    wf = (h / scale) * f.values
     wf[0] *= 0.5
     wf[-1] *= 0.5
     # window p of the zero-padded data starts at wf[p - n + 1]: row i of the
@@ -222,7 +232,7 @@ def _gw_smoother(f: Field):
             u, cosines = _band_cosines(n)
             band = np.exp(np.outer(-((math.pi / h) * u) ** 2, alpha[narrow]))
             kernel[:, narrow] = (cosines @ band) / h
-        return fold @ kernel
+        return fold @ kernel if scale == 1.0 else (fold @ kernel) * scale
 
     return smooth
 
@@ -235,11 +245,17 @@ def gauss_weierstrass(f: Field, alpha: float) -> Field:
     smooth the band-limited interpolant of the samples, so no width is
     under-resolved). The kernel mass beyond the grid is dropped, which is
     exact for decaying data; a boundary-leakage warning is attached
-    otherwise.
+    otherwise. A result past float range raises ValueError.
     """
     require("positive and finite", alpha=alpha)
     warnings = f.leak_warnings("gauss_weierstrass")
-    return f.with_values(_gw_smoother(f)(np.array([alpha]))[:, 0], warnings)
+    # a result past float range is refused below, so numpy's warnings are silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _gw_smoother(f)(np.array([alpha]))[:, 0]
+    if not np.isfinite(values).all():
+        peak = float(np.max(np.abs(f.values)))
+        raise past_float_range("the Gauss-Weierstrass smoothing", alpha=alpha, peak=peak)
+    return f.with_values(values, warnings)
 
 
 def glaisher(alpha: float, x) -> float:

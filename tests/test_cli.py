@@ -966,8 +966,18 @@ def test_spline_commands_never_import_scipy_interpolate(tmp_path):
     calls = _probe_imports(tmp_path, "scipy", runs)[1:-1]
     assert [row[1] for row in calls] == [0] * len(runs)
     for what, _rc, modules in calls:
-        assert "scipy.linalg" in modules, what  # the spline's LAPACK solve ran
+        assert "scipy.linalg._flapack" in modules, what  # the spline's LAPACK solve ran
         assert "scipy.interpolate" not in modules, f"{what} imported scipy.interpolate"
+
+
+def test_fig3_loads_compiled_scipy_modules_alone(tmp_path):
+    # K0 and the spline's gtsv come from scipy's extension modules, loaded
+    # without the scipy.special and scipy.linalg packages
+    [(what, rc, modules)] = _probe_imports(tmp_path, "scipy", _SPLINE_RUNS[:1])[1:-1]
+    assert rc == 0
+    assert {"scipy.linalg._flapack", "scipy.special._special_ufuncs"} <= set(modules), modules
+    for package in ("scipy.linalg", "scipy.linalg.lapack", "scipy.special", "scipy.special._basic"):
+        assert package not in modules, f"{what} imported {package}"
 
 
 def _tool(name):
@@ -1091,3 +1101,27 @@ def test_cli_times_runs_the_usage_error_row(tmp_path):
     [elapsed] = tool.cold_times(PACKAGE_ROOT, args, code, 1, tmp_path)
     assert 0 < elapsed < 60
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_cli_times_against_a_base_prints_both_medians(monkeypatch, capsys, tmp_path):
+    # each row alternates between the base and the checkout; the times here
+    # are stand-ins, 0.2 s on the base and 0.1 s on the checkout
+    tool = _tool("cli_times")
+    base, src = tmp_path / "parent" / "src", tmp_path / "change" / "src"
+    trees = []
+
+    def cold_times(tree, args, expected, repeats, directory):
+        trees.append(tree)
+        return [0.2 if tree == base else 0.1] * repeats
+
+    monkeypatch.setattr(tool, "ROWS", tool.ROWS[:2])
+    monkeypatch.setattr(tool, "cold_times", cold_times)
+    monkeypatch.setattr(tool.compileall, "compile_dir", lambda *args, **kwargs: True)
+    monkeypatch.setattr(sys, "argv", ["cli_times.py", "--src", str(src), "--against", str(base)])
+    tool.main()
+    assert capsys.readouterr().out.splitlines() == [
+        f"base {base}  against  {src}",
+        "0.200 s  0.100 s  x0.50  fig1",
+        "0.200 s  0.100 s  x0.50  fig2",
+    ]
+    assert trees == [base, src, src, base, base, src, src, base, base, src] * 2

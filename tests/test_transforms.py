@@ -18,7 +18,9 @@ from pseudoflow import (
     glaisher,
     integrate_halfline,
     laplace_inv_power,
+    solve_pseudoheat,
 )
+from pseudoflow import cli
 
 INV_SQUARE = QuadratureConfig(halfline_rule="inverse_square_substitution")
 
@@ -281,6 +283,41 @@ def test_gauss_weierstrass_is_linear_over_complex_data():
     out_f = gauss_weierstrass(f, 0.9)
     out_g = gauss_weierstrass(g, 0.9)
     np.testing.assert_allclose(out_g.values, (1.0 + 2.0j) * out_f.values, atol=1e-13)
+
+
+def _coarse_edge(values):
+    # step 100/63 = 1.59, so h max|f| passes a quarter of the largest float
+    return Field.from_function(-50.0, 50.0, 64, values)
+
+
+_FOLD_ROUTES = {
+    "gauss_weierstrass": gauss_weierstrass,
+    "heat integral": lambda f, tau: cli._SOLVERS["heat", "integral"](f, tau, None),
+    "solve_pseudoheat": solve_pseudoheat,
+}
+
+
+@pytest.mark.parametrize("route", sorted(_FOLD_ROUTES))
+def test_smoothing_fold_near_the_largest_float_on_a_coarse_step(route):
+    # the fold's sums wf[i - k] + wf[i + k] overflowed: numpy's "overflow
+    # encountered in add" and "invalid value encountered in matmul" (errors
+    # in this suite), then "values must be finite"; the flow is linear, and
+    # the data scaled by 2^-8 give the same result to rounding
+    call = _FOLD_ROUTES[route]
+    f = _coarse_edge(lambda x: 1e308 * np.exp(-((x / 20) ** 2)))
+    out = call(f, 0.5).values
+    scaled = call(f.with_values(f.values * 2.0**-8), 0.5).values * 2.0**8
+    assert np.max(np.abs(out - scaled)) <= 1e-15 * np.max(np.abs(scaled))
+    assert np.max(np.abs(out)) < np.max(f.values)
+
+
+def test_smoothing_fold_refuses_a_result_past_float_range():
+    # constant data at the largest float: the sampled kernel's sum on this
+    # coarse step is above 1, so the smoothed values leave float range
+    f = _coarse_edge(lambda x: np.full_like(x, np.finfo(float).max))
+    with pytest.raises(ValueError, match=r"^the Gauss-Weierstrass smoothing is past float range at "
+                       r"alpha = 0\.5, peak = 1\.7976931348623157e\+308$"):
+        gauss_weierstrass(f, 0.5)
 
 
 # ----------------------------------------------------------------------
