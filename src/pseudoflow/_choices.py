@@ -6,8 +6,9 @@ the library's domain table, before any solver loads; ``clifford``
 re-exports the variants, and a test holds its ``GENERATOR_KINDS`` equal.
 ``require`` refuses a value outside its domain and ``require_one_of`` a
 name outside its choices, each with one ValueError wording, and
-``past_float_range`` a result that leaves float range at inputs inside
-their domains.
+``in_float_range`` a result that leaves float range at inputs inside their
+domains, with the package's one such wording (``past_float_range``); it
+loads numpy only when called.
 """
 import cmath
 
@@ -73,6 +74,18 @@ def require_one_of(choices, **named) -> None:
 
 def past_float_range(what: str, **named) -> ValueError:
     """ValueError("<what> is past float range at <name> = <value>, ..."),
-    with each named input's repr."""
-    at = ", ".join(f"{name} = {value!r}" for name, value in named.items())
+    with each named input's repr; a named value that is callable is called
+    here, so a detail such as the data's peak costs nothing until a refusal."""
+    values = (value() if callable(value) else value for value in named.values())
+    at = ", ".join(f"{name} = {value!r}" for name, value in zip(named, values))
     return ValueError(f"{what} is past float range at {at}")
+
+
+def in_float_range(value, what: str, **named):
+    """value, a number or an array, where every entry is finite; else raise
+    past_float_range(what, **named)."""
+    import numpy as np
+
+    if not np.isfinite(value).all():
+        raise past_float_range(what, **named)
+    return value

@@ -26,6 +26,7 @@ from . import _EXPORTS
 from ._choices import (
     KAPPA_VARIANTS,
     POSITION_PARAMETRIZATIONS,
+    in_float_range,
     past_float_range,
     require,
     require_one_of,
@@ -105,7 +106,7 @@ class PauliVector:
     def as_mat2(self) -> Mat2:
         with np.errstate(over="ignore", invalid="ignore"):
             mat = self.c0 * _ID2 + pauli_sqrt_identity(self.v)
-        return _in_float_range(mat, "c0 + sigma . v", c0=self.c0, v=self.v)
+        return in_float_range(mat, "c0 + sigma . v", c0=self.c0, v=self.v)
 
 
 def generators(kind: str) -> np.ndarray:
@@ -135,14 +136,6 @@ def _vec3(name: str, v: Sequence[complex], dtype=complex) -> np.ndarray:
     return arr
 
 
-def _in_float_range(value, what: str, **named):
-    """value, a number or an array, or past_float_range(what, **named) where
-    it is not finite."""
-    if not np.isfinite(value).all():
-        raise past_float_range(what, **named)
-    return value
-
-
 def pauli_sqrt_identity(v: Sequence[complex]) -> Mat2:
     """N = sigma . v, which squares to (v1^2 + v2^2 + v3^2) * 1.
 
@@ -153,7 +146,7 @@ def pauli_sqrt_identity(v: Sequence[complex]) -> Mat2:
     arr = _vec3("v", v)
     with np.errstate(over="ignore", invalid="ignore"):
         mat = arr[0] * _SIGMA[0] + arr[1] * _SIGMA[1] + arr[2] * _SIGMA[2]
-    return _in_float_range(mat, "sigma . v", v=v)
+    return in_float_range(mat, "sigma . v", v=v)
 
 
 def exp_pauli(y: complex, v: Sequence[complex]) -> Mat2:
@@ -178,7 +171,7 @@ def exp_pauli(y: complex, v: Sequence[complex]) -> Mat2:
             out = _ID2 + z * mat
         else:
             out = np.cosh(z * n) * _ID2 + (np.sinh(z * n) / n) * mat
-    return _in_float_range(out, "e^{y sigma . v}", y=y, v=v)
+    return in_float_range(out, "e^{y sigma . v}", y=y, v=v)
 
 
 def dirac2_evolution(pi: float, tau: float) -> Mat2:
@@ -190,7 +183,7 @@ def dirac2_evolution(pi: float, tau: float) -> Mat2:
     require("finite with a finite square", pi=pi)
     require("finite", tau=tau)
     e = math.sqrt(1.0 + pi * pi)
-    phase = _in_float_range(e * tau, "the phase E tau", pi=pi, tau=tau)
+    phase = in_float_range(e * tau, "the phase E tau", pi=pi, tau=tau)
     h = pi * _SIGMA[0] + _SIGMA[2]
     return math.cos(phase) * _ID2 - 1j * (math.sin(phase) / e) * h
 
@@ -232,7 +225,7 @@ def bloch_evolve(
             k4 = np.cross(omega, s + h * k3)
             s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     named = {"sigma0": sigma0, "pi": pi, "tau": tau, "dt": dt}
-    return _in_float_range(s, "the Runge-Kutta solution", **named)
+    return in_float_range(s, "the Runge-Kutta solution", **named)
 
 
 def dirac4_evolution(pi: Sequence[float], tau: float) -> Mat4:
@@ -244,10 +237,10 @@ def dirac4_evolution(pi: Sequence[float], tau: float) -> Mat4:
     p = _vec3("pi", pi, float)
     require("finite", tau=tau)
     with np.errstate(over="ignore"):
-        square = _in_float_range(float(p @ p), "pi . pi", pi=pi)
+        square = in_float_range(float(p @ p), "pi . pi", pi=pi)
     h = p[0] * _ALPHA[0] + p[1] * _ALPHA[1] + p[2] * _ALPHA[2] + _BETA
     e = math.sqrt(1.0 + square)
-    phase = _in_float_range(e * tau, "the phase E tau", pi=pi, tau=tau)
+    phase = in_float_range(e * tau, "the phase E tau", pi=pi, tau=tau)
     return math.cos(phase) * _ID4 - 1j * (math.sin(phase) / e) * h
 
 
@@ -272,11 +265,11 @@ def position_evolution(pi: float, tau: float, parametrization: str = "dirac") ->
     e2 = 1.0 + pi * pi
     e = math.sqrt(e2)
     if parametrization == "beta_diagonal":
-        return _in_float_range(tau * pi / e, "the drift tau pi / E", pi=pi, tau=tau) * _BETA
+        return in_float_range(tau * pi / e, "the drift tau pi / E", pi=pi, tau=tau) * _BETA
     h = pi * _ALPHA[0] + _BETA
     h_inv = h / e2
     # a finite 2 E tau bounds the drift tau pi H^{-1} too
-    phase = _in_float_range(2.0 * tau * e, "the phase 2 E tau", pi=pi, tau=tau)
+    phase = in_float_range(2.0 * tau * e, "the phase 2 E tau", pi=pi, tau=tau)
     evol = math.cos(phase) * _ID4 - 1j * (math.sin(phase) / e) * h
     return tau * pi * h_inv + 0.5j * h_inv @ (_ALPHA[0] - pi * h_inv) @ (_ID4 - evol)
 
@@ -308,7 +301,7 @@ def kappa_parametrization(
     n = arr[0] * _KAPPA[0] + arr[1] * _KAPPA[1] + arr[2] * _KAPPA[2]
     with np.errstate(over="ignore"):
         mat = n + 1j * r * _DELTA if variant == "i_delta" else n + r * _DELTA
-    return _in_float_range(mat, "kappa . w + delta r", w=w, r=r)
+    return in_float_range(mat, "kappa . w + delta r", w=w, r=r)
 
 
 def pauli_line_power(a: float, b: float, p: float) -> Mat2:
@@ -325,7 +318,7 @@ def pauli_line_power(a: float, b: float, p: float) -> Mat2:
     if not a > abs(b):
         raise ValueError("pauli_line_power requires a > |b| (positive definite)")
     named = {"a": a, "b": b, "p": p}
-    _in_float_range(a + abs(b), "a + |b|", **named)
+    in_float_range(a + abs(b), "a + |b|", **named)
     try:
         lo = (a - b) ** p
         hi = (a + b) ** p
@@ -333,4 +326,4 @@ def pauli_line_power(a: float, b: float, p: float) -> Mat2:
         raise past_float_range("R^p", **named) from None
     with np.errstate(over="ignore", invalid="ignore"):
         mat = 0.5 * (lo * (_ID2 - _SIGMA[0]) + hi * (_ID2 + _SIGMA[0]))
-    return _in_float_range(mat, "R^p", **named)
+    return in_float_range(mat, "R^p", **named)

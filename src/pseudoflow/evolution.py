@@ -53,11 +53,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _EXPORTS
-from ._choices import past_float_range, require
+from ._choices import in_float_range, require
 from ._scipy import flapack, specfun, special_ufuncs
 from .errors import ConvergenceError
 from .special import _REL_TOL, _cell_offsets, _gl_panels, _leading_scale, _log_trapezoid, _shift_panels
-from .transforms import Field, _gw_smoother
+from .transforms import Field, _gw_smoother, _peak, _scaled_retry
 
 __all__ = list(_EXPORTS["evolution"])
 
@@ -106,10 +106,6 @@ class SymbolSpec:
 # spectral path
 
 
-def _peak(f: Field) -> float:
-    return float(np.max(np.abs(f.values)))
-
-
 def _spectral_apply(
     f: Field, multiplier_of_k: Callable[[np.ndarray], np.ndarray], what: str, **named
 ) -> Field:
@@ -131,9 +127,7 @@ def _spectral_apply(
         if not np.all(np.isfinite(mult)):
             raise ValueError("symbol produced non-finite multipliers on the grid's wavenumbers")
         out = np.fft.ifft(mult * np.fft.fft(padded))[:n]
-    if not np.isfinite(out).all():
-        raise past_float_range(what, **named, peak=_peak(f))
-    return f.with_values(out, warnings)
+    return f.with_values(in_float_range(out, what, **named, peak=lambda: _peak(f.values)), warnings)
 
 
 def solve_symbol_spectral(f: Field, tau: float, symbol: SymbolSpec) -> Field:
@@ -196,11 +190,8 @@ def _coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # the cubic Hermite rows through (y, s) on each cell
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         coef = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
-    if not np.isfinite(coef).all():
-        raise past_float_range(
-            "the cubic spline through the data", step=float(np.min(dx)), peak=float(np.max(np.abs(y)))
-        )
-    return coef
+    step, peak = lambda: float(np.min(dx)), lambda: _peak(y)
+    return in_float_range(coef, "the cubic spline through the data", step=step, peak=peak)
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -316,22 +307,14 @@ _AFFINE_OVERFLOW = ("affine-sqrt quadrature overflowed: the amplitude e^{(x^2 - 
 def _identity_to_rounding(identity: Callable, tau: float, below: float, flow: Callable, **finite):
     """The entry of every subordination flow. A tau that is not nonnegative
     and finite is refused, then any of the flow's ``finite`` parameters
-    that is not finite; tau = 0 returns identity(), the input. Else flow(),
-    the solve at tau > 0, is returned. At or below ``below`` the flow is
-    the identity to rounding; there, where the quadrature's arithmetic
-    leaves float range (for tau far below ``below``), identity() is
-    returned, and a quadrature that stays in range keeps its own value."""
+    that is not finite. At or below ``below`` the flow is the identity to
+    rounding, and identity(), the input, is returned without running it;
+    so it is at tau = 0. Else flow(), the solve at tau > 0, is returned."""
     require("nonnegative and finite", tau=tau)
     require("finite", **finite)
-    if tau == 0.0:
+    if tau == 0.0 or tau <= below:  # a NaN bound proves nothing
         return identity()
-    if not tau <= below:  # a NaN bound proves nothing
-        return flow()
-    try:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return flow()
-    except ConvergenceError:
-        return identity()
+    return flow()
 
 
 def solve_half_derivative(f: Field, tau: float) -> Field:
@@ -351,10 +334,9 @@ def solve_half_derivative(f: Field, tau: float) -> Field:
     on the grid's cached lattice. The kernel looks leftward, so data should
     either decay toward x_min or the grid should extend far enough left.
 
-    tau = 0 returns the input. So does a tau at which the flow is the
-    identity to rounding, tau <= 2^-53 sqrt(h/pi) (|k|^{1/2} <= sqrt(pi/h)
-    on the grid), where the leading cell's s^{-3/2} leaves float range:
-    below tau = 3.0e-102, on any grid.
+    tau = 0 returns the input, and so does every tau at which the flow is
+    the identity to rounding, tau <= 2^-53 sqrt(h/pi) (|k|^{1/2} <= sqrt(pi/h)
+    on the grid).
     """
     below = _ROUNDING * math.sqrt(f.dx / math.pi)
     return _identity_to_rounding(
@@ -383,17 +365,12 @@ def _half_derivative(f: Field, tau: float) -> Field:
     if _leading_scale(h, tau) == math.inf:  # the kernel underflows on every cell
         return f.with_values(np.zeros_like(f.values), warn, meta={"quadrature_error": 0.0})
     coef, last = _coefficients(f.x, f.values), f.values[-1]
-    t2 = tau * tau
-    pref = tau / (2.0 * math.sqrt(math.pi))
-
-    def kernel(s: np.ndarray) -> np.ndarray:
-        return pref * s**-1.5 * np.exp(-t2 / (4.0 * s))
 
     def head(ss: np.ndarray, ws: np.ndarray) -> np.ndarray:
         # s in (0, h]: x - s lies on cell i - 1 at offset h - s
-        return _shift_lattice(n, h, -ss).bin(ws * kernel(ss))(coef, last)
+        return _shift_lattice(n, h, -ss).bin(ws)(coef, last)
 
-    def tail(sets: list) -> list:
+    def tail(sets: list, kernel: Callable) -> list:
         # every cell and offset in one sum, on the grid's cached lattice
         out = []
         for order, split in sets:
@@ -402,7 +379,7 @@ def _half_derivative(f: Field, tau: float) -> Field:
             out.append(_tail_lattice(n, f.x_min, f.x_max, order, split).bin(weights)(coef, last))
         return out
 
-    values, err = _shift_panels(h, tau, t2, head, tail, "half-derivative")
+    values, err = _shift_panels(h, tau, tau * tau, head, tail, "half-derivative")
     if not np.all(np.isfinite(values)):
         raise ConvergenceError(
             "half-derivative quadrature overflowed: the kernel tau s^{-3/2} at the "
@@ -426,14 +403,13 @@ def solve_pseudoheat(f: Field, tau: float) -> Field:
     meets the spectral solution at every tau. Refinement and the error
     estimate act on the output field.
 
-    tau = 0 returns the input. So does a tau at which the flow is the
-    identity to rounding, tau <= 2^-53 / sqrt(1 + (pi/h)^2), where the
-    weight's tail starts past the rule's reach, t = e^128: below
-    tau = sqrt((x_max - x_min)/2) e^{-64}, 4.5e-28 on [-8, 8].
+    tau = 0 returns the input, and so does every tau at which the flow is
+    the identity to rounding, tau <= 2^-53 / sqrt(1 + (pi/h)^2).
 
     Data near the largest float solve too: where the rule's sums overflow,
-    it runs again on the data scaled by 2^-8. A result that rounds past
-    float range once scaled back raises ValueError.
+    it runs again on the data scaled by 2^-8, as the Gauss-Weierstrass
+    smoothing does (see :func:`~pseudoflow.transforms._scaled_retry`). A
+    result that rounds past float range once scaled back raises ValueError.
     """
     below = _ROUNDING / math.hypot(1.0, math.pi / f.dx)
     return _identity_to_rounding(
@@ -442,24 +418,11 @@ def solve_pseudoheat(f: Field, tau: float) -> Field:
 
 
 def _pseudoheat(f: Field, tau: float) -> Field:
-    try:
-        # an overflow ends in the non-finite bound handled below, so numpy's
-        # warnings are silenced
-        with np.errstate(over="ignore", invalid="ignore"):
-            values, err = _pseudoheat_rule(f, tau)
-    except ConvergenceError as exc:
-        if math.isfinite(exc.error_bound):
-            raise
-        # On data near the largest float the trapezoid-weighted data, the
-        # smoothing, or a level's sum of node values (up to 1/(2h) = 80
-        # times the result) leaves float range. The flow is linear and a
-        # contraction, so the rule runs again on the data scaled by 2^-8,
-        # exactly, and its result is scaled back.
-        values, err = _pseudoheat_rule(f.with_values(f.values * 2.0**-8), tau)
-        with np.errstate(over="ignore"):
-            values, err = values * 2.0**8, err * 2.0**8
-        if not np.isfinite(values).all():
-            raise past_float_range("the pseudoheat flow", tau=tau, peak=_peak(f)) from None
+    # near the largest float the fold or a level's sum of node values (up to
+    # 1/(2h) = 80 times the result) may leave float range: see _scaled_retry
+    values, err = _scaled_retry(
+        lambda g: _pseudoheat_rule(g, tau), f, "the pseudoheat flow", tau=tau
+    )
     warn = f.leak_warnings("solve_pseudoheat")
     return f.with_values(values, warn, meta={"quadrature_error": float(err)})
 
@@ -497,11 +460,11 @@ def pseudoheat_gaussian(tau: float, x: float) -> float:
     floating point at every node. The flow moves the Gaussian by at most
     1.6045 tau at every x (its symbol e^{-tau sqrt(1 + k^2)} differs from 1
     by at most tau sqrt(1 + k^2)), so where 1.61 tau <= 2^-53 e^{-x^2} it
-    is the identity to rounding; there, where the rule cannot start (tau
-    below about 1e-30 at x = 1, or tau^2 underflowing to 0), e^{-x^2} is
-    returned. Elsewhere such a tau raises ConvergenceError: the flow's
-    kernel tail is linear in tau, so at x = 10 and tau = 1e-20 the value is
-    1.5e-26, not e^{-100}.
+    is the identity to rounding, and e^{-x^2} is returned without running
+    the rule. Above that bound a tau at which the rule cannot start (tau^2
+    underflowing to 0, or its window past the rule's reach) raises
+    ConvergenceError: the flow's kernel tail is linear in tau, so at x = 10
+    and tau = 1e-20 the value is 1.5e-26, not e^{-100}.
 
     For tau in [1e-4, 300] and |x| <= 16 the value is within 1e-15 absolute
     of the Fourier integral (1/sqrt(pi)) int_0^inf e^{-k^2/4 - tau sqrt(1+k^2)}
@@ -525,7 +488,7 @@ def _pseudoheat_gaussian(tau: float, x: float) -> float:
     if t2 == 0.0:
         raise ConvergenceError(
             "pseudoheat_gaussian: tau^2 underflows, so the rule's window (2|x| + 1)/(4 tau^2) "
-            "is past float range",
+            "leaves float range",
             error_bound=math.inf,
         )
     pref = 1.0 / (2.0 * math.sqrt(math.pi))
@@ -592,10 +555,6 @@ def _affine_panels(f: Field, tau: float, c: float) -> Field:
         if (lo - near) * (lo + near) > 2.0 * a * np.log(np.finfo(float).max):
             raise ConvergenceError(_AFFINE_OVERFLOW, error_bound=math.inf)
         return f.with_values(np.zeros_like(f.values), warn, meta={"quadrature_error": 0.0})
-    pref = root / (2.0 * math.sqrt(math.pi))
-
-    def kernel(s: np.ndarray) -> np.ndarray:
-        return pref * s**-1.5 * np.exp(-gamma / (4.0 * s))
 
     # tail cells j = 1 .. J: drop those whose worst-case weight over the
     # grid, at either end of the cell, is below 1e-22 of the largest
@@ -628,7 +587,7 @@ def _affine_panels(f: Field, tau: float, c: float) -> Field:
     short = reach < cells
     jcell = np.arange(1, cells + 1)
 
-    def tail(sets: list) -> list:
+    def tail(sets: list, kernel: Callable) -> list:
         # per node set (offsets, weights): the weights
         # kernel(s) e^{-sgn(c) (s^2 - (j h)^2)/(2|c|)} (E carries the rest),
         # the offset powers and the output
@@ -667,7 +626,7 @@ def _affine_panels(f: Field, tau: float, c: float) -> Field:
         return [out for *_, out in levels]
 
     def head(ss: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        w = ws * kernel(ss) * np.exp(-sign * ss * ss / (2.0 * a))
+        w = ws * np.exp(-sign * ss * ss / (2.0 * a))
         d = ss if c > 0 else h - ss
         rows = (np.exp(np.outer(-x / a, ss)) * w) @ (d**_POWERS).T  # (n, 4)
         out = np.zeros(n, dtype=np.result_type(rows, coef))
@@ -704,14 +663,12 @@ def solve_affine_sqrt(f: Field, tau: float, c: float) -> Field:
     bound, so the flow diverges at every tau > 0 unless the data vanish
     there: nonzero data at x < 0 raise ConvergenceError.
 
-    tau = 0 returns the input. So does, for c != 0, a tau at which the
-    flow is the identity to rounding,
+    tau = 0 returns the input, and so does, for c != 0, every tau at which
+    the flow is the identity to rounding,
     tau <= 2^-53 sqrt(h/(|c| pi)) e^{-(max x^2 - min x^2)/(2|c|)} over the
-    grid, where the leading cell's s^{-3/2} leaves float range: below
-    tau = 3.0e-102 / sqrt(|c|). The flow is the half-derivative flow of
-    -c d/dx conjugated by e^{x^2/(2c)}, whose spread on the grid enters
-    the bound; where that spread is wide, an overflow at tiny tau stays a
-    ConvergenceError.
+    grid. The flow is the half-derivative flow of -c d/dx conjugated by
+    e^{x^2/(2c)}, whose spread on the grid enters the bound; where that
+    spread is wide, an overflow at tiny tau stays a ConvergenceError.
     """
     if c == 0:  # the closed form never leaves float range: no tau is gated
         below, flow = 0.0, lambda: _affine_multiplier(f, tau)
@@ -962,8 +919,7 @@ def apply_inv_sqrt_shift(g: Field) -> Field:
     # warnings are silenced and such a result refused
     with np.errstate(over="ignore", invalid="ignore"):
         out, est, count = _inv_sqrt_arcs(g)
-    if not np.isfinite(out).all():
-        raise past_float_range("the J0 integral of apply_inv_sqrt_shift", peak=_peak(g))
+    in_float_range(out, "the J0 integral of apply_inv_sqrt_shift", peak=lambda: _peak(g.values))
     # Per-point tolerance: comparing against the global output scale would
     # let uniformly diverging data "settle" (everything is garbage of the
     # same magnitude), so each point is judged against its own value.

@@ -27,7 +27,6 @@ integrals, likewise at one a or over a whole array of a, one column per a.
 """
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _EXPORTS
-from ._choices import past_float_range, require, require_one_of
+from ._choices import in_float_range, require, require_one_of
 from ._scipy import special_ufuncs
 from .errors import ConvergenceError, TruncationError
 from .evolution import (
@@ -467,9 +466,8 @@ def f_function(a):
     return f if np.ndim(a) else float(f[0])
 
 
-def _past_float_range(what: str, inputs: ObservableInputs) -> ValueError:
-    named = {"sigma": inputs.sigma, "a": inputs.a, "c": inputs.c, "t": inputs.t}
-    return past_float_range(f"the {what}", **named)
+def _named(inputs: ObservableInputs) -> dict:
+    return {"sigma": inputs.sigma, "a": inputs.a, "c": inputs.c, "t": inputs.t}
 
 
 def _width_sq(inputs: ObservableInputs, r: float) -> float:
@@ -478,16 +476,13 @@ def _width_sq(inputs: ObservableInputs, r: float) -> float:
         w = s2 * (1.0 + 0.25 * (inputs.a / inputs.sigma) ** 2 * r * (inputs.c * inputs.t) ** 2)
     except OverflowError:  # ** raises where * gives inf
         w = math.inf
-    if not math.isfinite(w):  # inf, or 0 * inf where sigma^2 underflows
-        raise _past_float_range("packet width", inputs)
-    return w
+    # inf, or 0 * inf where sigma^2 underflows
+    return in_float_range(w, "the packet width", **_named(inputs))
 
 
 def _commutator(inputs: ObservableInputs, f: float) -> complex:
     value = -1j * inputs.lambda_c * f * inputs.c * inputs.t
-    if not cmath.isfinite(value):
-        raise _past_float_range("commutator", inputs)
-    return value
+    return in_float_range(value, "the commutator", **_named(inputs))
 
 
 def packet_width(inputs: ObservableInputs) -> float:
@@ -512,6 +507,6 @@ def linear_potential_trajectory(x0: float, p0: float, force: float, t: float) ->
     tf = t * force
     energy = math.hypot(1.0, p0 + tf)  # inf where t f or p0 + t f overflows
     x = x0 + t * (p0 + tf / 2.0) / (energy / 2.0 + math.hypot(1.0, p0) / 2.0)
-    if not (math.isfinite(energy) and math.isfinite(x)):
-        raise ValueError("t * force or the trajectory overflows float range")
+    # an infinite energy would read x0 from a finite numerator
+    in_float_range((energy, x), "the trajectory", x0=x0, p0=p0, force=force, t=t)
     return x

@@ -82,7 +82,7 @@ from typing import Callable
 import numpy as np
 
 from . import _EXPORTS
-from ._choices import past_float_range, require, require_one_of
+from ._choices import in_float_range, require, require_one_of
 from ._scipy import special_ufuncs
 from .errors import ConvergenceError
 
@@ -168,14 +168,12 @@ def hermite2(n: int, x: float, y: float) -> float:
         raise OverflowError(f"hermite2 order {n} exceeds the supported cap {_HERMITE_N_CAP}")
     require("finite", x=x, y=y)
     h_prev, h_cur = 0.0, 1.0
-    # a term past float range is refused below, so numpy's warnings on
-    # numpy scalars are silenced
+    # a term past float range is refused below (once there, the recurrence
+    # stays inf or NaN), so numpy's warnings on numpy scalars are silenced
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(n):
             h_prev, h_cur = h_cur, x * h_cur + 2.0 * y * m * h_prev
-    if not math.isfinite(h_cur):  # once past float range the recurrence stays inf or NaN
-        raise past_float_range("H_n(x, y)", n=n, x=x, y=y)
-    return float(h_cur)
+    return float(in_float_range(h_cur, "H_n(x, y)", n=n, x=x, y=y))
 
 
 def bessel(kind: str, x: float) -> float:
@@ -472,20 +470,27 @@ def _shift_panels(
 ):
     """Coarse/fine/refined driver of the grid-aligned shift-type integrals.
 
-    The shift variable s runs over grid cells of width ``h``. ``head(s, w)``
-    sums Gauss-Legendre nodes and weights of geometric panels on the leading
-    cell s in (0, h], whose kernel carries the essential factor
-    e^{-square/(4s)}; ``root`` and ``square`` are that scale and its square,
-    each as the caller computes it. ``tail(sets)`` sums the cells s >= h
-    for each node set in the list ``sets`` and returns one sum per set; a
-    set is one Gauss-Legendre panel set per cell, named by its order and
-    panels per cell, ``(order, split)``, whose fractional offsets within a
-    cell and weights :func:`_cell_offsets` gives, so a caller can key its
+    The shift variable s runs over grid cells of width ``h``, and every
+    shift flow integrates the subordinator kernel
+    k(s) = (root / (2 sqrt(pi))) s^{-3/2} e^{-square/(4s)} against its data
+    factor; ``root`` and ``square`` are the kernel's scale and its square,
+    each as the caller computes it. ``head(s, w)`` sums Gauss-Legendre
+    nodes s of geometric panels on the leading cell s in (0, h], where the
+    essential factor lives, with w their weights times k(s).
+    ``tail(sets, kernel)`` sums the cells s >= h for each node set in the
+    list ``sets``, with ``kernel`` the function k, and returns one sum per
+    set; a set is one Gauss-Legendre panel set per cell, named by its order
+    and panels per cell, ``(order, split)``, whose fractional offsets within
+    a cell and weights :func:`_cell_offsets` gives, so a caller can key its
     grid-level plans on the set. The coarse and fine levels come in one
     ``tail`` call, so a caller forms its grid-level factors once for both;
     the refined level, which only a miss needs, makes its own.
     Returns (values, error). ``root`` keeps :func:`_leading_scale` finite.
     """
+    pref = root / (2.0 * math.sqrt(math.pi))
+
+    def kernel(s: np.ndarray) -> np.ndarray:
+        return pref * s**-1.5 * np.exp(-square / (4.0 * s))
 
     def leading_cell(order: int):
         # s in (0, h]: the data factor is a single cubic on one grid cell,
@@ -501,15 +506,16 @@ def _shift_panels(
         panels = max(1, int(math.ceil(math.log2(h / s_lo))))
         edges = s_lo * (h / s_lo) ** (np.arange(panels + 1) / panels)
         edges[-1] = h
-        return _gl_panels(edges, order)
+        s, w = _gl_panels(edges, order)
+        return s, w * kernel(s)
 
-    coarse_tail, fine_tail = tail([(8, 1), (12, 1)])
+    coarse_tail, fine_tail = tail([(8, 1), (12, 1)], kernel)
     coarse = head(*leading_cell(16)) + coarse_tail
     values = head(*leading_cell(24)) + fine_tail
     err = float(np.max(np.abs(values - coarse)))
     tol = _tol(float(np.max(np.abs(values))))
     if err > tol:
-        refined = head(*leading_cell(32)) + tail([(12, 2)])[0]
+        refined = head(*leading_cell(32)) + tail([(12, 2)], kernel)[0]
         err = float(np.max(np.abs(refined - values)))
         values = refined
         if err > tol:

@@ -21,18 +21,26 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _EXPORTS
-from ._choices import past_float_range, require, require_one_of
+from ._choices import in_float_range, past_float_range, require, require_one_of
+from .errors import ConvergenceError
 from .special import _LOG_UNIT, _legendre_nodes, _log_trapezoid, _quadpack
 
 __all__ = list(_EXPORTS["transforms"])
 
 # Boundary samples above this fraction of the peak trigger a leakage warning.
 BOUNDARY_LEAK_THRESHOLD = 1e-8
+
+
+def _peak(values: np.ndarray) -> float:
+    """The data's largest |value|: inf where a complex modulus passes the
+    largest float."""
+    return float(np.max(np.abs(values)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,9 +110,13 @@ class Field:
         """The warning ``op`` attaches where the grid visibly truncates the
         sampled function: at either edge, or, for a solver that shifts data
         past one edge and zero-extends them, at the ``side`` it names."""
-        peak = float(np.max(np.abs(self.values)))
+        values = self.values
+        peak = _peak(values)
+        if peak == math.inf:  # complex data past the largest float in modulus: halving is exact
+            values = values * 0.5
+            peak = _peak(values)
         ends = {"left": (0,), "right": (-1,), None: (0, -1)}[side]
-        edge = max(abs(complex(self.values[j])) for j in ends)
+        edge = max(abs(complex(values[j])) for j in ends)
         if not edge > BOUNDARY_LEAK_THRESHOLD * peak:  # all-zero data: 0 > 0
             return ()
         if side is None:
@@ -166,10 +178,6 @@ def exp_sqrt_via_doetsch(x: float, y: float, form: str = "t_form") -> float:
     return sum(float(_quadpack(ig, a, b, 1.0)[0].real) for a, b in ends)
 
 
-# Past this h max|f| the smoothing's fold scales the data (see _gw_smoother).
-_FOLD_PEAK = sys.float_info.max / 4
-
-
 @lru_cache(maxsize=4)
 def _band_cosines(n: int):
     """Gauss-Legendre nodes u on [0, 1] and the (n, n + 32) matrix
@@ -201,14 +209,11 @@ def _gw_smoother(f: Field):
     Gauss-Legendre in u (see _band_cosines). The two kernels differ by the
     band beyond |xi| = pi / h, below 1e-17 of the peak at alpha = 4 h^2.
 
-    Where h max|f| exceeds a quarter of the largest float, the fold's sums
-    wf[i - k] + wf[i + k] may leave float range. The smoothing is linear, so
-    there the data are scaled by 2^-8, exactly, and the columns back by 2^8;
-    the test is O(n), and below it no step changes.
+    Near the largest float the fold's sums wf[i - k] + wf[i + k] may leave
+    float range; its callers run it through :func:`_scaled_retry`.
     """
     n, h = f.n, f.dx
-    scale = 2.0**8 if h * float(np.max(np.abs(f.values))) > _FOLD_PEAK else 1.0
-    wf = (h / scale) * f.values
+    wf = h * f.values
     wf[0] *= 0.5
     wf[-1] *= 0.5
     # window p of the zero-padded data starts at wf[p - n + 1]: row i of the
@@ -232,9 +237,29 @@ def _gw_smoother(f: Field):
             u, cosines = _band_cosines(n)
             band = np.exp(np.outer(-((math.pi / h) * u) ** 2, alpha[narrow]))
             kernel[:, narrow] = (cosines @ band) / h
-        return fold @ kernel if scale == 1.0 else (fold @ kernel) * scale
+        return fold @ kernel
 
     return smooth
+
+
+def _scaled_retry(run: Callable, f: Field, what: str, **named):
+    """run(f), for ``run`` a linear map from a field to (values, error).
+    Where it leaves float range (non-finite values, or a ConvergenceError
+    with a non-finite bound), it runs once more on the data times 2^-8,
+    exactly, and both are scaled back by 2^8, with which the map commutes.
+    A result still past float range raises past_float_range(what, **named,
+    peak=...). numpy's warnings are silenced, as an overflow ends here."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            values, err = run(f)
+            if np.isfinite(values).all():
+                return values, err
+        except ConvergenceError as exc:
+            if math.isfinite(exc.error_bound):
+                raise
+        values, err = run(f.with_values(f.values * 2.0**-8))
+        values, err = values * 2.0**8, err * 2.0**8
+    return in_float_range(values, what, **named, peak=lambda: _peak(f.values)), err
 
 
 def gauss_weierstrass(f: Field, alpha: float) -> Field:
@@ -249,12 +274,10 @@ def gauss_weierstrass(f: Field, alpha: float) -> Field:
     """
     require("positive and finite", alpha=alpha)
     warnings = f.leak_warnings("gauss_weierstrass")
-    # a result past float range is refused below, so numpy's warnings are silenced
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _gw_smoother(f)(np.array([alpha]))[:, 0]
-    if not np.isfinite(values).all():
-        peak = float(np.max(np.abs(f.values)))
-        raise past_float_range("the Gauss-Weierstrass smoothing", alpha=alpha, peak=peak)
+    values, _ = _scaled_retry(
+        lambda g: (_gw_smoother(g)(np.array([alpha]))[:, 0], 0.0),
+        f, "the Gauss-Weierstrass smoothing", alpha=alpha,
+    )
     return f.with_values(values, warnings)
 
 
@@ -297,7 +320,7 @@ def laplace_inv_power(nu: float, a: float) -> float:
     try:
         power = a**-nu
     except OverflowError:
-        raise ValueError(f"a^-nu is past float range at nu = {nu!r}, a = {a!r}") from None
+        raise past_float_range("a^-nu", nu=nu, a=a) from None
     p = min(nu, 1.0)
     log_norm = math.log(_LOG_UNIT) - math.lgamma(nu) - math.log(p)
 
@@ -308,6 +331,4 @@ def laplace_inv_power(nu: float, a: float) -> float:
     value = power * scaled / _LOG_UNIT
     if math.isinf(value):  # power * scaled passed float range before the division
         value = power * (scaled / _LOG_UNIT)
-    if math.isinf(value):
-        raise ValueError(f"a^-nu is past float range at nu = {nu!r}, a = {a!r}")
-    return value
+    return in_float_range(value, "a^-nu", nu=nu, a=a)

@@ -1087,6 +1087,15 @@ def test_csv_digests_arrays_cover_the_calls_no_cli_run_writes():
     expected = hashlib.sha256(out.values.tobytes()).hexdigest()
     assert tool.array_digest(lambda: pseudoflow.iterated_series(f, 0.3)) == expected
     assert tool.array_digest(lambda: pseudoflow.iterated_series(f, math.inf)) == "error ValueError"
+    # each refusal of a result past float range is digested by its message
+    for name in ("PauliVector", "pauli_sqrt_identity", "kappa_parametrization", "dirac4_evolution",
+                 "commutator_xt_x0", "linear_potential_trajectory", "gauss_weierstrass",
+                 "solve_pseudoheat"):
+        assert any(label.startswith(f"refusal text: {name}") for label in labels), name
+    assert sum(label.startswith("refusal text: laplace_inv_power") for label in labels) == 2
+    text = tool.refusal_text(lambda: pseudoflow.laplace_inv_power(50.0, 1e-8))
+    assert text.tobytes() == b"ValueError: a^-nu is past float range at nu = 50.0, a = 1e-08"
+    assert tool.refusal_text(lambda: np.ones(2)).tolist() == [1.0, 1.0]
 
 
 def test_cli_times_runs_the_usage_error_row(tmp_path):

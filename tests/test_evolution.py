@@ -536,24 +536,30 @@ def test_affine_sqrt_tau_zero_is_identity():
 
 @pytest.mark.parametrize("tau", [1e-30, 1e-103, 1e-160, 1e-300])
 def test_subordination_flows_at_tiny_tau_return_the_input(tau):
-    # each flow is the identity to rounding here; below 3.0e-102 (the shift
-    # panels' s^{-3/2}) and 4.5e-28 (the pseudoheat window on [-8, 8]) the
-    # quadrature leaves float range, and the input comes back as at tau = 0,
-    # with no numpy warning (an error in this suite); above, the quadrature
-    # keeps its own value, within 3e-15 of the input at tau = 1e-30
+    # at or below each flow's bound, tau G <= 2^-53 for G its generator's
+    # size on the grid, the flow is the identity to rounding and the input
+    # comes back exactly, without a quadrature run: 3.2e-17 for the
+    # half-derivative and 9.0e-18 for the pseudoheat flow on [-8, 8] with
+    # 64 points, and about 4e-31 for the affine flows, whose spread
+    # e^{-x_max^2/(2|c|)} enters the bound; above it (the affine flows at
+    # 1e-30) the quadrature runs, within 1e-14 of the input. No numpy
+    # warning (an error in this suite) either way.
     f = gaussian(-8.0, 8.0, 64)
+    h = f.dx
+    shift = 2.0**-53 * math.sqrt(h / math.pi)
     flows = {
-        "half_derivative": solve_half_derivative,
-        "pseudoheat": solve_pseudoheat,
-        "affine c = 1": lambda f, tau: solve_affine_sqrt(f, tau, 1.0),
-        "affine c = -1": lambda f, tau: solve_affine_sqrt(f, tau, -1.0),
+        "half_derivative": (solve_half_derivative, shift),
+        "pseudoheat": (solve_pseudoheat, 2.0**-53 / math.hypot(1.0, math.pi / h)),
+        "affine c = 1": (lambda f, tau: solve_affine_sqrt(f, tau, 1.0), shift * math.exp(-32.0)),
+        "affine c = -1": (lambda f, tau: solve_affine_sqrt(f, tau, -1.0), shift * math.exp(-32.0)),
     }
-    for name, flow in flows.items():
+    for name, (flow, below) in flows.items():
         out = flow(f, tau)
         assert out.warnings == (), name
-        if tau < 3.0e-102:
+        if tau <= below:
             assert np.array_equal(out.values, f.values), name
-        assert np.max(np.abs(out.values - f.values)) <= 1e-14, name
+        else:
+            assert np.max(np.abs(out.values - f.values)) <= 1e-14, name
 
 
 @pytest.mark.parametrize("tau", [1.3e154, 1.4e154, 1e200, 1e300])
@@ -835,14 +841,15 @@ def test_affine_sqrt_warns_on_right_leak():
     assert any("right grid edge" in w for w in out.warnings)
 
 
-def _affine_tail_fresh_arrays(x, env, sets):
+def _affine_tail_fresh_arrays(x, env, sets, kernel):
     # the affine tail as first written: E through np.where(..., -inf, ...)
     # and fresh arrays for E and every E * window product in each block of
     # about 2^19 entries; env holds the grid-only quantities of the tail
-    # under test, and each set names its cell offsets by (order, split)
+    # under test, each set names its cell offsets by (order, split), and
+    # kernel is the subordinator kernel that _shift_panels passes
     n, h, a, c, coef, window = (env[k] for k in ("n", "h", "a", "c", "coef", "window"))
     jh, jcell, reach, decay, lift = (env[k] for k in ("jh", "jcell", "reach", "decay", "lift"))
-    sign, kernel = math.copysign(1.0, c), env["kernel"]
+    sign = math.copysign(1.0, c)
     block = max(1, (1 << 19) // jh.size)
     powers = np.arange(3, -1, -1)[:, None]
     levels = []
@@ -882,9 +889,9 @@ def test_affine_tail_reuses_its_buffers_bit_for_bit(monkeypatch, n, c):
     def spy(h, root, square, head, tail, what):
         env = dict(zip(tail.__code__.co_freevars, (v.cell_contents for v in tail.__closure__)))
 
-        def checked(sets):
-            got = tail(sets)
-            want = _affine_tail_fresh_arrays(f.x, env, sets)
+        def checked(sets, kernel):
+            got = tail(sets, kernel)
+            want = _affine_tail_fresh_arrays(f.x, env, sets, kernel)
             calls.append(all(np.array_equal(g, w) for g, w in zip(got, want)))
             return got
 

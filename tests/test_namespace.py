@@ -1,8 +1,10 @@
 """The package namespace: every public name loads on first use."""
+import ast
 import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,3 +78,39 @@ def test_every_public_name_is_its_home_modules_object():
 def test_each_modules_all_is_its_row_of_the_table(module):
     home = importlib.import_module(f"pseudoflow.{module}")
     assert home.__all__ == list(pseudoflow._EXPORTS[module])
+
+
+def _calls(node, names) -> bool:
+    """Whether ``node`` holds a call of a function or method named in ``names``."""
+    return any(
+        isinstance(sub, ast.Call) and getattr(sub.func, "id", getattr(sub.func, "attr", None)) in names
+        for sub in ast.walk(node)
+    )
+
+
+def test_only_choices_words_or_guards_a_result_past_float_range():
+    # one refusal for a result that leaves float range: _choices words it
+    # (past_float_range) and guards it (in_float_range). No other module
+    # writes the wording, builds a ValueError about float range by hand,
+    # defines a helper of its own, or tests finiteness inline before
+    # raising past_float_range.
+    found = []
+    for path in sorted(Path(pseudoflow.__file__).parent.glob("*.py")):
+        if path.name == "_choices.py":
+            continue
+        source = path.read_text()
+        if "is past float range" in source:
+            found.append(f"{path.name}: the wording")
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef) and "float_range" in node.name:
+                found.append(f"{path.name}: def {node.name}")
+            if isinstance(node, ast.Raise) and _calls(node, {"ValueError"}) and any(
+                isinstance(c, ast.Constant) and "float range" in str(c.value) for c in ast.walk(node)
+            ):
+                found.append(f"{path.name}:{node.lineno}: a ValueError about float range")
+            if isinstance(node, ast.If) and _calls(node.test, {"isfinite", "isinf"}) and any(
+                isinstance(sub, ast.Raise) and _calls(sub, {"past_float_range"})
+                for stmt in node.body for sub in ast.walk(stmt)
+            ):
+                found.append(f"{path.name}:{node.lineno}: an inline finiteness refusal")
+    assert found == []

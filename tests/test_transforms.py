@@ -97,6 +97,21 @@ def test_field_boundary_leak_detection():
     assert Field(0.0, 1.0, 8, np.zeros(8)).leak_warnings("op", "left") == ()
 
 
+@pytest.mark.parametrize("scale", [1e308, 1.5e308])
+def test_leak_warning_on_complex_data_past_the_largest_float_in_modulus(scale):
+    # at 1.5e308 (1 + i) the peak's modulus rounds to inf, and the edge test
+    # edge > 1e-8 inf read False: no warning, where 1e308 (1 + i) warned.
+    # Halved, exactly, edge and peak stay in range and compare as before.
+    def data(width):
+        return lambda x: scale * (1.0 + 1.0j) * np.exp(-((x / width) ** 2))
+
+    f = Field.from_function(-8.0, 8.0, 64, data(2.0))
+    out = gauss_weierstrass(f, 0.5)
+    assert out.warnings == ("gauss_weierstrass: input is not negligible at the grid boundary",)
+    assert f.leak_warnings("op", "left") != ()
+    assert Field.from_function(-8.0, 8.0, 64, data(1.0)).leak_warnings("op") == ()
+
+
 # ----------------------------------------------------------------------
 # doetsch_weight
 
@@ -286,7 +301,7 @@ def test_gauss_weierstrass_is_linear_over_complex_data():
 
 
 def _coarse_edge(values):
-    # step 100/63 = 1.59, so h max|f| passes a quarter of the largest float
+    # step 100/63 = 1.59, so near the largest float the fold's sums h (f_i + f_j) overflow
     return Field.from_function(-50.0, 50.0, 64, values)
 
 

@@ -57,10 +57,20 @@ and adaptive integration rule on an integrand of inf, -inf and complex
 inf; then the spectral pseudoheat flow and the spectral D on data near
 1e307, whose transform leaves float range, and the series at eta = 0,
 tau = 4; last the float edges of the J0 operator (1e307 and 1.6e308),
-the pseudoheat flow (1.6e308) and the affine flow (1e307 on two grids)),
-one line per call, "<sha256>  <call>", or "error <type>" where the
-call raised, followed by " warned <sha256 of its warnings>" where the call
-warned. The K0, J0 and half-derivative
+the pseudoheat flow (1.6e308) and the affine flow (1e307 on two grids));
+then the refusals of a result past float range, each digested by the
+bytes of its message ("refusal text", see ``refusal_text``): the Pauli
+vector's matrix, sigma . v, the kappa parametrization, dirac4's pi . pi,
+the commutator, both of laplace_inv_power's (a^-nu itself, and its value
+after the rule), the linear-potential trajectory, the Gauss-Weierstrass
+smoothing of constant data at the largest float on [-50, 50] with 64
+points and the pseudoheat flow of the largest float at tau = 1e-15 on
+[-2, 14] with 161 points; last the Gauss-Weierstrass smoothing of
+1e308 e^{-(x/20)^2} on that coarse grid, which solves, and the
+half-derivative flow at tau = 1e-30 on [-8, 8] with 64 points, a tau at
+which it is the identity to rounding. One line per call,
+"<sha256>  <call>", or "error <type>" where the call raised, followed by
+" warned <sha256 of its warnings>" where the call warned. The K0, J0 and half-derivative
 routes keep a plan per grid: each of them runs again on a grid after a
 call on another grid with the same n ("again"), so the lines cover a plan
 built by the call and a plan met in the cache.
@@ -389,7 +399,52 @@ def array_calls(pf):
          lambda c=c, grid=(lo, hi, n): pf.solve_affine_sqrt(edge(1e307, *grid, 2.0), 0.5, c))
         for lo, hi, n in ((-8.0, 8.0, 64), (-2.0, 14.0, 161)) for c in (1.0, -1.0)
     ]
+    # each refusal of a result past float range, by its message
+    coarse = (-50.0, 50.0, 64)
+
+    def largest(x_min, x_max, n):
+        return pf.Field.from_function(x_min, x_max, n, lambda x: np.full_like(x, np.finfo(float).max))
+
+    physical = dict(sigma=1e200, a=1.0, t=1e200, units="physical", c=1e200, lambda_c=1e200)
+    refusals = [
+        ("PauliVector(1e308, (0, 0, 1e308)).as_mat2()",
+         lambda: pf.PauliVector(1e308, (0.0, 0.0, 1e308)).as_mat2()),
+        ("pauli_sqrt_identity((1e308, 1e308j, 0))",
+         lambda: pf.pauli_sqrt_identity((1e308, 1e308j, 0.0))),
+        ("kappa_parametrization((1e308, 1e308, 1e308), 1e308, 'plain_delta')",
+         lambda: pf.kappa_parametrization((1e308, 1e308, 1e308), 1e308, "plain_delta")),
+        ("dirac4_evolution((1e200, 0, 0), 1)", lambda: pf.dirac4_evolution((1e200, 0.0, 0.0), 1.0)),
+        ("commutator_xt_x0 physical sigma 1e200 c 1e200 lambda_c 1e200 t 1e200",
+         lambda: pf.commutator_xt_x0(pf.ObservableInputs(**physical))),
+        ("laplace_inv_power(50, 1e-8)", lambda: pf.laplace_inv_power(50.0, 1e-8)),
+        ("laplace_inv_power(2, 7.458340731200208e-155)",
+         lambda: pf.laplace_inv_power(2.0, 7.458340731200208e-155)),
+        ("linear_potential_trajectory(0, 1, 1e300, 1e300)",
+         lambda: pf.linear_potential_trajectory(0.0, 1.0, 1e300, 1e300)),
+        ("gauss_weierstrass 64 on [-50, 50] largest float alpha 0.5",
+         lambda: pf.gauss_weierstrass(largest(*coarse), 0.5)),
+        ("solve_pseudoheat 161 on [-2, 14] largest float tau 1e-15",
+         lambda: pf.solve_pseudoheat(largest(-2.0, 14.0, 161), 1e-15)),
+    ]
+    calls += [(f"refusal text: {label}", lambda thunk=thunk: refusal_text(thunk))
+              for label, thunk in refusals]
+    calls += [
+        ("gauss_weierstrass 64 on [-50, 50] 1e308 e^{-(x/20)^2} alpha 0.5",
+         lambda: pf.gauss_weierstrass(edge(1e308, *coarse, 20.0), 0.5)),
+        ("solve_half_derivative 64 on [-8, 8] e^{-x^2} tau 1e-30",
+         lambda: pf.solve_half_derivative(narrow, 1e-30)),
+    ]
     return calls
+
+
+def refusal_text(thunk):
+    """The UTF-8 bytes of "<type>: <message>" of the exception that
+    ``thunk`` raises, as an array, so that its line digests the wording;
+    the thunk's own values where it raises nothing."""
+    try:
+        return thunk()
+    except Exception as exc:  # the refusal is the result to compare
+        return np.frombuffer(f"{type(exc).__name__}: {exc}".encode(), dtype=np.uint8)
 
 
 def array_digest(thunk) -> str:
