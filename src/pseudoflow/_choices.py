@@ -2,13 +2,14 @@
 
 They live here, free of numpy, so that the command-line parser can offer
 the matrix generators and variants as choices, and check each flag against
-the library's domain table, before any solver loads; ``clifford``
-re-exports the variants, and a test holds its ``GENERATOR_KINDS`` equal.
-``require`` refuses a value outside its domain and ``require_one_of`` a
-name outside its choices, each with one ValueError wording, and
-``in_float_range`` a result that leaves float range at inputs inside their
-domains, with the package's one such wording (``past_float_range``); it
-loads numpy only when called.
+the library's domain table, before any solver loads. ``GENERATOR_KINDS``
+is the only list of generator names; ``clifford`` binds its matrices to it
+and re-exports it. ``require`` refuses a value outside its domain (a number
+must have a finite float, so an int past float range is refused like inf)
+and ``require_one_of`` a name outside its choices, each with one ValueError
+wording, and ``in_float_range`` a result that leaves float range at inputs
+inside their domains, with the package's one such wording
+(``past_float_range``); it loads numpy only when called.
 """
 import cmath
 
@@ -23,8 +24,10 @@ KAPPA_VARIANTS = ("i_delta", "plain_delta")
 
 
 def _finite(value) -> bool:
-    # ints unconverted: 10**400 is finite but has no float
-    return isinstance(value, int) or cmath.isfinite(value)
+    try:  # an int past float range has no float
+        return cmath.isfinite(value)
+    except OverflowError:
+        return False
 
 
 # every scalar domain of the package: domain -> test of a finite value
@@ -51,9 +54,9 @@ def _join(items, word: str) -> str:
 
 def require(domain: str, **named) -> None:
     """Raise ValueError("<names> must be <domain>") unless every named value
-    is finite and in the domain, a sequence or 1-D array element by element;
-    names join as "x", "x and y", "x, y and z". A value of more than one
-    dimension raises ValueError("<name> must be a number or 1-D")."""
+    has a finite float and is in the domain, a sequence or 1-D array element
+    by element; names join as "x", "x and y", "x, y and z". A value of more
+    than one dimension raises ValueError("<name> must be a number or 1-D")."""
     test = DOMAINS[domain]
     rows = []
     for name, value in named.items():

@@ -32,7 +32,7 @@ import tempfile
 
 import pseudoflow as pf
 
-from ._choices import GENERATOR_KINDS, KAPPA_VARIANTS, POSITION_PARAMETRIZATIONS, require
+from ._choices import GENERATOR_KINDS, KAPPA_VARIANTS, POSITION_PARAMETRIZATIONS, _finite, require
 from .errors import ConvergenceError, TruncationError
 
 __all__ = ["run", "main"]
@@ -95,6 +95,8 @@ def _parse_grid(text: str) -> tuple:
         x_min, x_max, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise _UsageError(f"grid must look like min:max:n, got {text!r}") from None
+    if not _finite(n):  # the step (max - min) / (n - 1) needs n as a float
+        raise _UsageError("grid n must be an integer below 2^1024")
     if not (x_min < x_max) or n < 8:
         raise _UsageError("grid needs min < max and n >= 8")
     if not math.isfinite(x_max - x_min):

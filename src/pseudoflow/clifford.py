@@ -24,6 +24,7 @@ import numpy as np
 
 from . import _EXPORTS
 from ._choices import (
+    GENERATOR_KINDS,
     KAPPA_VARIANTS,
     POSITION_PARAMETRIZATIONS,
     in_float_range,
@@ -67,26 +68,12 @@ _DELTA = np.array(
     dtype=complex,
 )
 
-_GENERATORS = {
-    "sigma1": _SIGMA[0],
-    "sigma2": _SIGMA[1],
-    "sigma3": _SIGMA[2],
-    "alpha1": _ALPHA[0],
-    "alpha2": _ALPHA[1],
-    "alpha3": _ALPHA[2],
-    "beta": _BETA,
-    "gamma1": _GAMMA[0],
-    "gamma2": _GAMMA[1],
-    "gamma3": _GAMMA[2],
-    "kappa1": _KAPPA[0],
-    "kappa2": _KAPPA[1],
-    "kappa3": _KAPPA[2],
-    "delta": _DELTA,
-    "identity2": _ID2,
-    "identity4": _ID4,
-}
-
-GENERATOR_KINDS = tuple(_GENERATORS)
+# the matrices named by _choices.GENERATOR_KINDS, in its order
+_GENERATORS = dict(zip(
+    GENERATOR_KINDS,
+    (*_SIGMA, *_ALPHA, _BETA, *_GAMMA, *_KAPPA, _DELTA, _ID2, _ID4),
+    strict=True,
+))
 
 
 @dataclass(frozen=True)
@@ -98,9 +85,8 @@ class PauliVector:
 
     def __post_init__(self):
         v = tuple(map(complex, _vec3("v", self.v)))
-        c0 = complex(self.c0)
-        require("finite", c0=c0)
-        object.__setattr__(self, "c0", c0)
+        require("finite", c0=self.c0)  # before complex(), which an int past float range fails
+        object.__setattr__(self, "c0", complex(self.c0))
         object.__setattr__(self, "v", v)
 
     def as_mat2(self) -> Mat2:
@@ -129,7 +115,7 @@ def _vec3(name: str, v: Sequence[complex], dtype=complex) -> np.ndarray:
         if ok:
             arr = np.asarray(v, dtype=dtype)
             ok = arr.shape == (3,) and np.isfinite(arr).all()
-    except (TypeError, ValueError):  # text, or complex values for a real vector
+    except (TypeError, ValueError, OverflowError):  # text, complex for real, an int with no float
         ok = False
     if not ok:
         raise ValueError(f"{name} must be 3 finite values")

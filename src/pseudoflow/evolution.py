@@ -304,15 +304,15 @@ _AFFINE_OVERFLOW = ("affine-sqrt quadrature overflowed: the amplitude e^{(x^2 - 
                     "data there, exceeds floating-point range")
 
 
-def _identity_to_rounding(identity: Callable, tau: float, below: float, flow: Callable, **finite):
+def _identity_to_rounding(identity: Callable, tau: float, below: Callable, flow: Callable, **finite):
     """The entry of every subordination flow. A tau that is not nonnegative
     and finite is refused, then any of the flow's ``finite`` parameters
-    that is not finite. At or below ``below`` the flow is the identity to
-    rounding, and identity(), the input, is returned without running it;
-    so it is at tau = 0. Else flow(), the solve at tau > 0, is returned."""
+    that is not finite. At or below below(), once both are checked, the flow
+    is the identity to rounding, and identity(), the input, is returned
+    without running it; so it is at tau = 0. Else flow() is returned."""
     require("nonnegative and finite", tau=tau)
     require("finite", **finite)
-    if tau == 0.0 or tau <= below:  # a NaN bound proves nothing
+    if tau == 0.0 or tau <= below():  # a NaN bound proves nothing
         return identity()
     return flow()
 
@@ -338,7 +338,7 @@ def solve_half_derivative(f: Field, tau: float) -> Field:
     the identity to rounding, tau <= 2^-53 sqrt(h/pi) (|k|^{1/2} <= sqrt(pi/h)
     on the grid).
     """
-    below = _ROUNDING * math.sqrt(f.dx / math.pi)
+    below = lambda: _ROUNDING * math.sqrt(f.dx / math.pi)
     return _identity_to_rounding(
         lambda: f.with_values(f.values), tau, below, lambda: _half_derivative(f, tau)
     )
@@ -411,7 +411,7 @@ def solve_pseudoheat(f: Field, tau: float) -> Field:
     smoothing does (see :func:`~pseudoflow.transforms._scaled_retry`). A
     result that rounds past float range once scaled back raises ValueError.
     """
-    below = _ROUNDING / math.hypot(1.0, math.pi / f.dx)
+    below = lambda: _ROUNDING / math.hypot(1.0, math.pi / f.dx)
     return _identity_to_rounding(
         lambda: f.with_values(f.values), tau, below, lambda: _pseudoheat(f, tau)
     )
@@ -475,7 +475,7 @@ def pseudoheat_gaussian(tau: float, x: float) -> float:
     integral, e^{-x^2} plus the integral of the (e^{-tau sqrt(1+k^2)} - 1)
     part, and the K1 kernel in position space agree.
     """
-    below = _ROUNDING * math.exp(-x * x) / _GAUSSIAN_RATE
+    below = lambda: _ROUNDING * math.exp(-x * x) / _GAUSSIAN_RATE
     return _identity_to_rounding(
         lambda: math.exp(-x * x), tau, below, lambda: _pseudoheat_gaussian(tau, x), x=x
     )
@@ -636,10 +636,7 @@ def _affine_panels(f: Field, tau: float, c: float) -> Field:
             out[1:] = np.einsum("ir,ri->i", rows[1:], coef)
         return out
 
-    # An amplitude beyond floating-point range makes the values non-finite,
-    # which the check below reports.
-    with np.errstate(over="ignore", invalid="ignore"):
-        values, err = _shift_panels(h, root, gamma, head, tail, "affine-sqrt")
+    values, err = _shift_panels(h, root, gamma, head, tail, "affine-sqrt")
     if not np.all(np.isfinite(values)):
         raise ConvergenceError(_AFFINE_OVERFLOW, error_bound=math.inf)
     return f.with_values(values, warn, meta={"quadrature_error": float(err)})
@@ -671,12 +668,13 @@ def solve_affine_sqrt(f: Field, tau: float, c: float) -> Field:
     spread is wide, an overflow at tiny tau stays a ConvergenceError.
     """
     if c == 0:  # the closed form never leaves float range: no tau is gated
-        below, flow = 0.0, lambda: _affine_multiplier(f, tau)
+        below, flow = lambda: 0.0, lambda: _affine_multiplier(f, tau)
     else:
         a = abs(c)
         squares = (f.x_min * f.x_min, f.x_max * f.x_max)
         spread = max(squares) - (0.0 if f.x_min <= 0.0 <= f.x_max else min(squares))
-        below = _ROUNDING * math.exp(-spread / (2.0 * a)) * math.sqrt(f.dx / math.pi) / math.sqrt(a)
+        below = lambda: (_ROUNDING * math.exp(-spread / (2.0 * a))  # once c has a float
+                         * math.sqrt(f.dx / math.pi) / math.sqrt(a))
         flow = lambda: _affine_panels(f, tau, c)
     return _identity_to_rounding(lambda: f.with_values(f.values), tau, below, flow, c=c)
 

@@ -498,15 +498,16 @@ def commutator_xt_x0(inputs: ObservableInputs) -> complex:
 def linear_potential_trajectory(x0: float, p0: float, force: float, t: float) -> float:
     """Heisenberg trajectory under a linear potential, normalized units
     (m = c = 1): x(t) = x0 + [E(p0 + t f) - E(p0)] / f with E(p) = sqrt(1+p^2),
-    taken as x0 + t (p0 + t f/2) / [E(p0 + t f)/2 + E(p0)/2], which neither
-    cancels nor divides by f and so holds at f = 0 too; the halves keep both
-    sums in float range for every finite p0. Raises ValueError where t f,
-    E(p0 + t f) or x(t) overflows.
+    taken as x0 + t v, v = (p0 + t f/2) / [E(p0 + t f)/2 + E(p0)/2], a mean
+    velocity of at most 1, which neither cancels nor divides by f and so
+    holds at f = 0 too; the halves keep both sums in float range for every
+    finite p0. Raises ValueError where t f, E(p0 + t f) or x(t) overflows,
+    and is elsewhere within 8e-16 of its terms' size plus a subnormal unit.
     """
     require("finite", x0=x0, p0=p0, force=force, t=t)
     tf = t * force
     energy = math.hypot(1.0, p0 + tf)  # inf where t f or p0 + t f overflows
-    x = x0 + t * (p0 + tf / 2.0) / (energy / 2.0 + math.hypot(1.0, p0) / 2.0)
+    x = x0 + t * ((p0 + tf / 2.0) / (energy / 2.0 + math.hypot(1.0, p0) / 2.0))
     # an infinite energy would read x0 from a finite numerator
     in_float_range((energy, x), "the trajectory", x0=x0, p0=p0, force=force, t=t)
     return x

@@ -465,6 +465,7 @@ def _leading_scale(h: float, root: float) -> float:
     return 4.0 * u_hi * u_hi
 
 
+@np.errstate(over="ignore", invalid="ignore")  # its callers refuse values past float range
 def _shift_panels(
     h: float, root: float, square: float, head: Callable, tail: Callable, what: str
 ):

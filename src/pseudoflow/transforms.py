@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _EXPORTS
-from ._choices import in_float_range, past_float_range, require, require_one_of
+from ._choices import _finite, in_float_range, past_float_range, require, require_one_of
 from .errors import ConvergenceError
 from .special import _LOG_UNIT, _legendre_nodes, _log_trapezoid, _quadpack
 
@@ -61,25 +61,23 @@ class Field:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+        if not (_finite(self.x_min) and _finite(self.x_max)):
             raise ValueError("grid bounds must be finite")
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be < x_max")
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
+        if type(self.n) is bool or not isinstance(self.n, (int, np.integer)) or not _finite(self.n):
             raise ValueError("n must be an integer")
         if self.n < 8:
             raise ValueError("need at least 8 samples")
         vals = np.asarray(self.values)
         if vals.shape != (self.n,):
             raise ValueError(f"values must have shape ({self.n},), got {vals.shape}")
-        if not np.all(np.isfinite(vals.real)) or (
-            np.iscomplexobj(vals) and not np.all(np.isfinite(vals.imag))
-        ):
+        try:  # an int past float range has no float
+            vals = vals.astype(np.complex128 if np.iscomplexobj(vals) else np.float64)
+        except OverflowError:
+            raise ValueError("values must be finite") from None
+        if not np.isfinite(vals).all():
             raise ValueError("values must be finite")
-        if np.iscomplexobj(vals):
-            vals = vals.astype(np.complex128)
-        else:
-            vals = vals.astype(np.float64)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -134,7 +132,10 @@ def doetsch_weight(t):
     underflows (t below about 3.4e-4) the weight is 0, even where t^{-3/2}
     overflows.
     """
-    t_arr = np.asarray(t, dtype=float)
+    try:
+        t_arr = np.asarray(t, dtype=float)
+    except OverflowError:  # an int past float range: refused below as NaN
+        t_arr = np.array(math.nan)
     if not (np.isfinite(t_arr) & (t_arr > 0.0)).all():
         raise ValueError("t must be positive and finite")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -285,18 +286,24 @@ def glaisher(alpha: float, x) -> float:
     """Closed form of the heat-smoothed Gaussian.
 
     e^{alpha d^2} e^{-x^2} = (1+4 alpha)^{-1/2} e^{-x^2/(1+4 alpha)},
-    valid for 1 + 4 alpha > 0.
+    valid for 1 + 4 alpha > 0; evaluated as e^{-q^2 - log root}, q = x / root,
+    with root = 2 sqrt(alpha + 1/4) in float range for every alpha, to 4e-13
+    relative plus a subnormal unit (a sweep against mpmath).
     """
-    if not (math.isfinite(alpha) and np.all(np.isfinite(x))):
+    try:  # numpy holds an int past float range as an object, which isfinite refuses
+        finite = _finite(alpha) and np.isfinite(x).all()
+    except TypeError:
+        finite = False
+    if not finite:
         raise ValueError("alpha and x must be finite")
-    s = 1.0 + 4.0 * alpha
-    if s <= 0:
+    if not alpha + 0.25 > 0:
         raise ValueError("glaisher requires 1 + 4*alpha > 0")
-    # x^2 (or x^2 / s) may pass float range, but only where the Gaussian has
-    # long underflowed: exp(-inf) is that 0.0
+    root = 2.0 * math.sqrt(alpha + 0.25)
+    # one exponential, so no subnormal e^{-q^2} is scaled up; q^2 may pass
+    # float range only where the Gaussian has long underflowed to 0.0
     with np.errstate(over="ignore"):
-        exponent = -np.asarray(x) ** 2 / s
-    out = np.exp(exponent) / math.sqrt(s)
+        q = np.asarray(x) / root
+        out = np.exp(-q * q - math.log(root))
     return float(out) if np.ndim(x) == 0 else out
 
 

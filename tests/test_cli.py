@@ -528,6 +528,10 @@ _USAGE_ERRORS = [
          "--tau", "0.5"),
         "--ic must be gaussian or gaussian(1) for the series method",
     ),
+    # an int past float range: the grid's n, whose step had no float, and a
+    # count that numpy could not size an array by
+    (("fig1", "--grid", f"-8:8:{10**400}"), "grid n must be an integer below 2^1024"),
+    (("fig4", "--steps", str(10**400)), "--steps must be at least 2"),
 ]
 
 
@@ -559,9 +563,12 @@ def test_require_checks_every_value_against_its_domain():
     assert refusal("finite", x=1.0, y=math.inf) == "x and y must be finite"
     three = refusal("positive and finite", x=1.0, y=2.0, z=0.0)
     assert three == "x, y and z must be positive and finite"
-    # ints are finite without conversion, which 10**400 would not survive
-    require("finite", x=10**400)
-    require("positive and finite", x=10**400)
+    # a number must have a float: an int past float range is refused like inf,
+    # and so is one whose square has no float, where the domain squares it
+    assert refusal("finite", x=10**400) == "x must be finite"
+    assert refusal("positive and finite", x=10**400) == "x must be positive and finite"
+    require("finite", x=10**300)
+    assert refusal("finite with a finite square", x=10**200) == "x must be finite with a finite square"
     # complex values go through cmath
     require("finite", z=complex(1e308, -1e308))
     assert refusal("finite", z=complex(1.0, math.nan)) == "z must be finite"
@@ -1007,6 +1014,8 @@ def test_csv_digests_cover_every_command_and_solver(tmp_path):
     expected = hashlib.sha256((tmp_path / "ref.csv").read_bytes()).hexdigest()
     assert tool.digest(cli, args, tmp_path) == expected
     assert tool.digest(cli, ["fig4", "--steps", "1"], tmp_path) == "exit 1"
+    # the runs printed last: an int flag past float range, a usage error
+    assert [tool.digest(cli, args, tmp_path) for args in tool.PAST_FLOAT_INTS] == ["exit 1"] * 2
 
 
 def test_csv_digests_text_hash_masks_the_output_path(tmp_path):
@@ -1092,9 +1101,15 @@ def test_csv_digests_arrays_cover_the_calls_no_cli_run_writes():
                  "commutator_xt_x0", "linear_potential_trajectory", "gauss_weierstrass",
                  "solve_pseudoheat"):
         assert any(label.startswith(f"refusal text: {name}") for label in labels), name
-    assert sum(label.startswith("refusal text: laplace_inv_power") for label in labels) == 2
+    # both of laplace_inv_power's, and its refusal of an int past float range
+    assert sum(label.startswith("refusal text: laplace_inv_power") for label in labels) == 3
     text = tool.refusal_text(lambda: pseudoflow.laplace_inv_power(50.0, 1e-8))
     assert text.tobytes() == b"ValueError: a^-nu is past float range at nu = 50.0, a = 1e-08"
+    # each refusal of an int past float range, last
+    ints = ("hermite2", "laplace_inv_power", "bessel", "Field", "dirac2_evolution", "iterated_series")
+    assert all(label.startswith(f"refusal text: {name}") for label, name in zip(labels[-6:], ints))
+    text = tool.refusal_text(lambda: pseudoflow.hermite2(2, 10**400, 0))
+    assert text.tobytes() == b"ValueError: x and y must be finite"
     assert tool.refusal_text(lambda: np.ones(2)).tolist() == [1.0, 1.0]
 
 

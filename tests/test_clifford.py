@@ -93,10 +93,43 @@ def test_generators_unknown_kind():
 
 
 def test_cli_offers_every_generator_kind():
-    # the CLI's numpy-free copy of the names, in the same order
+    # the one list of names, which the CLI reads without numpy
     from pseudoflow import _choices, clifford
 
-    assert _choices.GENERATOR_KINDS == clifford.GENERATOR_KINDS
+    assert clifford.GENERATOR_KINDS is _choices.GENERATOR_KINDS
+    assert tuple(_GENERATOR_ENTRIES) == _choices.GENERATOR_KINDS  # each pinned below
+
+
+_I = 1j
+# each generator name and its matrix, entry by entry: alpha_k = [[0, sigma_k],
+# [sigma_k, 0]], beta = diag(1, 1, -1, -1), gamma_k = beta alpha_k,
+# kappa = (-alpha3, alpha1, beta)
+_GENERATOR_ENTRIES = {
+    "sigma1": [[0, 1], [1, 0]],
+    "sigma2": [[0, -_I], [_I, 0]],
+    "sigma3": [[1, 0], [0, -1]],
+    "alpha1": [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+    "alpha2": [[0, 0, 0, -_I], [0, 0, _I, 0], [0, -_I, 0, 0], [_I, 0, 0, 0]],
+    "alpha3": [[0, 0, 1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, -1, 0, 0]],
+    "beta": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+    "gamma1": [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]],
+    "gamma2": [[0, 0, 0, -_I], [0, 0, _I, 0], [0, _I, 0, 0], [-_I, 0, 0, 0]],
+    "gamma3": [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]],
+    "kappa1": [[0, 0, -1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, 1, 0, 0]],
+    "kappa2": [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+    "kappa3": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+    "delta": [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]],
+    "identity2": [[1, 0], [0, 1]],
+    "identity4": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+}
+
+
+@pytest.mark.parametrize("kind", list(_GENERATOR_ENTRIES))
+def test_each_generator_name_binds_its_own_matrix(kind):
+    # the names bind to the matrices by position, so each is pinned here
+    mat = generators(kind)
+    assert mat.dtype == complex
+    assert np.array_equal(mat, np.array(_GENERATOR_ENTRIES[kind], dtype=complex))
 
 
 def test_pauli_vector():

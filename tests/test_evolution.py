@@ -216,6 +216,21 @@ def test_half_derivative_semigroup():
     )
 
 
+def test_half_derivative_refuses_where_its_kernel_leaves_float_range():
+    # on a step of 1e-200, a tau just above the identity-to-rounding gate
+    # (6.3e-117) puts the leading cell's nodes at s ~ tau^2, where the kernel
+    # tau s^{-3/2} passes the largest float; constant data keep the spline
+    # rows finite (zero but for the samples), and 0 times the overflowed
+    # kernel is NaN. The flow of these data is finite, but the rule cannot
+    # reach it: a search of 1,000 random and oscillating fields near the
+    # largest float met only the spline's refusal or a solve
+    f = Field(0.0, 63e-200, 64, np.ones(64))
+    for tau in (1.25e-116, 1e-114):
+        with pytest.raises(ConvergenceError, match="^half-derivative quadrature overflowed") as exc:
+            solve_half_derivative(f, tau)
+        assert exc.value.error_bound == math.inf
+
+
 def test_half_derivative_warns_on_left_leak():
     f = Field.from_function(-12.0, 8.0, 641, lambda x: np.exp(-((x + 11.0) ** 2)))
     out = solve_half_derivative(f, 0.5)
@@ -1248,6 +1263,24 @@ def test_spectral_flow_near_float_range_keeps_its_bits(symbol):
     big = f.with_values(f.values * 2.0**1000)
     got = solve_symbol_spectral(big, 0.5, symbol).values
     assert np.array_equal(got, solve_symbol_spectral(f, 0.5, symbol).values * 2.0**1000)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_shifts_that_reach_no_cell_read_only_the_last_sample(cplx):
+    # a lattice of no lag sums to zero in the data's dtype; a shift of the
+    # whole span still carries x_0 to x_{n-1}, where S is the last sample
+    f = Field.from_function(
+        -3.0, 5.0, 65, lambda x: np.cos(0.7 * x) + (0.5j * np.sin(x) if cplx else 0.0)
+    )  # h = 1/8, so the span is 64 whole steps
+    coef, last = _coefficients(f.x, f.values), f.values[-1]
+    past = _shift_lattice(f.n, f.dx, np.array([-20.0, 20.0, 1e6]))
+    got = past.bin(np.ones(3))(coef, last)
+    assert past.size == 0 and got.dtype == f.values.dtype
+    assert np.array_equal(got, np.zeros(f.n))
+    span = _shift_lattice(f.n, f.dx, np.array([8.0]))
+    want = np.zeros(f.n, dtype=f.values.dtype)
+    want[0] = 0.5 * last
+    assert span.size == 0 and np.array_equal(span.bin(np.array([0.5]))(coef, last), want)
 
 
 @pytest.mark.parametrize("cplx", [False, True])

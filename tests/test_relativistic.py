@@ -792,7 +792,7 @@ def test_observable_inputs_reject_nonfinite(kwargs):
 def test_linear_potential_trajectory():
     assert linear_potential_trajectory(1.3, 2.0, 0.5, 0.0) == 1.3
     free = linear_potential_trajectory(0.0, 2.0, 0.0, 1.2)
-    assert free == 1.2 * 2.0 / math.sqrt(5.0)
+    assert free == 1.2 * (2.0 / math.sqrt(5.0))
     nearly_free = linear_potential_trajectory(0.0, 2.0, 1e-8, 1.2)
     assert nearly_free == pytest.approx(free, abs=1e-6)
     # ultrarelativistic: the velocity saturates at c = 1
@@ -808,9 +808,43 @@ def test_linear_potential_trajectory_past_the_square_of_p():
     # 2 p0 and E(p0 + t f) + E(p0) would overflow; their halves do not
     assert linear_potential_trajectory(0.0, 1e308, 1.0, 1.0) == 1.0
     assert linear_potential_trajectory(0.0, -1e308, 1.0, 1.0) == -1.0
-    # f = 0 is the free drift t p0 / sqrt(1 + p0^2), bit for bit
+    # f = 0 is the free drift t times the velocity p0 / sqrt(1 + p0^2), bit for bit
     for x0, p0, t in [(0.3, 2.0, 1.2), (-1.0, 1e-8, 3.0), (0.0, -7.5, 0.4), (2.0, 1e200, 1.0)]:
-        assert linear_potential_trajectory(x0, p0, 0.0, t) == x0 + t * p0 / math.hypot(1.0, p0)
+        assert linear_potential_trajectory(x0, p0, 0.0, t) == x0 + t * (p0 / math.hypot(1.0, p0))
+
+
+# signed and log-uniform over [1e-310, 1.78e308], and 0
+_SWEEP_SIGNED = st.one_of(
+    st.just(0.0),
+    st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-310.0, 308.25)).map(lambda p: p[0] * 10.0 ** p[1]),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_SWEEP_SIGNED, _SWEEP_SIGNED, _SWEEP_SIGNED, _SWEEP_SIGNED)
+@example(0.0, 5.0569428647527015e57, 3.2400614175234805e131, 1.4584207669834623e140)  # t (p0 + t f/2)
+@example(4.597727912037563e-293, -1.7145726258820057e-305, 3.0940001721480764e91,
+         1.4515020319663758e89)  # the worst seen: 3.3e-16
+@example(0.0, 9.087232033207658e-159, -5.890185100629449e-273, -2.4230364170246136e-166)  # x underflows
+@example(0.0, 1.0, 1e300, 1e300)  # t f past float range
+def test_linear_potential_trajectory_is_right_over_the_whole_domain(x0, p0, force, t):
+    # to 8e-16 of the size of the terms, |x0| + |t| (|p0| + |t f|/2) / mean E,
+    # plus a unit of the smallest subnormal; the worst of 60,000 log-uniform
+    # draws was 3.3e-16. A refusal only where t f, E(p0 + t f) or x(t) is past
+    # float range, give or take its rounding (t (p0 + t f/2) alone may be)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        x0_, p0_, t_ = map(mp.mpf, (x0, p0, t))
+        tf = t_ * force
+        e1, e0 = mp.sqrt(1 + (p0_ + tf) ** 2), mp.sqrt(1 + p0_**2)
+        ref = x0_ + t_ * (2 * p0_ + tf) / (e1 + e0)
+        size = abs(x0_) + abs(t_) * (abs(p0_) + abs(tf) / 2) / ((e1 + e0) / 2)
+        try:
+            got = linear_potential_trajectory(x0, p0, force, t)
+        except ValueError:
+            assert max(abs(tf), e1, abs(ref)) * (1 + 1e-15) > sys.float_info.max
+            return
+        assert abs(got - ref) <= 8e-16 * size + 5e-324, (got, ref)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """One scale sweep over every public field route: on data s e^{-(x/2)^2}
 from s = 1e-320 to the largest float, on two grids and at three tau, each
 call returns finite values or raises the refusal measured for it, with no
-numpy warning."""
+numpy warning. And the boundary of every public function and class that
+takes a number: an int past float range is refused with a ValueError that
+prints none of its digits."""
 import itertools
 import re
 import warnings
@@ -9,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import pseudoflow
 from pseudoflow import (
     ConvergenceError,
     Field,
@@ -110,3 +113,96 @@ def test_every_field_route_solves_or_refuses_at_every_scale(route):
                         call(f, tau)
                 else:
                     assert np.isfinite(call(f, tau).values).all(), case
+
+
+# every public function and class that takes a number -> valid arguments
+_F = Field.from_function(-8.0, 8.0, 64, lambda x: np.exp(-(x**2)))
+_NUMBER_TAKERS = {
+    "hermite2": (pseudoflow.hermite2, (2, 1.0, 0.5)),
+    "bessel": (pseudoflow.bessel, ("K0", 1.0)),
+    "Field": (Field, (-8.0, 8.0, 8, [1.0] * 8)),
+    "doetsch_weight": (pseudoflow.doetsch_weight, (0.5,)),
+    "exp_sqrt_via_doetsch": (pseudoflow.exp_sqrt_via_doetsch, (1.0, 2.0)),
+    "gauss_weierstrass": (gauss_weierstrass, (_F, 0.5)),
+    "glaisher": (pseudoflow.glaisher, (0.5, 1.0)),
+    "laplace_inv_power": (pseudoflow.laplace_inv_power, (1.0, 2.0)),
+    "SymbolSpec": (SymbolSpec.optics, (2.0,)),
+    "solve_half_derivative": (solve_half_derivative, (_F, 0.5)),
+    "solve_pseudoheat": (solve_pseudoheat, (_F, 0.5)),
+    "pseudoheat_gaussian": (pseudoflow.pseudoheat_gaussian, (0.5, 1.0)),
+    "solve_symbol_spectral": (solve_symbol_spectral, (_F, 0.5, SymbolSpec.heat())),
+    "solve_affine_sqrt": (solve_affine_sqrt, (_F, 0.5, 1.0)),
+    "ObservableInputs": (pseudoflow.ObservableInputs, (1.0, 1.0, 0.5, "physical", 1.0, 1.0)),
+    "f2k": (pseudoflow.f2k, (1.0, 2)),
+    "series_solution": (pseudoflow.series_solution, (1.0, 0.5)),
+    "spectral_schrodinger": (spectral_schrodinger, (_F, 0.5)),
+    "iterated_series": (iterated_series, (_F, 0.5)),
+    "r_function": (pseudoflow.r_function, (1.0,)),
+    "f_function": (pseudoflow.f_function, (1.0,)),
+    "linear_potential_trajectory": (pseudoflow.linear_potential_trajectory, (0.0, 1.0, 0.5, 2.0)),
+    "PauliVector": (pseudoflow.PauliVector, (1.0, (0.0, 0.0, 1.0))),
+    "pauli_sqrt_identity": (pseudoflow.pauli_sqrt_identity, ((0.0, 0.0, 1.0),)),
+    "exp_pauli": (pseudoflow.exp_pauli, (0.5, (0.0, 0.0, 1.0))),
+    "dirac2_evolution": (pseudoflow.dirac2_evolution, (0.9, 1.0)),
+    "bloch_evolve": (pseudoflow.bloch_evolve, ((1.0, 0.0, 0.0), 0.5, 1.0, 0.1)),
+    "dirac4_evolution": (pseudoflow.dirac4_evolution, ((0.9, 0.0, 0.0), 1.0)),
+    "position_evolution": (pseudoflow.position_evolution, (0.9, 1.0)),
+    "sqrt_symbol_check": (pseudoflow.sqrt_symbol_check, (1.0,)),
+    "kappa_parametrization": (pseudoflow.kappa_parametrization, ((1.0, 0.0, 0.0), 0.5)),
+    "pauli_line_power": (pseudoflow.pauli_line_power, (2.0, 1.0, 0.5)),
+}
+# public names that take no number: errors and results carry numbers unchecked
+_NO_NUMBER = {
+    "PseudoflowError", "ConvergenceError", "TruncationError", "QuadratureConfig", "IntegralResult",
+    "HALFLINE_RULES", "REALLINE_RULES", "integrate_halfline", "integrate_realline",
+    "apply_inv_sqrt_shift", "DHAT_METHODS", "dhat_apply", "phi_transform", "packet_width",
+    "commutator_xt_x0", "Mat2", "Mat4", "GENERATOR_KINDS", "POSITION_PARAMETRIZATIONS",
+    "KAPPA_VARIANTS", "generators",
+}
+# the parameters whose domain is "finite with a finite square"
+_SQUARED = {("dirac2_evolution", 0), ("position_evolution", 0), ("bloch_evolve", 1),
+            ("SymbolSpec", 0)}
+
+
+def _number_slots(args):
+    """(position, component) of each number among ``args``: a scalar's
+    component is None, a 3-vector gives its middle one, a list of samples
+    its fourth."""
+    for i, arg in enumerate(args):
+        if isinstance(arg, (int, float)) and not isinstance(arg, bool):
+            yield i, None
+        elif isinstance(arg, (tuple, list)):
+            yield i, 1 if len(arg) == 3 else 3
+
+
+def _with(args, slot, value):
+    i, j = slot
+    args = list(args)
+    if j is None:
+        args[i] = value
+    else:
+        args[i] = [*args[i][:j], value, *args[i][j + 1:]]
+    return args
+
+
+def test_the_boundary_table_holds_every_public_name_that_takes_a_number():
+    assert set(_NUMBER_TAKERS) | _NO_NUMBER == set(pseudoflow._HOME)
+    assert not set(_NUMBER_TAKERS) & _NO_NUMBER
+
+
+@pytest.mark.parametrize(
+    "name, slot",
+    [(name, slot) for name, (_, args) in _NUMBER_TAKERS.items() for slot in _number_slots(args)],
+)
+def test_an_int_past_float_range_is_a_value_error_that_prints_no_digits(name, slot):
+    call, args = _NUMBER_TAKERS[name]
+    call(*args)  # the valid arguments pass, so the refusal is the swapped number's
+    values = (10**400, -(10**400), 10**5000)
+    if (name, slot[0]) in _SQUARED:
+        values += (10**200,)  # a float whose square has none
+    for value in values:
+        with pytest.raises(ValueError) as refusal:
+            call(*_with(args, slot, value))
+        message = str(refusal.value)
+        # Python refuses to print an int of more than 4300 digits at all
+        assert not re.search(r"\d{10}", message) and "int_max_str_digits" not in message, message

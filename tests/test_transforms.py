@@ -21,6 +21,7 @@ from pseudoflow import (
     solve_pseudoheat,
 )
 from pseudoflow import cli
+from pseudoflow.transforms import _scaled_retry
 
 INV_SQUARE = QuadratureConfig(halfline_rule="inverse_square_substitution")
 
@@ -450,6 +451,23 @@ def test_laplace_inv_power_rejects_nonfinite_arguments(nu, a):
         laplace_inv_power(nu, a)
 
 
+def test_the_scaled_retry_runs_again_only_past_float_range():
+    # a ConvergenceError with a finite bound is the map's own failure, raised
+    # as it came; one with an infinite bound left float range, and the map
+    # runs once more on the data times 2^-8
+    f = gaussian_field(-4.0, 4.0, 16)
+    for bound, runs in ((0.5, [1.0]), (math.inf, [1.0, 2.0**-8])):
+        seen = []
+
+        def run(g, bound=bound):
+            seen.append(g.values[0] / f.values[0])
+            raise ConvergenceError("no convergence", estimate=1.0, error_bound=bound)
+
+        with pytest.raises(ConvergenceError, match="^no convergence") as exc:
+            _scaled_retry(run, f, "the map")
+        assert exc.value.error_bound == bound and seen == runs
+
+
 # ----------------------------------------------------------------------
 # the scalar identities over their whole documented domains
 
@@ -466,6 +484,37 @@ def _right_or_refused(call, ref, bound) -> None:
         assert not math.isnan(exc.error_bound)
         return
     assert abs(got - ref) <= bound, (got, ref)
+
+
+# signed and log-uniform over [1e-310, 1.78e308], and 0
+_SWEEP_SIGNED = st.one_of(
+    st.just(0.0),
+    st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-310.0, 308.25)).map(lambda p: p[0] * 10.0 ** p[1]),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(_SWEEP_SIGNED, st.floats(-16.0, -0.7).map(lambda k: -0.25 + 10.0**k)), _SWEEP_SIGNED)
+@example(-0.2420352241701328, 4.7084428449030105)  # the worst seen: 2.8e-13, at q^2 = 690
+@example(-0.24999999999999978, -8.022315810434526e-07)  # e^{-q^2} alone is subnormal
+@example(6.050059849261204e-11, 26.618178671436777)  # a value just below the least normal
+@example(1.1613247372764983e308, 2.373312516821943e104)  # 1 + 4 alpha is past float range
+@example(1e307, 1e155)  # x^2 is past float range, x^2 / (1 + 4 alpha) = 2.5e2 is not
+@example(-0.25, 1.0)
+def test_glaisher_is_right_over_the_whole_domain(alpha, x):
+    # relative, plus a unit of the smallest subnormal where the value is
+    # subnormal or underflows to 0.0; the worst of 80,000 draws (log-uniform,
+    # and with q^2 uniform on [0, 760]) was 2.8e-13
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        s = 1 + 4 * mp.mpf(alpha)
+        if s <= 0:
+            with pytest.raises(ValueError, match=r"^glaisher requires 1 \+ 4\*alpha > 0$"):
+                glaisher(alpha, x)
+            return
+        ref = mp.exp(-mp.mpf(x) ** 2 / s) / mp.sqrt(s)
+        got = glaisher(alpha, x)
+        assert abs(got - ref) <= 4e-13 * ref + 5e-324, (got, ref)
 
 
 # log-uniform over [1e-300, 1e300], and 0

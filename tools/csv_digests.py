@@ -23,8 +23,9 @@ affine flows on a grid of step 3e-202, and a second fixed table of values
 near 1.6e308 that the tool writes; then, after all of those, each spectral
 route (heat, schrodinger, optics, pseudoheat) and the pseudoheat flow on a
 third fixed table, of values rising from 1.5e308 to 1.7e308, and the
-series route at tau = 4, where its two trapezoid steps disagree. One line per
-run, "<csv sha256>  <text sha256>  <arguments>", where the first hash reads
+series route at tau = 4, where its two trapezoid steps disagree; last, an
+int flag past float range: fig1's grid n and fig4's --steps at 10^400. One
+line per run, "<csv sha256>  <text sha256>  <arguments>", where the first hash reads
 "exit <code>" where the run failed, or "error <type>" where ``cli.run``
 raised, and the second is the SHA-256 of the run's stdout and stderr with
 the output path masked. Each run shows every warning it raises, however
@@ -65,10 +66,13 @@ the commutator, both of laplace_inv_power's (a^-nu itself, and its value
 after the rule), the linear-potential trajectory, the Gauss-Weierstrass
 smoothing of constant data at the largest float on [-50, 50] with 64
 points and the pseudoheat flow of the largest float at tau = 1e-15 on
-[-2, 14] with 161 points; last the Gauss-Weierstrass smoothing of
+[-2, 14] with 161 points; then the Gauss-Weierstrass smoothing of
 1e308 e^{-(x/20)^2} on that coarse grid, which solves, and the
 half-derivative flow at tau = 1e-30 on [-8, 8] with 64 points, a tau at
-which it is the identity to rounding. One line per call,
+which it is the identity to rounding; last the refusals of an int past
+float range, by their messages: H_n's x, laplace_inv_power's a, J0's x, a
+Field's x_max and the iterated series' tau at 10^400, and dirac2's pi at
+10^200, whose square is past float range. One line per call,
 "<sha256>  <call>", or "error <type>" where the call raised, followed by
 " warned <sha256 of its warnings>" where the call warned. The K0, J0 and half-derivative
 routes keep a plan per grid: each of them runs again on a grid after a
@@ -190,6 +194,11 @@ EDGE_RUNS = (
       for eq in (("heat",), ("schrodinger",), ("optics",), ("pseudoheat", "--method", "spectral"),
                  ("pseudoheat",))),
     ("solve", "--equation", "schrodinger", "--method", "series", "--tau", "4"),
+)
+# runs printed last: an int flag past float range, in a grid and as a count
+PAST_FLOAT_INTS = (
+    ("fig1", "--grid", f"-8:8:{10**400}"),
+    ("fig4", "--steps", str(10**400)),
 )
 
 
@@ -434,6 +443,18 @@ def array_calls(pf):
         ("solve_half_derivative 64 on [-8, 8] e^{-x^2} tau 1e-30",
          lambda: pf.solve_half_derivative(narrow, 1e-30)),
     ]
+    # an int past float range (or, for pi, whose square is), at the boundary
+    big = 10**400
+    refusals = [
+        ("hermite2(2, 10**400, 0)", lambda: pf.hermite2(2, big, 0)),
+        ("laplace_inv_power(1.0, 10**400)", lambda: pf.laplace_inv_power(1.0, big)),
+        ("bessel('J0', 10**400)", lambda: pf.bessel("J0", big)),
+        ("Field(0.0, 10**400, 8, zeros)", lambda: pf.Field(0.0, big, 8, np.zeros(8))),
+        ("dirac2_evolution(10**200, 1.0)", lambda: pf.dirac2_evolution(10**200, 1.0)),
+        ("iterated_series 512 real tau 10**400", lambda: pf.iterated_series(gauss, big)),
+    ]
+    calls += [(f"refusal text: {label}", lambda thunk=thunk: refusal_text(thunk))
+              for label, thunk in refusals]
     return calls
 
 
@@ -492,7 +513,8 @@ def main() -> None:
         write_ic_table(Path(tmp) / IC_TABLE)
         write_huge_table(Path(tmp) / HUGE_TABLE)
         write_float_edge_table(Path(tmp) / FLOAT_EDGE_TABLE)
-        for args in (*runs(cli), *IC_FILE_RUNS, *USAGE_ERRORS, *REFUSALS, *EDGE_RUNS):
+        for args in (*runs(cli), *IC_FILE_RUNS, *USAGE_ERRORS, *REFUSALS, *EDGE_RUNS,
+                     *PAST_FLOAT_INTS):
             print(f"{'  '.join(digests(cli, args, Path(tmp)))}  {' '.join(args)}", flush=True)
 
 
