@@ -6,12 +6,14 @@ the library's domain table, before any solver loads. ``GENERATOR_KINDS``
 is the only list of generator names; ``clifford`` binds its matrices to it
 and re-exports it. ``require`` refuses a value outside its domain (a number
 must have a finite float, so an int past float range is refused like inf)
-and ``require_one_of`` a name outside its choices, each with one ValueError
-wording, and ``in_float_range`` a result that leaves float range at inputs
-inside their domains, with the package's one such wording
-(``past_float_range``); it loads numpy only when called.
+and returns what it accepts as the float, complex or int that the package
+computes with; ``require_one_of`` refuses a name outside its choices, each
+with one ValueError wording, and ``in_float_range`` a result that leaves
+float range at inputs inside their domains, with the package's one such
+wording (``past_float_range``); it loads numpy only when called.
 """
 import cmath
+import operator
 
 GENERATOR_KINDS = (
     "sigma1", "sigma2", "sigma3",
@@ -30,14 +32,26 @@ def _finite(value) -> bool:
         return False
 
 
-# every scalar domain of the package: domain -> test of a finite value
+def _float(value):
+    """value as a float, or a complex where it is complex; a numpy scalar or
+    0-d array gives the number it holds. TypeError for text, OverflowError
+    for an int past float range."""
+    return (value.item() if hasattr(value, "item") else value) * 1.0
+
+
+def _int(value):  # a bool is no integer here (NaN fails every domain), nor a float
+    return cmath.nan if type(value) is bool else operator.index(value)
+
+
+# every scalar domain of the package: domain -> (conversion, test of the
+# finite converted value); an ordered one refuses a complex value
 DOMAINS = {
-    "finite": lambda v: True,
-    "positive and finite": lambda v: v > 0,
-    "nonnegative and finite": lambda v: v >= 0,
-    "at least 2": lambda v: v >= 2,
-    "a nonnegative integer": lambda v: type(v) is not bool and hasattr(v, "__index__") and v >= 0,
-    "finite with a finite square": lambda v: _finite(v * v),
+    "finite": (_float, lambda v: True),
+    "positive and finite": (_float, lambda v: v > 0),
+    "nonnegative and finite": (_float, lambda v: v >= 0),
+    "at least 2": (_int, lambda v: v >= 2),
+    "a nonnegative integer": (_int, lambda v: v >= 0),
+    "finite with a finite square": (_float, lambda v: _finite(v * v)),
 }
 
 
@@ -52,20 +66,29 @@ def _join(items, word: str) -> str:
     return f"{', '.join(rest)} {word} {last}" if rest else last
 
 
-def require(domain: str, **named) -> None:
-    """Raise ValueError("<names> must be <domain>") unless every named value
-    has a finite float and is in the domain, a sequence or 1-D array element
-    by element; names join as "x", "x and y", "x, y and z". A value of more
-    than one dimension raises ValueError("<name> must be a number or 1-D")."""
-    test = DOMAINS[domain]
-    rows = []
+def require(domain: str, **named):
+    """The named values, each number as its domain converts it (a sequence or
+    1-D array unchanged): one name gives its value, several a tuple. Raise
+    ValueError("<names> must be <domain>") unless every number, or element
+    of a sequence or 1-D array, is in the domain; names join as "x", "x and
+    y", "x, y and z", and a value of more dimensions raises
+    ValueError("<name> must be a number or 1-D")."""
+    convert, test = DOMAINS[domain]
+    shaped = []
     for name, value in named.items():
         dims = _dims(value)
         if dims > 1:
             raise ValueError(f"{name} must be a number or 1-D")
-        rows.append(value if dims else (value,))
-    if not all(_finite(v) and test(v) for row in rows for v in row):
+        shaped.append((value, dims))
+    try:  # TypeError: not a number of the domain's kind; OverflowError: an int with no float
+        rows = [[convert(v) for v in (value if dims else (value,))] for value, dims in shaped]
+        ok = all(_finite(v) and test(v) for row in rows for v in row)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
         raise ValueError(f"{_join(named, 'and')} must be {domain}")
+    values = tuple(value if dims else row[0] for (value, dims), row in zip(shaped, rows))
+    return values[0] if len(values) == 1 else values
 
 
 def require_one_of(choices, **named) -> None:

@@ -61,14 +61,13 @@ class _Parser(argparse.ArgumentParser):
 # flag types: argparse reads and range-checks each flag once, before numpy loads
 
 def _number(flag: str, domain: str = "finite", kind=float):
-    """argparse type: the text read by ``kind``, if ``require`` accepts it."""
+    """argparse type: the text read by ``kind``, as ``require`` accepts it."""
     def read(text: str):
         value = kind(text)
         try:
-            require(domain, **{flag: value})
+            return require(domain, **{flag: value})
         except ValueError as exc:  # argparse would report "invalid float value"
             raise _UsageError(exc) from None
-        return value
 
     read.__name__ = kind.__name__  # argparse reports "invalid float value: ..."
     return read

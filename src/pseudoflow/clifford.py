@@ -27,6 +27,7 @@ from ._choices import (
     GENERATOR_KINDS,
     KAPPA_VARIANTS,
     POSITION_PARAMETRIZATIONS,
+    _float,
     in_float_range,
     past_float_range,
     require,
@@ -85,8 +86,7 @@ class PauliVector:
 
     def __post_init__(self):
         v = tuple(map(complex, _vec3("v", self.v)))
-        require("finite", c0=self.c0)  # before complex(), which an int past float range fails
-        object.__setattr__(self, "c0", complex(self.c0))
+        object.__setattr__(self, "c0", complex(require("finite", c0=self.c0)))
         object.__setattr__(self, "v", v)
 
     def as_mat2(self) -> Mat2:
@@ -132,7 +132,7 @@ def pauli_sqrt_identity(v: Sequence[complex]) -> Mat2:
     arr = _vec3("v", v)
     with np.errstate(over="ignore", invalid="ignore"):
         mat = arr[0] * _SIGMA[0] + arr[1] * _SIGMA[1] + arr[2] * _SIGMA[2]
-    return in_float_range(mat, "sigma . v", v=v)
+    return in_float_range(mat, "sigma . v", v=lambda: tuple(map(_float, v)))
 
 
 def exp_pauli(y: complex, v: Sequence[complex]) -> Mat2:
@@ -147,17 +147,16 @@ def exp_pauli(y: complex, v: Sequence[complex]) -> Mat2:
     preset ``exp_pauli(-tau, (1j * k, 0, 1))``: the Fourier-symbol
     exponential e^{-tau (sigma3 + i k sigma1)}.
     """
-    require("finite", y=y)
+    y = require("finite", y=y)
     arr = _vec3("v", v)
     mat = pauli_sqrt_identity(v)
     with np.errstate(over="ignore", invalid="ignore"):
         n = np.sqrt(complex(arr @ arr))
-        z = complex(y)
         if n == 0:
-            out = _ID2 + z * mat
+            out = _ID2 + y * mat
         else:
-            out = np.cosh(z * n) * _ID2 + (np.sinh(z * n) / n) * mat
-    return in_float_range(out, "e^{y sigma . v}", y=y, v=v)
+            out = np.cosh(y * n) * _ID2 + (np.sinh(y * n) / n) * mat
+    return in_float_range(out, "e^{y sigma . v}", y=y, v=lambda: tuple(map(_float, v)))
 
 
 def dirac2_evolution(pi: float, tau: float) -> Mat2:
@@ -166,8 +165,8 @@ def dirac2_evolution(pi: float, tau: float) -> Mat2:
     Closed form cos(E tau) 1 - i sin(E tau)/E (sigma1 pi + sigma3) with
     E = sqrt(1 + pi^2); unitary for real arguments.
     """
-    require("finite with a finite square", pi=pi)
-    require("finite", tau=tau)
+    pi = require("finite with a finite square", pi=pi)
+    tau = require("finite", tau=tau)
     e = math.sqrt(1.0 + pi * pi)
     phase = in_float_range(e * tau, "the phase E tau", pi=pi, tau=tau)
     h = pi * _SIGMA[0] + _SIGMA[2]
@@ -186,10 +185,10 @@ def bloch_evolve(
     tau/dt exceeds the step cap, ValueError names the inputs.
     """
     s = _vec3("sigma0", sigma0, float)
-    require("finite with a finite square", pi=pi)
-    require("nonnegative and finite", tau=tau)
-    require("positive and finite", dt=dt)
-    if float(np.linalg.norm(s)) == 0.0:
+    pi = require("finite with a finite square", pi=pi)
+    tau = require("nonnegative and finite", tau=tau)
+    dt = require("positive and finite", dt=dt)
+    if not s.any():  # not by its norm, whose square leaves float range past 1e154
         raise ValueError("sigma0 must be nonzero")
     if tau == 0:
         return s.copy()
@@ -210,7 +209,7 @@ def bloch_evolve(
             k3 = np.cross(omega, s + 0.5 * h * k2)
             k4 = np.cross(omega, s + h * k3)
             s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    named = {"sigma0": sigma0, "pi": pi, "tau": tau, "dt": dt}
+    named = {"sigma0": lambda: tuple(map(_float, sigma0)), "pi": pi, "tau": tau, "dt": dt}
     return in_float_range(s, "the Runge-Kutta solution", **named)
 
 
@@ -221,12 +220,12 @@ def dirac4_evolution(pi: Sequence[float], tau: float) -> Mat4:
     exponential is cos(E tau) 1 - i sin(E tau)/E H with E = sqrt(1 + pi^2).
     """
     p = _vec3("pi", pi, float)
-    require("finite", tau=tau)
+    tau = require("finite", tau=tau)
     with np.errstate(over="ignore"):
-        square = in_float_range(float(p @ p), "pi . pi", pi=pi)
+        square = in_float_range(float(p @ p), "pi . pi", pi=lambda: tuple(map(_float, pi)))
     h = p[0] * _ALPHA[0] + p[1] * _ALPHA[1] + p[2] * _ALPHA[2] + _BETA
     e = math.sqrt(1.0 + square)
-    phase = in_float_range(e * tau, "the phase E tau", pi=pi, tau=tau)
+    phase = in_float_range(e * tau, "the phase E tau", pi=lambda: tuple(map(_float, pi)), tau=tau)
     return math.cos(phase) * _ID4 - 1j * (math.sin(phase) / e) * h
 
 
@@ -246,8 +245,8 @@ def position_evolution(pi: float, tau: float, parametrization: str = "dirac") ->
     two-branch drift tau beta pi / sqrt(1 + pi^2).
     """
     require_one_of(POSITION_PARAMETRIZATIONS, parametrization=parametrization)
-    require("finite with a finite square", pi=pi)
-    require("finite", tau=tau)
+    pi = require("finite with a finite square", pi=pi)
+    tau = require("finite", tau=tau)
     e2 = 1.0 + pi * pi
     e = math.sqrt(e2)
     if parametrization == "beta_diagonal":
@@ -267,7 +266,7 @@ def sqrt_symbol_check(k: float) -> Mat4:
     Squares to (1 + k^2) 1 because (alpha1+alpha2+alpha3)^2 = 3 and the
     cross terms with beta cancel.
     """
-    require("finite", k=k)
+    k = require("finite", k=k)
     return (-k / math.sqrt(3.0)) * (_ALPHA[0] + _ALPHA[1] + _ALPHA[2]) + _BETA
 
 
@@ -283,11 +282,11 @@ def kappa_parametrization(
     """
     require_one_of(KAPPA_VARIANTS, variant=variant)
     arr = _vec3("w", w, float)
-    require("finite", r=r)
+    r = require("finite", r=r)
     n = arr[0] * _KAPPA[0] + arr[1] * _KAPPA[1] + arr[2] * _KAPPA[2]
     with np.errstate(over="ignore"):
         mat = n + 1j * r * _DELTA if variant == "i_delta" else n + r * _DELTA
-    return in_float_range(mat, "kappa . w + delta r", w=w, r=r)
+    return in_float_range(mat, "kappa . w + delta r", w=lambda: tuple(map(_float, w)), r=r)
 
 
 def pauli_line_power(a: float, b: float, p: float) -> Mat2:
@@ -298,9 +297,9 @@ def pauli_line_power(a: float, b: float, p: float) -> Mat2:
     Requires a > |b| so both eigenvalues a -+ b are positive and every real
     power is unambiguous.
     """
-    require("finite", a=a)
-    require("finite", b=b)
-    require("finite", p=p)
+    a = require("finite", a=a)
+    b = require("finite", b=b)
+    p = require("finite", p=p)
     if not a > abs(b):
         raise ValueError("pauli_line_power requires a > |b| (positive definite)")
     named = {"a": a, "b": b, "p": p}

@@ -88,7 +88,7 @@ class SymbolSpec:
 
     @classmethod
     def optics(cls, n: float) -> "SymbolSpec":
-        require("finite with a finite square", n=n)
+        n = require("finite with a finite square", n=n)
         # Nonparaxial propagation: -i sqrt(n^2 - k^2) for propagating modes,
         # and the evanescent branch -sqrt(k^2 - n^2) beyond the aperture.
         def eval_(k: np.ndarray) -> np.ndarray:
@@ -139,7 +139,7 @@ def solve_symbol_spectral(f: Field, tau: float, symbol: SymbolSpec) -> Field:
     Finite data whose transform leaves float range raise ValueError naming
     the symbol, tau and the data's peak.
     """
-    require("finite", tau=tau)
+    tau = require("finite", tau=tau)
     return _spectral_apply(
         f,
         lambda k: np.exp(tau * np.asarray(symbol.eval(k), dtype=complex)),
@@ -304,17 +304,17 @@ _AFFINE_OVERFLOW = ("affine-sqrt quadrature overflowed: the amplitude e^{(x^2 - 
                     "data there, exceeds floating-point range")
 
 
-def _identity_to_rounding(identity: Callable, tau: float, below: Callable, flow: Callable, **finite):
+def _identity_to_rounding(identity: Callable, below: Callable, flow: Callable, tau, **finite):
     """The entry of every subordination flow. A tau that is not nonnegative
-    and finite is refused, then any of the flow's ``finite`` parameters
-    that is not finite. At or below below(), once both are checked, the flow
-    is the identity to rounding, and identity(), the input, is returned
-    without running it; so it is at tau = 0. Else flow() is returned."""
-    require("nonnegative and finite", tau=tau)
-    require("finite", **finite)
-    if tau == 0.0 or tau <= below():  # a NaN bound proves nothing
-        return identity()
-    return flow()
+    and finite is refused, then a ``finite`` parameter that is not finite;
+    the callables take them as ``require`` returns them. At or below
+    below(**finite) the flow is the identity to rounding: identity(**finite),
+    the input, is returned without running it, as at tau = 0; else flow(tau, **finite)."""
+    tau = require("nonnegative and finite", tau=tau)
+    finite = {name: require("finite", **{name: value}) for name, value in finite.items()}
+    if tau == 0.0 or tau <= below(**finite):  # a NaN bound proves nothing
+        return identity(**finite)
+    return flow(tau, **finite)
 
 
 def solve_half_derivative(f: Field, tau: float) -> Field:
@@ -340,7 +340,7 @@ def solve_half_derivative(f: Field, tau: float) -> Field:
     """
     below = lambda: _ROUNDING * math.sqrt(f.dx / math.pi)
     return _identity_to_rounding(
-        lambda: f.with_values(f.values), tau, below, lambda: _half_derivative(f, tau)
+        lambda: f.with_values(f.values), below, lambda tau: _half_derivative(f, tau), tau
     )
 
 
@@ -413,7 +413,7 @@ def solve_pseudoheat(f: Field, tau: float) -> Field:
     """
     below = lambda: _ROUNDING / math.hypot(1.0, math.pi / f.dx)
     return _identity_to_rounding(
-        lambda: f.with_values(f.values), tau, below, lambda: _pseudoheat(f, tau)
+        lambda: f.with_values(f.values), below, lambda tau: _pseudoheat(f, tau), tau
     )
 
 
@@ -475,10 +475,8 @@ def pseudoheat_gaussian(tau: float, x: float) -> float:
     integral, e^{-x^2} plus the integral of the (e^{-tau sqrt(1+k^2)} - 1)
     part, and the K1 kernel in position space agree.
     """
-    below = lambda: _ROUNDING * math.exp(-x * x) / _GAUSSIAN_RATE
-    return _identity_to_rounding(
-        lambda: math.exp(-x * x), tau, below, lambda: _pseudoheat_gaussian(tau, x), x=x
-    )
+    below = lambda x: _ROUNDING * math.exp(-x * x) / _GAUSSIAN_RATE
+    return _identity_to_rounding(lambda x: math.exp(-x * x), below, _pseudoheat_gaussian, tau, x=x)
 
 
 def _pseudoheat_gaussian(tau: float, x: float) -> float:
@@ -667,16 +665,16 @@ def solve_affine_sqrt(f: Field, tau: float, c: float) -> Field:
     e^{x^2/(2c)}, whose spread on the grid enters the bound; where that
     spread is wide, an overflow at tiny tau stays a ConvergenceError.
     """
-    if c == 0:  # the closed form never leaves float range: no tau is gated
-        below, flow = lambda: 0.0, lambda: _affine_multiplier(f, tau)
-    else:
+    def below(c: float) -> float:
+        if c == 0:  # the closed form never leaves float range: no tau is gated
+            return 0.0
         a = abs(c)
         squares = (f.x_min * f.x_min, f.x_max * f.x_max)
         spread = max(squares) - (0.0 if f.x_min <= 0.0 <= f.x_max else min(squares))
-        below = lambda: (_ROUNDING * math.exp(-spread / (2.0 * a))  # once c has a float
-                         * math.sqrt(f.dx / math.pi) / math.sqrt(a))
-        flow = lambda: _affine_panels(f, tau, c)
-    return _identity_to_rounding(lambda: f.with_values(f.values), tau, below, flow, c=c)
+        return _ROUNDING * math.exp(-spread / (2.0 * a)) * math.sqrt(f.dx / math.pi) / math.sqrt(a)
+
+    flow = lambda tau, c: _affine_multiplier(f, tau) if c == 0 else _affine_panels(f, tau, c)
+    return _identity_to_rounding(lambda c: f.with_values(f.values), below, flow, tau, c=c)
 
 
 def _affine_multiplier(f: Field, tau: float) -> Field:

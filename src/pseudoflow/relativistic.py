@@ -104,16 +104,17 @@ class ObservableInputs:
 
     def __post_init__(self):
         require_one_of(("normalized", "physical"), units=self.units)
-        require("positive and finite", sigma=self.sigma)
-        require("positive and finite", a=self.a)
-        require("finite", t=self.t)
+        sigma = require("positive and finite", sigma=self.sigma)
+        a = require("positive and finite", a=self.a)
+        t = require("finite", t=self.t)
+        c, lambda_c = require("positive and finite", c=self.c, lambda_c=self.lambda_c)
         if self.units == "normalized":
-            if self.c != 1.0 or self.lambda_c != 1.0:
+            if c != 1.0 or lambda_c != 1.0:
                 raise ValueError("normalized units fix c = lambda_c = 1")
-        else:
-            require("positive and finite", c=self.c, lambda_c=self.lambda_c)
-            if abs(self.a - self.lambda_c / self.sigma) > 1e-9 * self.a:
-                raise ValueError("inconsistent inputs: a must equal lambda_c / sigma")
+        elif abs(a - lambda_c / sigma) > 1e-9 * a:
+            raise ValueError("inconsistent inputs: a must equal lambda_c / sigma")
+        for name, value in (("sigma", sigma), ("a", a), ("t", t), ("c", c), ("lambda_c", lambda_c)):
+            object.__setattr__(self, name, value)
 
 
 # ----------------------------------------------------------------------
@@ -151,11 +152,11 @@ def f2k(eta: float, k: int) -> float:
     Past |eta| = 492 the factor e^{-eta^2/(1+4s)} is 0 in floating point at
     every node, so f_{2k} is 0 there, as in :func:`series_solution`.
     """
-    require("a nonnegative integer", k=k)
-    require("finite", eta=eta)
+    k = require("a nonnegative integer", k=k)
+    eta = require("finite", eta=eta)
     if abs(eta) > _ETA_FLAT:
         return 0.0
-    rows = itertools.islice(_hermite_moments(np.array([float(eta)])), int(k), None)
+    rows = itertools.islice(_hermite_moments(np.array([eta])), k, None)
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(next(rows)[0, 1])
     if not math.isfinite(value):
@@ -175,9 +176,9 @@ def series_solution(eta, tau: float, return_diagnostics: bool = False):
     Far enough out that e^{-eta^2} and the f_2k integrand underflow at every
     node, the value is 0 with tail 0 after one term, with no sum at all.
     """
-    require("finite", eta=eta, tau=tau)
+    eta, tau = require("finite", eta=eta, tau=tau)
     scalar = np.ndim(eta) == 0
-    eta, tau = np.atleast_1d(np.asarray(eta, dtype=float)), float(tau)
+    eta = np.atleast_1d(np.asarray(eta, dtype=float))
     live, keep = np.flatnonzero(np.abs(eta) <= _ETA_FLAT), None
     gauss = np.zeros(eta.size)
     gauss[live] = np.exp(-eta[live] ** 2)
@@ -334,7 +335,7 @@ def iterated_series(psi0: Field, tau: float) -> Field:
     Data whose own spline rows leave float range are refused with
     ValueError, as on every kernel route.
     """
-    require("finite", tau=tau)
+    tau = require("finite", tau=tau)
     n = psi0.n
     k = 2.0 * math.pi * np.fft.fftfreq(n, d=psi0.dx)
     # data near the largest float can overflow here already; the series
@@ -420,7 +421,7 @@ def r_function(a):
     overflows and the rule cannot start). An empty array gives an empty
     array.
     """
-    require("nonnegative and finite", a=a)
+    a = require("nonnegative and finite", a=a)
     a_arr = np.atleast_1d(np.asarray(a, dtype=float))
     if not a_arr.size:  # no column for the rule to integrate
         return np.zeros(0)
@@ -451,7 +452,7 @@ def f_function(a):
     scale overflows and the rule raises ConvergenceError with an infinite
     bound. An empty array gives an empty array.
     """
-    require("nonnegative and finite", a=a)
+    a = require("nonnegative and finite", a=a)
     a_arr = np.atleast_1d(np.asarray(a, dtype=float))
     if not a_arr.size:  # no column for the rule to integrate
         return np.zeros(0)
@@ -504,7 +505,7 @@ def linear_potential_trajectory(x0: float, p0: float, force: float, t: float) ->
     finite p0. Raises ValueError where t f, E(p0 + t f) or x(t) overflows,
     and is elsewhere within 8e-16 of its terms' size plus a subnormal unit.
     """
-    require("finite", x0=x0, p0=p0, force=force, t=t)
+    x0, p0, force, t = require("finite", x0=x0, p0=p0, force=force, t=t)
     tf = t * force
     energy = math.hypot(1.0, p0 + tf)  # inf where t f or p0 + t f overflows
     x = x0 + t * ((p0 + tf / 2.0) / (energy / 2.0 + math.hypot(1.0, p0) / 2.0))

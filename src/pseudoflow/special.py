@@ -163,23 +163,21 @@ def hermite2(n: int, x: float, y: float) -> float:
     and the operational identity d^n/dx^n e^{a x^2} = H_n(2ax, a) e^{a x^2}.
     Orders above 1000 are refused, and so is a value past float range.
     """
-    require("a nonnegative integer", n=n)
+    n = require("a nonnegative integer", n=n)
     if n > _HERMITE_N_CAP:
         raise OverflowError(f"hermite2 order {n} exceeds the supported cap {_HERMITE_N_CAP}")
-    require("finite", x=x, y=y)
+    x, y = require("finite", x=x, y=y)
     h_prev, h_cur = 0.0, 1.0
-    # a term past float range is refused below (once there, the recurrence
-    # stays inf or NaN), so numpy's warnings on numpy scalars are silenced
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(n):
-            h_prev, h_cur = h_cur, x * h_cur + 2.0 * y * m * h_prev
+    # a term past float range is refused below: once there, the recurrence stays inf or NaN
+    for m in range(n):
+        h_prev, h_cur = h_cur, x * h_cur + 2.0 * y * m * h_prev
     return float(in_float_range(h_cur, "H_n(x, y)", n=n, x=x, y=y))
 
 
 def bessel(kind: str, x: float) -> float:
     """Bessel function J0(x) (any real x) or K0(x) (x > 0)."""
     require_one_of(("J0", "K0"), kind=kind)
-    require("positive and finite" if kind == "K0" else "finite", x=x)
+    x = require("positive and finite" if kind == "K0" else "finite", x=x)
     ufuncs = special_ufuncs()
     return float(ufuncs.j0(x) if kind == "J0" else ufuncs.k0(x))
 

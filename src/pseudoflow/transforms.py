@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _EXPORTS
-from ._choices import _finite, in_float_range, past_float_range, require, require_one_of
+from ._choices import in_float_range, past_float_range, require, require_one_of
 from .errors import ConvergenceError
 from .special import _LOG_UNIT, _legendre_nodes, _log_trapezoid, _quadpack
 
@@ -61,17 +61,18 @@ class Field:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (_finite(self.x_min) and _finite(self.x_max)):
-            raise ValueError("grid bounds must be finite")
-        if not self.x_min < self.x_max:
+        try:
+            x_min, x_max = require("finite", x_min=self.x_min, x_max=self.x_max)
+        except ValueError:  # one message for the pair
+            raise ValueError("grid bounds must be finite") from None
+        if not x_min < x_max:
             raise ValueError("x_min must be < x_max")
-        if type(self.n) is bool or not isinstance(self.n, (int, np.integer)) or not _finite(self.n):
-            raise ValueError("n must be an integer")
-        if self.n < 8:
+        n = require("a nonnegative integer", n=self.n)
+        if n < 8:
             raise ValueError("need at least 8 samples")
         vals = np.asarray(self.values)
-        if vals.shape != (self.n,):
-            raise ValueError(f"values must have shape ({self.n},), got {vals.shape}")
+        if vals.shape != (n,):
+            raise ValueError(f"values must have shape ({n},), got {vals.shape}")
         try:  # an int past float range has no float
             vals = vals.astype(np.complex128 if np.iscomplexobj(vals) else np.float64)
         except OverflowError:
@@ -79,7 +80,8 @@ class Field:
         if not np.isfinite(vals).all():
             raise ValueError("values must be finite")
         vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        for name, value in (("x_min", x_min), ("x_max", x_max), ("n", n), ("values", vals)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_function(cls, x_min: float, x_max: float, n: int, fn) -> "Field":
@@ -159,7 +161,7 @@ def exp_sqrt_via_doetsch(x: float, y: float, form: str = "t_form") -> float:
     small; QUADPACK's relative tolerance is 1e-10 on each of three pieces).
     """
     require_one_of(("t_form", "xi_form"), form=form)
-    require("nonnegative and finite", x=x, y=y)
+    x, y = require("nonnegative and finite", x=x, y=y)
     c = x * x * y
     if not sys.float_info.min <= x * x < math.inf:  # inf * 0 is nan; a subnormal loses digits
         c = x * (x * y)
@@ -273,7 +275,7 @@ def gauss_weierstrass(f: Field, alpha: float) -> Field:
     exact for decaying data; a boundary-leakage warning is attached
     otherwise. A result past float range raises ValueError.
     """
-    require("positive and finite", alpha=alpha)
+    alpha = require("positive and finite", alpha=alpha)
     warnings = f.leak_warnings("gauss_weierstrass")
     values, _ = _scaled_retry(
         lambda g: (_gw_smoother(g)(np.array([alpha]))[:, 0], 0.0),
@@ -290,19 +292,14 @@ def glaisher(alpha: float, x) -> float:
     with root = 2 sqrt(alpha + 1/4) in float range for every alpha, to 4e-13
     relative plus a subnormal unit (a sweep against mpmath).
     """
-    try:  # numpy holds an int past float range as an object, which isfinite refuses
-        finite = _finite(alpha) and np.isfinite(x).all()
-    except TypeError:
-        finite = False
-    if not finite:
-        raise ValueError("alpha and x must be finite")
+    alpha, x = require("finite", alpha=alpha, x=x)
     if not alpha + 0.25 > 0:
         raise ValueError("glaisher requires 1 + 4*alpha > 0")
     root = 2.0 * math.sqrt(alpha + 0.25)
     # one exponential, so no subnormal e^{-q^2} is scaled up; q^2 may pass
     # float range only where the Gaussian has long underflowed to 0.0
     with np.errstate(over="ignore"):
-        q = np.asarray(x) / root
+        q = np.asarray(x, dtype=float) / root
         out = np.exp(-q * q - math.log(root))
     return float(out) if np.ndim(x) == 0 else out
 
@@ -322,8 +319,8 @@ def laplace_inv_power(nu: float, a: float) -> float:
     finest step raises ConvergenceError, and a power past float range
     ValueError.
     """
-    require("positive and finite", nu=nu)
-    require("positive and finite", a=a)
+    nu = require("positive and finite", nu=nu)
+    a = require("positive and finite", a=a)
     try:
         power = a**-nu
     except OverflowError:

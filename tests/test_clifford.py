@@ -368,11 +368,12 @@ _RANGE = "is past float range at"
 @pytest.mark.parametrize(
     "build, args, message",
     [
-        (exp_pauli, (800.0, (0, 0, 1)), f"e^{{y sigma . v}} {_RANGE} y = 800.0, v = (0, 0, 1)"),
-        (exp_pauli, (1e300, (0, 0, 1)), f"e^{{y sigma . v}} {_RANGE} y = 1e+300, v = (0, 0, 1)"),
+        # each input prints as the number computed with: an int component as a float
+        (exp_pauli, (800.0, (0, 0, 1)), f"e^{{y sigma . v}} {_RANGE} y = 800.0, v = (0.0, 0.0, 1.0)"),
+        (exp_pauli, (1e300, (0, 0, 1)), f"e^{{y sigma . v}} {_RANGE} y = 1e+300, v = (0.0, 0.0, 1.0)"),
         # v . v overflows
-        (exp_pauli, (1.0, (1e200, 0, 0)), f"e^{{y sigma . v}} {_RANGE} y = 1.0, v = (1e+200, 0, 0)"),
-        (pauli_sqrt_identity, ((1e308, 1e308j, 0),), f"sigma . v {_RANGE} v = (1e+308, 1e+308j, 0)"),
+        (exp_pauli, (1.0, (1e200, 0, 0)), f"e^{{y sigma . v}} {_RANGE} y = 1.0, v = (1e+200, 0.0, 0.0)"),
+        (pauli_sqrt_identity, ((1e308, 1e308j, 0),), f"sigma . v {_RANGE} v = (1e+308, 1e+308j, 0.0)"),
         (
             lambda: PauliVector(1e308, (0, 0, 1e308)).as_mat2(),
             (),
@@ -418,7 +419,7 @@ _RANGE = "is past float range at"
         (
             bloch_evolve,
             ((1, 0, 0), 1e100, 1.0, 0.5),
-            f"the Runge-Kutta solution {_RANGE} sigma0 = (1, 0, 0), pi = 1e+100, tau = 1.0, "
+            f"the Runge-Kutta solution {_RANGE} sigma0 = (1.0, 0.0, 0.0), pi = 1e+100, tau = 1.0, "
             "dt = 0.5",
         ),
     ],

@@ -114,3 +114,18 @@ def test_only_choices_words_or_guards_a_result_past_float_range():
             ):
                 found.append(f"{path.name}:{node.lineno}: an inline finiteness refusal")
     assert found == []
+
+
+def test_every_checked_argument_is_computed_with_as_require_returns_it():
+    # require returns a checked number as the float, complex or int the
+    # package computes with; a call whose result is dropped leaves the
+    # arithmetic to the caller's own type (a wrapping numpy int, say)
+    found = []
+    for path in sorted(Path(pseudoflow.__file__).parent.glob("*.py")):
+        if path.name == "_choices.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            call = node.value if isinstance(node, ast.Expr) else None
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "require":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -3,7 +3,8 @@ from s = 1e-320 to the largest float, on two grids and at three tau, each
 call returns finite values or raises the refusal measured for it, with no
 numpy warning. And the boundary of every public function and class that
 takes a number: an int past float range is refused with a ValueError that
-prints none of its digits."""
+prints none of its digits, an int or a numpy number computes as the float
+it equals, and an ordered domain refuses a complex value."""
 import itertools
 import re
 import warnings
@@ -206,3 +207,102 @@ def test_an_int_past_float_range_is_a_value_error_that_prints_no_digits(name, sl
         message = str(refusal.value)
         # Python refuses to print an int of more than 4300 digits at all
         assert not re.search(r"\d{10}", message) and "int_max_str_digits" not in message, message
+
+
+# One number path: each number slot takes a Python int, a numpy int and a
+# numpy float as the equal float, and an integer slot a numpy int as the int
+_TYPE_VALUES = (2, 2**32, 2**40, 2**62, 10**200)
+_INTEGER_VALUES = (0, 2, 40, 1001)
+_K = np.linspace(-8.0, 8.0, 9)
+
+
+def _bits(result):
+    """A result as comparable text and bytes: its type and every number it
+    holds, bit for bit."""
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    if isinstance(result, Field):
+        numbers = (result.x_min, result.x_max, result.n, result.dx, result.warnings, result.meta)
+        return "Field", repr(numbers), result.values.tobytes()
+    if isinstance(result, SymbolSpec):
+        return "SymbolSpec", result.name, result.eval(_K).tobytes()
+    if isinstance(result, pseudoflow.ObservableInputs):
+        return repr(result), *(_outcome(call, (result,)) for call in (
+            pseudoflow.packet_width, pseudoflow.commutator_xt_x0))
+    if isinstance(result, pseudoflow.PauliVector):
+        return repr(result), _outcome(result.as_mat2, ())
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
+    return type(result).__name__, repr(result)
+
+
+def _outcome(call, args):
+    """_bits of what call(*args) returns or raises; a warning fails the test."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call(*args)
+        except Exception as exc:  # the refusal is the result to compare
+            result = exc
+    assert not caught, [str(w.message) for w in caught]
+    return _bits(result)
+
+
+@pytest.mark.parametrize(
+    "name, slot",
+    [(name, slot) for name, (_, args) in _NUMBER_TAKERS.items() for slot in _number_slots(args)],
+)
+def test_an_int_or_numpy_number_computes_as_the_equal_float(name, slot):
+    call, args = _NUMBER_TAKERS[name]
+    i, j = slot
+    if isinstance(args[i] if j is None else args[i][j], int):  # an integer slot
+        cases = [(value, (np.int64,)) for value in _INTEGER_VALUES]
+    else:
+        cases = [(float(value), (int, np.int64, np.float64)) for value in _TYPE_VALUES]
+    for reference, kinds in cases:
+        expected = _outcome(call, _with(args, slot, reference))
+        for kind in kinds:
+            if kind is np.int64 and not reference < 2**63:
+                continue
+            value = kind(int(reference)) if kind is not np.float64 else kind(reference)
+            got = _outcome(call, _with(args, slot, value))
+            assert got == expected, f"{name}{tuple(_with(args, slot, value))!r}"
+
+
+# calls that computed from the caller's int: a wrapping numpy int gave a
+# wrong value with no error, a Python int a bare OverflowError or TypeError
+_INT_CALLS = {
+    "dirac2_evolution": (pseudoflow.dirac2_evolution, (np.int64(2**40), 1.0)),
+    "pauli_line_power": (pseudoflow.pauli_line_power, (np.int64(2**40), 0, 2)),
+    "packet_width": (
+        lambda sigma: pseudoflow.packet_width(pseudoflow.ObservableInputs(sigma=sigma, t=1.0)),
+        (np.int64(2**32),),
+    ),
+    "SymbolSpec.optics": (SymbolSpec.optics, (np.int64(2**32),)),
+    "Field.dx": (lambda lo, hi: Field(lo, hi, 64, np.zeros(64)).dx, (np.int64(-(2**62)), np.int64(2**62))),
+    "exp_sqrt_via_doetsch": (pseudoflow.exp_sqrt_via_doetsch, (10**200, 1.0)),
+    "bessel": (lambda x: pseudoflow.bessel("J0", x), (2**64,)),
+    "linear_potential_trajectory": (pseudoflow.linear_potential_trajectory, (0, 0, 10**200, 10**200)),
+}
+
+
+@pytest.mark.parametrize("name", list(_INT_CALLS))
+def test_each_int_argument_gives_what_its_float_gives(name):
+    call, args = _INT_CALLS[name]
+    assert _outcome(call, args) == _outcome(call, [float(arg) for arg in args])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda z: pseudoflow.solve_pseudoheat(_F, z),  # "nonnegative and finite"
+        lambda z: gauss_weierstrass(_F, z),  # "positive and finite"
+        lambda z: pseudoflow.hermite2(z, 1.0, 0.5),  # "a nonnegative integer"
+        lambda z: pseudoflow._choices.require("at least 2", steps=z),
+    ],
+    ids=["nonnegative", "positive", "nonnegative integer", "at least 2"],
+)
+def test_an_ordered_domain_refuses_a_complex_value(call):
+    for z in (1j, 3 + 0j, np.complex128(2)):
+        with pytest.raises(ValueError, match="must be"):
+            call(z)

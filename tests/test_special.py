@@ -163,14 +163,14 @@ def test_hermite2_refuses_values_past_float_range(n, x, y):
 @pytest.mark.parametrize("scalar", [np.float64, np.float32])
 def test_hermite2_numpy_scalars_reach_the_refusal_without_warnings(scalar):
     # numpy scalars leaked "overflow encountered in scalar multiply" (an
-    # error in this suite) before the refusal; their values keep their type
-    with pytest.raises(ValueError, match=r"^H_n\(x, y\) is past float range at n = 1000, x = "):
+    # error in this suite) before the refusal; they enter as the floats they hold
+    with pytest.raises(ValueError, match=r"^H_n\(x, y\) is past float range at n = 1000, x = 1"):
         hermite2(1000, scalar(1e10), 1.0)
     x, y = scalar(0.3), scalar(-0.2)
     h_prev, h_cur = 0.0, 1.0
     for m in range(40):
-        h_prev, h_cur = h_cur, x * h_cur + 2.0 * y * m * h_prev
-    assert hermite2(40, x, y) == float(h_cur)
+        h_prev, h_cur = h_cur, float(x) * h_cur + 2.0 * float(y) * m * h_prev
+    assert hermite2(40, x, y) == h_cur
 
 
 # ----------------------------------------------------------------------
