@@ -44,9 +44,10 @@ def _int(value):  # a bool is no integer here (NaN fails every domain), nor a fl
 
 
 # every scalar domain of the package: domain -> (conversion, test of the
-# finite converted value); an ordered one refuses a complex value
+# finite converted value); a real or ordered one refuses a complex value
 DOMAINS = {
     "finite": (_float, lambda v: True),
+    "real and finite": (_float, lambda v: isinstance(v, float)),
     "positive and finite": (_float, lambda v: v > 0),
     "nonnegative and finite": (_float, lambda v: v >= 0),
     "at least 2": (_int, lambda v: v >= 2),

@@ -297,8 +297,8 @@ def pauli_line_power(a: float, b: float, p: float) -> Mat2:
     Requires a > |b| so both eigenvalues a -+ b are positive and every real
     power is unambiguous.
     """
-    a = require("finite", a=a)
-    b = require("finite", b=b)
+    a = require("real and finite", a=a)
+    b = require("real and finite", b=b)
     p = require("finite", p=p)
     if not a > abs(b):
         raise ValueError("pauli_line_power requires a > |b| (positive definite)")

@@ -57,7 +57,7 @@ from ._choices import in_float_range, require
 from ._scipy import flapack, specfun, special_ufuncs
 from .errors import ConvergenceError
 from .special import _REL_TOL, _cell_offsets, _gl_panels, _leading_scale, _log_trapezoid, _shift_panels
-from .transforms import Field, _gw_smoother, _peak, _scaled_retry
+from .transforms import Field, _gw_smoother, _homogeneous, _peak
 
 __all__ = list(_EXPORTS["evolution"])
 
@@ -140,12 +140,9 @@ def solve_symbol_spectral(f: Field, tau: float, symbol: SymbolSpec) -> Field:
     the symbol, tau and the data's peak.
     """
     tau = require("finite", tau=tau)
-    return _spectral_apply(
-        f,
-        lambda k: np.exp(tau * np.asarray(symbol.eval(k), dtype=complex)),
-        f"the spectral {symbol.name} flow",
-        tau=tau,
-    )
+    what = f"the spectral {symbol.name} flow"
+    multiplier = lambda k: np.exp(tau * np.asarray(symbol.eval(k), dtype=complex))
+    return _homogeneous(lambda g, **named: _spectral_apply(g, multiplier, what, **named), f, what, tau=tau)
 
 
 # ----------------------------------------------------------------------
@@ -339,9 +336,8 @@ def solve_half_derivative(f: Field, tau: float) -> Field:
     on the grid).
     """
     below = lambda: _ROUNDING * math.sqrt(f.dx / math.pi)
-    return _identity_to_rounding(
-        lambda: f.with_values(f.values), below, lambda tau: _half_derivative(f, tau), tau
-    )
+    flow = lambda tau: _homogeneous(_half_derivative, f, "the half-derivative flow", tau=tau)
+    return _identity_to_rounding(lambda: f.with_values(f.values), below, flow, tau)
 
 
 def _tail_cells(n: int, h: float, offs: np.ndarray) -> np.ndarray:
@@ -405,30 +401,13 @@ def solve_pseudoheat(f: Field, tau: float) -> Field:
 
     tau = 0 returns the input, and so does every tau at which the flow is
     the identity to rounding, tau <= 2^-53 / sqrt(1 + (pi/h)^2).
-
-    Data near the largest float solve too: where the rule's sums overflow,
-    it runs again on the data scaled by 2^-8, as the Gauss-Weierstrass
-    smoothing does (see :func:`~pseudoflow.transforms._scaled_retry`). A
-    result that rounds past float range once scaled back raises ValueError.
     """
     below = lambda: _ROUNDING / math.hypot(1.0, math.pi / f.dx)
-    return _identity_to_rounding(
-        lambda: f.with_values(f.values), below, lambda tau: _pseudoheat(f, tau), tau
-    )
+    flow = lambda tau: _homogeneous(_pseudoheat, f, "the pseudoheat flow", tau=tau)
+    return _identity_to_rounding(lambda: f.with_values(f.values), below, flow, tau)
 
 
 def _pseudoheat(f: Field, tau: float) -> Field:
-    # near the largest float the fold or a level's sum of node values (up to
-    # 1/(2h) = 80 times the result) may leave float range: see _scaled_retry
-    values, err = _scaled_retry(
-        lambda g: _pseudoheat_rule(g, tau), f, "the pseudoheat flow", tau=tau
-    )
-    warn = f.leak_warnings("solve_pseudoheat")
-    return f.with_values(values, warn, meta={"quadrature_error": float(err)})
-
-
-def _pseudoheat_rule(f: Field, tau: float):
-    """(values, error) of the log-trapezoid rule of :func:`solve_pseudoheat`."""
     smooth = _gw_smoother(f)
     t2 = tau * tau
     pref = 1.0 / (2.0 * math.sqrt(math.pi))
@@ -438,7 +417,9 @@ def _pseudoheat_rule(f: Field, tau: float):
         return weight[:, None] * smooth(t * t2).T
 
     # Every term of the smoothing sum falls in t beyond |lag| / (2 tau^2).
-    return _log_trapezoid(integrand, (f.x[-1] - f.x[0]) / (2.0 * t2))
+    values, err = _log_trapezoid(integrand, (f.x[-1] - f.x[0]) / (2.0 * t2))
+    warn = f.leak_warnings("solve_pseudoheat")
+    return f.with_values(values, warn, meta={"quadrature_error": float(err)})
 
 
 # The Gaussian's flow moves it by at most this multiple of tau:
@@ -673,7 +654,8 @@ def solve_affine_sqrt(f: Field, tau: float, c: float) -> Field:
         spread = max(squares) - (0.0 if f.x_min <= 0.0 <= f.x_max else min(squares))
         return _ROUNDING * math.exp(-spread / (2.0 * a)) * math.sqrt(f.dx / math.pi) / math.sqrt(a)
 
-    flow = lambda tau, c: _affine_multiplier(f, tau) if c == 0 else _affine_panels(f, tau, c)
+    route = lambda g, tau, c: _affine_multiplier(g, tau) if c == 0 else _affine_panels(g, tau, c)
+    flow = lambda tau, c: _homogeneous(route, f, "the affine-sqrt flow", tau=tau, c=c)
     return _identity_to_rounding(lambda c: f.with_values(f.values), below, flow, tau, c=c)
 
 
@@ -908,14 +890,14 @@ def apply_inv_sqrt_shift(g: Field) -> Field:
     smaller than that change, as past decaying data, the direct sum is
     kept with the largest of them as its estimate; non-decaying data (e.g.
     a plain cosine) converge at the averaging rate, so points far from the
-    left edge are the accurate ones. Data near the largest float whose arc
-    sums leave float range raise ValueError.
+    left edge are the accurate ones. A result past float range raises
+    ValueError.
     """
-    # finite data near the largest float can overflow the arc sums: numpy's
-    # warnings are silenced and such a result refused
-    with np.errstate(over="ignore", invalid="ignore"):
-        out, est, count = _inv_sqrt_arcs(g)
-    in_float_range(out, "the J0 integral of apply_inv_sqrt_shift", peak=lambda: _peak(g.values))
+    return _homogeneous(_inv_sqrt_shift, g, "the J0 integral of apply_inv_sqrt_shift")
+
+
+def _inv_sqrt_shift(g: Field) -> Field:
+    out, est, count = _inv_sqrt_arcs(g)
     # Per-point tolerance: comparing against the global output scale would
     # let uniformly diverging data "settle" (everything is garbage of the
     # same magnitude), so each point is judged against its own value.

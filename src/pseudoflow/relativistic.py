@@ -55,7 +55,7 @@ from .special import (
     _legendre_nodes,
     _log_trapezoid,
 )
-from .transforms import Field
+from .transforms import Field, _homogeneous
 
 __all__ = list(_EXPORTS["relativistic"])
 
@@ -150,17 +150,18 @@ def f2k(eta: float, k: int) -> float:
     After s = u^2 the even integrand is analytic in |Im u| < 1/2: the trapezoid
     rule (h = 0.025 on [0, 9]) converges like e^{-pi/h}, more slowly as k grows.
     Past |eta| = 492 the factor e^{-eta^2/(1+4s)} is 0 in floating point at
-    every node, so f_{2k} is 0 there, as in :func:`series_solution`.
+    every node, so f_{2k} is 0 there, as in :func:`series_solution`. The
+    first moment past float range raises ConvergenceError, however large k is.
     """
     k = require("a nonnegative integer", k=k)
     eta = require("finite", eta=eta)
     if abs(eta) > _ETA_FLAT:
         return 0.0
-    rows = itertools.islice(_hermite_moments(np.array([eta])), k, None)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = float(next(rows)[0, 1])
-    if not math.isfinite(value):
-        raise ConvergenceError(f"f_2k overflowed at eta = {eta!r}, k = {k}")
+        for _, row in zip(range(k + 1), _hermite_moments(np.array([eta]))):
+            value = float(row[0, 1])
+            if not math.isfinite(value):
+                raise ConvergenceError(f"f_2k overflowed at eta = {eta!r}, k = {k}")
     return value
 
 
@@ -302,13 +303,17 @@ def dhat_apply(f: Field, method: str = "kernel_k0") -> Field:
     three agree on smooth decaying data.
     """
     require_one_of(DHAT_METHODS, method=method)
-    if method == "spectral":
-        return _spectral_apply(f, lambda k: (1.0 + k**2) ** -0.5, "the spectral route of D")
-    if method == "kernel_k0":
-        out = _k0_lags(f.n, f.x_min, f.x_max)(_coefficients(f.x, f.values), f.values[-1])
-    else:
-        out = _dhat_s_integral(f)
-    return f.with_values(out, f.leak_warnings("dhat_apply"))
+
+    def apply(g: Field) -> Field:
+        if method == "spectral":
+            return _spectral_apply(g, lambda k: (1.0 + k**2) ** -0.5, "the spectral route of D")
+        if method == "kernel_k0":
+            out = _k0_lags(g.n, g.x_min, g.x_max)(_coefficients(g.x, g.values), g.values[-1])
+        else:
+            out = _dhat_s_integral(g)
+        return g.with_values(out, g.leak_warnings("dhat_apply"))
+
+    return _homogeneous(apply, f, f"the {method} route of D")
 
 
 def phi_transform(psi_bar: Field) -> Field:
@@ -329,19 +334,20 @@ def iterated_series(psi0: Field, tau: float) -> Field:
     costs, per part, the spline's coefficient rows, one real lag
     correlation and a real FFT pair. Only the coefficients (i tau)^n / n!
     are complex. Any sample count works. Terms are added until the latest
-    drops below 1e-8, else TruncationError after 20 terms, or at the term
-    that leaves float range (a huge tau, or data near the largest float),
-    with the last finite term and the count before it.
+    drops below 1e-8 on the data as run (see :mod:`~pseudoflow.transforms`),
+    else TruncationError after 20 terms, or at the term past float range (a
+    huge tau, a fine grid), with the last finite term and the count before.
     Data whose own spline rows leave float range are refused with
     ValueError, as on every kernel route.
     """
     tau = require("finite", tau=tau)
+    return _homogeneous(_iterated_series, psi0, "the iterated series", tau=tau)
+
+
+def _iterated_series(psi0: Field, tau: float) -> Field:
     n = psi0.n
     k = 2.0 * math.pi * np.fft.fftfreq(n, d=psi0.dx)
-    # data near the largest float can overflow here already; the series
-    # then overflows too and ends below
-    with np.errstate(over="ignore", invalid="ignore"):
-        spec0 = np.abs(np.fft.fft(np.asarray(psi0.values, dtype=complex)))
+    spec0 = np.abs(np.fft.fft(np.asarray(psi0.values, dtype=complex)))
     active = spec0 > 1e-13 * float(spec0.max())
     if np.any(active):
         k_cut = float(np.max(np.abs(k[active])))
@@ -364,8 +370,8 @@ def iterated_series(psi0: Field, tau: float) -> Field:
             f"iterated series overflowed at term {m}", last_term=tail, n_used=m - 1
         )
 
-    # data near the largest float overflow in a term, which ends the series
-    # below, so numpy's overflow and inf - inf warnings are silenced
+    # a huge tau, or a fine grid's |k|^2, overflows a term, which ends the
+    # series below, so numpy's overflow and inf - inf warnings are silenced
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, _ITERATED_N_MAX + 1):
             try:

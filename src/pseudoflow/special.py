@@ -165,7 +165,7 @@ def hermite2(n: int, x: float, y: float) -> float:
     """
     n = require("a nonnegative integer", n=n)
     if n > _HERMITE_N_CAP:
-        raise OverflowError(f"hermite2 order {n} exceeds the supported cap {_HERMITE_N_CAP}")
+        raise ValueError(f"hermite2 order {n} exceeds the supported cap {_HERMITE_N_CAP}")
     x, y = require("finite", x=x, y=y)
     h_prev, h_cur = 0.0, 1.0
     # a term past float range is refused below: once there, the recurrence stays inf or NaN
@@ -177,7 +177,7 @@ def hermite2(n: int, x: float, y: float) -> float:
 def bessel(kind: str, x: float) -> float:
     """Bessel function J0(x) (any real x) or K0(x) (x > 0)."""
     require_one_of(("J0", "K0"), kind=kind)
-    x = require("positive and finite" if kind == "K0" else "finite", x=x)
+    x = require("positive and finite" if kind == "K0" else "real and finite", x=x)
     ufuncs = special_ufuncs()
     return float(ufuncs.j0(x) if kind == "J0" else ufuncs.k0(x))
 

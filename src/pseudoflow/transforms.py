@@ -14,6 +14,14 @@ callers that smooth one field at many widths (the pseudoheat subordination
 integral) build the fold once. The kernel is the sampled heat kernel at
 widths of at least 4 h^2 and the band-limited one below, where the sampled
 kernel would alias.
+
+Every field route is linear in its data, so it commutes exactly with
+multiplying them by 2^e wherever no value overflows or turns subnormal.
+Each public route enters through :func:`_homogeneous`: data whose peak
+lies in [2^-500, 2^500] run as they are; past either end the data times
+2^-e run, e the peak's binary exponent (a peak in [1, 2)), and the
+result's values and meta numbers are scaled back. A field near the largest
+or the smallest float so solves wherever its result is in float range.
 """
 from __future__ import annotations
 
@@ -28,7 +36,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _EXPORTS
 from ._choices import in_float_range, past_float_range, require, require_one_of
-from .errors import ConvergenceError
 from .special import _LOG_UNIT, _legendre_nodes, _log_trapezoid, _quadpack
 
 __all__ = list(_EXPORTS["transforms"])
@@ -62,7 +69,7 @@ class Field:
 
     def __post_init__(self):
         try:
-            x_min, x_max = require("finite", x_min=self.x_min, x_max=self.x_max)
+            x_min, x_max = require("real and finite", x_min=self.x_min, x_max=self.x_max)
         except ValueError:  # one message for the pair
             raise ValueError("grid bounds must be finite") from None
         if not x_min < x_max:
@@ -211,9 +218,6 @@ def _gw_smoother(f: Field):
     g(k h) = (1/h) int_0^1 e^{-alpha pi^2 u^2 / h^2} cos(pi k u) du, by
     Gauss-Legendre in u (see _band_cosines). The two kernels differ by the
     band beyond |xi| = pi / h, below 1e-17 of the peak at alpha = 4 h^2.
-
-    Near the largest float the fold's sums wf[i - k] + wf[i + k] may leave
-    float range; its callers run it through :func:`_scaled_retry`.
     """
     n, h = f.n, f.dx
     wf = h * f.values
@@ -245,24 +249,30 @@ def _gw_smoother(f: Field):
     return smooth
 
 
-def _scaled_retry(run: Callable, f: Field, what: str, **named):
-    """run(f), for ``run`` a linear map from a field to (values, error).
-    Where it leaves float range (non-finite values, or a ConvergenceError
-    with a non-finite bound), it runs once more on the data times 2^-8,
-    exactly, and both are scaled back by 2^8, with which the map commutes.
-    A result still past float range raises past_float_range(what, **named,
-    peak=...). numpy's warnings are silenced, as an overflow ends here."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            values, err = run(f)
-            if np.isfinite(values).all():
-                return values, err
-        except ConvergenceError as exc:
-            if math.isfinite(exc.error_bound):
-                raise
-        values, err = run(f.with_values(f.values * 2.0**-8))
-        values, err = values * 2.0**8, err * 2.0**8
-    return in_float_range(values, what, **named, peak=lambda: _peak(f.values)), err
+def _ldexp(values, e: int) -> np.ndarray:
+    """values times 2^e, by np.ldexp on the real and imaginary parts: exact
+    wherever no part overflows (to inf, silently) or turns subnormal."""
+    values = np.asarray(values)
+    out = np.empty_like(values)
+    with np.errstate(over="ignore"):
+        out.real = np.ldexp(values.real, e)
+        if np.iscomplexobj(values):
+            out.imag = np.ldexp(values.imag, e)
+    return out
+
+
+def _homogeneous(run: Callable, f: Field, what: str, **named) -> Field:
+    """run(f, **named), for ``run`` a field route and ``named`` its parameters,
+    scaled as the module docstring says, the peak the largest |real or
+    imaginary part|. A failure comes as it came, in the scaled data's numbers;
+    a result past float range raises past_float_range(what, **named, peak=...)."""
+    top = float(np.max(np.abs(f.values.view(float))))
+    if not top or 2.0**-500 <= top <= 2.0**500:
+        return run(f, **named)
+    e = math.frexp(top)[1] - 1
+    out = run(f.with_values(_ldexp(f.values, -e)), **named)
+    values = in_float_range(_ldexp(out.values, e), what, **named, peak=lambda: _peak(f.values))
+    return out.with_values(values, (), {name: float(_ldexp(v, e)) for name, v in out.meta.items()})
 
 
 def gauss_weierstrass(f: Field, alpha: float) -> Field:
@@ -276,12 +286,12 @@ def gauss_weierstrass(f: Field, alpha: float) -> Field:
     otherwise. A result past float range raises ValueError.
     """
     alpha = require("positive and finite", alpha=alpha)
-    warnings = f.leak_warnings("gauss_weierstrass")
-    values, _ = _scaled_retry(
-        lambda g: (_gw_smoother(g)(np.array([alpha]))[:, 0], 0.0),
-        f, "the Gauss-Weierstrass smoothing", alpha=alpha,
-    )
-    return f.with_values(values, warnings)
+
+    def smooth(g: Field, alpha: float) -> Field:
+        values = _gw_smoother(g)(np.array([alpha]))[:, 0]
+        return g.with_values(values, g.leak_warnings("gauss_weierstrass"))
+
+    return _homogeneous(smooth, f, "the Gauss-Weierstrass smoothing", alpha=alpha)
 
 
 def glaisher(alpha: float, x) -> float:

@@ -309,8 +309,9 @@ def test_dirac4_validation():
 def test_builders_reject_nonfinite_input(build, args, name):
     # a NaN or inf parameter is refused by name, never turned into a NaN
     # matrix; bloch_evolve's tau and dt name their sign as well, a momentum
-    # pi its square, and a three-vector says it wants three finite values
-    domain = "(nonnegative and |positive and )?finite|finite with a finite square|3 finite values"
+    # pi its square, pauli_line_power's a and b that they are real, and a
+    # three-vector says it wants three finite values
+    domain = "(nonnegative and |positive and |real and )?finite|finite with a finite square|3 finite values"
     with pytest.raises(ValueError, match=f"^{name} must be ({domain})$"):
         build(*args)
 

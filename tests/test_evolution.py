@@ -326,7 +326,7 @@ def test_pseudoheat_solves_data_near_the_largest_float():
     # a level's sum of node values passed the largest float before the step
     # h brought it back, a ConvergenceError with a NaN bound (on a step of
     # 6.3 the weighted data overflowed first, with a numpy warning); the rule
-    # now runs again on the data scaled by 2^-8 and meets the unit data's flow
+    # now runs on the data scaled to a peak in [1, 2) and meets the unit data's flow
     unit = Field.from_function(-4.0, 4.0, 64, lambda x: np.exp(-((x / 3.0) ** 2)))
     coarse = Field.from_function(-200.0, 200.0, 64, lambda x: np.exp(-((x / 20.0) ** 2)))
     for f, scale in itertools.product((unit, coarse), (1.2e308, 1.6e308, 1.79e308)):
@@ -606,13 +606,18 @@ def test_affine_sqrt_amplitude_overflow_is_an_error_at_every_tau(c):
 
 
 @pytest.mark.parametrize("c", [1.0, -1.0])
-def test_affine_sqrt_overflow_names_the_amplitude_times_the_data(c):
-    # unit data solve on [-8, 8] (peaks 1.0e12 for c = 1, 1.5e4 for c = -1),
-    # so at 1e307 it is the amplitude times the data that overflows
+def test_affine_sqrt_result_past_float_range_is_a_value_error(c):
+    # unit data solve on [-8, 8] (peaks 1.0e12 for c = 1, 1.5e4 for c = -1);
+    # at 1e307 the data run scaled to a peak in [1, 2) and solve, and it is
+    # the result, scaled back, that leaves float range (the amplitude times
+    # the data overflowed, a ConvergenceError)
     f = Field.from_function(-8.0, 8.0, 64, lambda x: np.exp(-((x / 2.0) ** 2)))
     assert np.isfinite(solve_affine_sqrt(f, 0.5, c).values).all()
-    with pytest.raises(ConvergenceError, match="or its product with the data there, exceeds"):
-        solve_affine_sqrt(f.with_values(1e307 * f.values), 0.5, c)
+    big = f.with_values(1e307 * f.values)
+    peak = float(np.max(big.values))
+    message = f"the affine-sqrt flow is past float range at tau = 0.5, c = {c!r}, peak = {peak!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve_affine_sqrt(big, 0.5, c)
 
 
 def test_affine_sqrt_overflow_at_tiny_tau_is_still_an_error():
@@ -1232,27 +1237,40 @@ def test_shift_flows_refuse_a_spline_past_float_range():
             flow(f, 0.5)
 
 
-_NEAR_MAX = Field.from_function(-8.0, 8.0, 128, lambda x: 1e307 * np.exp(-(x**2)))
+# a square wave at the largest float: the dispersive flows overshoot it
+_SQUARE_AT_MAX = Field.from_function(-8.0, 8.0, 128, lambda x: np.finfo(float).max * np.sign(np.sin(2.0 * x)))
 
 
 @pytest.mark.parametrize(
     "route, what",
     [
-        (lambda f: solve_symbol_spectral(f, 0.5, SymbolSpec.pseudoheat()),
-         "the spectral pseudoheat flow is past float range at tau = 0.5, "),
+        (lambda f: solve_symbol_spectral(f, 0.5, SymbolSpec.schrodinger()),
+         "the spectral schrodinger flow is past float range at tau = 0.5, "),
         (lambda f: solve_symbol_spectral(f, 0.5, SymbolSpec.optics(2.0)),
          "the spectral optics(n=2.0) flow is past float range at tau = 0.5, "),
-        (lambda f: dhat_apply(f, "spectral"), "the spectral route of D is past float range at "),
     ],
-    ids=["pseudoheat", "optics", "dhat"],
+    ids=["schrodinger", "optics"],
 )
 def test_spectral_routes_past_float_range_are_value_errors(route, what):
-    # the transform of finite data near 1e307 overflows: numpy's FFT warnings
-    # (errors in this suite) came first, then "values must be finite", which
-    # named nothing
+    # the data run scaled to a peak in [1, 2), so the transform no longer
+    # overflows (finite data near 1e307 raised numpy's FFT warnings, then
+    # "values must be finite", which named nothing); a result past float
+    # range is refused with the route's name
     with pytest.raises(ValueError) as exc:
-        route(_NEAR_MAX)
-    assert str(exc.value) == f"{what}peak = {float(np.max(_NEAR_MAX.values))!r}"
+        route(_SQUARE_AT_MAX)
+    assert str(exc.value) == f"{what}peak = {float(np.finfo(float).max)!r}"
+
+
+@pytest.mark.parametrize(
+    "route",
+    [lambda f: solve_symbol_spectral(f, 0.5, SymbolSpec.pseudoheat()), lambda f: dhat_apply(f, "spectral")],
+    ids=["pseudoheat", "dhat"],
+)
+def test_spectral_contractions_solve_at_the_largest_float(route):
+    # these multipliers are at most 1 in size: the square wave solves, and
+    # so does data near 1e307, which they refused while its transform overflowed
+    for f in (_SQUARE_AT_MAX, Field.from_function(-8.0, 8.0, 128, lambda x: 1e307 * np.exp(-(x**2)))):
+        assert np.isfinite(route(f).values).all()
 
 
 @pytest.mark.parametrize("symbol", [SymbolSpec.heat(), SymbolSpec.schrodinger()], ids=["heat", "schrodinger"])

@@ -2,6 +2,7 @@
 import ast
 import importlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -128,4 +129,36 @@ def test_every_checked_argument_is_computed_with_as_require_returns_it():
             call = node.value if isinstance(node, ast.Expr) else None
             if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "require":
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def _power_of_two(node) -> bool:
+    """Whether node is a constant power of two other than 1, or 2 ** k."""
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return isinstance(node.left, ast.Constant) and node.left.value == 2
+    value = getattr(node, "value", None) if isinstance(node, ast.Constant) else None
+    return type(value) in (int, float) and value not in (0, 1) and math.frexp(abs(value))[0] == 0.5
+
+
+def test_only_the_homogeneous_helper_scales_a_fields_data():
+    # every field route commutes with 2^e, and one helper scales its data
+    # (transforms._homogeneous, through _ldexp): no other code calls ldexp,
+    # or multiplies or divides a field's .values by a power of two, as the
+    # per-route 2^-8 retries did
+    found = []
+    for path in sorted(Path(pseudoflow.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if path.name == "transforms.py" and getattr(top, "name", None) in {"_homogeneous", "_ldexp"}:
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "ldexp" in ast.unparse(node.func):
+                    found.append(f"{path.name}:{node.lineno}: ldexp")
+                if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+                    for data, factor in ((node.left, node.right), (node.right, node.left)):
+                        if _power_of_two(factor) and any(
+                            isinstance(sub, ast.Attribute) and sub.attr == "values" for sub in ast.walk(data)
+                        ):
+                            found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from pseudoflow import relativistic
 from pseudoflow import (
     ConvergenceError,
     Field,
@@ -105,6 +106,22 @@ def test_f2k_overflow_is_a_convergence_error():
     # H_300(1, -1) is beyond double range; no NaN comes back
     with pytest.raises(ConvergenceError, match="overflowed"):
         f2k(0.5, 150)
+
+
+def test_f2k_at_a_huge_order_refuses_at_its_first_overflowed_moment(monkeypatch):
+    # the recurrence ran all k steps before it refused, so 2^32 took about
+    # a day; it now stops at the first moment past float range
+    moments, drawn = relativistic._hermite_moments, []
+
+    def counted(eta):
+        for row in moments(eta):
+            drawn.append(row)
+            assert len(drawn) <= 1000, "f2k ran on past its overflowed moments"
+            yield row
+
+    monkeypatch.setattr(relativistic, "_hermite_moments", counted)
+    with pytest.raises(ConvergenceError, match=r"^f_2k overflowed at eta = 1\.0, k = 4294967296$"):
+        f2k(1.0, 2**32)
 
 
 @pytest.mark.parametrize("eta", [493.0, 600.0, 1e100, 1e200, sys.float_info.max])
@@ -468,44 +485,39 @@ def test_iterated_series_truncation_failure():
     assert exc.value.n_used == 20
 
 
-def test_iterated_series_overflow_is_a_truncation_error():
-    # data near the largest float overflow in a later term: a failed series
-    # (no RuntimeWarning, which the suite turns into an error), not a term
-    # that blames the input for being non-finite
-    f = Field.from_function(-16.0, 16.0, 512, lambda x: 1e300 * np.exp(-(x**2)))
-    with pytest.raises(TruncationError, match="overflowed"):
-        iterated_series(f, 0.3)
+@pytest.mark.parametrize("scale", [1e300, 1e307])
+def test_iterated_series_near_the_largest_float_solves_as_the_unit_data(scale):
+    # such data overflowed in a later term, and at 1e307 in the dealiasing
+    # FFT of the input itself: a TruncationError. They now run scaled to a
+    # peak in [1, 2), so the series is the unit data's, times 2^e exactly
+    # at 2^e, and to rounding at the scale itself
+    unit = Field.from_function(-16.0, 16.0, 513, lambda x: np.exp(-(x**2)))  # peak 1
+    ref = iterated_series(unit, 0.3)
+    e = math.frexp(scale)[1] - 1
+    got = iterated_series(unit.with_values(np.ldexp(unit.values, e)), 0.3)
+    assert np.array_equal(got.values, np.ldexp(ref.values.real, e) + 1j * np.ldexp(ref.values.imag, e))
+    assert got.meta["tail_estimate"] == math.ldexp(ref.meta["tail_estimate"], e)
+    got = iterated_series(unit.with_values(scale * unit.values), 0.3)
+    assert np.max(np.abs(got.values / scale - ref.values)) <= 1e-15
 
 
 def test_iterated_series_overflow_in_a_later_spline_is_a_truncation_error():
-    # content near Nyquist on a short grid: Psi_1 is finite (1.9e306), but
-    # its spline rows, taken for term 2, leave float range. The series
+    # content near Nyquist on a grid of step 1.3e-101: the input's spline
+    # rows (about 1/h^3) are finite, but Psi_1 grows like the grid's |k|,
+    # and its spline rows, taken for term 2, leave float range. The series
     # fails after one term; it does not blame the input's spline
-    f = Field.from_function(-1.0, 1.0, 16, lambda x: 1e305 * np.cos(7 * np.pi * x))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(TruncationError, match="overflowed at term 2 ") as exc:
-            iterated_series(f, 0.3)
+    f = Field.from_function(-1e-100, 1e-100, 16, lambda x: np.cos(7e100 * np.pi * x))
+    with pytest.raises(TruncationError, match="overflowed at term 2 ") as exc:
+        iterated_series(f, 0.3)
     assert exc.value.n_used == 1
     assert math.isfinite(exc.value.last_term)
 
 
 def test_iterated_series_refuses_data_whose_own_spline_is_past_float_range():
-    f = Field.from_function(-1.0, 1.0, 16, lambda x: 1e307 * np.cos(7 * np.pi * x))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="past float range"):
-            iterated_series(f, 0.3)
-
-
-def test_iterated_series_overflow_in_the_input_spectrum_is_silent():
-    # at 1e307 the dealiasing FFT of the input itself overflows: the series
-    # still ends in TruncationError, with no RuntimeWarning on the way
-    f = Field.from_function(-16.0, 16.0, 512, lambda x: 1e307 * np.exp(-(x**2)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(TruncationError, match="overflowed"):
-            iterated_series(f, 0.3)
+    # on a step of 1.3e-103 the input's own spline rows leave float range
+    f = Field.from_function(-1e-102, 1e-102, 16, lambda x: np.cos(7e102 * np.pi * x))
+    with pytest.raises(ValueError, match="past float range"):
+        iterated_series(f, 0.3)
 
 
 @pytest.mark.parametrize("tau, term", [(1e16, 20), (1e300, 2)])

@@ -125,7 +125,8 @@ def test_hermite2_rejects_bad_orders():
         hermite2(2.5, 1.0, 1.0)
     with pytest.raises(ValueError):
         hermite2(True, 1.0, 1.0)
-    with pytest.raises(OverflowError):
+    # past the cap a ValueError, as for every argument outside its domain
+    with pytest.raises(ValueError, match=r"^hermite2 order 1001 exceeds the supported cap 1000$"):
         hermite2(1001, 0.1, 0.1)
 
 

@@ -21,7 +21,8 @@ from pseudoflow import (
     solve_pseudoheat,
 )
 from pseudoflow import cli
-from pseudoflow.transforms import _scaled_retry
+from pseudoflow.errors import TruncationError
+from pseudoflow.transforms import _homogeneous
 
 INV_SQUARE = QuadratureConfig(halfline_rule="inverse_square_substitution")
 
@@ -451,21 +452,70 @@ def test_laplace_inv_power_rejects_nonfinite_arguments(nu, a):
         laplace_inv_power(nu, a)
 
 
-def test_the_scaled_retry_runs_again_only_past_float_range():
-    # a ConvergenceError with a finite bound is the map's own failure, raised
-    # as it came; one with an infinite bound left float range, and the map
-    # runs once more on the data times 2^-8
-    f = gaussian_field(-4.0, 4.0, 16)
-    for bound, runs in ((0.5, [1.0]), (math.inf, [1.0, 2.0**-8])):
-        seen = []
+def _seen_by(f, fail=None):
+    """The data and tau that _homogeneous hands its run for f, and what it
+    returns or raises, where the run returns its data doubled or raises
+    ``fail``."""
+    seen = []
 
-        def run(g, bound=bound):
-            seen.append(g.values[0] / f.values[0])
-            raise ConvergenceError("no convergence", estimate=1.0, error_bound=bound)
+    def run(g, tau):
+        seen.append((g.values, tau))
+        if fail is not None:
+            raise fail
+        return g.with_values(2.0 * g.values, ("run",), {"quadrature_error": 0.75})
 
-        with pytest.raises(ConvergenceError, match="^no convergence") as exc:
-            _scaled_retry(run, f, "the map")
-        assert exc.value.error_bound == bound and seen == runs
+    try:
+        out = _homogeneous(run, f, "the map", tau=0.5)
+    except Exception as exc:  # the outcome to compare
+        out = exc
+    [(data, tau)] = seen
+    assert tau == 0.5
+    return data, out
+
+
+def test_homogeneous_runs_data_in_its_range_as_they_are():
+    # a peak in [2^-500, 2^500], or no peak at all: the run sees the very
+    # data, and what it returns or raises comes back unchanged
+    f = gaussian_field(-4.0, 4.0, 17)  # peak 1
+    for scale in (0.0, 2.0**-500, 1.0, 2.0**500):
+        data, out = _seen_by(f.with_values(scale * f.values))
+        assert np.array_equal(data, scale * f.values)
+        assert np.array_equal(out.values, 2.0 * scale * f.values) and out.meta == {"quadrature_error": 0.75}
+    for fail in (ConvergenceError("no convergence", estimate=1.0, error_bound=0.5),
+                 TruncationError("no tail", last_term=3.0, n_used=4)):
+        assert _seen_by(f, fail)[1] is fail
+
+
+def test_homogeneous_scales_data_past_its_range_exactly():
+    # past either end the run sees the data times 2^-e, whose peak lies in
+    # [1, 2), and its values and meta numbers are scaled back by 2^e; a
+    # failure comes as it came, in the scaled data's numbers
+    f = gaussian_field(-4.0, 4.0, 16)  # peak e^{-(4/15)^2} = 0.93, exponent -1
+    for e in (1000, 501, -500, -990):  # just past either end: 1.86 * 2^500, 0.93 * 2^-500
+        big = f.with_values(np.ldexp(f.values, e))
+        data, out = _seen_by(big)
+        assert np.array_equal(data, 2.0 * f.values)
+        assert np.array_equal(out.values, np.ldexp(2.0 * data, e - 1)), e
+        assert out.warnings == ("run",) and out.meta == {"quadrature_error": math.ldexp(0.75, e - 1)}
+        for fail in (ConvergenceError("no convergence", estimate=1.0, error_bound=0.5),
+                     TruncationError("no tail", last_term=3.0, n_used=4)):
+            assert _seen_by(big, fail)[1] is fail
+    # complex data whose modulus passes the largest float take their
+    # exponent from the largest part, 1.5e308 = 1.67 * 2^1023
+    z = f.with_values(1.5e308 * (1.0 + 1.0j) * f.values / np.max(f.values))
+    data, _ = _seen_by(z)
+    assert np.array_equal(data, np.ldexp(z.values.real, -1023) + 1j * np.ldexp(z.values.imag, -1023))
+
+
+def test_homogeneous_refuses_a_result_past_float_range():
+    # the run doubles data at the largest float: no warning, and the refusal
+    # names the inputs and the data's peak
+    f = Field.from_function(-4.0, 4.0, 16, lambda x: np.full_like(x, np.finfo(float).max))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, out = _seen_by(f)
+    assert type(out) is ValueError
+    assert str(out) == "the map is past float range at tau = 0.5, peak = 1.7976931348623157e+308"
 
 
 # ----------------------------------------------------------------------

@@ -56,7 +56,7 @@ float range, also at a numpy x, the spectral pseudoheat flow at tau = inf,
 the heat smoothing at alpha = 1e-320, R(a) on no a, and each fixed-node
 and adaptive integration rule on an integrand of inf, -inf and complex
 inf; then the spectral pseudoheat flow and the spectral D on data near
-1e307, whose transform leaves float range, and the series at eta = 0,
+1e307, which run scaled to a peak in [1, 2), and the series at eta = 0,
 tau = 4; last the float edges of the J0 operator (1e307 and 1.6e308),
 the pseudoheat flow (1.6e308) and the affine flow (1e307 on two grids));
 then the refusals of a result past float range, each digested by the
@@ -378,8 +378,9 @@ def array_calls(pf):
                     lambda s: value, pf.QuadratureConfig(**rule)
                 ).value,
             ))
-    # the spectral routes on data near 1e307, whose transform leaves float
-    # range, and the series where its two trapezoid steps disagree
+    # the spectral routes on data near 1e307, whose transform left float
+    # range until the data ran scaled, and the series where its two
+    # trapezoid steps disagree
     near_max = pf.Field.from_function(-8.0, 8.0, 128, lambda x: 1e307 * np.exp(-(x**2)))
     calls += [
         ("solve_symbol_spectral 128 pseudoheat 1e307 e^{-x^2} tau 0.5",
@@ -388,8 +389,8 @@ def array_calls(pf):
         ("series_solution(0.0, 4.0)", lambda: pf.series_solution(0.0, 4.0)),
     ]
     # float edges: the J0 operator at 1e307 and past float range at 1.6e308,
-    # the pseudoheat flow near 1.6e308 and the affine flow at 1e307, which
-    # overflows on [-8, 8] and solves on [-2, 14]
+    # the pseudoheat flow near 1.6e308 and the affine flow at 1e307, whose
+    # result is past float range on [-8, 8] and solves on [-2, 14]
     def edge(scale, x_min, x_max, n, width):
         data = lambda x: scale * np.exp(-((x / width) ** 2))
         return pf.Field.from_function(x_min, x_max, n, data)
