@@ -85,9 +85,8 @@ class PauliVector:
     v: tuple
 
     def __post_init__(self):
-        v = tuple(map(complex, _vec3("v", self.v)))
+        object.__setattr__(self, "v", tuple(map(complex, _vec3("v", self.v))))
         object.__setattr__(self, "c0", complex(require("finite", c0=self.c0)))
-        object.__setattr__(self, "v", v)
 
     def as_mat2(self) -> Mat2:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -107,17 +106,13 @@ def generators(kind: str) -> np.ndarray:
     return _GENERATORS[kind].copy()
 
 
-def _vec3(name: str, v: Sequence[complex], dtype=complex) -> np.ndarray:
-    """``v`` as a (3,) array of ``dtype``, or ValueError("<name> must be 3 finite values")."""
+def _vec3(name: str, v: Sequence[complex], domain: str = "finite") -> np.ndarray:
+    """require(domain, <name>=v), a (3,) array, or ValueError("<name> must be 3 finite values")."""
     try:
-        # a complex array would convert to a real one by dropping its imaginary parts
-        ok = np.dtype(dtype).kind == "c" or not np.iscomplexobj(v)
-        if ok:
-            arr = np.asarray(v, dtype=dtype)
-            ok = arr.shape == (3,) and np.isfinite(arr).all()
-    except (TypeError, ValueError, OverflowError):  # text, complex for real, an int with no float
-        ok = False
-    if not ok:
+        arr = require(domain, **{name: v})
+    except ValueError:
+        arr = None
+    if np.shape(arr) != (3,):
         raise ValueError(f"{name} must be 3 finite values")
     return arr
 
@@ -166,7 +161,7 @@ def dirac2_evolution(pi: float, tau: float) -> Mat2:
     E = sqrt(1 + pi^2); unitary for real arguments.
     """
     pi = require("finite with a finite square", pi=pi)
-    tau = require("finite", tau=tau)
+    tau = require("real and finite", tau=tau)
     e = math.sqrt(1.0 + pi * pi)
     phase = in_float_range(e * tau, "the phase E tau", pi=pi, tau=tau)
     h = pi * _SIGMA[0] + _SIGMA[2]
@@ -184,7 +179,7 @@ def bloch_evolve(
     Where dt |Omega| is so large that the steps leave float range, or
     tau/dt exceeds the step cap, ValueError names the inputs.
     """
-    s = _vec3("sigma0", sigma0, float)
+    s = _vec3("sigma0", sigma0, "real and finite")
     pi = require("finite with a finite square", pi=pi)
     tau = require("nonnegative and finite", tau=tau)
     dt = require("positive and finite", dt=dt)
@@ -219,8 +214,8 @@ def dirac4_evolution(pi: Sequence[float], tau: float) -> Mat4:
     Since H = alpha . pi + beta satisfies H^2 = (1 + pi^2) 1, the
     exponential is cos(E tau) 1 - i sin(E tau)/E H with E = sqrt(1 + pi^2).
     """
-    p = _vec3("pi", pi, float)
-    tau = require("finite", tau=tau)
+    p = _vec3("pi", pi, "real and finite")
+    tau = require("real and finite", tau=tau)
     with np.errstate(over="ignore"):
         square = in_float_range(float(p @ p), "pi . pi", pi=lambda: tuple(map(_float, pi)))
     h = p[0] * _ALPHA[0] + p[1] * _ALPHA[1] + p[2] * _ALPHA[2] + _BETA
@@ -246,7 +241,7 @@ def position_evolution(pi: float, tau: float, parametrization: str = "dirac") ->
     """
     require_one_of(POSITION_PARAMETRIZATIONS, parametrization=parametrization)
     pi = require("finite with a finite square", pi=pi)
-    tau = require("finite", tau=tau)
+    tau = require("real and finite", tau=tau)
     e2 = 1.0 + pi * pi
     e = math.sqrt(e2)
     if parametrization == "beta_diagonal":
@@ -266,7 +261,7 @@ def sqrt_symbol_check(k: float) -> Mat4:
     Squares to (1 + k^2) 1 because (alpha1+alpha2+alpha3)^2 = 3 and the
     cross terms with beta cancel.
     """
-    k = require("finite", k=k)
+    k = require("real and finite", k=k)
     return (-k / math.sqrt(3.0)) * (_ALPHA[0] + _ALPHA[1] + _ALPHA[2]) + _BETA
 
 
@@ -281,8 +276,8 @@ def kappa_parametrization(
     the zero matrix (w^2 = r^2).
     """
     require_one_of(KAPPA_VARIANTS, variant=variant)
-    arr = _vec3("w", w, float)
-    r = require("finite", r=r)
+    arr = _vec3("w", w, "real and finite")
+    r = require("real and finite", r=r)
     n = arr[0] * _KAPPA[0] + arr[1] * _KAPPA[1] + arr[2] * _KAPPA[2]
     with np.errstate(over="ignore"):
         mat = n + 1j * r * _DELTA if variant == "i_delta" else n + r * _DELTA
@@ -299,7 +294,7 @@ def pauli_line_power(a: float, b: float, p: float) -> Mat2:
     """
     a = require("real and finite", a=a)
     b = require("real and finite", b=b)
-    p = require("finite", p=p)
+    p = require("real and finite", p=p)
     if not a > abs(b):
         raise ValueError("pauli_line_power requires a > |b| (positive definite)")
     named = {"a": a, "b": b, "p": p}

@@ -301,17 +301,17 @@ _AFFINE_OVERFLOW = ("affine-sqrt quadrature overflowed: the amplitude e^{(x^2 - 
                     "data there, exceeds floating-point range")
 
 
-def _identity_to_rounding(identity: Callable, below: Callable, flow: Callable, tau, **finite):
+def _identity_to_rounding(identity: Callable, below: Callable, flow: Callable, tau, **real):
     """The entry of every subordination flow. A tau that is not nonnegative
-    and finite is refused, then a ``finite`` parameter that is not finite;
-    the callables take them as ``require`` returns them. At or below
-    below(**finite) the flow is the identity to rounding: identity(**finite),
-    the input, is returned without running it, as at tau = 0; else flow(tau, **finite)."""
+    and finite is refused, then a ``real`` parameter that is not real and
+    finite; the callables take them as ``require`` returns them. At or below
+    below(**real) the flow is the identity to rounding: identity(**real),
+    the input, is returned without running it, as at tau = 0; else flow(tau, **real)."""
     tau = require("nonnegative and finite", tau=tau)
-    finite = {name: require("finite", **{name: value}) for name, value in finite.items()}
-    if tau == 0.0 or tau <= below(**finite):  # a NaN bound proves nothing
-        return identity(**finite)
-    return flow(tau, **finite)
+    real = {name: require("real and finite", **{name: value}) for name, value in real.items()}
+    if tau == 0.0 or tau <= below(**real):  # a NaN bound proves nothing
+        return identity(**real)
+    return flow(tau, **real)
 
 
 def solve_half_derivative(f: Field, tau: float) -> Field:

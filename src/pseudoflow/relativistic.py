@@ -106,7 +106,7 @@ class ObservableInputs:
         require_one_of(("normalized", "physical"), units=self.units)
         sigma = require("positive and finite", sigma=self.sigma)
         a = require("positive and finite", a=self.a)
-        t = require("finite", t=self.t)
+        t = require("real and finite", t=self.t)
         c, lambda_c = require("positive and finite", c=self.c, lambda_c=self.lambda_c)
         if self.units == "normalized":
             if c != 1.0 or lambda_c != 1.0:
@@ -154,7 +154,7 @@ def f2k(eta: float, k: int) -> float:
     first moment past float range raises ConvergenceError, however large k is.
     """
     k = require("a nonnegative integer", k=k)
-    eta = require("finite", eta=eta)
+    eta = require("real and finite", eta=eta)
     if abs(eta) > _ETA_FLAT:
         return 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -177,9 +177,9 @@ def series_solution(eta, tau: float, return_diagnostics: bool = False):
     Far enough out that e^{-eta^2} and the f_2k integrand underflow at every
     node, the value is 0 with tail 0 after one term, with no sum at all.
     """
-    eta, tau = require("finite", eta=eta, tau=tau)
+    eta, tau = require("real and finite", eta=eta, tau=tau)
     scalar = np.ndim(eta) == 0
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    eta = np.atleast_1d(eta)
     live, keep = np.flatnonzero(np.abs(eta) <= _ETA_FLAT), None
     gauss = np.zeros(eta.size)
     gauss[live] = np.exp(-eta[live] ** 2)
@@ -428,7 +428,7 @@ def r_function(a):
     array.
     """
     a = require("nonnegative and finite", a=a)
-    a_arr = np.atleast_1d(np.asarray(a, dtype=float))
+    a_arr = np.atleast_1d(a)
     if not a_arr.size:  # no column for the rule to integrate
         return np.zeros(0)
     with np.errstate(over="ignore", divide="ignore"):  # a^2 = inf also ends in ConvergenceError
@@ -459,7 +459,7 @@ def f_function(a):
     bound. An empty array gives an empty array.
     """
     a = require("nonnegative and finite", a=a)
-    a_arr = np.atleast_1d(np.asarray(a, dtype=float))
+    a_arr = np.atleast_1d(a)
     if not a_arr.size:  # no column for the rule to integrate
         return np.zeros(0)
     with np.errstate(over="ignore"):
@@ -511,7 +511,7 @@ def linear_potential_trajectory(x0: float, p0: float, force: float, t: float) ->
     finite p0. Raises ValueError where t f, E(p0 + t f) or x(t) overflows,
     and is elsewhere within 8e-16 of its terms' size plus a subnormal unit.
     """
-    x0, p0, force, t = require("finite", x0=x0, p0=p0, force=force, t=t)
+    x0, p0, force, t = require("real and finite", x0=x0, p0=p0, force=force, t=t)
     tf = t * force
     energy = math.hypot(1.0, p0 + tf)  # inf where t f or p0 + t f overflows
     x = x0 + t * ((p0 + tf / 2.0) / (energy / 2.0 + math.hypot(1.0, p0) / 2.0))

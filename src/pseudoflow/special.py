@@ -166,7 +166,7 @@ def hermite2(n: int, x: float, y: float) -> float:
     n = require("a nonnegative integer", n=n)
     if n > _HERMITE_N_CAP:
         raise ValueError(f"hermite2 order {n} exceeds the supported cap {_HERMITE_N_CAP}")
-    x, y = require("finite", x=x, y=y)
+    x, y = require("real and finite", x=x, y=y)
     h_prev, h_cur = 0.0, 1.0
     # a term past float range is refused below: once there, the recurrence stays inf or NaN
     for m in range(n):

@@ -77,15 +77,9 @@ class Field:
         n = require("a nonnegative integer", n=self.n)
         if n < 8:
             raise ValueError("need at least 8 samples")
-        vals = np.asarray(self.values)
-        if vals.shape != (n,):
-            raise ValueError(f"values must have shape ({n},), got {vals.shape}")
-        try:  # an int past float range has no float
-            vals = vals.astype(np.complex128 if np.iscomplexobj(vals) else np.float64)
-        except OverflowError:
-            raise ValueError("values must be finite") from None
-        if not np.isfinite(vals).all():
-            raise ValueError("values must be finite")
+        if np.shape(self.values) != (n,):
+            raise ValueError(f"values must have shape ({n},), got {np.shape(self.values)}")
+        vals = require("finite", values=self.values)
         vals.setflags(write=False)
         for name, value in (("x_min", x_min), ("x_max", x_max), ("n", n), ("values", vals)):
             object.__setattr__(self, name, value)
@@ -117,6 +111,7 @@ class Field:
         """The warning ``op`` attaches where the grid visibly truncates the
         sampled function: at either edge, or, for a solver that shifts data
         past one edge and zero-extends them, at the ``side`` it names."""
+        require_one_of(("left", "right"), side="left" if side is None else side)
         values = self.values
         peak = _peak(values)
         if peak == math.inf:  # complex data past the largest float in modulus: halving is exact
@@ -137,20 +132,14 @@ def doetsch_weight(t):
 
     This is the tau-independent part of the subordination integrand; the
     caller multiplies by its own e^{-t tau^2 (...)} factor. ``t`` may be a
-    scalar or an array; all entries must be positive. Where e^{-1/(4t)}
+    number or a 1-D array; all entries must be positive. Where e^{-1/(4t)}
     underflows (t below about 3.4e-4) the weight is 0, even where t^{-3/2}
     overflows.
     """
-    try:
-        t_arr = np.asarray(t, dtype=float)
-    except OverflowError:  # an int past float range: refused below as NaN
-        t_arr = np.array(math.nan)
-    if not (np.isfinite(t_arr) & (t_arr > 0.0)).all():
-        raise ValueError("t must be positive and finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        decay = np.exp(-0.25 / t_arr)
-        w = np.where(decay > 0.0, t_arr**-1.5 * decay / (2.0 * math.sqrt(math.pi)), 0.0)
-    return float(w) if np.ndim(t) == 0 else w
+    t = require("positive and finite", t=t)
+    with np.errstate(over="ignore", invalid="ignore"):  # fmax makes inf * 0 the 0 it is
+        w = np.fmax(np.power(t, -1.5) * np.exp(-0.25 / t) / (2.0 * math.sqrt(math.pi)), 0.0)
+    return float(w) if isinstance(t, float) else w
 
 
 def exp_sqrt_via_doetsch(x: float, y: float, form: str = "t_form") -> float:
@@ -302,14 +291,14 @@ def glaisher(alpha: float, x) -> float:
     with root = 2 sqrt(alpha + 1/4) in float range for every alpha, to 4e-13
     relative plus a subnormal unit (a sweep against mpmath).
     """
-    alpha, x = require("finite", alpha=alpha, x=x)
+    alpha, x = require("real and finite", alpha=alpha, x=x)
     if not alpha + 0.25 > 0:
         raise ValueError("glaisher requires 1 + 4*alpha > 0")
     root = 2.0 * math.sqrt(alpha + 0.25)
     # one exponential, so no subnormal e^{-q^2} is scaled up; q^2 may pass
     # float range only where the Gaussian has long underflowed to 0.0
     with np.errstate(over="ignore"):
-        q = np.asarray(x, dtype=float) / root
+        q = x / root
         out = np.exp(-q * q - math.log(root))
     return float(out) if np.ndim(x) == 0 else out
 

@@ -591,6 +591,7 @@ def test_require_checks_every_value_against_its_domain():
     assert refusal("finite", x=1.0, v=np.ones((2, 2))) == "v must be a number or 1-D"
     assert refusal("finite", v=[[1.0], [2.0]]) == "v must be a number or 1-D"
     assert refusal("finite", v=(np.array([1.0]),)) == "v must be a number or 1-D"
+    assert refusal("finite", v=[1.0, [2.0, 3.0]]) == "v must be a number or 1-D"
     require("finite", v=np.array(1.0), w=[])
     # and so are the library's array parameters
     for call, name in (
@@ -1102,7 +1103,7 @@ def test_csv_digests_arrays_cover_the_calls_no_cli_run_writes():
     ints = ("hermite2", "laplace_inv_power", "bessel", "Field", "dirac2_evolution", "iterated_series")
     assert all(label.startswith(f"refusal text: {name}") for label, name in zip(labels[-6:], ints))
     text = tool.refusal_text(lambda: pseudoflow.hermite2(2, 10**400, 0))
-    assert text.tobytes() == b"ValueError: x and y must be finite"
+    assert text.tobytes() == b"ValueError: x and y must be real and finite"
     assert tool.refusal_text(lambda: np.ones(2)).tolist() == [1.0, 1.0]
 
 

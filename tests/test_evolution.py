@@ -641,7 +641,7 @@ def test_affine_sqrt_rejects_negative_tau():
 def test_affine_sqrt_rejects_nonfinite_c():
     f = gaussian(-2.0, 14.0, 161)
     for c in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="c must be finite"):
+        with pytest.raises(ValueError, match="c must be real and finite"):
             solve_affine_sqrt(f, 0.5, c)
 
 
@@ -832,11 +832,11 @@ def test_subordination_flow_parameters_are_checked_after_tau():
     for c in (math.nan, math.inf):
         with pytest.raises(ValueError, match="^tau must be nonnegative and finite$"):
             solve_affine_sqrt(f, math.nan, c)
-        with pytest.raises(ValueError, match="^c must be finite$"):
+        with pytest.raises(ValueError, match="^c must be real and finite$"):
             solve_affine_sqrt(f, 0.0, c)
     with pytest.raises(ValueError, match="^tau must be nonnegative and finite$"):
         pseudoheat_gaussian(-1.0, math.nan)
-    with pytest.raises(ValueError, match="^x must be finite$"):
+    with pytest.raises(ValueError, match="^x must be real and finite$"):
         pseudoheat_gaussian(0.0, math.inf)
 
 

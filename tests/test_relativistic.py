@@ -266,7 +266,7 @@ def test_series_huge_tau_raises_truncation_error(tau):
 @pytest.mark.parametrize("eta, tau", [(0.5, math.nan), (0.5, math.inf), (math.nan, 0.5)])
 def test_series_rejects_nonfinite_input(eta, tau):
     # bad input, not a series that failed to converge
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match="must be real and finite"):
         series_solution(eta, tau)
 
 

@@ -4,9 +4,12 @@ call returns finite values or raises the refusal measured for it, with no
 numpy warning, and each route commutes with 2^600 and 2^-600. And the
 boundary of every public function and class that takes a number: an int
 past float range is refused with a ValueError that prints none of its
-digits, an int or a numpy number computes as the float it equals, and an
-ordered or real domain refuses a complex value."""
+digits, an int or a numpy number computes as the float it equals, an
+ordered or real domain refuses a complex value, and every array argument
+computes any sequence of its numbers as the float array and refuses
+anything else."""
 import itertools
+import math
 import re
 import warnings
 
@@ -369,18 +372,91 @@ def test_an_ordered_domain_refuses_a_complex_value(call):
             call(z)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda z: Field(z, 2.0, 8, np.zeros(8)),
-        lambda z: pseudoflow.bessel("J0", z),
-        lambda z: pseudoflow.pauli_line_power(z, 0.0, 2.0),
-    ],
-    ids=["Field", "bessel", "pauli_line_power"],
-)
-def test_a_real_domain_refuses_a_complex_value(call):
-    # "real and finite": each raised a bare TypeError ("'<' not supported
-    # between instances of 'complex' and 'float'", scipy's ufunc type error)
+_REAL_SLOTS = {
+    "Field": lambda z: Field(z, 2.0, 8, np.zeros(8)),
+    "bessel": lambda z: pseudoflow.bessel("J0", z),
+    "pauli_line_power": lambda z: pseudoflow.pauli_line_power(z, 0.0, 2.0),
+    "pauli_line_power p": lambda z: pseudoflow.pauli_line_power(2.0, 1.0, z),
+    "series_solution eta": lambda z: pseudoflow.series_solution(z, 0.5),
+    "series_solution tau": lambda z: pseudoflow.series_solution(0.5, z),
+    "glaisher x": lambda z: pseudoflow.glaisher(0.5, z),
+    "glaisher alpha": lambda z: pseudoflow.glaisher(z, 1.0),
+    "hermite2": lambda z: pseudoflow.hermite2(3, z, 1.0),
+    "pseudoheat_gaussian": lambda z: pseudoflow.pseudoheat_gaussian(0.5, z),
+    "solve_affine_sqrt": lambda z: solve_affine_sqrt(_F, 0.5, z),
+    "dirac2_evolution pi": lambda z: pseudoflow.dirac2_evolution(z, 1.0),
+    "dirac2_evolution tau": lambda z: pseudoflow.dirac2_evolution(0.5, z),
+    "position_evolution pi": lambda z: pseudoflow.position_evolution(z, 1.0),
+    "position_evolution tau": lambda z: pseudoflow.position_evolution(0.5, z),
+    "dirac4_evolution": lambda z: pseudoflow.dirac4_evolution((1, 0, 0), z),
+    "linear_potential_trajectory p0": lambda z: pseudoflow.linear_potential_trajectory(0, z, 0, 1),
+    "linear_potential_trajectory x0": lambda z: pseudoflow.linear_potential_trajectory(z, 0, 0, 1),
+    "f2k": lambda z: pseudoflow.f2k(z, 2),
+    "ObservableInputs": lambda z: pseudoflow.packet_width(pseudoflow.ObservableInputs(t=z)),
+    "bloch_evolve": lambda z: pseudoflow.bloch_evolve((1, 0, 0), z, 1.0, 0.1),
+    "SymbolSpec.optics": lambda z: SymbolSpec.optics(z),
+    "sqrt_symbol_check": lambda z: pseudoflow.sqrt_symbol_check(z),
+    "kappa_parametrization": lambda z: pseudoflow.kappa_parametrization((1, 0, 0), z),
+}
+
+
+@pytest.mark.parametrize("name", list(_REAL_SLOTS))
+def test_a_real_domain_refuses_a_complex_value(name):
+    # each raised a bare TypeError ("'<' not supported between instances of
+    # 'complex' and 'float'", "must be real number, not complex"), or
+    # computed: f2k(0.5j, 2) a wrong real value with numpy ComplexWarnings,
+    # packet_width, bloch_evolve and linear_potential_trajectory a complex
+    # result where a real one is documented
     for z in (1j, 3 + 0j, np.complex128(2)):
-        with pytest.raises(ValueError, match="must be"):
-            call(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be"):
+                _REAL_SLOTS[name](z)
+
+
+# every array parameter -> (the call on it, the name it is refused by, a
+# valid value as Python ints, whether it admits complex numbers)
+_ARRAY_SLOTS = {
+    "Field": (lambda v: Field(-8.0, 8.0, 8, v), "values", [1, 0, -2, 3, 0, 5, 1, 1], True),
+    "doetsch_weight": (pseudoflow.doetsch_weight, "t", [1, 2, 7], False),
+    "glaisher": (lambda x: pseudoflow.glaisher(0.5, x), "x", [-1, 0, 2], False),
+    "r_function": (pseudoflow.r_function, "a", [0, 1, 3], False),
+    "f_function": (pseudoflow.f_function, "a", [0, 1, 3], False),
+    "series_solution": (lambda eta: pseudoflow.series_solution(eta, 0.5), "eta", [0, 1, 2], False),
+    "PauliVector": (lambda v: pseudoflow.PauliVector(1.0, v), "v", [0, 1, 2], True),
+    "pauli_sqrt_identity": (pseudoflow.pauli_sqrt_identity, "v", [0, -1, 2], True),
+    "exp_pauli": (lambda v: pseudoflow.exp_pauli(0.5, v), "v", [-1, -1, -2], True),
+    "dirac4_evolution": (lambda pi: pseudoflow.dirac4_evolution(pi, 1.0), "pi", [1, 0, 2], False),
+    "bloch_evolve": (lambda s: pseudoflow.bloch_evolve(s, 0.5, 1.0, 0.1), "sigma0", [1, 0, 2], False),
+    "kappa_parametrization": (lambda w: pseudoflow.kappa_parametrization(w, 0.5), "w", [1, 0, 2], False),
+}
+
+
+@pytest.mark.parametrize("name", list(_ARRAY_SLOTS))
+def test_an_array_slot_computes_any_sequence_of_its_numbers_as_the_float_array(name):
+    call, _, ints, _ = _ARRAY_SLOTS[name]
+    expected = _outcome(call, [np.array(ints, dtype=np.float64)])
+    assert expected[0] != "ValueError"
+    for value in (ints, tuple(ints), [float(i) for i in ints], np.array(ints, dtype=np.int64),
+                  np.array(ints, dtype=object), np.array(ints, dtype=np.int32)):
+        assert _outcome(call, [value]) == expected, repr(value)
+
+
+@pytest.mark.parametrize("name", list(_ARRAY_SLOTS))
+def test_an_array_slot_refuses_what_is_no_sequence_of_its_numbers(name):
+    # text and bytes computed in Field, doetsch_weight and the three-vectors,
+    # which each converted with numpy's own astype
+    call, slot, ints, admits_complex = _ARRAY_SLOTS[name]
+    bad = [
+        [str(i) for i in ints], [str(i).encode() for i in ints], "".join(map(str, ints)),
+        np.array([ints, ints], dtype=float), [*ints[:-1], math.nan], [*ints[:-1], math.inf],
+        [*ints[:-1], 10**400], [*ints[:-1], None],
+    ]
+    if not admits_complex:
+        bad += [[*ints[:-1], 1j], np.array(ints, dtype=complex)]
+    for value in bad:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as refusal:
+                call(value)
+        assert re.search(rf"\b{slot}\b", str(refusal.value)), (repr(value), str(refusal.value))

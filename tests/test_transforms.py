@@ -99,6 +99,13 @@ def test_field_boundary_leak_detection():
     assert Field(0.0, 1.0, 8, np.zeros(8)).leak_warnings("op", "left") == ()
 
 
+@pytest.mark.parametrize("side", ["up", "", "LEFT", 0, ["left"]])
+def test_leak_warnings_refuses_a_side_it_does_not_name(side):
+    # "up" raised a bare KeyError from the table of edges
+    with pytest.raises(ValueError, match="^side must be one of left or right$"):
+        gaussian_field().leak_warnings("op", side)
+
+
 @pytest.mark.parametrize("scale", [1e308, 1.5e308])
 def test_leak_warning_on_complex_data_past_the_largest_float_in_modulus(scale):
     # at 1.5e308 (1 + i) the peak's modulus rounds to inf, and the edge test
