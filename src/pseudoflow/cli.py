@@ -173,17 +173,24 @@ def _make_ic(ic: tuple, grid: tuple):
     if kind == "fig3":
         return x**2 * np.exp(-(x**2))
     from .evolution import _coefficients
+    from .transforms import _homogeneous
 
     xi, yi = (np.array(column) for column in zip(*arg))
     inside = (xi[0] <= x) & (x <= xi[-1])
     # the cell at or left of each point, the last one closed on the right
     cell = np.minimum(np.searchsorted(xi, x[inside], side="right") - 1, xi.size - 2)
-    c = _coefficients(xi, yi)[:, cell]
     s = x[inside] - xi[cell]
-    # summed from 0.0 in CubicSpline's own order, so the values equal its values bit for bit
-    vals = np.zeros_like(x)
-    vals[inside] = 0.0 + c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s)
-    return vals
+
+    def spline(y: np.ndarray) -> np.ndarray:
+        c = _coefficients(xi, y)[:, cell]
+        # summed from 0.0 in CubicSpline's own order, so the values equal its values bit for bit
+        vals = np.zeros_like(x)
+        vals[inside] = 0.0 + c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s)
+        return vals
+
+    # the spline is linear in the values: a table near the largest float is
+    # splined scaled, as every field route runs its data
+    return _homogeneous(spline, yi, "the cubic spline through the data")
 
 
 def _fmt(v: float) -> str:

@@ -90,7 +90,7 @@ class PauliVector:
 
     def as_mat2(self) -> Mat2:
         with np.errstate(over="ignore", invalid="ignore"):
-            mat = self.c0 * _ID2 + pauli_sqrt_identity(self.v)
+            mat = self.c0 * _ID2 + _sigma_dot(np.array(self.v), self.v)
         return in_float_range(mat, "c0 + sigma . v", c0=self.c0, v=self.v)
 
 
@@ -124,7 +124,12 @@ def pauli_sqrt_identity(v: Sequence[complex]) -> Mat2:
     complex in general; this is what makes N a matrix square root of
     v . v.
     """
-    arr = _vec3("v", v)
+    return _sigma_dot(_vec3("v", v), v)
+
+
+def _sigma_dot(arr: np.ndarray, v: Sequence[complex]) -> Mat2:
+    """sigma . v for the (3,) array ``arr`` that _vec3 made of ``v``; past
+    float range, ValueError names v as given."""
     with np.errstate(over="ignore", invalid="ignore"):
         mat = arr[0] * _SIGMA[0] + arr[1] * _SIGMA[1] + arr[2] * _SIGMA[2]
     return in_float_range(mat, "sigma . v", v=lambda: tuple(map(_float, v)))
@@ -144,7 +149,7 @@ def exp_pauli(y: complex, v: Sequence[complex]) -> Mat2:
     """
     y = require("finite", y=y)
     arr = _vec3("v", v)
-    mat = pauli_sqrt_identity(v)
+    mat = _sigma_dot(arr, v)
     with np.errstate(over="ignore", invalid="ignore"):
         n = np.sqrt(complex(arr @ arr))
         if n == 0:

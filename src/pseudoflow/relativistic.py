@@ -55,7 +55,7 @@ from .special import (
     _legendre_nodes,
     _log_trapezoid,
 )
-from .transforms import Field, _homogeneous
+from .transforms import Field, _homogeneous, _peak
 
 __all__ = list(_EXPORTS["relativistic"])
 
@@ -72,9 +72,9 @@ _SERIES_TAIL_TOL = 1e-9
 # alternating terms cancel more digits than the step-2h check allows, so
 # more terms buy nothing (and (2n + 1)! stays far inside float range).
 _SERIES_N_MAX = 60
-# The iterated series stops at the first term below this. Each term
-# multiplies rounding noise by the dealiased |k|^2, so the tail test sits
-# above the tau-power series' and the terms are capped lower.
+# The iterated series stops at the first term at most this times the data's
+# peak. Each term multiplies rounding noise by the dealiased |k|^2, so the
+# tail test sits above the tau-power series' and the terms are capped lower.
 _ITERATED_TAIL_TOL = 1e-8
 _ITERATED_N_MAX = 20
 
@@ -334,9 +334,10 @@ def iterated_series(psi0: Field, tau: float) -> Field:
     costs, per part, the spline's coefficient rows, one real lag
     correlation and a real FFT pair. Only the coefficients (i tau)^n / n!
     are complex. Any sample count works. Terms are added until the latest
-    drops below 1e-8 on the data as run (see :mod:`~pseudoflow.transforms`),
-    else TruncationError after 20 terms, or at the term past float range (a
-    huge tau, a fine grid), with the last finite term and the count before.
+    is at most 1e-8 times the data's peak, so the values commute with every
+    power of two and zero data stop after one term, else TruncationError
+    after 20 terms, or at the term past float range (a huge tau, a fine
+    grid), with the last finite term and the count before.
     Data whose own spline rows leave float range are refused with
     ValueError, as on every kernel route.
     """
@@ -363,6 +364,7 @@ def _iterated_series(psi0: Field, tau: float) -> Field:
     total = np.asarray(values, dtype=complex).copy()
     parts = [values.real, values.imag] if np.iscomplexobj(values) else [values]
     tail = None  # the size of the latest finite term
+    tail_tol = _ITERATED_TAIL_TOL * _peak(values)
 
     def overflowed(m: int) -> TruncationError:
         # term m left float range: the series ends after the m - 1 before it
@@ -393,7 +395,7 @@ def _iterated_series(psi0: Field, tau: float) -> Field:
                 raise overflowed(m)
             total += term
             tail = size
-            if tail < _ITERATED_TAIL_TOL:
+            if tail <= tail_tol:
                 break
         else:
             raise TruncationError(

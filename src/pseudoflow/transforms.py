@@ -21,7 +21,8 @@ Each public route enters through :func:`_homogeneous`: data whose peak
 lies in [2^-500, 2^500] run as they are; past either end the data times
 2^-e run, e the peak's binary exponent (a peak in [1, 2)), and the
 result's values and meta numbers are scaled back. A field near the largest
-or the smallest float so solves wherever its result is in float range.
+or the smallest float so solves wherever its result is in float range. The
+CLI splines a --ic table onto its grid through the same helper.
 """
 from __future__ import annotations
 
@@ -77,8 +78,12 @@ class Field:
         n = require("a nonnegative integer", n=self.n)
         if n < 8:
             raise ValueError("need at least 8 samples")
-        if np.shape(self.values) != (n,):
-            raise ValueError(f"values must have shape ({n},), got {np.shape(self.values)}")
+        try:
+            shape = np.shape(self.values)
+        except ValueError:  # a ragged sequence has no shape: require refuses it below
+            shape = (n,)
+        if shape != (n,):
+            raise ValueError(f"values must have shape ({n},), got {shape}")
         vals = require("finite", values=self.values)
         vals.setflags(write=False)
         for name, value in (("x_min", x_min), ("x_max", x_max), ("n", n), ("values", vals)):
@@ -250,17 +255,24 @@ def _ldexp(values, e: int) -> np.ndarray:
     return out
 
 
-def _homogeneous(run: Callable, f: Field, what: str, **named) -> Field:
+def _homogeneous(run: Callable, f, what: str, **named):
     """run(f, **named), for ``run`` a field route and ``named`` its parameters,
-    scaled as the module docstring says, the peak the largest |real or
-    imaginary part|. A failure comes as it came, in the scaled data's numbers;
-    a result past float range raises past_float_range(what, **named, peak=...)."""
-    top = float(np.max(np.abs(f.values.view(float))))
+    or for ``f`` an array of data and ``run`` a linear map of it to an array
+    (the CLI's spline of a --ic table onto its grid), scaled as the module
+    docstring says, the peak the largest |real or imaginary part|. A failure
+    comes as it came, in the scaled data's numbers; a result past float range
+    raises past_float_range(what, **named, peak=...)."""
+    is_field = isinstance(f, Field)
+    data = f.values if is_field else f
+    top = float(np.max(np.abs(data.view(float))))
     if not top or 2.0**-500 <= top <= 2.0**500:
         return run(f, **named)
     e = math.frexp(top)[1] - 1
-    out = run(f.with_values(_ldexp(f.values, -e)), **named)
-    values = in_float_range(_ldexp(out.values, e), what, **named, peak=lambda: _peak(f.values))
+    scaled = _ldexp(data, -e)
+    out = run(f.with_values(scaled) if is_field else scaled, **named)
+    values = in_float_range(_ldexp(out.values if is_field else out, e), what, **named, peak=lambda: _peak(data))
+    if not is_field:
+        return values
     return out.with_values(values, (), {name: float(_ldexp(v, e)) for name, v in out.meta.items()})
 
 

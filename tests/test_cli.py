@@ -784,18 +784,43 @@ def test_heat_integral_past_max_over_pi_exits_0(tmp_path, capsys):
         ("--equation", "half_derivative", "--ic", "gaussian(1e-201)", "--grid", "-1e-200:1e-200:64"),
         ("--equation", "affine_sqrt", "--c", "1", "--ic", "gaussian(1e-201)",
          "--grid", "-1e-200:1e-200:64"),
-        ("--equation", "heat", "--ic", "file=huge.csv", "--grid", "-4:4:64"),
     ],
 )
 def test_spline_past_float_range_exits_1(tmp_path, args):
     # numpy's overflow warnings came first, then exit 2 for the shift flows
-    # and "error: values must be finite", which names nothing, for the table
-    rows = "".join(f"{10.0 * i!r},{1.7e308 if i % 2 else 1.5e308!r}\n" for i in range(6))
-    (tmp_path / "huge.csv").write_text("x,value\n" + rows)
     proc = run_cli(tmp_path, "solve", "--tau", "0.5", *args, "--out", tmp_path / "out.csv")
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: the cubic spline through the data is past float range at step = ")
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_ic_table_near_the_largest_float_is_splined_scaled(tmp_path):
+    # a --ic table enters the field routes' scaling: rows of 1.5e308 and
+    # 1.7e308 10 apart, whose spline rows leave float range as they are
+    # (the run exited 1 naming step = 10.0), are splined times 2^-1023 and
+    # scaled back, which is exact, and the heat flow solves them
+    table = [(10.0 * i, 1.7e308 if i % 2 else 1.5e308) for i in range(6)]
+    (tmp_path / "huge.csv").write_text("x,value\n" + "".join(f"{x!r},{y!r}\n" for x, y in table))
+    grid = (-4.0, 4.0, 64)
+    scaled = cli._make_ic(("file", [(x, y * 2.0**-1023) for x, y in table]), grid)
+    assert np.array_equal(cli._make_ic(("file", table), grid), scaled * 2.0**1023)
+    proc = run_cli(tmp_path, "solve", "--equation", "heat", "--tau", "0.5", "--ic", "file=huge.csv",
+                   "--grid", "-4:4:64", "--out", tmp_path / "out.csv")
+    assert proc.returncode == 0, proc.stderr
+    _, cols = read_csv(tmp_path / "out.csv")
+    assert all(np.isfinite(values).all() for values in cols.values())
+
+
+def test_ic_table_whose_spline_leaves_float_range_exits_1(tmp_path):
+    # rows of +-1.79e308: the scaled spline overshoots past the largest
+    # float once scaled back, which is refused by the data's peak
+    rows = "".join(f"{10.0 * i!r},{1.79e308 if i % 2 else -1.79e308!r}\n" for i in range(6))
+    (tmp_path / "big.csv").write_text("x,value\n" + rows)
+    proc = run_cli(tmp_path, "solve", "--equation", "heat", "--tau", "0.5", "--ic", "file=big.csv",
+                   "--grid", "0:50:64", "--out", tmp_path / "out.csv")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: the cubic spline through the data is past float range at peak = 1.79e+308\n"
     assert not (tmp_path / "out.csv").exists()
 
 

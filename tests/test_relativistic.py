@@ -415,7 +415,7 @@ def test_iterated_series_reuses_one_k0_plan_bit_for_bit():
         current = f.with_values(np.fft.irfft(d2_half * np.fft.rfft(smoothed.values), f.n))
         term = (1j * tau) ** m / math.factorial(m) * current.values
         total += term
-        if np.max(np.abs(term)) < 1e-8:
+        if np.max(np.abs(term)) <= 1e-8 * np.max(np.abs(f.values)):
             break
     assert m > 5
     assert np.array_equal(iterated_series(f, tau).values, total)
@@ -434,7 +434,7 @@ def _iterated_series_complex_loop(f, tau):
         current = f.with_values(np.fft.ifft(d2_mult * np.fft.fft(smoothed.values)))
         term = (1j * tau) ** m / math.factorial(m) * current.values
         total += term
-        if np.max(np.abs(term)) < 1e-8:
+        if np.max(np.abs(term)) <= 1e-8 * np.max(np.abs(f.values)):
             return total
     raise AssertionError("the reference series did not converge")
 
@@ -470,6 +470,42 @@ def test_iterated_series_is_linear_over_real_and_imaginary_parts():
         + 1j * iterated_series(data.with_values(data.values.imag), 0.3).values
     )
     assert np.max(np.abs(out - parts)) <= 1e-7 * np.max(np.abs(out))
+
+
+@pytest.mark.parametrize("bounds", [(-8.0, 8.0, 64), (-2.0, 14.0, 161), (-16.0, 16.0, 512)])
+def test_iterated_series_commutes_with_every_power_of_two_in_range(bounds):
+    # the tail test is 1e-8 times the data's peak, so data times 2^e run the
+    # unit data's terms times 2^e, bit for bit; with an absolute 1e-8, 2^100
+    # and 2^332 raised TruncationError and 2^-100 and 2^-332 stopped early,
+    # up to 3.3 times the peak off
+    f = Field.from_function(*bounds, lambda x: np.exp(-((x / 2.0) ** 2)))
+    for tau in (0.1, 0.3, 0.5):
+        try:
+            ref = iterated_series(f, tau)
+        except TruncationError:
+            ref = None
+        for e in (100, -100, 332, -332):
+            scaled = f.with_values(np.ldexp(f.values, e))
+            case = f"{bounds}, tau {tau}, 2^{e}"
+            if ref is None:
+                with pytest.raises(TruncationError, match="did not reach tail_tol"):
+                    iterated_series(scaled, tau)
+                continue
+            got = iterated_series(scaled, tau)
+            want = ref.values.real * 2.0**e + 1j * (ref.values.imag * 2.0**e)
+            assert np.array_equal(got.values, want), case
+            assert got.meta == {"tail_estimate": ref.meta["tail_estimate"] * 2.0**e}, case
+            assert got.warnings == ref.warnings, case
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_iterated_series_of_zeros_is_zeros_after_one_term(dtype):
+    # the tail test is relative to the data's peak and not strict: a zero
+    # first term meets it, so zeros do not run to the 20-term failure
+    for bounds in ((-8.0, 8.0, 64), (-2.0, 14.0, 161), (-16.0, 16.0, 512)):
+        out = iterated_series(Field(*bounds, np.zeros(bounds[2], dtype=dtype)), 0.5)
+        assert np.array_equal(out.values, np.zeros(bounds[2]))
+        assert out.meta == {"tail_estimate": 0.0} and out.warnings == ()
 
 
 def test_iterated_series_validation():

@@ -72,6 +72,19 @@ def test_field_validation(kwargs, match):
         Field(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "values", [[1, 0, -2, 3, 0, 5, 1, [1.0]], [1, [1.0, 2.0]], [[1.0], 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]]
+)
+def test_field_refuses_a_ragged_sequence_by_name(values):
+    # np.shape raised numpy's "inhomogeneous shape" ValueError, which names
+    # no parameter; require words it as every other ragged argument
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as refusal:
+            Field(-8.0, 8.0, 8, values)
+    assert str(refusal.value) == "values must be a number or 1-D"
+
+
 def test_field_with_values_accumulates_warnings():
     f = Field(0.0, 1.0, 8, np.zeros(8), warnings=("first",))
     g = f.with_values(np.ones(8), extra_warnings=("second",), meta={"err": 0.5})

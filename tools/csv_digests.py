@@ -18,9 +18,11 @@ range, the half-derivative and affine flows at tau where the kernel
 underflows on every cell (1e200; 1.3e154 and 1e300), fig1 and the heat
 integral at a width of 1e-320 and the heat integral at 1e308, the affine
 flow without drift (c = 0) on [0, 12] and on data at x < 0, where it
-diverges, and three splines past float range: the half-derivative and
-affine flows on a grid of step 3e-202, and a second fixed table of values
-near 1.6e308 that the tool writes; then, after all of those, each spectral
+diverges, two splines past float range: the half-derivative and affine
+flows on a grid of step 3e-202, and the heat flow on a second fixed table
+of values near 1.6e308 that the tool writes, whose spline rows pass float
+range unless scaled (it is splined scaled, as every field route runs its
+data); then, after all of those, each spectral
 route (heat, schrodinger, optics, pseudoheat) and the pseudoheat flow on a
 third fixed table, of values rising from 1.5e308 to 1.7e308, and the
 series route at tau = 4, where its two trapezoid steps disagree; last, an
@@ -40,7 +42,11 @@ OpenBLAS may round a matrix product differently with its thread count:
 on a 2-CPU host, ``solve --equation affine_sqrt --c 1 --tau 1`` writes
 other bytes with OPENBLAS_NUM_THREADS=1 than with the default two threads
 (19 of 1024 rows, by at most 2.2e-17 of the peak), and so does this
-tool's affine run, while ``fig1`` does not move.
+tool's affine run, while ``fig1`` does not move. Under ``--arrays`` three
+lines move with the thread count too: "apply_inv_sqrt_shift 2048 packet
+on [-200, 200]", "apply_inv_sqrt_shift 4097 packet on [-40, 40]" (the J0
+operator's window sums are matrix products) and "solve_affine_sqrt 4097
+complex c -1 tau 0.5".
 
 With ``--arrays`` the lines are the SHA-256 of the values of library calls
 that no CLI run writes (the iterated series on 512 and 200 points, the J0
@@ -182,7 +188,7 @@ FLOAT_EDGE_TABLE = "float_edge.csv"
 IC_FILE_RUNS = (
     ("solve", "--equation", "heat", "--method", "integral", "--tau", "0", "--ic", f"file={IC_TABLE}",
      "--grid", "-4:4:64"),
-    # a spline whose coefficient rows leave float range
+    # a table whose spline rows leave float range as they are, and not scaled
     ("solve", "--equation", "heat", "--tau", "0.5", "--ic", f"file={HUGE_TABLE}", "--grid", "-4:4:64"),
 )
 # runs printed after all others: each spectral route and the pseudoheat
