@@ -28,9 +28,15 @@ class ConvergenceError(PseudoflowError):
 
 
 class TruncationError(PseudoflowError):
-    """A series truncation failed its tail test."""
+    """A series truncation failed its tail test.
+
+    Carries the size of the last finite term and the number of terms
+    summed, and the message without them as ``reason``, as
+    :class:`ConvergenceError` does.
+    """
 
     def __init__(self, message: str, *, last_term=None, n_used=None):
+        self.reason = message
         self.last_term = last_term
         self.n_used = n_used
         if last_term is not None:

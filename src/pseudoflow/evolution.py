@@ -57,7 +57,7 @@ from ._choices import in_float_range, require
 from ._scipy import flapack, specfun, special_ufuncs
 from .errors import ConvergenceError
 from .special import _REL_TOL, _cell_offsets, _gl_panels, _leading_scale, _log_trapezoid, _shift_panels
-from .transforms import Field, _gw_smoother, _homogeneous, _peak
+from .transforms import Field, _gw_smoother, _homogeneous
 
 __all__ = list(_EXPORTS["evolution"])
 
@@ -112,8 +112,7 @@ def _spectral_apply(
     """Apply a Fourier multiplier with factor-2 zero padding (fixed contract),
     on any sample count n: pad to 2n, transform, multiply, crop to n.
 
-    A result past float range (finite data near the largest float, whose
-    transform overflows) raises past_float_range(what, **named, peak=...)."""
+    A result past float range raises past_float_range(what, **named)."""
     n = f.n
     wrap = "; periodic wrap-around will contaminate the result"
     warnings = tuple(w + wrap for w in f.leak_warnings("spectral"))
@@ -127,7 +126,7 @@ def _spectral_apply(
         if not np.all(np.isfinite(mult)):
             raise ValueError("symbol produced non-finite multipliers on the grid's wavenumbers")
         out = np.fft.ifft(mult * np.fft.fft(padded))[:n]
-    return f.with_values(in_float_range(out, what, **named, peak=lambda: _peak(f.values)), warnings)
+    return f.with_values(in_float_range(out, what, **named), warnings)
 
 
 def solve_symbol_spectral(f: Field, tau: float, symbol: SymbolSpec) -> Field:
@@ -136,8 +135,8 @@ def solve_symbol_spectral(f: Field, tau: float, symbol: SymbolSpec) -> Field:
     The grid is zero-padded by a factor of 2 before the transform and
     cropped after; wavenumbers follow the DFT convention k = 2 pi j / (N h)
     on the padded array. Any sample count works, not only powers of two.
-    Finite data whose transform leaves float range raise ValueError naming
-    the symbol, tau and the data's peak.
+    A result past float range raises ValueError naming the symbol and tau,
+    and the data's peak where only their scale takes it there.
     """
     tau = require("finite", tau=tau)
     what = f"the spectral {symbol.name} flow"
@@ -187,8 +186,7 @@ def _coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # the cubic Hermite rows through (y, s) on each cell
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         coef = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
-    step, peak = lambda: float(np.min(dx)), lambda: _peak(y)
-    return in_float_range(coef, "the cubic spline through the data", step=step, peak=peak)
+    return in_float_range(coef, "the cubic spline through the data", step=lambda: float(np.min(dx)))
 
 
 def _read_only(*arrays: np.ndarray) -> None:

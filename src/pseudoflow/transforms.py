@@ -17,12 +17,15 @@ kernel would alias.
 
 Every field route is linear in its data, so it commutes exactly with
 multiplying them by 2^e wherever no value overflows or turns subnormal.
-Each public route enters through :func:`_homogeneous`: data whose peak
-lies in [2^-500, 2^500] run as they are; past either end the data times
-2^-e run, e the peak's binary exponent (a peak in [1, 2)), and the
-result's values and meta numbers are scaled back. A field near the largest
-or the smallest float so solves wherever its result is in float range. The
-CLI splines a --ic table onto its grid through the same helper.
+Each public route enters through :func:`_homogeneous`, which runs it on the
+data times 2^-e, e the binary exponent of their peak, so every route sees
+a peak in [0.5, 1) (data already there, and zeros, run as given). The
+result's values and meta numbers, and a ConvergenceError's or
+TruncationError's numbers, come back times 2^e, in the caller's units; so
+every end test, tolerance and floor inside a route acts on unit-peak data,
+and a field near the largest or the smallest float solves wherever its
+result is in float range. The CLI splines a --ic table onto its grid
+through the same helper.
 """
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _EXPORTS
 from ._choices import in_float_range, past_float_range, require, require_one_of
+from .errors import ConvergenceError, TruncationError
 from .special import _LOG_UNIT, _legendre_nodes, _log_trapezoid, _quadpack
 
 __all__ = list(_EXPORTS["transforms"])
@@ -258,22 +262,31 @@ def _ldexp(values, e: int) -> np.ndarray:
 def _homogeneous(run: Callable, f, what: str, **named):
     """run(f, **named), for ``run`` a field route and ``named`` its parameters,
     or for ``f`` an array of data and ``run`` a linear map of it to an array
-    (the CLI's spline of a --ic table onto its grid), scaled as the module
-    docstring says, the peak the largest |real or imaginary part|. A failure
-    comes as it came, in the scaled data's numbers; a result past float range
-    raises past_float_range(what, **named, peak=...)."""
+    (the CLI's spline of a --ic table onto its grid), on the data times 2^-e,
+    e = frexp(peak)[1] for the peak the largest |real or imaginary part|, as
+    the module docstring says. What the run returns or raises comes back
+    times 2^e: the values and meta numbers, a ConvergenceError's estimate and
+    error bound, a TruncationError's last term (a number past float range
+    is inf). Values past float range raise past_float_range(what, **named,
+    peak=...), naming the caller's peak."""
     is_field = isinstance(f, Field)
     data = f.values if is_field else f
-    top = float(np.max(np.abs(data.view(float))))
-    if not top or 2.0**-500 <= top <= 2.0**500:
+    e = math.frexp(float(np.max(np.abs(data.view(float)))))[1]
+    if not e:  # times 2^0: what the run returns or raises is already scaled back
         return run(f, **named)
-    e = math.frexp(top)[1] - 1
     scaled = _ldexp(data, -e)
-    out = run(f.with_values(scaled) if is_field else scaled, **named)
+    back = lambda v: None if v is None else _ldexp(v, e).item()
+    try:
+        out = run(f.with_values(scaled) if is_field else scaled, **named)
+    except ConvergenceError as exc:
+        estimate, bound = back(exc.estimate), back(exc.error_bound)
+        raise ConvergenceError(exc.reason, estimate=estimate, error_bound=bound) from None
+    except TruncationError as exc:
+        raise TruncationError(exc.reason, last_term=back(exc.last_term), n_used=exc.n_used) from None
     values = in_float_range(_ldexp(out.values if is_field else out, e), what, **named, peak=lambda: _peak(data))
     if not is_field:
         return values
-    return out.with_values(values, (), {name: float(_ldexp(v, e)) for name, v in out.meta.items()})
+    return out.with_values(values, (), {name: back(v) for name, v in out.meta.items()})
 
 
 def gauss_weierstrass(f: Field, alpha: float) -> Field:

@@ -832,7 +832,7 @@ def test_ic_table_whose_spline_leaves_float_range_exits_1(tmp_path):
 def test_spectral_routes_solve_the_float_edge_table(tmp_path, capsys, equation):
     # a table near 1.6e308 whose transform overflowed: the routes exited 1
     # ("the spectral <name> flow is past float range"); the data now run
-    # scaled to a peak in [1, 2), and the flows, in float range, solve
+    # scaled to a peak in [0.5, 1), and the flows, in float range, solve
     table = tmp_path / "float_edge.csv"
     _tool("csv_digests").write_float_edge_table(table)
     out = tmp_path / "spectral.csv"

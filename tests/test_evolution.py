@@ -326,7 +326,7 @@ def test_pseudoheat_solves_data_near_the_largest_float():
     # a level's sum of node values passed the largest float before the step
     # h brought it back, a ConvergenceError with a NaN bound (on a step of
     # 6.3 the weighted data overflowed first, with a numpy warning); the rule
-    # now runs on the data scaled to a peak in [1, 2) and meets the unit data's flow
+    # now runs on the data scaled to a peak in [0.5, 1) and meets the unit data's flow
     unit = Field.from_function(-4.0, 4.0, 64, lambda x: np.exp(-((x / 3.0) ** 2)))
     coarse = Field.from_function(-200.0, 200.0, 64, lambda x: np.exp(-((x / 20.0) ** 2)))
     for f, scale in itertools.product((unit, coarse), (1.2e308, 1.6e308, 1.79e308)):
@@ -608,7 +608,7 @@ def test_affine_sqrt_amplitude_overflow_is_an_error_at_every_tau(c):
 @pytest.mark.parametrize("c", [1.0, -1.0])
 def test_affine_sqrt_result_past_float_range_is_a_value_error(c):
     # unit data solve on [-8, 8] (peaks 1.0e12 for c = 1, 1.5e4 for c = -1);
-    # at 1e307 the data run scaled to a peak in [1, 2) and solve, and it is
+    # at 1e307 the data run scaled to a peak in [0.5, 1) and solve, and it is
     # the result, scaled back, that leaves float range (the amplitude times
     # the data overflowed, a ConvergenceError)
     f = Field.from_function(-8.0, 8.0, 64, lambda x: np.exp(-((x / 2.0) ** 2)))
@@ -979,10 +979,23 @@ def test_inv_sqrt_shift_on_a_gaussian_matches_quadpack(width):
         assert abs(out.values[j] - ref) <= 1e-6, x
 
 
-def test_inv_sqrt_shift_divergent_data_raises():
-    g = Field.from_function(-120.0, 10.0, 1024, lambda x: np.exp(-x / 2.0))
-    with pytest.raises(ConvergenceError, match="tail"):
-        apply_inv_sqrt_shift(g)
+# e^{-x/2} on [-120, 10] peaks at 1.14e26 = 0.74 * 2^87
+_GROWING = Field.from_function(-120.0, 10.0, 1024, lambda x: np.exp(-x / 2.0))
+
+
+def test_inv_sqrt_shift_divergent_data_warn_at_every_scale():
+    # run as given, the settle floor 1e-9 was negligible beside the peak,
+    # and no point with 32 arcs settled: a ConvergenceError. At a peak in
+    # [0.5, 1) all 239 of them settle, so these data get the unit-peak
+    # verdict at every scale: the unsettled points' warning, values times 2^e
+    unit = _GROWING.with_values(np.ldexp(_GROWING.values, -87))
+    ref = apply_inv_sqrt_shift(unit)
+    assert ref.warnings[0].startswith("apply_inv_sqrt_shift: points closer to the left grid edge")
+    for g, e in ((_GROWING, 87), (unit, 0)):
+        out = apply_inv_sqrt_shift(g)
+        assert out.warnings == ref.warnings
+        assert np.array_equal(out.values, np.ldexp(ref.values, e))
+        assert out.meta == {"tail_estimate": math.ldexp(ref.meta["tail_estimate"], e)}
 
 
 def test_inv_sqrt_shift_refuses_a_result_past_float_range():
@@ -1009,9 +1022,12 @@ def _inv_sqrt_by_partial_sums(g):
     # The (points x arcs) formulation apply_inv_sqrt_shift had before it
     # summed arcs in blocks: every arc integral at every point, their
     # cumulative sums, and the closed-form averaging gathered from
-    # _averaging_weights point by point. Returns (values, estimates, the
-    # points that take the averaged value, warnings) or raises its
-    # ConvergenceError.
+    # _averaging_weights point by point. Like the route, it runs on the
+    # data times 2^-e, at a peak in [0.5, 1), and scales its numbers back.
+    # Returns (values, estimates, the points that take the averaged value,
+    # warnings) or raises its ConvergenceError.
+    e = math.frexp(float(np.max(np.abs(g.values.view(float)))))[1]
+    g = g.with_values(g.values * 2.0**-e)
     edges, nodes, weights = _j0_chunks(g.x_max - g.x_min, 16)
     n_chunks = len(nodes)
     shift_sum = _spline_shift_sum(g)
@@ -1040,7 +1056,7 @@ def _inv_sqrt_by_partial_sums(g):
         raise ConvergenceError(
             "oscillatory tail averaging did not converge on any point with "
             "full tail support",
-            error_bound=float(np.min(est[mature])),
+            error_bound=float(np.min(est[mature])) * 2.0**e,
         )
     warn = []
     if np.any(~settled):
@@ -1050,14 +1066,14 @@ def _inv_sqrt_by_partial_sums(g):
             "averaging error (see meta tail_estimate)"
         )
     warn.extend(g.leak_warnings("apply_inv_sqrt_shift", "left"))
-    return out, est, acc, tuple(warn)
+    return out * 2.0**e, est * 2.0**e, acc, tuple(warn)
 
 
 def _same_convergence_error(call, g):
     # The partial-sum formulation takes the change of the last averaging
     # round as the difference of two averaged sums, so its bound carries
-    # their rounding: 3e-10 relative on 32 arcs of a cosine, 2e-9 on a
-    # growing exponential.
+    # their rounding: 3e-10 relative on 32 arcs of a cosine. Both bounds
+    # are in the caller's units.
     with pytest.raises(ConvergenceError) as ref:
         _inv_sqrt_by_partial_sums(g)
     with pytest.raises(ConvergenceError) as got:
@@ -1103,9 +1119,15 @@ def test_inv_sqrt_shift_equals_the_partial_sum_formulation(arcs, span, n, data, 
     assert np.all(np.abs(est - ref_est)[averaged] <= 1e-14 * np.abs(ref[averaged]))
 
 
-def test_inv_sqrt_shift_raises_as_the_partial_sum_formulation_does():
-    g = Field.from_function(-120.0, 10.0, 1024, lambda x: np.exp(-x / 2.0))
-    _same_convergence_error(apply_inv_sqrt_shift, g)
+def test_inv_sqrt_shift_warns_as_the_partial_sum_formulation_does_on_divergent_data():
+    # both run the growing exponential at a peak in [0.5, 1): neither
+    # raises, and both flag the same unsettled points
+    for g in (_GROWING, _GROWING.with_values(np.ldexp(_GROWING.values, -87))):
+        ref, ref_est, _, ref_warn = _inv_sqrt_by_partial_sums(g)
+        out = apply_inv_sqrt_shift(g)
+        assert out.warnings == ref_warn and ref_warn[0].startswith("apply_inv_sqrt_shift: points closer")
+        assert np.max(np.abs(out.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert out.meta["tail_estimate"] == pytest.approx(np.max(ref_est), rel=1e-12, abs=0.0)
 
 
 def test_inv_sqrt_shift_keeps_no_points_by_arcs_array():
@@ -1252,7 +1274,7 @@ _SQUARE_AT_MAX = Field.from_function(-8.0, 8.0, 128, lambda x: np.finfo(float).m
     ids=["schrodinger", "optics"],
 )
 def test_spectral_routes_past_float_range_are_value_errors(route, what):
-    # the data run scaled to a peak in [1, 2), so the transform no longer
+    # the data run scaled to a peak in [0.5, 1), so the transform no longer
     # overflows (finite data near 1e307 raised numpy's FFT warnings, then
     # "values must be finite", which named nothing); a result past float
     # range is refused with the route's name

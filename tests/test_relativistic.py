@@ -525,7 +525,7 @@ def test_iterated_series_truncation_failure():
 def test_iterated_series_near_the_largest_float_solves_as_the_unit_data(scale):
     # such data overflowed in a later term, and at 1e307 in the dealiasing
     # FFT of the input itself: a TruncationError. They now run scaled to a
-    # peak in [1, 2), so the series is the unit data's, times 2^e exactly
+    # peak in [0.5, 1), so the series is the unit data's, times 2^e exactly
     # at 2^e, and to rounding at the scale itself
     unit = Field.from_function(-16.0, 16.0, 513, lambda x: np.exp(-(x**2)))  # peak 1
     ref = iterated_series(unit, 0.3)
@@ -566,6 +566,20 @@ def test_iterated_series_at_huge_tau_is_a_truncation_error(tau, term):
             iterated_series(gaussian(), tau)
     assert exc.value.n_used == term - 1
     assert math.isfinite(exc.value.last_term)
+
+
+def test_iterated_series_first_term_past_float_range_is_a_truncation_error():
+    # tau = 1.5e308 keeps the coefficient i tau finite, but its product with
+    # Psi_1 of a narrow Gaussian leaves float range: the series ends before
+    # its first term, with no finite term to report, at every scale
+    f = Field.from_function(-8.0, 8.0, 256, lambda x: np.exp(-((x / 0.3) ** 2)))
+    for e in (0, 600, -600):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TruncationError) as exc:
+                iterated_series(f.with_values(np.ldexp(f.values, e)), 1.5e308)
+        assert str(exc.value) == "iterated series overflowed at term 1"
+        assert exc.value.n_used == 0 and exc.value.last_term is None
 
 
 # ----------------------------------------------------------------------

@@ -197,6 +197,13 @@ def test_exp_sqrt_dual_forms_agree():
     assert abs(t_val - xi_val) <= 1e-10
 
 
+def test_exp_sqrt_xi_form_where_xi_squared_underflows():
+    # c = x^2 y = 5e-324: the first piece, [0, sqrt(c)] = [0, 2.2e-162],
+    # holds only nodes whose xi^2 underflows to 0, where the integrand
+    # e^{-c/xi^2} is taken as its limit 0; e^{-sqrt(5e-324)} rounds to 1
+    assert exp_sqrt_via_doetsch(1.0, 5e-324, form="xi_form") == 1.0
+
+
 def test_exp_sqrt_is_multiplicative_in_x():
     # e^{-(x1+x2) sqrt(y)} = e^{-x1 sqrt(y)} e^{-x2 sqrt(y)}
     y = 1.7
@@ -493,38 +500,44 @@ def _seen_by(f, fail=None):
     return data, out
 
 
-def test_homogeneous_runs_data_in_its_range_as_they_are():
-    # a peak in [2^-500, 2^500], or no peak at all: the run sees the very
-    # data, and what it returns or raises comes back unchanged
-    f = gaussian_field(-4.0, 4.0, 17)  # peak 1
-    for scale in (0.0, 2.0**-500, 1.0, 2.0**500):
-        data, out = _seen_by(f.with_values(scale * f.values))
-        assert np.array_equal(data, scale * f.values)
-        assert np.array_equal(out.values, 2.0 * scale * f.values) and out.meta == {"quadrature_error": 0.75}
-    for fail in (ConvergenceError("no convergence", estimate=1.0, error_bound=0.5),
-                 TruncationError("no tail", last_term=3.0, n_used=4)):
-        assert _seen_by(f, fail)[1] is fail
-
-
-def test_homogeneous_scales_data_past_its_range_exactly():
-    # past either end the run sees the data times 2^-e, whose peak lies in
-    # [1, 2), and its values and meta numbers are scaled back by 2^e; a
-    # failure comes as it came, in the scaled data's numbers
-    f = gaussian_field(-4.0, 4.0, 16)  # peak e^{-(4/15)^2} = 0.93, exponent -1
-    for e in (1000, 501, -500, -990):  # just past either end: 1.86 * 2^500, 0.93 * 2^-500
+def test_homogeneous_runs_every_field_at_a_peak_in_half_to_one():
+    # the run sees the data times 2^-e, e = frexp(peak)[1], so a peak in
+    # [0.5, 1): data already there, and zeros, are the very array given.
+    # What comes back is times 2^e: the values and meta numbers, and a
+    # failure raised again from its reason with its numbers times 2^e (inf
+    # past float range, with no warning)
+    f = gaussian_field(-4.0, 4.0, 16)  # peak e^{-(4/15)^2} = 0.93, exponent 0
+    fails = (ConvergenceError("no convergence", estimate=1.0, error_bound=0.5),
+             ConvergenceError("no bound", error_bound=math.inf),
+             TruncationError("no tail", last_term=3.0, n_used=4),
+             TruncationError("overflowed", n_used=0))
+    for e in (-990, -600, -1, 0, 1, 600, 1023, 1024):  # f's least value 1e-7 stays normal
         big = f.with_values(np.ldexp(f.values, e))
         data, out = _seen_by(big)
-        assert np.array_equal(data, 2.0 * f.values)
-        assert np.array_equal(out.values, np.ldexp(2.0 * data, e - 1)), e
-        assert out.warnings == ("run",) and out.meta == {"quadrature_error": math.ldexp(0.75, e - 1)}
-        for fail in (ConvergenceError("no convergence", estimate=1.0, error_bound=0.5),
-                     TruncationError("no tail", last_term=3.0, n_used=4)):
-            assert _seen_by(big, fail)[1] is fail
+        assert np.array_equal(data, f.values) and (data is big.values) == (e == 0), e
+        if e < 1024:  # 2 * 0.93 * 2^1024 is past float range
+            assert np.array_equal(out.values, np.ldexp(2.0 * f.values, e)), e
+            assert out.warnings == ("run",) and out.meta == {"quadrature_error": math.ldexp(0.75, e)}
+        for fail in fails:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _seen_by(big, fail)[1]
+            assert type(got) is type(fail) and got.reason == fail.reason, e
+            for name in ("estimate", "error_bound", "last_term"):
+                number = getattr(fail, name, None)
+                with np.errstate(over="ignore"):
+                    want = None if number is None else float(np.ldexp(number, e))
+                assert getattr(got, name, None) == want, (e, name)
+            assert getattr(got, "n_used", None) == getattr(fail, "n_used", None)
+            assert (got is fail) == (e == 0)
+    zeros = f.with_values(np.zeros(16))
+    data, out = _seen_by(zeros)
+    assert data is zeros.values and not out.values.any()
     # complex data whose modulus passes the largest float take their
-    # exponent from the largest part, 1.5e308 = 1.67 * 2^1023
+    # exponent from the largest part, 1.5e308 = 0.83 * 2^1024
     z = f.with_values(1.5e308 * (1.0 + 1.0j) * f.values / np.max(f.values))
     data, _ = _seen_by(z)
-    assert np.array_equal(data, np.ldexp(z.values.real, -1023) + 1j * np.ldexp(z.values.imag, -1023))
+    assert np.array_equal(data, np.ldexp(z.values.real, -1024) + 1j * np.ldexp(z.values.imag, -1024))
 
 
 def test_homogeneous_refuses_a_result_past_float_range():

@@ -62,7 +62,7 @@ float range, also at a numpy x, the spectral pseudoheat flow at tau = inf,
 the heat smoothing at alpha = 1e-320, R(a) on no a, and each fixed-node
 and adaptive integration rule on an integrand of inf, -inf and complex
 inf; then the spectral pseudoheat flow and the spectral D on data near
-1e307, which run scaled to a peak in [1, 2), and the series at eta = 0,
+1e307, which run scaled to a peak in [0.5, 1), and the series at eta = 0,
 tau = 4; last the float edges of the J0 operator (1e307 and 1.6e308),
 the pseudoheat flow (1.6e308) and the affine flow (1e307 on two grids));
 then the refusals of a result past float range, each digested by the
