@@ -181,13 +181,10 @@ def test_every_field_route_commutes_with_a_power_of_two_past_the_scaling_edge(ro
 
 @pytest.mark.parametrize("route", list(_ROUTES))
 def test_every_field_route_scales_with_a_power_of_two_inside_the_scaling_range(route):
-    # every route runs its data at a peak in [0.5, 1), so its end tests,
-    # tolerances and settle floors never see the data's scale: bit for bit
-    # at every power of two. The pseudoheat rule's end test and the J0
-    # settle floor are absolute, and with data run as given at 2^+-100 and
-    # 2^+-332 they moved values (by 2.2e-16 of the peak), error estimates
-    # and warnings; the iterated series' old absolute tail test failed
-    # at 2^332 and solved at 2^-332 where the unit data fail
+    # every route runs its data at a peak in [0.5, 1), so no end test,
+    # tolerance or settle floor inside it sees the data's scale (the
+    # pseudoheat rule's end test and the J0 settle floor are absolute):
+    # bit for bit at every power of two
     _commutes_with_powers_of_two(route, (1, -1, 100, -100, 332, -332))
 
 
